@@ -49,7 +49,6 @@ from .targets import (
     RatioPair,
     ReferenceAxes,
     ScanTargetPose,
-    SgdConfig,
     TargetModelParams,
     fit_front,
     fit_side,
@@ -76,7 +75,6 @@ __all__ = [
     "RigidTransform",
     "ScanTargetPose",
     "ScanlocError",
-    "SgdConfig",
     "SuccessTable",
     "SyntheticScene",
     "TargetModelParams",

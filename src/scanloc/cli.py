@@ -25,7 +25,6 @@ from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
     _fit_for_target,
-    _scene_fault,
     _scene_sample,
     backprojection_comparison,
     loocv,
@@ -52,7 +51,6 @@ from .synth import (
 from .targets import (
     FitDataset,
     ReferenceAxes,
-    SgdConfig,
     TargetModelParams,
     localize,
     params_from_dict,
@@ -114,7 +112,6 @@ class RunConfig:
     target_id: int
     voxel: float
     normal_neighbors: int
-    sgd: SgdConfig
     thresholds_mm: tuple = ()
     jobs: int = 1
 
@@ -124,19 +121,8 @@ class RunConfig:
             "target_id": self.target_id,
             "voxel_m": self.voxel,
             "normal_neighbors": self.normal_neighbors,
-            "sgd": {
-                "learning_rate": self.sgd.learning_rate,
-                "iterations": self.sgd.iterations,
-                "seed": self.sgd.seed,
-            },
             "thresholds_mm": list(self.thresholds_mm),
         }
-
-
-def _sgd_from_args(args) -> SgdConfig:
-    return SgdConfig(
-        learning_rate=args.sgd_lr, iterations=args.sgd_iterations, seed=args.sgd_seed
-    )
 
 
 # subcommand handlers -----------------------------------------------------------
@@ -228,25 +214,24 @@ def _cmd_fuse(args) -> int:
 def _cmd_fit(args) -> int:
     _require_exists(args.dataset, "dataset directory")
     scenes = load_cohort(args.dataset)
-    sgd = _sgd_from_args(args)
     samples = []
     for scene in scenes:
-        fault = _scene_fault(scene, args.target)
+        sample, fault = _scene_sample(scene, args.target)
         if fault:
             log.warning("skipping scene %d: %s", scene.scene_id, fault)
-            continue
-        samples.append(_scene_sample(scene, args.target))
+        else:
+            samples.append(sample)
     axes = ReferenceAxes()
-    result = _fit_for_target(FitDataset(samples), args.target, axes, sgd)
+    result = _fit_for_target(FitDataset(samples), args.target, axes)
     if pose_kind_for_target(args.target) == "front":
         params = TargetModelParams(front={args.target: result.ratios})
     else:
         params = TargetModelParams(side=result.ratios)
     save_params(args.out, params, axes)
     log.info(
-        "fitted target %d on %d scenes (sgd seed %d): segment %.6f offset %.6f, "
+        "fitted target %d on %d scenes: segment %.6f offset %.6f, "
         "mean planar residual %.3f mm -> %s",
-        args.target, len(samples), sgd.seed, result.ratios.segment_ratio,
+        args.target, len(samples), result.ratios.segment_ratio,
         result.ratios.offset_ratio, 1000 * result.mean_planar_residual, args.out,
     )
     return 0
@@ -305,7 +290,7 @@ def _cmd_evaluate(args) -> int:
     scenes = [load_scene(d) for d in dirs]
     config = RunConfig(
         target_id=args.target, voxel=args.voxel, normal_neighbors=args.neighbors,
-        sgd=_sgd_from_args(args), thresholds_mm=args.thresholds, jobs=args.jobs,
+        thresholds_mm=args.thresholds, jobs=args.jobs,
     )
     log.info("evaluate config: %s", json.dumps(config.to_dict(), sort_keys=True))
     worker = functools.partial(
@@ -319,7 +304,7 @@ def _cmd_evaluate(args) -> int:
 
     folds = loocv(
         scenes, args.target, voxel=args.voxel, normal_neighbors=args.neighbors,
-        sgd=config.sgd, clouds=clouds,
+        clouds=clouds,
     )
     table = success_table(folds, args.thresholds)
     summary = summarize(folds)
@@ -353,15 +338,6 @@ def _cmd_evaluate(args) -> int:
 
 
 # parser ------------------------------------------------------------------------
-
-
-def _add_sgd_flags(parser) -> None:
-    parser.add_argument("--sgd-lr", type=float, default=SgdConfig.learning_rate,
-                        help="SGD learning rate for the side-target fit")
-    parser.add_argument("--sgd-iterations", type=int, default=SgdConfig.iterations,
-                        help="SGD iteration count")
-    parser.add_argument("--sgd-seed", type=int, default=SgdConfig.seed,
-                        help="SGD shuffle seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="cohort directory")
     p.add_argument("--target", type=int, choices=(1, 2, 4), required=True)
     p.add_argument("--out", required=True, help="output params JSON")
-    _add_sgd_flags(p)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("localize", help="localize scan targets in one scene")
@@ -424,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neighbors", type=int, default=30)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for fusion; results are independent")
-    _add_sgd_flags(p)
     p.set_defaults(handler=_cmd_evaluate)
 
     return parser

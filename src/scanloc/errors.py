@@ -62,10 +62,6 @@ class RankDeficientError(ScanlocError):
     """The least-squares design rows are collinear; ratios are not identifiable."""
 
 
-class NonFiniteError(ScanlocError):
-    """SGD diverged to non-finite parameters or loss."""
-
-
 class MissingKeypointError(ScanlocError):
     """A joint required by the requested pose kind is invalid in at least one view."""
 

@@ -3,16 +3,16 @@
 A fold fits the ratio parameters on every scene but one, localizes the
 held-out scene, and scores position (3D Euclidean, mm) and orientation
 (angle between predicted and true surface normal, degrees).  Scenes whose
-required joints are missing or known-corrupt are "faulty": they are kept
-out of every training set, reported with no error values, and counted as
-failures (never successes) in success-rate tables.
+required joints are missing, known-corrupt or not human-scale are
+"faulty": they are kept out of every training set, reported with no error
+values, and counted as failures (never successes) in success-rate tables.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .targets import (
     Keypoints3D,
     RatioPair,
     ReferenceAxes,
-    SgdConfig,
     TargetModelParams,
     fit_front,
     fit_side,
@@ -79,47 +78,41 @@ class SuccessTable:
         return self.rates[target_id][self.thresholds_mm.index(threshold_mm)]
 
 
-def _scene_fault(scene: SyntheticScene, target_id: int) -> str:
-    """Why this scene cannot supply a valid sample for `target_id`, or ''."""
+def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | None, str]:
+    """The scene as one fit sample and '', or None and why it is faulty.
+
+    A sample is the triangulated keypoints plus the ground-truth target.
+    A scene is faulty when a required joint is known-corrupt, is not
+    visible in both views, or triangulates to keypoints that are not
+    human-scale (a grossly displaced detection).
+    """
     needed = required_joints(pose_kind_for_target(target_id))
     for joint in needed:
         if joint in scene.faulted_joints:
-            return f"{joint} {scene.faulted_joints[joint]}"
+            return None, f"{joint} {scene.faulted_joints[joint]}"
     for joint in needed:
         for vi, camera in enumerate(scene.cameras):
             if scene.observation.joint_in_view(joint, vi, camera) is None:
-                return f"{joint} not visible in view {vi}"
-    return ""
-
-
-def _scene_sample(scene: SyntheticScene, target_id: int) -> FitSample:
-    """Triangulated keypoints + ground-truth target, as one fit sample.
-
-    Raises ValueError when the triangulated joints are not human-scale
-    (a grossly displaced detection); callers treat that as a fault.
-    """
+                return None, f"{joint} not visible in view {vi}"
     positions = triangulate_joints(scene.cameras[0], scene.cameras[1], scene.observation)
-    kps = Keypoints3D(
-        left_shoulder=positions.get("left_shoulder"),
-        right_shoulder=positions.get("right_shoulder"),
-        right_hip=positions.get("right_hip"),
-    )
-    return FitSample(
+    try:
+        kps = Keypoints3D(
+            left_shoulder=positions.get("left_shoulder"),
+            right_shoulder=positions.get("right_shoulder"),
+            right_hip=positions.get("right_hip"),
+        )
+    except ValueError as exc:
+        return None, f"implausible keypoints: {exc}"
+    sample = FitSample(
         keypoints=kps, target=scene.targets_true[target_id], scene_id=scene.scene_id
     )
+    return sample, ""
 
 
-def _fit_for_target(dataset: FitDataset, target_id: int, axes: ReferenceAxes,
-                    sgd: SgdConfig):
+def _fit_for_target(dataset: FitDataset, target_id: int, axes: ReferenceAxes):
     if pose_kind_for_target(target_id) == "front":
         return fit_front(dataset, fallback_reference=axes.front)
-    return fit_side(dataset, reference=axes.side, sgd=sgd)
-
-
-def _fold_seed(base_seed: int, fold_index: int) -> int:
-    """A per-fold SGD seed that does not depend on execution order."""
-    return int(np.random.SeedSequence(entropy=base_seed, spawn_key=(fold_index,))
-               .generate_state(1)[0])
+    return fit_side(dataset, reference=axes.side)
 
 
 def scene_cloud(scene: SyntheticScene, voxel: float = DEFAULT_EVAL_VOXEL,
@@ -129,14 +122,14 @@ def scene_cloud(scene: SyntheticScene, voxel: float = DEFAULT_EVAL_VOXEL,
 
 
 def loocv(scenes, target_id: int, voxel: float = DEFAULT_EVAL_VOXEL,
-          normal_neighbors: int = 30, sgd: SgdConfig = SgdConfig(),
-          axes: ReferenceAxes | None = None, clouds=None) -> list[FoldResult]:
+          normal_neighbors: int = 30, axes: ReferenceAxes | None = None,
+          clouds=None) -> list[FoldResult]:
     """Leave-one-out folds over the scenes, in scene order.
 
     `clouds`, when given, must align 1:1 with `scenes` (precomputed fused
-    clouds); otherwise each held-out scene is fused on demand.  Fold i is
-    independent of every other fold, and its SGD seed is derived from
-    (sgd.seed, i), so parallel execution cannot change results.
+    clouds); otherwise each held-out scene is fused on demand.  Each fold's
+    fit is an exact least-squares solve, a pure function of its training
+    set, so fold order and parallel execution cannot change results.
     """
     pose_kind = pose_kind_for_target(target_id)
     scenes = list(scenes)
@@ -149,17 +142,7 @@ def loocv(scenes, target_id: int, voxel: float = DEFAULT_EVAL_VOXEL,
             )
     axes = axes or ReferenceAxes()
 
-    faults = [_scene_fault(scene, target_id) for scene in scenes]
-    samples = []
-    for i, scene in enumerate(scenes):
-        if faults[i]:
-            samples.append(None)
-            continue
-        try:
-            samples.append(_scene_sample(scene, target_id))
-        except ValueError as exc:
-            faults[i] = f"implausible keypoints: {exc}"
-            samples.append(None)
+    samples, faults = zip(*(_scene_sample(scene, target_id) for scene in scenes))
 
     folds = []
     for i, scene in enumerate(scenes):
@@ -174,8 +157,7 @@ def loocv(scenes, target_id: int, voxel: float = DEFAULT_EVAL_VOXEL,
                 FoldResult(scene.scene_id, target_id, True, "no valid training scenes")
             )
             continue
-        fold_sgd = replace(sgd, seed=_fold_seed(sgd.seed, i))
-        fit = _fit_for_target(FitDataset(training), target_id, axes, fold_sgd)
+        fit = _fit_for_target(FitDataset(training), target_id, axes)
 
         if pose_kind == "front":
             params = TargetModelParams(front={target_id: fit.ratios})

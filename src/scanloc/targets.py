@@ -9,9 +9,10 @@ shoulder-to-right-hip segment, with its sideways step scaled by the
 walked distance rather than the whole segment.
 
 Fitting recovers the two ratios per target from examples by minimizing
-the mean squared planar (XY) mismatch: a linear least-squares problem for
-front targets, a small SGD problem for the lateral one (its sideways
-scale makes it nonlinear in the walk ratio).
+the mean squared planar (XY) mismatch.  Both models are linear least
+squares solved by one shared `lstsq` call: the front model in its two
+ratios directly, the lateral one in (walk ratio, walk ratio magnitude
+times sideways ratio), from which the sideways ratio is recovered.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     DegenerateRollError,
     InsufficientSamplesError,
     MissingKeypointError,
-    NonFiniteError,
     RankDeficientError,
     ZeroVectorError,
 )
@@ -230,31 +230,49 @@ class FitDataset:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class SgdConfig:
-    learning_rate: float = 0.05
-    iterations: int = 2000
-    seed: int = 0
-    init: tuple[float, float] = (0.5, 0.5)
-
-
 @dataclass(frozen=True, eq=False)
 class FitResult:
     ratios: RatioPair
     mean_planar_residual: float
 
 
-def _front_sample_geometry(sample: FitSample, fallback_reference):
-    kps = sample.keypoints
-    if kps.left_shoulder is None or kps.right_shoulder is None:
-        raise MissingKeypointError(
-            f"sample {sample.scene_id} lacks a shoulder; cannot fit front targets"
+def _lstsq_ratios(starts, segs, offsets, targets) -> tuple[float, float, float]:
+    """Exact least squares for targets ~ starts + a * segs + c * offsets.
+
+    Every argument holds one planar (XY) row per sample, so each sample
+    contributes two equations in (a, c).  Returns a, c and the mean planar
+    distance between the fitted predictions and the targets.
+    """
+    rows = np.column_stack([segs.reshape(-1), offsets.reshape(-1)])
+    solution, _, rank, _ = np.linalg.lstsq(rows, (targets - starts).reshape(-1), rcond=None)
+    if rank < 2:
+        raise RankDeficientError(
+            "planar design rows are collinear; samples do not pin down both ratios"
         )
-    start = kps.left_shoulder
-    seg = kps.right_shoulder - start
-    ref = front_reference(kps, fallback_reference)
-    t2 = perpendicular_planar_direction(start, kps.right_shoulder, ref)
-    return start, seg, t2
+    a, c = float(solution[0]), float(solution[1])
+    pred = starts + a * segs + c * offsets
+    return a, c, float(np.mean(np.linalg.norm(pred - targets, axis=1)))
+
+
+def _front_sample_arrays(data: FitDataset, fallback_reference):
+    starts = np.empty((len(data), 2))
+    segs = np.empty((len(data), 2))
+    offsets = np.empty((len(data), 2))
+    gts = np.empty((len(data), 2))
+    for i, sample in enumerate(data.samples):
+        kps = sample.keypoints
+        if kps.left_shoulder is None or kps.right_shoulder is None:
+            raise MissingKeypointError(
+                f"sample {sample.scene_id} lacks a shoulder; cannot fit front targets"
+            )
+        seg = kps.right_shoulder - kps.left_shoulder
+        ref = front_reference(kps, fallback_reference)
+        t2 = perpendicular_planar_direction(kps.left_shoulder, kps.right_shoulder, ref)
+        starts[i] = kps.left_shoulder[:2]
+        segs[i] = seg[:2]
+        offsets[i] = np.linalg.norm(seg) * t2[:2]
+        gts[i] = sample.target[:2]
+    return starts, segs, offsets, gts
 
 
 def fit_front(data: FitDataset, fallback_reference=None) -> FitResult:
@@ -269,31 +287,8 @@ def fit_front(data: FitDataset, fallback_reference=None) -> FitResult:
     """
     if fallback_reference is None:
         fallback_reference = ReferenceAxes().front
-    rows = np.empty((2 * len(data), 2))
-    rhs = np.empty(2 * len(data))
-    for i, sample in enumerate(data.samples):
-        start, seg, t2 = _front_sample_geometry(sample, fallback_reference)
-        rows[2 * i] = (seg[0], np.linalg.norm(seg) * t2[0])
-        rows[2 * i + 1] = (seg[1], np.linalg.norm(seg) * t2[1])
-        rhs[2 * i : 2 * i + 2] = (sample.target - start)[:2]
-    solution, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-    if rank < 2:
-        raise RankDeficientError(
-            "planar design rows are collinear; samples do not pin down both ratios"
-        )
-    ratios = RatioPair(float(solution[0]), float(solution[1]))
-    residual = _front_mean_planar_distance(data, ratios, fallback_reference)
-    return FitResult(ratios=ratios, mean_planar_residual=residual)
-
-
-def _front_mean_planar_distance(data, ratios, fallback_reference) -> float:
-    total = 0.0
-    for sample in data.samples:
-        start, seg, t2 = _front_sample_geometry(sample, fallback_reference)
-        pred = start + ratios.segment_ratio * seg
-        pred = pred + ratios.offset_ratio * np.linalg.norm(seg) * t2
-        total += float(np.linalg.norm((pred - sample.target)[:2]))
-    return total / len(data)
+    a, b, residual = _lstsq_ratios(*_front_sample_arrays(data, fallback_reference))
+    return FitResult(ratios=RatioPair(a, b), mean_planar_residual=residual)
 
 
 def _side_sample_arrays(data: FitDataset, reference):
@@ -341,63 +336,23 @@ def side_objective(theta, arrays) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def fit_side(data: FitDataset, reference=None, sgd: SgdConfig = SgdConfig()) -> FitResult:
-    """SGD fit of the lateral-target ratios.
+def fit_side(data: FitDataset, reference=None) -> FitResult:
+    """Exact least-squares fit of the lateral-target ratios.
 
-    One sample per step, reshuffled each epoch from the seeded generator;
-    the best parameters seen on the full objective are returned, so a late
-    noisy step cannot degrade the answer.
+    The lateral model shoulder + a * seg + b * |a| * |seg| * t2 is linear
+    in (a, c = b * |a|), so the same solver as the front fit gives the
+    global optimum and b = c / |a|.  At a = 0 the target sits on the
+    shoulder and b is undefined: that raises RankDeficientError.
     """
     if reference is None:
         reference = ReferenceAxes().side
-    arrays = _side_sample_arrays(data, reference)
-    shoulders, segs, lengths, perps, gts = arrays
-    n = len(data)
-
-    rng = np.random.default_rng(sgd.seed)
-    theta = np.asarray(sgd.init, dtype=float).copy()
-    best_theta = theta.copy()
-    best_loss, _ = side_objective(theta, arrays)
-    steps = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while steps < sgd.iterations:
-            order = rng.permutation(n)
-            for i in order:
-                one = (
-                    shoulders[i : i + 1],
-                    segs[i : i + 1],
-                    lengths[i : i + 1],
-                    perps[i : i + 1],
-                    gts[i : i + 1],
-                )
-                _, grad = side_objective(theta, one)
-                theta = theta - sgd.learning_rate * grad
-                if not np.all(np.isfinite(theta)):
-                    raise NonFiniteError(
-                        f"SGD diverged at step {steps} with lr={sgd.learning_rate}: "
-                        f"params became {theta}"
-                    )
-                loss, _ = side_objective(theta, arrays)
-                if not np.isfinite(loss):
-                    raise NonFiniteError(
-                        f"SGD loss overflowed at step {steps} with lr={sgd.learning_rate}: "
-                        f"params {theta}"
-                    )
-                if loss < best_loss:
-                    best_loss = loss
-                    best_theta = theta.copy()
-                steps += 1
-                if steps >= sgd.iterations:
-                    break
-
-    ratios = RatioPair(float(best_theta[0]), float(best_theta[1]))
-    pred = (
-        shoulders
-        + ratios.segment_ratio * segs
-        + (ratios.offset_ratio * np.abs(ratios.segment_ratio) * lengths)[:, None] * perps
-    )
-    residual = float(np.mean(np.linalg.norm(pred - gts, axis=1)))
-    return FitResult(ratios=ratios, mean_planar_residual=residual)
+    shoulders, segs, lengths, perps, gts = _side_sample_arrays(data, reference)
+    a, c, residual = _lstsq_ratios(shoulders, segs, lengths[:, None] * perps, gts)
+    if a == 0.0:
+        raise RankDeficientError(
+            "fitted segment ratio is 0; the offset ratio is not identifiable"
+        )
+    return FitResult(ratios=RatioPair(a, c / abs(a)), mean_planar_residual=residual)
 
 
 # orientation and full localization ------------------------------------------

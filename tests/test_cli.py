@@ -2,6 +2,8 @@
 
 import filecmp
 import json
+import logging
+import shutil
 
 import numpy as np
 import pytest
@@ -262,7 +264,9 @@ class TestPipeline:
             ), name
         summary = json.loads((tmp_path / "r1" / "summary.json").read_text())
         assert summary["n_folds"] == 3
-        assert summary["config"]["sgd"]["seed"] == 0
+        assert set(summary["config"]) == {
+            "normal_neighbors", "target_id", "thresholds_mm", "voxel_m"
+        }
         assert summary["config"]["thresholds_mm"][0] == 5.0
         assert summary["position_mm"]["mean"] < 25.0
 
@@ -276,3 +280,41 @@ class TestPipeline:
             assert filecmp.cmp(
                 tmp_path / "seq" / name, tmp_path / "par" / name, shallow=False
             ), name
+
+
+def collapse_right_hip(scene_dir):
+    """Observe the right hip at the right shoulder's pixels in both views."""
+    path = scene_dir / "scene.json"
+    data = json.loads(path.read_text())
+    for view in data["observation"].values():
+        view["right_hip"] = list(view["right_shoulder"])
+    path.write_text(json.dumps(data))
+
+
+class TestFitFaults:
+    def test_fit_skips_implausible_scene(self, cohort_dir, tmp_path, caplog):
+        dataset = tmp_path / "scenes"
+        shutil.copytree(cohort_dir, dataset)
+        collapse_right_hip(dataset / "scene_001")
+        params_file = tmp_path / "params.json"
+        with caplog.at_level(logging.WARNING, logger="scanloc"):
+            assert main(["fit", "--dataset", str(dataset), "--target", "1",
+                         "--out", str(params_file)]) == 0
+        (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "skipping scene 1: implausible keypoints" in warning.getMessage()
+        assert "1" in json.loads(params_file.read_text())["front"]
+
+    def test_fit_with_every_scene_faulty_exits_1(self, cohort_dir, tmp_path, caplog):
+        dataset = tmp_path / "scenes"
+        shutil.copytree(cohort_dir, dataset)
+        for scene_dir in sorted(dataset.glob("scene_*")):
+            collapse_right_hip(scene_dir)
+        params_file = tmp_path / "params.json"
+        with caplog.at_level(logging.WARNING, logger="scanloc"):
+            assert main(["fit", "--dataset", str(dataset), "--target", "1",
+                         "--out", str(params_file)]) == 1
+        (error,) = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert "at least one sample" in error.getMessage()
+        assert "\n" not in error.getMessage()
+        assert error.exc_info is None
+        assert not params_file.exists()

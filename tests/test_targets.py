@@ -12,8 +12,8 @@ from scanloc.errors import (
     DegenerateAxisError,
     DegenerateRollError,
     MissingKeypointError,
-    NonFiniteError,
     InsufficientSamplesError,
+    RankDeficientError,
 )
 from scanloc.geometry import Pixel, angle_axis_to_rotation, RigidTransform
 from scanloc.targets import (
@@ -23,7 +23,6 @@ from scanloc.targets import (
     Keypoints3D,
     RatioPair,
     ReferenceAxes,
-    SgdConfig,
     TargetModelParams,
     _side_sample_arrays,
     fit_front,
@@ -317,19 +316,40 @@ class TestFitSide:
         assert abs(result.ratios.offset_ratio - 0.35) < 1e-3
         assert result.mean_planar_residual < 1e-4
 
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(1515)
-        data = make_side_dataset(rng, 10, (0.5, 0.2), noise_sigma=0.004)
-        a = fit_side(data, sgd=SgdConfig(seed=7))
-        b = fit_side(data, sgd=SgdConfig(seed=7))
-        assert a.ratios == b.ratios
-        assert a.mean_planar_residual == b.mean_planar_residual
+    def test_noisy_fit_beats_dense_grid(self):
+        # exact optimum vs every probe of a 201x201 grid over [-1,1]^2, in the
+        # mean squared planar loss of the lateral model (side_objective)
+        grid = np.linspace(-1.0, 1.0, 201)
+        for seed in range(10):
+            rng = np.random.default_rng(1500 + seed)
+            data = make_side_dataset(rng, 20, (0.5, 0.2), noise_sigma=0.005)
+            arrays = _side_sample_arrays(data, np.array([1.0, 0.0, 0.0]))
+            result = fit_side(data)
+            theta = (result.ratios.segment_ratio, result.ratios.offset_ratio)
+            fit_loss, _ = side_objective(theta, arrays)
+            shoulders, segs, lengths, perps, gts = arrays
+            a, b = np.meshgrid(grid, grid, indexing="ij")
+            step = (b * np.abs(a))[..., None, None] * (lengths[:, None] * perps)[None, None]
+            pred = shoulders[None, None] + a[..., None, None] * segs[None, None] + step
+            grid_losses = np.mean(np.sum((pred - gts[None, None]) ** 2, axis=-1), axis=-1)
+            assert fit_loss <= grid_losses.min() + 1e-12, f"cohort seed {1500 + seed}"
 
-    def test_huge_learning_rate_diverges(self):
-        rng = np.random.default_rng(1616)
-        data = make_side_dataset(rng, 6, (0.5, 0.2), noise_sigma=0.01)
-        with pytest.raises(NonFiniteError):
-            fit_side(data, sgd=SgdConfig(learning_rate=1e6))
+    def test_noiseless_recovery_is_exact(self):
+        for seed, ratios in enumerate([(0.55, 0.35), (0.4, 0.15), (-0.3, 0.6)]):
+            data = make_side_dataset(np.random.default_rng(1600 + seed), 12, ratios)
+            result = fit_side(data)
+            assert abs(result.ratios.segment_ratio - ratios[0]) < 1e-9
+            assert abs(result.ratios.offset_ratio - ratios[1]) < 1e-9
+            assert result.mean_planar_residual < 1e-9
+
+    def test_targets_at_shoulder_are_rank_deficient(self):
+        data = make_side_dataset(np.random.default_rng(1616), 6, (0.5, 0.2))
+        at_shoulder = FitDataset([
+            FitSample(s.keypoints, s.keypoints.right_shoulder, s.scene_id)
+            for s in data.samples
+        ])
+        with pytest.raises(RankDeficientError):
+            fit_side(at_shoulder)
 
 
 class TestOrientation:
