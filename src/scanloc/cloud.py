@@ -2,11 +2,11 @@
 
 Depth maps from the two calibrated cameras are deprojected pixel by pixel
 into the base frame and merged.  The merged cloud is voxel-downsampled
-(centroid per voxel), and a 2D grid hash over XY serves nearest-neighbor
-queries in the horizontal plane.  Normals are estimated by PCA over the k
-nearest 3D neighbors and oriented toward the cameras, per point on first
-use: localization reads only the few points it snaps to, while
-`FusedCloud.normals` and `FusedCloud.save` compute every one.
+(centroid per voxel), and a 2D k-d tree over XY (scipy's `cKDTree`) serves
+nearest-neighbor queries in the horizontal plane.  Normals are estimated by
+PCA over the k nearest 3D neighbors and oriented toward the cameras, per
+point on first use: localization reads only the few points it snaps to,
+while `FusedCloud.normals` and `FusedCloud.save` compute every one.
 
 The planar lookup implements the depth-adjustment rule this pipeline is
 built around: a regressed target keeps its XY coordinates, while its Z and
@@ -16,13 +16,14 @@ surface normal are copied from the cloud point closest in XY.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyCloudError, VoxelKeyOverflowError
+from .errors import EmptyCloudError, MalformedFileError, VoxelKeyOverflowError
 from .geometry import PinholeCamera
 
 # Depth readings beyond this are treated as invalid (sensor range limit).
@@ -31,8 +32,6 @@ MAX_DEPTH = 10.0
 FAR_FROM_SURFACE = 0.020
 DEFAULT_VOXEL = 0.005
 DEFAULT_NORMAL_NEIGHBORS = 30
-# Grid cells never get smaller than this, whatever the voxel size.
-MIN_CELL = 0.005
 
 _CLOUD_MAGIC = b"SCLOUD01"
 
@@ -90,99 +89,22 @@ def read_pfm(path) -> np.ndarray:
                 ch = fh.read(1)
             return b"".join(chars)
 
-        magic = token()
-        if magic != b"Pf":
-            raise ValueError(f"not a grayscale PFM file (magic {magic!r})")
-        width = int(token())
-        height = int(token())
-        scale = float(token())
-        dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(fh.read(width * height * 4), dtype=dtype)
-        if data.size != width * height:
-            raise ValueError("PFM file truncated")
+        try:
+            magic, width, height, scale = token(), int(token()), int(token()), float(token())
+        except ValueError:
+            raise MalformedFileError(f"{path}: PFM header is cut short or not numeric") from None
+        if magic != b"Pf" or not math.isfinite(scale) or scale == 0:
+            raise MalformedFileError(f"{path}: not a grayscale PFM (magic {magic!r}, scale {scale})")
+        _check_payload(fh, path, (height, width))
+        data = np.frombuffer(fh.read(), dtype="<f4" if scale < 0 else ">f4")
     return np.flipud(data.reshape(height, width)).astype(np.float32)
 
 
-class PlanarGrid:
-    """Exact nearest-neighbor queries over point XY coordinates.
-
-    Points are bucketed into square cells; a query scans expanding
-    Chebyshev rings of cells around the target until no farther ring can
-    contain a closer point.  Distances are plain Euclidean in XY, ties
-    break toward the smallest point index, matching a linear scan exactly.
-    """
-
-    def __init__(self, points: np.ndarray, cell: float):
-        if len(points) == 0:
-            raise EmptyCloudError("cannot index an empty cloud")
-        if cell <= 0:
-            raise ValueError("cell size must be positive")
-        self.cell = float(cell)
-        self.xy = np.ascontiguousarray(points[:, :2], dtype=float)
-        keys = np.floor(self.xy / self.cell).astype(np.int64)
-        # group indices per cell; within a cell indices stay ascending
-        order = np.lexsort((np.arange(len(keys)), keys[:, 1], keys[:, 0]))
-        sorted_keys = keys[order]
-        boundaries = np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
-        starts = np.concatenate([[0], boundaries, [len(keys)]])
-        self._cells = {}
-        for s, e in zip(starts[:-1], starts[1:]):
-            self._cells[tuple(sorted_keys[s])] = order[s:e]
-        self._kmin = keys.min(axis=0)
-        self._kmax = keys.max(axis=0)
-
-    def _ring_cells(self, center, radius):
-        cx, cy = center
-        x0 = max(cx - radius, self._kmin[0])
-        x1 = min(cx + radius, self._kmax[0])
-        y0 = max(cy - radius, self._kmin[1])
-        y1 = min(cy + radius, self._kmax[1])
-        if x0 > x1 or y0 > y1:
-            return
-        if radius == 0:
-            yield (cx, cy)
-            return
-        for i in range(x0, x1 + 1):
-            if abs(i - cx) == radius:
-                for j in range(y0, y1 + 1):
-                    yield (i, j)
-            else:
-                if cy - radius >= y0:
-                    yield (i, cy - radius)
-                if cy + radius <= y1:
-                    yield (i, cy + radius)
-
-    def query(self, target_xy) -> tuple[int, float]:
-        """Return (point index, planar distance) of the XY-nearest point."""
-        t = np.asarray(target_xy, dtype=float).reshape(-1)[:2]
-        cx, cy = (int(c) for c in np.floor(t / self.cell).astype(np.int64))
-        # distance (in whole rings) from the target's cell to the occupied box
-        start = max(
-            self._kmin[0] - cx, cx - self._kmax[0],
-            self._kmin[1] - cy, cy - self._kmax[1],
-            0,
-        )
-        r_max = int(
-            max(
-                abs(self._kmin[0] - cx), abs(self._kmax[0] - cx),
-                abs(self._kmin[1] - cy), abs(self._kmax[1] - cy),
-            )
-        )
-        best_d2 = math.inf
-        best_idx = -1
-        for radius in range(int(start), r_max + 1):
-            if best_idx >= 0 and (radius - 1) * self.cell > math.sqrt(best_d2):
-                break
-            for key in self._ring_cells((cx, cy), radius):
-                idxs = self._cells.get(key)
-                if idxs is None:
-                    continue
-                d2 = ((self.xy[idxs] - t) ** 2).sum(axis=1)
-                j = np.lexsort((idxs, d2))[0]
-                if d2[j] < best_d2 or (d2[j] == best_d2 and idxs[j] < best_idx):
-                    best_d2 = float(d2[j])
-                    best_idx = int(idxs[j])
-        return best_idx, math.sqrt(best_d2)
+def _check_payload(fh, path, shape: tuple[int, int]) -> None:
+    """Raise MalformedFileError unless `shape` is positive and its float32s fill `fh`."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if min(shape) <= 0 or left != 4 * shape[0] * shape[1]:
+        raise MalformedFileError(f"{path}: header declares shape {shape}, but {left} data bytes follow")
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,19 +128,19 @@ class AdjustedTarget:
 
 
 class FusedCloud:
-    """An oriented point cloud with a planar lookup index.
+    """An oriented point cloud; a 2D k-d tree over XY serves `planar_nearest`.
 
     Normals are either given to the constructor or, for a cloud built by
     `fuse`, estimated from the points: each point's normal is computed on
     first use and memoized, and `normals` / `save` compute every one.
     """
 
-    def __init__(self, points, normals, cell: float = MIN_CELL):
+    def __init__(self, points, normals):
         pts = np.asarray(points, dtype=float)
         nrm = np.asarray(normals, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape != nrm.shape:
             raise ValueError("points and normals must both have shape (N, 3)")
-        self._index_points(pts, cell)
+        self._index_points(pts)
         if not np.all(np.isfinite(nrm)):
             raise ValueError("cloud coordinates must be finite")
         lengths = np.linalg.norm(nrm, axis=1)
@@ -228,10 +150,10 @@ class FusedCloud:
         self._known = np.ones(len(pts), dtype=bool)
 
     @classmethod
-    def _with_pca_normals(cls, points, k: int, toward, cell: float) -> "FusedCloud":
+    def _with_pca_normals(cls, points, k: int, toward) -> "FusedCloud":
         """A cloud whose normals `_pca_normals` computes on demand."""
         cloud = cls.__new__(cls)
-        cloud._index_points(points, cell)
+        cloud._index_points(points)
         cloud._normals = np.zeros(cloud.points.shape)
         cloud._known = np.zeros(len(cloud.points), dtype=bool)
         cloud._k = min(k, len(cloud.points))
@@ -239,7 +161,7 @@ class FusedCloud:
         cloud._tree = cKDTree(cloud.points) if len(cloud.points) >= 3 else None
         return cloud
 
-    def _index_points(self, pts: np.ndarray, cell: float) -> None:
+    def _index_points(self, pts: np.ndarray) -> None:
         if len(pts) == 0:
             raise EmptyCloudError("a fused cloud needs at least one point")
         if not np.all(np.isfinite(pts)):
@@ -247,8 +169,8 @@ class FusedCloud:
         pts = pts.copy()
         pts.flags.writeable = False
         self.points = pts
-        self.cell = cell
-        self._grid = PlanarGrid(pts, max(cell, MIN_CELL))
+        # sliding-midpoint splits build about twice as fast as median splits
+        self._planar = cKDTree(pts[:, :2], balanced_tree=False)
 
     def _estimate(self, index: np.ndarray) -> None:
         missing = index[~self._known[index]]
@@ -277,11 +199,24 @@ class FusedCloud:
         return len(self.points)
 
     def planar_nearest(self, target_xy) -> PlanarNeighbor:
-        idx, dist = self._grid.query(target_xy)
+        """The point nearest to `target_xy` in XY; ties go to the smallest index.
+
+        The tree's nearest distance bounds a ball that holds every tied
+        point; the candidates are re-scored with the linear scan's own
+        arithmetic, so index and distance match a scan bitwise.
+        """
+        t = np.asarray(target_xy, dtype=float).reshape(-1)[:2]
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"planar target must be finite, got {t}")
+        nearest, _ = self._planar.query(t)
+        cand = np.asarray(self._planar.query_ball_point(t, nearest * (1 + 1e-9)))
+        d2 = ((self.points[cand, :2] - t) ** 2).sum(axis=1)
+        j = np.lexsort((cand, d2))[0]
+        idx = int(cand[j])
         return PlanarNeighbor(
             point=self.points[idx],
             normal=self.normal_at(idx),
-            planar_distance=dist,
+            planar_distance=math.sqrt(d2[j]),
             index=idx,
         )
 
@@ -295,20 +230,21 @@ class FusedCloud:
             fh.write(normals.astype("<f4").tobytes())
 
     @classmethod
-    def load(cls, path, cell: float = MIN_CELL) -> "FusedCloud":
+    def load(cls, path) -> "FusedCloud":
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _CLOUD_MAGIC:
-                raise ValueError(f"not a cloud file (magic {magic!r})")
-            (count,) = struct.unpack("<Q", fh.read(8))
-            data = np.frombuffer(fh.read(count * 24), dtype="<f4")
-            if data.size != count * 6:
-                raise ValueError("cloud file truncated")
+            header = fh.read(16)
+            if len(header) != 16 or header[:8] != _CLOUD_MAGIC:
+                raise MalformedFileError(f"{path}: not a cloud file or cut short ({header[:8]!r})")
+            (count,) = struct.unpack("<Q", header[8:])
+            _check_payload(fh, path, (count, 6))
+            data = np.frombuffer(fh.read(), dtype="<f4")
         points = data[: count * 3].reshape(count, 3).astype(float)
         normals = data[count * 3 :].reshape(count, 3).astype(float)
+        lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+        if not np.all(np.isfinite(data)) or np.any(lengths == 0):
+            raise MalformedFileError(f"{path}: non-finite value or zero-length normal")
         # float32 storage leaves ~1e-8 slack on unit length; renormalize
-        normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-        return cls(points=points, normals=normals, cell=cell)
+        return cls(points=points, normals=normals / lengths)
 
 
 def fuse(
@@ -344,9 +280,7 @@ def fuse(
     if voxel > 0:
         points = _voxel_centroids(points, voxel)
     toward = np.mean(centers, axis=0)
-    return FusedCloud._with_pca_normals(
-        points, normal_neighbors, toward, cell=max(voxel, MIN_CELL)
-    )
+    return FusedCloud._with_pca_normals(points, normal_neighbors, toward)
 
 
 def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:

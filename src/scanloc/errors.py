@@ -41,7 +41,11 @@ class InsufficientMotionError(ScanlocError):
 # point cloud ---------------------------------------------------------------
 
 class EmptyCloudError(ScanlocError):
-    """No valid depth pixels survived fusion, or a query hit an empty cloud."""
+    """No valid depth pixels survived fusion, or a cloud was given no points."""
+
+
+class MalformedFileError(ConfigError, ValueError):
+    """A PFM depth map or `.cloud` file has a bad header, size or payload."""
 
 
 class VoxelKeyOverflowError(ScanlocError):

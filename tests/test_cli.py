@@ -282,6 +282,23 @@ class TestPipeline:
             ), name
 
 
+class TestMalformedInput:
+    def test_fuse_on_truncated_pfm_exits_1(self, cohort_dir, tmp_path, caplog):
+        scene = tmp_path / "scene"
+        shutil.copytree(cohort_dir / "scene_001", scene)
+        depth_file = json.loads((scene / "scene.json").read_text())["depth_files"][0]
+        pfm = scene / depth_file
+        pfm.write_bytes(pfm.read_bytes()[:-100])
+        out = tmp_path / "cloud.bin"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["fuse", "--scene", str(scene), "--out", str(out)]) == 1
+        (error,) = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert str(pfm) in error.getMessage()
+        assert "\n" not in error.getMessage()
+        assert error.exc_info is None
+        assert not out.exists()
+
+
 def collapse_right_hip(scene_dir):
     """Observe the right hip at the right shoulder's pixels in both views."""
     path = scene_dir / "scene.json"

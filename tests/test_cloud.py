@@ -3,13 +3,14 @@
 Oracles:
 
 * analytic renders (flat plane, sphere) with normals known in closed form,
-* a transcribed linear scan for the planar nearest-neighbor index,
+* a transcribed linear scan for the planar nearest-neighbor lookup,
 * hand-built miniature clouds for the depth-adjustment rule,
 * the eager all-points normal computation for normals estimated on demand,
 * `np.unique(axis=0)` + `np.add.at` for the packed-key voxel centroids.
 """
 
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -18,14 +19,18 @@ from helpers import look_at_camera, render_sphere_depth
 from scanloc.cloud import (
     DepthMap,
     FusedCloud,
-    PlanarGrid,
     _voxel_centroids,
     adjust_target,
     fuse,
     read_pfm,
     write_pfm,
 )
-from scanloc.errors import EmptyCloudError, VoxelKeyOverflowError
+from scanloc.errors import (
+    EmptyCloudError,
+    MalformedFileError,
+    ScanlocError,
+    VoxelKeyOverflowError,
+)
 from scanloc.geometry import angle_between_degrees
 from scanloc.synth import NoiseSpec, generate_cohort
 
@@ -38,11 +43,27 @@ def linear_scan_nearest(xy, target):
     return int(idx), float(np.sqrt(d2[idx]))
 
 
-def simple_cloud(points, normals=None, cell=0.005):
+def assert_matches_scan(cloud, targets):
+    """planar_nearest agrees with the linear scan in index and distance, bitwise."""
+    for target in targets:
+        neighbor = cloud.planar_nearest(target)
+        want_idx, want_dist = linear_scan_nearest(cloud.points[:, :2], target)
+        assert neighbor.index == want_idx
+        assert neighbor.planar_distance == want_dist
+
+
+def simple_cloud(points, normals=None):
     points = np.asarray(points, dtype=float)
     if normals is None:
         normals = np.tile([0.0, 0.0, 1.0], (len(points), 1))
-    return FusedCloud(points=points, normals=np.asarray(normals, float), cell=cell)
+    return FusedCloud(points=points, normals=np.asarray(normals, float))
+
+
+def assert_malformed(read, path):
+    with pytest.raises(MalformedFileError) as info:
+        read(path)
+    assert isinstance(info.value, ScanlocError) and isinstance(info.value, ValueError)
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
 
 
 class TestPfm:
@@ -69,6 +90,32 @@ class TestPfm:
         path.write_bytes(b"PF\n2 2\n-1.0\n" + b"\x00" * 48)
         with pytest.raises(ValueError):
             read_pfm(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda good: b"",
+            lambda good: b"Pf\n",
+            lambda good: b"Pf\n3",
+            lambda good: b"Pf\n3 2\n",
+            lambda good: good.replace(b"3 2", b"abc 2", 1),
+            lambda good: good.replace(b"3 2", b"0 2", 1),
+            lambda good: good.replace(b"3 2", b"-3 -2", 1),
+            lambda good: good.replace(b"3 2", b"99999999999 2", 1),
+            lambda good: good.replace(b"-1.0", b"nan", 1),
+            lambda good: good[:-4],
+            lambda good: good + b"\x00" * 4,
+        ],
+        ids=["empty", "magic-only", "cut-in-size", "no-scale", "non-numeric",
+             "zero-width", "negative", "huge", "nan-scale", "truncated", "trailing"],
+    )
+    def test_malformed_file_raises(self, tmp_path, corrupt):
+        good = tmp_path / "good.pfm"
+        write_pfm(good, np.ones((2, 3)))
+        assert read_pfm(good).shape == (2, 3)
+        bad = tmp_path / "bad.pfm"
+        bad.write_bytes(corrupt(good.read_bytes()))
+        assert_malformed(read_pfm, bad)
 
 
 class TestDepthMap:
@@ -213,6 +260,19 @@ class TestLazyNormals:
         assert np.array_equal(pickle.loads(pickle.dumps(lazy)).normals, eager)
         assert np.array_equal(lazy.normals, eager)
 
+    def test_pickled_cloud_snaps_like_the_original(self):
+        original = fuse(scene_views(NoiseSpec(depth_sigma_m=0.005, seed=65)), voxel=0.002)
+        rng = np.random.default_rng(66)
+        targets = rng.uniform(-0.2, 0.2, size=(30, 2))
+        for target in targets[:10]:  # leave the normal memo partly filled
+            original.planar_nearest(target)
+        copy = pickle.loads(pickle.dumps(original))
+        assert_matches_scan(copy, targets)
+        for target in targets:
+            want, got = original.planar_nearest(target), copy.planar_nearest(target)
+            assert got.index == want.index
+            assert np.array_equal(got.normal, want.normal)
+
     def test_fewer_than_three_points_fall_back_to_camera_direction(self):
         cam = look_at_camera([0, 0.01, 1.0], [0, 0.01, 0], fx=500, width=8, height=8)
         values = np.zeros((8, 8))
@@ -226,37 +286,57 @@ class TestLazyNormals:
         assert np.allclose(eager, toward / np.linalg.norm(toward, axis=1, keepdims=True))
 
 
-class TestPlanarGrid:
+class TestPlanarNearest:
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(53)
         points = np.column_stack(
             [rng.uniform(-0.5, 0.5, 10_000), rng.uniform(-0.5, 0.5, 10_000), rng.uniform(0, 0.2, 10_000)]
         )
-        grid = PlanarGrid(points, cell=0.005)
-        for _ in range(100):
-            target = rng.uniform(-0.7, 0.7, 2)
-            got_idx, got_dist = grid.query(target)
-            want_idx, want_dist = linear_scan_nearest(points[:, :2], target)
-            assert got_idx == want_idx
-            assert got_dist == want_dist
+        assert_matches_scan(simple_cloud(points), rng.uniform(-0.7, 0.7, size=(100, 2)))
 
     def test_far_targets_still_exact(self):
         rng = np.random.default_rng(54)
-        points = rng.uniform(-0.2, 0.2, size=(500, 3))
-        grid = PlanarGrid(points, cell=0.005)
-        for target in ([100.0, 100.0], [-50.0, 3.0], [0.0, -999.0]):
-            got_idx, _ = grid.query(target)
-            want_idx, _ = linear_scan_nearest(points[:, :2], target)
-            assert got_idx == want_idx
+        cloud = simple_cloud(rng.uniform(-0.2, 0.2, size=(500, 3)))
+        assert_matches_scan(cloud, [[100.0, 100.0], [-50.0, 3.0], [0.0, -999.0]])
 
     def test_exact_tie_breaks_to_smallest_index(self):
-        points = np.array([[1.0, 0.0, 0.3], [-1.0, 0.0, 0.9], [1.0, 0.0, 0.5]])
-        grid = PlanarGrid(points, cell=0.005)
-        idx, dist = grid.query([0.0, 0.0])
-        assert idx == 0 and dist == 1.0
+        cloud = simple_cloud([[1.0, 0.0, 0.3], [-1.0, 0.0, 0.9], [1.0, 0.0, 0.5]])
+        neighbor = cloud.planar_nearest([0.0, 0.0])
+        assert neighbor.index == 0 and neighbor.planar_distance == 1.0
         # duplicate XY at index 0 and 2: smallest index wins
-        idx2, _ = grid.query([1.0, 0.0])
-        assert idx2 == 0
+        assert cloud.planar_nearest([1.0, 0.0]).index == 0
+
+    def test_lattice_ties_at_cell_centres(self):
+        # every lattice XY twice, in shuffled order: a cell centre is
+        # equidistant from 8 points, a lattice node 0 from 2
+        rng = np.random.default_rng(62)
+        ij = np.stack(np.meshgrid(np.arange(12.0), np.arange(9.0)), axis=-1).reshape(-1, 2)
+        xy = rng.permutation(np.vstack([ij, ij]))
+        cloud = simple_cloud(np.column_stack([xy, rng.uniform(0, 1, len(xy))]))
+        centres = (ij + 0.5)[(ij[:, 0] < 11) & (ij[:, 1] < 8)]
+        assert_matches_scan(cloud, np.vstack([centres, ij, [[-0.5, -0.5], [20.5, 4.0]]]))
+        for centre in centres[:10]:
+            neighbor = cloud.planar_nearest(centre)
+            assert neighbor.planar_distance == np.sqrt(0.5)
+            tied = np.flatnonzero(np.abs(xy - centre).max(axis=1) == 0.5)
+            assert len(tied) == 8 and neighbor.index == tied.min()
+
+    @pytest.mark.parametrize("voxel", [0.002, 0.0], ids=["2mm", "unvoxelized"])
+    def test_scene_clouds_match_linear_scan(self, voxel):
+        cloud = fuse(scene_views(NoiseSpec(depth_sigma_m=0.005, seed=63)), voxel=voxel)
+        rng = np.random.default_rng(64)
+        lo, hi = cloud.points[:, :2].min(axis=0), cloud.points[:, :2].max(axis=0)
+        on_points = cloud.points[rng.integers(0, len(cloud), 40), :2]
+        assert_matches_scan(cloud, np.vstack([rng.uniform(lo, hi, size=(80, 2)), on_points]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_target_rejected(self, bad):
+        cloud = simple_cloud([[0.0, 0.0, 0.5], [1.0, 0.0, 0.9]])
+        for target in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                cloud.planar_nearest(target)
+            with pytest.raises(ValueError, match="finite"):
+                adjust_target(cloud, target + [0.7])
 
 
 class TestAdjustTarget:
@@ -313,3 +393,27 @@ class TestCloudFile:
         path.write_bytes(b"NOTCLOUD" + b"\x00" * 16)
         with pytest.raises(ValueError):
             FusedCloud.load(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda good: good[:8],
+            lambda good: good[:12],
+            lambda good: good[:8] + struct.pack("<Q", 2**63) + good[16:],
+            lambda good: good[:8] + struct.pack("<Q", 2**40) + good[16:],
+            lambda good: good[:8] + struct.pack("<Q", 0),
+            lambda good: good[:-4],
+            lambda good: good + b"\x00" * 24,
+            lambda good: good[:-12] + b"\x00" * 12,
+            lambda good: good[:16] + struct.pack("<f", np.nan) + good[20:],
+        ],
+        ids=["cut-after-magic", "cut-in-count", "count-2**63", "count-2**40", "count-0",
+             "truncated", "trailing", "zero-normal", "nan-point"],
+    )
+    def test_malformed_file_raises(self, tmp_path, corrupt):
+        good = tmp_path / "good.cloud"
+        simple_cloud([[0.0, 0.0, 0.5], [1.0, 0.0, 0.9]]).save(good)
+        assert len(FusedCloud.load(good)) == 2
+        bad = tmp_path / "bad.cloud"
+        bad.write_bytes(corrupt(good.read_bytes()))
+        assert_malformed(FusedCloud.load, bad)
