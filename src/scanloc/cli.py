@@ -19,8 +19,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .cloud import DEFAULT_VOXEL, FusedCloud, fuse
-from .errors import ConfigError, ScanlocError
+from .cloud import DEFAULT_VOXEL, FusedCloud
+from .errors import ConfigError, MalformedFileError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
@@ -30,6 +30,7 @@ from .evaluation import (
     loocv,
     median_backprojection_errors,
     pose_kind_for_target,
+    scene_cloud,
     success_table,
     summarize,
     write_backprojection_csv,
@@ -199,10 +200,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fuse(args) -> int:
     scene = load_scene(_scene_dir(args.scene))
-    cloud = fuse(
-        list(zip(scene.cameras, scene.depths)),
-        voxel=args.voxel, normal_neighbors=args.neighbors,
-    )
+    cloud = scene_cloud(scene, args.voxel, args.neighbors)
     cloud.save(args.out)
     log.info(
         "fused scene %d at %.1f mm voxel: %d points -> %s",
@@ -239,12 +237,11 @@ def _cmd_fit(args) -> int:
 
 def _cmd_localize(args) -> int:
     scene = load_scene(_scene_dir(args.scene))
-    params_data = _load_json(args.params, "params file")
-    params, axes = params_from_dict(params_data)
-    cloud = fuse(
-        list(zip(scene.cameras, scene.depths)),
-        voxel=args.voxel, normal_neighbors=args.neighbors,
-    )
+    try:
+        params, axes = params_from_dict(_load_json(args.params, "params file"))
+    except MalformedFileError as exc:
+        raise MalformedFileError(f"{args.params}: {exc}") from None
+    cloud = scene_cloud(scene, args.voxel, args.neighbors)
     poses = localize(
         scene.cameras[0], scene.cameras[1], scene.observation, cloud,
         params, args.pose, axes=axes,
@@ -270,11 +267,7 @@ def _cmd_localize(args) -> int:
 
 
 def _fuse_scene_dir(directory, voxel: float, neighbors: int) -> FusedCloud:
-    scene = load_scene(directory)
-    return fuse(
-        list(zip(scene.cameras, scene.depths)),
-        voxel=voxel, normal_neighbors=neighbors,
-    )
+    return scene_cloud(load_scene(directory), voxel, neighbors)
 
 
 def _cmd_evaluate(args) -> int:

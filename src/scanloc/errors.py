@@ -45,7 +45,7 @@ class EmptyCloudError(ScanlocError):
 
 
 class MalformedFileError(ConfigError, ValueError):
-    """A PFM depth map or `.cloud` file has a bad header, size or payload."""
+    """An input file (PFM, `.cloud`, scene.json, params) has a bad header, size or value."""
 
 
 class VoxelKeyOverflowError(ScanlocError):

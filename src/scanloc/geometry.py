@@ -13,7 +13,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -206,17 +205,6 @@ class PinholeCamera:
             float(self.fy * p_cam[1] / z + self.cy),
         )
 
-    def project_many(self, points) -> np.ndarray:
-        """Vectorized projection of (N, 3) base-frame points to (N, 2) pixels."""
-        p_cam = self.pose.inverse().apply(np.asarray(points, dtype=float))
-        z = p_cam[:, 2]
-        if np.any(z <= MIN_DEPTH):
-            raise NonPositiveDepthError("at least one point sits behind the camera")
-        uv = np.empty((len(p_cam), 2))
-        uv[:, 0] = self.fx * p_cam[:, 0] / z + self.cx
-        uv[:, 1] = self.fy * p_cam[:, 1] / z + self.cy
-        return uv
-
     def deproject(self, pixel: Pixel, depth: float) -> np.ndarray:
         """Lift a pixel with a known camera-frame depth back to the base frame."""
         if depth <= MIN_DEPTH:
@@ -278,17 +266,6 @@ class PinholeCamera:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad camera description: {exc}") from exc
-
-
-def save_camera(camera: PinholeCamera, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(camera.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_camera(path) -> PinholeCamera:
-    with open(path) as fh:
-        return PinholeCamera.from_dict(json.load(fh))
 
 
 def triangulate(

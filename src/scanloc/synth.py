@@ -27,6 +27,7 @@ from .errors import (
     CameraMissesTorsoError,
     ConfigError,
     InvalidRangeError,
+    MalformedFileError,
 )
 from .geometry import (
     MIN_DEPTH,
@@ -177,10 +178,6 @@ class SyntheticScene:
     target_pixels_true: tuple[dict, dict]
     target_pixels_observed: tuple[dict, dict]
     faulted_joints: dict[str, str]
-
-    @property
-    def target_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.targets_true))
 
 
 def default_cameras(torso: TorsoSpec, baseline=0.3, height=1.0, fx=600.0,
@@ -566,36 +563,41 @@ def save_scene(scene: SyntheticScene, directory) -> None:
 
 
 def load_scene(directory) -> SyntheticScene:
-    with open(os.path.join(directory, "scene.json")) as fh:
-        data = json.load(fh)
-    _check_keys(data, _SCENE_KEYS, "scene")
-    ratios, axes = params_from_dict(data["ratios"])
-    depths = tuple(
-        DepthMap(values=read_pfm(os.path.join(directory, name)))
-        for name in data["depth_files"]
-    )
-    return SyntheticScene(
-        scene_id=int(data["scene_id"]),
-        pose_kind=data["pose_kind"],
-        torso=TorsoSpec.from_dict(data["torso"]),
-        noise=NoiseSpec.from_dict(data["noise"]),
-        ratios=ratios,
-        axes=axes,
-        cameras=tuple(PinholeCamera.from_dict(c) for c in data["cameras"]),
-        depths=depths,
-        observation=KeypointObservation.from_dict(data["observation"]),
-        keypoints_true=Keypoints3D(
-            **{j: np.asarray(v, dtype=float) for j, v in data["keypoints_true"].items()}
-        ),
-        keypoint_pixels_true=_pixels_from_json(data["keypoint_pixels_true"], int_keys=False),
-        targets_true={int(t): np.asarray(p, dtype=float) for t, p in data["targets_true"].items()},
-        target_normals_true={
-            int(t): np.asarray(nv, dtype=float) for t, nv in data["target_normals_true"].items()
-        },
-        target_pixels_true=_pixels_from_json(data["target_pixels_true"], int_keys=True),
-        target_pixels_observed=_pixels_from_json(data["target_pixels_observed"], int_keys=True),
-        faulted_joints=dict(data["faulted_joints"]),
-    )
+    """Read a scene written by `save_scene`; any bad value in scene.json
+    raises MalformedFileError naming the file, before a depth map is read."""
+    path = os.path.join(directory, "scene.json")
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        _check_keys(data, _SCENE_KEYS, "scene")
+        ratios, axes = params_from_dict(data["ratios"])
+        depth_files = [os.path.join(directory, name) for name in data["depth_files"]]
+        scene = SyntheticScene(
+            scene_id=int(data["scene_id"]),
+            pose_kind=data["pose_kind"],
+            torso=TorsoSpec.from_dict(data["torso"]),
+            noise=NoiseSpec.from_dict(data["noise"]),
+            ratios=ratios,
+            axes=axes,
+            cameras=tuple(PinholeCamera.from_dict(c) for c in data["cameras"]),
+            depths=(),
+            observation=KeypointObservation.from_dict(data["observation"]),
+            keypoints_true=Keypoints3D(
+                **{j: np.asarray(v, dtype=float) for j, v in data["keypoints_true"].items()}
+            ),
+            keypoint_pixels_true=_pixels_from_json(data["keypoint_pixels_true"], int_keys=False),
+            targets_true={int(t): np.asarray(p, dtype=float) for t, p in data["targets_true"].items()},
+            target_normals_true={
+                int(t): np.asarray(nv, dtype=float) for t, nv in data["target_normals_true"].items()
+            },
+            target_pixels_true=_pixels_from_json(data["target_pixels_true"], int_keys=True),
+            target_pixels_observed=_pixels_from_json(data["target_pixels_observed"], int_keys=True),
+            faulted_joints=dict(data["faulted_joints"]),
+        )
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise MalformedFileError(f"{path}: {detail}") from None
+    return replace(scene, depths=tuple(DepthMap(values=read_pfm(f)) for f in depth_files))
 
 
 def save_cohort(scenes, directory) -> None:

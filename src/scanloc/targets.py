@@ -30,6 +30,7 @@ from .errors import (
     DegenerateAxisError,
     DegenerateRollError,
     InsufficientSamplesError,
+    MalformedFileError,
     MissingKeypointError,
     RankDeficientError,
     ZeroVectorError,
@@ -613,23 +614,42 @@ def params_to_dict(params: TargetModelParams, axes: ReferenceAxes) -> dict:
     return data
 
 
+def _finite(value, where: str, shape: tuple = ()) -> np.ndarray:
+    """`value` as a finite float array of `shape`, else MalformedFileError naming `where`."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != shape or not np.all(np.isfinite(v)):
+        what = f"{shape[0]} finite numbers" if shape else "a finite number"
+        raise MalformedFileError(f"{where} must be {what}, got {value!r}")
+    return v
+
+
+def _ratio_pair(entry: dict, keys: tuple[str, str], where: str) -> RatioPair:
+    _check_keys(entry, set(keys), where)
+    return RatioPair(*(float(_finite(entry.get(k), f"{where} {k}")) for k in keys))
+
+
 def params_from_dict(data: dict) -> tuple[TargetModelParams, ReferenceAxes]:
+    """Parse `params_to_dict` output; a missing or non-finite number raises
+    MalformedFileError naming its key."""
     _check_keys(data, {"front", "side", "reference_axes"}, "params")
     front = {}
     for tid, entry in data.get("front", {}).items():
-        _check_keys(entry, {"r_f1", "r_f2"}, f"front target {tid}")
-        front[int(tid)] = RatioPair(float(entry["r_f1"]), float(entry["r_f2"]))
+        if not str(tid).isdigit():
+            raise MalformedFileError(f"front target id must be an integer, got {tid!r}")
+        front[int(tid)] = _ratio_pair(entry, ("r_f1", "r_f2"), f"front target {tid}")
     side = None
     if "side" in data:
-        _check_keys(data["side"], {"r_s1", "r_s2"}, "side target")
-        side = RatioPair(float(data["side"]["r_s1"]), float(data["side"]["r_s2"]))
+        side = _ratio_pair(data["side"], ("r_s1", "r_s2"), "side target")
     axes = ReferenceAxes()
     if "reference_axes" in data:
-        _check_keys(data["reference_axes"], {"front", "side"}, "reference_axes")
-        axes = ReferenceAxes(
-            front=np.asarray(data["reference_axes"].get("front", axes.front), dtype=float),
-            side=np.asarray(data["reference_axes"].get("side", axes.side), dtype=float),
-        )
+        given = data["reference_axes"]
+        _check_keys(given, {"front", "side"}, "reference_axes")
+        axes = ReferenceAxes(**{
+            name: _finite(given[name], f"reference_axes {name}", (3,)) for name in given
+        })
     return TargetModelParams(front=front, side=side), axes
 
 

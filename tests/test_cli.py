@@ -282,6 +282,15 @@ class TestPipeline:
             ), name
 
 
+def assert_one_line_error(caplog, *names):
+    """Exactly one ERROR record: one line, no traceback, naming each of `names`."""
+    (error,) = [r for r in caplog.records if r.levelno == logging.ERROR]
+    for name in names:
+        assert name in error.getMessage()
+    assert "\n" not in error.getMessage()
+    assert error.exc_info is None
+
+
 class TestMalformedInput:
     def test_fuse_on_truncated_pfm_exits_1(self, cohort_dir, tmp_path, caplog):
         scene = tmp_path / "scene"
@@ -292,10 +301,55 @@ class TestMalformedInput:
         out = tmp_path / "cloud.bin"
         with caplog.at_level(logging.ERROR, logger="scanloc"):
             assert main(["fuse", "--scene", str(scene), "--out", str(out)]) == 1
-        (error,) = [r for r in caplog.records if r.levelno == logging.ERROR]
-        assert str(pfm) in error.getMessage()
-        assert "\n" not in error.getMessage()
-        assert error.exc_info is None
+        assert_one_line_error(caplog, str(pfm))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt, detail",
+        [
+            (lambda d: {**d, "keypoints_true": {**d["keypoints_true"],
+                                                "right_hip": [0.1, float("nan"), 0.8]}},
+             "right_hip"),
+            (lambda d: {k: v for k, v in d.items() if k != "cameras"}, "missing key 'cameras'"),
+            (lambda d: {**d, "torso": {**d["torso"], "length": "long"}}, "long"),
+            (lambda d: json.dumps(d)[:-40], ""),
+        ],
+        ids=["nan-keypoint", "missing-key", "non-numeric", "not-json"],
+    )
+    def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
+                                            corrupt, detail):
+        scene = tmp_path / "scene"
+        shutil.copytree(cohort_dir / "scene_001", scene)
+        path = scene / "scene.json"
+        bad = corrupt(json.loads(path.read_text()))
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        out = tmp_path / "cloud.bin"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["fuse", "--scene", str(scene), "--out", str(out)]) == 1
+        assert_one_line_error(caplog, str(path), detail)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"front": {"1": {"r_f1": "abc", "r_f2": 0.2}}}, "front target 1 r_f1"),
+            ({"front": {"1": {"r_f1": 0.75, "r_f2": None}}}, "front target 1 r_f2"),
+            ({"front": {"1": {"r_f1": 0.75}}}, "front target 1 r_f2"),
+            ({"front": {"one": {"r_f1": 0.75, "r_f2": 0.2}}}, "front target id"),
+            ({"front": {}, "side": {"r_s1": [0.4], "r_s2": 0.1}}, "side target r_s1"),
+            ({"front": {}, "reference_axes": {"front": [0, 1]}}, "reference_axes front"),
+        ],
+        ids=["non-numeric", "null", "missing", "target-id", "list", "short-axis"],
+    )
+    def test_localize_on_bad_params_exits_1(self, cohort_dir, tmp_path, caplog, params, key):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(params))
+        out = tmp_path / "poses.json"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["localize", "--scene", str(cohort_dir / "scene_001"),
+                         "--params", str(params_file), "--pose", "front",
+                         "--out", str(out)]) == 1
+        assert_one_line_error(caplog, str(params_file), key)
         assert not out.exists()
 
 

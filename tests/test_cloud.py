@@ -218,6 +218,16 @@ class TestVoxelCentroids:
             assert np.array_equal(
                 _voxel_centroids(cloud, voxel), unique_rows_centroids(cloud, voxel)
             )
+        # each axis's minimum and maximum on its own point, keys of both signs,
+        # so a bound taken per point instead of per column shows
+        spread = rng.uniform(-0.05, 0.05, size=(500, 3))
+        spread[:6] = [[-0.9, 0, 0], [0.7, 0, 0], [0, -0.4, 0],
+                      [0, 0.6, 0], [0, 0, -0.3], [0, 0, 0.8]]
+        extremes = np.concatenate([spread.argmin(axis=0), spread.argmax(axis=0)])
+        assert sorted(extremes) == list(range(6))
+        assert np.array_equal(
+            _voxel_centroids(spread, 0.01), unique_rows_centroids(spread, 0.01)
+        )
         # 1 um voxels: x keys near 9.2e6, y and z spans near 1e6, so x times
         # the y-z span crosses 2**63; only the offset by the minimum key
         # keeps the packed keys inside int64
@@ -272,6 +282,20 @@ class TestLazyNormals:
             want, got = original.planar_nearest(target), copy.planar_nearest(target)
             assert got.index == want.index
             assert np.array_equal(got.normal, want.normal)
+
+    def test_pickle_carries_only_known_normals(self):
+        views = scene_views(NoiseSpec(depth_sigma_m=0.005, seed=67))
+        fresh, read = fuse(views, voxel=0.002), fuse(views, voxel=0.002)
+        eager = read.normals
+        assert len(pickle.dumps(fresh)) < len(pickle.dumps(read))
+        fresh.normal_at(7)  # one known row survives the round trip
+        for cloud in (fresh, read):
+            copy = pickle.loads(pickle.dumps(cloud))
+            assert np.array_equal(copy._known, cloud._known)
+            assert not copy.points.flags.writeable
+            for index in (7, 0, len(copy) - 1):
+                assert np.array_equal(copy.normal_at(index), eager[index])
+            assert np.array_equal(copy.normals, eager)
 
     def test_fewer_than_three_points_fall_back_to_camera_direction(self):
         cam = look_at_camera([0, 0.01, 1.0], [0, 0.01, 0], fx=500, width=8, height=8)
