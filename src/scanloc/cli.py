@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cloud import DEFAULT_VOXEL, FusedCloud
-from .errors import ConfigError, MalformedFileError, ScanlocError
+from .errors import ConfigError, InvalidRangeError, MalformedFileError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
@@ -38,7 +38,7 @@ from .evaluation import (
     write_success_csv,
     write_summary_json,
 )
-from .geometry import PinholeCamera
+from .geometry import PinholeCamera, _check_keys
 from .handeye import build_motion_pairs, estimate_camera_pose, load_samples, mean_residual
 from .synth import (
     NoiseSpec,
@@ -47,7 +47,7 @@ from .synth import (
     generate_cohort_scene,
     load_cohort,
     load_scene,
-    save_scene,
+    save_cohort,
 )
 from .targets import (
     FitDataset,
@@ -151,14 +151,14 @@ def _cmd_calibrate(args) -> int:
 
 def _parse_synth_config(path):
     data = _load_json(path, "synth config")
-    unknown = set(data) - _SYNTH_KEYS
-    if unknown:
-        raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
+    _check_keys(data, _SYNTH_KEYS, "synth config")
     if "n" not in data:
         raise ConfigError("synth config needs 'n' (number of scenes)")
     n = int(data["n"])
     seed = int(data.get("seed", 0))
     pose_kind = str(data.get("pose", "front"))
+    if n < 1 or pose_kind not in ("front", "side"):
+        raise InvalidRangeError(f"need n >= 1 and pose 'front' or 'side', got {n}, {pose_kind!r}")
     ranges = _validate_ranges(data.get("torso", {}))
     if "ratios" in data:
         ratios, axes = params_from_dict(data["ratios"])
@@ -176,9 +176,10 @@ def _parse_synth_config(path):
 
 
 def _cmd_synth(args) -> int:
-    n, seed, pose_kind, ranges, ratios, noise, cameras, axes = _parse_synth_config(
-        args.config
-    )
+    try:
+        n, seed, pose_kind, ranges, ratios, noise, cameras, axes = _parse_synth_config(args.config)
+    except (TypeError, ValueError) as exc:
+        raise MalformedFileError(f"{args.config}: {exc}") from None
     log.info(
         "generating %d %s-pose scenes, master seed %d, jobs %d",
         n, pose_kind, seed, args.jobs,
@@ -192,8 +193,7 @@ def _cmd_synth(args) -> int:
             scenes = list(pool.map(make, range(n)))
     else:
         scenes = [make(i) for i in range(n)]
-    for scene in scenes:
-        save_scene(scene, os.path.join(args.out, f"scene_{scene.scene_id:03d}"))
+    save_cohort(scenes, args.out)
     log.info("wrote %d scenes to %s", n, args.out)
     return 0
 

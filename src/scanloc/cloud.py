@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyCloudError, MalformedFileError, VoxelKeyOverflowError
+from .errors import EmptyCloudError, InvalidRangeError, MalformedFileError, VoxelKeyOverflowError
 from .geometry import PinholeCamera
 
 # Depth readings beyond this are treated as invalid (sensor range limit).
@@ -114,7 +114,6 @@ class PlanarNeighbor:
     """The cloud point that is nearest to a query in the XY plane."""
 
     point: np.ndarray
-    normal: np.ndarray
     planar_distance: float
     index: int
 
@@ -209,8 +208,8 @@ class FusedCloud:
         return len(self.points)
 
     def planar_nearest(self, target_xy) -> PlanarNeighbor:
-        """The point nearest to `target_xy` in XY; ties go to the smallest index
-        (`argmin` returns the first of tied minima)."""
+        """The point nearest to `target_xy` in XY, ties to the smallest index
+        (`argmin`'s first minimum); its normal, if needed, is `normal_at(index)`."""
         t = np.asarray(target_xy, dtype=float).reshape(-1)[:2]
         if not np.all(np.isfinite(t)):
             raise ValueError(f"planar target must be finite, got {t}")
@@ -218,7 +217,6 @@ class FusedCloud:
         idx = int(np.argmin(d2))
         return PlanarNeighbor(
             point=self.points[idx],
-            normal=self.normal_at(idx),
             planar_distance=math.sqrt(d2[idx]),
             index=idx,
         )
@@ -260,9 +258,13 @@ def fuse(
     Points are gathered per view in row-major pixel order (a fixed ordering
     no matter how the work is scheduled) and optionally voxel-downsampled to
     per-voxel centroids.  Their PCA normals, oriented toward the cameras, are
-    computed per point on first use (`planar_nearest`, `normal_at`);
-    `normals` and `save` compute all of them.
+    computed per point on first use (`normal_at`, which `adjust_target` calls);
+    `normals` and `save` compute all of them.  A voxel of 0 keeps every point.
     """
+    if not (math.isfinite(voxel) and voxel >= 0):
+        raise InvalidRangeError(f"voxel must be a finite size >= 0 m, got {voxel!r}")
+    if normal_neighbors < 3:
+        raise InvalidRangeError(f"normal_neighbors must be at least 3, got {normal_neighbors!r}")
     chunks = []
     centers = []
     for camera, depth in views:
@@ -356,7 +358,7 @@ def adjust_target(cloud: FusedCloud, target) -> AdjustedTarget:
     position = np.array([t[0], t[1], neighbor.point[2]])
     return AdjustedTarget(
         position=position,
-        normal=neighbor.normal.copy(),
+        normal=cloud.normal_at(neighbor.index).copy(),
         planar_distance=neighbor.planar_distance,
         far_from_surface=neighbor.planar_distance > FAR_FROM_SURFACE,
     )

@@ -80,8 +80,8 @@ class CameraMissesTorsoError(ScanlocError):
     """A synthetic camera placement does not keep the torso in both views."""
 
 
-class InvalidRangeError(ScanlocError):
-    """A sampling range is empty or outside the parameter's valid domain."""
+class InvalidRangeError(ConfigError, ValueError):
+    """A sampling range or an option value is empty or outside its valid domain."""
 
 
 # evaluation ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import FusedCloud, adjust_target, fuse
+from .cloud import FusedCloud, fuse
 from .errors import (
     InsufficientDataError,
     MissingPixelError,
@@ -277,6 +277,11 @@ def _pixel_error(camera, point, truth: Pixel) -> float:
     return float(np.hypot(projected.u - truth.u, projected.v - truth.v))
 
 
+def _snapped(cloud: FusedCloud, point) -> np.ndarray:
+    """`adjust_target(cloud, point).position` without reading a normal."""
+    return np.array([point[0], point[1], cloud.planar_nearest(point[:2]).point[2]])
+
+
 def backprojection_comparison(scene: SyntheticScene, cloud: FusedCloud | None = None,
                               voxel: float = DEFAULT_EVAL_VOXEL,
                               normal_neighbors: int = 30) -> list[BackprojectionResult]:
@@ -294,7 +299,7 @@ def backprojection_comparison(scene: SyntheticScene, cloud: FusedCloud | None = 
         truth = [scene.target_pixels_true[vi][target_id] for vi in (0, 1)]
 
         two_point = triangulate(scene.cameras[0], scene.cameras[1], *observed)
-        two_point = adjust_target(cloud, two_point).position
+        two_point = _snapped(cloud, two_point)
         two_errors = tuple(
             _pixel_error(scene.cameras[vi], two_point, truth[vi]) for vi in (0, 1)
         )
@@ -303,7 +308,7 @@ def backprojection_comparison(scene: SyntheticScene, cloud: FusedCloud | None = 
         for k in (0, 1):
             depth = _nearest_valid_depth(scene.depths[k], observed[k])
             point = scene.cameras[k].deproject(observed[k], depth)
-            point = adjust_target(cloud, point).position
+            point = _snapped(cloud, point)
             single_errors.append(
                 tuple(_pixel_error(scene.cameras[vi], point, truth[vi]) for vi in (0, 1))
             )

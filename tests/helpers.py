@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from scanloc.geometry import PinholeCamera, RigidTransform
+from scanloc.geometry import MIN_DEPTH, PinholeCamera, RigidTransform
 
 
 def random_transform(rng, trans_scale=1.0) -> RigidTransform:
@@ -69,6 +69,39 @@ def render_sphere_depth(
     incidence = np.degrees(np.arccos(np.clip(-np.einsum("ij,ij->i", radial, ray_unit), -1, 1)))
     t[(t <= 0) | (incidence > max_incidence_deg)] = 0.0
     depth[hit] = t
+    return depth.reshape(camera.height, camera.width)
+
+
+def full_image_raycast(camera: PinholeCamera, torso) -> np.ndarray:
+    """Torso depth map from one ray per pixel of the whole image; misses are 0.
+
+    The same closed-form intersection as `synth.raycast_depth` with no ray
+    culled, so the culled cast must match it bit for bit.
+    """
+    us, vs = np.meshgrid(np.arange(camera.width), np.arange(camera.height))
+    uv = np.column_stack([us.ravel(), vs.ravel()]).astype(float)
+    origin, dirs = camera.pixel_rays(uv)
+
+    a, c, h = torso.half_width, torso.thickness, torso.base_height
+    qa = (dirs[:, 0] / a) ** 2 + (dirs[:, 2] / c) ** 2
+    qb = 2 * (origin[0] * dirs[:, 0] / a**2 + (origin[2] - h) * dirs[:, 2] / c**2)
+    qc = (origin[0] / a) ** 2 + ((origin[2] - h) / c) ** 2 - 1.0
+
+    disc = qb**2 - 4 * qa * qc
+    hit = (disc >= 0) & (qa > 1e-18)
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    denom = np.where(hit, 2 * qa, 1.0)
+    roots = np.stack([(-qb - sq) / denom, (-qb + sq) / denom], axis=1)
+
+    t_best = np.full(len(uv), np.inf)
+    for k in (0, 1):
+        t = roots[:, k]
+        y = origin[1] + t * dirs[:, 1]
+        z = origin[2] + t * dirs[:, 2]
+        ok = hit & (t > MIN_DEPTH) & (z >= h - 1e-12) & (y >= 0) & (y <= torso.length)
+        t_best = np.where(ok & (t < t_best), t, t_best)
+
+    depth = np.where(np.isfinite(t_best), t_best, 0.0)
     return depth.reshape(camera.height, camera.width)
 
 

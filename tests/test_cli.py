@@ -352,6 +352,49 @@ class TestMalformedInput:
         assert_one_line_error(caplog, str(params_file), key)
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, name", [
+        ("--neighbors=0", "neighbors"), ("--neighbors=-3", "neighbors"),
+        ("--voxel=-1", "voxel"), ("--voxel=nan", "voxel"), ("--voxel=inf", "voxel"),
+    ])
+    @pytest.mark.parametrize("command", ["fuse", "localize", "evaluate"])
+    def test_bad_fusion_option_exits_1(self, cohort_dir, tmp_path, caplog, command,
+                                       option, name):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}))
+        scene = str(cohort_dir / "scene_001")
+        out = tmp_path / "out"
+        argv = {
+            "fuse": ["fuse", "--scene", scene],
+            "localize": ["localize", "--scene", scene, "--params", str(params_file),
+                         "--pose", "front"],
+            "evaluate": ["evaluate", "--scenes", str(cohort_dir), "--target", "1"],
+        }[command]
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main([*argv, "--out", str(out), option]) == 1
+        assert_one_line_error(caplog, name, option.split("=")[1])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, detail", [
+        ({"n": "abc"}, "abc"),
+        ({"seed": "abc"}, "abc"),
+        ({"torso": {"length": "abc"}}, "abc"),
+        ({"torso": {"half_width": [0.17, "abc"]}}, "abc"),
+        ({"noise": {"keypoint_sigma_px": "abc"}}, "abc"),
+        ({"noise": {"depth_sigma_m": "abc"}}, "abc"),
+        ({"n": 0}, "n >= 1"),
+        ({"pose": "back"}, "'back'"),
+    ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
+            "no-scenes", "pose"])
+    def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
+        config = tmp_path / "synth.json"
+        write_synth_config(config, n=1)
+        config.write_text(json.dumps({**json.loads(config.read_text()), **field}))
+        out = tmp_path / "scenes"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+        assert_one_line_error(caplog, str(config), detail)
+        assert not out.exists()
+
 
 def collapse_right_hip(scene_dir):
     """Observe the right hip at the right shoulder's pixels in both views."""

@@ -330,6 +330,13 @@ class TestBackprojection:
             for source in r.single_view:
                 assert all(e <= 2.0 for e in source)
 
+    def test_reads_no_normals(self, front_cohort):
+        scenes, _ = front_cohort
+        cloud = scene_cloud(scenes[0])
+        known = cloud._known.copy()
+        backprojection_comparison(scenes[0], cloud=cloud)
+        assert np.array_equal(cloud._known, known)  # it snaps without a PCA
+
     def test_deproject_reproject_round_trip(self, front_cohort):
         scenes, _ = front_cohort
         scene = scenes[0]

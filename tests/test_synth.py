@@ -36,7 +36,7 @@ from scanloc.targets import (
     triangulate_joints,
 )
 
-from helpers import pixel_ray_grid
+from helpers import full_image_raycast, look_at_camera, pixel_ray_grid
 
 TORSO = TorsoSpec()
 RATIOS = default_ratios()
@@ -141,6 +141,49 @@ class TestRaycast:
         depth = raycast_depth(cam, TORSO)
         assert depth.values[0, 0] == 0.0  # image corner looks past the torso
         assert depth.valid_mask.sum() > 10000
+
+
+def _box_corner_depths(camera, torso):
+    """Camera-frame depths of the 8 corners of the torso's bounding box."""
+    a, c, h = torso.half_width, torso.thickness, torso.base_height
+    box = [[x, y, z] for x in (-a, a) for y in (0.0, torso.length) for z in (h, h + c)]
+    return camera.pose.inverse().apply(np.array(box))[:, 2]
+
+
+def assert_same_bits(camera, torso):
+    got = raycast_depth(camera, torso).values
+    want = full_image_raycast(camera, torso)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return got
+
+
+class TestCulledRaycast:
+    """The culled cast against the one-ray-per-pixel oracle, bit for bit."""
+
+    @pytest.mark.parametrize("pose_kind", ["front", "side"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cohort_views(self, seed, pose_kind):
+        for scene in generate_cohort(3, pose_kind=pose_kind, seed=seed):
+            for camera in scene.cameras:
+                assert assert_same_bits(camera, scene.torso).any()
+
+    def test_partial_view_clips_rectangle_at_image_edge(self):
+        camera = look_at_camera([0.3, 0.0, 0.6], [0.25, -0.05, 0.05])
+        depth = assert_same_bits(camera, TORSO)
+        assert np.all(_box_corner_depths(camera, TORSO) > 0)
+        # the torso runs off the right and bottom edges and leaves misses
+        assert (depth[:, -1] > 0).any() and (depth[-1] > 0).any()
+        assert (depth == 0).mean() > 0.5
+
+    def test_box_corner_behind_camera_casts_whole_image(self):
+        camera = look_at_camera([0.0, 0.3, 0.12], [0.0, 0.6, 0.1])
+        assert _box_corner_depths(camera, TORSO).min() < 0
+        assert assert_same_bits(camera, TORSO).any()
+
+    def test_camera_missing_the_box_renders_zeros(self):
+        camera = look_at_camera([2.0, 0.3, 1.0], [2.0, 0.35, 0.0])
+        assert np.all(_box_corner_depths(camera, TORSO) > 0)
+        assert not assert_same_bits(camera, TORSO).any()
 
 
 class TestGenerateScene:
