@@ -149,13 +149,20 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+def _whole(value, name: str) -> int:
+    """`value` as an int; a boolean or a number with a fraction is rejected."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise InvalidRangeError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _parse_synth_config(path):
     data = _load_json(path, "synth config")
     _check_keys(data, _SYNTH_KEYS, "synth config")
     if "n" not in data:
         raise ConfigError("synth config needs 'n' (number of scenes)")
-    n = int(data["n"])
-    seed = int(data.get("seed", 0))
+    n = _whole(data["n"], "n")
+    seed = _whole(data.get("seed", 0), "seed")
     pose_kind = str(data.get("pose", "front"))
     if n < 1 or pose_kind not in ("front", "side"):
         raise InvalidRangeError(f"need n >= 1 and pose 'front' or 'side', got {n}, {pose_kind!r}")
@@ -286,14 +293,13 @@ def _cmd_evaluate(args) -> int:
         thresholds_mm=args.thresholds, jobs=args.jobs,
     )
     log.info("evaluate config: %s", json.dumps(config.to_dict(), sort_keys=True))
-    worker = functools.partial(
-        _fuse_scene_dir, voxel=args.voxel, neighbors=args.neighbors
-    )
     if args.jobs > 1:
+        # workers read their own scenes, so only the clouds cross processes
+        worker = functools.partial(_fuse_scene_dir, voxel=args.voxel, neighbors=args.neighbors)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             clouds = list(pool.map(worker, dirs))
     else:
-        clouds = [worker(d) for d in dirs]
+        clouds = [scene_cloud(scene, args.voxel, args.neighbors) for scene in scenes]
 
     folds = loocv(
         scenes, args.target, voxel=args.voxel, normal_neighbors=args.neighbors,

@@ -1,14 +1,12 @@
 """Depth-map fusion into an oriented point cloud, plus planar depth lookup.
 
 Depth maps from the two calibrated cameras are deprojected pixel by pixel
-into the base frame and merged.  The merged cloud is voxel-downsampled
-(centroid per voxel).  Normals are estimated by PCA over the k nearest 3D
-neighbors (scipy's `cKDTree`) and oriented toward the cameras, per point on
-first use: localization reads only the few points it snaps to, while
-`FusedCloud.normals` and `FusedCloud.save` compute every one.  Planar
-queries scan XY linearly: no pipeline path snaps more than 7 targets per
-cloud, and one scan of 121k points costs 0.4-0.9 ms (2 cores), where a 2D
-k-d tree took 18-38 ms to build.
+into the base frame, merged and voxel-downsampled (centroid per voxel).
+Each normal is the PCA of the point's k nearest centroids (ties to the
+smaller index), oriented toward the cameras and computed on first use: a
+snap scans every point for one normal's neighbors (0.2-1.4 ms at 22k-142k
+points), so `fuse` builds no index, while `FusedCloud.normals` and `save`
+query a k-d tree built for that call.  Planar queries scan XY linearly.
 
 The planar lookup implements the depth-adjustment rule this pipeline is
 built around: a regressed target keeps its XY coordinates, while its Z and
@@ -134,8 +132,7 @@ class FusedCloud:
     Normals are either given to the constructor or, for a cloud built by
     `fuse`, estimated from the points: each point's normal is computed on
     first use and memoized, and `normals` / `save` compute every one.  A
-    pickle carries only the memoized normals, so an unread cloud ships
-    its points and 3D tree alone.
+    pickle carries only the memoized normals: an unread cloud is its points.
     """
 
     def __init__(self, points, normals):
@@ -161,7 +158,6 @@ class FusedCloud:
         cloud._known = np.zeros(len(cloud.points), dtype=bool)
         cloud._k = min(k, len(cloud.points))
         cloud._toward = toward
-        cloud._tree = cKDTree(cloud.points) if len(cloud.points) >= 3 else None
         return cloud
 
     def _set_points(self, pts: np.ndarray) -> None:
@@ -184,9 +180,7 @@ class FusedCloud:
     def _estimate(self, index: np.ndarray) -> None:
         missing = index[~self._known[index]]
         if len(missing):
-            self._normals[missing] = _pca_normals(
-                self.points, self._tree, self._k, self._toward, missing
-            )
+            self._normals[missing] = _pca_normals(self.points, self._k, self._toward, missing)
             self._known[missing] = True
 
     @property
@@ -314,26 +308,57 @@ def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def _pca_normals(points: np.ndarray, tree: cKDTree | None, k: int, toward: np.ndarray,
-                 index: np.ndarray) -> np.ndarray:
-    """Normals of points[index]: smallest principal axis of each point's
-    k-neighborhood in `tree` (Hoppe et al., SIGGRAPH 1992), facing `toward`.
+def _sq_dist(points: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(x - px)**2 + (y - py)**2 + (z - pz)**2, column by column."""
+    x, y, z = (points[..., i] - p[..., i] for i in range(3))
+    return x**2 + y**2 + z**2
 
-    Each row depends on its own point alone, so any subset of indices gives
-    bitwise the same normals as all of them.  Without a tree (fewer than 3
-    points) each normal points back at the cameras.
+
+def _ranked(points: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k points nearest to `p`, nearest first, ties to the smaller index."""
+    d2 = _sq_dist(points, p)
+    keep = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+    return keep[np.lexsort((keep, d2[keep]))[:k]]
+
+
+def _tree_ranked(points: np.ndarray, tree: cKDTree, block: np.ndarray, k: int) -> np.ndarray:
+    """`_ranked` for each row of `block` from the tree's k + 1 nearest, whose distances are
+    `sqrt(_sq_dist)`: only tied rows are re-ranked, from their ball if tied at the k-th."""
+    dist, idx = tree.query(block, k=k + 1, workers=-1)
+    tied = np.flatnonzero((dist[:, 1:] <= dist[:, :-1]).any(axis=1))
+    d2 = _sq_dist(points[idx[tied]], block[tied, None, :])
+    order = np.lexsort((idx[tied], d2), axis=-1)
+    idx[tied], d2 = np.take_along_axis(idx[tied], order, 1), np.take_along_axis(d2, order, 1)
+    at_k = d2[:, k] == d2[:, k - 1]
+    radii = np.sqrt(d2[at_k, k]) * (1 + 1e-9)  # slack: the ball test squares the radius
+    balls = tree.query_ball_point(block[tied[at_k]], radii, return_sorted=True)
+    for row, ball in zip(tied[at_k], map(np.asarray, balls)):
+        idx[row, :k] = ball[_ranked(points[ball], block[row], k)]
+    return idx[:, :k]
+
+
+def _pca_normals(points: np.ndarray, k: int, toward: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Normals of points[index]: smallest principal axis of each point's `_ranked`
+    k-neighborhood (Hoppe et al., SIGGRAPH 1992), facing `toward`.
+
+    One row scans every point; more rows query a k-d tree built here and
+    dropped on return.  Each row depends on its own point alone, so any
+    subset of indices gives bitwise the same normals as all of them.  With
+    fewer than 3 points each normal points back at the cameras.
     """
     block_points = points[index]
-    if tree is None:
+    if len(points) < 3:
         # not enough structure for a plane fit; point back at the cameras
         direction = toward - block_points
         lengths = np.linalg.norm(direction, axis=1, keepdims=True)
         return np.where(lengths > 1e-12, direction / lengths, [[0.0, 0.0, 1.0]])
+    tree = cKDTree(points) if len(index) > 1 and k < len(points) else None
     normals = np.empty_like(block_points)
     chunk = 20000
     for start in range(0, len(block_points), chunk):
         block = block_points[start : start + chunk]
-        _, idx = tree.query(block, k=k)
+        idx = (np.array([_ranked(points, p, k) for p in block]) if tree is None
+               else _tree_ranked(points, tree, block, k))
         neighborhoods = points[idx]
         centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
         cov = np.einsum("mki,mkj->mij", centered, centered)

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientMotionError, InsufficientSamplesError
+from .errors import (
+    ConfigError,
+    InsufficientMotionError,
+    InsufficientSamplesError,
+    MalformedFileError,
+)
 from .geometry import RigidTransform, _check_keys, rotation_to_angle_axis
 
 # Motions rotating less than this carry no usable rotation constraint.
@@ -53,11 +58,15 @@ class MotionPair:
 
 
 def load_samples(path) -> list[PosePairSample]:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise ConfigError("calibration samples file must hold a JSON array")
-    return [PosePairSample.from_dict(item) for item in data]
+    """Read a JSON array of samples; any malformed content raises MalformedFileError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, list):
+            raise ConfigError("calibration samples file must hold a JSON array")
+        return [PosePairSample.from_dict(item) for item in data]
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise MalformedFileError(f"{path}: {exc}") from None
 
 
 def build_motion_pairs(

@@ -383,8 +383,12 @@ class TestMalformedInput:
         ({"noise": {"depth_sigma_m": "abc"}}, "abc"),
         ({"n": 0}, "n >= 1"),
         ({"pose": "back"}, "'back'"),
+        ({"n": 2.5}, "n must be a whole number, got 2.5"),
+        ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
+        ({"n": True}, "n must be a whole number, got True"),
+        ({"seed": False}, "seed must be a whole number, got False"),
     ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
-            "no-scenes", "pose"])
+            "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool"])
     def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
         config = tmp_path / "synth.json"
         write_synth_config(config, n=1)
@@ -393,6 +397,24 @@ class TestMalformedInput:
         with caplog.at_level(logging.ERROR, logger="scanloc"):
             assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
         assert_one_line_error(caplog, str(config), detail)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt, detail", [
+        (lambda text: text[:-10], ""),
+        (lambda text: text.replace("[0.0, 0.0, 0.0]", '["a", 0, 0]', 1), "'a'"),
+        (lambda text: text.replace("[0.0, 0.0, 0.0]", "[NaN, 0, 0]", 1), "finite"),
+        (lambda text: text.replace("1.0", "2.0", 1), "orthonormal"),
+    ], ids=["truncated", "non-numeric", "nan", "not-orthonormal"])
+    def test_calibrate_on_bad_samples_exits_1(self, tmp_path, caplog, corrupt, detail):
+        identity = RigidTransform(np.eye(3), np.zeros(3)).to_dict()
+        samples = tmp_path / "samples.json"
+        samples.write_text(corrupt(json.dumps(
+            [{"gripper_in_base": identity, "tag_in_camera": identity}] * 3
+        )))
+        out = tmp_path / "calib.json"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["calibrate", "--samples", str(samples), "--out", str(out)]) == 1
+        assert_one_line_error(caplog, str(samples), detail)
         assert not out.exists()
 
 

@@ -6,6 +6,7 @@ Oracles:
 * a transcribed linear scan for the planar nearest-neighbor lookup,
 * hand-built miniature clouds for the depth-adjustment rule,
 * the eager all-points normal computation for normals estimated on demand,
+* a full lexsort by squared distance (`knn_oracle`) for PCA neighborhoods,
 * `np.unique(axis=0)` + `np.add.at` for the packed-key voxel centroids.
 """
 
@@ -14,11 +15,15 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from helpers import look_at_camera, render_sphere_depth
+from helpers import knn_oracle, look_at_camera, render_sphere_depth
 from scanloc.cloud import (
     DepthMap,
     FusedCloud,
+    _ranked,
+    _sq_dist,
+    _tree_ranked,
     _voxel_centroids,
     adjust_target,
     fuse,
@@ -248,27 +253,60 @@ class TestVoxelCentroids:
             fuse([(cam, DepthMap(np.full((20, 20), 1.0)))], voxel=1e-12)
 
 
+def holds_no_tree(cloud):
+    return not any(isinstance(value, cKDTree) for value in vars(cloud).values())
+
+
 class TestLazyNormals:
     @pytest.mark.parametrize(
-        "noise",
-        [NoiseSpec(seed=0), NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005, seed=60)],
-        ids=["noiseless", "noisy"],
+        "noise, voxel",
+        [(NoiseSpec(seed=0), 0.005),
+         (NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005, seed=60), 0.005),
+         (NoiseSpec(seed=0), 0.002)],  # 19% of rows hold a distance tie, 1.3% at the k-th
+        ids=["noiseless", "noisy", "noiseless-2mm"],
     )
-    def test_on_demand_normals_equal_eager(self, noise):
+    def test_on_demand_normals_equal_eager(self, noise, voxel):
         views = scene_views(noise)
-        eager = fuse(views, voxel=0.005).normals
+        eager = fuse(views, voxel=voxel).normals
         rng = np.random.default_rng(61)
-        lazy = fuse(views, voxel=0.005)
+        lazy = fuse(views, voxel=voxel)
         for index in rng.integers(0, len(lazy), 300):
             assert np.array_equal(lazy.normal_at(index), eager[index])
         # snapping reads the same normals
-        snapper = fuse(views, voxel=0.005)
+        snapper = fuse(views, voxel=voxel)
         for target in rng.uniform(-0.2, 0.2, size=(20, 2)):
             index = snapper.planar_nearest(target).index
             assert np.array_equal(adjust_target(snapper, target).normal, eager[index])
         # a partly estimated cloud completes to the eager normals, also pickled
         assert np.array_equal(pickle.loads(pickle.dumps(lazy)).normals, eager)
         assert np.array_equal(lazy.normals, eager)
+        assert holds_no_tree(lazy) and holds_no_tree(snapper)
+
+    def test_lattice_ties_rank_by_index(self):
+        # dyadic spacing keeps squared distances exact, so a lattice point's
+        # 30th neighbor ties with several others at distance 2 (27 lie closer)
+        grid = np.stack(np.meshgrid(*map(np.arange, (9, 8, 5)), indexing="ij"), axis=-1)
+        points = grid.reshape(-1, 3) * 2.0**-7
+        k = 30
+        cloud = FusedCloud._with_pca_normals(points, k, np.array([0.0, 0.0, 1.0]))
+        eager = _tree_ranked(points, cKDTree(points), points, k)
+        straddles = 0
+        for i in range(len(points)):
+            want = knn_oracle(points, i, k)
+            assert np.array_equal(_ranked(points, points[i], k), want)
+            assert np.array_equal(eager[i], want)
+            d2 = np.sort(((points - points[i]) ** 2).sum(axis=1))
+            straddles += d2[k] == d2[k - 1]
+        assert straddles > len(points) // 4
+        normals = FusedCloud._with_pca_normals(points, k, np.array([0.0, 0.0, 1.0])).normals
+        for i in range(len(points)):
+            assert np.array_equal(cloud.normal_at(i), normals[i])
+
+    def test_tree_distances_are_roots_of_the_scan_arithmetic(self):
+        # the eager path trusts the tree's distance order wherever it does not tie
+        points = fuse(scene_views(NoiseSpec(seed=0)), voxel=0.002).points
+        dist, idx = cKDTree(points).query(points[:5000], k=31)
+        assert np.array_equal(dist, np.sqrt(_sq_dist(points[idx], points[:5000, None, :])))
 
     def test_pickled_cloud_snaps_like_the_original(self):
         original = fuse(scene_views(NoiseSpec(depth_sigma_m=0.005, seed=65)), voxel=0.002)
@@ -286,6 +324,7 @@ class TestLazyNormals:
     def test_pickle_carries_only_known_normals(self):
         views = scene_views(NoiseSpec(depth_sigma_m=0.005, seed=67))
         fresh, read = fuse(views, voxel=0.002), fuse(views, voxel=0.002)
+        assert len(pickle.dumps(fresh)) < 1.1 * fresh.points.nbytes  # no index rides along
         eager = read.normals
         assert len(pickle.dumps(fresh)) < len(pickle.dumps(read))
         fresh.normal_at(7)  # one known row survives the round trip
