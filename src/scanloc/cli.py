@@ -17,9 +17,8 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
-from .cloud import DEFAULT_VOXEL, FusedCloud
+from .cloud import DEFAULT_NORMAL_NEIGHBORS, DEFAULT_VOXEL, _check_fusion_options
 from .errors import ConfigError, InvalidRangeError, MalformedFileError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
@@ -63,13 +62,7 @@ log = logging.getLogger("scanloc")
 _SYNTH_KEYS = {"n", "seed", "pose", "torso", "ratios", "noise", "cameras"}
 
 
-def _require_exists(path, what: str) -> None:
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} does not exist: {path}")
-
-
 def _load_json(path, what: str) -> dict:
-    _require_exists(path, what)
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -106,31 +99,18 @@ def _parse_thresholds(text: str):
         )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one fit/evaluate run, echoed into reports."""
-
-    target_id: int
-    voxel: float
-    normal_neighbors: int
-    thresholds_mm: tuple = ()
-    jobs: int = 1
-
-    def to_dict(self) -> dict:
-        # jobs is deliberately absent: reports must not depend on worker count
-        return {
-            "target_id": self.target_id,
-            "voxel_m": self.voxel,
-            "normal_neighbors": self.normal_neighbors,
-            "thresholds_mm": list(self.thresholds_mm),
-        }
+def _map(fn, items, jobs: int) -> list:
+    """`list(map(fn, items))`, spread over `jobs` worker processes when jobs > 1."""
+    if jobs <= 1:
+        return list(map(fn, items))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 # subcommand handlers -----------------------------------------------------------
 
 
 def _cmd_calibrate(args) -> int:
-    _require_exists(args.samples, "samples file")
     samples = load_samples(args.samples)
     pose = estimate_camera_pose(samples, all_pairs=args.all_pairs)
     residual = mean_residual(build_motion_pairs(samples, all_pairs=args.all_pairs), pose)
@@ -195,11 +175,7 @@ def _cmd_synth(args) -> int:
         generate_cohort_scene, master_seed=seed, ranges=ranges, ratios=ratios,
         noise=noise, pose_kind=pose_kind, cameras=cameras, axes=axes,
     )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            scenes = list(pool.map(make, range(n)))
-    else:
-        scenes = [make(i) for i in range(n)]
+    scenes = _map(make, range(n), args.jobs)
     save_cohort(scenes, args.out)
     log.info("wrote %d scenes to %s", n, args.out)
     return 0
@@ -217,7 +193,6 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    _require_exists(args.dataset, "dataset directory")
     scenes = load_cohort(args.dataset)
     samples = []
     for scene in scenes:
@@ -273,53 +248,34 @@ def _cmd_localize(args) -> int:
     return 0
 
 
-def _fuse_scene_dir(directory, voxel: float, neighbors: int) -> FusedCloud:
-    return scene_cloud(load_scene(directory), voxel, neighbors)
-
-
 def _cmd_evaluate(args) -> int:
-    _require_exists(args.scenes, "scenes directory")
-    dirs = [
-        os.path.join(args.scenes, name)
-        for name in sorted(os.listdir(args.scenes))
-        if name.startswith("scene_")
-        and os.path.isdir(os.path.join(args.scenes, name))
-    ]
-    if not dirs:
-        raise ConfigError(f"no scene_* directories under {args.scenes}")
-    scenes = [load_scene(d) for d in dirs]
-    config = RunConfig(
-        target_id=args.target, voxel=args.voxel, normal_neighbors=args.neighbors,
-        thresholds_mm=args.thresholds, jobs=args.jobs,
-    )
-    log.info("evaluate config: %s", json.dumps(config.to_dict(), sort_keys=True))
-    if args.jobs > 1:
-        # workers read their own scenes, so only the clouds cross processes
-        worker = functools.partial(_fuse_scene_dir, voxel=args.voxel, neighbors=args.neighbors)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            clouds = list(pool.map(worker, dirs))
-    else:
-        clouds = [scene_cloud(scene, args.voxel, args.neighbors) for scene in scenes]
+    _check_fusion_options(args.voxel, args.neighbors)
+    scenes = load_cohort(args.scenes)
+    # a bad --out fails here, before the fusion and LOOCV work
+    os.makedirs(args.out, exist_ok=True)
+    # the run's settings, echoed into summary.json; --jobs cannot change a report
+    config = {"target_id": args.target, "voxel_m": args.voxel,
+              "normal_neighbors": args.neighbors, "thresholds_mm": list(args.thresholds)}
+    log.info("evaluate config: %s", json.dumps(config, sort_keys=True))
+    fuse_scene = functools.partial(scene_cloud, voxel=args.voxel,
+                                   normal_neighbors=args.neighbors)
+    clouds = _map(fuse_scene, scenes, args.jobs)
 
-    folds = loocv(
-        scenes, args.target, voxel=args.voxel, normal_neighbors=args.neighbors,
-        clouds=clouds,
-    )
+    folds = loocv(scenes, args.target, clouds=clouds)
     table = success_table(folds, args.thresholds)
     summary = summarize(folds)
     results = []
     for scene, cloud in zip(scenes, clouds):
         results.extend(
-            r for r in backprojection_comparison(scene, cloud=cloud)
+            r for r in backprojection_comparison(scene, cloud)
             if r.target_id == args.target
         )
 
-    os.makedirs(args.out, exist_ok=True)
     write_folds_csv(folds, os.path.join(args.out, "folds.csv"))
     write_success_csv(table, os.path.join(args.out, "success_table.csv"))
     write_backprojection_csv(results, os.path.join(args.out, "backprojection.csv"))
     summary_out = {
-        "config": config.to_dict(),
+        "config": config,
         "n_scenes": len(scenes),
         "backprojection_median_px": median_backprojection_errors(results).get(
             args.target, {}
@@ -368,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output cloud file")
     p.add_argument("--voxel", type=float, default=DEFAULT_VOXEL,
                    help="voxel edge in meters")
-    p.add_argument("--neighbors", type=int, default=30,
+    p.add_argument("--neighbors", type=int, default=DEFAULT_NORMAL_NEIGHBORS,
                    help="neighborhood size for normal estimation")
     p.set_defaults(handler=_cmd_fuse)
 
@@ -384,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pose", choices=("front", "side"), required=True)
     p.add_argument("--out", required=True, help="output poses JSON")
     p.add_argument("--voxel", type=float, default=DEFAULT_VOXEL)
-    p.add_argument("--neighbors", type=int, default=30)
+    p.add_argument("--neighbors", type=int, default=DEFAULT_NORMAL_NEIGHBORS)
     p.set_defaults(handler=_cmd_localize)
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation reports")
@@ -395,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="success thresholds in mm, start:stop:step or comma list")
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--voxel", type=float, default=DEFAULT_EVAL_VOXEL)
-    p.add_argument("--neighbors", type=int, default=30)
+    p.add_argument("--neighbors", type=int, default=DEFAULT_NORMAL_NEIGHBORS)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for fusion; results are independent")
     p.set_defaults(handler=_cmd_evaluate)
@@ -411,7 +367,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.handler(args)
-    except ScanlocError as exc:
+    except (ScanlocError, OSError) as exc:
         log.error("%s", exc)
         return 1
 

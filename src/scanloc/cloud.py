@@ -3,10 +3,11 @@
 Depth maps from the two calibrated cameras are deprojected pixel by pixel
 into the base frame, merged and voxel-downsampled (centroid per voxel).
 Each normal is the PCA of the point's k nearest centroids (ties to the
-smaller index), oriented toward the cameras and computed on first use: a
-snap scans every point for one normal's neighbors (0.2-1.4 ms at 22k-142k
-points), so `fuse` builds no index, while `FusedCloud.normals` and `save`
-query a k-d tree built for that call.  Planar queries scan XY linearly.
+smaller index), oriented toward the cameras and computed when read: a
+snap scans every point for its one normal's neighbors (0.2-1.4 ms at
+22k-142k points), so `fuse` builds no index, while `FusedCloud.normals` and
+`save` compute and keep all of them at once with a k-d tree built for that
+call.  Planar queries scan XY linearly.
 
 The planar lookup implements the depth-adjustment rule this pipeline is
 built around: a regressed target keeps its XY coordinates, while its Z and
@@ -130,9 +131,10 @@ class FusedCloud:
     """An oriented point cloud; `planar_nearest` scans its XY coordinates.
 
     Normals are either given to the constructor or, for a cloud built by
-    `fuse`, estimated from the points: each point's normal is computed on
-    first use and memoized, and `normals` / `save` compute every one.  A
-    pickle carries only the memoized normals: an unread cloud is its points.
+    `fuse`, estimated from the points.  Such a cloud holds every normal or
+    none: `normals` / `save` compute all of them once and keep them, while
+    `normal_at` on a cloud without them computes that one row and keeps
+    nothing.  An unread cloud is its points.
     """
 
     def __init__(self, points, normals):
@@ -147,15 +149,13 @@ class FusedCloud:
         if np.any(np.abs(lengths - 1.0) > 1e-5):
             raise ValueError("normals must be unit length")
         self._normals = nrm.copy()
-        self._known = np.ones(len(pts), dtype=bool)
 
     @classmethod
     def _with_pca_normals(cls, points, k: int, toward) -> "FusedCloud":
         """A cloud whose normals `_pca_normals` computes on demand."""
         cloud = cls.__new__(cls)
         cloud._set_points(points)
-        cloud._normals = np.zeros(cloud.points.shape)
-        cloud._known = np.zeros(len(cloud.points), dtype=bool)
+        cloud._normals = None
         cloud._k = min(k, len(cloud.points))
         cloud._toward = toward
         return cloud
@@ -169,32 +169,26 @@ class FusedCloud:
         pts.flags.writeable = False
         self.points = pts
 
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_normals": self._normals[self._known]}
-
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _normals=np.zeros(state["points"].shape))
-        self._normals[self._known] = state["_normals"]
+        self.__dict__.update(state)
         self.points.flags.writeable = False  # pickle does not keep the flag
-
-    def _estimate(self, index: np.ndarray) -> None:
-        missing = index[~self._known[index]]
-        if len(missing):
-            self._normals[missing] = _pca_normals(self.points, self._k, self._toward, missing)
-            self._known[missing] = True
 
     @property
     def normals(self) -> np.ndarray:
         """Unit normals of every point, (N, 3), read-only."""
-        self._estimate(np.arange(len(self.points)))
+        if self._normals is None:
+            self._normals = _pca_normals(self.points, self._k, self._toward,
+                                         np.arange(len(self.points)))
         view = self._normals.view()
         view.flags.writeable = False
         return view
 
     def normal_at(self, index: int) -> np.ndarray:
-        """Unit normal of one point, read-only."""
-        self._estimate(np.array([index]))
-        view = self._normals[index]
+        """Unit normal of one point, read-only; kept only if `normals` was read."""
+        if self._normals is None:
+            (view,) = _pca_normals(self.points, self._k, self._toward, np.array([index]))
+        else:
+            view = self._normals[index]
         view.flags.writeable = False
         return view
 
@@ -252,13 +246,10 @@ def fuse(
     Points are gathered per view in row-major pixel order (a fixed ordering
     no matter how the work is scheduled) and optionally voxel-downsampled to
     per-voxel centroids.  Their PCA normals, oriented toward the cameras, are
-    computed per point on first use (`normal_at`, which `adjust_target` calls);
-    `normals` and `save` compute all of them.  A voxel of 0 keeps every point.
+    computed per point when read (`normal_at`, which `adjust_target` calls);
+    `normals` and `save` compute and keep all of them.  A voxel of 0 keeps every point.
     """
-    if not (math.isfinite(voxel) and voxel >= 0):
-        raise InvalidRangeError(f"voxel must be a finite size >= 0 m, got {voxel!r}")
-    if normal_neighbors < 3:
-        raise InvalidRangeError(f"normal_neighbors must be at least 3, got {normal_neighbors!r}")
+    _check_fusion_options(voxel, normal_neighbors)
     chunks = []
     centers = []
     for camera, depth in views:
@@ -280,6 +271,14 @@ def fuse(
         points = _voxel_centroids(points, voxel)
     toward = np.mean(centers, axis=0)
     return FusedCloud._with_pca_normals(points, normal_neighbors, toward)
+
+
+def _check_fusion_options(voxel: float, normal_neighbors: int) -> None:
+    """Raise InvalidRangeError unless `fuse` accepts this voxel size and neighbor count."""
+    if not (math.isfinite(voxel) and voxel >= 0):
+        raise InvalidRangeError(f"voxel must be a finite size >= 0 m, got {voxel!r}")
+    if normal_neighbors < 3:
+        raise InvalidRangeError(f"normal_neighbors must be at least 3, got {normal_neighbors!r}")
 
 
 def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:

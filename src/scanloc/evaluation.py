@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import FusedCloud, fuse
+from .cloud import DEFAULT_NORMAL_NEIGHBORS, FusedCloud, fuse
 from .errors import (
     InsufficientDataError,
     MissingPixelError,
@@ -116,20 +116,18 @@ def _fit_for_target(dataset: FitDataset, target_id: int, axes: ReferenceAxes):
 
 
 def scene_cloud(scene: SyntheticScene, voxel: float = DEFAULT_EVAL_VOXEL,
-                normal_neighbors: int = 30) -> FusedCloud:
+                normal_neighbors: int = DEFAULT_NORMAL_NEIGHBORS) -> FusedCloud:
     return fuse(list(zip(scene.cameras, scene.depths)), voxel=voxel,
                 normal_neighbors=normal_neighbors)
 
 
-def loocv(scenes, target_id: int, voxel: float = DEFAULT_EVAL_VOXEL,
-          normal_neighbors: int = 30, axes: ReferenceAxes | None = None,
-          clouds=None) -> list[FoldResult]:
+def loocv(scenes, target_id: int, clouds, axes: ReferenceAxes | None = None) -> list[FoldResult]:
     """Leave-one-out folds over the scenes, in scene order.
 
-    `clouds`, when given, must align 1:1 with `scenes` (precomputed fused
-    clouds); otherwise each held-out scene is fused on demand.  Each fold's
-    fit is an exact least-squares solve, a pure function of its training
-    set, so fold order and parallel execution cannot change results.
+    `clouds` aligns 1:1 with `scenes`: the fused cloud each held-out scene
+    is localized in (see `scene_cloud`).  Each fold's fit is an exact
+    least-squares solve, a pure function of its training set, so fold order
+    and parallel execution cannot change results.
     """
     pose_kind = pose_kind_for_target(target_id)
     scenes = list(scenes)
@@ -163,11 +161,8 @@ def loocv(scenes, target_id: int, voxel: float = DEFAULT_EVAL_VOXEL,
             params = TargetModelParams(front={target_id: fit.ratios})
         else:
             params = TargetModelParams(side=fit.ratios)
-        cloud = clouds[i] if clouds is not None else scene_cloud(
-            scene, voxel=voxel, normal_neighbors=normal_neighbors
-        )
         poses = localize(
-            scene.cameras[0], scene.cameras[1], scene.observation, cloud,
+            scene.cameras[0], scene.cameras[1], scene.observation, clouds[i],
             params, pose_kind, axes=axes,
         )
         (pose,) = [p for p in poses if p.target_id == target_id]
@@ -282,17 +277,15 @@ def _snapped(cloud: FusedCloud, point) -> np.ndarray:
     return np.array([point[0], point[1], cloud.planar_nearest(point[:2]).point[2]])
 
 
-def backprojection_comparison(scene: SyntheticScene, cloud: FusedCloud | None = None,
-                              voxel: float = DEFAULT_EVAL_VOXEL,
-                              normal_neighbors: int = 30) -> list[BackprojectionResult]:
+def backprojection_comparison(scene: SyntheticScene,
+                              cloud: FusedCloud) -> list[BackprojectionResult]:
     """Two-view vs single-view target estimates, scored in pixel space.
 
     Both estimates start from the observed target pixels and end with the
     same nearest-neighbor depth adjustment; the single-view estimate reads
     its depth from that camera's own depth map instead of triangulating.
+    `cloud` is the scene's fused cloud; no normal of it is read.
     """
-    if cloud is None:
-        cloud = scene_cloud(scene, voxel=voxel, normal_neighbors=normal_neighbors)
     results = []
     for target_id in sorted(scene.targets_true):
         observed = [scene.target_pixels_observed[vi][target_id] for vi in (0, 1)]

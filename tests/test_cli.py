@@ -417,6 +417,34 @@ class TestMalformedInput:
         assert_one_line_error(caplog, str(samples), detail)
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, argv", [
+        ("dir", ["calibrate", "--samples", "{dir}", "--out", "{out}"]),
+        ("dir", ["synth", "--config", "{dir}", "--out", "{out}"]),
+        ("dir", ["localize", "--scene", "{scenes}/scene_001", "--params", "{dir}",
+                 "--pose", "front", "--out", "{out}"]),
+        ("file", ["evaluate", "--scenes", "{file}", "--target", "1", "--out", "{out}"]),
+        ("file", ["evaluate", "--scenes", "{scenes}", "--target", "1", "--out", "{file}"]),
+        ("file", ["fit", "--dataset", "{file}", "--target", "1", "--out", "{out}"]),
+        ("missing", ["fit", "--dataset", "{missing}", "--target", "1", "--out", "{out}"]),
+    ], ids=["calibrate-samples-dir", "synth-config-dir", "localize-params-dir",
+            "evaluate-scenes-file", "evaluate-out-file", "fit-dataset-file",
+            "fit-dataset-missing"])
+    def test_bad_path_exits_1(self, cohort_dir, tmp_path, caplog, monkeypatch, bad, argv):
+        paths = {"dir": tmp_path / "a_dir", "file": tmp_path / "a_file",
+                 "missing": tmp_path / "missing", "out": tmp_path / "out",
+                 "scenes": cohort_dir}
+        paths["dir"].mkdir()
+        paths["file"].write_text("{}")
+
+        def no_fusion(*args, **kwargs):
+            raise AssertionError("fused a scene before the bad path was reported")
+
+        monkeypatch.setattr("scanloc.cli.scene_cloud", no_fusion)
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main([arg.format(**paths) for arg in argv]) == 1
+        assert_one_line_error(caplog, str(paths[bad]))
+        assert not paths["out"].exists()
+
 
 def collapse_right_hip(scene_dir):
     """Observe the right hip at the right shoulder's pixels in both views."""

@@ -21,6 +21,7 @@ from helpers import knn_oracle, look_at_camera, render_sphere_depth
 from scanloc.cloud import (
     DepthMap,
     FusedCloud,
+    _pca_normals,
     _ranked,
     _sq_dist,
     _tree_ranked,
@@ -312,7 +313,7 @@ class TestLazyNormals:
         original = fuse(scene_views(NoiseSpec(depth_sigma_m=0.005, seed=65)), voxel=0.002)
         rng = np.random.default_rng(66)
         targets = rng.uniform(-0.2, 0.2, size=(30, 2))
-        for target in targets[:10]:  # leave the normal memo partly filled
+        for target in targets[:10]:  # read some normals before pickling
             adjust_target(original, target)
         copy = pickle.loads(pickle.dumps(original))
         assert_matches_scan(copy, targets)
@@ -327,14 +328,37 @@ class TestLazyNormals:
         assert len(pickle.dumps(fresh)) < 1.1 * fresh.points.nbytes  # no index rides along
         eager = read.normals
         assert len(pickle.dumps(fresh)) < len(pickle.dumps(read))
-        fresh.normal_at(7)  # one known row survives the round trip
+        fresh.normal_at(7)  # keeps nothing, so the copy recomputes it
         for cloud in (fresh, read):
             copy = pickle.loads(pickle.dumps(cloud))
-            assert np.array_equal(copy._known, cloud._known)
             assert not copy.points.flags.writeable
             for index in (7, 0, len(copy) - 1):
                 assert np.array_equal(copy.normal_at(index), eager[index])
             assert np.array_equal(copy.normals, eager)
+
+    def test_normal_at_keeps_nothing(self):
+        cloud = fuse(scene_views(NoiseSpec(seed=0)), voxel=0.005)
+        for index in (7, 0, len(cloud) - 1):
+            assert not cloud.normal_at(index).flags.writeable
+        assert cloud._normals is None
+
+    def test_normals_are_computed_once(self, monkeypatch):
+        cloud = fuse(scene_views(NoiseSpec(seed=0)), voxel=0.005)
+        rows = []
+
+        def counting(points, k, toward, index):
+            rows.append(len(index))
+            return _pca_normals(points, k, toward, index)
+
+        monkeypatch.setattr("scanloc.cloud._pca_normals", counting)
+        first, second = cloud.normals, cloud.normals
+        assert rows == [len(cloud)]
+        assert np.array_equal(first, second) and not second.flags.writeable
+        # normal_at now reads a row of that array, bitwise, with no PCA
+        for index in (7, 0, len(cloud) - 1):
+            normal = cloud.normal_at(index)
+            assert np.array_equal(normal, first[index]) and not normal.flags.writeable
+        assert rows == [len(cloud)]
 
     def test_fewer_than_three_points_fall_back_to_camera_direction(self):
         cam = look_at_camera([0, 0.01, 1.0], [0, 0.01, 0], fx=500, width=8, height=8)

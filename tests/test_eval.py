@@ -232,19 +232,19 @@ class TestLoocv:
         assert folds[0].fitted.offset_ratio == direct.ratios.offset_ratio
 
     def test_too_few_scenes(self, front_cohort):
-        scenes, _ = front_cohort
+        scenes, clouds = front_cohort
         with pytest.raises(InsufficientDataError):
-            loocv(scenes[:1], 1)
+            loocv(scenes[:1], 1, clouds=clouds[:1])
 
     def test_missing_target_rejected(self, front_cohort):
-        scenes, _ = front_cohort
+        scenes, clouds = front_cohort
         with pytest.raises(InsufficientDataError):
-            loocv(scenes, 4)  # front scenes carry no side-target truth
+            loocv(scenes, 4, clouds=clouds)  # front scenes carry no side-target truth
 
     def test_unknown_target_rejected(self, front_cohort):
-        scenes, _ = front_cohort
+        scenes, clouds = front_cohort
         with pytest.raises(ValueError):
-            loocv(scenes, 3)
+            loocv(scenes, 3, clouds=clouds)
 
 
 @pytest.fixture(scope="module")
@@ -330,12 +330,15 @@ class TestBackprojection:
             for source in r.single_view:
                 assert all(e <= 2.0 for e in source)
 
-    def test_reads_no_normals(self, front_cohort):
+    def test_reads_no_normals(self, front_cohort, monkeypatch):
         scenes, _ = front_cohort
         cloud = scene_cloud(scenes[0])
-        known = cloud._known.copy()
-        backprojection_comparison(scenes[0], cloud=cloud)
-        assert np.array_equal(cloud._known, known)  # it snaps without a PCA
+
+        def no_pca(*args):
+            raise AssertionError("back-projection estimated a normal")
+
+        monkeypatch.setattr("scanloc.cloud._pca_normals", no_pca)
+        assert backprojection_comparison(scenes[0], cloud=cloud)  # it snaps without a PCA
 
     def test_deproject_reproject_round_trip(self, front_cohort):
         scenes, _ = front_cohort
