@@ -14,21 +14,22 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .cloud import DEFAULT_NORMAL_NEIGHBORS, DEFAULT_VOXEL, _check_fusion_options
+from .cloud import DEFAULT_VOXEL, NORMAL_NEIGHBORS, _check_fusion_options
 from .errors import ConfigError, InvalidRangeError, MalformedFileError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
     _fit_for_target,
+    _params_for_target,
     _scene_sample,
     backprojection_comparison,
     loocv,
     median_backprojection_errors,
-    pose_kind_for_target,
     scene_cloud,
     success_table,
     summarize,
@@ -51,7 +52,6 @@ from .synth import (
 from .targets import (
     FitDataset,
     ReferenceAxes,
-    TargetModelParams,
     localize,
     params_from_dict,
     save_params,
@@ -81,15 +81,18 @@ def _scene_dir(path) -> str:
 
 def _parse_thresholds(text: str):
     try:
+        numbers = [float(x) for x in text.split(":" if ":" in text else ",")]
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError
         if ":" in text:
-            start, stop, step = (float(x) for x in text.split(":"))
+            start, stop, step = numbers
             if step <= 0 or stop < start:
                 raise ValueError
             count = int(round((stop - start) / step))
             values = [start + i * step for i in range(count + 1)
                       if start + i * step <= stop + 1e-9]
         else:
-            values = [float(x) for x in text.split(",")]
+            values = numbers
         if not values or any(v <= 0 for v in values):
             raise ValueError
         return tuple(values)
@@ -183,7 +186,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fuse(args) -> int:
     scene = load_scene(_scene_dir(args.scene))
-    cloud = scene_cloud(scene, args.voxel, args.neighbors)
+    cloud = scene_cloud(scene, args.voxel)
     cloud.save(args.out)
     log.info(
         "fused scene %d at %.1f mm voxel: %d points -> %s",
@@ -203,11 +206,7 @@ def _cmd_fit(args) -> int:
             samples.append(sample)
     axes = ReferenceAxes()
     result = _fit_for_target(FitDataset(samples), args.target, axes)
-    if pose_kind_for_target(args.target) == "front":
-        params = TargetModelParams(front={args.target: result.ratios})
-    else:
-        params = TargetModelParams(side=result.ratios)
-    save_params(args.out, params, axes)
+    save_params(args.out, _params_for_target(args.target, result.ratios), axes)
     log.info(
         "fitted target %d on %d scenes: segment %.6f offset %.6f, "
         "mean planar residual %.3f mm -> %s",
@@ -223,7 +222,7 @@ def _cmd_localize(args) -> int:
         params, axes = params_from_dict(_load_json(args.params, "params file"))
     except MalformedFileError as exc:
         raise MalformedFileError(f"{args.params}: {exc}") from None
-    cloud = scene_cloud(scene, args.voxel, args.neighbors)
+    cloud = scene_cloud(scene, args.voxel)
     poses = localize(
         scene.cameras[0], scene.cameras[1], scene.observation, cloud,
         params, args.pose, axes=axes,
@@ -232,7 +231,7 @@ def _cmd_localize(args) -> int:
         "scene_id": scene.scene_id,
         "pose_kind": args.pose,
         "voxel_m": args.voxel,
-        "normal_neighbors": args.neighbors,
+        "normal_neighbors": NORMAL_NEIGHBORS,
         "targets": [p.to_dict() for p in poses],
     }
     with open(args.out, "w") as fh:
@@ -249,17 +248,15 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _check_fusion_options(args.voxel, args.neighbors)
+    _check_fusion_options(args.voxel)
     scenes = load_cohort(args.scenes)
     # a bad --out fails here, before the fusion and LOOCV work
     os.makedirs(args.out, exist_ok=True)
     # the run's settings, echoed into summary.json; --jobs cannot change a report
     config = {"target_id": args.target, "voxel_m": args.voxel,
-              "normal_neighbors": args.neighbors, "thresholds_mm": list(args.thresholds)}
+              "normal_neighbors": NORMAL_NEIGHBORS, "thresholds_mm": list(args.thresholds)}
     log.info("evaluate config: %s", json.dumps(config, sort_keys=True))
-    fuse_scene = functools.partial(scene_cloud, voxel=args.voxel,
-                                   normal_neighbors=args.neighbors)
-    clouds = _map(fuse_scene, scenes, args.jobs)
+    clouds = _map(functools.partial(scene_cloud, voxel=args.voxel), scenes, args.jobs)
 
     folds = loocv(scenes, args.target, clouds=clouds)
     table = success_table(folds, args.thresholds)
@@ -324,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output cloud file")
     p.add_argument("--voxel", type=float, default=DEFAULT_VOXEL,
                    help="voxel edge in meters")
-    p.add_argument("--neighbors", type=int, default=DEFAULT_NORMAL_NEIGHBORS,
-                   help="neighborhood size for normal estimation")
     p.set_defaults(handler=_cmd_fuse)
 
     p = sub.add_parser("fit", help="fit ratio parameters on a scene cohort")
@@ -340,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pose", choices=("front", "side"), required=True)
     p.add_argument("--out", required=True, help="output poses JSON")
     p.add_argument("--voxel", type=float, default=DEFAULT_VOXEL)
-    p.add_argument("--neighbors", type=int, default=DEFAULT_NORMAL_NEIGHBORS)
     p.set_defaults(handler=_cmd_localize)
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation reports")
@@ -351,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="success thresholds in mm, start:stop:step or comma list")
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--voxel", type=float, default=DEFAULT_EVAL_VOXEL)
-    p.add_argument("--neighbors", type=int, default=DEFAULT_NORMAL_NEIGHBORS)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for fusion; results are independent")
     p.set_defaults(handler=_cmd_evaluate)

@@ -2,7 +2,7 @@
 
 Depth maps from the two calibrated cameras are deprojected pixel by pixel
 into the base frame, merged and voxel-downsampled (centroid per voxel).
-Each normal is the PCA of the point's k nearest centroids (ties to the
+Each normal is the PCA of the point's 30 nearest centroids (ties to the
 smaller index), oriented toward the cameras and computed when read: a
 snap scans every point for its one normal's neighbors (0.2-1.4 ms at
 22k-142k points), so `fuse` builds no index, while `FusedCloud.normals` and
@@ -32,7 +32,8 @@ MAX_DEPTH = 10.0
 # Planar NN farther than this from the query marks the result suspicious.
 FAR_FROM_SURFACE = 0.020
 DEFAULT_VOXEL = 0.005
-DEFAULT_NORMAL_NEIGHBORS = 30
+# PCA neighborhood size k of every normal estimate
+NORMAL_NEIGHBORS = 30
 
 _CLOUD_MAGIC = b"SCLOUD01"
 
@@ -151,12 +152,12 @@ class FusedCloud:
         self._normals = nrm.copy()
 
     @classmethod
-    def _with_pca_normals(cls, points, k: int, toward) -> "FusedCloud":
+    def _with_pca_normals(cls, points, toward) -> "FusedCloud":
         """A cloud whose normals `_pca_normals` computes on demand."""
         cloud = cls.__new__(cls)
         cloud._set_points(points)
         cloud._normals = None
-        cloud._k = min(k, len(cloud.points))
+        cloud._k = min(NORMAL_NEIGHBORS, len(cloud.points))
         cloud._toward = toward
         return cloud
 
@@ -239,7 +240,6 @@ class FusedCloud:
 def fuse(
     views: list[tuple[PinholeCamera, DepthMap]],
     voxel: float = DEFAULT_VOXEL,
-    normal_neighbors: int = DEFAULT_NORMAL_NEIGHBORS,
 ) -> FusedCloud:
     """Deproject every valid depth pixel and merge the views into one cloud.
 
@@ -249,7 +249,7 @@ def fuse(
     computed per point when read (`normal_at`, which `adjust_target` calls);
     `normals` and `save` compute and keep all of them.  A voxel of 0 keeps every point.
     """
-    _check_fusion_options(voxel, normal_neighbors)
+    _check_fusion_options(voxel)
     chunks = []
     centers = []
     for camera, depth in views:
@@ -270,15 +270,13 @@ def fuse(
     if voxel > 0:
         points = _voxel_centroids(points, voxel)
     toward = np.mean(centers, axis=0)
-    return FusedCloud._with_pca_normals(points, normal_neighbors, toward)
+    return FusedCloud._with_pca_normals(points, toward)
 
 
-def _check_fusion_options(voxel: float, normal_neighbors: int) -> None:
-    """Raise InvalidRangeError unless `fuse` accepts this voxel size and neighbor count."""
+def _check_fusion_options(voxel: float) -> None:
+    """Raise InvalidRangeError unless `fuse` accepts this voxel size."""
     if not (math.isfinite(voxel) and voxel >= 0):
         raise InvalidRangeError(f"voxel must be a finite size >= 0 m, got {voxel!r}")
-    if normal_neighbors < 3:
-        raise InvalidRangeError(f"normal_neighbors must be at least 3, got {normal_neighbors!r}")
 
 
 def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:

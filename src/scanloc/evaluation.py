@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import DEFAULT_NORMAL_NEIGHBORS, FusedCloud, fuse
+from .cloud import FusedCloud, fuse
 from .errors import (
     InsufficientDataError,
     MissingPixelError,
@@ -96,11 +96,7 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
                 return None, f"{joint} not visible in view {vi}"
     positions = triangulate_joints(scene.cameras[0], scene.cameras[1], scene.observation)
     try:
-        kps = Keypoints3D(
-            left_shoulder=positions.get("left_shoulder"),
-            right_shoulder=positions.get("right_shoulder"),
-            right_hip=positions.get("right_hip"),
-        )
+        kps = Keypoints3D(**positions)
     except ValueError as exc:
         return None, f"implausible keypoints: {exc}"
     sample = FitSample(
@@ -115,10 +111,15 @@ def _fit_for_target(dataset: FitDataset, target_id: int, axes: ReferenceAxes):
     return fit_side(dataset, reference=axes.side)
 
 
-def scene_cloud(scene: SyntheticScene, voxel: float = DEFAULT_EVAL_VOXEL,
-                normal_neighbors: int = DEFAULT_NORMAL_NEIGHBORS) -> FusedCloud:
-    return fuse(list(zip(scene.cameras, scene.depths)), voxel=voxel,
-                normal_neighbors=normal_neighbors)
+def _params_for_target(target_id: int, ratios: RatioPair) -> TargetModelParams:
+    """Params that hold `ratios` for this one target and nothing else."""
+    if pose_kind_for_target(target_id) == "front":
+        return TargetModelParams(front={target_id: ratios})
+    return TargetModelParams(side=ratios)
+
+
+def scene_cloud(scene: SyntheticScene, voxel: float = DEFAULT_EVAL_VOXEL) -> FusedCloud:
+    return fuse(list(zip(scene.cameras, scene.depths)), voxel=voxel)
 
 
 def loocv(scenes, target_id: int, clouds, axes: ReferenceAxes | None = None) -> list[FoldResult]:
@@ -156,14 +157,9 @@ def loocv(scenes, target_id: int, clouds, axes: ReferenceAxes | None = None) -> 
             )
             continue
         fit = _fit_for_target(FitDataset(training), target_id, axes)
-
-        if pose_kind == "front":
-            params = TargetModelParams(front={target_id: fit.ratios})
-        else:
-            params = TargetModelParams(side=fit.ratios)
         poses = localize(
             scene.cameras[0], scene.cameras[1], scene.observation, clouds[i],
-            params, pose_kind, axes=axes,
+            _params_for_target(target_id, fit.ratios), pose_kind, axes=axes,
         )
         (pose,) = [p for p in poses if p.target_id == target_id]
         gt = scene.targets_true[target_id]
@@ -246,24 +242,21 @@ class BackprojectionResult:
     single_view: tuple
 
 
-def _nearest_valid_depth(depth_map, pixel: Pixel, radius: int = NEAREST_PIXEL_RADIUS):
-    """Depth at the closest valid pixel within `radius` of `pixel`."""
+def _nearest_valid_depth(depth_map, pixel: Pixel):
+    """Depth at the closest valid pixel within NEAREST_PIXEL_RADIUS of `pixel`."""
     mask = depth_map.valid_mask
     u0, v0 = int(round(pixel.u)), int(round(pixel.v))
+    span = range(-NEAREST_PIXEL_RADIUS, NEAREST_PIXEL_RADIUS + 1)
     offsets = sorted(
-        (
-            (du * du + dv * dv, du, dv)
-            for du in range(-radius, radius + 1)
-            for dv in range(-radius, radius + 1)
-            if du * du + dv * dv <= radius * radius
-        ),
+        (du * du + dv * dv, du, dv) for du in span for dv in span
+        if du * du + dv * dv <= NEAREST_PIXEL_RADIUS**2
     )
     for _, du, dv in offsets:
         u, v = u0 + du, v0 + dv
         if 0 <= u < depth_map.width and 0 <= v < depth_map.height and mask[v, u]:
             return float(depth_map.values[v, u])
     raise MissingPixelError(
-        f"no valid depth within {radius} px of ({pixel.u:.1f}, {pixel.v:.1f})"
+        f"no valid depth within {NEAREST_PIXEL_RADIUS} px of ({pixel.u:.1f}, {pixel.v:.1f})"
     )
 
 

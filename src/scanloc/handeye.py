@@ -72,14 +72,13 @@ def load_samples(path) -> list[PosePairSample]:
 def build_motion_pairs(
     samples: list[PosePairSample],
     all_pairs: bool = False,
-    min_rotation_rad: float = MIN_ROTATION_RAD,
 ) -> list[MotionPair]:
     """Turn pose samples into relative-motion pairs for the AX = XB solve.
 
     Consecutive samples (i, i+1) are paired by default; all_pairs=True uses
     every unordered sample pair instead, which squares the equation count
     on noisy recordings.  Pairs whose gripper motion rotates less than
-    min_rotation_rad are dropped: they constrain nothing but noise.
+    MIN_ROTATION_RAD are dropped: they constrain nothing but noise.
     """
     if len(samples) < 3:
         raise InsufficientSamplesError(
@@ -101,7 +100,7 @@ def build_motion_pairs(
         b = cj.compose(ci.inverse())
         alpha = rotation_to_angle_axis(a.rotation)
         angle = np.linalg.norm(alpha)
-        if angle < min_rotation_rad:
+        if angle < MIN_ROTATION_RAD:
             continue
         pairs.append(MotionPair(a, b))
         axes.append(alpha / angle)

@@ -17,6 +17,7 @@ both views or displace it by 50 px (a plausible wrong detection).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -51,6 +52,11 @@ from .targets import (
 )
 
 DISPLACEMENT_PX = 50.0
+# the default rig: two 640x480 cameras (fx 600 px), 0.3 m apart, 1 m above the torso base
+RIG_BASELINE = 0.3
+RIG_HEIGHT = 1.0
+RIG_FX = 600.0
+RIG_IMAGE_SIZE = (640, 480)
 # fraction of torso surface samples that must project into both views
 MIN_VISIBLE_FRACTION = 0.9
 
@@ -129,8 +135,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.keypoint_sigma_px < 0 or self.depth_sigma_m < 0:
-            raise ConfigError("noise sigmas must be nonnegative")
+        sigmas = (self.keypoint_sigma_px, self.depth_sigma_m)
+        if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+            raise InvalidRangeError(f"noise sigmas must be finite and nonnegative, got {sigmas}")
         for joint, prob in self.fault_prob.items():
             if joint not in ALL_JOINTS:
                 raise ConfigError(f"unknown joint {joint!r} in fault probabilities")
@@ -180,32 +187,27 @@ class SyntheticScene:
     faulted_joints: dict[str, str]
 
 
-def default_cameras(torso: TorsoSpec, baseline=0.3, height=1.0, fx=600.0,
-                    width=640, height_px=480) -> tuple[PinholeCamera, PinholeCamera]:
-    """Two converging cameras above the torso, a narrow baseline apart."""
+def default_cameras(torso: TorsoSpec) -> tuple[PinholeCamera, PinholeCamera]:
+    """The default rig: two cameras converging on the torso from above."""
     center = np.array([0.0, torso.length / 2, torso.base_height])
-    cam_z = torso.base_height + height
+    cam_z = torso.base_height + RIG_HEIGHT
     cams = []
     for side in (-1.0, 1.0):
-        position = np.array([side * baseline / 2, torso.length / 2, cam_z])
-        cams.append(
-            _look_at_camera(position, center, fx=fx, width=width, height=height_px)
-        )
+        position = np.array([side * RIG_BASELINE / 2, torso.length / 2, cam_z])
+        cams.append(_look_at_camera(position, center))
     return (cams[0], cams[1])
 
 
-def _look_at_camera(position, target, fx, width, height) -> PinholeCamera:
+def _look_at_camera(position, target) -> PinholeCamera:
     forward = np.asarray(target, dtype=float) - np.asarray(position, dtype=float)
     forward = forward / np.linalg.norm(forward)
     down_ref = np.array([0.0, 1.0, 0.0])  # image "down" follows world +Y
     y_cam = down_ref - np.dot(down_ref, forward) * forward
-    norm = np.linalg.norm(y_cam)
-    if norm < 1e-9:
-        raise ConfigError("camera viewing direction is parallel to the +Y roll reference")
-    y_cam = y_cam / norm
+    y_cam = y_cam / np.linalg.norm(y_cam)  # nonzero: a rig camera sits at its target's Y
     x_cam = np.cross(y_cam, forward)
     pose = RigidTransform(np.column_stack([x_cam, y_cam, forward]), np.asarray(position))
-    return PinholeCamera(fx, fx, width / 2, height / 2, width, height, pose)
+    width, height = RIG_IMAGE_SIZE
+    return PinholeCamera(RIG_FX, RIG_FX, width / 2, height / 2, width, height, pose)
 
 
 def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:

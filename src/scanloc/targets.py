@@ -467,11 +467,10 @@ def triangulate_joints(
     camera_a: PinholeCamera,
     camera_b: PinholeCamera,
     observation: KeypointObservation,
-    joints=ALL_JOINTS,
 ) -> dict[str, np.ndarray]:
     """3D positions of every joint seen (in bounds) in both views."""
     out = {}
-    for joint in joints:
+    for joint in ALL_JOINTS:
         pix_a = observation.joint_in_view(joint, 0, camera_a)
         pix_b = observation.joint_in_view(joint, 1, camera_b)
         if pix_a is None or pix_b is None:
@@ -493,11 +492,7 @@ def keypoints_from_observation(
             raise MissingKeypointError(
                 f"joint {joint!r} is not visible in both views; cannot localize {pose_kind} targets"
             )
-    return Keypoints3D(
-        left_shoulder=positions.get(LEFT_SHOULDER),
-        right_shoulder=positions.get(RIGHT_SHOULDER),
-        right_hip=positions.get(RIGHT_HIP),
-    )
+    return Keypoints3D(**positions)
 
 
 def regress_targets(

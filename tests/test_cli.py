@@ -66,7 +66,7 @@ class TestThresholdParsing:
     def test_rejects_garbage(self):
         import argparse
 
-        for text in ("", "abc", "10:5:5", "5:40:0", "-5,10"):
+        for text in ("", "abc", "10:5:5", "5:40:0", "-5,10", "5:inf:5", "nan", "inf", "5,nan"):
             with pytest.raises(argparse.ArgumentTypeError):
                 _parse_thresholds(text)
 
@@ -242,6 +242,7 @@ class TestPipeline:
                      "--out", str(poses_file), "--voxel", "0.004"]) == 0
         poses = json.loads(poses_file.read_text())
         assert poses["pose_kind"] == "front"
+        assert poses["normal_neighbors"] == 30
         (target,) = poses["targets"]
         assert target["target_id"] == 1
         assert not target["far_from_surface"]
@@ -268,6 +269,7 @@ class TestPipeline:
             "normal_neighbors", "target_id", "thresholds_mm", "voxel_m"
         }
         assert summary["config"]["thresholds_mm"][0] == 5.0
+        assert summary["config"]["normal_neighbors"] == 30
         assert summary["position_mm"]["mean"] < 25.0
 
     def test_evaluate_jobs_do_not_change_reports(self, cohort_dir, tmp_path):
@@ -280,6 +282,20 @@ class TestPipeline:
             assert filecmp.cmp(
                 tmp_path / "seq" / name, tmp_path / "par" / name, shallow=False
             ), name
+
+
+def fusion_argv(command, cohort_dir, tmp_path, out):
+    """A complete `fuse`, `localize` or `evaluate` command line writing to `out`."""
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps({"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}))
+    scene = str(cohort_dir / "scene_001")
+    argv = {
+        "fuse": ["fuse", "--scene", scene],
+        "localize": ["localize", "--scene", scene, "--params", str(params_file),
+                     "--pose", "front"],
+        "evaluate": ["evaluate", "--scenes", str(cohort_dir), "--target", "1"],
+    }[command]
+    return [*argv, "--out", str(out)]
 
 
 def assert_one_line_error(caplog, *names):
@@ -353,25 +369,23 @@ class TestMalformedInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("option, name", [
-        ("--neighbors=0", "neighbors"), ("--neighbors=-3", "neighbors"),
         ("--voxel=-1", "voxel"), ("--voxel=nan", "voxel"), ("--voxel=inf", "voxel"),
     ])
     @pytest.mark.parametrize("command", ["fuse", "localize", "evaluate"])
     def test_bad_fusion_option_exits_1(self, cohort_dir, tmp_path, caplog, command,
                                        option, name):
-        params_file = tmp_path / "params.json"
-        params_file.write_text(json.dumps({"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}))
-        scene = str(cohort_dir / "scene_001")
         out = tmp_path / "out"
-        argv = {
-            "fuse": ["fuse", "--scene", scene],
-            "localize": ["localize", "--scene", scene, "--params", str(params_file),
-                         "--pose", "front"],
-            "evaluate": ["evaluate", "--scenes", str(cohort_dir), "--target", "1"],
-        }[command]
         with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main([*argv, "--out", str(out), option]) == 1
+            assert main([*fusion_argv(command, cohort_dir, tmp_path, out), option]) == 1
         assert_one_line_error(caplog, name, option.split("=")[1])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "localize", "evaluate"])
+    def test_neighbors_option_is_a_usage_error(self, cohort_dir, tmp_path, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([*fusion_argv(command, cohort_dir, tmp_path, out), "--neighbors=30"])
+        assert info.value.code == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("field, detail", [
@@ -381,6 +395,8 @@ class TestMalformedInput:
         ({"torso": {"half_width": [0.17, "abc"]}}, "abc"),
         ({"noise": {"keypoint_sigma_px": "abc"}}, "abc"),
         ({"noise": {"depth_sigma_m": "abc"}}, "abc"),
+        ({"noise": {"depth_sigma_m": float("nan")}}, "nan"),
+        ({"noise": {"keypoint_sigma_px": float("inf")}}, "inf"),
         ({"n": 0}, "n >= 1"),
         ({"pose": "back"}, "'back'"),
         ({"n": 2.5}, "n must be a whole number, got 2.5"),
@@ -388,7 +404,7 @@ class TestMalformedInput:
         ({"n": True}, "n must be a whole number, got True"),
         ({"seed": False}, "seed must be a whole number, got False"),
     ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
-            "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool"])
+            "nan-depth-sigma", "inf-keypoint-sigma", "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool"])
     def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
         config = tmp_path / "synth.json"
         write_synth_config(config, n=1)

@@ -19,6 +19,7 @@ from scipy.spatial import cKDTree
 
 from helpers import knn_oracle, look_at_camera, render_sphere_depth
 from scanloc.cloud import (
+    NORMAL_NEIGHBORS,
     DepthMap,
     FusedCloud,
     _pca_normals,
@@ -288,8 +289,8 @@ class TestLazyNormals:
         # 30th neighbor ties with several others at distance 2 (27 lie closer)
         grid = np.stack(np.meshgrid(*map(np.arange, (9, 8, 5)), indexing="ij"), axis=-1)
         points = grid.reshape(-1, 3) * 2.0**-7
-        k = 30
-        cloud = FusedCloud._with_pca_normals(points, k, np.array([0.0, 0.0, 1.0]))
+        k = NORMAL_NEIGHBORS
+        cloud = FusedCloud._with_pca_normals(points, np.array([0.0, 0.0, 1.0]))
         eager = _tree_ranked(points, cKDTree(points), points, k)
         straddles = 0
         for i in range(len(points)):
@@ -299,7 +300,7 @@ class TestLazyNormals:
             d2 = np.sort(((points - points[i]) ** 2).sum(axis=1))
             straddles += d2[k] == d2[k - 1]
         assert straddles > len(points) // 4
-        normals = FusedCloud._with_pca_normals(points, k, np.array([0.0, 0.0, 1.0])).normals
+        normals = FusedCloud._with_pca_normals(points, np.array([0.0, 0.0, 1.0])).normals
         for i in range(len(points)):
             assert np.array_equal(cloud.normal_at(i), normals[i])
 
