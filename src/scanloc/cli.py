@@ -50,6 +50,7 @@ from .synth import (
     save_cohort,
 )
 from .targets import (
+    FRONT_TARGET_IDS,
     FitDataset,
     ReferenceAxes,
     localize,
@@ -60,6 +61,8 @@ from .targets import (
 log = logging.getLogger("scanloc")
 
 _SYNTH_KEYS = {"n", "seed", "pose", "torso", "ratios", "noise", "cameras"}
+# a start:stop:step threshold range may span at most this many steps
+MAX_THRESHOLDS = 1000
 
 
 def _load_json(path, what: str) -> dict:
@@ -86,7 +89,7 @@ def _parse_thresholds(text: str):
             raise ValueError
         if ":" in text:
             start, stop, step = numbers
-            if step <= 0 or stop < start:
+            if step <= 0 or stop < start or not (stop - start) / step <= MAX_THRESHOLDS:
                 raise ValueError
             count = int(round((stop - start) / step))
             values = [start + i * step for i in range(count + 1)
@@ -152,10 +155,14 @@ def _parse_synth_config(path):
     ranges = _validate_ranges(data.get("torso", {}))
     if "ratios" in data:
         ratios, axes = params_from_dict(data["ratios"])
-        if not ratios.front and ratios.side is None:
-            raise ConfigError("synth config ratios name no targets")
     else:
         ratios, axes = default_ratios(), None
+    if pose_kind == "front" and not set(FRONT_TARGET_IDS) <= set(ratios.front):
+        raise ConfigError(
+            f"front scenes need ratios for targets 1 and 2, got {sorted(ratios.front)}"
+        )
+    if pose_kind == "side" and ratios.side is None:
+        raise ConfigError("side scenes need side ratios")
     noise = NoiseSpec.from_dict(data.get("noise", {}))
     cameras = None
     if "cameras" in data:
@@ -168,7 +175,7 @@ def _parse_synth_config(path):
 def _cmd_synth(args) -> int:
     try:
         n, seed, pose_kind, ranges, ratios, noise, cameras, axes = _parse_synth_config(args.config)
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"{args.config}: {exc}") from None
     log.info(
         "generating %d %s-pose scenes, master seed %d, jobs %d",
@@ -220,7 +227,7 @@ def _cmd_localize(args) -> int:
     scene = load_scene(_scene_dir(args.scene))
     try:
         params, axes = params_from_dict(_load_json(args.params, "params file"))
-    except MalformedFileError as exc:
+    except ConfigError as exc:
         raise MalformedFileError(f"{args.params}: {exc}") from None
     cloud = scene_cloud(scene, args.voxel)
     poses = localize(

@@ -70,6 +70,10 @@ class MissingKeypointError(ScanlocError):
     """A joint required by the requested pose kind is invalid in at least one view."""
 
 
+class ImplausibleKeypointsError(ScanlocError, ValueError):
+    """Two keypoints are not a human-scale distance apart (a grossly wrong detection)."""
+
+
 class DegenerateRollError(ScanlocError):
     """The roll reference is parallel to the surface normal; roll is unconstrained."""
 

@@ -6,6 +6,7 @@ held-out scene, and scores position (3D Euclidean, mm) and orientation
 required joints are missing, known-corrupt or not human-scale are
 "faulty": they are kept out of every training set, reported with no error
 values, and counted as failures (never successes) in success-rate tables.
+Target ids and the pose kind each one belongs to come from `targets`.
 """
 
 from __future__ import annotations
@@ -34,22 +35,14 @@ from .targets import (
     fit_front,
     fit_side,
     localize,
+    pose_kind_for_target,
     required_joints,
     triangulate_joints,
 )
 
-FRONT_TARGETS = (1, 2)
 DEFAULT_THRESHOLDS_MM = tuple(float(t) for t in range(5, 45, 5))
 DEFAULT_EVAL_VOXEL = 0.002
 NEAREST_PIXEL_RADIUS = 2
-
-
-def pose_kind_for_target(target_id: int) -> str:
-    if target_id in FRONT_TARGETS:
-        return "front"
-    if target_id == 4:
-        return "side"
-    raise ValueError(f"unsupported target id {target_id}; expected 1, 2 or 4")
 
 
 @dataclass(frozen=True)
@@ -84,9 +77,14 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
     A sample is the triangulated keypoints plus the ground-truth target.
     A scene is faulty when a required joint is known-corrupt, is not
     visible in both views, or triangulates to keypoints that are not
-    human-scale (a grossly displaced detection).
+    human-scale (a grossly displaced detection).  A scene without ground
+    truth for the target raises InsufficientDataError.
     """
     needed = required_joints(pose_kind_for_target(target_id))
+    if target_id not in scene.targets_true:
+        raise InsufficientDataError(
+            f"scene {scene.scene_id} has no ground truth for target {target_id}"
+        )
     for joint in needed:
         if joint in scene.faulted_joints:
             return None, f"{joint} {scene.faulted_joints[joint]}"
@@ -134,11 +132,6 @@ def loocv(scenes, target_id: int, clouds, axes: ReferenceAxes | None = None) -> 
     scenes = list(scenes)
     if len(scenes) < 2:
         raise InsufficientDataError(f"leave-one-out needs >= 2 scenes, got {len(scenes)}")
-    for scene in scenes:
-        if target_id not in scene.targets_true:
-            raise InsufficientDataError(
-                f"scene {scene.scene_id} has no ground truth for target {target_id}"
-            )
     axes = axes or ReferenceAxes()
 
     samples, faults = zip(*(_scene_sample(scene, target_id) for scene in scenes))

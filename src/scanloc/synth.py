@@ -5,8 +5,9 @@ for |x| <= a, extruded along Y over [0, length], lying in the base frame
 with the head toward -Y.  Everything about it (heights, normals, ray
 intersections) has a closed form, so scenes double as oracles: depth maps
 are ray-cast analytically, keypoints sit exactly on the surface, and scan
-targets are generated from known ratio parameters and then dropped
-vertically onto the surface.
+targets are the ratio model (`targets.regress_targets`) evaluated with
+known ratio parameters on those keypoints, then dropped vertically onto
+the surface.
 
 Noise is applied last and is fully determined by the noise seed: Gaussian
 pixel noise on observed keypoints and target pixels, Gaussian depth noise
@@ -45,10 +46,9 @@ from .targets import (
     Keypoints3D,
     ReferenceAxes,
     TargetModelParams,
-    front_target,
     params_from_dict,
     params_to_dict,
-    side_target,
+    regress_targets,
 )
 
 DISPLACEMENT_PX = 50.0
@@ -297,33 +297,13 @@ def true_keypoints(torso: TorsoSpec) -> Keypoints3D:
 
 def true_targets(torso: TorsoSpec, ratios: TargetModelParams, pose_kind: str,
                  axes: ReferenceAxes) -> tuple[dict, dict]:
-    """Ground-truth targets (on the surface) and their analytic normals."""
-    kps = true_keypoints(torso)
+    """Ground-truth targets 1, 2 and 4 and their analytic normals: the ratio
+    model evaluated on the exact keypoints, dropped onto the surface."""
     targets, normals = {}, {}
-    if pose_kind == "front":
-        if set(ratios.front) < set(FRONT_TARGET_IDS):
-            raise ConfigError("front scenes need generative ratios for targets 1 and 2")
-        mid = 0.5 * (kps.left_shoulder + kps.right_shoulder)
-        reference = kps.right_hip - mid
-        for tid in FRONT_TARGET_IDS:
-            pair = ratios.front[tid]
-            raw = front_target(
-                kps.left_shoulder, kps.right_shoulder,
-                pair.segment_ratio, pair.offset_ratio, reference,
-            )
+    for tid, raw in regress_targets(true_keypoints(torso), ratios, pose_kind, axes):
+        if tid in FRONT_TARGET_IDS or tid == SIDE_TARGET_ID:
             targets[tid] = _surface_point(torso, raw, f"target {tid}")
-    elif pose_kind == "side":
-        if ratios.side is None:
-            raise ConfigError("side scenes need generative side ratios")
-        raw = side_target(
-            kps.right_shoulder, kps.right_hip,
-            ratios.side.segment_ratio, ratios.side.offset_ratio, axes.side,
-        )
-        targets[SIDE_TARGET_ID] = _surface_point(torso, raw, "side target")
-    else:
-        raise ValueError(f"pose_kind must be 'front' or 'side', got {pose_kind!r}")
-    for tid, point in targets.items():
-        normals[tid] = np.asarray(torso.surface_normal(point[0], point[1]), dtype=float)
+            normals[tid] = np.asarray(torso.surface_normal(raw[0], raw[1]), dtype=float)
     return targets, normals
 
 
@@ -520,6 +500,9 @@ def _pixels_to_json(views: tuple[dict, dict]) -> list:
 
 
 def _pixels_from_json(data: list, int_keys: bool) -> tuple[dict, dict]:
+    if not (isinstance(data, list) and len(data) == 2
+            and all(isinstance(view, dict) for view in data)):
+        raise MalformedFileError("pixel views must be a list of two JSON objects")
     out = []
     for view in data:
         parsed = {}
@@ -580,6 +563,12 @@ def load_scene(directory) -> SyntheticScene:
             data = json.load(fh)
         _check_keys(data, _SCENE_KEYS, "scene")
         ratios, axes = params_from_dict(data["ratios"])
+        if len(data["cameras"]) != 2 or len(data["depth_files"]) != 2:
+            raise MalformedFileError("a scene needs exactly two cameras and two depth files")
+        target_ids = {str(t) for t in (*FRONT_TARGET_IDS, SIDE_TARGET_ID)}
+        _check_keys(data["keypoints_true"], set(ALL_JOINTS), "keypoints_true")
+        _check_keys(data["targets_true"], target_ids, "targets_true")
+        _check_keys(data["target_normals_true"], target_ids, "target_normals_true")
         depth_files = [os.path.join(directory, name) for name in data["depth_files"]]
         scene = SyntheticScene(
             scene_id=int(data["scene_id"]),

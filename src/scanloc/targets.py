@@ -2,11 +2,13 @@
 
 Targets on the chest are modeled relative to two keypoints: walk a ratio
 of the way along the keypoint segment, then step sideways along the
-horizontal direction perpendicular to that segment.  Front targets (over
-the second and fourth rib gaps) hang off the shoulder-to-shoulder segment;
-the lateral target (under the armpit) hangs off the right
-shoulder-to-right-hip segment, with its sideways step scaled by the
-walked distance rather than the whole segment.
+horizontal direction perpendicular to that segment.  `SEGMENT_JOINTS` is
+the one table of segments per pose kind: front targets (over the second
+and fourth rib gaps) hang off the shoulder-to-shoulder segment; the
+lateral target (under the armpit) hangs off the right shoulder-to-right-hip
+segment, with its sideways step scaled by the walked distance rather than
+the whole segment.  Fitting, regression, localization and the synthetic
+ground truth all read a segment through `_segment`.
 
 Fitting recovers the two ratios per target from examples by minimizing
 the mean squared planar (XY) mismatch.  Both models are linear least
@@ -29,6 +31,7 @@ from .errors import (
     ConfigError,
     DegenerateAxisError,
     DegenerateRollError,
+    ImplausibleKeypointsError,
     InsufficientSamplesError,
     MalformedFileError,
     MissingKeypointError,
@@ -52,6 +55,11 @@ ALL_JOINTS = (LEFT_SHOULDER, RIGHT_SHOULDER, RIGHT_HIP)
 
 FRONT_TARGET_IDS = (1, 2)
 SIDE_TARGET_ID = 4
+# each pose kind's keypoint segment: (start joint, end joint)
+SEGMENT_JOINTS = {
+    "front": (LEFT_SHOULDER, RIGHT_SHOULDER),
+    "side": (RIGHT_SHOULDER, RIGHT_HIP),
+}
 
 # Keypoint segments steeper than this against the horizontal plane have no
 # usable planar perpendicular.
@@ -91,7 +99,7 @@ class Keypoints3D:
             for name_b, b in present[i + 1 :]:
                 dist = np.linalg.norm(a - b)
                 if not (_MIN_KEYPOINT_DIST <= dist <= _MAX_KEYPOINT_DIST):
-                    raise ValueError(
+                    raise ImplausibleKeypointsError(
                         f"{name_a}-{name_b} separation {dist:.3f} m is not human-scale"
                     )
 
@@ -204,6 +212,34 @@ def front_reference(keypoints: Keypoints3D, fallback) -> np.ndarray:
     return np.asarray(fallback, dtype=float)
 
 
+def pose_kind_for_target(target_id: int) -> str:
+    if target_id in FRONT_TARGET_IDS:
+        return "front"
+    if target_id == SIDE_TARGET_ID:
+        return "side"
+    raise ValueError(f"unsupported target id {target_id}; expected 1, 2 or 4")
+
+
+def required_joints(pose_kind: str) -> tuple[str, str]:
+    """The pose kind's segment joints: (start, end)."""
+    if pose_kind not in SEGMENT_JOINTS:
+        raise ValueError(f"pose_kind must be 'front' or 'side', got {pose_kind!r}")
+    return SEGMENT_JOINTS[pose_kind]
+
+
+def _segment(keypoints: Keypoints3D, pose_kind: str, axes: ReferenceAxes):
+    """The pose kind's segment start and end, and its sideways reference:
+    `front_reference` for front targets, the side axis for the lateral one."""
+    joints = required_joints(pose_kind)
+    start, end = (getattr(keypoints, joint) for joint in joints)
+    for joint, point in zip(joints, (start, end)):
+        if point is None:
+            raise MissingKeypointError(f"{pose_kind} targets need {joint}, not seen in both views")
+    if pose_kind == "front":
+        return start, end, front_reference(keypoints, axes.front)
+    return start, end, axes.side
+
+
 # fitting ---------------------------------------------------------------------
 
 
@@ -237,13 +273,15 @@ class FitResult:
     mean_planar_residual: float
 
 
-def _lstsq_ratios(starts, segs, offsets, targets) -> tuple[float, float, float]:
-    """Exact least squares for targets ~ starts + a * segs + c * offsets.
+def _lstsq_ratios(starts, segs, lengths, perps, targets) -> tuple[float, float, float]:
+    """Exact least squares for targets ~ starts + a * segs + c * lengths * perps.
 
-    Every argument holds one planar (XY) row per sample, so each sample
-    contributes two equations in (a, c).  Returns a, c and the mean planar
-    distance between the fitted predictions and the targets.
+    The arguments are `_sample_arrays`' rows, one planar (XY) row per
+    sample, so each sample contributes two equations in (a, c).  Returns
+    a, c and the mean planar distance between the fitted predictions and
+    the targets.
     """
+    offsets = lengths[:, None] * perps
     rows = np.column_stack([segs.reshape(-1), offsets.reshape(-1)])
     solution, _, rank, _ = np.linalg.lstsq(rows, (targets - starts).reshape(-1), rcond=None)
     if rank < 2:
@@ -255,25 +293,23 @@ def _lstsq_ratios(starts, segs, offsets, targets) -> tuple[float, float, float]:
     return a, c, float(np.mean(np.linalg.norm(pred - targets, axis=1)))
 
 
-def _front_sample_arrays(data: FitDataset, fallback_reference):
+def _sample_arrays(data: FitDataset, pose_kind: str, axes: ReferenceAxes):
+    """Planar design rows of every sample: segment starts, segments, segment
+    lengths, unit sideways directions and annotated targets."""
     starts = np.empty((len(data), 2))
     segs = np.empty((len(data), 2))
-    offsets = np.empty((len(data), 2))
+    lengths = np.empty(len(data))
+    perps = np.empty((len(data), 2))
     gts = np.empty((len(data), 2))
     for i, sample in enumerate(data.samples):
-        kps = sample.keypoints
-        if kps.left_shoulder is None or kps.right_shoulder is None:
-            raise MissingKeypointError(
-                f"sample {sample.scene_id} lacks a shoulder; cannot fit front targets"
-            )
-        seg = kps.right_shoulder - kps.left_shoulder
-        ref = front_reference(kps, fallback_reference)
-        t2 = perpendicular_planar_direction(kps.left_shoulder, kps.right_shoulder, ref)
-        starts[i] = kps.left_shoulder[:2]
+        start, end, reference = _segment(sample.keypoints, pose_kind, axes)
+        seg = end - start
+        starts[i] = start[:2]
         segs[i] = seg[:2]
-        offsets[i] = np.linalg.norm(seg) * t2[:2]
+        lengths[i] = np.linalg.norm(seg)
+        perps[i] = perpendicular_planar_direction(start, end, reference)[:2]
         gts[i] = sample.target[:2]
-    return starts, segs, offsets, gts
+    return starts, segs, lengths, perps, gts
 
 
 def fit_front(data: FitDataset, fallback_reference=None) -> FitResult:
@@ -286,32 +322,11 @@ def fit_front(data: FitDataset, fallback_reference=None) -> FitResult:
     distance between predictions and annotations (not the squared loss
     being minimized).
     """
-    if fallback_reference is None:
-        fallback_reference = ReferenceAxes().front
-    a, b, residual = _lstsq_ratios(*_front_sample_arrays(data, fallback_reference))
+    axes = ReferenceAxes()
+    if fallback_reference is not None:
+        axes = ReferenceAxes(front=fallback_reference)
+    a, b, residual = _lstsq_ratios(*_sample_arrays(data, "front", axes))
     return FitResult(ratios=RatioPair(a, b), mean_planar_residual=residual)
-
-
-def _side_sample_arrays(data: FitDataset, reference):
-    shoulders = np.empty((len(data), 2))
-    segs = np.empty((len(data), 2))
-    lengths = np.empty(len(data))
-    perps = np.empty((len(data), 2))
-    gts = np.empty((len(data), 2))
-    for i, sample in enumerate(data.samples):
-        kps = sample.keypoints
-        if kps.right_shoulder is None or kps.right_hip is None:
-            raise MissingKeypointError(
-                f"sample {sample.scene_id} lacks the right shoulder or hip"
-            )
-        seg = kps.right_hip - kps.right_shoulder
-        t2 = perpendicular_planar_direction(kps.right_shoulder, kps.right_hip, reference)
-        shoulders[i] = kps.right_shoulder[:2]
-        segs[i] = seg[:2]
-        lengths[i] = np.linalg.norm(seg)
-        perps[i] = t2[:2]
-        gts[i] = sample.target[:2]
-    return shoulders, segs, lengths, perps, gts
 
 
 def side_objective(theta, arrays) -> tuple[float, np.ndarray]:
@@ -345,10 +360,8 @@ def fit_side(data: FitDataset, reference=None) -> FitResult:
     global optimum and b = c / |a|.  At a = 0 the target sits on the
     shoulder and b is undefined: that raises RankDeficientError.
     """
-    if reference is None:
-        reference = ReferenceAxes().side
-    shoulders, segs, lengths, perps, gts = _side_sample_arrays(data, reference)
-    a, c, residual = _lstsq_ratios(shoulders, segs, lengths[:, None] * perps, gts)
+    axes = ReferenceAxes() if reference is None else ReferenceAxes(side=reference)
+    a, c, residual = _lstsq_ratios(*_sample_arrays(data, "side", axes))
     if a == 0.0:
         raise RankDeficientError(
             "fitted segment ratio is 0; the offset ratio is not identifiable"
@@ -446,21 +459,10 @@ class KeypointObservation:
         _check_keys(data, {"view0", "view1"}, "observation")
         views = []
         for key in ("view0", "view1"):
-            view = {}
-            for joint, uv in data.get(key, {}).items():
-                if joint not in ALL_JOINTS:
-                    raise ConfigError(f"unknown joint name {joint!r}")
-                view[joint] = Pixel(float(uv[0]), float(uv[1]))
-            views.append(view)
+            view = data.get(key, {})
+            _check_keys(view, set(ALL_JOINTS), f"observation {key}")
+            views.append({joint: Pixel(float(uv[0]), float(uv[1])) for joint, uv in view.items()})
         return cls(views=(views[0], views[1]))
-
-
-def required_joints(pose_kind: str) -> tuple[str, ...]:
-    if pose_kind == "front":
-        return (LEFT_SHOULDER, RIGHT_SHOULDER)
-    if pose_kind == "side":
-        return (RIGHT_SHOULDER, RIGHT_HIP)
-    raise ValueError(f"pose_kind must be 'front' or 'side', got {pose_kind!r}")
 
 
 def triangulate_joints(
@@ -479,22 +481,6 @@ def triangulate_joints(
     return out
 
 
-def keypoints_from_observation(
-    camera_a: PinholeCamera,
-    camera_b: PinholeCamera,
-    observation: KeypointObservation,
-    pose_kind: str,
-) -> Keypoints3D:
-    """Triangulate the joints needed for pose_kind, failing on missing ones."""
-    positions = triangulate_joints(camera_a, camera_b, observation)
-    for joint in required_joints(pose_kind):
-        if joint not in positions:
-            raise MissingKeypointError(
-                f"joint {joint!r} is not visible in both views; cannot localize {pose_kind} targets"
-            )
-    return Keypoints3D(**positions)
-
-
 def regress_targets(
     keypoints: Keypoints3D,
     params: TargetModelParams,
@@ -502,47 +488,18 @@ def regress_targets(
     axes: ReferenceAxes | None = None,
 ) -> list[tuple[int, np.ndarray]]:
     """Raw model predictions (before surface snapping), ordered by target id."""
-    axes = axes or ReferenceAxes()
-    out = []
+    start, end, reference = _segment(keypoints, pose_kind, axes or ReferenceAxes())
     if pose_kind == "front":
-        if keypoints.left_shoulder is None or keypoints.right_shoulder is None:
-            raise MissingKeypointError("front targets need both shoulders")
         if not params.front:
             raise ConfigError("no front-target ratios are configured")
-        ref = front_reference(keypoints, axes.front)
-        for target_id in sorted(params.front):
-            pair = params.front[target_id]
-            point = front_target(
-                keypoints.left_shoulder,
-                keypoints.right_shoulder,
-                pair.segment_ratio,
-                pair.offset_ratio,
-                ref,
-            )
-            out.append((target_id, point))
-    elif pose_kind == "side":
-        if keypoints.right_shoulder is None or keypoints.right_hip is None:
-            raise MissingKeypointError("the lateral target needs the right shoulder and hip")
-        if params.side is None:
-            raise ConfigError("no lateral-target ratios are configured")
-        point = side_target(
-            keypoints.right_shoulder,
-            keypoints.right_hip,
-            params.side.segment_ratio,
-            params.side.offset_ratio,
-            axes.side,
-        )
-        out.append((SIDE_TARGET_ID, point))
-    else:
-        raise ValueError(f"pose_kind must be 'front' or 'side', got {pose_kind!r}")
-    return out
-
-
-def roll_reference_direction(keypoints: Keypoints3D, pose_kind: str) -> np.ndarray:
-    """Body-axis direction used to pin the probe's roll (the free rotation)."""
-    if pose_kind == "front":
-        return keypoints.right_shoulder - keypoints.left_shoulder
-    return keypoints.right_hip - keypoints.right_shoulder
+        return [
+            (tid, front_target(start, end, pair.segment_ratio, pair.offset_ratio, reference))
+            for tid, pair in sorted(params.front.items())
+        ]
+    if params.side is None:
+        raise ConfigError("no lateral-target ratios are configured")
+    point = side_target(start, end, params.side.segment_ratio, params.side.offset_ratio, reference)
+    return [(SIDE_TARGET_ID, point)]
 
 
 def localize(
@@ -560,8 +517,9 @@ def localize(
     normal at the regressed target.  Targets whose planar snap distance is
     suspiciously large are flagged (and logged), not dropped.
     """
-    keypoints = keypoints_from_observation(camera_a, camera_b, observation, pose_kind)
-    roll_ref = roll_reference_direction(keypoints, pose_kind)
+    keypoints = Keypoints3D(**triangulate_joints(camera_a, camera_b, observation))
+    start, end, _ = _segment(keypoints, pose_kind, axes or ReferenceAxes())
+    roll_ref = end - start  # the body axis that pins the probe's free roll
     poses = []
     for target_id, point in regress_targets(keypoints, params, pose_kind, axes):
         adjusted = adjust_target(cloud, point)
@@ -630,8 +588,11 @@ def params_from_dict(data: dict) -> tuple[TargetModelParams, ReferenceAxes]:
     """Parse `params_to_dict` output; a missing or non-finite number raises
     MalformedFileError naming its key."""
     _check_keys(data, {"front", "side", "reference_axes"}, "params")
+    entries = data.get("front", {})
+    if not isinstance(entries, dict):
+        raise MalformedFileError(f"params front must be a JSON object, got {entries!r}")
     front = {}
-    for tid, entry in data.get("front", {}).items():
+    for tid, entry in entries.items():
         if not str(tid).isdigit():
             raise MalformedFileError(f"front target id must be an integer, got {tid!r}")
         front[int(tid)] = _ratio_pair(entry, ("r_f1", "r_f2"), f"front target {tid}")

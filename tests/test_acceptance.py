@@ -51,7 +51,7 @@ from scanloc.synth import (
 )
 from scanloc.targets import (
     ReferenceAxes,
-    _side_sample_arrays,
+    _sample_arrays,
     fit_front,
     fit_side,
     front_reference,
@@ -284,7 +284,7 @@ def test_criterion_4_fit_optimality():
 
     rng = np.random.default_rng(404)
     data = make_side_dataset(rng, 8, (0.4, 0.25), noise_sigma=0.003)
-    arrays = _side_sample_arrays(data, np.array([1.0, 0.0, 0.0]))
+    arrays = _sample_arrays(data, "side", ReferenceAxes())
     h = 1e-6
     checked = 0
     while checked < 100:

@@ -1,6 +1,7 @@
 """End-to-end tests for the scanloc command-line interface."""
 
 import filecmp
+import hashlib
 import json
 import logging
 import shutil
@@ -66,7 +67,8 @@ class TestThresholdParsing:
     def test_rejects_garbage(self):
         import argparse
 
-        for text in ("", "abc", "10:5:5", "5:40:0", "-5,10", "5:inf:5", "nan", "inf", "5,nan"):
+        for text in ("", "abc", "10:5:5", "5:40:0", "-5,10", "5:inf:5", "nan", "inf", "5,nan",
+                     "1e-300:1e300:1e-300", "1:1e9:1"):
             with pytest.raises(argparse.ArgumentTypeError):
                 _parse_thresholds(text)
 
@@ -213,6 +215,19 @@ class TestCalibrate:
         assert np.linalg.norm(pose.as_matrix() - x_true.as_matrix()) < 1e-9
 
 
+# sha256 of what `fit`, `localize` and `evaluate --target 1` write for the
+# `cohort_dir` cohort.  A refactor must leave every byte alone; a deliberate
+# change of the maths updates these and says so.
+REPORT_SHA256 = {
+    "params.json": "7e94b9b14fd369d150ed82dc9dfcbb1aa4d40027a9c7fcf1aa47ba0e0533fd72",
+    "poses.json": "7e8954418d7dfe24d855c5a6cad0963cc8d33df7d68dd1333b527f2c1a8a1137",
+    "folds.csv": "e95451497c1bb3f24eb7898feb3e561340acd2daac3e187fe634629ed2dfc7be",
+    "success_table.csv": "bf326fc039da97d94c64e57a58ebf59d00fdea91424d2412acb698490b802e47",
+    "backprojection.csv": "45cf861f21ab7864b35fbccc2ad120c1b1648155c0047aef7ba6ba96354c0d67",
+    "summary.json": "523589b238d9cbbeee5a1dfb94dc3a1190b87fc84757a1f5111c7b44a1e51f6b",
+}
+
+
 class TestPipeline:
     def test_fuse_writes_loadable_cloud(self, cohort_dir, tmp_path):
         out = tmp_path / "cloud.bin"
@@ -272,6 +287,19 @@ class TestPipeline:
         assert summary["config"]["normal_neighbors"] == 30
         assert summary["position_mm"]["mean"] < 25.0
 
+    def test_report_bytes_are_pinned(self, cohort_dir, tmp_path):
+        params_file = tmp_path / "params.json"
+        assert main(["fit", "--dataset", str(cohort_dir), "--target", "1",
+                     "--out", str(params_file)]) == 0
+        assert main(["localize", "--scene", str(cohort_dir / "scene_001"),
+                     "--params", str(params_file), "--pose", "front",
+                     "--out", str(tmp_path / "poses.json"), "--voxel", "0.004"]) == 0
+        assert main(["evaluate", "--scenes", str(cohort_dir), "--target", "1",
+                     "--voxel", "0.004", "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in REPORT_SHA256}
+        assert digests == REPORT_SHA256
+
     def test_evaluate_jobs_do_not_change_reports(self, cohort_dir, tmp_path):
         argv = ["evaluate", "--scenes", str(cohort_dir), "--target", "1",
                 "--voxel", "0.004"]
@@ -329,8 +357,18 @@ class TestMalformedInput:
             (lambda d: {k: v for k, v in d.items() if k != "cameras"}, "missing key 'cameras'"),
             (lambda d: {**d, "torso": {**d["torso"], "length": "long"}}, "long"),
             (lambda d: json.dumps(d)[:-40], ""),
+            (lambda d: {**d, "target_pixels_true": [1, 2]}, "two JSON objects"),
+            (lambda d: {**d, "target_pixels_true": d["target_pixels_true"][:1]},
+             "two JSON objects"),
+            (lambda d: {**d, "observation": {"view0": [], "view1": {}}},
+             "observation view0 must be a JSON object"),
+            (lambda d: {**d, "cameras": d["cameras"][:1]}, "exactly two cameras"),
+            (lambda d: {**d, "targets_true": []}, "targets_true must be a JSON object"),
+            (lambda d: {**d, "keypoints_true": [1]}, "keypoints_true must be a JSON object"),
         ],
-        ids=["nan-keypoint", "missing-key", "non-numeric", "not-json"],
+        ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
+             "one-pixel-view", "observation-view-not-object", "one-camera",
+             "targets-not-object", "keypoints-not-object"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):
@@ -354,8 +392,10 @@ class TestMalformedInput:
             ({"front": {"one": {"r_f1": 0.75, "r_f2": 0.2}}}, "front target id"),
             ({"front": {}, "side": {"r_s1": [0.4], "r_s2": 0.1}}, "side target r_s1"),
             ({"front": {}, "reference_axes": {"front": [0, 1]}}, "reference_axes front"),
+            ({"front": []}, "params front must be a JSON object"),
         ],
-        ids=["non-numeric", "null", "missing", "target-id", "list", "short-axis"],
+        ids=["non-numeric", "null", "missing", "target-id", "list", "short-axis",
+             "front-not-object"],
     )
     def test_localize_on_bad_params_exits_1(self, cohort_dir, tmp_path, caplog, params, key):
         params_file = tmp_path / "params.json"
@@ -403,8 +443,14 @@ class TestMalformedInput:
         ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
         ({"n": True}, "n must be a whole number, got True"),
         ({"seed": False}, "seed must be a whole number, got False"),
+        ({"ratios": {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2},
+                               "3": {"r_f1": 0.75, "r_f2": 0.5}}}},
+         "front scenes need ratios for targets 1 and 2, got [1, 3]"),
+        ({"pose": "side", "ratios": {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}},
+         "side scenes need side ratios"),
     ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
-            "nan-depth-sigma", "inf-keypoint-sigma", "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool"])
+            "nan-depth-sigma", "inf-keypoint-sigma", "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool",
+            "front-ratios-lack-target-2", "side-ratios-missing"])
     def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
         config = tmp_path / "synth.json"
         write_synth_config(config, n=1)
@@ -497,4 +543,25 @@ class TestFitFaults:
         assert "at least one sample" in error.getMessage()
         assert "\n" not in error.getMessage()
         assert error.exc_info is None
+        assert not params_file.exists()
+
+    def test_localize_on_implausible_keypoints_exits_1(self, cohort_dir, tmp_path, caplog):
+        scene = tmp_path / "scene"
+        shutil.copytree(cohort_dir / "scene_001", scene)
+        collapse_right_hip(scene)
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}))
+        out = tmp_path / "poses.json"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["localize", "--scene", str(scene), "--params", str(params_file),
+                         "--pose", "front", "--out", str(out)]) == 1
+        assert_one_line_error(caplog, "not human-scale")
+        assert not out.exists()
+
+    def test_fit_on_cohort_without_the_target_exits_1(self, cohort_dir, tmp_path, caplog):
+        params_file = tmp_path / "params.json"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["fit", "--dataset", str(cohort_dir), "--target", "4",
+                         "--out", str(params_file)]) == 1
+        assert_one_line_error(caplog, "no ground truth for target 4")
         assert not params_file.exists()

@@ -24,7 +24,8 @@ from scanloc.targets import (
     RatioPair,
     ReferenceAxes,
     TargetModelParams,
-    _side_sample_arrays,
+    _sample_arrays,
+    _segment,
     fit_front,
     fit_side,
     front_target,
@@ -35,6 +36,7 @@ from scanloc.targets import (
     params_from_dict,
     params_to_dict,
     perpendicular_planar_direction,
+    pose_kind_for_target,
     regress_targets,
     save_params,
     side_objective,
@@ -289,7 +291,7 @@ class TestFitSide:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(1313)
         data = make_side_dataset(rng, 8, (0.4, 0.25), noise_sigma=0.003)
-        arrays = _side_sample_arrays(data, np.array([1.0, 0.0, 0.0]))
+        arrays = _sample_arrays(data, "side", ReferenceAxes())
         h = 1e-6
         checked = 0
         while checked < 100:
@@ -323,7 +325,7 @@ class TestFitSide:
         for seed in range(10):
             rng = np.random.default_rng(1500 + seed)
             data = make_side_dataset(rng, 20, (0.5, 0.2), noise_sigma=0.005)
-            arrays = _side_sample_arrays(data, np.array([1.0, 0.0, 0.0]))
+            arrays = _sample_arrays(data, "side", ReferenceAxes())
             result = fit_side(data)
             theta = (result.ratios.segment_ratio, result.ratios.offset_ratio)
             fit_loss, _ = side_objective(theta, arrays)
@@ -614,3 +616,29 @@ class TestRegressTargets:
         kps = Keypoints3D(**SLAB_KEYPOINTS)
         with pytest.raises(ValueError):
             regress_targets(kps, SLAB_PARAMS, "prone")
+
+
+class TestSegment:
+    @pytest.mark.parametrize("pose_kind, missing", [
+        ("front", "left_shoulder"), ("front", "right_shoulder"),
+        ("side", "right_shoulder"), ("side", "right_hip"),
+    ])
+    def test_missing_segment_joint_is_named(self, pose_kind, missing):
+        kps = Keypoints3D(**{k: v for k, v in SLAB_KEYPOINTS.items() if k != missing})
+        with pytest.raises(MissingKeypointError, match=missing):
+            _segment(kps, pose_kind, ReferenceAxes())
+
+    def test_segment_ends_and_references(self):
+        kps = Keypoints3D(**SLAB_KEYPOINTS)
+        axes = ReferenceAxes()
+        start, end, ref = _segment(kps, "front", axes)
+        assert start is kps.left_shoulder and end is kps.right_shoulder
+        assert np.array_equal(ref, front_reference(kps, axes.front))
+        start, end, ref = _segment(kps, "side", axes)
+        assert start is kps.right_shoulder and end is kps.right_hip
+        assert ref is axes.side
+
+    def test_pose_kind_for_target(self):
+        assert [pose_kind_for_target(t) for t in (1, 2, 4)] == ["front", "front", "side"]
+        with pytest.raises(ValueError):
+            pose_kind_for_target(3)
