@@ -5,9 +5,9 @@ into the base frame, merged and voxel-downsampled (centroid per voxel).
 Each normal is the PCA of the point's 30 nearest centroids (ties to the
 smaller index), oriented toward the cameras and computed when read: a
 snap scans every point for its one normal's neighbors (0.2-1.4 ms at
-22k-142k points), so `fuse` builds no index, while `FusedCloud.normals` and
-`save` compute and keep all of them at once with a k-d tree built for that
-call.  Planar queries scan XY linearly.
+22k-142k points), so `fuse` builds no index; only `FusedCloud.normals`
+computes all of them, with a k-d tree built for that call.  A `.cloud`
+file is the points and the point their normals face.  Planar queries scan XY linearly.
 
 The planar lookup implements the depth-adjustment rule this pipeline is
 built around: a regressed target keeps its XY coordinates, while its Z and
@@ -35,7 +35,7 @@ DEFAULT_VOXEL = 0.005
 # PCA neighborhood size k of every normal estimate
 NORMAL_NEIGHBORS = 30
 
-_CLOUD_MAGIC = b"SCLOUD01"
+_CLOUD_MAGIC = b"SCLOUD02"  # then <Q count, <3d the point normals face, count x 3 <f4 points
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +132,10 @@ class FusedCloud:
     """An oriented point cloud; `planar_nearest` scans its XY coordinates.
 
     Normals are either given to the constructor or, for a cloud built by
-    `fuse`, estimated from the points.  Such a cloud holds every normal or
-    none: `normals` / `save` compute all of them once and keep them, while
-    `normal_at` on a cloud without them computes that one row and keeps
-    nothing.  An unread cloud is its points.
+    `fuse` or `load`, estimated from the points; only the latter can `save`.
+    Such a cloud holds every normal or none: `normals` computes all of them
+    once and keeps them, while `normal_at` on a cloud without them computes
+    that one row and keeps nothing.  An unread cloud is its points.
     """
 
     def __init__(self, points, normals):
@@ -150,6 +150,7 @@ class FusedCloud:
         if np.any(np.abs(lengths - 1.0) > 1e-5):
             raise ValueError("normals must be unit length")
         self._normals = nrm.copy()
+        self._toward = None
 
     @classmethod
     def _with_pca_normals(cls, points, toward) -> "FusedCloud":
@@ -211,30 +212,28 @@ class FusedCloud:
         )
 
     def save(self, path) -> None:
-        """Write the cloud as little-endian float32 triplets (points, then normals)."""
-        normals = self.normals
+        """Write the cloud as its points, little-endian float32, after the point
+        its normals face; `load` estimates the normals again, so none is written."""
+        if self._toward is None:
+            raise ValueError("a cloud with given normals has no file form: .cloud files hold no normals")
         with open(path, "wb") as fh:
             fh.write(_CLOUD_MAGIC)
-            fh.write(struct.pack("<Q", len(self.points)))
+            fh.write(struct.pack("<Q3d", len(self.points), *self._toward))
             fh.write(self.points.astype("<f4").tobytes())
-            fh.write(normals.astype("<f4").tobytes())
 
     @classmethod
     def load(cls, path) -> "FusedCloud":
+        """Read a `save`d cloud; it estimates its normals on demand, as a fused one does."""
         with open(path, "rb") as fh:
-            header = fh.read(16)
-            if len(header) != 16 or header[:8] != _CLOUD_MAGIC:
-                raise MalformedFileError(f"{path}: not a cloud file or cut short ({header[:8]!r})")
-            (count,) = struct.unpack("<Q", header[8:])
-            _check_payload(fh, path, (count, 6))
-            data = np.frombuffer(fh.read(), dtype="<f4")
-        points = data[: count * 3].reshape(count, 3).astype(float)
-        normals = data[count * 3 :].reshape(count, 3).astype(float)
-        lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-        if not np.all(np.isfinite(data)) or np.any(lengths == 0):
-            raise MalformedFileError(f"{path}: non-finite value or zero-length normal")
-        # float32 storage leaves ~1e-8 slack on unit length; renormalize
-        return cls(points=points, normals=normals / lengths)
+            header = fh.read(40)
+            if len(header) != 40 or header[:8] != _CLOUD_MAGIC:
+                raise MalformedFileError(f"{path}: not a v2 cloud file or cut short ({header[:8]!r})")
+            count, *toward = struct.unpack("<Q3d", header[8:])
+            _check_payload(fh, path, (count, 3))
+            points = np.frombuffer(fh.read(), dtype="<f4").reshape(count, 3).astype(float)
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(toward))):
+            raise MalformedFileError(f"{path}: non-finite point or camera centre")
+        return cls._with_pca_normals(points, np.array(toward))
 
 
 def fuse(
@@ -247,7 +246,7 @@ def fuse(
     no matter how the work is scheduled) and optionally voxel-downsampled to
     per-voxel centroids.  Their PCA normals, oriented toward the cameras, are
     computed per point when read (`normal_at`, which `adjust_target` calls);
-    `normals` and `save` compute and keep all of them.  A voxel of 0 keeps every point.
+    only `normals` computes and keeps all of them.  A voxel of 0 keeps every point.
     """
     _check_fusion_options(voxel)
     chunks = []

@@ -28,16 +28,15 @@ from .synth import SyntheticScene
 from .targets import (
     FitDataset,
     FitSample,
-    Keypoints3D,
     RatioPair,
     ReferenceAxes,
     TargetModelParams,
     fit_front,
     fit_side,
     localize,
+    pose_keypoints,
     pose_kind_for_target,
     required_joints,
-    triangulate_joints,
 )
 
 DEFAULT_THRESHOLDS_MM = tuple(float(t) for t in range(5, 45, 5))
@@ -76,11 +75,12 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
 
     A sample is the triangulated keypoints plus the ground-truth target.
     A scene is faulty when a required joint is known-corrupt, is not
-    visible in both views, or triangulates to keypoints that are not
-    human-scale (a grossly displaced detection).  A scene without ground
-    truth for the target raises InsufficientDataError.
+    visible in both views, or triangulates to a segment that is not
+    human-scale (a grossly displaced detection; see `pose_keypoints`).  A
+    scene without ground truth for the target raises InsufficientDataError.
     """
-    needed = required_joints(pose_kind_for_target(target_id))
+    pose_kind = pose_kind_for_target(target_id)
+    needed = required_joints(pose_kind)
     if target_id not in scene.targets_true:
         raise InsufficientDataError(
             f"scene {scene.scene_id} has no ground truth for target {target_id}"
@@ -92,9 +92,8 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
         for vi, camera in enumerate(scene.cameras):
             if scene.observation.joint_in_view(joint, vi, camera) is None:
                 return None, f"{joint} not visible in view {vi}"
-    positions = triangulate_joints(scene.cameras[0], scene.cameras[1], scene.observation)
     try:
-        kps = Keypoints3D(**positions)
+        kps = pose_keypoints(scene.cameras[0], scene.cameras[1], scene.observation, pose_kind)
     except ValueError as exc:
         return None, f"implausible keypoints: {exc}"
     sample = FitSample(

@@ -46,6 +46,7 @@ from .targets import (
     Keypoints3D,
     ReferenceAxes,
     TargetModelParams,
+    _finite,
     params_from_dict,
     params_to_dict,
     regress_targets,
@@ -157,6 +158,7 @@ class NoiseSpec:
         _check_keys(
             data, {"keypoint_sigma_px", "depth_sigma_m", "fault_prob", "seed"}, "noise"
         )
+        _check_keys(data.get("fault_prob", {}), set(ALL_JOINTS), "noise fault_prob")
         return cls(
             keypoint_sigma_px=float(data.get("keypoint_sigma_px", 0.0)),
             depth_sigma_m=float(data.get("depth_sigma_m", 0.0)),
@@ -499,15 +501,18 @@ def _pixels_to_json(views: tuple[dict, dict]) -> list:
     ]
 
 
-def _pixels_from_json(data: list, int_keys: bool) -> tuple[dict, dict]:
+def _pixels_from_json(scene: dict, name: str, int_keys: bool) -> tuple[dict, dict]:
+    """scene[name]'s two views, each pixel two finite numbers; else MalformedFileError."""
+    data = scene[name]
     if not (isinstance(data, list) and len(data) == 2
             and all(isinstance(view, dict) for view in data)):
-        raise MalformedFileError("pixel views must be a list of two JSON objects")
+        raise MalformedFileError(f"{name} must be a list of two JSON objects")
     out = []
-    for view in data:
+    for vi, view in enumerate(data):
         parsed = {}
         for key, uv in view.items():
-            parsed[int(key) if int_keys else key] = Pixel(float(uv[0]), float(uv[1]))
+            u, v = _finite(uv, f"{name} view{vi} {key}", (2,))
+            parsed[int(key) if int_keys else key] = Pixel(float(u), float(v))
         out.append(parsed)
     return (out[0], out[1])
 
@@ -569,6 +574,7 @@ def load_scene(directory) -> SyntheticScene:
         _check_keys(data["keypoints_true"], set(ALL_JOINTS), "keypoints_true")
         _check_keys(data["targets_true"], target_ids, "targets_true")
         _check_keys(data["target_normals_true"], target_ids, "target_normals_true")
+        _check_keys(data["faulted_joints"], set(ALL_JOINTS), "faulted_joints")
         depth_files = [os.path.join(directory, name) for name in data["depth_files"]]
         scene = SyntheticScene(
             scene_id=int(data["scene_id"]),
@@ -583,13 +589,13 @@ def load_scene(directory) -> SyntheticScene:
             keypoints_true=Keypoints3D(
                 **{j: np.asarray(v, dtype=float) for j, v in data["keypoints_true"].items()}
             ),
-            keypoint_pixels_true=_pixels_from_json(data["keypoint_pixels_true"], int_keys=False),
+            keypoint_pixels_true=_pixels_from_json(data, "keypoint_pixels_true", int_keys=False),
             targets_true={int(t): np.asarray(p, dtype=float) for t, p in data["targets_true"].items()},
             target_normals_true={
                 int(t): np.asarray(nv, dtype=float) for t, nv in data["target_normals_true"].items()
             },
-            target_pixels_true=_pixels_from_json(data["target_pixels_true"], int_keys=True),
-            target_pixels_observed=_pixels_from_json(data["target_pixels_observed"], int_keys=True),
+            target_pixels_true=_pixels_from_json(data, "target_pixels_true", int_keys=True),
+            target_pixels_observed=_pixels_from_json(data, "target_pixels_observed", int_keys=True),
             faulted_joints=dict(data["faulted_joints"]),
         )
     except (ConfigError, KeyError, TypeError, ValueError) as exc:

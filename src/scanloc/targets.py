@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -481,6 +481,32 @@ def triangulate_joints(
     return out
 
 
+def pose_keypoints(
+    camera_a: PinholeCamera,
+    camera_b: PinholeCamera,
+    observation: KeypointObservation,
+    pose_kind: str,
+) -> Keypoints3D:
+    """The triangulated joints a pose kind can trust.
+
+    The segment joints are kept, and ImplausibleKeypointsError refuses the
+    scene if they are not human-scale.  Each other joint is kept only if it
+    is human-scale from every kept joint; otherwise it is dropped with a
+    warning, and a front scene falls back to `ReferenceAxes.front` as for a
+    hip not seen.
+    """
+    positions = triangulate_joints(camera_a, camera_b, observation)
+    segment = required_joints(pose_kind)
+    keypoints = Keypoints3D(**{j: p for j, p in positions.items() if j in segment})
+    for joint, point in positions.items():
+        if joint not in segment:
+            try:
+                keypoints = replace(keypoints, **{joint: point})
+            except ImplausibleKeypointsError as exc:
+                log.warning("dropping %s: %s", joint, exc)
+    return keypoints
+
+
 def regress_targets(
     keypoints: Keypoints3D,
     params: TargetModelParams,
@@ -517,7 +543,7 @@ def localize(
     normal at the regressed target.  Targets whose planar snap distance is
     suspiciously large are flagged (and logged), not dropped.
     """
-    keypoints = Keypoints3D(**triangulate_joints(camera_a, camera_b, observation))
+    keypoints = pose_keypoints(camera_a, camera_b, observation, pose_kind)
     start, end, _ = _segment(keypoints, pose_kind, axes or ReferenceAxes())
     roll_ref = end - start  # the body axis that pins the probe's free roll
     poses = []

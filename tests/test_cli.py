@@ -226,6 +226,8 @@ REPORT_SHA256 = {
     "backprojection.csv": "45cf861f21ab7864b35fbccc2ad120c1b1648155c0047aef7ba6ba96354c0d67",
     "summary.json": "523589b238d9cbbeee5a1dfb94dc3a1190b87fc84757a1f5111c7b44a1e51f6b",
 }
+# sha256 of what `fuse` writes for `cohort_dir`'s scene_001 at the default voxel
+CLOUD_SHA256 = "c4abee7469aba555186fd282c02d9aa2b0efe3dc5bd104ded92fb59ae67d9654"
 
 
 class TestPipeline:
@@ -300,6 +302,20 @@ class TestPipeline:
                    for name in REPORT_SHA256}
         assert digests == REPORT_SHA256
 
+    def test_cloud_bytes_are_pinned(self, cohort_dir, tmp_path):
+        out = tmp_path / "scene_001.cloud"
+        assert main(["fuse", "--scene", str(cohort_dir / "scene_001"), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CLOUD_SHA256
+        assert len(out.read_bytes()) == 40 + 12 * len(FusedCloud.load(out))
+
+    def test_fuse_computes_no_normal(self, cohort_dir, tmp_path, monkeypatch):
+        def no_normals(*args):
+            raise AssertionError("fuse computed a PCA normal")
+
+        monkeypatch.setattr("scanloc.cloud._pca_normals", no_normals)
+        assert main(["fuse", "--scene", str(cohort_dir / "scene_001"),
+                     "--out", str(tmp_path / "cloud.bin")]) == 0
+
     def test_evaluate_jobs_do_not_change_reports(self, cohort_dir, tmp_path):
         argv = ["evaluate", "--scenes", str(cohort_dir), "--target", "1",
                 "--voxel", "0.004"]
@@ -365,10 +381,16 @@ class TestMalformedInput:
             (lambda d: {**d, "cameras": d["cameras"][:1]}, "exactly two cameras"),
             (lambda d: {**d, "targets_true": []}, "targets_true must be a JSON object"),
             (lambda d: {**d, "keypoints_true": [1]}, "keypoints_true must be a JSON object"),
+            (lambda d: {**d, "faulted_joints": [1]}, "faulted_joints must be a JSON object"),
+            (lambda d: {**d, "noise": {**d["noise"], "fault_prob": [1]}},
+             "noise fault_prob must be a JSON object"),
+            (lambda d: {**d, "target_pixels_true": [{"1": 5}, {}]},
+             "target_pixels_true view0 1 must be 2 finite numbers"),
         ],
         ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
              "one-pixel-view", "observation-view-not-object", "one-camera",
-             "targets-not-object", "keypoints-not-object"],
+             "targets-not-object", "keypoints-not-object", "faulted-joints-not-object",
+             "fault-prob-not-object", "pixel-not-two-numbers"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):
@@ -508,20 +530,28 @@ class TestMalformedInput:
         assert not paths["out"].exists()
 
 
-def collapse_right_hip(scene_dir):
-    """Observe the right hip at the right shoulder's pixels in both views."""
+def edit_observation(scene_dir, edit):
+    """Apply `edit` to each view's observed joint pixels in scene.json."""
     path = scene_dir / "scene.json"
     data = json.loads(path.read_text())
     for view in data["observation"].values():
-        view["right_hip"] = list(view["right_shoulder"])
+        edit(view)
     path.write_text(json.dumps(data))
+
+
+def collapse(scene_dir, joint):
+    """Observe `joint` at the right shoulder's pixels in both views."""
+    edit_observation(scene_dir, lambda view: view.update({joint: view["right_shoulder"]}))
+
+
+FRONT_PARAMS = {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}
 
 
 class TestFitFaults:
     def test_fit_skips_implausible_scene(self, cohort_dir, tmp_path, caplog):
         dataset = tmp_path / "scenes"
         shutil.copytree(cohort_dir, dataset)
-        collapse_right_hip(dataset / "scene_001")
+        collapse(dataset / "scene_001", "left_shoulder")
         params_file = tmp_path / "params.json"
         with caplog.at_level(logging.WARNING, logger="scanloc"):
             assert main(["fit", "--dataset", str(dataset), "--target", "1",
@@ -534,7 +564,7 @@ class TestFitFaults:
         dataset = tmp_path / "scenes"
         shutil.copytree(cohort_dir, dataset)
         for scene_dir in sorted(dataset.glob("scene_*")):
-            collapse_right_hip(scene_dir)
+            collapse(scene_dir, "left_shoulder")
         params_file = tmp_path / "params.json"
         with caplog.at_level(logging.WARNING, logger="scanloc"):
             assert main(["fit", "--dataset", str(dataset), "--target", "1",
@@ -548,15 +578,67 @@ class TestFitFaults:
     def test_localize_on_implausible_keypoints_exits_1(self, cohort_dir, tmp_path, caplog):
         scene = tmp_path / "scene"
         shutil.copytree(cohort_dir / "scene_001", scene)
-        collapse_right_hip(scene)
+        collapse(scene, "left_shoulder")
         params_file = tmp_path / "params.json"
-        params_file.write_text(json.dumps({"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}))
+        params_file.write_text(json.dumps(FRONT_PARAMS))
         out = tmp_path / "poses.json"
         with caplog.at_level(logging.ERROR, logger="scanloc"):
             assert main(["localize", "--scene", str(scene), "--params", str(params_file),
                          "--pose", "front", "--out", str(out)]) == 1
         assert_one_line_error(caplog, "not human-scale")
         assert not out.exists()
+
+    def test_front_localize_drops_a_collapsed_hip(self, cohort_dir, tmp_path, caplog):
+        for name in ("collapsed", "unseen"):
+            shutil.copytree(cohort_dir / "scene_001", tmp_path / name)
+        collapse(tmp_path / "collapsed", "right_hip")
+        edit_observation(tmp_path / "unseen", lambda view: view.pop("right_hip"))
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(FRONT_PARAMS))
+        with caplog.at_level(logging.WARNING, logger="scanloc"):
+            for name in ("collapsed", "unseen"):
+                assert main(["localize", "--scene", str(tmp_path / name),
+                             "--params", str(params_file), "--pose", "front",
+                             "--out", str(tmp_path / f"{name}.json")]) == 0
+        (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "dropping right_hip" in warning.getMessage()
+        # a dropped hip falls back to the front axis, as a hip not seen does
+        assert (tmp_path / "collapsed.json").read_bytes() == (tmp_path / "unseen.json").read_bytes()
+
+    def test_fit_keeps_a_front_scene_with_a_collapsed_hip(self, cohort_dir, tmp_path, caplog):
+        dataset = tmp_path / "scenes"
+        shutil.copytree(cohort_dir, dataset)
+        collapse(dataset / "scene_001", "right_hip")
+        with caplog.at_level(logging.WARNING, logger="scanloc"):
+            for scenes, out in ((cohort_dir, "clean.json"), (dataset, "collapsed.json")):
+                assert main(["fit", "--dataset", str(scenes), "--target", "1",
+                             "--out", str(tmp_path / out)]) == 0
+        (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "dropping right_hip" in warning.getMessage()
+        # the hip only picks the sideways sign, and the front axis picks the same one
+        assert (tmp_path / "clean.json").read_bytes() == (tmp_path / "collapsed.json").read_bytes()
+
+    def test_side_scene_is_refused_only_for_its_segment(self, tmp_path, caplog):
+        config = tmp_path / "synth.json"
+        write_synth_config(config, n=1, pose="side")
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "scenes")]) == 0
+        scene = tmp_path / "scenes" / "scene_000"
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({"side": {"r_s1": 0.4, "r_s2": 0.1}}))
+        argv = ["localize", "--scene", str(scene), "--params", str(params_file),
+                "--pose", "side", "--out", str(tmp_path / "poses.json")]
+        # the left shoulder is off the side segment: dropped, and the scene kept
+        collapse(scene, "left_shoulder")
+        with caplog.at_level(logging.WARNING, logger="scanloc"):
+            assert main(argv) == 0
+        (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "dropping left_shoulder" in warning.getMessage()
+        (tmp_path / "poses.json").unlink()
+        collapse(scene, "right_hip")
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(argv) == 1
+        assert_one_line_error(caplog, "right_shoulder-right_hip", "not human-scale")
+        assert not (tmp_path / "poses.json").exists()
 
     def test_fit_on_cohort_without_the_target_exits_1(self, cohort_dir, tmp_path, caplog):
         params_file = tmp_path / "params.json"

@@ -473,35 +473,60 @@ class TestCloudFile:
         # storage is float32: loaded coordinates equal the cast originals
         assert np.array_equal(loaded.points, cloud.points.astype(np.float32).astype(float))
         loaded.save(p2)
-        assert p1.read_bytes() != b""
-        assert np.array_equal(FusedCloud.load(p2).points, loaded.points)
+        assert len(p1.read_bytes()) == 40 + 12 * len(cloud)
+        assert p2.read_bytes() == p1.read_bytes()
+
+    def test_loaded_normals_agree_with_fused(self, tmp_path):
+        (scene,) = generate_cohort(
+            1, noise=NoiseSpec(keypoint_sigma_px=1.0, depth_sigma_m=0.002, seed=68),
+            pose_kind="front", seed=69)
+        fused = fuse(list(zip(scene.cameras, scene.depths)), voxel=0.005)
+        path = tmp_path / "front.cloud"
+        fused.save(path)
+        loaded = FusedCloud.load(path)
+        # the same estimate over float32-rounded points, facing the same point
+        for index in np.random.default_rng(70).integers(0, len(fused), 300):
+            angle = angle_between_degrees(loaded.normal_at(index), fused.normal_at(index))
+            assert angle < 0.01
+
+    def test_cloud_with_given_normals_has_no_file_form(self, tmp_path):
+        path = tmp_path / "given.cloud"
+        with pytest.raises(ValueError, match="given normals"):
+            simple_cloud([[0.0, 0.0, 0.5], [1.0, 0.0, 0.9]]).save(path)
+        assert not path.exists()
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "junk.cloud"
-        path.write_bytes(b"NOTCLOUD" + b"\x00" * 16)
+        path.write_bytes(b"NOTCLOUD" + b"\x00" * 32)
         with pytest.raises(ValueError):
             FusedCloud.load(path)
 
+    # the 2-point file: magic [0, 8), count [8, 16), toward [16, 40), points [40, 64)
     @pytest.mark.parametrize(
         "corrupt",
         [
             lambda good: good[:8],
             lambda good: good[:12],
+            lambda good: good[:28],
             lambda good: good[:8] + struct.pack("<Q", 2**63) + good[16:],
             lambda good: good[:8] + struct.pack("<Q", 2**40) + good[16:],
-            lambda good: good[:8] + struct.pack("<Q", 0),
+            lambda good: good[:8] + struct.pack("<Q", 0) + good[16:40],
             lambda good: good[:-4],
-            lambda good: good + b"\x00" * 24,
-            lambda good: good[:-12] + b"\x00" * 12,
-            lambda good: good[:16] + struct.pack("<f", np.nan) + good[20:],
+            lambda good: good + b"\x00" * 12,
+            lambda good: good[:40] + struct.pack("<f", np.nan) + good[44:],
+            lambda good: good[:16] + struct.pack("<d", np.nan) + good[24:],
+            # the v1 layout: count, then float32 points and unit normals
+            lambda good: b"SCLOUD01" + good[8:16] + good[40:]
+            + np.tile([0.0, 0.0, 1.0], 2).astype("<f4").tobytes(),
         ],
-        ids=["cut-after-magic", "cut-in-count", "count-2**63", "count-2**40", "count-0",
-             "truncated", "trailing", "zero-normal", "nan-point"],
+        ids=["cut-after-magic", "cut-in-count", "cut-in-toward", "count-2**63", "count-2**40",
+             "count-0", "truncated", "trailing", "nan-point", "nan-toward", "v1-magic"],
     )
     def test_malformed_file_raises(self, tmp_path, corrupt):
         good = tmp_path / "good.cloud"
-        simple_cloud([[0.0, 0.0, 0.5], [1.0, 0.0, 0.9]]).save(good)
-        assert len(FusedCloud.load(good)) == 2
+        points = np.array([[0.0, 0.0, 0.5], [1.0, 0.0, 0.9]])
+        FusedCloud._with_pca_normals(points, np.array([0.5, 0.0, 2.0])).save(good)
+        assert len(FusedCloud.load(good)) == 2 and len(good.read_bytes()) == 64
         bad = tmp_path / "bad.cloud"
         bad.write_bytes(corrupt(good.read_bytes()))
         assert_malformed(FusedCloud.load, bad)

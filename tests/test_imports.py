@@ -1,4 +1,4 @@
-"""Every scanloc module uses each name it imports.
+"""Every scanloc module and test module uses each name it imports.
 
 A stdlib stand-in for a linter's unused-import check: deleting code must
 not leave its imports behind.  A name listed in `__all__` counts as used,
@@ -10,8 +10,9 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "scanloc"
-MODULES = sorted(SRC.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = [path for directory in (ROOT / "src" / "scanloc", ROOT / "tests")
+           for path in sorted(directory.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
