@@ -18,9 +18,10 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from .cloud import DEFAULT_VOXEL, NORMAL_NEIGHBORS, _check_fusion_options
-from .errors import ConfigError, InvalidRangeError, MalformedFileError, ScanlocError
+from .errors import ConfigError, InvalidRangeError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
@@ -38,8 +39,9 @@ from .evaluation import (
     write_success_csv,
     write_summary_json,
 )
-from .geometry import PinholeCamera, _check_keys
+from .geometry import PinholeCamera, RigidTransform
 from .handeye import build_motion_pairs, estimate_camera_pose, load_samples, mean_residual
+from .jsonfile import _check_keys, _whole, read_json, write_json
 from .synth import (
     NoiseSpec,
     _validate_ranges,
@@ -53,6 +55,7 @@ from .targets import (
     FRONT_TARGET_IDS,
     FitDataset,
     ReferenceAxes,
+    load_params,
     localize,
     params_from_dict,
     save_params,
@@ -63,14 +66,6 @@ log = logging.getLogger("scanloc")
 _SYNTH_KEYS = {"n", "seed", "pose", "torso", "ratios", "noise", "cameras"}
 # a start:stop:step threshold range may span at most this many steps
 MAX_THRESHOLDS = 1000
-
-
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _scene_dir(path) -> str:
@@ -116,34 +111,29 @@ def _map(fn, items, jobs: int) -> list:
 # subcommand handlers -----------------------------------------------------------
 
 
+def _parse_intrinsics(data) -> PinholeCamera:
+    """The intrinsics file's camera, at the identity pose until the solve replaces it."""
+    if not isinstance(data, dict):
+        raise ConfigError("intrinsics must be a JSON object")
+    return PinholeCamera.from_dict({**data, "pose": RigidTransform.identity().to_dict()})
+
+
 def _cmd_calibrate(args) -> int:
     samples = load_samples(args.samples)
+    camera = read_json(args.intrinsics, _parse_intrinsics) if args.intrinsics else None
     pose = estimate_camera_pose(samples, all_pairs=args.all_pairs)
     residual = mean_residual(build_motion_pairs(samples, all_pairs=args.all_pairs), pose)
     log.info(
         "calibrated from %d samples (all_pairs=%s): mean rotation residual %.3e rad",
         len(samples), args.all_pairs, residual,
     )
-    output = {"pose": pose.to_dict()}
-    if args.intrinsics:
-        intrinsics = _load_json(args.intrinsics, "intrinsics file")
-        output = PinholeCamera.from_dict({**intrinsics, "pose": pose.to_dict()}).to_dict()
-    with open(args.out, "w") as fh:
-        json.dump(output, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    output = {"pose": pose.to_dict()} if camera is None else replace(camera, pose=pose).to_dict()
+    write_json(args.out, output)
     log.info("wrote %s", args.out)
     return 0
 
 
-def _whole(value, name: str) -> int:
-    """`value` as an int; a boolean or a number with a fraction is rejected."""
-    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
-        raise InvalidRangeError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _parse_synth_config(path):
-    data = _load_json(path, "synth config")
+def _parse_synth_config(data):
     _check_keys(data, _SYNTH_KEYS, "synth config")
     if "n" not in data:
         raise ConfigError("synth config needs 'n' (number of scenes)")
@@ -173,10 +163,9 @@ def _parse_synth_config(path):
 
 
 def _cmd_synth(args) -> int:
-    try:
-        n, seed, pose_kind, ranges, ratios, noise, cameras, axes = _parse_synth_config(args.config)
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise MalformedFileError(f"{args.config}: {exc}") from None
+    n, seed, pose_kind, ranges, ratios, noise, cameras, axes = read_json(
+        args.config, _parse_synth_config
+    )
     log.info(
         "generating %d %s-pose scenes, master seed %d, jobs %d",
         n, pose_kind, seed, args.jobs,
@@ -225,10 +214,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_localize(args) -> int:
     scene = load_scene(_scene_dir(args.scene))
-    try:
-        params, axes = params_from_dict(_load_json(args.params, "params file"))
-    except ConfigError as exc:
-        raise MalformedFileError(f"{args.params}: {exc}") from None
+    params, axes = load_params(args.params)
     cloud = scene_cloud(scene, args.voxel)
     poses = localize(
         scene.cameras[0], scene.cameras[1], scene.observation, cloud,
@@ -241,9 +227,7 @@ def _cmd_localize(args) -> int:
         "normal_neighbors": NORMAL_NEIGHBORS,
         "targets": [p.to_dict() for p in poses],
     }
-    with open(args.out, "w") as fh:
-        json.dump(output, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, output)
     for p in poses:
         log.info(
             "target %d at (%.4f, %.4f, %.4f) m%s",

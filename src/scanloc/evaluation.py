@@ -12,7 +12,7 @@ Target ids and the pose kind each one belongs to come from `targets`.
 from __future__ import annotations
 
 import csv
-import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import (
     NoValidFoldsError,
 )
 from .geometry import Pixel, angle_between_degrees, triangulate
+from .jsonfile import write_json
 from .synth import SyntheticScene
 from .targets import (
     FitDataset,
@@ -33,11 +34,13 @@ from .targets import (
     TargetModelParams,
     fit_front,
     fit_side,
-    localize,
     pose_keypoints,
     pose_kind_for_target,
+    poses_from_keypoints,
     required_joints,
 )
+
+log = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLDS_MM = tuple(float(t) for t in range(5, 45, 5))
 DEFAULT_EVAL_VOXEL = 0.002
@@ -77,6 +80,7 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
     A scene is faulty when a required joint is known-corrupt, is not
     visible in both views, or triangulates to a segment that is not
     human-scale (a grossly displaced detection; see `pose_keypoints`).  A
+    dropped joint off the segment is logged once, naming the scene.  A
     scene without ground truth for the target raises InsufficientDataError.
     """
     pose_kind = pose_kind_for_target(target_id)
@@ -93,9 +97,12 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
             if scene.observation.joint_in_view(joint, vi, camera) is None:
                 return None, f"{joint} not visible in view {vi}"
     try:
-        kps = pose_keypoints(scene.cameras[0], scene.cameras[1], scene.observation, pose_kind)
+        kps, dropped = pose_keypoints(scene.cameras[0], scene.cameras[1], scene.observation,
+                                      pose_kind)
     except ValueError as exc:
         return None, f"implausible keypoints: {exc}"
+    for joint, reason in dropped.items():
+        log.warning("scene %d: dropping %s: %s", scene.scene_id, joint, reason)
     sample = FitSample(
         keypoints=kps, target=scene.targets_true[target_id], scene_id=scene.scene_id
     )
@@ -123,7 +130,8 @@ def loocv(scenes, target_id: int, clouds, axes: ReferenceAxes | None = None) -> 
     """Leave-one-out folds over the scenes, in scene order.
 
     `clouds` aligns 1:1 with `scenes`: the fused cloud each held-out scene
-    is localized in (see `scene_cloud`).  Each fold's fit is an exact
+    is localized in (see `scene_cloud`), from the keypoints its fit sample
+    holds, so each scene is triangulated once.  Each fold's fit is an exact
     least-squares solve, a pure function of its training set, so fold order
     and parallel execution cannot change results.
     """
@@ -149,9 +157,9 @@ def loocv(scenes, target_id: int, clouds, axes: ReferenceAxes | None = None) -> 
             )
             continue
         fit = _fit_for_target(FitDataset(training), target_id, axes)
-        poses = localize(
-            scene.cameras[0], scene.cameras[1], scene.observation, clouds[i],
-            _params_for_target(target_id, fit.ratios), pose_kind, axes=axes,
+        poses = poses_from_keypoints(
+            samples[i].keypoints, clouds[i], _params_for_target(target_id, fit.ratios),
+            pose_kind, axes=axes,
         )
         (pose,) = [p for p in poses if p.target_id == target_id]
         gt = scene.targets_true[target_id]
@@ -355,9 +363,7 @@ def write_success_csv(table: SuccessTable, path) -> None:
 
 
 def write_summary_json(summary: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, summary)
 
 
 def write_backprojection_csv(results, path) -> None:

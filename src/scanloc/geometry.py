@@ -25,6 +25,7 @@ from .errors import (
     NonPositiveDepthError,
     ZeroVectorError,
 )
+from .jsonfile import _check_keys, _finite, _whole
 
 # Constructors reject matrices farther than this from the orthonormal group.
 _ROTATION_ATOL = 1e-8
@@ -174,8 +175,8 @@ class PinholeCamera:
     pose: RigidTransform
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
@@ -254,18 +255,11 @@ class PinholeCamera:
         _check_keys(
             data, {"fx", "fy", "cx", "cy", "width", "height", "pose"}, "camera"
         )
-        try:
-            return cls(
-                fx=float(data["fx"]),
-                fy=float(data["fy"]),
-                cx=float(data["cx"]),
-                cy=float(data["cy"]),
-                width=int(data["width"]),
-                height=int(data["height"]),
-                pose=RigidTransform.from_dict(data["pose"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad camera description: {exc}") from exc
+        return cls(
+            *(float(_finite(data.get(k), f"camera {k}")) for k in ("fx", "fy", "cx", "cy")),
+            *(_whole(data.get(k), f"camera {k}") for k in ("width", "height")),
+            pose=RigidTransform.from_dict(data.get("pose")),
+        )
 
 
 def triangulate(
@@ -302,12 +296,3 @@ def triangulate(
     if abs(hom[3]) < 1e-12 * np.linalg.norm(hom):
         raise DegenerateGeometryError("triangulated point is at infinity")
     return hom[:3] / hom[3]
-
-
-def _check_keys(data: dict, allowed: set, context: str) -> None:
-    """Reject unknown keys so config typos fail loudly instead of silently."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")

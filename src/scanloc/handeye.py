@@ -11,18 +11,13 @@ stacked linear least squares.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InsufficientMotionError,
-    InsufficientSamplesError,
-    MalformedFileError,
-)
-from .geometry import RigidTransform, _check_keys, rotation_to_angle_axis
+from .errors import ConfigError, InsufficientMotionError, InsufficientSamplesError
+from .geometry import RigidTransform, rotation_to_angle_axis
+from .jsonfile import _check_keys, read_json
 
 # Motions rotating less than this carry no usable rotation constraint.
 MIN_ROTATION_RAD = 1e-3
@@ -40,13 +35,10 @@ class PosePairSample:
     @classmethod
     def from_dict(cls, data: dict) -> "PosePairSample":
         _check_keys(data, {"gripper_in_base", "tag_in_camera"}, "calibration sample")
-        try:
-            return cls(
-                gripper_in_base=RigidTransform.from_dict(data["gripper_in_base"]),
-                tag_in_camera=RigidTransform.from_dict(data["tag_in_camera"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"calibration sample is missing {exc}") from exc
+        return cls(
+            gripper_in_base=RigidTransform.from_dict(data["gripper_in_base"]),
+            tag_in_camera=RigidTransform.from_dict(data["tag_in_camera"]),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,16 +49,15 @@ class MotionPair:
     b: RigidTransform
 
 
+def _samples_from_json(data) -> list[PosePairSample]:
+    if not isinstance(data, list):
+        raise ConfigError("calibration samples file must hold a JSON array")
+    return [PosePairSample.from_dict(item) for item in data]
+
+
 def load_samples(path) -> list[PosePairSample]:
     """Read a JSON array of samples; any malformed content raises MalformedFileError."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, list):
-            raise ConfigError("calibration samples file must hold a JSON array")
-        return [PosePairSample.from_dict(item) for item in data]
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise MalformedFileError(f"{path}: {exc}") from None
+    return read_json(path, _samples_from_json)
 
 
 def build_motion_pairs(

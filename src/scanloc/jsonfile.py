@@ -1,0 +1,65 @@
+"""The one JSON boundary: `read_json` and `write_json` are the only places a
+JSON file is parsed or written, so a bad file always names itself.
+
+The helpers are the JSON-value vocabulary the parsers share; each names
+the field it rejects.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from .errors import ConfigError, InvalidRangeError, MalformedFileError
+
+
+def read_json(path, parse):
+    """`parse(data)` for the JSON value `data` in the UTF-8 file `path`.  Bytes
+    that are not UTF-8, not JSON or nested too deeply to parse, and any
+    ConfigError, KeyError, TypeError or ValueError from `parse`, become one
+    MalformedFileError naming `path`; an OSError passes through."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except KeyError as exc:
+            raise MalformedFileError(f"{path}: missing key {exc}") from None
+        except (ConfigError, RecursionError, TypeError, ValueError) as exc:
+            raise MalformedFileError(f"{path}: {exc}") from None
+
+
+def write_json(path, data) -> None:
+    """Write `data` with sorted keys, a two-space indent and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _check_keys(data: dict, allowed: set, context: str) -> None:
+    """Reject unknown keys so config typos fail loudly instead of silently."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = set(data) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+
+
+def _finite(value, where: str, shape: tuple = ()) -> np.ndarray:
+    """`value` as a finite float array of `shape`, else MalformedFileError naming `where`."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != shape or not np.all(np.isfinite(v)):
+        what = f"{shape[0]} finite numbers" if shape else "a finite number"
+        raise MalformedFileError(f"{where} must be {what}, got {value!r}")
+    return v
+
+
+def _whole(value, name: str) -> int:
+    """`value` as an int; a boolean, a non-number or a number with a fraction is rejected."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise InvalidRangeError(f"{name} must be a whole number, got {value!r}")
+    return int(value)

@@ -17,7 +17,6 @@ both views or displace it by 50 px (a plausible wrong detection).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -31,13 +30,8 @@ from .errors import (
     InvalidRangeError,
     MalformedFileError,
 )
-from .geometry import (
-    MIN_DEPTH,
-    PinholeCamera,
-    Pixel,
-    RigidTransform,
-    _check_keys,
-)
+from .geometry import MIN_DEPTH, PinholeCamera, Pixel, RigidTransform
+from .jsonfile import _check_keys, _finite, read_json, write_json
 from .targets import (
     ALL_JOINTS,
     FRONT_TARGET_IDS,
@@ -46,7 +40,6 @@ from .targets import (
     Keypoints3D,
     ReferenceAxes,
     TargetModelParams,
-    _finite,
     params_from_dict,
     params_to_dict,
     regress_targets,
@@ -158,11 +151,13 @@ class NoiseSpec:
         _check_keys(
             data, {"keypoint_sigma_px", "depth_sigma_m", "fault_prob", "seed"}, "noise"
         )
-        _check_keys(data.get("fault_prob", {}), set(ALL_JOINTS), "noise fault_prob")
+        fault_prob = data.get("fault_prob", {})
+        _check_keys(fault_prob, set(ALL_JOINTS), "noise fault_prob")
         return cls(
             keypoint_sigma_px=float(data.get("keypoint_sigma_px", 0.0)),
             depth_sigma_m=float(data.get("depth_sigma_m", 0.0)),
-            fault_prob=dict(data.get("fault_prob", {})),
+            fault_prob={j: float(_finite(p, f"noise fault_prob {j}"))
+                        for j, p in fault_prob.items()},
             seed=int(data.get("seed", 0)),
         )
 
@@ -501,18 +496,21 @@ def _pixels_to_json(views: tuple[dict, dict]) -> list:
     ]
 
 
-def _pixels_from_json(scene: dict, name: str, int_keys: bool) -> tuple[dict, dict]:
-    """scene[name]'s two views, each pixel two finite numbers; else MalformedFileError."""
+def _pixels_from_json(scene: dict, name: str, keys: tuple) -> tuple[dict, dict]:
+    """scene[name]'s two views, each keyed by some of `keys` (as strings) and
+    each pixel two finite numbers; else MalformedFileError."""
     data = scene[name]
     if not (isinstance(data, list) and len(data) == 2
             and all(isinstance(view, dict) for view in data)):
         raise MalformedFileError(f"{name} must be a list of two JSON objects")
+    key_of = {str(k): k for k in keys}
     out = []
     for vi, view in enumerate(data):
+        _check_keys(view, set(key_of), f"{name} view{vi}")
         parsed = {}
         for key, uv in view.items():
             u, v = _finite(uv, f"{name} view{vi} {key}", (2,))
-            parsed[int(key) if int_keys else key] = Pixel(float(u), float(v))
+            parsed[key_of[key]] = Pixel(float(u), float(v))
         out.append(parsed)
     return (out[0], out[1])
 
@@ -554,53 +552,51 @@ def save_scene(scene: SyntheticScene, directory) -> None:
         "target_pixels_observed": _pixels_to_json(scene.target_pixels_observed),
         "faulted_joints": dict(sorted(scene.faulted_joints.items())),
     }
-    with open(os.path.join(directory, "scene.json"), "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, "scene.json"), data)
+
+
+def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
+    """scene.json's scene, without depth maps, and the paths of its depth files."""
+    _check_keys(data, _SCENE_KEYS, "scene")
+    ratios, axes = params_from_dict(data["ratios"])
+    if len(data["cameras"]) != 2 or len(data["depth_files"]) != 2:
+        raise MalformedFileError("a scene needs exactly two cameras and two depth files")
+    target_ids = (*FRONT_TARGET_IDS, SIDE_TARGET_ID)
+    _check_keys(data["keypoints_true"], set(ALL_JOINTS), "keypoints_true")
+    _check_keys(data["targets_true"], {str(t) for t in target_ids}, "targets_true")
+    _check_keys(data["target_normals_true"], {str(t) for t in target_ids}, "target_normals_true")
+    _check_keys(data["faulted_joints"], set(ALL_JOINTS), "faulted_joints")
+    depth_files = [os.path.join(directory, name) for name in data["depth_files"]]
+    scene = SyntheticScene(
+        scene_id=int(data["scene_id"]),
+        pose_kind=data["pose_kind"],
+        torso=TorsoSpec.from_dict(data["torso"]),
+        noise=NoiseSpec.from_dict(data["noise"]),
+        ratios=ratios,
+        axes=axes,
+        cameras=tuple(PinholeCamera.from_dict(c) for c in data["cameras"]),
+        depths=(),
+        observation=KeypointObservation.from_dict(data["observation"]),
+        keypoints_true=Keypoints3D(
+            **{j: np.asarray(v, dtype=float) for j, v in data["keypoints_true"].items()}
+        ),
+        keypoint_pixels_true=_pixels_from_json(data, "keypoint_pixels_true", ALL_JOINTS),
+        targets_true={int(t): np.asarray(p, dtype=float) for t, p in data["targets_true"].items()},
+        target_normals_true={
+            int(t): np.asarray(nv, dtype=float) for t, nv in data["target_normals_true"].items()
+        },
+        target_pixels_true=_pixels_from_json(data, "target_pixels_true", target_ids),
+        target_pixels_observed=_pixels_from_json(data, "target_pixels_observed", target_ids),
+        faulted_joints=dict(data["faulted_joints"]),
+    )
+    return scene, depth_files
 
 
 def load_scene(directory) -> SyntheticScene:
     """Read a scene written by `save_scene`; any bad value in scene.json
     raises MalformedFileError naming the file, before a depth map is read."""
-    path = os.path.join(directory, "scene.json")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        _check_keys(data, _SCENE_KEYS, "scene")
-        ratios, axes = params_from_dict(data["ratios"])
-        if len(data["cameras"]) != 2 or len(data["depth_files"]) != 2:
-            raise MalformedFileError("a scene needs exactly two cameras and two depth files")
-        target_ids = {str(t) for t in (*FRONT_TARGET_IDS, SIDE_TARGET_ID)}
-        _check_keys(data["keypoints_true"], set(ALL_JOINTS), "keypoints_true")
-        _check_keys(data["targets_true"], target_ids, "targets_true")
-        _check_keys(data["target_normals_true"], target_ids, "target_normals_true")
-        _check_keys(data["faulted_joints"], set(ALL_JOINTS), "faulted_joints")
-        depth_files = [os.path.join(directory, name) for name in data["depth_files"]]
-        scene = SyntheticScene(
-            scene_id=int(data["scene_id"]),
-            pose_kind=data["pose_kind"],
-            torso=TorsoSpec.from_dict(data["torso"]),
-            noise=NoiseSpec.from_dict(data["noise"]),
-            ratios=ratios,
-            axes=axes,
-            cameras=tuple(PinholeCamera.from_dict(c) for c in data["cameras"]),
-            depths=(),
-            observation=KeypointObservation.from_dict(data["observation"]),
-            keypoints_true=Keypoints3D(
-                **{j: np.asarray(v, dtype=float) for j, v in data["keypoints_true"].items()}
-            ),
-            keypoint_pixels_true=_pixels_from_json(data, "keypoint_pixels_true", int_keys=False),
-            targets_true={int(t): np.asarray(p, dtype=float) for t, p in data["targets_true"].items()},
-            target_normals_true={
-                int(t): np.asarray(nv, dtype=float) for t, nv in data["target_normals_true"].items()
-            },
-            target_pixels_true=_pixels_from_json(data, "target_pixels_true", int_keys=True),
-            target_pixels_observed=_pixels_from_json(data, "target_pixels_observed", int_keys=True),
-            faulted_joints=dict(data["faulted_joints"]),
-        )
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise MalformedFileError(f"{path}: {detail}") from None
+    scene, depth_files = read_json(os.path.join(directory, "scene.json"),
+                                   lambda data: _scene_from_json(data, directory))
     return replace(scene, depths=tuple(DepthMap(values=read_pfm(f)) for f in depth_files))
 
 

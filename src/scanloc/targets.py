@@ -19,7 +19,6 @@ times sideways ratio), from which the sideways ratio is recovered.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -38,13 +37,8 @@ from .errors import (
     RankDeficientError,
     ZeroVectorError,
 )
-from .geometry import (
-    PinholeCamera,
-    Pixel,
-    _check_keys,
-    rotation_to_angle_axis,
-    triangulate,
-)
+from .geometry import PinholeCamera, Pixel, rotation_to_angle_axis, triangulate
+from .jsonfile import _check_keys, _finite, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -486,25 +480,27 @@ def pose_keypoints(
     camera_b: PinholeCamera,
     observation: KeypointObservation,
     pose_kind: str,
-) -> Keypoints3D:
-    """The triangulated joints a pose kind can trust.
+) -> tuple[Keypoints3D, dict[str, str]]:
+    """The triangulated joints a pose kind can trust, and why each other
+    joint was dropped.
 
     The segment joints are kept, and ImplausibleKeypointsError refuses the
     scene if they are not human-scale.  Each other joint is kept only if it
-    is human-scale from every kept joint; otherwise it is dropped with a
-    warning, and a front scene falls back to `ReferenceAxes.front` as for a
-    hip not seen.
+    is human-scale from every kept joint; otherwise it is dropped, and a
+    front scene falls back to `ReferenceAxes.front` as for a hip not seen.
+    The caller logs the drops, naming its scene.
     """
     positions = triangulate_joints(camera_a, camera_b, observation)
     segment = required_joints(pose_kind)
     keypoints = Keypoints3D(**{j: p for j, p in positions.items() if j in segment})
+    dropped = {}
     for joint, point in positions.items():
         if joint not in segment:
             try:
                 keypoints = replace(keypoints, **{joint: point})
             except ImplausibleKeypointsError as exc:
-                log.warning("dropping %s: %s", joint, exc)
-    return keypoints
+                dropped[joint] = str(exc)
+    return keypoints, dropped
 
 
 def regress_targets(
@@ -537,13 +533,27 @@ def localize(
     pose_kind: str,
     axes: ReferenceAxes | None = None,
 ) -> list[ScanTargetPose]:
-    """Full pipeline: triangulate joints, regress targets, snap to the surface.
+    """Full pipeline: triangulate joints (`pose_keypoints`, logging each
+    dropped joint), then `poses_from_keypoints`."""
+    keypoints, dropped = pose_keypoints(camera_a, camera_b, observation, pose_kind)
+    for joint, reason in dropped.items():
+        log.warning("dropping %s: %s", joint, reason)
+    return poses_from_keypoints(keypoints, cloud, params, pose_kind, axes)
+
+
+def poses_from_keypoints(
+    keypoints: Keypoints3D,
+    cloud: FusedCloud,
+    params: TargetModelParams,
+    pose_kind: str,
+    axes: ReferenceAxes | None = None,
+) -> list[ScanTargetPose]:
+    """Regress the targets from `keypoints` and snap them to the surface.
 
     Each returned pose presses the tool's +Z against the local surface
     normal at the regressed target.  Targets whose planar snap distance is
     suspiciously large are flagged (and logged), not dropped.
     """
-    keypoints = pose_keypoints(camera_a, camera_b, observation, pose_kind)
     start, end, _ = _segment(keypoints, pose_kind, axes or ReferenceAxes())
     roll_ref = end - start  # the body axis that pins the probe's free roll
     poses = []
@@ -593,18 +603,6 @@ def params_to_dict(params: TargetModelParams, axes: ReferenceAxes) -> dict:
     return data
 
 
-def _finite(value, where: str, shape: tuple = ()) -> np.ndarray:
-    """`value` as a finite float array of `shape`, else MalformedFileError naming `where`."""
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        v = None
-    if v is None or v.shape != shape or not np.all(np.isfinite(v)):
-        what = f"{shape[0]} finite numbers" if shape else "a finite number"
-        raise MalformedFileError(f"{where} must be {what}, got {value!r}")
-    return v
-
-
 def _ratio_pair(entry: dict, keys: tuple[str, str], where: str) -> RatioPair:
     _check_keys(entry, set(keys), where)
     return RatioPair(*(float(_finite(entry.get(k), f"{where} {k}")) for k in keys))
@@ -636,11 +634,8 @@ def params_from_dict(data: dict) -> tuple[TargetModelParams, ReferenceAxes]:
 
 
 def save_params(path, params: TargetModelParams, axes: ReferenceAxes) -> None:
-    with open(path, "w") as fh:
-        json.dump(params_to_dict(params, axes), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, params_to_dict(params, axes))
 
 
 def load_params(path) -> tuple[TargetModelParams, ReferenceAxes]:
-    with open(path) as fh:
-        return params_from_dict(json.load(fh))
+    return read_json(path, params_from_dict)

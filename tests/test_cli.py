@@ -29,6 +29,12 @@ def small_cameras():
     return out
 
 
+def edited_cameras(**fields):
+    """`small_cameras` as config entries, the first with `fields` replaced."""
+    first, second = (c.to_dict() for c in small_cameras())
+    return [{**first, **fields}, second]
+
+
 def write_synth_config(path, n=3, seed=5, pose="front", noise=None):
     config = {
         "n": n,
@@ -146,35 +152,40 @@ class TestSynth:
             )
 
 
+def write_calibration_samples(path, n, seed) -> RigidTransform:
+    """Write `n` exact pose-pair samples of a random camera pose; return that pose."""
+    rng = np.random.default_rng(seed)
+
+    def rand_tf(scale=1.0):
+        rot = Rotation.random(
+            random_state=np.random.RandomState(int(rng.integers(2**31)))
+        )
+        return RigidTransform(rot.as_matrix(), rng.uniform(-scale, scale, 3))
+
+    x_true = rand_tf()
+    tag_in_gripper = rand_tf(0.1)
+    x_inv = np.linalg.inv(x_true.as_matrix())
+    samples = []
+    for _ in range(n):
+        g = rand_tf()
+        c = x_inv @ g.as_matrix() @ tag_in_gripper.as_matrix()
+        samples.append({
+            "gripper_in_base": g.to_dict(),
+            "tag_in_camera": RigidTransform.orthonormalized(c[:3, :3], c[:3, 3]).to_dict(),
+        })
+    path.write_text(json.dumps(samples))
+    return x_true
+
+
+INTRINSICS = {"fx": 600, "fy": 600, "cx": 320, "cy": 240, "width": 640, "height": 480}
+
+
 class TestCalibrate:
     def test_recovers_camera_pose(self, tmp_path):
-        rng = np.random.default_rng(9)
-
-        def rand_tf(scale=1.0):
-            rot = Rotation.random(
-                random_state=np.random.RandomState(int(rng.integers(2**31)))
-            )
-            return RigidTransform(rot.as_matrix(), rng.uniform(-scale, scale, 3))
-
-        x_true = rand_tf()
-        tag_in_gripper = rand_tf(0.1)
-        x_inv = np.linalg.inv(x_true.as_matrix())
-        samples = []
-        for _ in range(12):
-            g = rand_tf()
-            c = x_inv @ g.as_matrix() @ tag_in_gripper.as_matrix()
-            samples.append({
-                "gripper_in_base": g.to_dict(),
-                "tag_in_camera": RigidTransform.orthonormalized(
-                    c[:3, :3], c[:3, 3]
-                ).to_dict(),
-            })
         samples_file = tmp_path / "samples.json"
-        samples_file.write_text(json.dumps(samples))
+        x_true = write_calibration_samples(samples_file, 12, seed=9)
         intr_file = tmp_path / "intrinsics.json"
-        intr_file.write_text(json.dumps(
-            {"fx": 600, "fy": 600, "cx": 320, "cy": 240, "width": 640, "height": 480}
-        ))
+        intr_file.write_text(json.dumps(INTRINSICS))
         out = tmp_path / "calib.json"
         assert main(["calibrate", "--samples", str(samples_file),
                      "--out", str(out), "--intrinsics", str(intr_file)]) == 0
@@ -183,29 +194,8 @@ class TestCalibrate:
         assert cam.fx == 600
 
     def test_pose_only_output(self, tmp_path):
-        rng = np.random.default_rng(10)
-
-        def rand_tf(scale=1.0):
-            rot = Rotation.random(
-                random_state=np.random.RandomState(int(rng.integers(2**31)))
-            )
-            return RigidTransform(rot.as_matrix(), rng.uniform(-scale, scale, 3))
-
-        x_true = rand_tf()
-        tag = rand_tf(0.1)
-        x_inv = np.linalg.inv(x_true.as_matrix())
-        samples = []
-        for _ in range(8):
-            g = rand_tf()
-            c = x_inv @ g.as_matrix() @ tag.as_matrix()
-            samples.append({
-                "gripper_in_base": g.to_dict(),
-                "tag_in_camera": RigidTransform.orthonormalized(
-                    c[:3, :3], c[:3, 3]
-                ).to_dict(),
-            })
         samples_file = tmp_path / "samples.json"
-        samples_file.write_text(json.dumps(samples))
+        x_true = write_calibration_samples(samples_file, 8, seed=10)
         out = tmp_path / "pose.json"
         assert main(["calibrate", "--samples", str(samples_file),
                      "--out", str(out), "--all-pairs"]) == 0
@@ -386,11 +376,26 @@ class TestMalformedInput:
              "noise fault_prob must be a JSON object"),
             (lambda d: {**d, "target_pixels_true": [{"1": 5}, {}]},
              "target_pixels_true view0 1 must be 2 finite numbers"),
+            (lambda d: {**d, "target_pixels_true": [{"x": [1, 2]}, {}]},
+             "unknown target_pixels_true view0 keys: ['x']"),
+            (lambda d: {**d, "noise": {**d["noise"], "fault_prob": {"right_hip": "abc"}}},
+             "noise fault_prob right_hip must be a finite number, got 'abc'"),
+            (lambda d: {**d, "cameras": [{**d["cameras"][0], "fx": float("nan")},
+                                         d["cameras"][1]]},
+             "camera fx must be a finite number, got nan"),
+            (lambda d: {**d, "cameras": [d["cameras"][0],
+                                         {**d["cameras"][1], "width": 320.5}]},
+             "camera width must be a whole number, got 320.5"),
+            (lambda d: {**d, "cameras": [{**d["cameras"][0], "height": True},
+                                         d["cameras"][1]]},
+             "camera height must be a whole number, got True"),
         ],
         ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
              "one-pixel-view", "observation-view-not-object", "one-camera",
              "targets-not-object", "keypoints-not-object", "faulted-joints-not-object",
-             "fault-prob-not-object", "pixel-not-two-numbers"],
+             "fault-prob-not-object", "pixel-not-two-numbers", "pixel-target-key",
+             "fault-prob-not-number", "camera-nan-fx", "camera-fractional-width",
+             "camera-bool-height"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):
@@ -470,9 +475,14 @@ class TestMalformedInput:
          "front scenes need ratios for targets 1 and 2, got [1, 3]"),
         ({"pose": "side", "ratios": {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}},
          "side scenes need side ratios"),
+        ({"noise": {"fault_prob": {"right_hip": "abc"}}},
+         "noise fault_prob right_hip must be a finite number, got 'abc'"),
+        ({"cameras": edited_cameras(fx=float("nan"))}, "camera fx must be a finite number, got nan"),
+        ({"cameras": edited_cameras(height=240.5)}, "camera height must be a whole number, got 240.5"),
     ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
             "nan-depth-sigma", "inf-keypoint-sigma", "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool",
-            "front-ratios-lack-target-2", "side-ratios-missing"])
+            "front-ratios-lack-target-2", "side-ratios-missing", "fault-prob-not-number",
+            "camera-nan-fx", "camera-fractional-height"])
     def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
         config = tmp_path / "synth.json"
         write_synth_config(config, n=1)
@@ -499,6 +509,59 @@ class TestMalformedInput:
         with caplog.at_level(logging.ERROR, logger="scanloc"):
             assert main(["calibrate", "--samples", str(samples), "--out", str(out)]) == 1
         assert_one_line_error(caplog, str(samples), detail)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, detail", [
+        ({"fx": float("nan")}, "camera fx must be a finite number, got nan"),
+        ({"fy": float("inf")}, "camera fy must be a finite number, got inf"),
+        ({"fy": None}, "camera fy must be a finite number, got None"),
+        ({"cx": float("nan")}, "camera cx must be a finite number, got nan"),
+        ({"width": 640.7}, "camera width must be a whole number, got 640.7"),
+        ({"width": True}, "camera width must be a whole number, got True"),
+        ({"bogus": 1}, "unknown camera keys: ['bogus']"),
+    ], ids=["nan-fx", "inf-fy", "missing-fy", "nan-cx", "fractional-width", "bool-width",
+            "unknown-key"])
+    def test_calibrate_on_bad_intrinsics_exits_1(self, tmp_path, caplog, field, detail):
+        samples = tmp_path / "samples.json"
+        write_calibration_samples(samples, 4, seed=1)
+        intrinsics = tmp_path / "intrinsics.json"
+        intrinsics.write_text(json.dumps(
+            {k: v for k, v in {**INTRINSICS, **field}.items() if v is not None}
+        ))
+        out = tmp_path / "calib.json"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["calibrate", "--samples", str(samples), "--intrinsics", str(intrinsics),
+                         "--out", str(out)]) == 1
+        assert_one_line_error(caplog, str(intrinsics), detail)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"not json", b'{"n": "\xff"}', b"[" * 100_000, None],
+                             ids=["not-json", "not-utf8", "too-deep", "wrong-type"])
+    @pytest.mark.parametrize("kind", ["synth-config", "params", "intrinsics",
+                                      "calibration-samples", "scene-json"])
+    def test_bad_json_file_names_itself(self, cohort_dir, tmp_path, caplog, kind, content):
+        scene = tmp_path / "scene"
+        shutil.copytree(cohort_dir / "scene_001", scene)
+        samples = tmp_path / "samples.json"
+        write_calibration_samples(samples, 4, seed=1)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(FRONT_PARAMS))
+        bad, argv = {
+            "synth-config": (tmp_path / "synth.json", ["synth", "--config", "{bad}"]),
+            "params": (params, ["localize", "--scene", scene, "--params", "{bad}",
+                                "--pose", "front"]),
+            "intrinsics": (tmp_path / "intrinsics.json",
+                           ["calibrate", "--samples", samples, "--intrinsics", "{bad}"]),
+            "calibration-samples": (samples, ["calibrate", "--samples", "{bad}"]),
+            "scene-json": (scene / "scene.json", ["fuse", "--scene", scene]),
+        }[kind]
+        # the wrong top-level type: samples are a JSON array, every other file an object
+        wrong_type = b"{}" if kind == "calibration-samples" else b"[1, 2]"
+        bad.write_bytes(wrong_type if content is None else content)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main([str(a).format(bad=bad) for a in argv] + ["--out", str(out)]) == 1
+        assert_one_line_error(caplog, str(bad))
         assert not out.exists()
 
     @pytest.mark.parametrize("bad, argv", [
@@ -614,9 +677,19 @@ class TestFitFaults:
                 assert main(["fit", "--dataset", str(scenes), "--target", "1",
                              "--out", str(tmp_path / out)]) == 0
         (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert "dropping right_hip" in warning.getMessage()
+        assert "scene 1: dropping right_hip" in warning.getMessage()
         # the hip only picks the sideways sign, and the front axis picks the same one
         assert (tmp_path / "clean.json").read_bytes() == (tmp_path / "collapsed.json").read_bytes()
+
+    def test_evaluate_warns_once_per_dropped_joint(self, cohort_dir, tmp_path, caplog):
+        dataset = tmp_path / "scenes"
+        shutil.copytree(cohort_dir, dataset)
+        collapse(dataset / "scene_001", "right_hip")
+        with caplog.at_level(logging.WARNING, logger="scanloc"):
+            assert main(["evaluate", "--scenes", str(dataset), "--target", "1",
+                         "--voxel", "0.004", "--out", str(tmp_path / "reports")]) == 0
+        (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "scene 1: dropping right_hip" in warning.getMessage()
 
     def test_side_scene_is_refused_only_for_its_segment(self, tmp_path, caplog):
         config = tmp_path / "synth.json"
