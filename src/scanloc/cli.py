@@ -20,7 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from .cloud import DEFAULT_VOXEL, NORMAL_NEIGHBORS, _check_fusion_options
+from .cloud import DEFAULT_VOXEL, NORMAL_RADIUS, _check_fusion_options
 from .errors import ConfigError, InvalidRangeError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
@@ -166,15 +166,9 @@ def _cmd_synth(args) -> int:
     n, seed, pose_kind, ranges, ratios, noise, cameras, axes = read_json(
         args.config, _parse_synth_config
     )
-    log.info(
-        "generating %d %s-pose scenes, master seed %d, jobs %d",
-        n, pose_kind, seed, args.jobs,
-    )
-    make = functools.partial(
-        generate_cohort_scene, master_seed=seed, ranges=ranges, ratios=ratios,
-        noise=noise, pose_kind=pose_kind, cameras=cameras, axes=axes,
-    )
-    scenes = _map(make, range(n), args.jobs)
+    log.info("generating %d %s-pose scenes, master seed %d", n, pose_kind, seed)
+    scenes = [generate_cohort_scene(i, seed, ranges, ratios, noise, pose_kind,
+                                    cameras=cameras, axes=axes) for i in range(n)]
     save_cohort(scenes, args.out)
     log.info("wrote %d scenes to %s", n, args.out)
     return 0
@@ -224,7 +218,7 @@ def _cmd_localize(args) -> int:
         "scene_id": scene.scene_id,
         "pose_kind": args.pose,
         "voxel_m": args.voxel,
-        "normal_neighbors": NORMAL_NEIGHBORS,
+        "normal_radius_m": NORMAL_RADIUS,
         "targets": [p.to_dict() for p in poses],
     }
     write_json(args.out, output)
@@ -245,7 +239,7 @@ def _cmd_evaluate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     # the run's settings, echoed into summary.json; --jobs cannot change a report
     config = {"target_id": args.target, "voxel_m": args.voxel,
-              "normal_neighbors": NORMAL_NEIGHBORS, "thresholds_mm": list(args.thresholds)}
+              "normal_radius_m": NORMAL_RADIUS, "thresholds_mm": list(args.thresholds)}
     log.info("evaluate config: %s", json.dumps(config, sort_keys=True))
     clouds = _map(functools.partial(scene_cloud, voxel=args.voxel), scenes, args.jobs)
 
@@ -303,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic scene cohort")
     p.add_argument("--config", required=True, help="cohort config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; results are independent of this")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("fuse", help="fuse a scene's depth maps into a cloud")

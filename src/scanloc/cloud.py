@@ -2,12 +2,11 @@
 
 Depth maps from the two calibrated cameras are deprojected pixel by pixel
 into the base frame, merged and voxel-downsampled (centroid per voxel).
-Each normal is the PCA of the point's 30 nearest centroids (ties to the
-smaller index), oriented toward the cameras and computed when read: a
-snap scans every point for its one normal's neighbors (0.2-1.4 ms at
-22k-142k points), so `fuse` builds no index; only `FusedCloud.normals`
-computes all of them, with a k-d tree built for that call.  A `.cloud`
-file is the points and the point their normals face.  Planar queries scan XY linearly.
+Each normal is the PCA of the point's ball (every point within NORMAL_RADIUS),
+oriented toward the cameras and computed when read: a snap scans every point for
+its one ball, so `fuse` builds no index; only `FusedCloud.normals` computes all
+of them, with a k-d tree built for that call.  A `.cloud` file is the points and
+the point their normals face.  Planar queries scan XY linearly.
 
 The planar lookup implements the depth-adjustment rule this pipeline is
 built around: a regressed target keeps its XY coordinates, while its Z and
@@ -32,8 +31,8 @@ MAX_DEPTH = 10.0
 # Planar NN farther than this from the query marks the result suspicious.
 FAR_FROM_SURFACE = 0.020
 DEFAULT_VOXEL = 0.005
-# PCA neighborhood size k of every normal estimate
-NORMAL_NEIGHBORS = 30
+# radius of every normal's PCA ball, in meters (chosen by a sweep; see README)
+NORMAL_RADIUS = 0.018
 
 _CLOUD_MAGIC = b"SCLOUD02"  # then <Q count, <3d the point normals face, count x 3 <f4 points
 
@@ -157,9 +156,7 @@ class FusedCloud:
         """A cloud whose normals `_pca_normals` computes on demand."""
         cloud = cls.__new__(cls)
         cloud._set_points(points)
-        cloud._normals = None
-        cloud._k = min(NORMAL_NEIGHBORS, len(cloud.points))
-        cloud._toward = toward
+        cloud._normals, cloud._toward = None, toward
         return cloud
 
     def _set_points(self, pts: np.ndarray) -> None:
@@ -179,8 +176,7 @@ class FusedCloud:
     def normals(self) -> np.ndarray:
         """Unit normals of every point, (N, 3), read-only."""
         if self._normals is None:
-            self._normals = _pca_normals(self.points, self._k, self._toward,
-                                         np.arange(len(self.points)))
+            self._normals = _all_normals(self.points, self._toward)
         view = self._normals.view()
         view.flags.writeable = False
         return view
@@ -188,7 +184,8 @@ class FusedCloud:
     def normal_at(self, index: int) -> np.ndarray:
         """Unit normal of one point, read-only; kept only if `normals` was read."""
         if self._normals is None:
-            (view,) = _pca_normals(self.points, self._k, self._toward, np.array([index]))
+            (view,) = _pca_normals(self.points, self._toward, np.array([index]),
+                                   *_scan_ball(self.points, index))
         else:
             view = self._normals[index]
         view.flags.writeable = False
@@ -304,65 +301,67 @@ def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def _sq_dist(points: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(x - px)**2 + (y - py)**2 + (z - pz)**2, column by column."""
-    x, y, z = (points[..., i] - p[..., i] for i in range(3))
-    return x**2 + y**2 + z**2
+def _in_ball(offsets) -> np.ndarray:
+    """x**2 + y**2 + z**2 <= NORMAL_RADIUS**2 for per-axis offsets: the one ball test."""
+    x, y, z = offsets
+    return x**2 + y**2 + z**2 <= NORMAL_RADIUS**2
 
 
-def _ranked(points: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k points nearest to `p`, nearest first, ties to the smaller index."""
-    d2 = _sq_dist(points, p)
-    keep = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
-    return keep[np.lexsort((keep, d2[keep]))[:k]]
+def _scan_ball(points: np.ndarray, index: int):
+    """The ball of points[index] by a linear scan: (row 0, neighbor) pairs, ascending."""
+    offsets = (column - value for column, value in zip(points.T, points[index]))
+    ball = np.flatnonzero(_in_ball(offsets))
+    return np.zeros_like(ball), ball
 
 
-def _tree_ranked(points: np.ndarray, tree: cKDTree, block: np.ndarray, k: int) -> np.ndarray:
-    """`_ranked` for each row of `block` from the tree's k + 1 nearest, whose distances are
-    `sqrt(_sq_dist)`: only tied rows are re-ranked, from their ball if tied at the k-th."""
-    dist, idx = tree.query(block, k=k + 1, workers=-1)
-    tied = np.flatnonzero((dist[:, 1:] <= dist[:, :-1]).any(axis=1))
-    d2 = _sq_dist(points[idx[tied]], block[tied, None, :])
-    order = np.lexsort((idx[tied], d2), axis=-1)
-    idx[tied], d2 = np.take_along_axis(idx[tied], order, 1), np.take_along_axis(d2, order, 1)
-    at_k = d2[:, k] == d2[:, k - 1]
-    radii = np.sqrt(d2[at_k, k]) * (1 + 1e-9)  # slack: the ball test squares the radius
-    balls = tree.query_ball_point(block[tied[at_k]], radii, return_sorted=True)
-    for row, ball in zip(tied[at_k], map(np.asarray, balls)):
-        idx[row, :k] = ball[_ranked(points[ball], block[row], k)]
-    return idx[:, :k]
+def _tree_balls(points: np.ndarray, tree: cKDTree, index: np.ndarray):
+    """The balls of points[index] as (row, neighbor) pairs, by row and then neighbor:
+    the tree's candidates at a slightly larger radius, kept if they pass the scan's test."""
+    found = cKDTree(points[index]).sparse_distance_matrix(
+        tree, NORMAL_RADIUS * (1 + 1e-9), output_type="ndarray")
+    rows, neighbors = np.divmod(np.sort(found["i"] * len(points) + found["j"]), len(points))
+    inside = _in_ball(_offsets(points, index[rows], neighbors))
+    return rows[inside], neighbors[inside]
 
 
-def _pca_normals(points: np.ndarray, k: int, toward: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Normals of points[index]: smallest principal axis of each point's `_ranked`
-    k-neighborhood (Hoppe et al., SIGGRAPH 1992), facing `toward`.
+def _offsets(points: np.ndarray, centres: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """points[neighbors] - points[centres], one array per axis."""
+    return (points.take(neighbors, 0) - points.take(centres, 0)).T
 
-    One row scans every point; more rows query a k-d tree built here and
-    dropped on return.  Each row depends on its own point alone, so any
-    subset of indices gives bitwise the same normals as all of them.  With
-    fewer than 3 points each normal points back at the cameras.
+
+def _all_normals(points: np.ndarray, toward: np.ndarray) -> np.ndarray:
+    """`_pca_normals` of every point, from a k-d tree built here and dropped on return."""
+    tree = cKDTree(points)
+    normals = np.empty_like(points)
+    for start in range(0, len(points), 512):
+        index = np.arange(start, min(start + 512, len(points)))
+        normals[index] = _pca_normals(points, toward, index, *_tree_balls(points, tree, index))
+    return normals
+
+
+def _pca_normals(points: np.ndarray, toward: np.ndarray, index: np.ndarray,
+                 rows: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Normals of points[index]: smallest principal axis of each point's ball, given as
+    (row into `index`, neighbor) pairs (Hoppe et al., SIGGRAPH 1992), facing `toward`.
+
+    Every ball holds its own point, and each row's moments are summed in pair
+    order, so a row's normal depends on its own pairs alone: one row's pairs
+    give bitwise the normal that the same pairs among many rows give.  A ball
+    of fewer than 3 points has no plane, and its normal points back at the cameras.
     """
-    block_points = points[index]
-    if len(points) < 3:
-        # not enough structure for a plane fit; point back at the cameras
-        direction = toward - block_points
-        lengths = np.linalg.norm(direction, axis=1, keepdims=True)
-        return np.where(lengths > 1e-12, direction / lengths, [[0.0, 0.0, 1.0]])
-    tree = cKDTree(points) if len(index) > 1 and k < len(points) else None
-    normals = np.empty_like(block_points)
-    chunk = 20000
-    for start in range(0, len(block_points), chunk):
-        block = block_points[start : start + chunk]
-        idx = (np.array([_ranked(points, p, k) for p in block]) if tree is None
-               else _tree_ranked(points, tree, block, k))
-        neighborhoods = points[idx]
-        centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
-        cov = np.einsum("mki,mkj->mij", centered, centered)
-        _, vecs = np.linalg.eigh(cov)
-        normals[start : start + chunk] = vecs[:, :, 0]
-    flip = np.einsum("ij,ij->i", normals, toward - block_points) < 0
-    normals[flip] *= -1.0
-    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = _offsets(points, index[rows], neighbors)
+    count = np.bincount(rows)
+    first = np.column_stack([np.bincount(rows, o) for o in offsets])
+    scatter = np.empty((len(index), 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            scatter[:, a, b] = scatter[:, b, a] = np.bincount(rows, offsets[a] * offsets[b])
+    scatter -= first[:, :, None] * first[:, None, :] / count[:, None, None]
+    direction = toward - points[index]
+    normals = np.where(count[:, None] < 3, direction, np.linalg.eigh(scatter)[1][:, :, 0])
+    normals *= np.where(np.einsum("ij,ij->i", normals, direction) < 0, -1.0, 1.0)[:, None]
+    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+    return np.where(lengths > 1e-12, normals / np.maximum(lengths, 1e-12), [[0.0, 0.0, 1.0]])
 
 
 def adjust_target(cloud: FusedCloud, target) -> AdjustedTarget:

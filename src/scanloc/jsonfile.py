@@ -8,6 +8,7 @@ the field it rejects.
 from __future__ import annotations
 
 import json
+from numbers import Real
 
 import numpy as np
 
@@ -45,9 +46,12 @@ def _check_keys(data: dict, allowed: set, context: str) -> None:
 
 
 def _finite(value, where: str, shape: tuple = ()) -> np.ndarray:
-    """`value` as a finite float array of `shape`, else MalformedFileError naming `where`."""
+    """`value` as a finite float array of `shape`, else MalformedFileError naming `where`;
+    as in `_whole`, a boolean or a string is not a number."""
     try:
-        v = np.asarray(value, dtype=float)
+        numbers = all(isinstance(x, Real) and not isinstance(x, bool)
+                      for x in np.asarray(value, dtype=object).flat)
+        v = np.asarray(value, dtype=float) if numbers else None
     except (TypeError, ValueError):
         v = None
     if v is None or v.shape != shape or not np.all(np.isfinite(v)):

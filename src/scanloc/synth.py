@@ -31,7 +31,7 @@ from .errors import (
     MalformedFileError,
 )
 from .geometry import MIN_DEPTH, PinholeCamera, Pixel, RigidTransform
-from .jsonfile import _check_keys, _finite, read_json, write_json
+from .jsonfile import _check_keys, _finite, _whole, read_json, write_json
 from .targets import (
     ALL_JOINTS,
     FRONT_TARGET_IDS,
@@ -116,7 +116,7 @@ class TorsoSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "TorsoSpec":
         _check_keys(data, set(_TORSO_FIELDS), "torso")
-        return cls(**{k: float(v) for k, v in data.items()})
+        return cls(**{k: float(_finite(v, f"torso {k}")) for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -154,11 +154,11 @@ class NoiseSpec:
         fault_prob = data.get("fault_prob", {})
         _check_keys(fault_prob, set(ALL_JOINTS), "noise fault_prob")
         return cls(
-            keypoint_sigma_px=float(data.get("keypoint_sigma_px", 0.0)),
-            depth_sigma_m=float(data.get("depth_sigma_m", 0.0)),
+            **{k: float(_finite(data.get(k, 0.0), f"noise {k}"))
+               for k in ("keypoint_sigma_px", "depth_sigma_m")},
             fault_prob={j: float(_finite(p, f"noise fault_prob {j}"))
                         for j, p in fault_prob.items()},
-            seed=int(data.get("seed", 0)),
+            seed=_whole(data.get("seed", 0), "noise seed"),
         )
 
 
@@ -442,12 +442,12 @@ def _validate_ranges(ranges: dict) -> dict:
     full = dict(DEFAULT_TORSO_RANGES)
     for name, bounds in ranges.items():
         try:
-            lo, hi = (float(bounds),) * 2 if np.isscalar(bounds) else map(float, bounds)
+            lo, hi = np.broadcast_to(_finite(bounds, name, () if np.isscalar(bounds) else (2,)), 2)
         except (TypeError, ValueError):
             lo = hi = np.nan
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
             raise InvalidRangeError(f"invalid interval for {name}: {bounds!r}")
-        full[name] = (lo, hi)
+        full[name] = (float(lo), float(hi))
     return full
 
 
@@ -568,7 +568,7 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
     _check_keys(data["faulted_joints"], set(ALL_JOINTS), "faulted_joints")
     depth_files = [os.path.join(directory, name) for name in data["depth_files"]]
     scene = SyntheticScene(
-        scene_id=int(data["scene_id"]),
+        scene_id=_whole(data["scene_id"], "scene_id"),
         pose_kind=data["pose_kind"],
         torso=TorsoSpec.from_dict(data["torso"]),
         noise=NoiseSpec.from_dict(data["noise"]),
@@ -578,13 +578,13 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
         depths=(),
         observation=KeypointObservation.from_dict(data["observation"]),
         keypoints_true=Keypoints3D(
-            **{j: np.asarray(v, dtype=float) for j, v in data["keypoints_true"].items()}
+            **{j: _finite(v, f"keypoints_true {j}", (3,)) for j, v in data["keypoints_true"].items()}
         ),
         keypoint_pixels_true=_pixels_from_json(data, "keypoint_pixels_true", ALL_JOINTS),
-        targets_true={int(t): np.asarray(p, dtype=float) for t, p in data["targets_true"].items()},
-        target_normals_true={
-            int(t): np.asarray(nv, dtype=float) for t, nv in data["target_normals_true"].items()
-        },
+        targets_true={int(t): _finite(p, f"targets_true {t}", (3,))
+                      for t, p in data["targets_true"].items()},
+        target_normals_true={int(t): _finite(nv, f"target_normals_true {t}", (3,))
+                             for t, nv in data["target_normals_true"].items()},
         target_pixels_true=_pixels_from_json(data, "target_pixels_true", target_ids),
         target_pixels_observed=_pixels_from_json(data, "target_pixels_observed", target_ids),
         faulted_joints=dict(data["faulted_joints"]),

@@ -455,7 +455,8 @@ class KeypointObservation:
         for key in ("view0", "view1"):
             view = data.get(key, {})
             _check_keys(view, set(ALL_JOINTS), f"observation {key}")
-            views.append({joint: Pixel(float(uv[0]), float(uv[1])) for joint, uv in view.items()})
+            views.append({joint: Pixel(*map(float, _finite(uv, f"observation {key} {joint}", (2,))))
+                          for joint, uv in view.items()})
         return cls(views=(views[0], views[1]))
 
 

@@ -105,13 +105,6 @@ def full_image_raycast(camera: PinholeCamera, torso) -> np.ndarray:
     return depth.reshape(camera.height, camera.width)
 
 
-def knn_oracle(points, i, k):
-    """Indices of the k points nearest to points[i]: a full sort by squared
-    distance, ties to the smaller index."""
-    d2 = ((points - points[i]) ** 2).sum(axis=1)
-    return np.lexsort((np.arange(len(points)), d2))[:k]
-
-
 # Independent transcriptions of the target-regression construction.  The
 # perpendicular direction comes from scipy's null-space routine rather than a
 # cross product, so these share no code path with the library.

@@ -137,19 +137,13 @@ class TestSynth:
                     shallow=False,
                 ), f"{scene}/{name}"
 
-    def test_jobs_do_not_change_output(self, tmp_path):
+    def test_jobs_option_is_a_usage_error(self, tmp_path):
         config = tmp_path / "synth.json"
-        write_synth_config(config, n=2, seed=3)
-        assert main(["synth", "--config", str(config),
-                     "--out", str(tmp_path / "seq")]) == 0
-        assert main(["synth", "--config", str(config),
-                     "--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
-        for scene in ("scene_000", "scene_001"):
-            assert filecmp.cmp(
-                tmp_path / "seq" / scene / "scene.json",
-                tmp_path / "par" / scene / "scene.json",
-                shallow=False,
-            )
+        write_synth_config(config, n=1)
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "2"])
+        assert info.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 def write_calibration_samples(path, n, seed) -> RigidTransform:
@@ -210,11 +204,11 @@ class TestCalibrate:
 # change of the maths updates these and says so.
 REPORT_SHA256 = {
     "params.json": "7e94b9b14fd369d150ed82dc9dfcbb1aa4d40027a9c7fcf1aa47ba0e0533fd72",
-    "poses.json": "7e8954418d7dfe24d855c5a6cad0963cc8d33df7d68dd1333b527f2c1a8a1137",
-    "folds.csv": "e95451497c1bb3f24eb7898feb3e561340acd2daac3e187fe634629ed2dfc7be",
+    "poses.json": "58098b53d16b9b55cf3092dab252e6d9dd9d4878576ebf84f65f8ec5318f7c8e",
+    "folds.csv": "5091f3d796ae154413227c4c1594bb0d77fd8ef36863c5cd64c33b5542464cbf",
     "success_table.csv": "bf326fc039da97d94c64e57a58ebf59d00fdea91424d2412acb698490b802e47",
     "backprojection.csv": "45cf861f21ab7864b35fbccc2ad120c1b1648155c0047aef7ba6ba96354c0d67",
-    "summary.json": "523589b238d9cbbeee5a1dfb94dc3a1190b87fc84757a1f5111c7b44a1e51f6b",
+    "summary.json": "13a58f6a466cef652ade56d61422cb22ca0e628c996eb1ee48e5abd59cdef6f7",
 }
 # sha256 of what `fuse` writes for `cohort_dir`'s scene_001 at the default voxel
 CLOUD_SHA256 = "c4abee7469aba555186fd282c02d9aa2b0efe3dc5bd104ded92fb59ae67d9654"
@@ -249,7 +243,7 @@ class TestPipeline:
                      "--out", str(poses_file), "--voxel", "0.004"]) == 0
         poses = json.loads(poses_file.read_text())
         assert poses["pose_kind"] == "front"
-        assert poses["normal_neighbors"] == 30
+        assert poses["normal_radius_m"] == 0.018
         (target,) = poses["targets"]
         assert target["target_id"] == 1
         assert not target["far_from_surface"]
@@ -273,10 +267,10 @@ class TestPipeline:
         summary = json.loads((tmp_path / "r1" / "summary.json").read_text())
         assert summary["n_folds"] == 3
         assert set(summary["config"]) == {
-            "normal_neighbors", "target_id", "thresholds_mm", "voxel_m"
+            "normal_radius_m", "target_id", "thresholds_mm", "voxel_m"
         }
         assert summary["config"]["thresholds_mm"][0] == 5.0
-        assert summary["config"]["normal_neighbors"] == 30
+        assert summary["config"]["normal_radius_m"] == 0.018
         assert summary["position_mm"]["mean"] < 25.0
 
     def test_report_bytes_are_pinned(self, cohort_dir, tmp_path):
@@ -389,13 +383,39 @@ class TestMalformedInput:
             (lambda d: {**d, "cameras": [{**d["cameras"][0], "height": True},
                                          d["cameras"][1]]},
              "camera height must be a whole number, got True"),
+            (lambda d: {**d, "cameras": [{**d["cameras"][0], "fx": True},
+                                         d["cameras"][1]]},
+             "camera fx must be a finite number, got True"),
+            (lambda d: {**d, "torso": {**d["torso"], "half_width": True}},
+             "torso half_width must be a finite number, got True"),
+            (lambda d: {**d, "noise": {**d["noise"], "keypoint_sigma_px": "abc"}},
+             "noise keypoint_sigma_px must be a finite number, got 'abc'"),
+            (lambda d: {**d, "noise": {**d["noise"], "depth_sigma_m": False}},
+             "noise depth_sigma_m must be a finite number, got False"),
+            (lambda d: {**d, "noise": {**d["noise"], "seed": 1.5}},
+             "noise seed must be a whole number, got 1.5"),
+            (lambda d: {**d, "scene_id": "one"}, "scene_id must be a whole number, got 'one'"),
+            (lambda d: {**d, "scene_id": True}, "scene_id must be a whole number, got True"),
+            (lambda d: {**d, "observation": {**d["observation"], "view0": {
+                **d["observation"]["view0"], "left_shoulder": ["abc", 5]}}},
+             "observation view0 left_shoulder must be 2 finite numbers, got ['abc', 5]"),
+            (lambda d: {**d, "observation": {**d["observation"], "view1": {
+                **d["observation"]["view1"], "right_shoulder": [True, 5]}}},
+             "observation view1 right_shoulder must be 2 finite numbers, got [True, 5]"),
+            (lambda d: {**d, "keypoints_true": {**d["keypoints_true"],
+                                                "left_shoulder": [True, 0.1, 0.1]}},
+             "keypoints_true left_shoulder must be 3 finite numbers"),
+            (lambda d: {**d, "targets_true": {**d["targets_true"], "1": ["a", 0.1, 0.1]}},
+             "targets_true 1 must be 3 finite numbers, got ['a', 0.1, 0.1]"),
         ],
         ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
              "one-pixel-view", "observation-view-not-object", "one-camera",
              "targets-not-object", "keypoints-not-object", "faulted-joints-not-object",
              "fault-prob-not-object", "pixel-not-two-numbers", "pixel-target-key",
              "fault-prob-not-number", "camera-nan-fx", "camera-fractional-width",
-             "camera-bool-height"],
+             "camera-bool-height", "camera-bool-fx", "torso-bool", "keypoint-sigma-not-number",
+             "depth-sigma-bool", "noise-seed-fraction", "scene-id-not-number", "scene-id-bool",
+             "observation-not-number", "observation-bool", "keypoint-bool", "target-not-number"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):
@@ -420,9 +440,13 @@ class TestMalformedInput:
             ({"front": {}, "side": {"r_s1": [0.4], "r_s2": 0.1}}, "side target r_s1"),
             ({"front": {}, "reference_axes": {"front": [0, 1]}}, "reference_axes front"),
             ({"front": []}, "params front must be a JSON object"),
+            ({"front": {"1": {"r_f1": True, "r_f2": 0.2}}},
+             "front target 1 r_f1 must be a finite number, got True"),
+            ({"front": {}, "reference_axes": {"front": [0, 1, False]}},
+             "reference_axes front must be 3 finite numbers, got [0, 1, False]"),
         ],
         ids=["non-numeric", "null", "missing", "target-id", "list", "short-axis",
-             "front-not-object"],
+             "front-not-object", "bool-ratio", "bool-axis"],
     )
     def test_localize_on_bad_params_exits_1(self, cohort_dir, tmp_path, caplog, params, key):
         params_file = tmp_path / "params.json"
@@ -460,8 +484,9 @@ class TestMalformedInput:
         ({"seed": "abc"}, "abc"),
         ({"torso": {"length": "abc"}}, "abc"),
         ({"torso": {"half_width": [0.17, "abc"]}}, "abc"),
-        ({"noise": {"keypoint_sigma_px": "abc"}}, "abc"),
-        ({"noise": {"depth_sigma_m": "abc"}}, "abc"),
+        ({"noise": {"keypoint_sigma_px": "abc"}},
+         "noise keypoint_sigma_px must be a finite number, got 'abc'"),
+        ({"noise": {"depth_sigma_m": "abc"}}, "noise depth_sigma_m must be a finite number, got 'abc'"),
         ({"noise": {"depth_sigma_m": float("nan")}}, "nan"),
         ({"noise": {"keypoint_sigma_px": float("inf")}}, "inf"),
         ({"n": 0}, "n >= 1"),
@@ -470,6 +495,9 @@ class TestMalformedInput:
         ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
         ({"n": True}, "n must be a whole number, got True"),
         ({"seed": False}, "seed must be a whole number, got False"),
+        ({"noise": {"seed": 1.5}}, "noise seed must be a whole number, got 1.5"),
+        ({"torso": {"half_width": True}}, "invalid interval for half_width: True"),
+        ({"noise": {"depth_sigma_m": True}}, "noise depth_sigma_m must be a finite number, got True"),
         ({"ratios": {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2},
                                "3": {"r_f1": 0.75, "r_f2": 0.5}}}},
          "front scenes need ratios for targets 1 and 2, got [1, 3]"),
@@ -481,6 +509,7 @@ class TestMalformedInput:
         ({"cameras": edited_cameras(height=240.5)}, "camera height must be a whole number, got 240.5"),
     ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
             "nan-depth-sigma", "inf-keypoint-sigma", "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool",
+            "noise-seed-fraction", "torso-bool", "depth-sigma-bool",
             "front-ratios-lack-target-2", "side-ratios-missing", "fault-prob-not-number",
             "camera-nan-fx", "camera-fractional-height"])
     def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
@@ -518,9 +547,11 @@ class TestMalformedInput:
         ({"cx": float("nan")}, "camera cx must be a finite number, got nan"),
         ({"width": 640.7}, "camera width must be a whole number, got 640.7"),
         ({"width": True}, "camera width must be a whole number, got True"),
+        ({"fx": True}, "camera fx must be a finite number, got True"),
+        ({"cy": "240"}, "camera cy must be a finite number, got '240'"),
         ({"bogus": 1}, "unknown camera keys: ['bogus']"),
     ], ids=["nan-fx", "inf-fy", "missing-fy", "nan-cx", "fractional-width", "bool-width",
-            "unknown-key"])
+            "bool-fx", "string-cy", "unknown-key"])
     def test_calibrate_on_bad_intrinsics_exits_1(self, tmp_path, caplog, field, detail):
         samples = tmp_path / "samples.json"
         write_calibration_samples(samples, 4, seed=1)

@@ -6,7 +6,7 @@ Oracles:
 * a transcribed linear scan for the planar nearest-neighbor lookup,
 * hand-built miniature clouds for the depth-adjustment rule,
 * the eager all-points normal computation for normals estimated on demand,
-* a full lexsort by squared distance (`knn_oracle`) for PCA neighborhoods,
+* a brute-force `d2 <= r*r` ball and an SVD of the centred ball for PCA normals,
 * `np.unique(axis=0)` + `np.add.at` for the packed-key voxel centroids.
 """
 
@@ -17,15 +17,13 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from helpers import knn_oracle, look_at_camera, render_sphere_depth
+from helpers import look_at_camera, render_sphere_depth
 from scanloc.cloud import (
-    NORMAL_NEIGHBORS,
     DepthMap,
     FusedCloud,
     _pca_normals,
-    _ranked,
-    _sq_dist,
-    _tree_ranked,
+    _scan_ball,
+    _tree_balls,
     _voxel_centroids,
     adjust_target,
     fuse,
@@ -264,7 +262,7 @@ class TestLazyNormals:
         "noise, voxel",
         [(NoiseSpec(seed=0), 0.005),
          (NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005, seed=60), 0.005),
-         (NoiseSpec(seed=0), 0.002)],  # 19% of rows hold a distance tie, 1.3% at the k-th
+         (NoiseSpec(seed=0), 0.002)],
         ids=["noiseless", "noisy", "noiseless-2mm"],
     )
     def test_on_demand_normals_equal_eager(self, noise, voxel):
@@ -284,32 +282,6 @@ class TestLazyNormals:
         assert np.array_equal(lazy.normals, eager)
         assert holds_no_tree(lazy) and holds_no_tree(snapper)
 
-    def test_lattice_ties_rank_by_index(self):
-        # dyadic spacing keeps squared distances exact, so a lattice point's
-        # 30th neighbor ties with several others at distance 2 (27 lie closer)
-        grid = np.stack(np.meshgrid(*map(np.arange, (9, 8, 5)), indexing="ij"), axis=-1)
-        points = grid.reshape(-1, 3) * 2.0**-7
-        k = NORMAL_NEIGHBORS
-        cloud = FusedCloud._with_pca_normals(points, np.array([0.0, 0.0, 1.0]))
-        eager = _tree_ranked(points, cKDTree(points), points, k)
-        straddles = 0
-        for i in range(len(points)):
-            want = knn_oracle(points, i, k)
-            assert np.array_equal(_ranked(points, points[i], k), want)
-            assert np.array_equal(eager[i], want)
-            d2 = np.sort(((points - points[i]) ** 2).sum(axis=1))
-            straddles += d2[k] == d2[k - 1]
-        assert straddles > len(points) // 4
-        normals = FusedCloud._with_pca_normals(points, np.array([0.0, 0.0, 1.0])).normals
-        for i in range(len(points)):
-            assert np.array_equal(cloud.normal_at(i), normals[i])
-
-    def test_tree_distances_are_roots_of_the_scan_arithmetic(self):
-        # the eager path trusts the tree's distance order wherever it does not tie
-        points = fuse(scene_views(NoiseSpec(seed=0)), voxel=0.002).points
-        dist, idx = cKDTree(points).query(points[:5000], k=31)
-        assert np.array_equal(dist, np.sqrt(_sq_dist(points[idx], points[:5000, None, :])))
-
     def test_pickled_cloud_snaps_like_the_original(self):
         original = fuse(scene_views(NoiseSpec(depth_sigma_m=0.005, seed=65)), voxel=0.002)
         rng = np.random.default_rng(66)
@@ -325,7 +297,7 @@ class TestLazyNormals:
 
     def test_pickle_carries_only_known_normals(self):
         views = scene_views(NoiseSpec(depth_sigma_m=0.005, seed=67))
-        fresh, read = fuse(views, voxel=0.002), fuse(views, voxel=0.002)
+        fresh, read = fuse(views, voxel=0.005), fuse(views, voxel=0.005)
         assert len(pickle.dumps(fresh)) < 1.1 * fresh.points.nbytes  # no index rides along
         eager = read.normals
         assert len(pickle.dumps(fresh)) < len(pickle.dumps(read))
@@ -347,19 +319,19 @@ class TestLazyNormals:
         cloud = fuse(scene_views(NoiseSpec(seed=0)), voxel=0.005)
         rows = []
 
-        def counting(points, k, toward, index):
+        def counting(points, toward, index, *pairs):
             rows.append(len(index))
-            return _pca_normals(points, k, toward, index)
+            return _pca_normals(points, toward, index, *pairs)
 
         monkeypatch.setattr("scanloc.cloud._pca_normals", counting)
         first, second = cloud.normals, cloud.normals
-        assert rows == [len(cloud)]
+        assert sum(rows) == len(cloud)
         assert np.array_equal(first, second) and not second.flags.writeable
         # normal_at now reads a row of that array, bitwise, with no PCA
         for index in (7, 0, len(cloud) - 1):
             normal = cloud.normal_at(index)
             assert np.array_equal(normal, first[index]) and not normal.flags.writeable
-        assert rows == [len(cloud)]
+        assert sum(rows) == len(cloud)
 
     def test_fewer_than_three_points_fall_back_to_camera_direction(self):
         cam = look_at_camera([0, 0.01, 1.0], [0, 0.01, 0], fx=500, width=8, height=8)
@@ -372,6 +344,55 @@ class TestLazyNormals:
             assert np.array_equal(lazy.normal_at(index), eager[index])
         toward = cam.center - lazy.points
         assert np.allclose(eager, toward / np.linalg.norm(toward, axis=1, keepdims=True))
+
+
+def bumpy_lattice():
+    """A 50 x 48 lattice at 2**-7 m with heights in steps of 2**-9 m, and three
+    points farther than 2**-5 m from the rest: one alone and two together.
+    Every coordinate is dyadic, so every squared distance is exact."""
+    i, j = (axis.reshape(-1) for axis in np.meshgrid(np.arange(50), np.arange(48), indexing="ij"))
+    lattice = np.column_stack([i * 2.0**-7, j * 2.0**-7, (i * i + 3 * j) % 5 * 2.0**-9])
+    apart = np.array([[1.0, 1.0, 0.0], [-1.0, 0.5, 0.0], [-1.0, 0.5 + 2.0**-7, 0.0]])
+    return np.vstack([lattice, apart])
+
+
+class TestBallOracle:
+    """Both neighborhood paths against a brute-force ball, at a dyadic radius of
+    4 lattice steps, so many neighbors lie at exactly r and must be kept."""
+
+    R = 2.0**-5
+
+    def test_balls_match_brute_force(self, monkeypatch):
+        monkeypatch.setattr("scanloc.cloud.NORMAL_RADIUS", self.R)
+        points = bumpy_lattice()
+        rows, neighbors = _tree_balls(points, cKDTree(points), np.arange(len(points)))
+        assert np.all(np.diff(rows) >= 0)
+        on_the_sphere = 0
+        for i in range(len(points)):
+            d2 = ((points - points[i]) ** 2).sum(axis=1)
+            want = np.flatnonzero(d2 <= self.R * self.R)
+            on_the_sphere += np.count_nonzero(d2 == self.R * self.R)
+            assert np.array_equal(_scan_ball(points, i)[1], want)
+            assert np.array_equal(neighbors[rows == i], want)
+        assert on_the_sphere > len(points) // 4  # ordered pairs at exactly r, all kept
+
+    def test_normals_match_svd_of_the_centred_ball(self, monkeypatch):
+        monkeypatch.setattr("scanloc.cloud.NORMAL_RADIUS", self.R)
+        points = bumpy_lattice()
+        toward = np.array([0.2, 0.2, 1.0])
+        eager = FusedCloud._with_pca_normals(points, toward).normals
+        lazy = FusedCloud._with_pca_normals(points, toward)
+        lone = len(points) - 3
+        for i in range(len(points)):
+            assert np.array_equal(lazy.normal_at(i), eager[i])
+            ball = points[((points - points[i]) ** 2).sum(axis=1) <= self.R * self.R]
+            if i < lone:
+                axis = np.linalg.svd(ball - ball.mean(axis=0))[2][-1]
+                axis *= np.sign(axis @ (toward - points[i]))
+            else:  # fewer than 3 points in the ball: face the cameras
+                assert len(ball) < 3
+                axis = (toward - points[i]) / np.linalg.norm(toward - points[i])
+            assert np.abs(eager[i] - axis).max() < 1e-9
 
 
 class TestPlanarNearest:
