@@ -11,13 +11,11 @@ resolved settings) is logged to stderr and echoed into the reports.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .cloud import DEFAULT_VOXEL, NORMAL_RADIUS, _check_fusion_options
@@ -41,12 +39,12 @@ from .evaluation import (
 )
 from .geometry import PinholeCamera, RigidTransform
 from .handeye import build_motion_pairs, estimate_camera_pose, load_samples, mean_residual
-from .jsonfile import _check_keys, _whole, read_json, write_json
+from .jsonfile import _check_keys, _two, _whole, read_json, write_json
 from .synth import (
     NoiseSpec,
     _validate_ranges,
     default_ratios,
-    generate_cohort_scene,
+    generate_cohort,
     load_cohort,
     load_scene,
     save_cohort,
@@ -100,14 +98,6 @@ def _parse_thresholds(text: str):
         )
 
 
-def _map(fn, items, jobs: int) -> list:
-    """`list(map(fn, items))`, spread over `jobs` worker processes when jobs > 1."""
-    if jobs <= 1:
-        return list(map(fn, items))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # subcommand handlers -----------------------------------------------------------
 
 
@@ -156,21 +146,17 @@ def _parse_synth_config(data):
     noise = NoiseSpec.from_dict(data.get("noise", {}))
     cameras = None
     if "cameras" in data:
-        if len(data["cameras"]) != 2:
-            raise ConfigError("synth config needs exactly two cameras")
-        cameras = tuple(PinholeCamera.from_dict(c) for c in data["cameras"])
-    return n, seed, pose_kind, ranges, ratios, noise, cameras, axes
+        cameras = tuple(PinholeCamera.from_dict(c) for c in _two(data["cameras"], dict, "cameras"))
+    return dict(n=n, seed=seed, pose_kind=pose_kind, ranges=ranges, ratios=ratios,
+                noise=noise, cameras=cameras, axes=axes)
 
 
 def _cmd_synth(args) -> int:
-    n, seed, pose_kind, ranges, ratios, noise, cameras, axes = read_json(
-        args.config, _parse_synth_config
-    )
-    log.info("generating %d %s-pose scenes, master seed %d", n, pose_kind, seed)
-    scenes = [generate_cohort_scene(i, seed, ranges, ratios, noise, pose_kind,
-                                    cameras=cameras, axes=axes) for i in range(n)]
-    save_cohort(scenes, args.out)
-    log.info("wrote %d scenes to %s", n, args.out)
+    config = read_json(args.config, _parse_synth_config)
+    log.info("generating %d %s-pose scenes, master seed %d",
+             config["n"], config["pose_kind"], config["seed"])
+    save_cohort(generate_cohort(**config), args.out)
+    log.info("wrote %d scenes to %s", config["n"], args.out)
     return 0
 
 
@@ -237,11 +223,11 @@ def _cmd_evaluate(args) -> int:
     scenes = load_cohort(args.scenes)
     # a bad --out fails here, before the fusion and LOOCV work
     os.makedirs(args.out, exist_ok=True)
-    # the run's settings, echoed into summary.json; --jobs cannot change a report
+    # the run's settings, echoed into summary.json
     config = {"target_id": args.target, "voxel_m": args.voxel,
               "normal_radius_m": NORMAL_RADIUS, "thresholds_mm": list(args.thresholds)}
     log.info("evaluate config: %s", json.dumps(config, sort_keys=True))
-    clouds = _map(functools.partial(scene_cloud, voxel=args.voxel), scenes, args.jobs)
+    clouds = [scene_cloud(scene, args.voxel) for scene in scenes]
 
     folds = loocv(scenes, args.target, clouds=clouds)
     table = success_table(folds, args.thresholds)
@@ -328,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="success thresholds in mm, start:stop:step or comma list")
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--voxel", type=float, default=DEFAULT_EVAL_VOXEL)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for fusion; results are independent")
+    # accepted only as 1, because the benchmark's evaluate-noisy argv still passes it
+    p.add_argument("--jobs", type=int, choices=(1,), help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_evaluate)
 
     return parser

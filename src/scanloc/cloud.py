@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyCloudError, InvalidRangeError, MalformedFileError, VoxelKeyOverflowError
+from .errors import (
+    EmptyCloudError,
+    InvalidRangeError,
+    MalformedFileError,
+    NonFiniteTargetError,
+    VoxelKeyOverflowError,
+)
 from .geometry import PinholeCamera
 
 # Depth readings beyond this are treated as invalid (sensor range limit).
@@ -168,10 +174,6 @@ class FusedCloud:
         pts.flags.writeable = False
         self.points = pts
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.points.flags.writeable = False  # pickle does not keep the flag
-
     @property
     def normals(self) -> np.ndarray:
         """Unit normals of every point, (N, 3), read-only."""
@@ -199,7 +201,7 @@ class FusedCloud:
         (`argmin`'s first minimum); its normal, if needed, is `normal_at(index)`."""
         t = np.asarray(target_xy, dtype=float).reshape(-1)[:2]
         if not np.all(np.isfinite(t)):
-            raise ValueError(f"planar target must be finite, got {t}")
+            raise NonFiniteTargetError(f"planar target must be finite, got {t}")
         d2 = (self.points[:, 0] - t[0]) ** 2 + (self.points[:, 1] - t[1]) ** 2
         idx = int(np.argmin(d2))
         return PlanarNeighbor(

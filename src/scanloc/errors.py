@@ -48,6 +48,10 @@ class MalformedFileError(ConfigError, ValueError):
     """An input file (PFM, `.cloud`, scene.json, params) has a bad header, size or value."""
 
 
+class NonFiniteTargetError(ScanlocError, ValueError):
+    """A planar query is not finite, e.g. a target regressed with overflowing ratios."""
+
+
 class VoxelKeyOverflowError(ScanlocError):
     """The voxel size is too small for the cloud's integer voxel keys to fit in int64."""
 

@@ -133,7 +133,7 @@ def loocv(scenes, target_id: int, clouds, axes: ReferenceAxes | None = None) -> 
     is localized in (see `scene_cloud`), from the keypoints its fit sample
     holds, so each scene is triangulated once.  Each fold's fit is an exact
     least-squares solve, a pure function of its training set, so fold order
-    and parallel execution cannot change results.
+    cannot change results.
     """
     pose_kind = pose_kind_for_target(target_id)
     scenes = list(scenes)

@@ -45,6 +45,16 @@ def _check_keys(data: dict, allowed: set, context: str) -> None:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
+def _two(value, kind: type, name: str) -> list:
+    """`value` as a JSON list of exactly two `kind` values (objects or strings),
+    else ConfigError naming `name`."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(item, kind) for item in value)):
+        what = "JSON objects" if kind is dict else "strings"
+        raise ConfigError(f"{name} must be a list of exactly two {what}")
+    return value
+
+
 def _finite(value, where: str, shape: tuple = ()) -> np.ndarray:
     """`value` as a finite float array of `shape`, else MalformedFileError naming `where`;
     as in `_whole`, a boolean or a string is not a number."""

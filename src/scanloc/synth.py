@@ -31,7 +31,7 @@ from .errors import (
     MalformedFileError,
 )
 from .geometry import MIN_DEPTH, PinholeCamera, Pixel, RigidTransform
-from .jsonfile import _check_keys, _finite, _whole, read_json, write_json
+from .jsonfile import _check_keys, _finite, _two, _whole, read_json, write_json
 from .targets import (
     ALL_JOINTS,
     FRONT_TARGET_IDS,
@@ -424,11 +424,6 @@ def default_ratios() -> TargetModelParams:
     )
 
 
-def _scene_seed_sequence(master_seed: int, index: int) -> np.random.SeedSequence:
-    """The i-th child stream; reproducible per index for parallel generation."""
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-
-
 def sample_torso(ranges: dict, rng) -> TorsoSpec:
     values = {}
     for name in _TORSO_FIELDS:  # fixed draw order keeps cohorts reproducible
@@ -451,19 +446,6 @@ def _validate_ranges(ranges: dict) -> dict:
     return full
 
 
-def generate_cohort_scene(index: int, master_seed: int, ranges: dict,
-                          ratios: TargetModelParams, noise: NoiseSpec,
-                          pose_kind: str, cameras=None,
-                          axes: ReferenceAxes | None = None) -> SyntheticScene:
-    """One cohort member, depending only on (master_seed, index)."""
-    rng = np.random.default_rng(_scene_seed_sequence(master_seed, index))
-    torso = sample_torso(ranges, rng)
-    scene_noise = replace(noise, seed=int(rng.integers(2**63)))
-    return generate_scene(
-        torso, ratios, cameras, scene_noise, pose_kind, scene_id=index, axes=axes
-    )
-
-
 def generate_cohort(n: int, ranges: dict | None = None,
                     ratios: TargetModelParams | None = None,
                     noise: NoiseSpec = NoiseSpec(), pose_kind: str = "front",
@@ -472,18 +454,21 @@ def generate_cohort(n: int, ranges: dict | None = None,
     """n scenes with torso dimensions drawn per-field from uniform intervals.
 
     The generative ratios are shared across the cohort; only anatomy (and
-    noise) varies.  Scene i is a pure function of (seed, i), so parallel
-    and sequential generation agree.
+    noise) varies.  Scene i draws from its own stream, the i-th child of
+    `seed`, so it is a pure function of (seed, i) and does not depend on n.
     """
     if n < 1:
         raise InvalidRangeError(f"cohort size must be >= 1, got {n}")
     full_ranges = _validate_ranges(ranges or {})
     ratios = ratios if ratios is not None else default_ratios()
-    return [
-        generate_cohort_scene(i, seed, full_ranges, ratios, noise, pose_kind,
-                              cameras=cameras, axes=axes)
-        for i in range(n)
-    ]
+    scenes = []
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        torso = sample_torso(full_ranges, rng)
+        scene_noise = replace(noise, seed=int(rng.integers(2**63)))
+        scenes.append(generate_scene(torso, ratios, cameras, scene_noise, pose_kind,
+                                     scene_id=i, axes=axes))
+    return scenes
 
 
 # scene files -----------------------------------------------------------------
@@ -499,13 +484,9 @@ def _pixels_to_json(views: tuple[dict, dict]) -> list:
 def _pixels_from_json(scene: dict, name: str, keys: tuple) -> tuple[dict, dict]:
     """scene[name]'s two views, each keyed by some of `keys` (as strings) and
     each pixel two finite numbers; else MalformedFileError."""
-    data = scene[name]
-    if not (isinstance(data, list) and len(data) == 2
-            and all(isinstance(view, dict) for view in data)):
-        raise MalformedFileError(f"{name} must be a list of two JSON objects")
     key_of = {str(k): k for k in keys}
     out = []
-    for vi, view in enumerate(data):
+    for vi, view in enumerate(_two(scene[name], dict, name)):
         _check_keys(view, set(key_of), f"{name} view{vi}")
         parsed = {}
         for key, uv in view.items():
@@ -559,14 +540,15 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
     """scene.json's scene, without depth maps, and the paths of its depth files."""
     _check_keys(data, _SCENE_KEYS, "scene")
     ratios, axes = params_from_dict(data["ratios"])
-    if len(data["cameras"]) != 2 or len(data["depth_files"]) != 2:
-        raise MalformedFileError("a scene needs exactly two cameras and two depth files")
+    if data["pose_kind"] not in ("front", "side"):
+        raise MalformedFileError(f"pose_kind must be 'front' or 'side', got {data['pose_kind']!r}")
     target_ids = (*FRONT_TARGET_IDS, SIDE_TARGET_ID)
     _check_keys(data["keypoints_true"], set(ALL_JOINTS), "keypoints_true")
     _check_keys(data["targets_true"], {str(t) for t in target_ids}, "targets_true")
     _check_keys(data["target_normals_true"], {str(t) for t in target_ids}, "target_normals_true")
     _check_keys(data["faulted_joints"], set(ALL_JOINTS), "faulted_joints")
-    depth_files = [os.path.join(directory, name) for name in data["depth_files"]]
+    depth_files = [os.path.join(directory, name)
+                   for name in _two(data["depth_files"], str, "depth_files")]
     scene = SyntheticScene(
         scene_id=_whole(data["scene_id"], "scene_id"),
         pose_kind=data["pose_kind"],
@@ -574,7 +556,7 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
         noise=NoiseSpec.from_dict(data["noise"]),
         ratios=ratios,
         axes=axes,
-        cameras=tuple(PinholeCamera.from_dict(c) for c in data["cameras"]),
+        cameras=tuple(PinholeCamera.from_dict(c) for c in _two(data["cameras"], dict, "cameras")),
         depths=(),
         observation=KeypointObservation.from_dict(data["observation"]),
         keypoints_true=Keypoints3D(
@@ -589,6 +571,12 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
         target_pixels_observed=_pixels_from_json(data, "target_pixels_observed", target_ids),
         faulted_joints=dict(data["faulted_joints"]),
     )
+    views = {f"{name} view{vi}": view for name in ("target_pixels_true", "target_pixels_observed")
+             for vi, view in enumerate(getattr(scene, name))}
+    for name, values in {"target_normals_true": scene.target_normals_true, **views}.items():
+        odd = sorted(set(values) ^ set(scene.targets_true))
+        if odd:
+            raise MalformedFileError(f"{name} and targets_true disagree on target {odd[0]}")
     return scene, depth_files
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the scanloc command-line interface."""
 
+import argparse
 import filecmp
 import hashlib
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from scanloc.cli import _parse_thresholds, main
+from scanloc.cli import _parse_thresholds, build_parser, main
 from scanloc.cloud import FusedCloud
 from scanloc.geometry import PinholeCamera, RigidTransform
 from scanloc.synth import TorsoSpec, default_cameras
@@ -71,8 +72,6 @@ class TestThresholdParsing:
         assert _parse_thresholds("25") == (25.0,)
 
     def test_rejects_garbage(self):
-        import argparse
-
         for text in ("", "abc", "10:5:5", "5:40:0", "-5,10", "5:inf:5", "nan", "inf", "5,nan",
                      "1e-300:1e300:1e-300", "1:1e9:1"):
             with pytest.raises(argparse.ArgumentTypeError):
@@ -300,16 +299,35 @@ class TestPipeline:
         assert main(["fuse", "--scene", str(cohort_dir / "scene_001"),
                      "--out", str(tmp_path / "cloud.bin")]) == 0
 
-    def test_evaluate_jobs_do_not_change_reports(self, cohort_dir, tmp_path):
+    @pytest.mark.parametrize("jobs", ["2", "0", "-3"])
+    def test_evaluate_jobs_other_than_1_is_a_usage_error(self, cohort_dir, tmp_path, jobs):
         argv = ["evaluate", "--scenes", str(cohort_dir), "--target", "1",
-                "--voxel", "0.004"]
-        assert main(argv + ["--out", str(tmp_path / "seq")]) == 0
-        assert main(argv + ["--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
-        for name in ("summary.json", "folds.csv", "success_table.csv",
-                     "backprojection.csv"):
-            assert filecmp.cmp(
-                tmp_path / "seq" / name, tmp_path / "par" / name, shallow=False
-            ), name
+                "--out", str(tmp_path / "reports")]
+        assert build_parser().parse_args(argv + ["--jobs", "1"]).jobs == 1
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--jobs", jobs])
+        assert info.value.code == 2
+        assert not (tmp_path / "reports").exists()
+
+
+# every subcommand's options; a new flag is a deliberate edit here
+CLI_OPTIONS = {
+    "calibrate": {"--samples", "--out", "--intrinsics", "--all-pairs"},
+    "synth": {"--config", "--out"},
+    "fuse": {"--scene", "--out", "--voxel"},
+    "fit": {"--dataset", "--target", "--out"},
+    "localize": {"--scene", "--params", "--pose", "--out", "--voxel"},
+    "evaluate": {"--scenes", "--target", "--thresholds", "--out", "--voxel", "--jobs"},
+}
+
+
+def test_cli_options_are_pinned():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {option for action in sub._actions for option in action.option_strings
+                      if option.startswith("--") and option != "--help"}
+               for name, sub in commands.choices.items()}
+    assert options == CLI_OPTIONS
 
 
 def fusion_argv(command, cohort_dir, tmp_path, out):
@@ -362,7 +380,17 @@ class TestMalformedInput:
              "two JSON objects"),
             (lambda d: {**d, "observation": {"view0": [], "view1": {}}},
              "observation view0 must be a JSON object"),
-            (lambda d: {**d, "cameras": d["cameras"][:1]}, "exactly two cameras"),
+            (lambda d: {**d, "cameras": d["cameras"][:1]},
+             "cameras must be a list of exactly two JSON objects"),
+            (lambda d: {**d, "cameras": 5}, "cameras must be a list of exactly two JSON objects"),
+            (lambda d: {**d, "depth_files": 7}, "depth_files must be a list of exactly two strings"),
+            (lambda d: {**d, "pose_kind": 3}, "pose_kind must be 'front' or 'side', got 3"),
+            (lambda d: {**d, "target_pixels_observed": [{}, {}]},
+             "target_pixels_observed view0 and targets_true disagree on target 1"),
+            (lambda d: {**d, "target_normals_true": {}},
+             "target_normals_true and targets_true disagree on target 1"),
+            (lambda d: {**d, "target_pixels_true": [{}, {}]},
+             "target_pixels_true view0 and targets_true disagree on target 1"),
             (lambda d: {**d, "targets_true": []}, "targets_true must be a JSON object"),
             (lambda d: {**d, "keypoints_true": [1]}, "keypoints_true must be a JSON object"),
             (lambda d: {**d, "faulted_joints": [1]}, "faulted_joints must be a JSON object"),
@@ -409,7 +437,9 @@ class TestMalformedInput:
              "targets_true 1 must be 3 finite numbers, got ['a', 0.1, 0.1]"),
         ],
         ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
-             "one-pixel-view", "observation-view-not-object", "one-camera",
+             "one-pixel-view", "observation-view-not-object", "one-camera", "cameras-not-list",
+             "depth-files-not-list", "pose-kind-not-a-kind", "observed-target-pixels-disagree",
+             "target-normals-disagree", "true-target-pixels-disagree",
              "targets-not-object", "keypoints-not-object", "faulted-joints-not-object",
              "fault-prob-not-object", "pixel-not-two-numbers", "pixel-target-key",
              "fault-prob-not-number", "camera-nan-fx", "camera-fractional-width",
@@ -507,11 +537,13 @@ class TestMalformedInput:
          "noise fault_prob right_hip must be a finite number, got 'abc'"),
         ({"cameras": edited_cameras(fx=float("nan"))}, "camera fx must be a finite number, got nan"),
         ({"cameras": edited_cameras(height=240.5)}, "camera height must be a whole number, got 240.5"),
+        ({"cameras": 5}, "cameras must be a list of exactly two JSON objects"),
+        ({"cameras": {"a": 1, "b": 2}}, "cameras must be a list of exactly two JSON objects"),
     ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
             "nan-depth-sigma", "inf-keypoint-sigma", "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool",
             "noise-seed-fraction", "torso-bool", "depth-sigma-bool",
             "front-ratios-lack-target-2", "side-ratios-missing", "fault-prob-not-number",
-            "camera-nan-fx", "camera-fractional-height"])
+            "camera-nan-fx", "camera-fractional-height", "cameras-not-list", "cameras-object"])
     def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
         config = tmp_path / "synth.json"
         write_synth_config(config, n=1)
@@ -743,6 +775,19 @@ class TestFitFaults:
             assert main(argv) == 1
         assert_one_line_error(caplog, "right_shoulder-right_hip", "not human-scale")
         assert not (tmp_path / "poses.json").exists()
+
+    def test_localize_with_overflowing_ratios_exits_1(self, tmp_path, caplog):
+        config = tmp_path / "synth.json"
+        write_synth_config(config, n=1, pose="side")
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "scenes")]) == 0
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({"side": {"r_s1": 1e308, "r_s2": 0.1}}))
+        out = tmp_path / "poses.json"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["localize", "--scene", str(tmp_path / "scenes" / "scene_000"),
+                         "--params", str(params_file), "--pose", "side", "--out", str(out)]) == 1
+        assert_one_line_error(caplog, "planar target must be finite")
+        assert not out.exists()
 
     def test_fit_on_cohort_without_the_target_exits_1(self, cohort_dir, tmp_path, caplog):
         params_file = tmp_path / "params.json"

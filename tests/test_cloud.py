@@ -10,7 +10,6 @@ Oracles:
 * `np.unique(axis=0)` + `np.add.at` for the packed-key voxel centroids.
 """
 
-import pickle
 import struct
 
 import numpy as np
@@ -277,37 +276,9 @@ class TestLazyNormals:
         for target in rng.uniform(-0.2, 0.2, size=(20, 2)):
             index = snapper.planar_nearest(target).index
             assert np.array_equal(adjust_target(snapper, target).normal, eager[index])
-        # a partly estimated cloud completes to the eager normals, also pickled
-        assert np.array_equal(pickle.loads(pickle.dumps(lazy)).normals, eager)
+        # a partly estimated cloud completes to the eager normals
         assert np.array_equal(lazy.normals, eager)
         assert holds_no_tree(lazy) and holds_no_tree(snapper)
-
-    def test_pickled_cloud_snaps_like_the_original(self):
-        original = fuse(scene_views(NoiseSpec(depth_sigma_m=0.005, seed=65)), voxel=0.002)
-        rng = np.random.default_rng(66)
-        targets = rng.uniform(-0.2, 0.2, size=(30, 2))
-        for target in targets[:10]:  # read some normals before pickling
-            adjust_target(original, target)
-        copy = pickle.loads(pickle.dumps(original))
-        assert_matches_scan(copy, targets)
-        for target in targets:
-            want, got = original.planar_nearest(target), copy.planar_nearest(target)
-            assert got.index == want.index
-            assert np.array_equal(copy.normal_at(got.index), original.normal_at(want.index))
-
-    def test_pickle_carries_only_known_normals(self):
-        views = scene_views(NoiseSpec(depth_sigma_m=0.005, seed=67))
-        fresh, read = fuse(views, voxel=0.005), fuse(views, voxel=0.005)
-        assert len(pickle.dumps(fresh)) < 1.1 * fresh.points.nbytes  # no index rides along
-        eager = read.normals
-        assert len(pickle.dumps(fresh)) < len(pickle.dumps(read))
-        fresh.normal_at(7)  # keeps nothing, so the copy recomputes it
-        for cloud in (fresh, read):
-            copy = pickle.loads(pickle.dumps(cloud))
-            assert not copy.points.flags.writeable
-            for index in (7, 0, len(copy) - 1):
-                assert np.array_equal(copy.normal_at(index), eager[index])
-            assert np.array_equal(copy.normals, eager)
 
     def test_normal_at_keeps_nothing(self):
         cloud = fuse(scene_views(NoiseSpec(seed=0)), voxel=0.005)

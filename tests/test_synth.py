@@ -18,7 +18,6 @@ from scanloc.synth import (
     default_cameras,
     default_ratios,
     generate_cohort,
-    generate_cohort_scene,
     generate_scene,
     load_cohort,
     load_scene,
@@ -334,14 +333,11 @@ class TestCohort:
             assert sa.torso == sb.torso
             assert sa.noise == sb.noise
             assert np.array_equal(sa.depths[0].values, sb.depths[0].values)
-        # scene i is reconstructible from (seed, i) alone, enabling parallel runs
-        from scanloc.synth import DEFAULT_TORSO_RANGES
-
-        solo = generate_cohort_scene(
-            3, 21, DEFAULT_TORSO_RANGES, RATIOS, NoiseSpec(), "side"
-        )
-        assert solo.torso == a[3].torso
-        assert np.array_equal(solo.depths[1].values, a[3].depths[1].values)
+        # scene i depends on (seed, i) alone, not on the cohort size
+        short = generate_cohort(4, seed=21, pose_kind="side")[3]
+        assert short.torso == a[3].torso
+        assert short.noise == a[3].noise
+        assert np.array_equal(short.depths[1].values, a[3].depths[1].values)
 
     def test_cohort_varies_anatomy_not_ratios(self):
         scenes = generate_cohort(5, seed=2, pose_kind="front")
