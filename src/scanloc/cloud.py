@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteTargetError,
     VoxelKeyOverflowError,
 )
-from .geometry import PinholeCamera
+from .geometry import MIN_DEPTH, PinholeCamera
 
 # Depth readings beyond this are treated as invalid (sensor range limit).
 MAX_DEPTH = 10.0
@@ -67,8 +67,9 @@ class DepthMap:
 
     @property
     def valid_mask(self) -> np.ndarray:
+        """MIN_DEPTH < depth <= MAX_DEPTH: the depths `deproject` accepts, within range."""
         v = self.values
-        return np.isfinite(v) & (v > 0) & (v <= MAX_DEPTH)
+        return (v > MIN_DEPTH) & (v <= MAX_DEPTH)
 
 
 def write_pfm(path, values) -> None:
@@ -249,25 +250,15 @@ def fuse(
     """
     _check_fusion_options(voxel)
     chunks = []
-    centers = []
     for camera, depth in views:
-        centers.append(camera.center)
         mask = depth.valid_mask
-        if not mask.any():
-            continue
-        rows, cols = np.nonzero(mask)
-        z = depth.values[rows, cols]
-        p_cam = np.empty((len(z), 3))
-        p_cam[:, 0] = (cols - camera.cx) * z / camera.fx
-        p_cam[:, 1] = (rows - camera.cy) * z / camera.fy
-        p_cam[:, 2] = z
-        chunks.append(camera.pose.apply(p_cam))
-    if not chunks:
+        chunks.append(camera.deproject(np.argwhere(mask)[:, ::-1], depth.values[mask]))
+    if not any(map(len, chunks)):
         raise EmptyCloudError("no valid depth pixels in any view")
     points = np.vstack(chunks)
     if voxel > 0:
         points = _voxel_centroids(points, voxel)
-    toward = np.mean(centers, axis=0)
+    toward = np.mean([camera.center for camera, _ in views], axis=0)
     return FusedCloud._with_pca_normals(points, toward)
 
 

@@ -187,36 +187,41 @@ class PinholeCamera:
         """Camera center in the base frame."""
         return self.pose.translation
 
-    def contains(self, pixel: Pixel) -> bool:
-        return 0 <= pixel.u < self.width and 0 <= pixel.v < self.height
+    def contains(self, pixels):
+        """Whether a pixel (u, v), or each row of an (N, 2) array, lies in the image:
+        0 <= u < width and 0 <= v < height.  A NaN pixel lies outside."""
+        uv = np.asarray(pixels, dtype=float)
+        inside = np.all((uv >= 0) & (uv < (self.width, self.height)), axis=-1)
+        return inside if uv.ndim > 1 else bool(inside)
+
+    def project_points(self, points) -> np.ndarray:
+        """Pixels (N, 2) of base-frame points (N, 3); NaN for a point at or
+        behind the camera plane.  A pixel may fall outside the image: `contains`
+        decides that."""
+        p_cam = self.pose.inverse().apply(np.asarray(points, dtype=float).reshape(-1, 3))
+        z = np.where(p_cam[:, 2] > MIN_DEPTH, p_cam[:, 2], np.nan)[:, None]
+        return [self.fx, self.fy] * p_cam[:, :2] / z + [self.cx, self.cy]
 
     def project(self, point) -> Pixel:
-        """Project a base-frame point into the image.
+        """`project_points` of one point; raises NonPositiveDepthError when the
+        point sits at or behind the camera plane."""
+        (uv,) = self.project_points(_as_vec3(point, "point"))
+        if np.isnan(uv[0]):
+            raise NonPositiveDepthError(f"point {point} is at or behind the camera plane")
+        return Pixel(float(uv[0]), float(uv[1]))
 
-        Raises NonPositiveDepthError when the point sits at or behind the
-        camera plane.  The returned pixel may fall outside the image bounds;
-        callers decide whether that matters.
-        """
-        p_cam = self.pose.inverse().apply(_as_vec3(point, "point"))
-        z = p_cam[2]
-        if z <= MIN_DEPTH:
-            raise NonPositiveDepthError(f"point has camera depth {z:.3e} m")
-        return Pixel(
-            float(self.fx * p_cam[0] / z + self.cx),
-            float(self.fy * p_cam[1] / z + self.cy),
-        )
-
-    def deproject(self, pixel: Pixel, depth: float) -> np.ndarray:
-        """Lift a pixel with a known camera-frame depth back to the base frame."""
-        if depth <= MIN_DEPTH:
-            raise NonPositiveDepthError(f"depth must be positive, got {depth!r}")
-        p_cam = np.array(
-            [
-                (pixel.u - self.cx) * depth / self.fx,
-                (pixel.v - self.cy) * depth / self.fy,
-                depth,
-            ]
-        )
+    def deproject(self, pixels, depth) -> np.ndarray:
+        """Lift pixels with known camera-frame depths back to the base frame:
+        one pixel (u, v) at a scalar depth gives (3,), an (N, 2) array at (N,)
+        depths gives (N, 3).  A depth at or below MIN_DEPTH raises."""
+        uv, z = np.asarray(pixels), np.asarray(depth, dtype=float)
+        bad = z[z <= MIN_DEPTH]
+        if bad.size:
+            raise NonPositiveDepthError(f"depth must be positive, got {float(bad[0])!r}")
+        p_cam = np.empty(z.shape + (3,))
+        p_cam[..., 0] = (uv[..., 0] - self.cx) * z / self.fx
+        p_cam[..., 1] = (uv[..., 1] - self.cy) * z / self.fy
+        p_cam[..., 2] = z
         return self.pose.apply(p_cam)
 
     def pixel_rays(self, uv) -> tuple[np.ndarray, np.ndarray]:

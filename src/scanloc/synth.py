@@ -222,7 +222,7 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
     """
     a, c, h = torso.half_width, torso.thickness, torso.base_height
     box = [[x, y, z] for x in (-a, a) for y in (0.0, torso.length) for z in (h, h + c)]
-    uv, _ = _project_visible(camera, np.array(box))
+    uv = camera.project_points(box)
     lo, hi = (0, 0), (camera.width, camera.height)
     if not np.isnan(uv).any():
         lo, hi = np.floor(uv.min(axis=0)) - 1, np.ceil(uv.max(axis=0)) + 2
@@ -249,15 +249,6 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
     return DepthMap(values=depth)
 
 
-def _project_visible(camera: PinholeCamera, points: np.ndarray):
-    """Pixels for world points (NaN at or behind the camera plane), with an
-    in-bounds mask."""
-    local = camera.pose.inverse().apply(points)
-    z = np.where(local[:, 2] > MIN_DEPTH, local[:, 2], np.nan)[:, None]
-    uv = [camera.fx, camera.fy] * local[:, :2] / z + [camera.cx, camera.cy]
-    return uv, np.all((uv >= 0) & (uv <= [camera.width - 1, camera.height - 1]), axis=1)
-
-
 def _check_visibility(cameras, torso: TorsoSpec) -> None:
     xs = np.linspace(-torso.half_width, torso.half_width, 21)
     ys = np.linspace(0.0, torso.length, 21)
@@ -265,8 +256,7 @@ def _check_visibility(cameras, torso: TorsoSpec) -> None:
     gz = torso.surface_height(gx, gy)
     samples = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
     for index, camera in enumerate(cameras):
-        _, inside = _project_visible(camera, samples)
-        fraction = float(np.mean(inside))
+        fraction = float(np.mean(camera.contains(camera.project_points(samples))))
         if fraction < MIN_VISIBLE_FRACTION:
             raise CameraMissesTorsoError(
                 f"camera {index} sees only {fraction:.0%} of the torso surface"
@@ -309,8 +299,8 @@ def _exact_pixels(cameras, named_points: dict, what: str) -> tuple[dict, dict]:
     names = list(named_points)
     points = np.array([named_points[n] for n in names])
     for vi, camera in enumerate(cameras):
-        uv, inside = _project_visible(camera, points)
-        for name, px, ok in zip(names, uv, inside):
+        uv = camera.project_points(points)
+        for name, px, ok in zip(names, uv, camera.contains(uv)):
             if not ok:
                 raise CameraMissesTorsoError(
                     f"{what} {name} projects outside camera {vi}"

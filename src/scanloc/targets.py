@@ -37,7 +37,7 @@ from .errors import (
     RankDeficientError,
     ZeroVectorError,
 )
-from .geometry import PinholeCamera, Pixel, rotation_to_angle_axis, triangulate
+from .geometry import PinholeCamera, Pixel, _as_vec3, rotation_to_angle_axis, triangulate
 from .jsonfile import _check_keys, _finite, read_json, write_json
 
 log = logging.getLogger(__name__)
@@ -62,14 +62,15 @@ _SIGN_TOL = 1e-9
 # human-scale sanity bounds on keypoint separations
 _MIN_KEYPOINT_DIST = 0.05
 _MAX_KEYPOINT_DIST = 1.5
+# a params ratio beyond this moves a target more than 1.5 m even off the shortest segment
+_MAX_RATIO = _MAX_KEYPOINT_DIST / _MIN_KEYPOINT_DIST
 
 
 def _opt_vec3(value, name):
+    """None for None, else `_as_vec3(value, name)`, read-only."""
     if value is None:
         return None
-    v = np.asarray(value, dtype=float).reshape(-1)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be a finite 3-vector")
+    v = _as_vec3(value, name)
     v.flags.writeable = False
     return v
 
@@ -606,12 +607,17 @@ def params_to_dict(params: TargetModelParams, axes: ReferenceAxes) -> dict:
 
 def _ratio_pair(entry: dict, keys: tuple[str, str], where: str) -> RatioPair:
     _check_keys(entry, set(keys), where)
-    return RatioPair(*(float(_finite(entry.get(k), f"{where} {k}")) for k in keys))
+    ratios = [float(_finite(entry.get(k), f"{where} {k}")) for k in keys]
+    for key, ratio in zip(keys, ratios):
+        if abs(ratio) > _MAX_RATIO:
+            raise MalformedFileError(
+                f"{where} {key} must be at most {_MAX_RATIO:g} in magnitude, got {ratio!r}")
+    return RatioPair(*ratios)
 
 
 def params_from_dict(data: dict) -> tuple[TargetModelParams, ReferenceAxes]:
-    """Parse `params_to_dict` output; a missing or non-finite number raises
-    MalformedFileError naming its key."""
+    """Parse `params_to_dict` output; a missing or non-finite number, or a ratio
+    beyond _MAX_RATIO in magnitude, raises MalformedFileError naming its key."""
     _check_keys(data, {"front", "side", "reference_axes"}, "params")
     entries = data.get("front", {})
     if not isinstance(entries, dict):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,22 @@ def assert_one_line_error(caplog, *names):
         assert name in error.getMessage()
     assert "\n" not in error.getMessage()
     assert error.exc_info is None
+
+
+def localize_with_params(tmp_path, pose, params) -> tuple[int, object]:
+    """`localize --pose pose` on a one-scene cohort with `params` as its params file,
+    with every warning turned into an error: (exit code, --out path)."""
+    config = tmp_path / "synth.json"
+    write_synth_config(config, n=1, pose=pose)
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "scenes")]) == 0
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps(params))
+    out = tmp_path / "poses.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["localize", "--scene", str(tmp_path / "scenes" / "scene_000"),
+                     "--params", str(params_file), "--pose", pose, "--out", str(out)])
+    return code, out
 
 
 class TestMalformedInput:
@@ -777,16 +794,19 @@ class TestFitFaults:
         assert not (tmp_path / "poses.json").exists()
 
     def test_localize_with_overflowing_ratios_exits_1(self, tmp_path, caplog):
-        config = tmp_path / "synth.json"
-        write_synth_config(config, n=1, pose="side")
-        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "scenes")]) == 0
-        params_file = tmp_path / "params.json"
-        params_file.write_text(json.dumps({"side": {"r_s1": 1e308, "r_s2": 0.1}}))
-        out = tmp_path / "poses.json"
         with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(["localize", "--scene", str(tmp_path / "scenes" / "scene_000"),
-                         "--params", str(params_file), "--pose", "side", "--out", str(out)]) == 1
-        assert_one_line_error(caplog, "planar target must be finite")
+            code, out = localize_with_params(
+                tmp_path, "side", {"side": {"r_s1": 1e308, "r_s2": 0.1}})
+        assert code == 1
+        assert_one_line_error(caplog, "side target r_s1 must be at most 30 in magnitude")
+        assert not out.exists()
+
+    def test_localize_with_overflowing_front_ratio_exits_1(self, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            code, out = localize_with_params(
+                tmp_path, "front", {"front": {"1": {"r_f1": 1e308, "r_f2": 0.1}}})
+        assert code == 1
+        assert_one_line_error(caplog, "front target 1 r_f1 must be at most 30 in magnitude")
         assert not out.exists()
 
     def test_fit_on_cohort_without_the_target_exits_1(self, cohort_dir, tmp_path, caplog):

@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from helpers import look_at_camera, render_sphere_depth
 from scanloc.cloud import (
+    MAX_DEPTH,
     DepthMap,
     FusedCloud,
     _pca_normals,
@@ -35,7 +36,7 @@ from scanloc.errors import (
     ScanlocError,
     VoxelKeyOverflowError,
 )
-from scanloc.geometry import angle_between_degrees
+from scanloc.geometry import MIN_DEPTH, angle_between_degrees
 from scanloc.synth import NoiseSpec, generate_cohort
 
 
@@ -129,7 +130,22 @@ class TestDepthMap:
         assert mask.tolist() == [[True, False], [False, False]]
 
 
+    def test_valid_depths_are_the_ones_deproject_accepts(self):
+        mask = DepthMap(np.array([[MIN_DEPTH, 2 * MIN_DEPTH, MAX_DEPTH, np.inf, -1.0]])).valid_mask
+        assert mask.tolist() == [[False, True, True, False, False]]
+
+
 class TestFuse:
+    def test_depth_below_min_depth_is_a_missing_pixel(self):
+        cam = look_at_camera([0, 0.01, 1.0], [0, 0.01, 0], fx=300, width=20, height=20)
+        values = np.full((20, 20), 1.0)
+        values[5, 7] = 0.0
+        zeroed = fuse([(cam, DepthMap(values))], voxel=0)
+        values[5, 7] = 1e-10
+        tiny = fuse([(cam, DepthMap(values))], voxel=0)
+        assert len(tiny) == 399
+        assert np.array_equal(tiny.points, zeroed.points)
+
     def test_flat_plane_normals_point_up(self):
         cam = look_at_camera([0.0, 0.01, 1.0], [0.0, 0.01, 0.0], fx=300, width=120, height=90)
         depth = DepthMap(np.full((90, 120), 1.0))

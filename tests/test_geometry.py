@@ -167,6 +167,54 @@ class TestProjection:
         with pytest.raises(NonPositiveDepthError):
             cam.deproject(Pixel(320, 240), 0.0)
 
+    def test_deproject_many_equals_each_bitwise(self):
+        # A camera looking straight down has a signed-permutation rotation, which
+        # rotates exactly: rows must then agree bit for bit.  A general pose agrees
+        # to rounding only, because numpy rotates one row (gemv) and many (gemm)
+        # with different BLAS kernels, which may round differently.
+        rng = np.random.default_rng(14)
+        for k in range(20):
+            centre = rng.uniform(-1, 1, 3) + [0, 0, 2]
+            target = centre - [0, 0, 1] if k % 2 else rng.uniform(-0.3, 0.3, 3)
+            cam = look_at_camera(centre, target)
+            uv = np.column_stack([rng.uniform(0, 640, 50), rng.uniform(0, 480, 50)])
+            depths = rng.uniform(0.2, 5.0, 50)
+            many = cam.deproject(uv, depths)
+            assert many.shape == (50, 3)
+            each = np.array([cam.deproject(Pixel(*pixel), depth) for pixel, depth in zip(uv, depths)])
+            assert np.array_equal(many, each) if k % 2 else np.allclose(many, each, rtol=0, atol=1e-12)
+
+    def test_deproject_rejects_any_depth_at_or_below_min(self):
+        cam = PinholeCamera(500, 500, 320, 240, 640, 480, RigidTransform.identity())
+        with pytest.raises(NonPositiveDepthError):
+            cam.deproject([[320, 240], [10, 20]], [1.0, 1e-10])
+
+    def test_project_points_rows_equal_project_bitwise(self):
+        # bit for bit when the rotation is exact (see the deproject test above)
+        rng = np.random.default_rng(15)
+        for k in range(20):
+            centre = rng.uniform(-1, 1, 3) + [0, 0, 2]
+            target = centre - [0, 0, 1] if k % 2 else rng.uniform(-0.3, 0.3, 3)
+            cam = look_at_camera(centre, target)
+            points = rng.uniform(-0.4, 0.4, (50, 3))
+            many = cam.project_points(points)
+            assert many.shape == (50, 2)
+            each = np.array([cam.project(point) for point in points])
+            assert np.array_equal(many, each) if k % 2 else np.allclose(many, each, rtol=0, atol=1e-9)
+
+    def test_project_points_gives_nan_behind_the_camera(self):
+        cam = PinholeCamera(500, 500, 320, 240, 640, 480, RigidTransform.identity())
+        uv = cam.project_points([[0.1, -0.2, 2.0], [0, 0, -1.0], [0.3, 0.1, 0.0]])
+        assert uv[0].tolist() == [345.0, 190.0]
+        assert np.isnan(uv[1:]).all()
+
+    def test_contains_one_pixel_or_many(self):
+        cam = PinholeCamera(500, 500, 320, 240, 640, 480, RigidTransform.identity())
+        uv = np.array([[0, 0], [639.5, 479.5], [640, 10], [10, -0.5], [np.nan, 10], [10, 240]])
+        assert cam.contains(uv).tolist() == [True, True, False, False, False, True]
+        assert cam.contains(Pixel(639.5, 0.0)) is True
+        assert cam.contains(Pixel(float("nan"), 0.0)) is False
+
     def test_camera_dict_round_trip(self):
         cam = look_at_camera([0.15, 0.3, 1.0], [0, 0.3, 0.1])
         back = PinholeCamera.from_dict(cam.to_dict())

@@ -15,6 +15,7 @@ from scanloc.geometry import angle_between_degrees
 from scanloc.synth import (
     NoiseSpec,
     TorsoSpec,
+    _exact_pixels,
     default_cameras,
     default_ratios,
     generate_cohort,
@@ -26,8 +27,10 @@ from scanloc.synth import (
     save_scene,
 )
 from scanloc.targets import (
+    RIGHT_HIP,
     FitDataset,
     FitSample,
+    KeypointObservation,
     Keypoints3D,
     fit_front,
     fit_side,
@@ -242,6 +245,14 @@ class TestGenerateScene:
             generate_scene(TORSO, TargetModelParams(front={}), None, NoiseSpec(), "front")
         with pytest.raises(ConfigError):
             generate_scene(TORSO, TargetModelParams(side=None), None, NoiseSpec(), "side")
+
+    def test_exact_pixels_take_the_last_half_column(self):
+        # the in-image rule is `contains`, as for an observed joint: u in [width - 1, width)
+        cam = look_at_camera([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], fx=500)  # u = 320 - 500 x
+        view, _ = _exact_pixels((cam, cam), {RIGHT_HIP: np.array([-0.639, 0.0, 0.0])}, "keypoint")
+        pixel = view[RIGHT_HIP]
+        assert 639 < pixel.u < 640
+        assert KeypointObservation(views=(view, {})).joint_in_view(RIGHT_HIP, 0, cam) == pixel
 
     def test_camera_missing_torso_rejected(self):
         cams = default_cameras(TORSO)

@@ -13,6 +13,7 @@ from scanloc.errors import (
     DegenerateRollError,
     MissingKeypointError,
     InsufficientSamplesError,
+    MalformedFileError,
     RankDeficientError,
 )
 from scanloc.geometry import Pixel, angle_axis_to_rotation, RigidTransform
@@ -432,6 +433,15 @@ class TestParamsIO:
             pair = RatioPair(1.5, 0.2)
         assert pair.segment_ratio == 1.5
         assert any("outside" in rec.message for rec in caplog.records)
+
+    def test_ratio_beyond_thirty_rejected_naming_its_key(self):
+        # 30 = the longest over the shortest human-scale segment: the bound is inclusive
+        params, _ = params_from_dict({"side": {"r_s1": -30.0, "r_s2": 30}, "front": {}})
+        assert params.side == RatioPair(-30.0, 30.0)
+        for entry, key in (({"side": {"r_s1": 0.4, "r_s2": -30.5}}, "side target r_s2"),
+                           ({"front": {"2": {"r_f1": 31, "r_f2": 0.2}}}, "front target 2 r_f1")):
+            with pytest.raises(MalformedFileError, match=key):
+                params_from_dict(entry)
 
     def test_dict_round_trip_exact(self):
         params = TargetModelParams(front={1: RatioPair(0.123456789, -0.5)}, side=None)
