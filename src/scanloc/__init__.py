@@ -52,6 +52,7 @@ from .targets import (
     TargetModelParams,
     fit_front,
     fit_side,
+    fit_target,
     front_target,
     localize,
     side_target,
@@ -84,6 +85,7 @@ __all__ = [
     "estimate_camera_pose",
     "fit_front",
     "fit_side",
+    "fit_target",
     "front_target",
     "fuse",
     "generate_cohort",

@@ -23,8 +23,6 @@ from .errors import ConfigError, InvalidRangeError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
-    _fit_for_target,
-    _params_for_target,
     _scene_sample,
     backprojection_comparison,
     loocv,
@@ -53,6 +51,7 @@ from .targets import (
     FRONT_TARGET_IDS,
     FitDataset,
     ReferenceAxes,
+    fit_target,
     load_params,
     localize,
     params_from_dict,
@@ -180,9 +179,8 @@ def _cmd_fit(args) -> int:
             log.warning("skipping scene %d: %s", scene.scene_id, fault)
         else:
             samples.append(sample)
-    axes = ReferenceAxes()
-    result = _fit_for_target(FitDataset(samples), args.target, axes)
-    save_params(args.out, _params_for_target(args.target, result.ratios), axes)
+    params, result = fit_target(FitDataset(samples), args.target)
+    save_params(args.out, params, ReferenceAxes())
     log.info(
         "fitted target %d on %d scenes: segment %.6f offset %.6f, "
         "mean planar residual %.3f mm -> %s",

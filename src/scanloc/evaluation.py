@@ -30,10 +30,7 @@ from .targets import (
     FitDataset,
     FitSample,
     RatioPair,
-    ReferenceAxes,
-    TargetModelParams,
-    fit_front,
-    fit_side,
+    fit_target,
     pose_keypoints,
     pose_kind_for_target,
     poses_from_keypoints,
@@ -109,37 +106,23 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
     return sample, ""
 
 
-def _fit_for_target(dataset: FitDataset, target_id: int, axes: ReferenceAxes):
-    if pose_kind_for_target(target_id) == "front":
-        return fit_front(dataset, fallback_reference=axes.front)
-    return fit_side(dataset, reference=axes.side)
-
-
-def _params_for_target(target_id: int, ratios: RatioPair) -> TargetModelParams:
-    """Params that hold `ratios` for this one target and nothing else."""
-    if pose_kind_for_target(target_id) == "front":
-        return TargetModelParams(front={target_id: ratios})
-    return TargetModelParams(side=ratios)
-
-
 def scene_cloud(scene: SyntheticScene, voxel: float = DEFAULT_EVAL_VOXEL) -> FusedCloud:
     return fuse(list(zip(scene.cameras, scene.depths)), voxel=voxel)
 
 
-def loocv(scenes, target_id: int, clouds, axes: ReferenceAxes | None = None) -> list[FoldResult]:
+def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
     """Leave-one-out folds over the scenes, in scene order.
 
     `clouds` aligns 1:1 with `scenes`: the fused cloud each held-out scene
     is localized in (see `scene_cloud`), from the keypoints its fit sample
     holds, so each scene is triangulated once.  Each fold's fit is an exact
-    least-squares solve, a pure function of its training set, so fold order
-    cannot change results.
+    least-squares solve (`fit_target`), a pure function of its training set,
+    so fold order cannot change results.
     """
     pose_kind = pose_kind_for_target(target_id)
     scenes = list(scenes)
     if len(scenes) < 2:
         raise InsufficientDataError(f"leave-one-out needs >= 2 scenes, got {len(scenes)}")
-    axes = axes or ReferenceAxes()
 
     samples, faults = zip(*(_scene_sample(scene, target_id) for scene in scenes))
 
@@ -156,12 +139,8 @@ def loocv(scenes, target_id: int, clouds, axes: ReferenceAxes | None = None) -> 
                 FoldResult(scene.scene_id, target_id, True, "no valid training scenes")
             )
             continue
-        fit = _fit_for_target(FitDataset(training), target_id, axes)
-        poses = poses_from_keypoints(
-            samples[i].keypoints, clouds[i], _params_for_target(target_id, fit.ratios),
-            pose_kind, axes=axes,
-        )
-        (pose,) = [p for p in poses if p.target_id == target_id]
+        params, fit = fit_target(FitDataset(training), target_id)
+        (pose,) = poses_from_keypoints(samples[i].keypoints, clouds[i], params, pose_kind)
         gt = scene.targets_true[target_id]
         position_error = 1000.0 * float(np.linalg.norm(pose.position - gt))
         normal_error = angle_between_degrees(

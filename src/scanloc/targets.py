@@ -10,8 +10,9 @@ segment, with its sideways step scaled by the walked distance rather than
 the whole segment.  Fitting, regression, localization and the synthetic
 ground truth all read a segment through `_segment`.
 
-Fitting recovers the two ratios per target from examples by minimizing
-the mean squared planar (XY) mismatch.  Both models are linear least
+Fitting (`fit_target`, the one entry per target id) recovers the two
+ratios per target from examples by minimizing the mean squared planar (XY)
+mismatch under the default `ReferenceAxes`.  Both models are linear least
 squares solved by one shared `lstsq` call: the front model in its two
 ratios directly, the lateral one in (walk ratio, walk ratio magnitude
 times sideways ratio), from which the sideways ratio is recovered.
@@ -288,9 +289,10 @@ def _lstsq_ratios(starts, segs, lengths, perps, targets) -> tuple[float, float, 
     return a, c, float(np.mean(np.linalg.norm(pred - targets, axis=1)))
 
 
-def _sample_arrays(data: FitDataset, pose_kind: str, axes: ReferenceAxes):
-    """Planar design rows of every sample: segment starts, segments, segment
-    lengths, unit sideways directions and annotated targets."""
+def _sample_arrays(data: FitDataset, pose_kind: str):
+    """Planar design rows of every sample, under the default `ReferenceAxes`:
+    segment starts, segments, lengths, unit sideways directions and targets."""
+    axes = ReferenceAxes()
     starts = np.empty((len(data), 2))
     segs = np.empty((len(data), 2))
     lengths = np.empty(len(data))
@@ -307,7 +309,7 @@ def _sample_arrays(data: FitDataset, pose_kind: str, axes: ReferenceAxes):
     return starts, segs, lengths, perps, gts
 
 
-def fit_front(data: FitDataset, fallback_reference=None) -> FitResult:
+def fit_front(data: FitDataset) -> FitResult:
     """Closed-form least squares for the front-target ratios.
 
     Each sample contributes its two planar equations
@@ -317,37 +319,11 @@ def fit_front(data: FitDataset, fallback_reference=None) -> FitResult:
     distance between predictions and annotations (not the squared loss
     being minimized).
     """
-    axes = ReferenceAxes()
-    if fallback_reference is not None:
-        axes = ReferenceAxes(front=fallback_reference)
-    a, b, residual = _lstsq_ratios(*_sample_arrays(data, "front", axes))
+    a, b, residual = _lstsq_ratios(*_sample_arrays(data, "front"))
     return FitResult(ratios=RatioPair(a, b), mean_planar_residual=residual)
 
 
-def side_objective(theta, arrays) -> tuple[float, np.ndarray]:
-    """Mean squared planar error of the lateral model, with its gradient.
-
-    theta = (segment_ratio, offset_ratio).  The |segment_ratio| factor uses
-    sign(segment_ratio) as its derivative (0 at exactly 0).
-    """
-    shoulders, segs, lengths, perps, gts = arrays
-    a, b = float(theta[0]), float(theta[1])
-    walked = np.abs(a) * lengths
-    pred = shoulders + a * segs + (b * walked)[:, None] * perps
-    diff = pred - gts
-    loss = float(np.mean(np.einsum("ij,ij->i", diff, diff)))
-    dpred_da = segs + (b * np.sign(a) * lengths)[:, None] * perps
-    dpred_db = walked[:, None] * perps
-    grad = np.array(
-        [
-            2.0 * np.mean(np.einsum("ij,ij->i", diff, dpred_da)),
-            2.0 * np.mean(np.einsum("ij,ij->i", diff, dpred_db)),
-        ]
-    )
-    return loss, grad
-
-
-def fit_side(data: FitDataset, reference=None) -> FitResult:
+def fit_side(data: FitDataset) -> FitResult:
     """Exact least-squares fit of the lateral-target ratios.
 
     The lateral model shoulder + a * seg + b * |a| * |seg| * t2 is linear
@@ -355,13 +331,22 @@ def fit_side(data: FitDataset, reference=None) -> FitResult:
     global optimum and b = c / |a|.  At a = 0 the target sits on the
     shoulder and b is undefined: that raises RankDeficientError.
     """
-    axes = ReferenceAxes() if reference is None else ReferenceAxes(side=reference)
-    a, c, residual = _lstsq_ratios(*_sample_arrays(data, "side", axes))
+    a, c, residual = _lstsq_ratios(*_sample_arrays(data, "side"))
     if a == 0.0:
         raise RankDeficientError(
             "fitted segment ratio is 0; the offset ratio is not identifiable"
         )
     return FitResult(ratios=RatioPair(a, c / abs(a)), mean_planar_residual=residual)
+
+
+def fit_target(data: FitDataset, target_id: int) -> tuple[TargetModelParams, FitResult]:
+    """Fit one target's ratios: params that hold them for that target alone,
+    and the fit.  The one place a target id picks `fit_front` or `fit_side`."""
+    if pose_kind_for_target(target_id) == "front":
+        result = fit_front(data)
+        return TargetModelParams(front={target_id: result.ratios}), result
+    result = fit_side(data)
+    return TargetModelParams(side=result.ratios), result
 
 
 # orientation and full localization ------------------------------------------

@@ -51,13 +51,11 @@ from scanloc.synth import (
 )
 from scanloc.targets import (
     ReferenceAxes,
-    _sample_arrays,
     fit_front,
     fit_side,
     front_reference,
     front_target,
     localize,
-    side_objective,
     side_target,
 )
 
@@ -256,11 +254,25 @@ def planar_design(data):
     return map(np.asarray, (starts, segs, offs, gts))
 
 
+def side_planar_design(data):
+    """Shoulders, segments, |segment| * sideways unit and targets, in XY."""
+    shoulders, segs, offs, gts = [], [], [], []
+    for sample in data.samples:
+        kps = sample.keypoints
+        t2 = oracle_perpendicular(kps.right_shoulder, kps.right_hip, np.array([1.0, 0.0, 0.0]))
+        seg = kps.right_hip - kps.right_shoulder
+        shoulders.append(kps.right_shoulder[:2])
+        segs.append(seg[:2])
+        offs.append(np.linalg.norm(seg) * t2[:2])
+        gts.append(sample.target[:2])
+    return map(np.asarray, (shoulders, segs, offs, gts))
+
+
 def test_criterion_4_fit_optimality():
-    """fit_front beats every probe of a 201x201 grid over [-1,1]^2 on 10
-    noisy cohorts (in its mean squared planar objective); the side-fit
-    analytic gradient matches central differences to relative 1e-5; both
-    recover generative ratios on noiseless cohorts (1e-9 / 1e-3)."""
+    """fit_front and fit_side each beat every probe of a 201x201 grid over
+    [-1,1]^2 on 10 noisy cohorts (in the mean squared planar loss of their
+    model: the side fit is a global optimum); both recover generative
+    ratios on noiseless cohorts (1e-9 / 1e-3)."""
     grid = np.linspace(-1.0, 1.0, 201)
     for seed in range(10):
         rng = np.random.default_rng(4100 + seed)
@@ -282,25 +294,22 @@ def test_criterion_4_fit_optimality():
         grid_losses = np.mean(np.sum((pred - gts[None, None]) ** 2, axis=-1), axis=-1)
         assert fit_loss <= grid_losses.min() + 1e-12, f"cohort seed {4100 + seed}"
 
-    rng = np.random.default_rng(404)
-    data = make_side_dataset(rng, 8, (0.4, 0.25), noise_sigma=0.003)
-    arrays = _sample_arrays(data, "side", ReferenceAxes())
-    h = 1e-6
-    checked = 0
-    while checked < 100:
-        theta = rng.uniform(-0.9, 0.9, 2)
-        if abs(theta[0]) < 0.05:
-            continue
-        _, grad = side_objective(theta, arrays)
-        for axis in (0, 1):
-            step = np.zeros(2)
-            step[axis] = h
-            hi, _ = side_objective(theta + step, arrays)
-            lo, _ = side_objective(theta - step, arrays)
-            fd = (hi - lo) / (2 * h)
-            denom = max(abs(fd), abs(grad[axis]), 1e-8)
-            assert abs(grad[axis] - fd) / denom < 1e-5
-        checked += 1
+    for seed in range(10):
+        rng = np.random.default_rng(4200 + seed)
+        data = make_side_dataset(rng, 20, (0.5, 0.2), noise_sigma=0.005)
+        result = fit_side(data)
+        shoulders, segs, offs, gts = side_planar_design(data)
+        a, b = result.ratios.segment_ratio, result.ratios.offset_ratio
+        pred_fit = shoulders + a * segs + b * abs(a) * offs
+        fit_loss = np.mean(np.sum((pred_fit - gts) ** 2, axis=1))
+        ag, bg = np.meshgrid(grid, grid, indexing="ij")
+        pred = (
+            shoulders[None, None]
+            + ag[..., None, None] * segs[None, None]
+            + (bg * np.abs(ag))[..., None, None] * offs[None, None]
+        )
+        grid_losses = np.mean(np.sum((pred - gts[None, None]) ** 2, axis=-1), axis=-1)
+        assert fit_loss <= grid_losses.min() + 1e-12, f"side cohort seed {4200 + seed}"
 
     rng = np.random.default_rng(405)
     clean_front = make_front_dataset(rng, 15, (0.58, 0.27))

@@ -3,6 +3,7 @@
 import argparse
 import filecmp
 import hashlib
+import io
 import json
 import logging
 import shutil
@@ -10,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from scanloc.cli import _parse_thresholds, build_parser, main
@@ -56,6 +58,21 @@ def cohort_dir(tmp_path_factory):
     config = root / "synth.json"
     write_synth_config(
         config, noise={"keypoint_sigma_px": 0.5, "depth_sigma_m": 0.002}
+    )
+    scenes = root / "scenes"
+    assert main(["synth", "--config", str(config), "--out", str(scenes)]) == 0
+    return scenes
+
+
+@pytest.fixture(scope="module")
+def side_cohort_dir(tmp_path_factory):
+    """Five noisy side scenes; right-hip faults make scenes 1 and 4 faulty."""
+    root = tmp_path_factory.mktemp("cli_side_cohort")
+    config = root / "synth.json"
+    write_synth_config(
+        config, n=5, seed=11, pose="side",
+        noise={"keypoint_sigma_px": 0.5, "depth_sigma_m": 0.002,
+               "fault_prob": {"right_hip": 0.3}},
     )
     scenes = root / "scenes"
     assert main(["synth", "--config", str(config), "--out", str(scenes)]) == 0
@@ -210,6 +227,13 @@ REPORT_SHA256 = {
     "backprojection.csv": "45cf861f21ab7864b35fbccc2ad120c1b1648155c0047aef7ba6ba96354c0d67",
     "summary.json": "13a58f6a466cef652ade56d61422cb22ca0e628c996eb1ee48e5abd59cdef6f7",
 }
+# sha256 of what `fit --target 4` and `evaluate --target 4` write for the
+# `side_cohort_dir` cohort: the side fit's bytes, held like REPORT_SHA256.
+SIDE_REPORT_SHA256 = {
+    "params.json": "5b5a6da45d7472d345254dcd75a55a534cedee9d6eb9e1d3cad1467b3c0ea5c4",
+    "folds.csv": "9b442d7085a362486ab74eb5a554ccaca84bdc92ecd42c1d87e48a839d356885",
+    "summary.json": "eda05d43987a2dc86937f3a258848e0288e4c9ed46659765c261a4a223deae95",
+}
 # sha256 of what `fuse` writes for `cohort_dir`'s scene_001 at the default voxel
 CLOUD_SHA256 = "c4abee7469aba555186fd282c02d9aa2b0efe3dc5bd104ded92fb59ae67d9654"
 
@@ -285,6 +309,15 @@ class TestPipeline:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in REPORT_SHA256}
         assert digests == REPORT_SHA256
+
+    def test_side_report_bytes_are_pinned(self, side_cohort_dir, tmp_path):
+        assert main(["fit", "--dataset", str(side_cohort_dir), "--target", "4",
+                     "--out", str(tmp_path / "params.json")]) == 0
+        assert main(["evaluate", "--scenes", str(side_cohort_dir), "--target", "4",
+                     "--voxel", "0.004", "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in SIDE_REPORT_SHA256}
+        assert digests == SIDE_REPORT_SHA256
 
     def test_cloud_bytes_are_pinned(self, cohort_dir, tmp_path):
         out = tmp_path / "scene_001.cloud"
@@ -370,6 +403,31 @@ def localize_with_params(tmp_path, pose, params) -> tuple[int, object]:
     return code, out
 
 
+@pytest.fixture(scope="module")
+def cut_scene(cohort_dir, tmp_path_factory):
+    """A copy of `cohort_dir`'s scene_001, for tests that rewrite its files."""
+    scene = tmp_path_factory.mktemp("cut_scene") / "scene"
+    shutil.copytree(cohort_dir / "scene_001", scene)
+    return scene
+
+
+def main_stderr(argv) -> tuple[int, str]:
+    """`main(argv)` and what it logs, formatted as the CLI formats stderr.
+
+    Stands in for `caplog`, which is function-scoped and so cannot serve
+    a hypothesis test's examples."""
+    stream = io.StringIO()
+    handler = logging.StreamHandler(stream)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("scanloc")
+    logger.addHandler(handler)
+    try:
+        code = main(argv)
+    finally:
+        logger.removeHandler(handler)
+    return code, stream.getvalue()
+
+
 class TestMalformedInput:
     def test_fuse_on_truncated_pfm_exits_1(self, cohort_dir, tmp_path, caplog):
         scene = tmp_path / "scene"
@@ -381,6 +439,20 @@ class TestMalformedInput:
         with caplog.at_level(logging.ERROR, logger="scanloc"):
             assert main(["fuse", "--scene", str(scene), "--out", str(out)]) == 1
         assert_one_line_error(caplog, str(pfm))
+        assert not out.exists()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_fuse_on_pfm_cut_at_any_byte_exits_1(self, cohort_dir, cut_scene, data):
+        whole = (cohort_dir / "scene_001" / "depth_0.pfm").read_bytes()
+        cut = data.draw(st.integers(0, len(whole) - 1), label="cut")
+        (cut_scene / "depth_0.pfm").write_bytes(whole[:cut])
+        out = cut_scene.parent / "cloud.bin"
+        code, stderr = main_stderr(["fuse", "--scene", str(cut_scene), "--out", str(out)])
+        assert code == 1
+        assert len([line for line in stderr.splitlines()
+                    if line.startswith("ERROR scanloc: ")]) == 1, stderr
+        assert "Traceback" not in stderr
         assert not out.exists()
 
     @pytest.mark.parametrize(

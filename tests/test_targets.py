@@ -29,6 +29,7 @@ from scanloc.targets import (
     _segment,
     fit_front,
     fit_side,
+    fit_target,
     front_target,
     front_reference,
     load_params,
@@ -40,7 +41,6 @@ from scanloc.targets import (
     pose_kind_for_target,
     regress_targets,
     save_params,
-    side_objective,
     side_target,
 )
 
@@ -224,7 +224,7 @@ class TestFitFront:
     def test_recovers_without_hips_using_fallback_reference(self):
         rng = np.random.default_rng(909)
         data = make_front_dataset(rng, 10, (0.4, -0.15), with_hip=False)
-        result = fit_front(data, fallback_reference=np.array([0.0, 1.0, 0.0]))
+        result = fit_front(data)
         assert abs(result.ratios.segment_ratio - 0.4) < 1e-9
         assert abs(result.ratios.offset_ratio + 0.15) < 1e-9
 
@@ -289,28 +289,6 @@ class TestFitFront:
 
 
 class TestFitSide:
-    def test_gradient_matches_central_differences(self):
-        rng = np.random.default_rng(1313)
-        data = make_side_dataset(rng, 8, (0.4, 0.25), noise_sigma=0.003)
-        arrays = _sample_arrays(data, "side", ReferenceAxes())
-        h = 1e-6
-        checked = 0
-        while checked < 100:
-            theta = rng.uniform(-0.9, 0.9, 2)
-            if abs(theta[0]) < 0.05:
-                continue  # keep clear of the |r_s1| kink
-            _, grad = side_objective(theta, arrays)
-            fd = np.empty(2)
-            for k in range(2):
-                step = np.zeros(2)
-                step[k] = h
-                lp, _ = side_objective(theta + step, arrays)
-                lm, _ = side_objective(theta - step, arrays)
-                fd[k] = (lp - lm) / (2 * h)
-            rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-10)
-            assert rel < 1e-5
-            checked += 1
-
     def test_recovers_generative_ratios(self):
         rng = np.random.default_rng(1414)
         data = make_side_dataset(rng, 12, (0.55, 0.35))
@@ -321,16 +299,16 @@ class TestFitSide:
 
     def test_noisy_fit_beats_dense_grid(self):
         # exact optimum vs every probe of a 201x201 grid over [-1,1]^2, in the
-        # mean squared planar loss of the lateral model (side_objective)
+        # mean squared planar loss of the lateral model
         grid = np.linspace(-1.0, 1.0, 201)
         for seed in range(10):
             rng = np.random.default_rng(1500 + seed)
             data = make_side_dataset(rng, 20, (0.5, 0.2), noise_sigma=0.005)
-            arrays = _sample_arrays(data, "side", ReferenceAxes())
+            shoulders, segs, lengths, perps, gts = _sample_arrays(data, "side")
             result = fit_side(data)
-            theta = (result.ratios.segment_ratio, result.ratios.offset_ratio)
-            fit_loss, _ = side_objective(theta, arrays)
-            shoulders, segs, lengths, perps, gts = arrays
+            a, b = result.ratios.segment_ratio, result.ratios.offset_ratio
+            pred_fit = shoulders + a * segs + (b * abs(a) * lengths)[:, None] * perps
+            fit_loss = np.mean(np.sum((pred_fit - gts) ** 2, axis=1))
             a, b = np.meshgrid(grid, grid, indexing="ij")
             step = (b * np.abs(a))[..., None, None] * (lengths[:, None] * perps)[None, None]
             pred = shoulders[None, None] + a[..., None, None] * segs[None, None] + step
@@ -353,6 +331,26 @@ class TestFitSide:
         ])
         with pytest.raises(RankDeficientError):
             fit_side(at_shoulder)
+
+
+class TestFitTarget:
+    @pytest.mark.parametrize("target_id", [1, 2])
+    def test_front_target_holds_only_its_ratios(self, target_id):
+        data = make_front_dataset(np.random.default_rng(1700), 6, (0.62, 0.31))
+        params, result = fit_target(data, target_id)
+        assert params == TargetModelParams(front={target_id: result.ratios})
+        assert result.ratios == fit_front(data).ratios
+
+    def test_side_target_holds_only_the_side_ratios(self):
+        data = make_side_dataset(np.random.default_rng(1701), 6, (0.5, 0.2))
+        params, result = fit_target(data, 4)
+        assert params == TargetModelParams(side=result.ratios)
+        assert result.ratios == fit_side(data).ratios
+
+    def test_unknown_target_is_refused(self):
+        data = make_front_dataset(np.random.default_rng(1702), 3, (0.62, 0.31))
+        with pytest.raises(ValueError, match="unsupported target id 3"):
+            fit_target(data, 3)
 
 
 class TestOrientation:
