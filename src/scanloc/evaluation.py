@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import FusedCloud, fuse
+from .cloud import DepthMap, FusedCloud, fuse
 from .errors import (
     InsufficientDataError,
     MissingPixelError,
@@ -222,9 +222,13 @@ class BackprojectionResult:
 
 
 def _nearest_valid_depth(depth_map, pixel: Pixel):
-    """Depth at the closest valid pixel within NEAREST_PIXEL_RADIUS of `pixel`."""
-    mask = depth_map.valid_mask
+    """Depth at the closest valid pixel within NEAREST_PIXEL_RADIUS of `pixel`.
+    Only the window of pixels that close is tested for validity."""
     u0, v0 = int(round(pixel.u)), int(round(pixel.v))
+    top, left = max(v0 - NEAREST_PIXEL_RADIUS, 0), max(u0 - NEAREST_PIXEL_RADIUS, 0)
+    window = depth_map.values[top:max(v0 + NEAREST_PIXEL_RADIUS + 1, 0),
+                              left:max(u0 + NEAREST_PIXEL_RADIUS + 1, 0)]
+    valid = DepthMap(window).valid_mask
     span = range(-NEAREST_PIXEL_RADIUS, NEAREST_PIXEL_RADIUS + 1)
     offsets = sorted(
         (du * du + dv * dv, du, dv) for du in span for dv in span
@@ -232,7 +236,7 @@ def _nearest_valid_depth(depth_map, pixel: Pixel):
     )
     for _, du, dv in offsets:
         u, v = u0 + du, v0 + dv
-        if 0 <= u < depth_map.width and 0 <= v < depth_map.height and mask[v, u]:
+        if 0 <= u < depth_map.width and 0 <= v < depth_map.height and valid[v - top, u - left]:
             return float(depth_map.values[v, u])
     raise MissingPixelError(
         f"no valid depth within {NEAREST_PIXEL_RADIUS} px of ({pixel.u:.1f}, {pixel.v:.1f})"

@@ -94,13 +94,15 @@ class RigidTransform:
         m[:3, 3] = self.translation
         return m
 
-    def apply(self, points) -> np.ndarray:
-        """Transform one point (3,) or many points (N, 3)."""
+    def apply(self, points, out=None) -> np.ndarray:
+        """Transform one point (3,) or many points (N, 3), into `out` if given."""
         p = np.asarray(points, dtype=float)
         if p.shape == (3,):
-            return self.rotation @ p + self.translation
+            return np.add(self.rotation @ p, self.translation, out=out)
         if p.ndim == 2 and p.shape[1] == 3:
-            return p @ self.rotation.T + self.translation
+            out = np.matmul(p, self.rotation.T, out=out)
+            out += self.translation
+            return out
         raise ValueError(f"points must have shape (3,) or (N, 3), got {p.shape}")
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
@@ -210,19 +212,22 @@ class PinholeCamera:
             raise NonPositiveDepthError(f"point {point} is at or behind the camera plane")
         return Pixel(float(uv[0]), float(uv[1]))
 
-    def deproject(self, pixels, depth) -> np.ndarray:
+    def deproject(self, pixels, depth, out=None) -> np.ndarray:
         """Lift pixels with known camera-frame depths back to the base frame:
-        one pixel (u, v) at a scalar depth gives (3,), an (N, 2) array at (N,)
-        depths gives (N, 3).  A depth at or below MIN_DEPTH raises."""
-        uv, z = np.asarray(pixels), np.asarray(depth, dtype=float)
+        one pixel (u, v) at a scalar depth gives (3,); N pixels, as an (N, 2)
+        array or as a tuple (u, v) of (N,) arrays, at (N,) depths give (N, 3).
+        The result is written to `out` if given.  A depth at or below
+        MIN_DEPTH raises."""
+        u, v = pixels if isinstance(pixels, tuple) else np.moveaxis(np.asarray(pixels), -1, 0)
+        z = np.asarray(depth, dtype=float)
         bad = z[z <= MIN_DEPTH]
         if bad.size:
             raise NonPositiveDepthError(f"depth must be positive, got {float(bad[0])!r}")
         p_cam = np.empty(z.shape + (3,))
-        p_cam[..., 0] = (uv[..., 0] - self.cx) * z / self.fx
-        p_cam[..., 1] = (uv[..., 1] - self.cy) * z / self.fy
+        p_cam[..., 0] = (u - self.cx) * z / self.fx
+        p_cam[..., 1] = (v - self.cy) * z / self.fy
         p_cam[..., 2] = z
-        return self.pose.apply(p_cam)
+        return self.pose.apply(p_cam, out)
 
     def pixel_rays(self, uv) -> tuple[np.ndarray, np.ndarray]:
         """Base-frame rays through pixels, scaled so depth equals the ray parameter.

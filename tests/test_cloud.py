@@ -7,10 +7,13 @@ Oracles:
 * hand-built miniature clouds for the depth-adjustment rule,
 * the eager all-points normal computation for normals estimated on demand,
 * a brute-force `d2 <= r*r` ball and an SVD of the centred ball for PCA normals,
-* `np.unique(axis=0)` + `np.add.at` for the packed-key voxel centroids.
+* `np.unique(axis=0)` + `np.add.at` for the packed-key voxel centroids,
+* per-view `np.argwhere` pixels, `deproject` and `np.vstack` for `fuse`'s
+  one point buffer.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +133,15 @@ class TestDepthMap:
         assert mask.tolist() == [[True, False], [False, False]]
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_are_a_read_only_copy(self, dtype):
+        given = np.arange(6, dtype=dtype).reshape(2, 3) / 4
+        depth = DepthMap(given)
+        assert depth.values.dtype == np.float64 and not depth.values.flags.writeable
+        assert not np.shares_memory(depth.values, given)
+        given[0, 0] = 9.0
+        assert depth.values[0, 0] == 0.0 and given.flags.writeable
+
     def test_valid_depths_are_the_ones_deproject_accepts(self):
         mask = DepthMap(np.array([[MIN_DEPTH, 2 * MIN_DEPTH, MAX_DEPTH, np.inf, -1.0]])).valid_mask
         assert mask.tolist() == [[False, True, True, False, False]]
@@ -221,9 +233,54 @@ def unique_rows_centroids(points, voxel):
     return sums / counts[:, None]
 
 
-def scene_views(noise):
-    (scene,) = generate_cohort(1, noise=noise, pose_kind="side", seed=57)
+def scene_views(noise, pose_kind="side", seed=57):
+    (scene,) = generate_cohort(1, noise=noise, pose_kind=pose_kind, seed=seed)
     return list(zip(scene.cameras, scene.depths))
+
+
+def stacked_views_fuse(views, voxel):
+    """`fuse`'s points built view by view: `np.argwhere` pixels and one
+    `deproject` per view, `np.vstack`, then the unique-rows voxel centroids."""
+    points = np.vstack([
+        camera.deproject(np.argwhere(depth.valid_mask)[:, ::-1], depth.values[depth.valid_mask])
+        for camera, depth in views
+    ])
+    return unique_rows_centroids(points, voxel) if voxel > 0 else points
+
+
+NOISY = NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005, seed=59)
+MILD = NoiseSpec(keypoint_sigma_px=1.0, depth_sigma_m=0.002, seed=62)
+FUSION_CASES = [
+    pytest.param(NOISY, "side", 0.002, id="noisy-side-2mm"),
+    pytest.param(MILD, "front", 0.005, id="mild-front-5mm"),
+]
+
+
+class TestFusionBuffer:
+    @pytest.mark.parametrize(
+        "noise, pose_kind, voxel",
+        FUSION_CASES + [pytest.param(MILD, "front", 0.0, id="mild-front-voxel-0")],
+    )
+    def test_points_equal_the_stacked_views_bitwise(self, noise, pose_kind, voxel):
+        views = scene_views(noise, pose_kind, seed=63)
+        points = fuse(views, voxel=voxel).points
+        want = stacked_views_fuse(views, voxel)
+        assert points.shape == want.shape
+        assert points.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("noise, pose_kind, voxel", FUSION_CASES)
+    def test_peak_memory_is_a_few_point_arrays(self, noise, pose_kind, voxel):
+        """One `fuse` call holds at most 4.5 times the bytes of its raw points
+        (24 B per valid pixel) at once, its returned cloud included."""
+        views = scene_views(noise, pose_kind, seed=63)
+        pixels = sum(np.count_nonzero(depth.valid_mask) for _, depth in views)
+        tracemalloc.start()
+        try:
+            fuse(views, voxel=voxel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 24 * pixels, f"peak {peak / (24 * pixels):.2f}x the raw points"
 
 
 class TestVoxelCentroids:

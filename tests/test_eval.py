@@ -386,6 +386,14 @@ class TestBackprojection:
         values[0, 1] = 0.4
         assert _nearest_valid_depth(DepthMap(values), Pixel(0.0, 0.0)) == 0.4
 
+    def test_nearest_depth_beyond_the_image(self):
+        values = np.zeros((10, 10))
+        values[5, 9] = 0.7
+        assert _nearest_valid_depth(DepthMap(values), Pixel(11.0, 5.0)) == 0.7
+        for far in (Pixel(-40.0, -40.0), Pixel(40.0, 5.0), Pixel(5.0, 12.5)):
+            with pytest.raises(MissingPixelError):
+                _nearest_valid_depth(DepthMap(values), far)
+
     def test_median_pooling(self):
         from scanloc.evaluation import BackprojectionResult
 
