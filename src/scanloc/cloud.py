@@ -1,8 +1,10 @@
 """Depth-map fusion into an oriented point cloud, plus planar depth lookup.
 
 Every valid pixel of the two calibrated cameras' depth maps is deprojected
-into the base frame, one matrix product per view written straight into that
-view's rows of one point buffer, then voxel-downsampled (centroid per voxel).
+into the base frame.  Raw points are held as three coordinate rows, one (3, N)
+buffer: each view's one rows transform (`RigidTransform.apply_rows`, a single
+`R @ rows`) writes straight into that view's columns.  The points are then
+voxel-downsampled (centroid per voxel) one coordinate row at a time.
 Each normal is the PCA of the point's ball (every point within NORMAL_RADIUS),
 oriented toward the cameras and computed when read: a snap scans every point for
 its one ball, so `fuse` builds no index; only `FusedCloud.normals` computes all
@@ -149,7 +151,7 @@ class FusedCloud:
         nrm = np.asarray(normals, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape != nrm.shape:
             raise ValueError("points and normals must both have shape (N, 3)")
-        self._set_points(pts)
+        self._set_points(pts.copy())  # the caller still holds `points`
         if not np.all(np.isfinite(nrm)):
             raise ValueError("cloud coordinates must be finite")
         lengths = np.linalg.norm(nrm, axis=1)
@@ -160,7 +162,8 @@ class FusedCloud:
 
     @classmethod
     def _with_pca_normals(cls, points, toward) -> "FusedCloud":
-        """A cloud whose normals `_pca_normals` computes on demand."""
+        """A cloud that takes `points` as they are, marked read-only, and whose
+        normals `_pca_normals` computes on demand."""
         cloud = cls.__new__(cls)
         cloud._set_points(points)
         cloud._normals, cloud._toward = None, toward
@@ -171,7 +174,6 @@ class FusedCloud:
             raise EmptyCloudError("a fused cloud needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise ValueError("cloud coordinates must be finite")
-        pts = pts.copy()
         pts.flags.writeable = False
         self.points = pts
 
@@ -242,14 +244,16 @@ def fuse(
 ) -> FusedCloud:
     """Deproject every valid depth pixel and merge the views into one cloud.
 
-    Points fill one (N, 3) buffer view by view, in row-major pixel order, and
-    are optionally voxel-downsampled to per-voxel centroids; each full-size
-    array is allocated once.  Their PCA normals, oriented toward the cameras, are
-    computed per point when read (`normal_at`, which `adjust_target` calls);
-    only `normals` computes and keeps all of them.  A voxel of 0 keeps every point.
+    Raw points fill three coordinate rows, one (3, N) buffer, view by view in
+    row-major pixel order, and are optionally voxel-downsampled to per-voxel
+    centroids; each full-size array is allocated once, and the cloud takes the
+    last one without a copy.  `points` is an (N, 3) view of such rows.  Their
+    PCA normals, oriented toward the cameras, are computed per point when read
+    (`normal_at`, which `adjust_target` calls); only `normals` computes and
+    keeps all of them.  A voxel of 0 keeps every point.
     """
     _check_fusion_options(voxel)
-    points = _deproject_views(views)
+    points = _deproject_views(views).T
     if voxel > 0:
         points = _voxel_centroids(points, voxel)
     toward = np.mean([camera.center for camera, _ in views], axis=0)
@@ -264,19 +268,22 @@ def _check_fusion_options(voxel: float) -> None:
 
 def _deproject_views(views: list[tuple[PinholeCamera, DepthMap]]) -> np.ndarray:
     """Every valid pixel in the base frame, view by view in row-major pixel order,
-    in one (N, 3) array: each view's one `deproject` writes its own rows."""
+    as the three coordinate rows of one (3, N) array: each view's one `deproject`
+    writes its own columns.  Pixel coordinates are float grids gathered by the
+    valid mask; a view's gathered arrays are freed before the next view's."""
     masks = [depth.valid_mask for _, depth in views]
     counts = [int(np.count_nonzero(mask)) for mask in masks]
     if not any(counts):
         raise EmptyCloudError("no valid depth pixels in any view")
-    points = np.empty((sum(counts), 3))
+    rows = np.empty((3, sum(counts)))
     start = 0
     for (camera, depth), mask, count in zip(views, masks, counts):
-        index = np.flatnonzero(mask)
-        v, u = np.divmod(index, depth.width)
-        camera.deproject((u, v), depth.values.take(index), out=points[start:start + count])
+        height, width = mask.shape
+        u = np.broadcast_to(np.arange(width, dtype=float), mask.shape)
+        v = np.broadcast_to(np.arange(height, dtype=float)[:, None], mask.shape)
+        camera.deproject((u[mask], v[mask]), depth.values[mask], out=rows[:, start:start + count])
         start += count
-    return points
+    return rows
 
 
 def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:
@@ -284,25 +291,30 @@ def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:
 
     Each integer key is packed into one int64, offset by the minimum key with
     x as the most significant digit, so sorting the packed keys sorts the
-    keys lexicographically.  Sums accumulate in input order.  The keys are
-    floored in place and packed one column at a time into one int64 buffer.
+    keys lexicographically.  Sums accumulate in input order.  The points are
+    read as coordinate rows (`points.T`, contiguous for `fuse`'s points): each
+    row is divided and floored into one reused buffer and packed into one
+    int64 buffer, and the centroids come back as an (N, 3) view of their rows.
     """
-    keys = np.divide(points, voxel)
-    np.floor(keys, out=keys)
-    # per column: numpy reduces a column ~10x faster than an (N, 3) array over axis 0
-    lo, hi = np.array([(column.min(), column.max()) for column in keys.T]).T
+    rows = points.T
+    # floor(x / voxel) never decreases with x, so a row's key bounds are the
+    # keys of its own bounds
+    lo, hi = np.floor(np.array([(row.min(), row.max()) for row in rows]).T / voxel)
     in_range = np.abs([lo, hi]).max() < 2.0**63
     spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)] if in_range else None
     if spans is None or math.prod(spans) > np.iinfo(np.int64).max:
         raise VoxelKeyOverflowError(
             f"voxel size {voxel:g} m is too small to key this cloud's extent in int64"
         )
-    packed = np.zeros(len(points), dtype=np.int64)
+    packed = np.zeros(rows.shape[1], dtype=np.int64)
     scratch = np.empty_like(packed)
-    for d in range(3):
-        np.copyto(scratch, keys[:, d], casting="unsafe")
-        scratch -= int(lo[d])
-        packed *= spans[d]
+    keys = np.empty(rows.shape[1])
+    for row, low, span in zip(rows, lo, spans):
+        np.divide(row, voxel, out=keys)
+        np.floor(keys, out=keys)
+        np.copyto(scratch, keys, casting="unsafe")
+        scratch -= int(low)
+        packed *= span
         packed += scratch
     del keys
     # np.unique(packed, return_inverse=True) without its copies: sort once, number
@@ -317,11 +329,11 @@ def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:
     packed[order] = scratch
     inverse = packed
     del order, scratch, new_run
-    centroids = np.empty((voxels, 3))
-    for d in range(3):
-        centroids[:, d] = np.bincount(inverse, weights=points[:, d], minlength=voxels)
-    centroids /= np.bincount(inverse, minlength=voxels)[:, None]
-    return centroids
+    centroids = np.empty((3, voxels))
+    for row, centroid in zip(rows, centroids):
+        centroid[:] = np.bincount(inverse, weights=row, minlength=voxels)
+    centroids /= np.bincount(inverse, minlength=voxels)
+    return centroids.T
 
 
 def _in_ball(offsets) -> np.ndarray:

@@ -94,16 +94,23 @@ class RigidTransform:
         m[:3, 3] = self.translation
         return m
 
-    def apply(self, points, out=None) -> np.ndarray:
-        """Transform one point (3,) or many points (N, 3), into `out` if given."""
+    def apply(self, points) -> np.ndarray:
+        """Transform one point (3,) or many points (N, 3); many go through
+        `apply_rows`, and come back as a view of its coordinate rows."""
         p = np.asarray(points, dtype=float)
         if p.shape == (3,):
-            return np.add(self.rotation @ p, self.translation, out=out)
+            return self.rotation @ p + self.translation
         if p.ndim == 2 and p.shape[1] == 3:
-            out = np.matmul(p, self.rotation.T, out=out)
-            out += self.translation
-            return out
+            return self.apply_rows(p.T).T
         raise ValueError(f"points must have shape (3,) or (N, 3), got {p.shape}")
+
+    def apply_rows(self, rows, out=None) -> np.ndarray:
+        """Transform points held as three coordinate rows, (3, N): `R @ rows`,
+        then each row gains its translation, into `out` if given.  This is the
+        one batched transform; its bits are those of `points @ R.T + t`."""
+        out = np.matmul(self.rotation, rows, out=out)
+        out += self.translation[:, None]
+        return out
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Return the transform applying `other` first, then `self`."""
@@ -215,32 +222,38 @@ class PinholeCamera:
     def deproject(self, pixels, depth, out=None) -> np.ndarray:
         """Lift pixels with known camera-frame depths back to the base frame:
         one pixel (u, v) at a scalar depth gives (3,); N pixels, as an (N, 2)
-        array or as a tuple (u, v) of (N,) arrays, at (N,) depths give (N, 3).
-        The result is written to `out` if given.  A depth at or below
-        MIN_DEPTH raises."""
+        array or as a tuple (u, v) of (N,) arrays, at (N,) depths give (N, 3),
+        a view of the points' three coordinate rows from `apply_rows`.  Those
+        rows are written to `out`, a (3, N) array, if given.  A depth at or
+        below MIN_DEPTH raises."""
         u, v = pixels if isinstance(pixels, tuple) else np.moveaxis(np.asarray(pixels), -1, 0)
         z = np.asarray(depth, dtype=float)
         bad = z[z <= MIN_DEPTH]
         if bad.size:
             raise NonPositiveDepthError(f"depth must be positive, got {float(bad[0])!r}")
-        p_cam = np.empty(z.shape + (3,))
-        p_cam[..., 0] = (u - self.cx) * z / self.fx
-        p_cam[..., 1] = (v - self.cy) * z / self.fy
-        p_cam[..., 2] = z
-        return self.pose.apply(p_cam, out)
+        rows = np.empty((3,) + z.shape)  # camera-frame rows: (u - cx) * z / fx, ...
+        # `rows[0, ...]` is a view even for one pixel, where `rows[0]` is a copy
+        for row, pixel, centre, focal in ((rows[0, ...], u, self.cx, self.fx),
+                                          (rows[1, ...], v, self.cy, self.fy)):
+            np.subtract(pixel, centre, out=row)
+            row *= z
+            row /= focal
+        rows[2] = z
+        return self.pose.apply(rows) if z.ndim == 0 else self.pose.apply_rows(rows, out).T
 
     def pixel_rays(self, uv) -> tuple[np.ndarray, np.ndarray]:
         """Base-frame rays through pixels, scaled so depth equals the ray parameter.
 
         Returns (origin (3,), directions (N, 3)); a point `origin + t * dir`
-        has camera-frame depth exactly t.
+        has camera-frame depth exactly t.  The directions are rotated as
+        coordinate rows, like `apply_rows` without its translation.
         """
         uv = np.asarray(uv, dtype=float)
-        dirs_cam = np.empty((len(uv), 3))
-        dirs_cam[:, 0] = (uv[:, 0] - self.cx) / self.fx
-        dirs_cam[:, 1] = (uv[:, 1] - self.cy) / self.fy
-        dirs_cam[:, 2] = 1.0
-        return self.pose.translation.copy(), dirs_cam @ self.pose.rotation.T
+        rows = np.empty((3, len(uv)))  # camera-frame direction rows
+        rows[0] = (uv[:, 0] - self.cx) / self.fx
+        rows[1] = (uv[:, 1] - self.cy) / self.fy
+        rows[2] = 1.0
+        return self.pose.translation.copy(), (self.pose.rotation @ rows).T
 
     def projection_matrix(self) -> np.ndarray:
         """The 3x4 matrix mapping homogeneous base-frame points to pixels."""

@@ -9,7 +9,9 @@ Oracles:
 * a brute-force `d2 <= r*r` ball and an SVD of the centred ball for PCA normals,
 * `np.unique(axis=0)` + `np.add.at` for the packed-key voxel centroids,
 * per-view `np.argwhere` pixels, `deproject` and `np.vstack` for `fuse`'s
-  one point buffer.
+  one point buffer,
+* the pinhole formula and an (N, 3) matmul written out longhand for views of
+  one and two valid pixels.
 """
 
 import struct
@@ -281,6 +283,49 @@ class TestFusionBuffer:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * 24 * pixels, f"peak {peak / (24 * pixels):.2f}x the raw points"
+
+
+def longhand_points(camera, depth):
+    """One view's valid pixels in the base frame with `deproject` written out:
+    the pinhole formula on `np.argwhere` pixels, then one (N, 3) matmul against
+    the transposed rotation and the translation broadcast over rows."""
+    v, u = np.argwhere(depth.valid_mask).T
+    z = depth.values[depth.valid_mask]
+    p_cam = np.column_stack([(u - camera.cx) * z / camera.fx, (v - camera.cy) * z / camera.fy, z])
+    return np.matmul(p_cam, camera.pose.rotation.T) + camera.pose.translation
+
+
+def tiny_views(valid_counts, rng):
+    """Tilted 40 x 30 views, each with exactly its count of valid pixels
+    (neighbours, so two can share a voxel), at random depths near 1 m."""
+    views = []
+    for count in valid_counts:
+        camera = look_at_camera(rng.uniform(-0.4, 0.4, 3) + [0, 0, 1.0],
+                                rng.uniform(-0.05, 0.05, 3), fx=300, width=40, height=30)
+        values = np.zeros((30, 40))
+        row, col = rng.integers(0, 30), rng.integers(0, 39)
+        values[row, col:col + count] = rng.uniform(0.8, 1.2, count)
+        views.append((camera, DepthMap(values)))
+    return views
+
+
+class TestTinyViews:
+    """Views of one and two valid pixels: a view's rows transform then
+    multiplies one or two columns (gemv, not gemm, for one)."""
+
+    @pytest.mark.parametrize("voxel", [0.0, 0.005], ids=["voxel-0", "voxel-5mm"])
+    @pytest.mark.parametrize("valid_counts", [(1,), (2,), (1, 2), (2, 1), (1, 1)],
+                             ids=["1", "2", "1+2", "2+1", "1+1"])
+    def test_points_equal_the_longhand_deprojection_bitwise(self, valid_counts, voxel):
+        rng = np.random.default_rng(64)
+        for _ in range(25):
+            views = tiny_views(valid_counts, rng)
+            raw = np.vstack([longhand_points(camera, depth) for camera, depth in views])
+            assert len(raw) == sum(valid_counts)
+            want = unique_rows_centroids(raw, voxel) if voxel > 0 else raw
+            points = fuse(views, voxel=voxel).points
+            assert points.shape == want.shape
+            assert points.tobytes() == want.tobytes()
 
 
 class TestVoxelCentroids:

@@ -19,6 +19,7 @@ from scanloc.errors import (
     ZeroVectorError,
 )
 from scanloc.geometry import (
+    MIN_DEPTH,
     PinholeCamera,
     Pixel,
     RigidTransform,
@@ -222,6 +223,94 @@ class TestProjection:
         assert (back.width, back.height) == (cam.width, cam.height)
         assert np.array_equal(back.pose.rotation, cam.pose.rotation)
         assert np.array_equal(back.pose.translation, cam.pose.translation)
+
+
+def random_camera(rng) -> PinholeCamera:
+    """A camera at a uniformly random rotation, with random intrinsics."""
+    fx, fy = rng.uniform(200, 900, 2)
+    return PinholeCamera(fx, fy, rng.uniform(100, 540), rng.uniform(80, 400), 640, 480,
+                         random_transform(rng))
+
+
+def batched_transform(points, transform: RigidTransform) -> np.ndarray:
+    """The (N, 3) batched expression the rows transform replaces: one matmul
+    against the transposed rotation, then the translation broadcast over rows."""
+    return np.matmul(points, transform.rotation.T) + transform.translation
+
+
+def rows_transform_case(n: int, rng):
+    """A random camera, n base-frame points, n pixels and n depths."""
+    cam = random_camera(rng)
+    points = rng.uniform(-2, 2, (n, 3))
+    uv = np.column_stack([rng.uniform(0, 640, n), rng.uniform(0, 480, n)])
+    return cam, points, uv, rng.uniform(0.1, 5.0, n)
+
+
+ROWS_CASES = [pytest.param(n, rotations, id=f"n{n}")
+              for n, rotations in ((1, 400), (2, 400), (3, 400), (50, 200), (80_000, 12))]
+
+
+class TestRowsTransform:
+    """`RigidTransform.apply_rows` (`R @ rows`, then the translation row by
+    row) against the (N, 3) expression it replaced, bit for bit: every batched
+    transform in the camera model goes through it."""
+
+    @pytest.mark.parametrize("n, rotations", ROWS_CASES)
+    def test_apply_equals_points_times_rotation_transposed(self, n, rotations):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(rotations):
+            cam, points, _, _ = rows_transform_case(n, rng)
+            got = cam.pose.apply(points)
+            assert got.shape == (n, 3)
+            assert got.tobytes() == batched_transform(points, cam.pose).tobytes()
+            rows = np.ascontiguousarray(points.T)
+            assert cam.pose.apply_rows(rows).T.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("n, rotations", ROWS_CASES)
+    def test_deproject_equals_the_pinhole_formula_then_the_batch(self, n, rotations):
+        rng = np.random.default_rng(2000 + n)
+        for _ in range(rotations):
+            cam, _, uv, z = rows_transform_case(n, rng)
+            p_cam = np.column_stack([(uv[:, 0] - cam.cx) * z / cam.fx,
+                                     (uv[:, 1] - cam.cy) * z / cam.fy, z])
+            want = batched_transform(p_cam, cam.pose).tobytes()
+            assert cam.deproject(uv, z).tobytes() == want
+            out = np.full((3, n + 4), np.nan)
+            cam.deproject((uv[:, 0], uv[:, 1]), z, out=out[:, 2:n + 2])
+            assert out[:, 2:n + 2].T.tobytes() == want
+            assert np.isnan(out[:, [0, 1, -2, -1]]).all()
+
+    @pytest.mark.parametrize("n, rotations", ROWS_CASES)
+    def test_project_points_equals_the_batch_then_the_pinhole_formula(self, n, rotations):
+        rng = np.random.default_rng(3000 + n)
+        for _ in range(rotations):
+            cam, points, _, _ = rows_transform_case(n, rng)
+            p_cam = batched_transform(points, cam.pose.inverse())
+            z = np.where(p_cam[:, 2] > MIN_DEPTH, p_cam[:, 2], np.nan)
+            want = np.column_stack([cam.fx * p_cam[:, 0] / z + cam.cx,
+                                    cam.fy * p_cam[:, 1] / z + cam.cy])
+            assert cam.project_points(points).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, rotations", ROWS_CASES)
+    def test_pixel_rays_equal_directions_times_rotation_transposed(self, n, rotations):
+        rng = np.random.default_rng(4000 + n)
+        for _ in range(rotations):
+            cam, _, uv, _ = rows_transform_case(n, rng)
+            dirs = np.column_stack([(uv[:, 0] - cam.cx) / cam.fx,
+                                    (uv[:, 1] - cam.cy) / cam.fy, np.ones(n)])
+            origin, got = cam.pixel_rays(uv)
+            assert origin.tobytes() == cam.pose.translation.tobytes()
+            assert got.tobytes() == np.matmul(dirs, cam.pose.rotation.T).tobytes()
+
+    def test_one_point_stays_rotation_times_point_plus_translation(self):
+        rng = np.random.default_rng(5000)
+        for _ in range(400):
+            cam, (point,), (pixel,), (depth,) = rows_transform_case(1, rng)
+            r, t = cam.pose.rotation, cam.pose.translation
+            assert cam.pose.apply(point).tobytes() == (r @ point + t).tobytes()
+            p_cam = np.array([(pixel[0] - cam.cx) * depth / cam.fx,
+                              (pixel[1] - cam.cy) * depth / cam.fy, depth])
+            assert cam.deproject(Pixel(*pixel), depth).tobytes() == (r @ p_cam + t).tobytes()
 
 
 def two_view_rig(rng=None):
