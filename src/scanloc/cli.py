@@ -36,7 +36,7 @@ from .evaluation import (
     write_summary_json,
 )
 from .geometry import PinholeCamera, RigidTransform
-from .handeye import build_motion_pairs, estimate_camera_pose, load_samples, mean_residual
+from .handeye import build_motion_pairs, load_samples, mean_residual, solve_park_martin
 from .jsonfile import _check_keys, _two, _whole, read_json, write_json
 from .synth import (
     NoiseSpec,
@@ -49,6 +49,8 @@ from .synth import (
 )
 from .targets import (
     FRONT_TARGET_IDS,
+    POSE_KINDS,
+    TARGET_IDS,
     FitDataset,
     ReferenceAxes,
     fit_target,
@@ -110,8 +112,9 @@ def _parse_intrinsics(data) -> PinholeCamera:
 def _cmd_calibrate(args) -> int:
     samples = load_samples(args.samples)
     camera = read_json(args.intrinsics, _parse_intrinsics) if args.intrinsics else None
-    pose = estimate_camera_pose(samples, all_pairs=args.all_pairs)
-    residual = mean_residual(build_motion_pairs(samples, all_pairs=args.all_pairs), pose)
+    pairs = build_motion_pairs(samples, all_pairs=args.all_pairs)
+    pose = solve_park_martin(pairs)
+    residual = mean_residual(pairs, pose)
     log.info(
         "calibrated from %d samples (all_pairs=%s): mean rotation residual %.3e rad",
         len(samples), args.all_pairs, residual,
@@ -129,7 +132,7 @@ def _parse_synth_config(data):
     n = _whole(data["n"], "n")
     seed = _whole(data.get("seed", 0), "seed")
     pose_kind = str(data.get("pose", "front"))
-    if n < 1 or pose_kind not in ("front", "side"):
+    if n < 1 or pose_kind not in POSE_KINDS:
         raise InvalidRangeError(f"need n >= 1 and pose 'front' or 'side', got {n}, {pose_kind!r}")
     ranges = _validate_ranges(data.get("torso", {}))
     if "ratios" in data:
@@ -196,11 +199,11 @@ def _cmd_localize(args) -> int:
     cloud = scene_cloud(scene, args.voxel)
     poses = localize(
         scene.cameras[0], scene.cameras[1], scene.observation, cloud,
-        params, args.pose, axes=axes,
+        params, scene.pose_kind, axes=axes,
     )
     output = {
         "scene_id": scene.scene_id,
-        "pose_kind": args.pose,
+        "pose_kind": scene.pose_kind,
         "voxel_m": args.voxel,
         "normal_radius_m": NORMAL_RADIUS,
         "targets": [p.to_dict() for p in poses],
@@ -292,21 +295,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit ratio parameters on a scene cohort")
     p.add_argument("--dataset", required=True, help="cohort directory")
-    p.add_argument("--target", type=int, choices=(1, 2, 4), required=True)
+    p.add_argument("--target", type=int, choices=TARGET_IDS, required=True)
     p.add_argument("--out", required=True, help="output params JSON")
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("localize", help="localize scan targets in one scene")
     p.add_argument("--scene", required=True, help="scene directory or scene.json")
     p.add_argument("--params", required=True, help="fitted params JSON")
-    p.add_argument("--pose", choices=("front", "side"), required=True)
     p.add_argument("--out", required=True, help="output poses JSON")
     p.add_argument("--voxel", type=float, default=DEFAULT_VOXEL)
     p.set_defaults(handler=_cmd_localize)
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation reports")
     p.add_argument("--scenes", required=True, help="cohort directory")
-    p.add_argument("--target", type=int, choices=(1, 2, 4), required=True)
+    p.add_argument("--target", type=int, choices=TARGET_IDS, required=True)
     p.add_argument("--thresholds", type=_parse_thresholds,
                    default=DEFAULT_THRESHOLDS_MM,
                    help="success thresholds in mm, start:stop:step or comma list")

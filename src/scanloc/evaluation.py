@@ -182,6 +182,7 @@ def success_table(folds, thresholds_mm=DEFAULT_THRESHOLDS_MM) -> SuccessTable:
 
 def summarize(folds) -> dict:
     """Pooled sample statistics (mean, n-1 std) over valid folds."""
+    folds = list(folds)
     valid = [f for f in folds if not f.faulty]
     if not valid:
         raise NoValidFoldsError("every fold is faulty; nothing to summarize")
@@ -197,9 +198,9 @@ def summarize(folds) -> dict:
     return {
         "position_mm": stats(pos),
         "orientation_deg": stats(ang),
-        "n_folds": len(list(folds)),
+        "n_folds": len(folds),
         "n_valid": len(valid),
-        "n_faulty": len(list(folds)) - len(valid),
+        "n_faulty": len(folds) - len(valid),
     }
 
 

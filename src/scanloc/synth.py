@@ -34,8 +34,8 @@ from .geometry import MIN_DEPTH, PinholeCamera, Pixel, RigidTransform
 from .jsonfile import _check_keys, _finite, _two, _whole, read_json, write_json
 from .targets import (
     ALL_JOINTS,
-    FRONT_TARGET_IDS,
-    SIDE_TARGET_ID,
+    POSE_KINDS,
+    TARGET_IDS,
     KeypointObservation,
     Keypoints3D,
     ReferenceAxes,
@@ -288,9 +288,8 @@ def true_targets(torso: TorsoSpec, ratios: TargetModelParams, pose_kind: str,
     model evaluated on the exact keypoints, dropped onto the surface."""
     targets, normals = {}, {}
     for tid, raw in regress_targets(true_keypoints(torso), ratios, pose_kind, axes):
-        if tid in FRONT_TARGET_IDS or tid == SIDE_TARGET_ID:
-            targets[tid] = _surface_point(torso, raw, f"target {tid}")
-            normals[tid] = np.asarray(torso.surface_normal(raw[0], raw[1]), dtype=float)
+        targets[tid] = _surface_point(torso, raw, f"target {tid}")
+        normals[tid] = np.asarray(torso.surface_normal(raw[0], raw[1]), dtype=float)
     return targets, normals
 
 
@@ -530,12 +529,11 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
     """scene.json's scene, without depth maps, and the paths of its depth files."""
     _check_keys(data, _SCENE_KEYS, "scene")
     ratios, axes = params_from_dict(data["ratios"])
-    if data["pose_kind"] not in ("front", "side"):
+    if data["pose_kind"] not in POSE_KINDS:
         raise MalformedFileError(f"pose_kind must be 'front' or 'side', got {data['pose_kind']!r}")
-    target_ids = (*FRONT_TARGET_IDS, SIDE_TARGET_ID)
     _check_keys(data["keypoints_true"], set(ALL_JOINTS), "keypoints_true")
-    _check_keys(data["targets_true"], {str(t) for t in target_ids}, "targets_true")
-    _check_keys(data["target_normals_true"], {str(t) for t in target_ids}, "target_normals_true")
+    _check_keys(data["targets_true"], {str(t) for t in TARGET_IDS}, "targets_true")
+    _check_keys(data["target_normals_true"], {str(t) for t in TARGET_IDS}, "target_normals_true")
     _check_keys(data["faulted_joints"], set(ALL_JOINTS), "faulted_joints")
     depth_files = [os.path.join(directory, name)
                    for name in _two(data["depth_files"], str, "depth_files")]
@@ -557,8 +555,8 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
                       for t, p in data["targets_true"].items()},
         target_normals_true={int(t): _finite(nv, f"target_normals_true {t}", (3,))
                              for t, nv in data["target_normals_true"].items()},
-        target_pixels_true=_pixels_from_json(data, "target_pixels_true", target_ids),
-        target_pixels_observed=_pixels_from_json(data, "target_pixels_observed", target_ids),
+        target_pixels_true=_pixels_from_json(data, "target_pixels_true", TARGET_IDS),
+        target_pixels_observed=_pixels_from_json(data, "target_pixels_observed", TARGET_IDS),
         faulted_joints=dict(data["faulted_joints"]),
     )
     views = {f"{name} view{vi}": view for name in ("target_pixels_true", "target_pixels_observed")

@@ -50,11 +50,13 @@ ALL_JOINTS = (LEFT_SHOULDER, RIGHT_SHOULDER, RIGHT_HIP)
 
 FRONT_TARGET_IDS = (1, 2)
 SIDE_TARGET_ID = 4
+TARGET_IDS = (*FRONT_TARGET_IDS, SIDE_TARGET_ID)
 # each pose kind's keypoint segment: (start joint, end joint)
 SEGMENT_JOINTS = {
     "front": (LEFT_SHOULDER, RIGHT_SHOULDER),
     "side": (RIGHT_SHOULDER, RIGHT_HIP),
 }
+POSE_KINDS = tuple(SEGMENT_JOINTS)
 
 # Keypoint segments steeper than this against the horizontal plane have no
 # usable planar perpendicular.
@@ -120,10 +122,15 @@ class RatioPair:
 
 @dataclass(frozen=True)
 class TargetModelParams:
-    """Fitted ratios for every supported target."""
+    """Fitted ratios for every supported target; another front id is a ConfigError."""
 
     front: dict[int, RatioPair] = field(default_factory=dict)
     side: RatioPair | None = None
+
+    def __post_init__(self):
+        for tid in self.front:
+            if tid not in FRONT_TARGET_IDS:
+                raise ConfigError(f"unsupported front target id {tid!r}; expected 1 or 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -602,16 +609,20 @@ def _ratio_pair(entry: dict, keys: tuple[str, str], where: str) -> RatioPair:
 
 def params_from_dict(data: dict) -> tuple[TargetModelParams, ReferenceAxes]:
     """Parse `params_to_dict` output; a missing or non-finite number, or a ratio
-    beyond _MAX_RATIO in magnitude, raises MalformedFileError naming its key."""
+    beyond _MAX_RATIO in magnitude, raises MalformedFileError naming its key,
+    and a front target id other than 1 or 2 raises ConfigError naming it."""
     _check_keys(data, {"front", "side", "reference_axes"}, "params")
     entries = data.get("front", {})
     if not isinstance(entries, dict):
         raise MalformedFileError(f"params front must be a JSON object, got {entries!r}")
+    # a key is a front id only as `params_to_dict` writes it; any other
+    # key stays text, which TargetModelParams refuses
+    ids = {str(tid): tid for tid in FRONT_TARGET_IDS}
     front = {}
     for tid, entry in entries.items():
         if not str(tid).isdigit():
             raise MalformedFileError(f"front target id must be an integer, got {tid!r}")
-        front[int(tid)] = _ratio_pair(entry, ("r_f1", "r_f2"), f"front target {tid}")
+        front[ids.get(tid, tid)] = _ratio_pair(entry, ("r_f1", "r_f2"), f"front target {tid}")
     side = None
     if "side" in data:
         side = _ratio_pair(data["side"], ("r_s1", "r_s2"), "side target")

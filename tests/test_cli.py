@@ -263,8 +263,8 @@ class TestPipeline:
 
         poses_file = tmp_path / "poses.json"
         assert main(["localize", "--scene", str(cohort_dir / "scene_001"),
-                     "--params", str(params_file), "--pose", "front",
-                     "--out", str(poses_file), "--voxel", "0.004"]) == 0
+                     "--params", str(params_file), "--out", str(poses_file),
+                     "--voxel", "0.004"]) == 0
         poses = json.loads(poses_file.read_text())
         assert poses["pose_kind"] == "front"
         assert poses["normal_radius_m"] == 0.018
@@ -276,6 +276,30 @@ class TestPipeline:
         )["targets_true"]["1"]
         err = np.linalg.norm(np.array(target["position_m"]) - np.array(truth))
         assert err < 0.01
+
+    def test_localize_reads_the_pose_kind_from_the_scene(self, cohort_dir, side_cohort_dir,
+                                                         tmp_path):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({
+            "front": {"1": {"r_f1": 0.75, "r_f2": 0.2}, "2": {"r_f1": 0.75, "r_f2": 0.5}},
+            "side": {"r_s1": 0.4, "r_s2": 0.15},
+        }))
+        for scenes, pose_kind, target_ids in ((cohort_dir, "front", [1, 2]),
+                                              (side_cohort_dir, "side", [4])):
+            out = tmp_path / f"{pose_kind}.json"
+            assert main(["localize", "--scene", str(scenes / "scene_000"),
+                         "--params", str(params_file), "--out", str(out),
+                         "--voxel", "0.004"]) == 0
+            poses = json.loads(out.read_text())
+            assert poses["pose_kind"] == pose_kind
+            assert [target["target_id"] for target in poses["targets"]] == target_ids
+
+    def test_localize_pose_option_is_a_usage_error(self, cohort_dir, tmp_path):
+        out = tmp_path / "poses.json"
+        with pytest.raises(SystemExit) as info:
+            main([*fusion_argv("localize", cohort_dir, tmp_path, out), "--pose", "front"])
+        assert info.value.code == 2
+        assert not out.exists()
 
     def test_evaluate_smoke_and_determinism(self, cohort_dir, tmp_path):
         argv = ["evaluate", "--scenes", str(cohort_dir), "--target", "1",
@@ -302,8 +326,8 @@ class TestPipeline:
         assert main(["fit", "--dataset", str(cohort_dir), "--target", "1",
                      "--out", str(params_file)]) == 0
         assert main(["localize", "--scene", str(cohort_dir / "scene_001"),
-                     "--params", str(params_file), "--pose", "front",
-                     "--out", str(tmp_path / "poses.json"), "--voxel", "0.004"]) == 0
+                     "--params", str(params_file), "--out", str(tmp_path / "poses.json"),
+                     "--voxel", "0.004"]) == 0
         assert main(["evaluate", "--scenes", str(cohort_dir), "--target", "1",
                      "--voxel", "0.004", "--out", str(tmp_path)]) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -350,7 +374,7 @@ CLI_OPTIONS = {
     "synth": {"--config", "--out"},
     "fuse": {"--scene", "--out", "--voxel"},
     "fit": {"--dataset", "--target", "--out"},
-    "localize": {"--scene", "--params", "--pose", "--out", "--voxel"},
+    "localize": {"--scene", "--params", "--out", "--voxel"},
     "evaluate": {"--scenes", "--target", "--thresholds", "--out", "--voxel", "--jobs"},
 }
 
@@ -371,8 +395,7 @@ def fusion_argv(command, cohort_dir, tmp_path, out):
     scene = str(cohort_dir / "scene_001")
     argv = {
         "fuse": ["fuse", "--scene", scene],
-        "localize": ["localize", "--scene", scene, "--params", str(params_file),
-                     "--pose", "front"],
+        "localize": ["localize", "--scene", scene, "--params", str(params_file)],
         "evaluate": ["evaluate", "--scenes", str(cohort_dir), "--target", "1"],
     }[command]
     return [*argv, "--out", str(out)]
@@ -388,8 +411,8 @@ def assert_one_line_error(caplog, *names):
 
 
 def localize_with_params(tmp_path, pose, params) -> tuple[int, object]:
-    """`localize --pose pose` on a one-scene cohort with `params` as its params file,
-    with every warning turned into an error: (exit code, --out path)."""
+    """`localize` on a one-scene cohort of pose kind `pose`, with `params` as its
+    params file and every warning turned into an error: (exit code, --out path)."""
     config = tmp_path / "synth.json"
     write_synth_config(config, n=1, pose=pose)
     assert main(["synth", "--config", str(config), "--out", str(tmp_path / "scenes")]) == 0
@@ -399,7 +422,7 @@ def localize_with_params(tmp_path, pose, params) -> tuple[int, object]:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["localize", "--scene", str(tmp_path / "scenes" / "scene_000"),
-                     "--params", str(params_file), "--pose", pose, "--out", str(out)])
+                     "--params", str(params_file), "--out", str(out)])
     return code, out
 
 
@@ -524,6 +547,9 @@ class TestMalformedInput:
              "keypoints_true left_shoulder must be 3 finite numbers"),
             (lambda d: {**d, "targets_true": {**d["targets_true"], "1": ["a", 0.1, 0.1]}},
              "targets_true 1 must be 3 finite numbers, got ['a', 0.1, 0.1]"),
+            (lambda d: {**d, "ratios": {**d["ratios"], "front": {
+                **d["ratios"]["front"], "3": d["ratios"]["front"]["1"]}}},
+             "unsupported front target id '3'"),
         ],
         ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
              "one-pixel-view", "observation-view-not-object", "one-camera", "cameras-not-list",
@@ -534,7 +560,8 @@ class TestMalformedInput:
              "fault-prob-not-number", "camera-nan-fx", "camera-fractional-width",
              "camera-bool-height", "camera-bool-fx", "torso-bool", "keypoint-sigma-not-number",
              "depth-sigma-bool", "noise-seed-fraction", "scene-id-not-number", "scene-id-bool",
-             "observation-not-number", "observation-bool", "keypoint-bool", "target-not-number"],
+             "observation-not-number", "observation-bool", "keypoint-bool", "target-not-number",
+             "ratios-name-target-3"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):
@@ -556,6 +583,8 @@ class TestMalformedInput:
             ({"front": {"1": {"r_f1": 0.75, "r_f2": None}}}, "front target 1 r_f2"),
             ({"front": {"1": {"r_f1": 0.75}}}, "front target 1 r_f2"),
             ({"front": {"one": {"r_f1": 0.75, "r_f2": 0.2}}}, "front target id"),
+            ({"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}, "3": {"r_f1": 0.75, "r_f2": 0.5}}},
+             "unsupported front target id '3'"),
             ({"front": {}, "side": {"r_s1": [0.4], "r_s2": 0.1}}, "side target r_s1"),
             ({"front": {}, "reference_axes": {"front": [0, 1]}}, "reference_axes front"),
             ({"front": []}, "params front must be a JSON object"),
@@ -564,8 +593,8 @@ class TestMalformedInput:
             ({"front": {}, "reference_axes": {"front": [0, 1, False]}},
              "reference_axes front must be 3 finite numbers, got [0, 1, False]"),
         ],
-        ids=["non-numeric", "null", "missing", "target-id", "list", "short-axis",
-             "front-not-object", "bool-ratio", "bool-axis"],
+        ids=["non-numeric", "null", "missing", "target-id", "unsupported-target-id", "list",
+             "short-axis", "front-not-object", "bool-ratio", "bool-axis"],
     )
     def test_localize_on_bad_params_exits_1(self, cohort_dir, tmp_path, caplog, params, key):
         params_file = tmp_path / "params.json"
@@ -573,8 +602,7 @@ class TestMalformedInput:
         out = tmp_path / "poses.json"
         with caplog.at_level(logging.ERROR, logger="scanloc"):
             assert main(["localize", "--scene", str(cohort_dir / "scene_001"),
-                         "--params", str(params_file), "--pose", "front",
-                         "--out", str(out)]) == 1
+                         "--params", str(params_file), "--out", str(out)]) == 1
         assert_one_line_error(caplog, str(params_file), key)
         assert not out.exists()
 
@@ -617,9 +645,12 @@ class TestMalformedInput:
         ({"noise": {"seed": 1.5}}, "noise seed must be a whole number, got 1.5"),
         ({"torso": {"half_width": True}}, "invalid interval for half_width: True"),
         ({"noise": {"depth_sigma_m": True}}, "noise depth_sigma_m must be a finite number, got True"),
+        ({"ratios": {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}},
+         "front scenes need ratios for targets 1 and 2, got [1]"),
         ({"ratios": {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2},
-                               "3": {"r_f1": 0.75, "r_f2": 0.5}}}},
-         "front scenes need ratios for targets 1 and 2, got [1, 3]"),
+                               "2": {"r_f1": 0.75, "r_f2": 0.5},
+                               "7": {"r_f1": 0.75, "r_f2": 0.8}}}},
+         "unsupported front target id '7'"),
         ({"pose": "side", "ratios": {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}},
          "side scenes need side ratios"),
         ({"noise": {"fault_prob": {"right_hip": "abc"}}},
@@ -631,7 +662,8 @@ class TestMalformedInput:
     ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
             "nan-depth-sigma", "inf-keypoint-sigma", "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool",
             "noise-seed-fraction", "torso-bool", "depth-sigma-bool",
-            "front-ratios-lack-target-2", "side-ratios-missing", "fault-prob-not-number",
+            "front-ratios-lack-target-2", "front-ratios-name-target-7", "side-ratios-missing",
+            "fault-prob-not-number",
             "camera-nan-fx", "camera-fractional-height", "cameras-not-list", "cameras-object"])
     def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
         config = tmp_path / "synth.json"
@@ -700,8 +732,7 @@ class TestMalformedInput:
         params.write_text(json.dumps(FRONT_PARAMS))
         bad, argv = {
             "synth-config": (tmp_path / "synth.json", ["synth", "--config", "{bad}"]),
-            "params": (params, ["localize", "--scene", scene, "--params", "{bad}",
-                                "--pose", "front"]),
+            "params": (params, ["localize", "--scene", scene, "--params", "{bad}"]),
             "intrinsics": (tmp_path / "intrinsics.json",
                            ["calibrate", "--samples", samples, "--intrinsics", "{bad}"]),
             "calibration-samples": (samples, ["calibrate", "--samples", "{bad}"]),
@@ -720,7 +751,7 @@ class TestMalformedInput:
         ("dir", ["calibrate", "--samples", "{dir}", "--out", "{out}"]),
         ("dir", ["synth", "--config", "{dir}", "--out", "{out}"]),
         ("dir", ["localize", "--scene", "{scenes}/scene_001", "--params", "{dir}",
-                 "--pose", "front", "--out", "{out}"]),
+                 "--out", "{out}"]),
         ("file", ["evaluate", "--scenes", "{file}", "--target", "1", "--out", "{out}"]),
         ("file", ["evaluate", "--scenes", "{scenes}", "--target", "1", "--out", "{file}"]),
         ("file", ["fit", "--dataset", "{file}", "--target", "1", "--out", "{out}"]),
@@ -799,7 +830,7 @@ class TestFitFaults:
         out = tmp_path / "poses.json"
         with caplog.at_level(logging.ERROR, logger="scanloc"):
             assert main(["localize", "--scene", str(scene), "--params", str(params_file),
-                         "--pose", "front", "--out", str(out)]) == 1
+                         "--out", str(out)]) == 1
         assert_one_line_error(caplog, "not human-scale")
         assert not out.exists()
 
@@ -813,7 +844,7 @@ class TestFitFaults:
         with caplog.at_level(logging.WARNING, logger="scanloc"):
             for name in ("collapsed", "unseen"):
                 assert main(["localize", "--scene", str(tmp_path / name),
-                             "--params", str(params_file), "--pose", "front",
+                             "--params", str(params_file),
                              "--out", str(tmp_path / f"{name}.json")]) == 0
         (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert "dropping right_hip" in warning.getMessage()
@@ -851,7 +882,7 @@ class TestFitFaults:
         params_file = tmp_path / "params.json"
         params_file.write_text(json.dumps({"side": {"r_s1": 0.4, "r_s2": 0.1}}))
         argv = ["localize", "--scene", str(scene), "--params", str(params_file),
-                "--pose", "side", "--out", str(tmp_path / "poses.json")]
+                "--out", str(tmp_path / "poses.json")]
         # the left shoulder is off the side segment: dropped, and the scene kept
         collapse(scene, "left_shoulder")
         with caplog.at_level(logging.WARNING, logger="scanloc"):

@@ -150,6 +150,11 @@ class TestSummarize:
         with pytest.raises(NoValidFoldsError):
             summarize([faulty_fold(0), faulty_fold(1)])
 
+    def test_reads_a_generator_once(self):
+        folds = [valid_fold(0, 10.0), valid_fold(1, 20.0), faulty_fold(2)]
+        assert summarize(fold for fold in folds) == summarize(folds)
+        assert summarize(iter(folds))["n_folds"] == 3
+
 
 @pytest.fixture(scope="module")
 def torso():

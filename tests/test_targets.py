@@ -1,9 +1,11 @@
 """Target regression, parameter fitting, and the full localization path."""
 
+import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scanloc.cloud import FusedCloud
 from scanloc.errors import (
@@ -446,6 +448,32 @@ class TestParamsIO:
         axes = ReferenceAxes()
         back, _ = params_from_dict(params_to_dict(params, axes))
         assert back.front[1] == params.front[1]
+
+    @pytest.mark.parametrize("tid", [3, 4, 0, "1"])
+    def test_unsupported_front_target_rejected_naming_it(self, tid):
+        with pytest.raises(ConfigError, match=f"unsupported front target id {tid!r};"):
+            TargetModelParams(front={1: RatioPair(0.3, 0.2), tid: RatioPair(0.5, 0.4)})
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(front=st.dictionaries(
+        st.one_of(st.sampled_from(["1", "2"]), st.integers(-2, 5),
+                  st.builds("{}{}".format, st.sampled_from(["0", "00"]), st.integers(0, 9)),
+                  st.text(alphabet="012３²", max_size=3), st.text(max_size=3)),
+        st.tuples(*[st.floats(-30, 30)] * 2), max_size=3))
+    def test_params_file_loads_only_front_targets_1_and_2(self, tmp_path_factory, front):
+        # JSON writes an integer key as its decimal text
+        keys = {str(key) for key in front}
+        path = tmp_path_factory.mktemp("params") / "params.json"
+        path.write_text(json.dumps(
+            {"front": {key: {"r_f1": a, "r_f2": b} for key, (a, b) in front.items()}}))
+        if keys <= {"1", "2"}:
+            params, _ = load_params(path)
+            assert set(params.front) == {int(key) for key in keys}
+        else:
+            with pytest.raises(MalformedFileError) as info:
+                load_params(path)
+            assert str(path) in str(info.value)
+            assert "\n" not in str(info.value)
 
 
 def slab_cloud(x_range=(-0.35, 0.35), y_range=(-0.1, 0.6), z=0.2, step=0.004):
