@@ -3,13 +3,18 @@
 Every valid pixel of the two calibrated cameras' depth maps is deprojected
 into the base frame.  Raw points are held as three coordinate rows, one (3, N)
 buffer: each view's one rows transform (`RigidTransform.apply_rows`, a single
-`R @ rows`) writes straight into that view's columns.  The points are then
-voxel-downsampled (centroid per voxel) one coordinate row at a time.
+`R @ rows`) writes straight into that view's columns.  The cloud's points are
+the voxel-grid centroids of those rows, built one coordinate row at a time when
+`points` is first read; the rows are then dropped.  Until then a snap
+(`adjust_target`) voxelizes only the raw points in a square window of voxel keys
+around its query, which gives bitwise the centroids, nearest point and normal
+that the whole grid gives.
 Each normal is the PCA of the point's ball (every point within NORMAL_RADIUS),
-oriented toward the cameras and computed when read: a snap scans every point for
-its one ball, so `fuse` builds no index; only `FusedCloud.normals` computes all
-of them, with a k-d tree built for that call.  A `.cloud` file is the points and
-the point their normals face.  Planar queries scan XY linearly.
+oriented toward the cameras and computed when read: a snap scans every point of
+the cloud or of its window for its one ball, so `fuse` builds no index; only
+`FusedCloud.normals` computes all of them, with a k-d tree built for that call.
+A `.cloud` file is the points and the point their normals face.  Planar queries
+scan XY linearly.
 
 The planar lookup implements the depth-adjustment rule this pipeline is
 built around: a regressed target keeps its XY coordinates, while its Z and
@@ -28,9 +33,10 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     EmptyCloudError,
+    InvalidArrayError,
+    InvalidQueryError,
     InvalidRangeError,
     MalformedFileError,
-    NonFiniteTargetError,
     VoxelKeyOverflowError,
 )
 from .geometry import MIN_DEPTH, PinholeCamera
@@ -55,7 +61,7 @@ class DepthMap:
     def __post_init__(self):
         v = np.array(self.values, dtype=float)  # always a copy, made once
         if v.ndim != 2:
-            raise ValueError(f"depth map must be 2D, got shape {v.shape}")
+            raise InvalidArrayError(f"depth map must be 2D, got shape {v.shape}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -78,7 +84,7 @@ def write_pfm(path, values) -> None:
     """Write a grayscale PFM file (little-endian, rows stored bottom-up)."""
     v = np.asarray(values, dtype="<f4")
     if v.ndim != 2:
-        raise ValueError("PFM writer expects a 2D array")
+        raise InvalidArrayError("PFM writer expects a 2D array")
     with open(path, "wb") as fh:
         fh.write(b"Pf\n")
         fh.write(f"{v.shape[1]} {v.shape[0]}\n".encode("ascii"))
@@ -143,20 +149,25 @@ class FusedCloud:
     `fuse` or `load`, estimated from the points; only the latter can `save`.
     Such a cloud holds every normal or none: `normals` computes all of them
     once and keeps them, while `normal_at` on a cloud without them computes
-    that one row and keeps nothing.  An unread cloud is its points.
+    that one row and keeps nothing.  A cloud from `fuse` with a voxel holds its
+    raw coordinate rows and their key bounds until `points` is first read
+    (as `len`, `save`, `normals`, `planar_nearest` and `normal_at` do), which
+    builds the voxel grid once and drops the rows; a snap before that reads
+    only a key window of the rows (`_snap`).  An unread cloud is its points,
+    or those raw rows.
     """
 
     def __init__(self, points, normals):
         pts = np.asarray(points, dtype=float)
         nrm = np.asarray(normals, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape != nrm.shape:
-            raise ValueError("points and normals must both have shape (N, 3)")
+            raise InvalidArrayError("points and normals must both have shape (N, 3)")
         self._set_points(pts.copy())  # the caller still holds `points`
         if not np.all(np.isfinite(nrm)):
-            raise ValueError("cloud coordinates must be finite")
+            raise InvalidArrayError("cloud coordinates must be finite")
         lengths = np.linalg.norm(nrm, axis=1)
         if np.any(np.abs(lengths - 1.0) > 1e-5):
-            raise ValueError("normals must be unit length")
+            raise InvalidArrayError("normals must be unit length")
         self._normals = nrm.copy()
         self._toward = None
 
@@ -169,13 +180,31 @@ class FusedCloud:
         cloud._normals, cloud._toward = None, toward
         return cloud
 
+    @classmethod
+    def _voxel_grid_of(cls, rows, voxel, bounds, toward) -> "FusedCloud":
+        """A cloud whose points are the voxel centroids of the raw coordinate
+        rows `rows`, whose keys `_key_bounds` bounds, built when first read."""
+        cloud = cls.__new__(cls)
+        cloud._points, cloud._raw = None, (rows, voxel, bounds)
+        cloud._normals, cloud._toward = None, toward
+        return cloud
+
     def _set_points(self, pts: np.ndarray) -> None:
         if len(pts) == 0:
             raise EmptyCloudError("a fused cloud needs at least one point")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("cloud coordinates must be finite")
+            raise InvalidArrayError("cloud coordinates must be finite")
         pts.flags.writeable = False
-        self.points = pts
+        self._points, self._raw = pts, None
+
+    @property
+    def points(self) -> np.ndarray:
+        """The cloud's points, (N, 3), read-only; on a cloud from `fuse` with a
+        voxel, the first read builds the voxel grid and drops the raw rows."""
+        if self._points is None:
+            rows, voxel, bounds = self._raw
+            self._set_points(_voxel_centroids(rows.T, voxel, bounds))
+        return self._points
 
     @property
     def normals(self) -> np.ndarray:
@@ -202,9 +231,7 @@ class FusedCloud:
     def planar_nearest(self, target_xy) -> PlanarNeighbor:
         """The point nearest to `target_xy` in XY, ties to the smallest index
         (`argmin`'s first minimum); its normal, if needed, is `normal_at(index)`."""
-        t = np.asarray(target_xy, dtype=float).reshape(-1)[:2]
-        if not np.all(np.isfinite(t)):
-            raise NonFiniteTargetError(f"planar target must be finite, got {t}")
+        t = _query_xy(target_xy)
         d2 = (self.points[:, 0] - t[0]) ** 2 + (self.points[:, 1] - t[1]) ** 2
         idx = int(np.argmin(d2))
         return PlanarNeighbor(
@@ -217,7 +244,8 @@ class FusedCloud:
         """Write the cloud as its points, little-endian float32, after the point
         its normals face; `load` estimates the normals again, so none is written."""
         if self._toward is None:
-            raise ValueError("a cloud with given normals has no file form: .cloud files hold no normals")
+            raise InvalidArrayError(
+                "a cloud with given normals has no file form: .cloud files hold no normals")
         with open(path, "wb") as fh:
             fh.write(_CLOUD_MAGIC)
             fh.write(struct.pack("<Q3d", len(self.points), *self._toward))
@@ -245,19 +273,22 @@ def fuse(
     """Deproject every valid depth pixel and merge the views into one cloud.
 
     Raw points fill three coordinate rows, one (3, N) buffer, view by view in
-    row-major pixel order, and are optionally voxel-downsampled to per-voxel
-    centroids; each full-size array is allocated once, and the cloud takes the
-    last one without a copy.  `points` is an (N, 3) view of such rows.  Their
-    PCA normals, oriented toward the cameras, are computed per point when read
+    row-major pixel order, allocated once.  A voxel of 0 keeps every point,
+    and the cloud takes the rows without a copy.  Otherwise the cloud's points
+    are the per-voxel centroids, and `fuse` checks only that their keys fit in
+    int64: the cloud holds the rows and builds its voxel grid when `points` is
+    first read, while a snap before that voxelizes only the key window around
+    its query.  `points` is an (N, 3) view of coordinate rows.  Their PCA
+    normals, oriented toward the cameras, are computed per point when read
     (`normal_at`, which `adjust_target` calls); only `normals` computes and
-    keeps all of them.  A voxel of 0 keeps every point.
+    keeps all of them.
     """
     _check_fusion_options(voxel)
-    points = _deproject_views(views).T
-    if voxel > 0:
-        points = _voxel_centroids(points, voxel)
+    rows = _deproject_views(views)
     toward = np.mean([camera.center for camera, _ in views], axis=0)
-    return FusedCloud._with_pca_normals(points, toward)
+    if voxel == 0:
+        return FusedCloud._with_pca_normals(rows.T, toward)
+    return FusedCloud._voxel_grid_of(rows, voxel, _key_bounds(rows, voxel), toward)
 
 
 def _check_fusion_options(voxel: float) -> None:
@@ -286,17 +317,11 @@ def _deproject_views(views: list[tuple[PinholeCamera, DepthMap]]) -> np.ndarray:
     return rows
 
 
-def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:
-    """Centroid of each occupied voxel, in lexicographic (x, y, z) key order.
+def _key_bounds(rows: np.ndarray, voxel: float):
+    """Each coordinate row's lowest voxel key (floats) and key span (ints).
 
-    Each integer key is packed into one int64, offset by the minimum key with
-    x as the most significant digit, so sorting the packed keys sorts the
-    keys lexicographically.  Sums accumulate in input order.  The points are
-    read as coordinate rows (`points.T`, contiguous for `fuse`'s points): each
-    row is divided and floored into one reused buffer and packed into one
-    int64 buffer, and the centroids come back as an (N, 3) view of their rows.
+    Raises VoxelKeyOverflowError unless the keys pack into one int64.
     """
-    rows = points.T
     # floor(x / voxel) never decreases with x, so a row's key bounds are the
     # keys of its own bounds
     lo, hi = np.floor(np.array([(row.min(), row.max()) for row in rows]).T / voxel)
@@ -306,6 +331,22 @@ def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:
         raise VoxelKeyOverflowError(
             f"voxel size {voxel:g} m is too small to key this cloud's extent in int64"
         )
+    return lo, spans
+
+
+def _voxel_centroids(points: np.ndarray, voxel: float, bounds=None) -> np.ndarray:
+    """Centroid of each occupied voxel, in lexicographic (x, y, z) key order.
+
+    Each integer key is packed into one int64, offset by the minimum key with
+    x as the most significant digit, so sorting the packed keys sorts the
+    keys lexicographically.  Sums accumulate in input order.  The points are
+    read as coordinate rows (`points.T`, contiguous for `fuse`'s points): each
+    row is divided and floored into one reused buffer and packed into one
+    int64 buffer, and the centroids come back as an (N, 3) view of their rows.
+    `bounds` are `_key_bounds` of these points or of any points around them.
+    """
+    rows = points.T
+    lo, spans = _key_bounds(rows, voxel) if bounds is None else bounds
     packed = np.zeros(rows.shape[1], dtype=np.int64)
     scratch = np.empty_like(packed)
     keys = np.empty(rows.shape[1])
@@ -399,6 +440,77 @@ def _pca_normals(points: np.ndarray, toward: np.ndarray, index: np.ndarray,
     return np.where(lengths > 1e-12, normals / np.maximum(lengths, 1e-12), [[0.0, 0.0, 1.0]])
 
 
+def _query_xy(target) -> np.ndarray:
+    """The XY of a planar query; raises InvalidQueryError unless it has two finite ones."""
+    t = np.asarray(target, dtype=float).reshape(-1)[:2]
+    if len(t) < 2 or not np.all(np.isfinite(t)):
+        raise InvalidQueryError(f"a planar query needs finite X and Y coordinates, got {t}")
+    return t
+
+
+def _key_window(rows: np.ndarray, voxel: float, low: np.ndarray, high: np.ndarray,
+                rounding: float) -> np.ndarray:
+    """The columns of raw coordinate rows whose x and y voxel keys, floored as
+    `_voxel_centroids` floors them, lie in [low, high], in their order.
+
+    Coordinates within a voxel (and `rounding`, at least two ulps of any of
+    them) of those keys' span are candidates, and only those are keyed.
+    """
+    x, y = rows[0], rows[1]
+    lower, upper = (low - 1) * voxel - rounding, (high + 2) * voxel + rounding
+    near = (x >= lower[0]) & (x <= upper[0])
+    near &= y >= lower[1]
+    near &= y <= upper[1]
+    cols = np.flatnonzero(near)
+    kx, ky = np.floor(x.take(cols) / voxel), np.floor(y.take(cols) / voxel)
+    inside = (kx >= low[0]) & (kx <= high[0]) & (ky >= low[1]) & (ky <= high[1])
+    return rows.take(cols[inside], axis=1)
+
+
+def _snap(cloud: FusedCloud, target) -> tuple[FusedCloud, PlanarNeighbor]:
+    """The point nearest `target` in XY, with the cloud that holds it (its
+    `normal_at(index)` is the point's normal): `cloud` itself once its points
+    exist, else the voxel grid of a square key window of its raw points.
+
+    Exact, not approximate.  The window holds whole voxels, in `fuse`'s order,
+    and `bincount` sums each voxel's points in input order, so its centroids
+    are bitwise the grid's, in the grid's relative order.  A centroid outside
+    the window lies more than the half-width `h` from `target` in x or y, but
+    for the rounding of its sum: under one ulp of the largest coordinate per
+    point.  So once the nearest centroid's planar distance, NORMAL_RADIUS and
+    that rounding fit in `h`, the window holds every grid point as near as
+    that one (so ties break alike) and its whole ball.  Otherwise the window
+    at least doubles; one that would cover the cloud's XY keys builds the grid.
+    """
+    xy = _query_xy(target)
+    if cloud._points is not None:
+        return cloud, cloud.planar_nearest(xy)
+    rows, voxel, bounds = cloud._raw
+    first = bounds[0][:2]
+    last = first + bounds[1][:2] - 1
+    # a query off the cloud's XY box starts with a window that reaches into it
+    gap = max(0.0, *(first * voxel - xy), *(xy - (last + 1) * voxel))
+    h = NORMAL_RADIUS + voxel + gap
+    scale = np.abs(xy).max() + voxel * (np.abs([first, last]).max() + 1)
+    while True:
+        low, high = np.floor((xy - h) / voxel), np.floor((xy + h) / voxel)
+        if np.all(low <= first) and np.all(high >= last):
+            return cloud, cloud.planar_nearest(xy)
+        # a centroid's sum, xy ± h and the distances round by at most this
+        rounding = np.finfo(float).eps * (rows.shape[1] + 8) * (scale + h)
+        window = _key_window(rows, voxel, low, high, rounding)
+        if window.shape[1] == 0:
+            h *= 2
+            continue
+        grid = FusedCloud._with_pca_normals(_voxel_centroids(window.T, voxel, bounds),
+                                            cloud._toward)
+        neighbor = grid.planar_nearest(xy)
+        reach = neighbor.planar_distance + NORMAL_RADIUS + rounding
+        if reach <= h:
+            return grid, neighbor
+        h = max(2 * h, reach)
+
+
 def adjust_target(cloud: FusedCloud, target) -> AdjustedTarget:
     """Snap a regressed target onto the observed surface.
 
@@ -407,13 +519,11 @@ def adjust_target(cloud: FusedCloud, target) -> AdjustedTarget:
     far_from_surface flag: the regression landed off the scanned surface.
     """
     t = np.asarray(target, dtype=float).reshape(-1)
-    if t.shape[0] < 2:
-        raise ValueError("target must provide at least XY coordinates")
-    neighbor = cloud.planar_nearest(t[:2])
+    surface, neighbor = _snap(cloud, t)
     position = np.array([t[0], t[1], neighbor.point[2]])
     return AdjustedTarget(
         position=position,
-        normal=cloud.normal_at(neighbor.index).copy(),
+        normal=surface.normal_at(neighbor.index).copy(),
         planar_distance=neighbor.planar_distance,
         far_from_surface=neighbor.planar_distance > FAR_FROM_SURFACE,
     )

@@ -48,8 +48,15 @@ class MalformedFileError(ConfigError, ValueError):
     """An input file (PFM, `.cloud`, scene.json, params) has a bad header, size or value."""
 
 
-class NonFiniteTargetError(ScanlocError, ValueError):
-    """A planar query is not finite, e.g. a target regressed with overflowing ratios."""
+class InvalidArrayError(ConfigError, ValueError):
+    """An array handed to the cloud code has the wrong shape or a value outside its
+    domain (non-finite coordinates, normals not of unit length), or a cloud given
+    its normals is asked for the file form that only points have."""
+
+
+class InvalidQueryError(ConfigError, ValueError):
+    """A planar query is not two finite XY coordinates, e.g. a target regressed
+    with overflowing ratios, or a point with fewer than two coordinates."""
 
 
 class VoxelKeyOverflowError(ScanlocError):

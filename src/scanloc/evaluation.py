@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import DepthMap, FusedCloud, fuse
+from .cloud import DepthMap, FusedCloud, _snap, fuse
 from .errors import (
     InsufficientDataError,
     MissingPixelError,
@@ -251,7 +251,7 @@ def _pixel_error(camera, point, truth: Pixel) -> float:
 
 def _snapped(cloud: FusedCloud, point) -> np.ndarray:
     """`adjust_target(cloud, point).position` without reading a normal."""
-    return np.array([point[0], point[1], cloud.planar_nearest(point[:2]).point[2]])
+    return np.array([point[0], point[1], _snap(cloud, point)[1].point[2]])
 
 
 def backprojection_comparison(scene: SyntheticScene,

@@ -11,14 +11,18 @@ Oracles:
 * per-view `np.argwhere` pixels, `deproject` and `np.vstack` for `fuse`'s
   one point buffer,
 * the pinhole formula and an (N, 3) matmul written out longhand for views of
-  one and two valid pixels.
+  one and two valid pixels,
+* the snap on the whole voxel grid of a scene's raw points for the snap on a
+  key window of them, bitwise.
 """
 
+import functools
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from helpers import look_at_camera, render_sphere_depth
@@ -26,8 +30,10 @@ from scanloc.cloud import (
     MAX_DEPTH,
     DepthMap,
     FusedCloud,
+    _key_window,
     _pca_normals,
     _scan_ball,
+    _snap,
     _tree_balls,
     _voxel_centroids,
     adjust_target,
@@ -36,13 +42,16 @@ from scanloc.cloud import (
     write_pfm,
 )
 from scanloc.errors import (
+    ConfigError,
     EmptyCloudError,
+    InvalidQueryError,
     MalformedFileError,
     ScanlocError,
     VoxelKeyOverflowError,
 )
 from scanloc.geometry import MIN_DEPTH, angle_between_degrees
 from scanloc.synth import NoiseSpec, generate_cohort
+from scanloc.targets import localize
 
 
 def linear_scan_nearest(xy, target):
@@ -536,6 +545,24 @@ class TestPlanarNearest:
             with pytest.raises(ValueError, match="finite"):
                 adjust_target(cloud, target + [0.7])
 
+    @pytest.mark.parametrize("query", [[0.5], [], [np.nan, 0.0], [0.0, -np.inf, 0.3]],
+                             ids=["one-coordinate", "empty", "nan", "inf"])
+    def test_short_or_non_finite_query_fails_before_any_window(self, query, monkeypatch):
+        given_normals = simple_cloud([[0.0, 0.0, 0.5], [1.0, 0.0, 0.9]])
+        unread = fuse(scene_views(MILD, "front", seed=63), voxel=0.005)
+
+        def no_window(*args):
+            raise AssertionError("a key window was built for a bad query")
+
+        monkeypatch.setattr("scanloc.cloud._key_window", no_window)
+        for cloud in (given_normals, unread):
+            for call in (cloud.planar_nearest, lambda q: adjust_target(cloud, q),
+                         lambda q: _snap(cloud, q)):
+                with pytest.raises(InvalidQueryError, match="finite X and Y") as info:
+                    call(query)
+                assert isinstance(info.value, ScanlocError) and isinstance(info.value, ValueError)
+        assert unread._points is None  # nor was the grid built
+
 
 class TestAdjustTarget:
     def test_snaps_depth_and_normal_from_nearest(self):
@@ -571,6 +598,164 @@ class TestAdjustTarget:
         for _ in range(20):
             result = adjust_target(cloud, rng.uniform(-0.5, 0.5, 3))
             assert zmin <= result.position[2] <= zmax
+
+
+def lattice_views():
+    """Two cameras straight above the origin, at 1 m and 1.5 m, each seeing a
+    plane 1 m below it: every XY of a 2**-9 m lattice twice, at z = 0 and at
+    z = 0.5.  The coordinates are dyadic, so queries midway between lattice
+    nodes tie exactly, and only the tie-break decides which plane's z a snap
+    reads, even after voxelizing (two centroids per XY voxel)."""
+    return [(look_at_camera([0.0, 0.0, height], [0.0, 0.0, 0.0], fx=512, width=64, height=48),
+             DepthMap(np.full((48, 64), 1.0))) for height in (1.0, 1.5)]
+
+
+SNAP_SCENES = {
+    "noisy-side": lambda: scene_views(NOISY, "side", seed=63),
+    "mild-front": lambda: scene_views(MILD, "front", seed=63),
+    "lattice": lattice_views,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def snap_oracle(name, voxel):
+    """A scene's views and the cloud of its whole voxel grid, built eagerly
+    from the raw points (the points of a voxel-0 `fuse`)."""
+    views = SNAP_SCENES[name]()
+    raw = fuse(views, voxel=0.0).points
+    toward = np.mean([camera.center for camera, _ in views], axis=0)
+    grid = raw if voxel == 0 else _voxel_centroids(raw, voxel)
+    return views, FusedCloud._with_pca_normals(grid, toward)
+
+
+def assert_same_snap(got, want):
+    assert got.position.tobytes() == want.position.tobytes()
+    assert got.normal.tobytes() == want.normal.tobytes()
+    assert got.planar_distance == want.planar_distance
+    assert got.far_from_surface == want.far_from_surface
+
+
+class TestSnapWindows:
+    """A fused cloud builds its voxel grid when its points are read; a snap
+    before that voxelizes only a key window of its raw points."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_window_snap_equals_the_whole_grid_snap(self, data):
+        name = data.draw(st.sampled_from(sorted(SNAP_SCENES)), label="scene")
+        voxel = data.draw(st.sampled_from([0.0, 0.002, 0.005]), label="voxel")
+        views, oracle = snap_oracle(name, voxel)
+        lo, hi = oracle.points[:, :2].min(axis=0), oracle.points[:, :2].max(axis=0)
+        unit = st.floats(-0.25, 1.25)
+        xy = lo + np.array([data.draw(unit), data.draw(unit)]) * (hi - lo)
+        kind = data.draw(st.sampled_from(["inside", "voxel-edge", "tie", "far"]), label="kind")
+        if kind == "voxel-edge":  # on a key boundary in x, y or both
+            step = voxel or 0.002
+            edge = np.floor(xy / step) * step
+            xy = np.where(data.draw(st.sampled_from([[1, 0], [0, 1], [1, 1]])), edge, xy)
+        elif kind == "tie":
+            if name == "lattice":  # a lattice cell's centre: 8 raw points tie
+                xy = (np.floor(xy * 512) + 0.5) / 512
+            else:  # midway between a grid point and the next one
+                index = data.draw(st.integers(0, len(oracle) - 2))
+                xy = (oracle.points[index, :2] + oracle.points[index + 1, :2]) / 2
+        elif kind == "far":
+            direction = np.array(data.draw(st.sampled_from([[1, 0], [-1, 0.5], [0.2, -1]])))
+            xy = xy + direction * data.draw(st.floats(0.06, 100.0))
+        assert_same_snap(adjust_target(fuse(views, voxel=voxel), xy), adjust_target(oracle, xy))
+
+    def test_key_window_keeps_whole_voxels_in_order(self):
+        rows = fuse(scene_views(NOISY, "side", seed=63), voxel=0.0).points.T
+        rng = np.random.default_rng(65)
+        for voxel in (0.002, 0.005):
+            keys = np.floor(rows[:2] / voxel)
+            for _ in range(20):
+                low = keys[:, rng.integers(0, rows.shape[1])] - rng.integers(0, 15, 2)
+                high = low + rng.integers(0, 30, 2)
+                inside = np.all((keys >= low[:, None]) & (keys <= high[:, None]), axis=0)
+                window = _key_window(rows, voxel, low, high, 0.0)
+                assert window.shape == (3, np.count_nonzero(inside))
+                assert window.tobytes() == np.ascontiguousarray(rows[:, inside]).tobytes()
+
+    def test_lattice_cell_centres_tie_exactly(self):
+        views, oracle = snap_oracle("lattice", 0.0)
+        for xy in ([0.5 / 512, 0.5 / 512], [-7.5 / 512, 3.5 / 512]):
+            d2 = ((oracle.points[:, :2] - xy) ** 2).sum(axis=1)
+            assert np.count_nonzero(d2 == d2.min()) == 8
+        # and at a 2 mm voxel, each tie is between a centroid of each plane
+        views, oracle = snap_oracle("lattice", 0.002)
+        d2 = ((oracle.points[:, :2] - [0.0, 0.0]) ** 2).sum(axis=1)
+        assert set(oracle.points[d2 == d2.min(), 2]) == {0.0, 0.5}
+        for voxel in (0.002, 0.005):
+            views, oracle = snap_oracle("lattice", voxel)
+            for xy in oracle.points[::97, :2]:
+                assert_same_snap(adjust_target(fuse(views, voxel=voxel), xy),
+                                 adjust_target(oracle, xy))
+
+    @pytest.mark.parametrize("noise, pose_kind, voxel", FUSION_CASES + [
+        pytest.param(MILD, "side", 0.005, id="mild-side-5mm"),
+        pytest.param(NOISY, "front", 0.002, id="noisy-front-2mm")])
+    def test_localize_voxelizes_only_windows(self, noise, pose_kind, voxel, monkeypatch):
+        (scene,) = generate_cohort(1, noise=noise, pose_kind=pose_kind, seed=63)
+        views = list(zip(scene.cameras, scene.depths))
+        pixels = sum(np.count_nonzero(depth.valid_mask) for _, depth in views)
+        cloud = fuse(views, voxel=voxel)
+        sizes = []
+
+        def recording(points, voxel, bounds=None):
+            sizes.append(len(points))
+            return _voxel_centroids(points, voxel, bounds)
+
+        monkeypatch.setattr("scanloc.cloud._voxel_centroids", recording)
+        poses = localize(*scene.cameras, scene.observation, cloud, scene.ratios,
+                         scene.pose_kind, scene.axes)
+        assert sorted(p.target_id for p in poses) == sorted(scene.targets_true)
+        assert len(sizes) >= len(poses)
+        assert all(size < pixels / 4 for size in sizes), sizes
+        assert cloud._points is None  # the whole grid was never built
+
+    def test_a_snapped_cloud_reads_as_a_fresh_one(self, tmp_path):
+        views = scene_views(NOISY, "side", seed=63)
+        snapped, fresh = fuse(views, voxel=0.002), fuse(views, voxel=0.002)
+        for xy in ([0.0, 0.2], [0.05, 0.3], [3.0, -2.0]):
+            adjust_target(snapped, xy)
+        assert len(snapped) == len(fresh)
+        assert snapped.points.tobytes() == fresh.points.tobytes()
+        snapped.save(tmp_path / "snapped.cloud")
+        fresh.save(tmp_path / "fresh.cloud")
+        assert (tmp_path / "snapped.cloud").read_bytes() == (tmp_path / "fresh.cloud").read_bytes()
+
+    @pytest.mark.parametrize("noise, pose_kind, voxel", FUSION_CASES)
+    def test_an_unread_cloud_holds_only_its_raw_points(self, noise, pose_kind, voxel):
+        """24 B per valid pixel (three float64 coordinates) and its key bounds."""
+        views = scene_views(noise, pose_kind, seed=63)
+        pixels = sum(np.count_nonzero(depth.valid_mask) for _, depth in views)
+        tracemalloc.start()
+        try:
+            cloud = fuse(views, voxel=voxel)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 24 * pixels + 4096, f"{held - 24 * pixels} B beyond the raw points"
+        assert cloud._points is None
+
+
+class TestCloudErrors:
+    def test_bad_arrays_are_config_errors_and_value_errors(self, tmp_path):
+        calls = [
+            lambda: DepthMap(np.zeros(3)),
+            lambda: write_pfm(tmp_path / "flat.pfm", np.zeros(3)),
+            lambda: FusedCloud(points=np.zeros((2, 2)), normals=np.zeros((2, 2))),
+            lambda: FusedCloud(points=[[np.nan, 0.0, 0.0]], normals=[[0.0, 0.0, 1.0]]),
+            lambda: FusedCloud(points=[[0.0, 0.0, 0.0]], normals=[[np.inf, 0.0, 1.0]]),
+            lambda: FusedCloud(points=[[0.0, 0.0, 0.0]], normals=[[0.0, 0.0, 2.0]]),
+            lambda: simple_cloud([[0.0, 0.0, 0.5]]).save(tmp_path / "given.cloud"),
+            lambda: adjust_target(simple_cloud([[0.0, 0.0, 0.5]]), [0.1]),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert isinstance(info.value, ValueError)
 
 
 class TestCloudFile:
