@@ -49,9 +49,10 @@ class MalformedFileError(ConfigError, ValueError):
 
 
 class InvalidArrayError(ConfigError, ValueError):
-    """An array handed to the cloud code has the wrong shape or a value outside its
-    domain (non-finite coordinates, normals not of unit length), or a cloud given
-    its normals is asked for the file form that only points have."""
+    """An array or value handed to the geometry or cloud code has the wrong shape or
+    a value outside its domain (non-finite coordinates, a rotation that is not
+    orthonormal, intrinsics outside the image, normals not of unit length), or a
+    cloud given its normals is asked for the file form that only points have."""
 
 
 class InvalidQueryError(ConfigError, ValueError):

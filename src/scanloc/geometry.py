@@ -22,6 +22,7 @@ from scipy.spatial.transform import Rotation
 from .errors import (
     ConfigError,
     DegenerateGeometryError,
+    InvalidArrayError,
     NonPositiveDepthError,
     ZeroVectorError,
 )
@@ -36,9 +37,9 @@ MIN_DEPTH = 1e-9
 def _as_vec3(value, name: str) -> np.ndarray:
     v = np.asarray(value, dtype=float).reshape(-1)
     if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
+        raise InvalidArrayError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite, got {v}")
+        raise InvalidArrayError(f"{name} must be finite, got {v}")
     return v
 
 
@@ -52,13 +53,13 @@ class RigidTransform:
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=float)
         if rot.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got shape {rot.shape}")
+            raise InvalidArrayError(f"rotation must be 3x3, got shape {rot.shape}")
         if not np.all(np.isfinite(rot)):
-            raise ValueError("rotation must be finite")
+            raise InvalidArrayError("rotation must be finite")
         if np.linalg.norm(rot.T @ rot - np.eye(3)) > _ROTATION_ATOL:
-            raise ValueError("rotation matrix is not orthonormal")
+            raise InvalidArrayError("rotation matrix is not orthonormal")
         if np.linalg.det(rot) < 0:
-            raise ValueError("rotation matrix is a reflection (det < 0)")
+            raise InvalidArrayError("rotation matrix is a reflection (det < 0)")
         trans = _as_vec3(self.translation, "translation")
         rot = rot.copy()
         rot.flags.writeable = False
@@ -74,7 +75,7 @@ class RigidTransform:
     def from_matrix(cls, matrix) -> "RigidTransform":
         m = np.asarray(matrix, dtype=float)
         if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+            raise InvalidArrayError(f"expected a 4x4 matrix, got shape {m.shape}")
         return cls(m[:3, :3], m[:3, 3])
 
     @classmethod
@@ -102,7 +103,7 @@ class RigidTransform:
             return self.rotation @ p + self.translation
         if p.ndim == 2 and p.shape[1] == 3:
             return self.apply_rows(p.T).T
-        raise ValueError(f"points must have shape (3,) or (N, 3), got {p.shape}")
+        raise InvalidArrayError(f"points must have shape (3,) or (N, 3), got {p.shape}")
 
     def apply_rows(self, rows, out=None) -> np.ndarray:
         """Transform points held as three coordinate rows, (3, N): `R @ rows`,
@@ -148,7 +149,7 @@ def rotation_to_angle_axis(rotation) -> np.ndarray:
     """Convert a rotation matrix to an angle-axis 3-vector (angle in [0, pi])."""
     rot = np.asarray(rotation, dtype=float)
     if rot.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got shape {rot.shape}")
+        raise InvalidArrayError(f"rotation must be 3x3, got shape {rot.shape}")
     return Rotation.from_matrix(rot).as_rotvec()
 
 
@@ -185,11 +186,11 @@ class PinholeCamera:
 
     def __post_init__(self):
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
-            raise ValueError("focal lengths must be positive and finite")
+            raise InvalidArrayError("focal lengths must be positive and finite")
         if self.width <= 0 or self.height <= 0:
-            raise ValueError("image size must be positive")
+            raise InvalidArrayError("image size must be positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+            raise InvalidArrayError("principal point must lie inside the image")
 
     @property
     def center(self) -> np.ndarray:
@@ -244,14 +245,16 @@ class PinholeCamera:
     def pixel_rays(self, uv) -> tuple[np.ndarray, np.ndarray]:
         """Base-frame rays through pixels, scaled so depth equals the ray parameter.
 
-        Returns (origin (3,), directions (N, 3)); a point `origin + t * dir`
-        has camera-frame depth exactly t.  The directions are rotated as
-        coordinate rows, like `apply_rows` without its translation.
+        Takes N pixels as an (N, 2) array or as a tuple (u, v) of (N,)
+        arrays.  Returns (origin (3,), directions (N, 3)); a point
+        `origin + t * dir` has camera-frame depth exactly t.  The directions
+        are rotated as coordinate rows, like `apply_rows` without its
+        translation.
         """
-        uv = np.asarray(uv, dtype=float)
-        rows = np.empty((3, len(uv)))  # camera-frame direction rows
-        rows[0] = (uv[:, 0] - self.cx) / self.fx
-        rows[1] = (uv[:, 1] - self.cy) / self.fy
+        u, v = uv if isinstance(uv, tuple) else np.asarray(uv, dtype=float).T
+        rows = np.empty((3, len(u)))  # camera-frame direction rows
+        rows[0] = (u - self.cx) / self.fx
+        rows[1] = (v - self.cy) / self.fy
         rows[2] = 1.0
         return self.pose.translation.copy(), (self.pose.rotation @ rows).T
 

@@ -53,6 +53,9 @@ RIG_FX = 600.0
 RIG_IMAGE_SIZE = (640, 480)
 # fraction of torso surface samples that must project into both views
 MIN_VISIBLE_FRACTION = 0.9
+# rays per band of `raycast_depth`: small enough that a band's temporaries
+# stay in L2 cache and below glibc's mmap threshold
+_TILE_RAYS = 8192
 
 _TORSO_FIELDS = (
     "half_width",
@@ -217,8 +220,19 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
     that provably miss are never cast (Kay & Kajiya, SIGGRAPH 1986): only
     pixels in the image rectangle around the projected bounding box (+1 px;
     every pixel if a box corner is behind the camera) get a ray, and only
-    rays with a real root are solved.  Each cast ray gets the same
-    elementwise arithmetic as in a full-image cast, so every depth bit does.
+    rays with a real root are solved.
+
+    The rectangle is cast in bands of whole image rows of about
+    `_TILE_RAYS` rays each, so a band's temporaries stay small and each band
+    fills one slice of the image.  A band holds at least two rays unless
+    the rectangle holds one: numpy rotates a single ray with a
+    matrix-vector product, which rounds differently from the many-ray one.
+    Within a band, the near root (-qb - sq) / 2qa is solved for every ray
+    and the far root only where the near one misses.  With qa > 0 and
+    sq >= 0, -qb - sq <= -qb + sq holds after rounding, and so after the
+    division by the same positive 2qa: the near root is the nearest hit
+    whenever it hits.  Each cast ray gets the same elementwise arithmetic
+    as in a full-image cast, so every depth bit does.
     """
     a, c, h = torso.half_width, torso.thickness, torso.base_height
     box = [[x, y, z] for x in (-a, a) for y in (0.0, torso.length) for z in (h, h + c)]
@@ -227,26 +241,46 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
     if not np.isnan(uv).any():
         lo, hi = np.floor(uv.min(axis=0)) - 1, np.ceil(uv.max(axis=0)) + 2
     (u0, v0), (u1, v1) = np.clip([lo, hi], 0, [camera.width, camera.height]).astype(int)
-    us, vs = (g.ravel() for g in np.meshgrid(np.arange(u0, u1), np.arange(v0, v1)))
-    origin, dirs = camera.pixel_rays(np.column_stack([us, vs]).astype(float))
+    rows, cols = v1 - v0, u1 - u0
+    # ceil(rays / _TILE_RAYS) bands, at most one per row, or per two rows of one column
+    bands = max(1, min(-(-rows * cols // _TILE_RAYS), rows if cols > 1 else rows // 2))
+    edges = v0 + np.arange(bands + 1) * rows // bands
 
-    qa = (dirs[:, 0] / a) ** 2 + (dirs[:, 2] / c) ** 2
-    qb = 2 * (origin[0] * dirs[:, 0] / a**2 + (origin[2] - h) * dirs[:, 2] / c**2)
+    origin = camera.center
     qc = (origin[0] / a) ** 2 + ((origin[2] - h) / c) ** 2 - 1.0
+    us = np.arange(u0, u1, dtype=float)
+    depth = np.zeros((camera.height, camera.width))
+    for v_lo, v_hi in zip(edges[:-1], edges[1:]):
+        vs = np.repeat(np.arange(v_lo, v_hi, dtype=float), cols)
+        _, dirs = camera.pixel_rays((np.tile(us, v_hi - v_lo), vs))
+        depth[v_lo:v_hi, u0:u1] = _cast_band(origin, dirs, qc, torso).reshape(v_hi - v_lo, cols)
+    return DepthMap(values=depth)
+
+
+def _cast_band(origin, dirs, qc, torso: TorsoSpec) -> np.ndarray:
+    """Depths of one band's rays, `dirs` (N, 3) from `origin`; misses are 0."""
+    a, c, h = torso.half_width, torso.thickness, torso.base_height
+    dx, dy, dz = dirs.T
+    qa = (dx / a) ** 2 + (dz / c) ** 2
+    qb = 2 * (origin[0] * dx / a**2 + (origin[2] - h) * dz / c**2)
     disc = qb**2 - 4 * qa * qc
     sel = np.flatnonzero((disc >= 0) & (qa > 1e-18))
-    qa, qb, sq, dirs = qa[sel], qb[sel], np.sqrt(disc[sel]), dirs[sel]
+    qa, qb, sq = qa[sel], qb[sel], np.sqrt(disc[sel])
 
-    t_best = np.full(len(sel), np.inf)
-    for t in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)):
-        y = origin[1] + t * dirs[:, 1]
-        z = origin[2] + t * dirs[:, 2]
-        ok = (t > MIN_DEPTH) & (z >= h - 1e-12) & (y >= 0) & (y <= torso.length)
-        t_best = np.where(ok & (t < t_best), t, t_best)
+    def hits(t, rays):
+        y = origin[1] + t * dy[rays]
+        z = origin[2] + t * dz[rays]
+        return (t > MIN_DEPTH) & (z >= h - 1e-12) & (y >= 0) & (y <= torso.length)
 
-    depth = np.zeros((camera.height, camera.width))
-    depth[vs[sel], us[sel]] = np.where(np.isfinite(t_best), t_best, 0.0)
-    return DepthMap(values=depth)
+    depth = np.zeros(len(dx))
+    near = (-qb - sq) / (2 * qa)
+    ok = hits(near, sel)
+    depth[sel[ok]] = near[ok]
+    miss = np.flatnonzero(~ok)
+    far = (-qb[miss] + sq[miss]) / (2 * qa[miss])
+    ok = hits(far, sel[miss])
+    depth[sel[miss[ok]]] = far[ok]
+    return depth
 
 
 def _check_visibility(cameras, torso: TorsoSpec) -> None:

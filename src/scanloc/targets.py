@@ -33,6 +33,7 @@ from .errors import (
     DegenerateRollError,
     ImplausibleKeypointsError,
     InsufficientSamplesError,
+    InvalidRangeError,
     MalformedFileError,
     MissingKeypointError,
     RankDeficientError,
@@ -111,7 +112,7 @@ class RatioPair:
 
     def __post_init__(self):
         if not (np.isfinite(self.segment_ratio) and np.isfinite(self.offset_ratio)):
-            raise ValueError("ratios must be finite")
+            raise InvalidRangeError("ratios must be finite")
         if not (-1 < self.segment_ratio < 1 and -1 < self.offset_ratio < 1):
             log.warning(
                 "ratio pair (%.4f, %.4f) is outside the expected (-1, 1) range",
@@ -220,13 +221,13 @@ def pose_kind_for_target(target_id: int) -> str:
         return "front"
     if target_id == SIDE_TARGET_ID:
         return "side"
-    raise ValueError(f"unsupported target id {target_id}; expected 1, 2 or 4")
+    raise InvalidRangeError(f"unsupported target id {target_id}; expected 1, 2 or 4")
 
 
 def required_joints(pose_kind: str) -> tuple[str, str]:
     """The pose kind's segment joints: (start, end)."""
     if pose_kind not in SEGMENT_JOINTS:
-        raise ValueError(f"pose_kind must be 'front' or 'side', got {pose_kind!r}")
+        raise InvalidRangeError(f"pose_kind must be 'front' or 'side', got {pose_kind!r}")
     return SEGMENT_JOINTS[pose_kind]
 
 

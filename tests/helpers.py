@@ -72,11 +72,12 @@ def render_sphere_depth(
     return depth.reshape(camera.height, camera.width)
 
 
-def full_image_raycast(camera: PinholeCamera, torso) -> np.ndarray:
-    """Torso depth map from one ray per pixel of the whole image; misses are 0.
+def full_image_roots(camera: PinholeCamera, torso):
+    """Both roots of one ray per pixel of the whole image, (H*W, 2) near then
+    far, and whether each root is a hit on the torso, (H*W, 2).
 
     The same closed-form intersection as `synth.raycast_depth` with no ray
-    culled, so the culled cast must match it bit for bit.
+    culled and both roots solved for every ray.
     """
     us, vs = np.meshgrid(np.arange(camera.width), np.arange(camera.height))
     uv = np.column_stack([us.ravel(), vs.ravel()]).astype(float)
@@ -92,14 +93,23 @@ def full_image_raycast(camera: PinholeCamera, torso) -> np.ndarray:
     sq = np.sqrt(np.where(hit, disc, 0.0))
     denom = np.where(hit, 2 * qa, 1.0)
     roots = np.stack([(-qb - sq) / denom, (-qb + sq) / denom], axis=1)
+    y = origin[1] + roots * dirs[:, 1:2]
+    z = origin[2] + roots * dirs[:, 2:3]
+    ok = hit[:, None] & (roots > MIN_DEPTH) & (z >= h - 1e-12) & (y >= 0) & (y <= torso.length)
+    return roots, ok
 
-    t_best = np.full(len(uv), np.inf)
+
+def full_image_raycast(camera: PinholeCamera, torso) -> np.ndarray:
+    """Torso depth map from one ray per pixel of the whole image; misses are 0.
+
+    The nearest of `full_image_roots`' hits per pixel, so the culled, banded
+    cast must match it bit for bit.
+    """
+    roots, ok = full_image_roots(camera, torso)
+    t_best = np.full(len(roots), np.inf)
     for k in (0, 1):
         t = roots[:, k]
-        y = origin[1] + t * dirs[:, 1]
-        z = origin[2] + t * dirs[:, 2]
-        ok = hit & (t > MIN_DEPTH) & (z >= h - 1e-12) & (y >= 0) & (y <= torso.length)
-        t_best = np.where(ok & (t < t_best), t, t_best)
+        t_best = np.where(ok[:, k] & (t < t_best), t, t_best)
 
     depth = np.where(np.isfinite(t_best), t_best, 0.0)
     return depth.reshape(camera.height, camera.width)

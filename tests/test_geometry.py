@@ -16,6 +16,7 @@ from scipy.spatial.transform import Rotation
 from scanloc.errors import (
     DegenerateGeometryError,
     NonPositiveDepthError,
+    ScanlocError,
     ZeroVectorError,
 )
 from scanloc.geometry import (
@@ -28,6 +29,7 @@ from scanloc.geometry import (
     rotation_to_angle_axis,
     triangulate,
 )
+from scanloc.targets import RatioPair, pose_kind_for_target, required_joints
 
 
 def random_transform(rng) -> RigidTransform:
@@ -103,6 +105,35 @@ class TestRigidTransform:
         back = RigidTransform.from_dict(t.to_dict())
         assert np.array_equal(back.rotation, t.rotation)
         assert np.array_equal(back.translation, t.translation)
+
+
+IDENTITY = RigidTransform.identity()
+BAD_CONSTRUCTOR_INPUT = {
+    "vector-shape": lambda: angle_axis_to_rotation([1.0, 2.0]),
+    "vector-finite": lambda: angle_axis_to_rotation([np.nan, 0.0, 0.0]),
+    "rotation-shape": lambda: RigidTransform(np.eye(2), np.zeros(3)),
+    "rotation-finite": lambda: RigidTransform(np.full((3, 3), np.inf), np.zeros(3)),
+    "rotation-orthonormal": lambda: RigidTransform(np.eye(3) * 1.01, np.zeros(3)),
+    "rotation-reflection": lambda: RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3)),
+    "matrix-shape": lambda: RigidTransform.from_matrix(np.eye(3)),
+    "points-shape": lambda: IDENTITY.apply(np.zeros((2, 2))),
+    "angle-axis-shape": lambda: rotation_to_angle_axis(np.eye(2)),
+    "focal-length": lambda: PinholeCamera(0.0, 600.0, 320.0, 240.0, 640, 480, IDENTITY),
+    "image-size": lambda: PinholeCamera(600.0, 600.0, 320.0, 240.0, 0, 480, IDENTITY),
+    "principal-point": lambda: PinholeCamera(600.0, 600.0, 700.0, 240.0, 640, 480, IDENTITY),
+    "ratio-finite": lambda: RatioPair(np.nan, 0.2),
+    "target-id": lambda: pose_kind_for_target(3),
+    "pose-kind": lambda: required_joints("back"),
+}
+
+
+@pytest.mark.parametrize("build", BAD_CONSTRUCTOR_INPUT.values(), ids=BAD_CONSTRUCTOR_INPUT.keys())
+def test_bad_input_is_a_scanloc_value_error(build):
+    """Geometry and target-model values outside their domain raise a
+    ScanlocError, which the CLI reports in one line, and stay ValueErrors."""
+    with pytest.raises(ScanlocError) as info:
+        build()
+    assert isinstance(info.value, ValueError)
 
 
 class TestAngleAxis:

@@ -1,17 +1,19 @@
 """Synthetic scene generator: analytic surface, raycasting, noise, cohorts."""
 
 import filecmp
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from scanloc import synth
 from scanloc.cloud import fuse
 from scanloc.errors import (
     CameraMissesTorsoError,
     ConfigError,
     InvalidRangeError,
 )
-from scanloc.geometry import angle_between_degrees
+from scanloc.geometry import PinholeCamera, angle_between_degrees
 from scanloc.synth import (
     NoiseSpec,
     TorsoSpec,
@@ -38,7 +40,7 @@ from scanloc.targets import (
     triangulate_joints,
 )
 
-from helpers import full_image_raycast, look_at_camera, pixel_ray_grid
+from helpers import full_image_raycast, full_image_roots, look_at_camera, pixel_ray_grid
 
 TORSO = TorsoSpec()
 RATIOS = default_ratios()
@@ -186,6 +188,80 @@ class TestCulledRaycast:
         camera = look_at_camera([2.0, 0.3, 1.0], [2.0, 0.35, 0.0])
         assert np.all(_box_corner_depths(camera, TORSO) > 0)
         assert not assert_same_bits(camera, TORSO).any()
+
+
+# views whose images mix near-root and far-root hits; default rig views take
+# only the near root
+MIXED_ROOT_CAMERAS = [
+    look_at_camera([0.0, -0.2, 0.3], [0.0, 0.3, 0.05]),
+    look_at_camera([0.4, 0.3, 0.02], [0.0, 0.3, 0.1]),
+]
+
+
+@pytest.fixture(scope="module")
+def band_cases():
+    """(camera, torso, full-image depth) for `TestCulledRaycast`'s cameras
+    (the seed-0 cohort views and the three placed ones) and the mixed-root ones."""
+    cases = [(camera, scene.torso) for pose_kind in ("front", "side")
+             for scene in generate_cohort(3, pose_kind=pose_kind, seed=0)
+             for camera in scene.cameras]
+    placed = [look_at_camera([0.3, 0.0, 0.6], [0.25, -0.05, 0.05]),
+              look_at_camera([0.0, 0.3, 0.12], [0.0, 0.6, 0.1]),
+              look_at_camera([2.0, 0.3, 1.0], [2.0, 0.35, 0.0])]
+    cases += [(camera, TORSO) for camera in placed + MIXED_ROOT_CAMERAS]
+    return [(camera, torso, full_image_raycast(camera, torso)) for camera, torso in cases]
+
+
+class TestBandedRaycast:
+    """Bands of any size cast the bits of one ray per pixel of the whole image."""
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 7, 640, 641])
+    def test_any_band_size_matches_full_image(self, tile, band_cases, monkeypatch):
+        monkeypatch.setattr(synth, "_TILE_RAYS", tile)
+        for camera, torso, want in band_cases:
+            got = raycast_depth(camera, torso).values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("camera", MIXED_ROOT_CAMERAS)
+    def test_views_mixing_near_and_far_root_hits(self, camera):
+        _, ok = full_image_roots(camera, TORSO)
+        near, far = ok[:, 0], ok[:, 1] & ~ok[:, 0]
+        assert near.sum() > 1000 and far.sum() > 100
+        assert assert_same_bits(camera, TORSO).any()
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 2), (1, 5), (2, 3), (640, 480)])
+    def test_no_band_casts_a_single_ray(self, width, height, monkeypatch):
+        """With one ray per band asked for, each band still casts two rays or
+        more, unless the image holds one pixel."""
+        camera = look_at_camera([0.0, 0.3, 1.0], [0.0, 0.3, 0.1], width=width, height=height)
+        want = full_image_raycast(camera, TORSO)
+        sizes = []
+        pixel_rays = PinholeCamera.pixel_rays
+
+        def counting_rays(self, uv):
+            sizes.append(len(uv[0]))
+            return pixel_rays(self, uv)
+
+        monkeypatch.setattr(synth, "_TILE_RAYS", 1)
+        monkeypatch.setattr(PinholeCamera, "pixel_rays", counting_rays)
+        got = raycast_depth(camera, TORSO).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)) and got.any()
+        assert min(sizes) >= min(2, width * height)
+
+    @pytest.mark.parametrize("pose_kind", ["front", "side"])
+    def test_peak_memory_is_about_two_images(self, pose_kind):
+        """One call holds at most its image, the image's copy in the
+        `DepthMap` and 1 MiB of band temporaries at once."""
+        for scene in generate_cohort(2, pose_kind=pose_kind, seed=5):
+            for camera in scene.cameras:
+                image = 8 * camera.width * camera.height
+                tracemalloc.start()
+                try:
+                    raycast_depth(camera, scene.torso)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 2 * image + 2**20, f"peak {peak / image:.2f}x the image"
 
 
 class TestGenerateScene:
