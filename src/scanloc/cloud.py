@@ -1,14 +1,16 @@
 """Depth-map fusion into an oriented point cloud, plus planar depth lookup.
 
-Every valid pixel of the two calibrated cameras' depth maps is deprojected
-into the base frame.  Raw points are held as three coordinate rows, one (3, N)
-buffer: each view's one rows transform (`RigidTransform.apply_rows`, a single
-`R @ rows`) writes straight into that view's columns.  The cloud's points are
-the voxel-grid centroids of those rows, built one coordinate row at a time when
-`points` is first read; the rows are then dropped.  Until then a snap
-(`adjust_target`) voxelizes only the raw points in a square window of voxel keys
-around its query, which gives bitwise the centroids, nearest point and normal
-that the whole grid gives.
+A fused cloud's points are the voxel-grid centroids of every valid pixel of
+the two calibrated cameras' depth maps, deprojected into the base frame.  Until
+`points` is first read the cloud is its views: each camera, its depth map and
+their valid mask.  The first read deprojects every valid pixel into three
+coordinate rows, one (3, N) buffer: each view's one rows transform
+(`RigidTransform.apply_rows`, a single `R @ rows`) writes straight into that
+view's columns.  It then builds the grid one coordinate row at a time and drops
+the views.  Before that, a snap (`adjust_target`) deprojects only the valid
+pixels in the image rectangles that can see a square window of voxel keys
+around its query, and voxelizes only the points in that window.  This gives
+bitwise the centroids, nearest point and normal that the whole grid gives.
 Each normal is the PCA of the point's ball (every point within NORMAL_RADIUS),
 oriented toward the cameras and computed when read: a snap scans every point of
 the cloud or of its window for its one ball, so `fuse` builds no index; only
@@ -23,6 +25,8 @@ surface normal are copied from the cloud point closest in XY.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 import struct
@@ -65,6 +69,15 @@ class DepthMap:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _owning(cls, values: np.ndarray) -> "DepthMap":
+        """A depth map that takes `values`, a 2D float64 array nothing else
+        holds, as they are, marked read-only: no copy."""
+        depth = cls.__new__(cls)
+        values.flags.writeable = False
+        object.__setattr__(depth, "values", values)
+        return depth
+
     @property
     def height(self) -> int:
         return self.values.shape[0]
@@ -93,7 +106,8 @@ def write_pfm(path, values) -> None:
 
 
 def read_pfm(path) -> np.ndarray:
-    """Read a grayscale PFM file into a (height, width) float32 array."""
+    """Read a grayscale PFM file into a (height, width) float32 array: a
+    read-only view of the file's bytes when they are little-endian."""
     with open(path, "rb") as fh:
         def token():
             chars = []
@@ -113,7 +127,7 @@ def read_pfm(path) -> np.ndarray:
             raise MalformedFileError(f"{path}: not a grayscale PFM (magic {magic!r}, scale {scale})")
         _check_payload(fh, path, (height, width))
         data = np.frombuffer(fh.read(), dtype="<f4" if scale < 0 else ">f4")
-    return np.flipud(data.reshape(height, width)).astype(np.float32)
+    return np.flipud(data.reshape(height, width)).astype(np.float32, copy=False)
 
 
 def _check_payload(fh, path, shape: tuple[int, int]) -> None:
@@ -150,11 +164,12 @@ class FusedCloud:
     Such a cloud holds every normal or none: `normals` computes all of them
     once and keeps them, while `normal_at` on a cloud without them computes
     that one row and keeps nothing.  A cloud from `fuse` with a voxel holds its
-    raw coordinate rows and their key bounds until `points` is first read
-    (as `len`, `save`, `normals`, `planar_nearest` and `normal_at` do), which
-    builds the voxel grid once and drops the rows; a snap before that reads
-    only a key window of the rows (`_snap`).  An unread cloud is its points,
-    or those raw rows.
+    views (`_View`: camera, depth map and valid mask) until `points` is first
+    read (as `len`, `save`, `normals`, `planar_nearest` and `normal_at` do).
+    That read deprojects every valid pixel, builds the voxel grid once and
+    drops the views; a snap before it deprojects only the pixels that can
+    see its key window (`_snap`).  An unread cloud is its points, or its
+    views and masks: one byte per image pixel.
     """
 
     def __init__(self, points, normals):
@@ -181,11 +196,11 @@ class FusedCloud:
         return cloud
 
     @classmethod
-    def _voxel_grid_of(cls, rows, voxel, bounds, toward) -> "FusedCloud":
-        """A cloud whose points are the voxel centroids of the raw coordinate
-        rows `rows`, whose keys `_key_bounds` bounds, built when first read."""
+    def _voxel_grid_of(cls, views, voxel, toward) -> "FusedCloud":
+        """A cloud whose points are the voxel centroids of the valid pixels of
+        `views` (`_View`s), deprojected and built when first read."""
         cloud = cls.__new__(cls)
-        cloud._points, cloud._raw = None, (rows, voxel, bounds)
+        cloud._points, cloud._raw = None, (views, voxel)
         cloud._normals, cloud._toward = None, toward
         return cloud
 
@@ -200,10 +215,11 @@ class FusedCloud:
     @property
     def points(self) -> np.ndarray:
         """The cloud's points, (N, 3), read-only; on a cloud from `fuse` with a
-        voxel, the first read builds the voxel grid and drops the raw rows."""
+        voxel, the first read deprojects its views, builds the voxel grid and
+        drops the views."""
         if self._points is None:
-            rows, voxel, bounds = self._raw
-            self._set_points(_voxel_centroids(rows.T, voxel, bounds))
+            views, voxel = self._raw
+            self._set_points(_voxel_centroids(_deproject_views(views).T, voxel))
         return self._points
 
     @property
@@ -270,25 +286,36 @@ def fuse(
     views: list[tuple[PinholeCamera, DepthMap]],
     voxel: float = DEFAULT_VOXEL,
 ) -> FusedCloud:
-    """Deproject every valid depth pixel and merge the views into one cloud.
+    """Merge the views' valid depth pixels, deprojected, into one cloud.
 
     Raw points fill three coordinate rows, one (3, N) buffer, view by view in
     row-major pixel order, allocated once.  A voxel of 0 keeps every point,
-    and the cloud takes the rows without a copy.  Otherwise the cloud's points
-    are the per-voxel centroids, and `fuse` checks only that their keys fit in
-    int64: the cloud holds the rows and builds its voxel grid when `points` is
-    first read, while a snap before that voxelizes only the key window around
-    its query.  `points` is an (N, 3) view of coordinate rows.  Their PCA
-    normals, oriented toward the cameras, are computed per point when read
-    (`normal_at`, which `adjust_target` calls); only `normals` computes and
-    keeps all of them.
+    deprojected now, and the cloud takes the rows without a copy.  Otherwise
+    the cloud's points are the per-voxel centroids, and `fuse` deprojects
+    nothing: it masks each view's valid pixels and checks that the keys of a
+    box around each view's whole frustum fit in int64 (if not, it builds the
+    grid now, which raises VoxelKeyOverflowError only if the points' own keys
+    do not fit).  The cloud holds the views and builds its voxel grid when
+    `points` is first read, while a snap before that deprojects and voxelizes
+    only the key window around its query.  `points` is an (N, 3) view of
+    coordinate rows.  Their PCA normals, oriented toward the cameras, are
+    computed per point when read (`normal_at`, which `adjust_target` calls);
+    only `normals` computes and keeps all of them.
     """
     _check_fusion_options(voxel)
-    rows = _deproject_views(views)
+    held = [view for view in (_View(camera, depth) for camera, depth in views) if view.count]
+    if not held:
+        raise EmptyCloudError("no valid depth pixels in any view")
     toward = np.mean([camera.center for camera, _ in views], axis=0)
-    if voxel == 0:
-        return FusedCloud._with_pca_normals(rows.T, toward)
-    return FusedCloud._voxel_grid_of(rows, voxel, _key_bounds(rows, voxel), toward)
+    if voxel > 0:
+        try:
+            _key_bounds(np.column_stack([view.frustum() for view in held]), voxel)
+            return FusedCloud._voxel_grid_of(held, voxel, toward)
+        except VoxelKeyOverflowError:
+            pass  # the frusta are too deep to key, but the points may fit
+    points = _deproject_views(held).T
+    return FusedCloud._with_pca_normals(points if voxel == 0 else _voxel_centroids(points, voxel),
+                                        toward)
 
 
 def _check_fusion_options(voxel: float) -> None:
@@ -297,23 +324,100 @@ def _check_fusion_options(voxel: float) -> None:
         raise InvalidRangeError(f"voxel must be a finite size >= 0 m, got {voxel!r}")
 
 
-def _deproject_views(views: list[tuple[PinholeCamera, DepthMap]]) -> np.ndarray:
-    """Every valid pixel in the base frame, view by view in row-major pixel order,
-    as the three coordinate rows of one (3, N) array: each view's one `deproject`
-    writes its own columns.  Pixel coordinates are float grids gathered by the
-    valid mask; a view's gathered arrays are freed before the next view's."""
-    masks = [depth.valid_mask for _, depth in views]
-    counts = [int(np.count_nonzero(mask)) for mask in masks]
-    if not any(counts):
-        raise EmptyCloudError("no valid depth pixels in any view")
-    rows = np.empty((3, sum(counts)))
-    start = 0
-    for (camera, depth), mask, count in zip(views, masks, counts):
+class _View:
+    """One depth map of a fused cloud whose points are not built: its camera,
+    its depths, their valid mask and its count of valid pixels."""
+
+    def __init__(self, camera: PinholeCamera, depth: DepthMap):
+        self.camera, self.depths, self.mask = camera, depth.values, depth.valid_mask
+        self.count = int(np.count_nonzero(self.mask))
+
+    def frustum(self) -> np.ndarray:
+        """`_frustum_box` of every pixel at every depth up to MAX_DEPTH: it holds
+        any point of any depth map of this size, and costs no pass over one."""
+        height, width = self.mask.shape
+        return _frustum_box(self.camera, (0, width - 1), (0, height - 1), (0.0, MAX_DEPTH))
+
+    @functools.cached_property
+    def extent(self) -> tuple[tuple[int, int, int, int], np.ndarray]:
+        """The image rectangle (top, bottom, left, right) of the valid pixels,
+        half-open, and the `_frustum_box` of their pixels and depth range.
+        Computed at the first snap: a cloud whose points are read needs neither."""
+        rows = np.flatnonzero(self.mask.any(axis=1))
+        top, bottom = int(rows[0]), int(rows[-1]) + 1
+        cols = np.flatnonzero(self.mask[top:bottom].any(axis=0))
+        left, right = int(cols[0]), int(cols[-1]) + 1
+        depths = self.depths[top:bottom, left:right][self.mask[top:bottom, left:right]]
+        box = _frustum_box(self.camera, (left, right - 1), (top, bottom - 1),
+                           (depths.min(), depths.max()))
+        return (top, bottom, left, right), box
+
+    def rectangle(self, lower: np.ndarray, upper: np.ndarray) -> tuple[int, int, int, int]:
+        """The image rectangle (top, bottom, left, right) of every valid pixel
+        whose point can lie in x and y in [lower, upper].
+
+        The prism [lower, upper] x (the view's z range), cut to the view's box,
+        projects into the convex hull of its 8 projected corners when they are
+        all in front of the camera, and a pixel lies within rounding of its
+        point's projection; the rectangle around those corners, 2 px wider on
+        each side, holds it.  A corner at or behind the camera plane gives
+        every valid pixel (Clark, CACM 1976)."""
+        pixels, box = self.extent
+        lo = np.append(np.maximum(lower, box[:2, 0]), box[2, 0])
+        hi = np.append(np.minimum(upper, box[:2, 1]), box[2, 1])
+        if np.any(lo > hi):
+            return (0, 0, 0, 0)
+        uv = self.camera.project_points(list(itertools.product(*zip(lo, hi))))
+        if np.isnan(uv).any():
+            return pixels
+        top, bottom, left, right = pixels
+        (u0, v0), (u1, v1) = np.floor(uv.min(axis=0)) - 2, np.ceil(uv.max(axis=0)) + 3
+        return (int(np.clip(v0, top, bottom)), int(np.clip(v1, top, bottom)),
+                int(np.clip(u0, left, right)), int(np.clip(u1, left, right)))
+
+    def rows(self, top=0, bottom=None, left=0, right=None, out=None) -> np.ndarray:
+        """The valid pixels of image rows [top, bottom) and columns [left, right)
+        in the base frame, in row-major order, as (3, n) coordinate rows written
+        to `out` if given.  Pixel coordinates are float grids gathered by the
+        valid mask.  A lone pixel of a view of several goes through the rows
+        transform as two columns: numpy rotates one column with gemv, which
+        rounds differently from the gemm that rotates the whole view."""
+        mask = self.mask[top:bottom, left:right]
         height, width = mask.shape
-        u = np.broadcast_to(np.arange(width, dtype=float), mask.shape)
-        v = np.broadcast_to(np.arange(height, dtype=float)[:, None], mask.shape)
-        camera.deproject((u[mask], v[mask]), depth.values[mask], out=rows[:, start:start + count])
-        start += count
+        u = np.broadcast_to(np.arange(left, left + width, dtype=float), mask.shape)
+        v = np.broadcast_to(np.arange(top, top + height, dtype=float)[:, None], mask.shape)
+        u, v, depths = u[mask], v[mask], self.depths[top:bottom, left:right][mask]
+        if len(depths) == 1 < self.count:
+            return self.camera.deproject((u.repeat(2), v.repeat(2)), depths.repeat(2)).T[:, :1]
+        return self.camera.deproject((u, v), depths, out=out).T
+
+
+def _frustum_box(camera: PinholeCamera, us, vs, depths) -> np.ndarray:
+    """Low and high corners, as the columns of a (3, 2) array, of a box that
+    holds every point a pixel of the rectangle `us` x `vs` deprojects to at a
+    depth in `depths` (each an inclusive (low, high) pair).
+
+    Each coordinate is the camera centre plus the depth times a function linear
+    in (u, v), so it is extreme at one of the 8 corners (u, v, depth).  The box
+    is padded by a billionth of the coordinates' scale, far beyond their rounding.
+    """
+    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+    origin, rays = camera.pixel_rays((us.repeat(2), np.tile(vs, 2)))
+    corners = np.concatenate([origin + depth * rays for depth in depths])
+    pad = 1e-9 * (np.abs(corners).max() + np.abs(origin).max())
+    return np.column_stack([corners.min(axis=0) - pad, corners.max(axis=0) + pad])
+
+
+def _deproject_views(views: list[_View]) -> np.ndarray:
+    """Every valid pixel of `views` in the base frame, view by view in row-major
+    pixel order, as the three coordinate rows of one (3, N) array: each view's
+    one `deproject` writes its own columns, and a view's gathered arrays are
+    freed before the next view's."""
+    rows = np.empty((3, sum(view.count for view in views)))
+    start = 0
+    for view in views:
+        view.rows(out=rows[:, start:start + view.count])
+        start += view.count
     return rows
 
 
@@ -334,7 +438,7 @@ def _key_bounds(rows: np.ndarray, voxel: float):
     return lo, spans
 
 
-def _voxel_centroids(points: np.ndarray, voxel: float, bounds=None) -> np.ndarray:
+def _voxel_centroids(points: np.ndarray, voxel: float) -> np.ndarray:
     """Centroid of each occupied voxel, in lexicographic (x, y, z) key order.
 
     Each integer key is packed into one int64, offset by the minimum key with
@@ -343,10 +447,9 @@ def _voxel_centroids(points: np.ndarray, voxel: float, bounds=None) -> np.ndarra
     read as coordinate rows (`points.T`, contiguous for `fuse`'s points): each
     row is divided and floored into one reused buffer and packed into one
     int64 buffer, and the centroids come back as an (N, 3) view of their rows.
-    `bounds` are `_key_bounds` of these points or of any points around them.
     """
     rows = points.T
-    lo, spans = _key_bounds(rows, voxel) if bounds is None else bounds
+    lo, spans = _key_bounds(rows, voxel)
     packed = np.zeros(rows.shape[1], dtype=np.int64)
     scratch = np.empty_like(packed)
     keys = np.empty(rows.shape[1])
@@ -448,6 +551,22 @@ def _query_xy(target) -> np.ndarray:
     return t
 
 
+def _prefilter_box(voxel: float, low: np.ndarray, high: np.ndarray, rounding: float):
+    """The XY box (lower, upper) that holds every coordinate whose voxel key
+    lies in [low, high]: a voxel and `rounding` wider on each side."""
+    return (low - 1) * voxel - rounding, (high + 2) * voxel + rounding
+
+
+def _view_window(views: list[_View], voxel: float, low: np.ndarray, high: np.ndarray,
+                 rounding: float) -> np.ndarray:
+    """`_key_window` of the points of `views` that `_deproject_views` gives,
+    from only the valid pixels of each view's rectangle around the prefilter
+    box: the same columns in the same order, bitwise."""
+    lower, upper = _prefilter_box(voxel, low, high, rounding)
+    rows = np.concatenate([view.rows(*view.rectangle(lower, upper)) for view in views], axis=1)
+    return _key_window(rows, voxel, low, high, rounding)
+
+
 def _key_window(rows: np.ndarray, voxel: float, low: np.ndarray, high: np.ndarray,
                 rounding: float) -> np.ndarray:
     """The columns of raw coordinate rows whose x and y voxel keys, floored as
@@ -457,7 +576,7 @@ def _key_window(rows: np.ndarray, voxel: float, low: np.ndarray, high: np.ndarra
     them) of those keys' span are candidates, and only those are keyed.
     """
     x, y = rows[0], rows[1]
-    lower, upper = (low - 1) * voxel - rounding, (high + 2) * voxel + rounding
+    lower, upper = _prefilter_box(voxel, low, high, rounding)
     near = (x >= lower[0]) & (x <= upper[0])
     near &= y >= lower[1]
     near &= y <= upper[1]
@@ -470,7 +589,8 @@ def _key_window(rows: np.ndarray, voxel: float, low: np.ndarray, high: np.ndarra
 def _snap(cloud: FusedCloud, target) -> tuple[FusedCloud, PlanarNeighbor]:
     """The point nearest `target` in XY, with the cloud that holds it (its
     `normal_at(index)` is the point's normal): `cloud` itself once its points
-    exist, else the voxel grid of a square key window of its raw points.
+    exist, else the voxel grid of a square key window of its raw points, which
+    `_view_window` deprojects from the pixels that can see it.
 
     Exact, not approximate.  The window holds whole voxels, in `fuse`'s order,
     and `bincount` sums each voxel's points in input order, so its centroids
@@ -480,14 +600,16 @@ def _snap(cloud: FusedCloud, target) -> tuple[FusedCloud, PlanarNeighbor]:
     point.  So once the nearest centroid's planar distance, NORMAL_RADIUS and
     that rounding fit in `h`, the window holds every grid point as near as
     that one (so ties break alike) and its whole ball.  Otherwise the window
-    at least doubles; one that would cover the cloud's XY keys builds the grid.
+    at least doubles; one that would cover the XY keys of the views' boxes
+    builds the grid.
     """
     xy = _query_xy(target)
     if cloud._points is not None:
         return cloud, cloud.planar_nearest(xy)
-    rows, voxel, bounds = cloud._raw
-    first = bounds[0][:2]
-    last = first + bounds[1][:2] - 1
+    views, voxel = cloud._raw
+    boxes = np.column_stack([view.extent[1] for view in views])
+    first, last = np.floor(boxes[:2].min(axis=1) / voxel), np.floor(boxes[:2].max(axis=1) / voxel)
+    count = sum(view.count for view in views)
     # a query off the cloud's XY box starts with a window that reaches into it
     gap = max(0.0, *(first * voxel - xy), *(xy - (last + 1) * voxel))
     h = NORMAL_RADIUS + voxel + gap
@@ -497,12 +619,12 @@ def _snap(cloud: FusedCloud, target) -> tuple[FusedCloud, PlanarNeighbor]:
         if np.all(low <= first) and np.all(high >= last):
             return cloud, cloud.planar_nearest(xy)
         # a centroid's sum, xy ± h and the distances round by at most this
-        rounding = np.finfo(float).eps * (rows.shape[1] + 8) * (scale + h)
-        window = _key_window(rows, voxel, low, high, rounding)
+        rounding = np.finfo(float).eps * (count + 8) * (scale + h)
+        window = _view_window(views, voxel, low, high, rounding)
         if window.shape[1] == 0:
             h *= 2
             continue
-        grid = FusedCloud._with_pca_normals(_voxel_centroids(window.T, voxel, bounds),
+        grid = FusedCloud._with_pca_normals(_voxel_centroids(window.T, voxel),
                                             cloud._toward)
         neighbor = grid.planar_nearest(xy)
         reach = neighbor.planar_distance + NORMAL_RADIUS + rounding

@@ -254,7 +254,7 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
         vs = np.repeat(np.arange(v_lo, v_hi, dtype=float), cols)
         _, dirs = camera.pixel_rays((np.tile(us, v_hi - v_lo), vs))
         depth[v_lo:v_hi, u0:u1] = _cast_band(origin, dirs, qc, torso).reshape(v_hi - v_lo, cols)
-    return DepthMap(values=depth)
+    return DepthMap._owning(depth)
 
 
 def _cast_band(origin, dirs, qc, torso: TorsoSpec) -> np.ndarray:
@@ -403,7 +403,7 @@ def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
             values = depth.values.copy()
             mask = depth.valid_mask
             values[mask] += noise.depth_sigma_m * rng.standard_normal(int(mask.sum()))
-            depths.append(DepthMap(values=values))
+            depths.append(DepthMap._owning(values))
         else:
             depths.append(depth)
 

@@ -13,10 +13,13 @@ Oracles:
 * the pinhole formula and an (N, 3) matmul written out longhand for views of
   one and two valid pixels,
 * the snap on the whole voxel grid of a scene's raw points for the snap on a
-  key window of them, bitwise.
+  key window of them, bitwise,
+* the key window of a voxel-0 `fuse`'s points for the key window of only the
+  pixels that can see it, bitwise.
 """
 
 import functools
+import itertools
 import struct
 import tracemalloc
 
@@ -30,11 +33,15 @@ from scanloc.cloud import (
     MAX_DEPTH,
     DepthMap,
     FusedCloud,
+    _View,
+    _key_bounds,
     _key_window,
     _pca_normals,
+    _prefilter_box,
     _scan_ball,
     _snap,
     _tree_balls,
+    _view_window,
     _voxel_centroids,
     adjust_target,
     fuse,
@@ -49,7 +56,8 @@ from scanloc.errors import (
     ScanlocError,
     VoxelKeyOverflowError,
 )
-from scanloc.geometry import MIN_DEPTH, angle_between_degrees
+from scanloc.evaluation import backprojection_comparison
+from scanloc.geometry import MIN_DEPTH, PinholeCamera, angle_between_degrees
 from scanloc.synth import NoiseSpec, generate_cohort
 from scanloc.targets import localize
 
@@ -136,8 +144,23 @@ class TestPfm:
         bad.write_bytes(corrupt(good.read_bytes()))
         assert_malformed(read_pfm, bad)
 
+    def test_little_endian_payload_is_read_without_a_copy(self, tmp_path):
+        values = np.random.default_rng(53).uniform(0.1, 3.0, size=(5, 4)).astype(np.float32)
+        little, big = tmp_path / "little.pfm", tmp_path / "big.pfm"
+        write_pfm(little, values)
+        big.write_bytes(b"Pf\n4 5\n1.0\n" + np.flipud(values).astype(">f4").tobytes())
+        view = read_pfm(little)
+        assert not view.flags.owndata and not view.flags.writeable
+        for back in (view, read_pfm(big)):
+            assert back.dtype == np.float32 and np.array_equal(back, values)
+
 
 class TestDepthMap:
+    def test_owning_constructor_takes_the_array(self):
+        values = np.arange(6.0).reshape(2, 3)
+        depth = DepthMap._owning(values)
+        assert depth.values is values and not values.flags.writeable
+
     def test_valid_mask_rules(self):
         values = np.array([[0.5, 0.0], [np.nan, 11.0]])
         mask = DepthMap(values).valid_mask
@@ -702,9 +725,9 @@ class TestSnapWindows:
         cloud = fuse(views, voxel=voxel)
         sizes = []
 
-        def recording(points, voxel, bounds=None):
+        def recording(points, voxel):
             sizes.append(len(points))
-            return _voxel_centroids(points, voxel, bounds)
+            return _voxel_centroids(points, voxel)
 
         monkeypatch.setattr("scanloc.cloud._voxel_centroids", recording)
         poses = localize(*scene.cameras, scene.observation, cloud, scene.ratios,
@@ -738,6 +761,177 @@ class TestSnapWindows:
             tracemalloc.stop()
         assert held <= 24 * pixels + 4096, f"{held - 24 * pixels} B beyond the raw points"
         assert cloud._points is None
+
+
+def plane_views(center, target, step, fx=300.0, width=64, height=48):
+    """One tilted camera's view of the plane z = 0, with only every `step`-th
+    pixel of every `step`-th row valid."""
+    camera = look_at_camera(center, target, fx=fx, width=width, height=height)
+    pixels = np.argwhere(np.ones((height, width)))[:, ::-1].astype(float)
+    origin, rays = camera.pixel_rays(pixels)
+    depth = (-origin[2] / rays[:, 2]).reshape(height, width)
+    sparse = np.zeros((height, width), dtype=bool)
+    sparse[::step, ::step] = True
+    return [(camera, DepthMap(np.where(sparse & (depth > 0), depth, 0.0)))]
+
+
+def assert_same_window(views, voxel, low, high, rounding):
+    """`_view_window` of the views is bitwise `_key_window` of all their points."""
+    rows = fuse(views, voxel=0.0).points.T
+    got = _view_window([_View(camera, depth) for camera, depth in views],
+                       voxel, low, high, rounding)
+    want = _key_window(rows, voxel, low, high, rounding)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+class TestViewWindows:
+    """A snap deprojects only the valid pixels of each view's image rectangle
+    around its window's prefilter box; the window's points are bitwise, and in
+    the same order, those of the whole deprojection."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_window_rows_equal_the_whole_deprojection(self, data):
+        name = data.draw(st.sampled_from(sorted(SNAP_SCENES)), label="scene")
+        voxel = data.draw(st.sampled_from([0.002, 0.005]), label="voxel")
+        views, raw = snap_oracle(name, 0.0)
+        keys = np.floor(raw.points[:, :2] / voxel)
+        centre = keys[data.draw(st.integers(0, len(keys) - 1), label="point")]
+        offset = st.integers(-60, 60) if data.draw(st.booleans(), label="shifted") else st.just(0)
+        low = centre + [data.draw(offset), data.draw(offset)] - [data.draw(st.integers(0, 30)),
+                                                                 data.draw(st.integers(0, 30))]
+        high = low + [data.draw(st.integers(0, 60)), data.draw(st.integers(0, 60))]
+        rounding = data.draw(st.sampled_from([0.0, 1e-12, 1e-5]), label="rounding")
+        assert_same_window(views, voxel, low, high, rounding)
+
+    def test_windows_of_one_valid_pixel(self):
+        """A rectangle that holds one valid pixel of a view of many still
+        rotates it as two columns (gemm), as the whole view's transform does."""
+        views = plane_views([0.03, -0.02, 1.0], [0.0, 0.0, 0.0], step=8)
+        view, voxel = _View(*views[0]), 0.001
+        rows = fuse(views, voxel=0.0).points.T
+        assert view.count == rows.shape[1] > 40
+        for column in range(rows.shape[1]):
+            low = high = np.floor(rows[:2, column] / voxel)
+            top, bottom, left, right = view.rectangle(*_prefilter_box(voxel, low, high, 0.0))
+            assert np.count_nonzero(view.mask[top:bottom, left:right]) == 1
+            window = assert_same_window(views, voxel, low, high, 0.0)
+            assert window.shape == (3, 1)
+
+    def test_prism_with_a_corner_behind_the_camera(self):
+        """A wide camera grazing a plane: its box reaches behind it, and a
+        window there falls back to every valid pixel of the view."""
+        views = plane_views([0.0, 0.0, 1.0], [1.0, 1.0, 0.0], step=1, fx=20.0)
+        view, voxel = _View(*views[0]), 0.005
+        pixels, box = view.extent
+        behind = 0
+        for x, y in itertools.product(np.linspace(box[0, 0], box[0, 1], 5),
+                                      np.linspace(box[1, 0], box[1, 1], 5)):
+            low = np.floor(np.array([x, y]) / voxel) - 4
+            high = low + 8
+            lower, upper = _prefilter_box(voxel, low, high, 0.0)
+            lo = np.append(np.maximum(lower, box[:2, 0]), box[2, 0])
+            hi = np.append(np.minimum(upper, box[:2, 1]), box[2, 1])
+            corners = (np.array(list(itertools.product(*zip(lo, hi)))) - view.camera.center)
+            if np.any(corners @ view.camera.pose.rotation[:, 2] <= MIN_DEPTH):
+                behind += 1
+                assert view.rectangle(lower, upper) == pixels
+            assert_same_window(views, voxel, low, high, 0.0)
+        assert behind > 0
+
+    def test_window_off_every_view(self):
+        views, _ = snap_oracle("noisy-side", 0.0)
+        for low in ([4000.0, 4000.0], [-5000.0, 10.0], [0.0, -3000.0]):
+            low = np.array(low)
+            for camera, depth in views:
+                top, bottom, left, right = _View(camera, depth).rectangle(
+                    *_prefilter_box(0.005, low, low + 10, 0.0))
+                assert bottom <= top or right <= left
+            assert assert_same_window(views, 0.005, low, low + 10, 0.0).shape == (3, 0)
+
+
+def counting_deproject(monkeypatch):
+    """Patch `PinholeCamera.deproject` to count the pixels it lifts."""
+    counted = []
+    deproject = PinholeCamera.deproject
+
+    def counting(self, pixels, depth, out=None):
+        counted.append(np.size(depth))
+        return deproject(self, pixels, depth, out)
+
+    monkeypatch.setattr(PinholeCamera, "deproject", counting)
+    return counted
+
+
+class TestUnreadClouds:
+    """What a fused cloud leaves undone, and holds, until its points are read."""
+
+    @pytest.mark.parametrize("noise, pose_kind, voxel", FUSION_CASES)
+    def test_snaps_deproject_a_small_share_of_the_pixels(self, noise, pose_kind, voxel,
+                                                         monkeypatch):
+        """`fuse` deprojects nothing; `localize` deprojects under a quarter of
+        the valid pixels in all, and each of the back-projection's snaps (three
+        per target) under a tenth."""
+        (scene,) = generate_cohort(1, noise=noise, pose_kind=pose_kind, seed=63)
+        views = list(zip(scene.cameras, scene.depths))
+        pixels = sum(np.count_nonzero(depth.valid_mask) for _, depth in views)
+        counted = counting_deproject(monkeypatch)
+        cloud = fuse(views, voxel=voxel)
+        assert sum(counted) == 0
+        poses = localize(*scene.cameras, scene.observation, cloud, scene.ratios,
+                         scene.pose_kind, scene.axes)
+        assert sorted(p.target_id for p in poses) == sorted(scene.targets_true)
+        assert 0 < sum(counted) < pixels / 4
+        assert cloud._points is None
+
+        per_snap = []
+
+        def counted_snap(cloud, target):
+            before = sum(counted)
+            snapped = _snap(cloud, target)
+            per_snap.append(sum(counted) - before)
+            return snapped
+
+        monkeypatch.setattr("scanloc.evaluation._snap", counted_snap)
+        cloud = fuse(views, voxel=voxel)
+        assert backprojection_comparison(scene, cloud)
+        assert len(per_snap) == 3 * len(scene.targets_true)
+        assert all(0 < count < pixels / 10 for count in per_snap), per_snap
+        assert cloud._points is None
+
+    @pytest.mark.parametrize("noise, pose_kind, voxel", FUSION_CASES)
+    def test_an_unread_cloud_holds_a_byte_per_image_pixel(self, noise, pose_kind, voxel):
+        """Its views' valid masks, and a few KiB beside them."""
+        views = scene_views(noise, pose_kind, seed=63)
+        image = sum(depth.values.size for _, depth in views)
+        tracemalloc.start()
+        try:
+            cloud = fuse(views, voxel=voxel)
+            adjust_target(cloud, [0.0, 0.25])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= image + 4096, f"{held - image} B beyond the masks"
+        assert cloud._points is None
+
+    def test_frustum_keys_overflow_but_the_points_fit(self):
+        """Keys of 0.1 um overflow int64 over a 20 x 20 view's whole frustum,
+        10 m deep, but not over its points on a plane 1 m away: `fuse` keeps
+        the points, and snaps on their grid."""
+        views = plane_views([0.05, 0.02, 1.0], [0.0, 0.0, 0.0], step=1, width=20, height=20)
+        voxel = 1e-7
+        with pytest.raises(VoxelKeyOverflowError):
+            _key_bounds(_View(*views[0]).frustum(), voxel)
+        raw = fuse(views, voxel=0.0).points
+        _key_bounds(raw.T, voxel)
+        toward = views[0][0].center
+        oracle = FusedCloud._with_pca_normals(_voxel_centroids(raw, voxel), toward)
+        cloud = fuse(views, voxel=voxel)
+        for xy in raw[::37, :2] + [1e-4, -2e-4]:
+            assert_same_snap(adjust_target(cloud, xy), adjust_target(oracle, xy))
+        assert cloud.points.tobytes() == oracle.points.tobytes()
 
 
 class TestCloudErrors:

@@ -263,6 +263,21 @@ class TestBandedRaycast:
                     tracemalloc.stop()
                 assert peak <= 2 * image + 2**20, f"peak {peak / image:.2f}x the image"
 
+    def test_the_depth_map_takes_the_cast_image(self):
+        """The returned `DepthMap` holds the image the bands filled, not a
+        copy: a call peaks at one image and its band temporaries."""
+        for scene in generate_cohort(2, pose_kind="side", seed=5):
+            for camera in scene.cameras:
+                image = 8 * camera.width * camera.height
+                tracemalloc.start()
+                try:
+                    depth = raycast_depth(camera, scene.torso)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert depth.values.dtype == np.float64 and not depth.values.flags.writeable
+                assert peak <= image + 1.5 * 2**20, f"peak {peak / image:.2f}x the image"
+
 
 class TestGenerateScene:
     def test_true_pixels_reproject_exactly(self):
