@@ -607,7 +607,7 @@ def load_scene(directory) -> SyntheticScene:
     raises MalformedFileError naming the file, before a depth map is read."""
     scene, depth_files = read_json(os.path.join(directory, "scene.json"),
                                    lambda data: _scene_from_json(data, directory))
-    return replace(scene, depths=tuple(DepthMap(values=read_pfm(f)) for f in depth_files))
+    return replace(scene, depths=tuple(DepthMap._owning(read_pfm(f)) for f in depth_files))
 
 
 def save_cohort(scenes, directory) -> None:

@@ -1,4 +1,5 @@
-"""Shared builders for test scenes: cameras, transforms, analytic renders."""
+"""Shared helpers for test scenes: cameras, transforms, analytic renders,
+and the reference voxel centroids."""
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -198,3 +199,13 @@ def make_side_dataset(rng, n, ratios, noise_sigma=0.0, length_range=(0.40, 0.48)
         target = target + noise_sigma * rng.standard_normal(3)
         samples.append(FitSample(keypoints=kps, target=target, scene_id=i))
     return FitDataset(samples)
+
+
+def unique_rows_centroids(points, voxel):
+    """Reference voxel centroids: lexicographic row sort, in-order accumulation."""
+    keys = np.floor(points / voxel).astype(np.int64)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros((len(uniq), 3))
+    np.add.at(sums, inverse.reshape(-1), points)
+    counts = np.bincount(inverse.reshape(-1), minlength=len(uniq))
+    return sums / counts[:, None]

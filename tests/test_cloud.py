@@ -20,6 +20,7 @@ Oracles:
 
 import functools
 import itertools
+import math
 import struct
 import tracemalloc
 
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from helpers import look_at_camera, render_sphere_depth
+from helpers import look_at_camera, render_sphere_depth, unique_rows_centroids
 from scanloc.cloud import (
     MAX_DEPTH,
     DepthMap,
@@ -40,6 +41,8 @@ from scanloc.cloud import (
     _prefilter_box,
     _scan_ball,
     _snap,
+    _sorted_ranks,
+    _table_ranks,
     _tree_balls,
     _view_window,
     _voxel_centroids,
@@ -257,16 +260,6 @@ class TestFuse:
         assert np.array_equal(a.normals, b.normals)
 
 
-def unique_rows_centroids(points, voxel):
-    """Reference voxel centroids: lexicographic row sort, in-order accumulation."""
-    keys = np.floor(points / voxel).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros((len(uniq), 3))
-    np.add.at(sums, inverse.reshape(-1), points)
-    counts = np.bincount(inverse.reshape(-1), minlength=len(uniq))
-    return sums / counts[:, None]
-
-
 def scene_views(noise, pose_kind="side", seed=57):
     (scene,) = generate_cohort(1, noise=noise, pose_kind=pose_kind, seed=seed)
     return list(zip(scene.cameras, scene.depths))
@@ -400,6 +393,108 @@ class TestVoxelCentroids:
         cam = look_at_camera([0, 0.01, 1.0], [0, 0.01, 0], fx=300, width=20, height=20)
         with pytest.raises(VoxelKeyOverflowError):
             fuse([(cam, DepthMap(np.full((20, 20), 1.0)))], voxel=1e-12)
+
+
+def counting_argsort(monkeypatch) -> list:
+    """A list that gains one item per `np.argsort` call from here on."""
+    calls, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kw: calls.append(1) or argsort(*args, **kw))
+    return calls
+
+
+def traced_peak(call) -> int:
+    """The most bytes `call()` holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def micron_case():
+    """The 1 um case of `TestVoxelCentroids`: a key span near 4e16 for 20,000
+    points, numbered only by sorting."""
+    points = np.random.default_rng(58).uniform(-0.3, 0.2, size=(20_000, 3))
+    points[:2000] = points[2000:4000]
+    return (points + 0.3) * [0.08, 2.0, 2.0] + [9.2, 0.0, 0.0], 1e-6
+
+
+def distinct_cells(spans, count, rng, voxel=0.01):
+    """`count` points, one per voxel, in distinct cells of a box of `spans`
+    voxel keys that holds both of its corners and is centred near key 0."""
+    cells = rng.choice(np.arange(1, np.prod(spans) - 1), count - 2, replace=False)
+    cells = rng.permutation(np.append(cells, [0, np.prod(spans) - 1]))
+    keys = np.column_stack(np.unravel_index(cells, spans)) - np.array(spans) // 2
+    return (keys + rng.uniform(0.2, 0.8, keys.shape)) * voxel, keys - keys.min(axis=0)
+
+
+class TestVoxelRanks:
+    """A key span of at most 3 keys per point is ranked through a table,
+    a wider one by sorting; both give the unique-rows centroids bitwise."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_both_rankings_equal_unique_rows(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        count = data.draw(st.integers(1, 400), label="points")
+        distinct = data.draw(st.integers(1, count), label="distinct points")
+        extent = [data.draw(st.floats(0.0, 1.0), label="extent") for _ in range(3)]
+        centre = data.draw(st.floats(-1.0, 1.0), label="centre")  # keys of both signs
+        points = rng.uniform(-0.5, 0.5, (distinct, 3)) * extent + centre
+        points = points[rng.integers(0, distinct, count)]  # duplicates
+        # from under a key per point to far over 3 keys per point
+        voxel = 10 ** data.draw(st.floats(-3.0, 0.0), label="log10 voxel")
+        assert (_voxel_centroids(points, voxel).tobytes()
+                == unique_rows_centroids(points, voxel).tobytes())
+
+    @pytest.mark.parametrize("spans, sorts", [((40, 30, 50), 0), ((29, 2069, 1), 1)],
+                             ids=["3-keys-per-point", "one-key-above"])
+    def test_table_up_to_three_keys_per_point(self, spans, sorts, monkeypatch):
+        points, _ = distinct_cells(spans, 20_000, np.random.default_rng(71))
+        assert math.prod(_key_bounds(points.T, 0.01)[1]) == 3 * len(points) + sorts
+        want = unique_rows_centroids(points, 0.01)
+        calls = counting_argsort(monkeypatch)
+        assert _voxel_centroids(points, 0.01).tobytes() == want.tobytes()
+        assert len(calls) == sorts
+
+    def test_table_ranks_hold_no_more_than_sorted_ranks(self):
+        """At 3 keys per point, each point its own voxel (the table's worst
+        case), ranking by table holds no more than ranking by sort."""
+        spans = (40, 30, 50)
+        _, keys = distinct_cells(spans, 20_000, np.random.default_rng(72))
+        packed = np.ravel_multi_index(keys.T, spans)
+        by_table = _table_ranks(packed.copy(), math.prod(spans))
+        by_sort = _sorted_ranks(packed.copy(), np.empty_like(packed))
+        assert by_table[1] == by_sort[1] == len(packed)
+        assert np.array_equal(by_table[0], by_sort[0])
+        table_peak = traced_peak(lambda: _table_ranks(packed.copy(), math.prod(spans)))
+        sort_peak = traced_peak(lambda: _sorted_ranks(packed.copy(), np.empty_like(packed)))
+        assert table_peak <= sort_peak, (table_peak / len(packed), sort_peak / len(packed))
+
+    def test_a_5mm_scene_grid_is_ranked_by_table(self, monkeypatch):
+        cloud = fuse(scene_views(MILD, "front", seed=63), voxel=0.005)
+        calls = counting_argsort(monkeypatch)
+        assert len(cloud) > 0 and len(calls) == 0
+
+    def test_the_1um_case_is_ranked_by_sort(self, monkeypatch):
+        points, voxel = micron_case()
+        calls = counting_argsort(monkeypatch)
+        _voxel_centroids(points, voxel)
+        assert len(calls) == 1
+
+    # tracemalloc peak of each build when every grid was ranked by sort, in
+    # bytes per raw point, rounded up: ranking by table must not raise it
+    @pytest.mark.parametrize("case, bound", [("noisy-side-2mm", 44.0),
+                                             ("mild-front-5mm", 33.5), ("1um", 45.0)])
+    def test_peak_memory_stays_within_the_sorted_builds(self, case, bound):
+        if case == "1um":
+            points, voxel = micron_case()
+        else:
+            noise, pose_kind, voxel = {param.id: param.values for param in FUSION_CASES}[case]
+            points = fuse(scene_views(noise, pose_kind, seed=63), voxel=0.0).points
+        peak = traced_peak(lambda: _voxel_centroids(points, voxel))
+        assert peak <= bound * len(points), f"peak {peak / len(points):.2f} B per point"
 
 
 def holds_no_tree(cloud):
@@ -952,6 +1047,16 @@ class TestCloudErrors:
             assert isinstance(info.value, ValueError)
 
 
+@pytest.fixture(scope="module")
+def saved_cloud(tmp_path_factory):
+    """The bytes of a saved sphere cloud, and a path to write altered copies to."""
+    cam = look_at_camera([0.05, 0.01, 1.0], [0, 0.01, 0], fx=400, width=80, height=60)
+    directory = tmp_path_factory.mktemp("saved_cloud")
+    fuse([(cam, DepthMap(render_sphere_depth(cam, [0, 0, 0], 0.25)))], voxel=0.01).save(
+        directory / "good.cloud")
+    return (directory / "good.cloud").read_bytes(), directory / "bad.cloud"
+
+
 class TestCloudFile:
     def test_round_trip_is_byte_exact(self, tmp_path):
         cam = look_at_camera([0.05, 0.01, 1.0], [0, 0.01, 0], fx=400, width=80, height=60)
@@ -1018,4 +1123,19 @@ class TestCloudFile:
         assert len(FusedCloud.load(good)) == 2 and len(good.read_bytes()) == 64
         bad = tmp_path / "bad.cloud"
         bad.write_bytes(corrupt(good.read_bytes()))
+        assert_malformed(FusedCloud.load, bad)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_cut_or_non_finite_file_raises_malformed(self, saved_cloud, data):
+        """A `.cloud` cut at any byte, or with one coordinate NaN or infinite,
+        raises MalformedFileError naming the file, never another exception."""
+        good, bad = saved_cloud
+        kind = data.draw(st.sampled_from(["cut", "nan", "inf", "-inf"]), label="kind")
+        if kind == "cut":
+            corrupt = good[:data.draw(st.integers(0, len(good) - 1), label="cut")]
+        else:
+            at = 40 + 4 * data.draw(st.integers(0, (len(good) - 40) // 4 - 1), label="coordinate")
+            corrupt = good[:at] + struct.pack("<f", float(kind)) + good[at + 4:]
+        bad.write_bytes(corrupt)
         assert_malformed(FusedCloud.load, bad)

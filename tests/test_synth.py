@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scanloc import synth
-from scanloc.cloud import fuse
+from scanloc.cloud import DepthMap, fuse
 from scanloc.errors import (
     CameraMissesTorsoError,
     ConfigError,
@@ -483,6 +483,17 @@ class TestSceneIO:
             )
         for tid, p in scene.targets_true.items():
             assert np.array_equal(loaded.targets_true[tid], p)
+
+    def test_loaded_depths_are_the_pfm_payload(self, tmp_path):
+        """A loaded depth map is the float32 array `read_pfm` gives, read-only
+        and uncopied, and its valid mask is the float64 copy's."""
+        scene = generate_scene(TORSO, RATIOS, None, NoiseSpec(depth_sigma_m=0.002, seed=5), "front")
+        save_scene(scene, tmp_path / "s")
+        for depth in load_scene(tmp_path / "s").depths:
+            values = depth.values
+            assert values.dtype == np.float32 and not values.flags.writeable
+            assert not values.flags.owndata
+            assert np.array_equal(depth.valid_mask, DepthMap(values).valid_mask)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         scene = generate_scene(TORSO, RATIOS, None, NoiseSpec(seed=4), "front")
