@@ -11,6 +11,7 @@ resolved settings) is logged to stderr and echoed into the reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -321,8 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

@@ -43,7 +43,7 @@ from .errors import (
     MalformedFileError,
     VoxelKeyOverflowError,
 )
-from .geometry import MIN_DEPTH, PinholeCamera
+from .geometry import MIN_DEPTH, PinholeCamera, _floor_in
 
 # Depth readings beyond this are treated as invalid (sensor range limit).
 MAX_DEPTH = 10.0
@@ -88,11 +88,18 @@ class DepthMap:
 
     @property
     def valid_mask(self) -> np.ndarray:
-        """MIN_DEPTH < depth <= MAX_DEPTH: the depths `deproject` accepts, within
-        range.  The bounds are float64 scalars, so float32 depths are compared
-        in float64 rather than against bounds rounded to float32."""
-        v = self.values
-        return (v > np.float64(MIN_DEPTH)) & (v <= np.float64(MAX_DEPTH))
+        """`_valid_depths` of the values."""
+        return _valid_depths(self.values)
+
+
+def _valid_depths(values: np.ndarray) -> np.ndarray:
+    """MIN_DEPTH < depth <= MAX_DEPTH, elementwise: the depths `deproject`
+    accepts, within range.  Both bounds are rounded down into the depths' own
+    dtype (`_floor_in`), so a float32 map is compared without a float64 copy
+    and gives bitwise the mask of its float64 upcast, at 2 B per pixel."""
+    mask = values > _floor_in(values.dtype, MIN_DEPTH)
+    mask &= values <= _floor_in(values.dtype, MAX_DEPTH)
+    return mask
 
 
 def write_pfm(path, values) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import DepthMap, FusedCloud, _snap, fuse
+from .cloud import FusedCloud, _snap, _valid_depths, fuse
 from .errors import (
     InsufficientDataError,
     MissingPixelError,
@@ -229,7 +229,7 @@ def _nearest_valid_depth(depth_map, pixel: Pixel):
     top, left = max(v0 - NEAREST_PIXEL_RADIUS, 0), max(u0 - NEAREST_PIXEL_RADIUS, 0)
     window = depth_map.values[top:max(v0 + NEAREST_PIXEL_RADIUS + 1, 0),
                               left:max(u0 + NEAREST_PIXEL_RADIUS + 1, 0)]
-    valid = DepthMap(window).valid_mask
+    valid = _valid_depths(window)
     span = range(-NEAREST_PIXEL_RADIUS, NEAREST_PIXEL_RADIUS + 1)
     offsets = sorted(
         (du * du + dv * dv, du, dv) for du in span for dv in span

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +33,16 @@ from .jsonfile import _check_keys, _finite, _whole
 _ROTATION_ATOL = 1e-8
 # Smallest camera-frame depth considered in front of the camera.
 MIN_DEPTH = 1e-9
+
+
+@functools.cache
+def _floor_in(dtype: np.dtype, bound: float) -> np.floating:
+    """The largest value of the float `dtype` at or below `bound`.  For any
+    value v of that dtype, v > it exactly when v > bound, and v <= it exactly
+    when v <= bound: float32 depths compare against it as float32, with no
+    float64 copy, and give bitwise the comparisons of their float64 upcast."""
+    value = dtype.type(bound)
+    return value if np.float64(value) <= bound else np.nextafter(value, dtype.type(-np.inf))
 
 
 def _as_vec3(value, name: str) -> np.ndarray:
@@ -226,10 +237,13 @@ class PinholeCamera:
         array or as a tuple (u, v) of (N,) arrays, at (N,) depths give (N, 3),
         a view of the points' three coordinate rows from `apply_rows`.  Those
         rows are written to `out`, a (3, N) array, if given.  A depth at or
-        below MIN_DEPTH raises."""
+        below MIN_DEPTH raises.  Float32 depths are not copied: they are
+        upcast, exactly, where they are multiplied and stored."""
         u, v = pixels if isinstance(pixels, tuple) else np.moveaxis(np.asarray(pixels), -1, 0)
-        z = np.asarray(depth, dtype=float)
-        bad = z[z <= MIN_DEPTH]
+        z = np.asarray(depth)
+        if z.dtype != np.float32:
+            z = z.astype(float, copy=False)
+        bad = z[z <= _floor_in(z.dtype, MIN_DEPTH)]
         if bad.size:
             raise NonPositiveDepthError(f"depth must be positive, got {float(bad[0])!r}")
         rows = np.empty((3,) + z.shape)  # camera-frame rows: (u - cx) * z / fx, ...

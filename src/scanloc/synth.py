@@ -11,7 +11,8 @@ the surface.
 
 Noise is applied last and is fully determined by the noise seed: Gaussian
 pixel noise on observed keypoints and target pixels, Gaussian depth noise
-on valid depth pixels, and per-joint faults that either drop a joint from
+on valid depth pixels (each depth map is then float32, the bits its PFM
+file holds), and per-joint faults that either drop a joint from
 both views or displace it by 50 px (a plausible wrong detection).
 """
 
@@ -342,6 +343,19 @@ def _exact_pixels(cameras, named_points: dict, what: str) -> tuple[dict, dict]:
     return views
 
 
+def _observed_depth(depth: DepthMap, sigma: float, rng) -> DepthMap:
+    """The float32 depth map a camera reports for the cast `depth`: Gaussian
+    noise of `sigma` m added, in float64, to each valid pixel, then every
+    pixel rounded once to float32, the bits that `save_scene` writes."""
+    observed = depth.values.astype(np.float32)
+    if sigma > 0:
+        mask = depth.valid_mask
+        noisy = depth.values[mask]
+        noisy += sigma * rng.standard_normal(len(noisy))
+        observed[mask] = noisy
+    return DepthMap._owning(observed)
+
+
 def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
                    cameras: tuple | None, noise: NoiseSpec, pose_kind: str,
                    scene_id: int = 0,
@@ -358,7 +372,6 @@ def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
     kp_points = {j: getattr(kps, j) for j in ALL_JOINTS}
     kp_pixels_true = _exact_pixels(cameras, kp_points, "keypoint")
     target_pixels_true = _exact_pixels(cameras, targets, "target")
-    clean_depths = tuple(raycast_depth(camera, torso) for camera in cameras)
 
     # independent noise streams so adding one consumer never shifts another
     streams = np.random.SeedSequence(noise.seed).spawn(5)
@@ -397,15 +410,9 @@ def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
             du, dv = noise.keypoint_sigma_px * target_rng.standard_normal(2)
             target_observed[vi][tid] = Pixel(px.u + du, px.v + dv)
 
-    depths = []
-    for depth, rng in zip(clean_depths, depth_rngs):
-        if noise.depth_sigma_m > 0:
-            values = depth.values.copy()
-            mask = depth.valid_mask
-            values[mask] += noise.depth_sigma_m * rng.standard_normal(int(mask.sum()))
-            depths.append(DepthMap._owning(values))
-        else:
-            depths.append(depth)
+    # one view at a time, so one float64 image is alive at once
+    depths = tuple(_observed_depth(raycast_depth(camera, torso), noise.depth_sigma_m, rng)
+                   for camera, rng in zip(cameras, depth_rngs))
 
     return SyntheticScene(
         scene_id=scene_id,
@@ -415,7 +422,7 @@ def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
         ratios=ratios,
         axes=axes,
         cameras=cameras,
-        depths=tuple(depths),
+        depths=depths,
         observation=KeypointObservation(views=observed),
         keypoints_true=kps,
         keypoint_pixels_true=kp_pixels_true,

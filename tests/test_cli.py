@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
+from scanloc import cli
 from scanloc.cli import _parse_thresholds, build_parser, main
 from scanloc.cloud import FusedCloud
 from scanloc.geometry import PinholeCamera, RigidTransform
@@ -386,6 +387,21 @@ def test_cli_options_are_pinned():
                       if option.startswith("--") and option != "--help"}
                for name, sub in commands.choices.items()}
     assert options == CLI_OPTIONS
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):
+    """Every `main` call parses with the same parser, and a usage error
+    leaves it able to parse the next call."""
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    missing = ["fuse", "--scene", str(tmp_path / "none"), "--out", str(tmp_path / "cloud")]
+    assert main(missing) == 1
+    with pytest.raises(SystemExit) as info:
+        main(["fuse", "--bogus"])
+    assert info.value.code == 2
+    assert main(missing) == 1
+    assert built == [1]
 
 
 def fusion_argv(command, cohort_dir, tmp_path, out):

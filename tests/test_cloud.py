@@ -179,6 +179,37 @@ class TestDepthMap:
         given[0, 0] = 9.0
         assert depth.values[0, 0] == 0.0 and given.flags.writeable
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_float32_mask_is_the_float64_mask(self, data):
+        """A float32 map's mask, compared in float32, is bitwise the mask of its
+        float64 upcast, at every float32 neighbour of both bounds too."""
+        near = [np.nextafter(np.float32(bound), np.float32(direction))
+                for bound in (MIN_DEPTH, MAX_DEPTH) for direction in (0, np.inf)]
+        special = [0.0, -0.0, -1.0, -MIN_DEPTH, np.nan, np.inf, -np.inf,
+                   np.float32(MIN_DEPTH), np.float32(MAX_DEPTH), *near]
+        shape = (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8)))
+        values = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(special), st.floats(0, 12, width=32)),
+            min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])), dtype=np.float32)
+        values = values.reshape(shape)
+        mask = DepthMap._owning(values).valid_mask
+        upcast = values.astype(np.float64)
+        assert np.array_equal(mask, (upcast > MIN_DEPTH) & (upcast <= MAX_DEPTH))
+
+    def test_float32_mask_makes_no_float64_copy(self):
+        """Masking a 480 x 640 float32 map holds the mask and one boolean
+        temporary: 2 B per pixel, where a float64 copy would be 8."""
+        values = np.random.default_rng(55).uniform(0.0, 12.0, (480, 640)).astype(np.float32)
+        depth = DepthMap._owning(values)
+        tracemalloc.start()
+        try:
+            depth.valid_mask
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * values.size + 4096, f"peak {peak / values.size:.2f} B per pixel"
+
     def test_valid_depths_are_the_ones_deproject_accepts(self):
         mask = DepthMap(np.array([[MIN_DEPTH, 2 * MIN_DEPTH, MAX_DEPTH, np.inf, -1.0]])).valid_mask
         assert mask.tolist() == [[False, True, True, False, False]]

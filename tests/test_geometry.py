@@ -11,6 +11,7 @@ Expected values come from three independent routes:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from scanloc.errors import (
@@ -24,6 +25,7 @@ from scanloc.geometry import (
     PinholeCamera,
     Pixel,
     RigidTransform,
+    _floor_in,
     angle_axis_to_rotation,
     angle_between_degrees,
     rotation_to_angle_axis,
@@ -220,6 +222,41 @@ class TestProjection:
         cam = PinholeCamera(500, 500, 320, 240, 640, 480, RigidTransform.identity())
         with pytest.raises(NonPositiveDepthError):
             cam.deproject([[320, 240], [10, 20]], [1.0, 1e-10])
+
+    def test_float32_depths_deproject_as_their_float64_upcast(self):
+        """Float32 depths give bitwise the points of their float64 upcast, and
+        are refused at MIN_DEPTH exactly where the upcast is."""
+        rng = np.random.default_rng(16)
+        cam = look_at_camera([0.2, -0.1, 1.5], [0, 0, 0])
+        uv = np.column_stack([rng.uniform(0, 640, 200), rng.uniform(0, 480, 200)])
+        depths = rng.uniform(0.2, 5.0, 200).astype(np.float32)
+        assert np.array_equal(cam.deproject(uv, depths), cam.deproject(uv, depths.astype(float)))
+        assert np.array_equal(cam.deproject(Pixel(1.0, 2.0), depths[0]),
+                              cam.deproject(Pixel(1.0, 2.0), float(depths[0])))
+        edge = np.float32(MIN_DEPTH)
+        for depth in (np.nextafter(edge, np.float32(0)), edge, np.nextafter(edge, np.float32(1))):
+            z = np.array([1.0, depth], dtype=np.float32)
+            if float(depth) <= MIN_DEPTH:
+                with pytest.raises(NonPositiveDepthError):
+                    cam.deproject(uv[:2], z)
+            else:
+                assert np.array_equal(cam.deproject(uv[:2], z), cam.deproject(uv[:2], z.astype(float)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(bound=st.floats(1e-12, 20.0), steps=st.lists(st.integers(-3, 3), min_size=1))
+    def test_float32_bound_compares_as_the_float64_bound(self, bound, steps):
+        """Against `_floor_in`, a float32 compares bitwise as its upcast does
+        against the float64 bound, whichever way the bound rounds to float32."""
+        lo = _floor_in(np.dtype(np.float32), bound)
+        assert lo.dtype == np.float32 and float(lo) <= bound < float(np.nextafter(lo, np.inf))
+        values = np.array([np.float32(bound)] * len(steps), dtype=np.float32)
+        for i, step in enumerate(steps):
+            for _ in range(abs(step)):
+                values[i] = np.nextafter(values[i], np.float32(np.sign(step) * np.inf))
+        upcast = values.astype(np.float64)
+        assert np.array_equal(values > lo, upcast > bound)
+        assert np.array_equal(values <= lo, upcast <= bound)
+        assert _floor_in(np.dtype(np.float64), bound) == bound
 
     def test_project_points_rows_equal_project_bitwise(self):
         # bit for bit when the rotation is exact (see the deproject test above)

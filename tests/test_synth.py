@@ -2,6 +2,7 @@
 
 import filecmp
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from scanloc.errors import (
     ConfigError,
     InvalidRangeError,
 )
+from scanloc.evaluation import loocv, scene_cloud
 from scanloc.geometry import PinholeCamera, angle_between_degrees
 from scanloc.synth import (
+    RIG_IMAGE_SIZE,
     NoiseSpec,
     TorsoSpec,
     _exact_pixels,
@@ -477,10 +480,10 @@ class TestSceneIO:
             cam_a, cam_b = scene.cameras[vi], loaded.cameras[vi]
             assert (cam_a.fx, cam_a.cx, cam_a.width) == (cam_b.fx, cam_b.cx, cam_b.width)
             assert np.array_equal(cam_a.pose.rotation, cam_b.pose.rotation)
-            # depth survives as float32
-            assert np.array_equal(
-                loaded.depths[vi].values, scene.depths[vi].values.astype(np.float32)
-            )
+            # generated depth is float32 already: the files hold its bits
+            assert scene.depths[vi].values.dtype == np.float32
+            assert np.array_equal(loaded.depths[vi].values.view(np.uint32),
+                                  scene.depths[vi].values.view(np.uint32))
         for tid, p in scene.targets_true.items():
             assert np.array_equal(loaded.targets_true[tid], p)
 
@@ -494,6 +497,35 @@ class TestSceneIO:
             assert values.dtype == np.float32 and not values.flags.writeable
             assert not values.flags.owndata
             assert np.array_equal(depth.valid_mask, DepthMap(values).valid_mask)
+
+    def test_loocv_from_files_equals_loocv_in_memory(self, tmp_path):
+        """A noisy side cohort and the same cohort saved and loaded give every
+        fold field bitwise, faulty folds included."""
+        noise = NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005,
+                          fault_prob={"right_hip": 0.5})
+        scenes = generate_cohort(4, noise=noise, pose_kind="side", seed=3)
+        save_cohort(scenes, tmp_path)
+        folds = {}
+        for name, cohort in (("memory", scenes), ("files", load_cohort(tmp_path))):
+            folds[name] = loocv(cohort, 4, clouds=[scene_cloud(s, 0.002) for s in cohort])
+        assert any(f.faulty for f in folds["memory"]) and not all(f.faulty for f in folds["memory"])
+        for memory, files in zip(folds["memory"], folds["files"], strict=True):
+            assert repr(astuple(memory)) == repr(astuple(files))
+
+    def test_kept_scene_holds_four_bytes_per_depth_pixel(self):
+        """A generated scene keeps its two depth maps as float32 and no float64
+        image: 4 B per depth pixel, with or without depth noise."""
+        pixels = 2 * RIG_IMAGE_SIZE[0] * RIG_IMAGE_SIZE[1]
+        for noise in (NoiseSpec(), NoiseSpec(depth_sigma_m=0.005, seed=2)):
+            generate_scene(TORSO, RATIOS, None, noise, "side")  # warm lazy state
+            tracemalloc.start()
+            try:
+                scene = generate_scene(TORSO, RATIOS, None, noise, "side")
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert all(d.values.dtype == np.float32 for d in scene.depths)
+            assert 4 * pixels <= held <= 4 * pixels + 2**16, f"{held / pixels:.2f} B per pixel"
 
     def test_save_is_byte_deterministic(self, tmp_path):
         scene = generate_scene(TORSO, RATIOS, None, NoiseSpec(seed=4), "front")
