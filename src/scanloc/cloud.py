@@ -1,16 +1,18 @@
 """Depth-map fusion into an oriented point cloud, plus planar depth lookup.
 
-A fused cloud's points are the voxel-grid centroids of every valid pixel of
-the two calibrated cameras' depth maps, deprojected into the base frame.  Until
-`points` is first read the cloud is its views: each camera, its depth map and
-their valid mask.  The first read deprojects every valid pixel into three
-coordinate rows, one (3, N) buffer: each view's one rows transform
-(`RigidTransform.apply_rows`, a single `R @ rows`) writes straight into that
-view's columns.  It then builds the grid one coordinate row at a time and drops
-the views.  Before that, a snap (`adjust_target`) deprojects only the valid
-pixels in the image rectangles that can see a square window of voxel keys
-around its query, and voxelizes only the points in that window.  This gives
-bitwise the centroids, nearest point and normal that the whole grid gives.
+A fused cloud's points are the voxel-grid centroids (at a voxel of 0, the
+points) of every valid pixel of the two calibrated cameras' depth maps,
+deprojected into the base frame.  `fuse` deprojects nothing: the cloud is its
+views (each camera, its depth map and their valid mask) until `points` is
+first read, the one place a whole cloud is deprojected, voxelized or refused.
+That read deprojects every valid pixel into three coordinate rows, one (3, N)
+buffer: each view's one rows transform (`RigidTransform.apply_rows`, a single
+`R @ rows`) writes straight into that view's columns.  It then builds the grid
+one coordinate row at a time and drops the views.  Before that, a snap
+(`adjust_target`) deprojects only the valid pixels in the image rectangles
+that can see a square window of voxel keys around its query, and voxelizes
+only the points in that window.  This gives bitwise the centroids, nearest
+point and normal that the whole grid gives.
 Each normal is the PCA of the point's ball (every point within NORMAL_RADIUS),
 oriented toward the cameras and computed when read: a snap scans every point of
 the cloud or of its window for its one ball, so `fuse` builds no index; only
@@ -172,13 +174,14 @@ class FusedCloud:
     `fuse` or `load`, estimated from the points; only the latter can `save`.
     Such a cloud holds every normal or none: `normals` computes all of them
     once and keeps them, while `normal_at` on a cloud without them computes
-    that one row and keeps nothing.  A cloud from `fuse` with a voxel holds its
-    views (`_View`: camera, depth map and valid mask) until `points` is first
-    read (as `len`, `save`, `normals`, `planar_nearest` and `normal_at` do).
-    That read deprojects every valid pixel, builds the voxel grid once and
-    drops the views; a snap before it deprojects only the pixels that can
-    see its key window (`_snap`).  An unread cloud is its points, or its
-    views and masks: one byte per image pixel.
+    that one row and keeps nothing.  A cloud from `fuse` holds its views
+    (`_View`: camera, depth map and valid mask), one byte per image pixel,
+    until `points` is first read (as `len`, `save`, `normals`,
+    `planar_nearest` and `normal_at` do).  That read deprojects every valid
+    pixel, builds the voxel grid if the cloud has a voxel, and drops the
+    views; it raises VoxelKeyOverflowError if the grid's keys do not fit in
+    int64.  A snap before it on a voxel grid deprojects only the pixels that
+    can see its key window (`_snap`).
     """
 
     def __init__(self, points, normals):
@@ -205,9 +208,9 @@ class FusedCloud:
         return cloud
 
     @classmethod
-    def _voxel_grid_of(cls, views, voxel, toward) -> "FusedCloud":
-        """A cloud whose points are the voxel centroids of the valid pixels of
-        `views` (`_View`s), deprojected and built when first read."""
+    def _of_views(cls, views, voxel, toward) -> "FusedCloud":
+        """A cloud whose points are the valid pixels of `views` (`_View`s),
+        deprojected, or with a voxel > 0 their voxel centroids: built when first read."""
         cloud = cls.__new__(cls)
         cloud._points, cloud._raw = None, (views, voxel)
         cloud._normals, cloud._toward = None, toward
@@ -223,12 +226,14 @@ class FusedCloud:
 
     @property
     def points(self) -> np.ndarray:
-        """The cloud's points, (N, 3), read-only; on a cloud from `fuse` with a
-        voxel, the first read deprojects its views, builds the voxel grid and
-        drops the views."""
+        """The cloud's points, (N, 3), read-only.  On a cloud from `fuse` the
+        first read deprojects its views, builds the voxel grid if it has a
+        voxel (raising VoxelKeyOverflowError if the keys do not fit in int64)
+        and drops the views."""
         if self._points is None:
             views, voxel = self._raw
-            self._set_points(_voxel_centroids(_deproject_views(views).T, voxel))
+            points = _deproject_views(views).T
+            self._set_points(_voxel_centroids(points, voxel) if voxel else points)
         return self._points
 
     @property
@@ -267,14 +272,16 @@ class FusedCloud:
 
     def save(self, path) -> None:
         """Write the cloud as its points, little-endian float32, after the point
-        its normals face; `load` estimates the normals again, so none is written."""
+        its normals face; `load` estimates the normals again, so none is written.
+        The points are built before the file opens: a refused grid leaves no file."""
         if self._toward is None:
             raise InvalidArrayError(
                 "a cloud with given normals has no file form: .cloud files hold no normals")
+        points = self.points
         with open(path, "wb") as fh:
             fh.write(_CLOUD_MAGIC)
-            fh.write(struct.pack("<Q3d", len(self.points), *self._toward))
-            fh.write(self.points.astype("<f4").tobytes())
+            fh.write(struct.pack("<Q3d", len(points), *self._toward))
+            fh.write(points.astype("<f4").tobytes())
 
     @classmethod
     def load(cls, path) -> "FusedCloud":
@@ -297,34 +304,22 @@ def fuse(
 ) -> FusedCloud:
     """Merge the views' valid depth pixels, deprojected, into one cloud.
 
-    Raw points fill three coordinate rows, one (3, N) buffer, view by view in
+    `fuse` checks the voxel and masks each view's valid pixels; it deprojects
+    nothing.  The cloud holds the views until `points` is first read.  That
+    read fills three coordinate rows, one (3, N) buffer, view by view in
     row-major pixel order, allocated once.  A voxel of 0 keeps every point,
-    deprojected now, and the cloud takes the rows without a copy.  Otherwise
-    the cloud's points are the per-voxel centroids, and `fuse` deprojects
-    nothing: it masks each view's valid pixels and checks that the keys of a
-    box around each view's whole frustum fit in int64 (if not, it builds the
-    grid now, which raises VoxelKeyOverflowError only if the points' own keys
-    do not fit).  The cloud holds the views and builds its voxel grid when
-    `points` is first read, while a snap before that deprojects and voxelizes
-    only the key window around its query.  `points` is an (N, 3) view of
-    coordinate rows.  Their PCA normals, oriented toward the cameras, are
-    computed per point when read (`normal_at`, which `adjust_target` calls);
-    only `normals` computes and keeps all of them.
+    and `points` is an (N, 3) view of the rows; otherwise the points are the
+    per-voxel centroids.  A snap before that read deprojects and voxelizes
+    only the key window around its query.  The points' PCA normals, oriented
+    toward the cameras, are computed per point when read (`normal_at`, which
+    `adjust_target` calls); only `normals` computes and keeps all of them.
     """
     _check_fusion_options(voxel)
     held = [view for view in (_View(camera, depth) for camera, depth in views) if view.count]
     if not held:
         raise EmptyCloudError("no valid depth pixels in any view")
     toward = np.mean([camera.center for camera, _ in views], axis=0)
-    if voxel > 0:
-        try:
-            _key_bounds(np.column_stack([view.frustum() for view in held]), voxel)
-            return FusedCloud._voxel_grid_of(held, voxel, toward)
-        except VoxelKeyOverflowError:
-            pass  # the frusta are too deep to key, but the points may fit
-    points = _deproject_views(held).T
-    return FusedCloud._with_pca_normals(points if voxel == 0 else _voxel_centroids(points, voxel),
-                                        toward)
+    return FusedCloud._of_views(held, voxel, toward)
 
 
 def _check_fusion_options(voxel: float) -> None:
@@ -340,12 +335,6 @@ class _View:
     def __init__(self, camera: PinholeCamera, depth: DepthMap):
         self.camera, self.depths, self.mask = camera, depth.values, depth.valid_mask
         self.count = int(np.count_nonzero(self.mask))
-
-    def frustum(self) -> np.ndarray:
-        """`_frustum_box` of every pixel at every depth up to MAX_DEPTH: it holds
-        any point of any depth map of this size, and costs no pass over one."""
-        height, width = self.mask.shape
-        return _frustum_box(self.camera, (0, width - 1), (0, height - 1), (0.0, MAX_DEPTH))
 
     @functools.cached_property
     def extent(self) -> tuple[tuple[int, int, int, int], np.ndarray]:
@@ -609,33 +598,23 @@ def _view_window(views: list[_View], voxel: float, low: np.ndarray, high: np.nda
     box: the same columns in the same order, bitwise."""
     lower, upper = _prefilter_box(voxel, low, high, rounding)
     rows = np.concatenate([view.rows(*view.rectangle(lower, upper)) for view in views], axis=1)
-    return _key_window(rows, voxel, low, high, rounding)
+    return _key_window(rows, voxel, low, high)
 
 
-def _key_window(rows: np.ndarray, voxel: float, low: np.ndarray, high: np.ndarray,
-                rounding: float) -> np.ndarray:
+def _key_window(rows: np.ndarray, voxel: float, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """The columns of raw coordinate rows whose x and y voxel keys, floored as
-    `_voxel_centroids` floors them, lie in [low, high], in their order.
-
-    Coordinates within a voxel (and `rounding`, at least two ulps of any of
-    them) of those keys' span are candidates, and only those are keyed.
-    """
-    x, y = rows[0], rows[1]
-    lower, upper = _prefilter_box(voxel, low, high, rounding)
-    near = (x >= lower[0]) & (x <= upper[0])
-    near &= y >= lower[1]
-    near &= y <= upper[1]
-    cols = np.flatnonzero(near)
-    kx, ky = np.floor(x.take(cols) / voxel), np.floor(y.take(cols) / voxel)
+    `_voxel_centroids` floors them, lie in [low, high], in their order."""
+    kx, ky = np.floor(rows[0] / voxel), np.floor(rows[1] / voxel)
     inside = (kx >= low[0]) & (kx <= high[0]) & (ky >= low[1]) & (ky <= high[1])
-    return rows.take(cols[inside], axis=1)
+    return rows[:, inside]
 
 
 def _snap(cloud: FusedCloud, target) -> tuple[FusedCloud, PlanarNeighbor]:
     """The point nearest `target` in XY, with the cloud that holds it (its
     `normal_at(index)` is the point's normal): `cloud` itself once its points
-    exist, else the voxel grid of a square key window of its raw points, which
-    `_view_window` deprojects from the pixels that can see it.
+    exist or if it has no voxel, else the voxel grid of a square key window of
+    its raw points, which `_view_window` deprojects from the pixels that can
+    see it.  A snap never builds the whole grid.
 
     Exact, not approximate.  The window holds whole voxels, in `fuse`'s order,
     and `bincount` sums each voxel's points in input order, so its centroids
@@ -645,24 +624,18 @@ def _snap(cloud: FusedCloud, target) -> tuple[FusedCloud, PlanarNeighbor]:
     point.  So once the nearest centroid's planar distance, NORMAL_RADIUS and
     that rounding fit in `h`, the window holds every grid point as near as
     that one (so ties break alike) and its whole ball.  Otherwise the window
-    at least doubles; one that would cover the XY keys of the views' boxes
-    builds the grid.
+    at least doubles, as it does while it is empty.
     """
     xy = _query_xy(target)
-    if cloud._points is not None:
+    if cloud._points is not None or cloud._raw[1] == 0:
         return cloud, cloud.planar_nearest(xy)
     views, voxel = cloud._raw
-    boxes = np.column_stack([view.extent[1] for view in views])
-    first, last = np.floor(boxes[:2].min(axis=1) / voxel), np.floor(boxes[:2].max(axis=1) / voxel)
     count = sum(view.count for view in views)
-    # a query off the cloud's XY box starts with a window that reaches into it
-    gap = max(0.0, *(first * voxel - xy), *(xy - (last + 1) * voxel))
-    h = NORMAL_RADIUS + voxel + gap
-    scale = np.abs(xy).max() + voxel * (np.abs([first, last]).max() + 1)
+    # the views' boxes bound every coordinate
+    scale = np.abs(xy).max() + max(np.abs(view.extent[1][:2]).max() for view in views)
+    h = NORMAL_RADIUS + voxel
     while True:
         low, high = np.floor((xy - h) / voxel), np.floor((xy + h) / voxel)
-        if np.all(low <= first) and np.all(high >= last):
-            return cloud, cloud.planar_nearest(xy)
         # a centroid's sum, xy ± h and the distances round by at most this
         rounding = np.finfo(float).eps * (count + 8) * (scale + h)
         window = _view_window(views, voxel, low, high, rounding)

@@ -61,7 +61,11 @@ class InvalidQueryError(ConfigError, ValueError):
 
 
 class VoxelKeyOverflowError(ScanlocError):
-    """The voxel size is too small for the cloud's integer voxel keys to fit in int64."""
+    """The voxel size is too small for the cloud's integer voxel keys to fit in int64.
+
+    Raised where the keys are packed: when a fused cloud's points are first
+    read (as `len`, `save`, `normals` and `planar_nearest` do), or by a snap
+    whose key window is too wide to key; never by `fuse`."""
 
 
 # target model --------------------------------------------------------------

@@ -634,6 +634,16 @@ class TestMalformedInput:
         assert_one_line_error(caplog, name, option.split("=")[1])
         assert not out.exists()
 
+    def test_fuse_at_a_voxel_too_fine_to_key_writes_no_file(self, cohort_dir, tmp_path,
+                                                             caplog):
+        """The grid is refused when `save` reads the points, before --out is opened."""
+        out = tmp_path / "cloud.bin"
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["fuse", "--scene", str(cohort_dir / "scene_001"), "--out", str(out),
+                         "--voxel", "1e-12"]) == 1
+        assert_one_line_error(caplog, "1e-12")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fuse", "localize", "evaluate"])
     def test_neighbors_option_is_a_usage_error(self, cohort_dir, tmp_path, command):
         out = tmp_path / "out"

@@ -15,7 +15,9 @@ Oracles:
 * the snap on the whole voxel grid of a scene's raw points for the snap on a
   key window of them, bitwise,
 * the key window of a voxel-0 `fuse`'s points for the key window of only the
-  pixels that can see it, bitwise.
+  pixels that can see it, bitwise,
+* the snap on the grid of the raw points in an XY key box around the query for
+  the snap on a cloud whose whole grid is too fine to key in int64, bitwise.
 """
 
 import functools
@@ -423,7 +425,7 @@ class TestVoxelCentroids:
             _voxel_centroids(points * 1e12, 1e-8)
         cam = look_at_camera([0, 0.01, 1.0], [0, 0.01, 0], fx=300, width=20, height=20)
         with pytest.raises(VoxelKeyOverflowError):
-            fuse([(cam, DepthMap(np.full((20, 20), 1.0)))], voxel=1e-12)
+            fuse([(cam, DepthMap(np.full((20, 20), 1.0)))], voxel=1e-12).points
 
 
 def counting_argsort(monkeypatch) -> list:
@@ -811,7 +813,9 @@ class TestSnapWindows:
         elif kind == "far":
             direction = np.array(data.draw(st.sampled_from([[1, 0], [-1, 0.5], [0.2, -1]])))
             xy = xy + direction * data.draw(st.floats(0.06, 100.0))
-        assert_same_snap(adjust_target(fuse(views, voxel=voxel), xy), adjust_target(oracle, xy))
+        cloud = fuse(views, voxel=voxel)
+        assert_same_snap(adjust_target(cloud, xy), adjust_target(oracle, xy))
+        assert voxel == 0 or cloud._points is None  # the snap never built the whole grid
 
     def test_key_window_keeps_whole_voxels_in_order(self):
         rows = fuse(scene_views(NOISY, "side", seed=63), voxel=0.0).points.T
@@ -822,7 +826,7 @@ class TestSnapWindows:
                 low = keys[:, rng.integers(0, rows.shape[1])] - rng.integers(0, 15, 2)
                 high = low + rng.integers(0, 30, 2)
                 inside = np.all((keys >= low[:, None]) & (keys <= high[:, None]), axis=0)
-                window = _key_window(rows, voxel, low, high, 0.0)
+                window = _key_window(rows, voxel, low, high)
                 assert window.shape == (3, np.count_nonzero(inside))
                 assert window.tobytes() == np.ascontiguousarray(rows[:, inside]).tobytes()
 
@@ -906,7 +910,7 @@ def assert_same_window(views, voxel, low, high, rounding):
     rows = fuse(views, voxel=0.0).points.T
     got = _view_window([_View(camera, depth) for camera, depth in views],
                        voxel, low, high, rounding)
-    want = _key_window(rows, voxel, low, high, rounding)
+    want = _key_window(rows, voxel, low, high)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     return got
@@ -1042,14 +1046,61 @@ class TestUnreadClouds:
         assert held <= image + 4096, f"{held - image} B beyond the masks"
         assert cloud._points is None
 
+    def test_an_unread_voxel_0_cloud_holds_a_byte_per_image_pixel(self):
+        """A cloud of every raw point is its views until read, too."""
+        views = scene_views(MILD, "front", seed=63)
+        image = sum(depth.values.size for _, depth in views)
+        tracemalloc.start()
+        try:
+            cloud = fuse(views, voxel=0.0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= image + 4096, f"{held - image} B beyond the masks"
+        assert cloud._points is None
+
+    def test_a_grid_too_fine_to_key_is_refused_only_when_read(self, tmp_path, monkeypatch):
+        """At 0.1 um a generated scene's whole grid cannot be keyed in int64,
+        but a snap's windows can: `fuse` returns, and each snap is bitwise the
+        snap on the grid of the raw points whose keys lie in an XY box of
+        +-0.08 m around it, which holds the snap's last window and still keys
+        into int64.  Reading the points refuses the grid, and `save` then
+        leaves no file."""
+        views = scene_views(MILD, "front", seed=63)
+        voxel, half = 1e-7, 0.08
+        raw = fuse(views, voxel=0.0).points
+        with pytest.raises(VoxelKeyOverflowError):
+            _key_bounds(raw.T, voxel)
+        cloud = fuse(views, voxel=voxel)
+        toward = np.mean([camera.center for camera, _ in views], axis=0)
+        windows = []
+
+        def recording(views, voxel, low, high, rounding):
+            windows.append((low, high))
+            return _view_window(views, voxel, low, high, rounding)
+
+        monkeypatch.setattr("scanloc.cloud._view_window", recording)
+        rng = np.random.default_rng(66)
+        for xy in raw[rng.integers(0, len(raw), 4), :2] + [1e-4, -2e-4]:
+            got = adjust_target(cloud, xy)
+            low, high = np.floor((xy - half) / voxel), np.floor((xy + half) / voxel)
+            assert np.all(low <= windows[-1][0]) and np.all(windows[-1][1] <= high)
+            crop = _key_window(raw.T, voxel, low, high).T
+            oracle = FusedCloud._with_pca_normals(_voxel_centroids(crop, voxel), toward)
+            assert_same_snap(got, adjust_target(oracle, xy))
+        assert cloud._points is None
+        path = tmp_path / "fine.cloud"
+        for read in (lambda: cloud.points, lambda: len(cloud), lambda: cloud.save(path)):
+            with pytest.raises(VoxelKeyOverflowError, match="1e-07"):
+                read()
+        assert not path.exists()
+
     def test_frustum_keys_overflow_but_the_points_fit(self):
-        """Keys of 0.1 um overflow int64 over a 20 x 20 view's whole frustum,
-        10 m deep, but not over its points on a plane 1 m away: `fuse` keeps
-        the points, and snaps on their grid."""
+        """Keys of 0.1 um would overflow int64 over a 20 x 20 view's whole
+        frustum, 10 m deep, but not over its points on a plane 1 m away: the
+        cloud snaps on their grid, and builds it when read."""
         views = plane_views([0.05, 0.02, 1.0], [0.0, 0.0, 0.0], step=1, width=20, height=20)
         voxel = 1e-7
-        with pytest.raises(VoxelKeyOverflowError):
-            _key_bounds(_View(*views[0]).frustum(), voxel)
         raw = fuse(views, voxel=0.0).points
         _key_bounds(raw.T, voxel)
         toward = views[0][0].center
