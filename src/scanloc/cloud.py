@@ -35,7 +35,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmptyCloudError,
@@ -527,10 +526,10 @@ def _scan_ball(points: np.ndarray, index: int):
     return np.zeros_like(ball), ball
 
 
-def _tree_balls(points: np.ndarray, tree: cKDTree, index: np.ndarray):
+def _tree_balls(points: np.ndarray, tree, index: np.ndarray):
     """The balls of points[index] as (row, neighbor) pairs, by row and then neighbor:
-    the tree's candidates at a slightly larger radius, kept if they pass the scan's test."""
-    found = cKDTree(points[index]).sparse_distance_matrix(
+    the k-d tree's candidates at a slightly larger radius, kept if they pass the scan's test."""
+    found = type(tree)(points[index]).sparse_distance_matrix(
         tree, NORMAL_RADIUS * (1 + 1e-9), output_type="ndarray")
     rows, neighbors = np.divmod(np.sort(found["i"] * len(points) + found["j"]), len(points))
     inside = _in_ball(_offsets(points, index[rows], neighbors))
@@ -543,7 +542,10 @@ def _offsets(points: np.ndarray, centres: np.ndarray, neighbors: np.ndarray) -> 
 
 
 def _all_normals(points: np.ndarray, toward: np.ndarray) -> np.ndarray:
-    """`_pca_normals` of every point, from a k-d tree built here and dropped on return."""
+    """`_pca_normals` of every point, from a k-d tree built here and dropped on return.
+    scipy is imported here, the one place that reads it, so `import scanloc` does not."""
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     normals = np.empty_like(points)
     for start in range(0, len(points), 512):

@@ -14,11 +14,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import (
     ConfigError,
@@ -151,17 +151,75 @@ class RigidTransform:
 
 
 def angle_axis_to_rotation(angle_axis) -> np.ndarray:
-    """Convert an angle-axis 3-vector (axis * angle in radians) to a matrix."""
+    """Convert an angle-axis 3-vector (axis * angle in radians) to a matrix.
+
+    The vector's quaternion (v * sin(angle/2) / angle, cos(angle/2)), with the
+    sine's Taylor series at angles up to 1e-3, then its matrix: scipy's
+    `Rotation.from_rotvec(v).as_matrix()` step for step, so bitwise the same."""
     v = _as_vec3(angle_axis, "angle_axis")
-    return Rotation.from_rotvec(v).as_matrix()
+    x, y, z = v.tolist()
+    angle = math.sqrt(x * x + y * y + z * z)
+    if not math.isfinite(angle):
+        raise InvalidArrayError(f"angle_axis {v} has no finite angle")
+    if angle <= 1e-3:
+        angle2 = angle * angle
+        scale = 0.5 - angle2 / 48 + angle2 * angle2 / 3840
+    else:
+        scale = math.sin(angle / 2) / angle
+    x, y, z, w = x * scale, y * scale, z * scale, math.cos(angle / 2)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([
+        [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+        [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+        [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+    ])
 
 
 def rotation_to_angle_axis(rotation) -> np.ndarray:
-    """Convert a rotation matrix to an angle-axis 3-vector (angle in [0, pi])."""
+    """Convert a rotation matrix to an angle-axis 3-vector (angle in [0, pi]).
+
+    scipy's `Rotation.from_matrix(m).as_rotvec()` step for step, so bitwise the
+    same: a matrix not orthogonal within 1e-12 is first projected onto the
+    nearest rotation by its SVD; the quaternion comes from the largest of the
+    diagonal and the trace (Shoemake, SIGGRAPH 1985), is normalized and made
+    canonical, and is scaled by angle / sin(angle/2), or its Taylor series at
+    angles up to 1e-3.  A non-finite matrix, or one whose determinant is not
+    positive, raises InvalidArrayError."""
     rot = np.asarray(rotation, dtype=float)
     if rot.shape != (3, 3):
         raise InvalidArrayError(f"rotation must be 3x3, got shape {rot.shape}")
-    return Rotation.from_matrix(rot).as_rotvec()
+    if not np.all(np.isfinite(rot)):
+        raise InvalidArrayError("rotation must be finite")
+    if not np.linalg.det(rot) > 0:
+        raise InvalidArrayError("rotation matrix must have a positive determinant")
+    if not np.isclose(rot @ rot.T, np.eye(3), atol=1e-12).all():
+        u, _, vt = np.linalg.svd(rot)
+        rot = u @ vt
+    m = rot.tolist()
+    trace = m[0][0] + m[1][1] + m[2][2]
+    decision = [m[0][0], m[1][1], m[2][2], trace]
+    i = decision.index(max(decision))
+    if i == 3:
+        q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace]
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q = [0.0] * 4
+        q[i] = 1 - trace + 2 * m[i][i]
+        q[j] = m[j][i] + m[i][j]
+        q[k] = m[k][i] + m[i][k]
+        q[3] = m[k][j] - m[j][k]
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    x, y, z, w = (c / norm for c in q)
+    if w < 0 or (w == 0 and next((c for c in (x, y, z) if c != 0), 0.0) < 0):
+        x, y, z, w = -x, -y, -z, -w
+    angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
+    if angle <= 1e-3:
+        angle2 = angle * angle
+        scale = 2 + angle2 / 12 + 7 * angle2 * angle2 / 2880
+    else:
+        scale = angle / math.sin(angle / 2)
+    return np.array([scale * x, scale * y, scale * z])
 
 
 def angle_between_degrees(a, b) -> float:

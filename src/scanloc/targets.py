@@ -39,7 +39,14 @@ from .errors import (
     RankDeficientError,
     ZeroVectorError,
 )
-from .geometry import PinholeCamera, Pixel, _as_vec3, rotation_to_angle_axis, triangulate
+from .geometry import (
+    PinholeCamera,
+    Pixel,
+    _as_vec3,
+    angle_axis_to_rotation,
+    rotation_to_angle_axis,
+    triangulate,
+)
 from .jsonfile import _check_keys, _finite, read_json, write_json
 
 log = logging.getLogger(__name__)
@@ -408,8 +415,6 @@ class ScanTargetPose:
     @property
     def surface_normal(self) -> np.ndarray:
         """The outward surface normal this pose presses against (-R @ ez)."""
-        from .geometry import angle_axis_to_rotation
-
         return -angle_axis_to_rotation(self.rotation_vector)[:, 2]
 
     def to_dict(self) -> dict:

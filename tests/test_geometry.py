@@ -120,6 +120,10 @@ BAD_CONSTRUCTOR_INPUT = {
     "matrix-shape": lambda: RigidTransform.from_matrix(np.eye(3)),
     "points-shape": lambda: IDENTITY.apply(np.zeros((2, 2))),
     "angle-axis-shape": lambda: rotation_to_angle_axis(np.eye(2)),
+    "angle-axis-finite": lambda: rotation_to_angle_axis(np.full((3, 3), np.nan)),
+    "angle-axis-reflection": lambda: rotation_to_angle_axis(np.diag([1.0, 1.0, -1.0])),
+    "angle-axis-singular": lambda: rotation_to_angle_axis(np.zeros((3, 3))),
+    "vector-angle-overflow": lambda: angle_axis_to_rotation([1e308, 1e308, 0.0]),
     "focal-length": lambda: PinholeCamera(0.0, 600.0, 320.0, 240.0, 640, 480, IDENTITY),
     "image-size": lambda: PinholeCamera(600.0, 600.0, 320.0, 240.0, 0, 480, IDENTITY),
     "principal-point": lambda: PinholeCamera(600.0, 600.0, 700.0, 240.0, 640, 480, IDENTITY),
@@ -151,6 +155,76 @@ class TestAngleAxis:
             r = angle_axis_to_rotation(v)
             r2 = angle_axis_to_rotation(rotation_to_angle_axis(r))
             assert np.linalg.norm(r - r2) < 1e-9
+
+
+def unit_axes():
+    axes = st.tuples(*[st.floats(-1, 1)] * 3).map(np.array)
+    return axes.filter(lambda a: np.linalg.norm(a) > 0.1)
+
+
+def assert_matrix_is_scipys(vector):
+    assert np.array_equal(angle_axis_to_rotation(vector), Rotation.from_rotvec(vector).as_matrix())
+
+
+def assert_vector_is_scipys(matrix):
+    assert np.array_equal(rotation_to_angle_axis(matrix), Rotation.from_matrix(matrix).as_rotvec())
+
+
+class TestScipyOracle:
+    """The conversions repeat scipy's `Rotation` steps, so they give its bits."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(axis=unit_axes(), exponent=st.floats(-300, 1))
+    def test_conversions_match_scipy_at_every_angle_scale(self, axis, exponent):
+        vector = axis / np.linalg.norm(axis) * 10.0**exponent
+        assert_matrix_is_scipys(vector)
+        assert_vector_is_scipys(angle_axis_to_rotation(vector))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(axis=unit_axes(), angle=st.floats(0, np.pi), exponent=st.floats(-11, -7),
+           noise=st.lists(st.floats(-1, 1), min_size=9, max_size=9))
+    def test_near_orthogonal_matrices_match_scipy(self, axis, angle, exponent, noise):
+        """A matrix off orthogonal by 1e-11 to 1e-7 is projected by its SVD first."""
+        matrix = angle_axis_to_rotation(axis / np.linalg.norm(axis) * angle)
+        perturbed = matrix + 10.0**exponent * np.reshape(noise, (3, 3))
+        assert_vector_is_scipys(perturbed)
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-3, np.nextafter(1e-3, 1.0), np.pi],
+                             ids=["zero", "taylor-edge", "above-taylor-edge", "pi"])
+    def test_pinned_angles(self, angle):
+        for axis in ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 2.0, -2.0]):
+            vector = np.divide(axis, np.linalg.norm(axis)) * angle
+            assert_matrix_is_scipys(vector)
+            matrix = angle_axis_to_rotation(vector)
+            assert_vector_is_scipys(matrix)
+            assert np.linalg.norm(rotation_to_angle_axis(matrix)) == pytest.approx(angle)
+
+    @pytest.mark.parametrize("vector, case", [([2.5, 0.0, 0.0], 0), ([0.0, 2.5, 0.0], 1),
+                                              ([0.0, 0.0, 2.5], 2), ([0.3, -0.2, 0.1], 3)],
+                             ids=["m00", "m11", "m22", "trace"])
+    def test_each_quaternion_case(self, vector, case):
+        """The first largest of (m00, m11, m22, trace) picks the quaternion's case."""
+        matrix = angle_axis_to_rotation(vector)
+        assert np.argmax([*np.diag(matrix), np.trace(matrix)]) == case
+        assert_vector_is_scipys(matrix)
+        assert np.allclose(rotation_to_angle_axis(matrix), vector, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [[-0.6, 0.8, 0.0], [0.0, -0.6, 0.8], [0.0, 0.0, -1.0]])
+    def test_half_turns_are_made_canonical(self, axis):
+        """A half-turn 2nn^T - I has w == 0 exactly: the quaternion's first
+        nonzero x, y, z component decides its sign, so the vector's too."""
+        n = np.array(axis)
+        matrix = 2 * np.outer(n, n) - np.eye(3)
+        assert_vector_is_scipys(matrix)
+        assert np.allclose(np.abs(rotation_to_angle_axis(matrix)), np.pi * np.abs(n), atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e-9, 1e-7])
+    def test_near_orthogonal_takes_the_svd(self, scale):
+        """A Gramian off the identity by more than scipy's tolerance, `np.isclose`
+        at atol 1e-12, sends the matrix through the SVD projection."""
+        matrix = angle_axis_to_rotation([0.4, -1.1, 0.7]) + scale * np.outer([1, -2, 3], [2, 1, -1])
+        assert not np.isclose(matrix @ matrix.T, np.eye(3), atol=1e-12).all()
+        assert_vector_is_scipys(matrix)
 
 
 class TestAngleBetween:

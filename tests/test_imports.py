@@ -1,4 +1,5 @@
-"""Every scanloc module and test module uses each name it imports.
+"""Every scanloc module and test module uses each name it imports, and
+importing the package loads no scipy.
 
 A stdlib stand-in for a linter's unused-import check: deleting code must
 not leave its imports behind.  A name listed in `__all__` counts as used,
@@ -6,9 +7,14 @@ so the package `__init__` re-exports nothing it does not list.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import scanloc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = [path for directory in (ROOT / "src" / "scanloc", ROOT / "tests")
@@ -45,3 +51,14 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_scipy():
+    """A fresh `import scanloc.cli` costs numpy alone: scipy is read only by
+    `FusedCloud.normals`, which imports its k-d tree when called."""
+    probe = ("import sys, scanloc.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(scanloc.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
