@@ -9,10 +9,11 @@ That read deprojects every valid pixel into three coordinate rows, one (3, N)
 buffer: each view's one rows transform (`RigidTransform.apply_rows`, a single
 `R @ rows`) writes straight into that view's columns.  It then builds the grid
 one coordinate row at a time and drops the views.  Before that, a snap
-(`adjust_target`) deprojects only the valid pixels in the image rectangles
-that can see a square window of voxel keys around its query, and voxelizes
-only the points in that window.  This gives bitwise the centroids, nearest
-point and normal that the whole grid gives.
+deprojects only the valid pixels in the image rectangles that can see one
+window of voxel keys around its queries' XY bounding box, and voxelizes only
+the points in that window: `adjust_target` snaps one query, and the
+back-projection a target's three nearby estimates at once.  This gives
+bitwise the centroids, nearest points and normals that the whole grid gives.
 Each normal is the PCA of the point's ball (every point within NORMAL_RADIUS),
 oriented toward the cameras and computed when read: a snap scans every point of
 the cloud or of its window for its one ball, so `fuse` builds no index; only
@@ -611,34 +612,40 @@ def _key_window(rows: np.ndarray, voxel: float, low: np.ndarray, high: np.ndarra
     return rows[:, inside]
 
 
-def _snap(cloud: FusedCloud, target) -> tuple[FusedCloud, PlanarNeighbor]:
-    """The point nearest `target` in XY, with the cloud that holds it (its
-    `normal_at(index)` is the point's normal): `cloud` itself once its points
-    exist or if it has no voxel, else the voxel grid of a square key window of
-    its raw points, which `_view_window` deprojects from the pixels that can
-    see it.  A snap never builds the whole grid.
+def _snap(cloud: FusedCloud, *targets) -> tuple[FusedCloud, list[PlanarNeighbor]]:
+    """The point nearest each of one or more `targets` in XY, with the one
+    cloud that holds them all (its `normal_at(index)` is a point's normal):
+    `cloud` itself once its points exist or if it has no voxel, else the voxel
+    grid of one key window of its raw points around the targets' XY bounding
+    box, which `_view_window` deprojects from the pixels that can see it.  A
+    snap never builds the whole grid.
 
     Exact, not approximate.  The window holds whole voxels, in `fuse`'s order,
     and `bincount` sums each voxel's points in input order, so its centroids
-    are bitwise the grid's, in the grid's relative order.  A centroid outside
-    the window lies more than the half-width `h` from `target` in x or y, but
-    for the rounding of its sum: under one ulp of the largest coordinate per
-    point.  So once the nearest centroid's planar distance, NORMAL_RADIUS and
-    that rounding fit in `h`, the window holds every grid point as near as
-    that one (so ties break alike) and its whole ball.  Otherwise the window
-    at least doubles, as it does while it is empty.
+    are bitwise the grid's, in the grid's relative order.  The window is the
+    box widened by `h` on each side, so a centroid outside it lies more than a
+    target's own half-width, `h` plus the target's least offset from the
+    box's sides, from that target in x or y, but for the rounding of its sum:
+    under one ulp of the largest coordinate per point.  So once, for every
+    target, the nearest centroid's planar distance, NORMAL_RADIUS and that
+    rounding fit in its own half-width, the window holds every grid point as
+    near as that one (so ties break alike) and its whole ball.  Otherwise `h`
+    at least doubles, as it does while the window is empty.  One target is
+    `adjust_target`'s snap; its offset is 0, so its half-width is `h`.
     """
-    xy = _query_xy(target)
+    xy = np.array([_query_xy(target) for target in targets])
     if cloud._points is not None or cloud._raw[1] == 0:
-        return cloud, cloud.planar_nearest(xy)
+        return cloud, [cloud.planar_nearest(t) for t in xy]
     views, voxel = cloud._raw
     count = sum(view.count for view in views)
     # the views' boxes bound every coordinate
     scale = np.abs(xy).max() + max(np.abs(view.extent[1][:2]).max() for view in views)
+    box_lo, box_hi = xy.min(axis=0), xy.max(axis=0)
+    offsets = np.minimum(xy - box_lo, box_hi - xy).min(axis=1)
     h = NORMAL_RADIUS + voxel
     while True:
-        low, high = np.floor((xy - h) / voxel), np.floor((xy + h) / voxel)
-        # a centroid's sum, xy ± h and the distances round by at most this
+        low, high = np.floor((box_lo - h) / voxel), np.floor((box_hi + h) / voxel)
+        # a centroid's sum, the box ± h, the offsets and the distances round by at most this
         rounding = np.finfo(float).eps * (count + 8) * (scale + h)
         window = _view_window(views, voxel, low, high, rounding)
         if window.shape[1] == 0:
@@ -646,11 +653,12 @@ def _snap(cloud: FusedCloud, target) -> tuple[FusedCloud, PlanarNeighbor]:
             continue
         grid = FusedCloud._with_pca_normals(_voxel_centroids(window.T, voxel),
                                             cloud._toward)
-        neighbor = grid.planar_nearest(xy)
-        reach = neighbor.planar_distance + NORMAL_RADIUS + rounding
-        if reach <= h:
-            return grid, neighbor
-        h = max(2 * h, reach)
+        neighbors = [grid.planar_nearest(t) for t in xy]
+        need = max(neighbor.planar_distance + NORMAL_RADIUS + rounding - offset
+                   for neighbor, offset in zip(neighbors, offsets))
+        if need <= h:
+            return grid, neighbors
+        h = max(2 * h, need)
 
 
 def adjust_target(cloud: FusedCloud, target) -> AdjustedTarget:
@@ -661,7 +669,7 @@ def adjust_target(cloud: FusedCloud, target) -> AdjustedTarget:
     far_from_surface flag: the regression landed off the scanned surface.
     """
     t = np.asarray(target, dtype=float).reshape(-1)
-    surface, neighbor = _snap(cloud, t)
+    surface, (neighbor,) = _snap(cloud, t)
     position = np.array([t[0], t[1], neighbor.point[2]])
     return AdjustedTarget(
         position=position,

@@ -249,11 +249,6 @@ def _pixel_error(camera, point, truth: Pixel) -> float:
     return float(np.hypot(projected.u - truth.u, projected.v - truth.v))
 
 
-def _snapped(cloud: FusedCloud, point) -> np.ndarray:
-    """`adjust_target(cloud, point).position` without reading a normal."""
-    return np.array([point[0], point[1], _snap(cloud, point)[1].point[2]])
-
-
 def backprojection_comparison(scene: SyntheticScene,
                               cloud: FusedCloud) -> list[BackprojectionResult]:
     """Two-view vs single-view target estimates, scored in pixel space.
@@ -261,33 +256,30 @@ def backprojection_comparison(scene: SyntheticScene,
     Both estimates start from the observed target pixels and end with the
     same nearest-neighbor depth adjustment; the single-view estimate reads
     its depth from that camera's own depth map instead of triangulating.
-    `cloud` is the scene's fused cloud; no normal of it is read.
+    A target's three estimates lie millimetres apart, so one snap adjusts
+    them all, through one key window of `cloud`, the scene's fused cloud; no
+    normal of it is read.
     """
     results = []
     for target_id in sorted(scene.targets_true):
         observed = [scene.target_pixels_observed[vi][target_id] for vi in (0, 1)]
         truth = [scene.target_pixels_true[vi][target_id] for vi in (0, 1)]
-
-        two_point = triangulate(scene.cameras[0], scene.cameras[1], *observed)
-        two_point = _snapped(cloud, two_point)
-        two_errors = tuple(
-            _pixel_error(scene.cameras[vi], two_point, truth[vi]) for vi in (0, 1)
-        )
-
-        single_errors = []
+        points = [triangulate(scene.cameras[0], scene.cameras[1], *observed)]
         for k in (0, 1):
             depth = _nearest_valid_depth(scene.depths[k], observed[k])
-            point = scene.cameras[k].deproject(observed[k], depth)
-            point = _snapped(cloud, point)
-            single_errors.append(
-                tuple(_pixel_error(scene.cameras[vi], point, truth[vi]) for vi in (0, 1))
-            )
+            points.append(scene.cameras[k].deproject(observed[k], depth))
+        _, neighbors = _snap(cloud, *points)
+        errors = [
+            tuple(_pixel_error(camera, [x, y, neighbor.point[2]], pixel)
+                  for camera, pixel in zip(scene.cameras, truth))
+            for (x, y, _), neighbor in zip(points, neighbors)
+        ]
         results.append(
             BackprojectionResult(
                 scene_id=scene.scene_id,
                 target_id=target_id,
-                two_view=two_errors,
-                single_view=tuple(single_errors),
+                two_view=errors[0],
+                single_view=tuple(errors[1:]),
             )
         )
     return results

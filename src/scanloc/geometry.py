@@ -132,6 +132,11 @@ class RigidTransform:
         )
 
     def inverse(self) -> "RigidTransform":
+        """The inverse transform, built and validated once per transform."""
+        return self._inverse
+
+    @functools.cached_property
+    def _inverse(self) -> "RigidTransform":
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
 
@@ -331,11 +336,18 @@ class PinholeCamera:
         return self.pose.translation.copy(), (self.pose.rotation @ rows).T
 
     def projection_matrix(self) -> np.ndarray:
-        """The 3x4 matrix mapping homogeneous base-frame points to pixels."""
+        """The 3x4 matrix `K [R | t]` mapping homogeneous base-frame points to
+        pixels, built once per camera and read-only."""
+        return self._projection
+
+    @functools.cached_property
+    def _projection(self) -> np.ndarray:
         k = np.array([[self.fx, 0, self.cx], [0, self.fy, self.cy], [0, 0, 1]])
         inv = self.pose.inverse()
         rt = np.hstack([inv.rotation, inv.translation[:, None]])
-        return k @ rt
+        p = k @ rt
+        p.flags.writeable = False
+        return p
 
     def to_dict(self) -> dict:
         return {

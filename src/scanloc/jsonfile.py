@@ -18,14 +18,15 @@ from .errors import ConfigError, InvalidRangeError, MalformedFileError
 def read_json(path, parse):
     """`parse(data)` for the JSON value `data` in the UTF-8 file `path`.  Bytes
     that are not UTF-8, not JSON or nested too deeply to parse, and any
-    ConfigError, KeyError, TypeError or ValueError from `parse`, become one
-    MalformedFileError naming `path`; an OSError passes through."""
+    ConfigError, KeyError, OverflowError (an integer too large for a float),
+    TypeError or ValueError from `parse`, become one MalformedFileError naming
+    `path`; an OSError passes through."""
     with open(path, encoding="utf-8") as fh:
         try:
             return parse(json.load(fh))
         except KeyError as exc:
             raise MalformedFileError(f"{path}: missing key {exc}") from None
-        except (ConfigError, RecursionError, TypeError, ValueError) as exc:
+        except (ConfigError, OverflowError, RecursionError, TypeError, ValueError) as exc:
             raise MalformedFileError(f"{path}: {exc}") from None
 
 
@@ -57,7 +58,8 @@ def _two(value, kind: type, name: str) -> list:
 
 def _finite(value, where: str, shape: tuple = ()) -> np.ndarray:
     """`value` as a finite float array of `shape`, else MalformedFileError naming `where`;
-    as in `_whole`, a boolean or a string is not a number."""
+    as in `_whole`, a boolean or a string is not a number.  An integer too large
+    for a float raises OverflowError, which `read_json` reports as malformed."""
     try:
         numbers = all(isinstance(x, Real) and not isinstance(x, bool)
                       for x in np.asarray(value, dtype=object).flat)

@@ -566,6 +566,18 @@ class TestMalformedInput:
             (lambda d: {**d, "ratios": {**d["ratios"], "front": {
                 **d["ratios"]["front"], "3": d["ratios"]["front"]["1"]}}},
              "unsupported front target id '3'"),
+            (lambda d: {**d, "torso": {**d["torso"], "half_width": 10**400}},
+             "too large to convert to float"),
+            (lambda d: {**d, "cameras": [{**d["cameras"][0], "fx": 10**400},
+                                         d["cameras"][1]]},
+             "too large to convert to float"),
+            (lambda d: {**d, "cameras": [d["cameras"][0], {**d["cameras"][1], "pose": {
+                **d["cameras"][1]["pose"],
+                "rotation": [10**400, *d["cameras"][1]["pose"]["rotation"][1:]]}}]},
+             "too large to convert to float"),
+            (lambda d: {**d, "ratios": {**d["ratios"], "side": {
+                **d["ratios"]["side"], "r_s1": 10**400}}},
+             "too large to convert to float"),
         ],
         ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
              "one-pixel-view", "observation-view-not-object", "one-camera", "cameras-not-list",
@@ -577,7 +589,8 @@ class TestMalformedInput:
              "camera-bool-height", "camera-bool-fx", "torso-bool", "keypoint-sigma-not-number",
              "depth-sigma-bool", "noise-seed-fraction", "scene-id-not-number", "scene-id-bool",
              "observation-not-number", "observation-bool", "keypoint-bool", "target-not-number",
-             "ratios-name-target-3"],
+             "ratios-name-target-3", "huge-torso-int", "huge-camera-int", "huge-rotation-int",
+             "huge-ratio-int"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):
@@ -608,9 +621,10 @@ class TestMalformedInput:
              "front target 1 r_f1 must be a finite number, got True"),
             ({"front": {}, "reference_axes": {"front": [0, 1, False]}},
              "reference_axes front must be 3 finite numbers, got [0, 1, False]"),
+            ({"front": {"1": {"r_f1": 10**400, "r_f2": 0.2}}}, "too large to convert to float"),
         ],
         ids=["non-numeric", "null", "missing", "target-id", "unsupported-target-id", "list",
-             "short-axis", "front-not-object", "bool-ratio", "bool-axis"],
+             "short-axis", "front-not-object", "bool-ratio", "bool-axis", "huge-int-ratio"],
     )
     def test_localize_on_bad_params_exits_1(self, cohort_dir, tmp_path, caplog, params, key):
         params_file = tmp_path / "params.json"

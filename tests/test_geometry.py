@@ -84,6 +84,19 @@ class TestRigidTransform:
             m = t.compose(t.inverse()).as_matrix()
             assert np.allclose(m, np.eye(4), atol=1e-12)
 
+    def test_inverse_is_built_once_and_bitwise_the_formula(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            t = random_transform(rng)
+            inverse = t.inverse()
+            assert t.inverse() is inverse
+            rt = t.rotation.T
+            assert inverse.rotation.tobytes() == rt.tobytes()
+            assert inverse.translation.tobytes() == (-rt @ t.translation).tobytes()
+            for array in (inverse.rotation, inverse.translation):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
     def test_composition_stays_orthonormal(self):
         rng = np.random.default_rng(9)
         t = RigidTransform.identity()
@@ -249,6 +262,16 @@ class TestProjection:
         pix = cam.project([0.1, -0.2, 2.0])
         assert pix.u == pytest.approx(345.0)
         assert pix.v == pytest.approx(190.0)
+
+    def test_projection_matrix_is_built_once_and_read_only(self):
+        cam = look_at_camera([0.2, -0.1, 1.5], [0.0, 0.1, 0.2])
+        p = cam.projection_matrix()
+        assert cam.projection_matrix() is p
+        k = np.array([[cam.fx, 0, cam.cx], [0, cam.fy, cam.cy], [0, 0, 1]])
+        inv = cam.pose.inverse()
+        assert p.tobytes() == (k @ np.hstack([inv.rotation, inv.translation[:, None]])).tobytes()
+        with pytest.raises(ValueError):
+            p[0, 0] = 1.0
 
     def test_matches_independent_transcription(self):
         rng = np.random.default_rng(12)

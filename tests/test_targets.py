@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scanloc.cloud import FusedCloud
+from scanloc.cloud import FusedCloud, fuse
 from scanloc.errors import (
     AmbiguousSignError,
     ConfigError,
@@ -18,7 +18,8 @@ from scanloc.errors import (
     MalformedFileError,
     RankDeficientError,
 )
-from scanloc.geometry import Pixel, angle_axis_to_rotation, RigidTransform
+from scanloc.geometry import PinholeCamera, Pixel, angle_axis_to_rotation, RigidTransform
+from scanloc.synth import generate_cohort
 from scanloc.targets import (
     FitDataset,
     FitSample,
@@ -590,6 +591,30 @@ class TestLocalize:
             poses = localize(cam_a, cam_b, obs, patch, SLAB_PARAMS, "side")
         assert poses[0].far_from_surface
         assert any("away from" in rec.message for rec in caplog.records)
+
+    def test_a_second_localize_constructs_no_transform(self, monkeypatch):
+        """A camera's inverse pose and projection matrix are built once, so a
+        second request on the same camera pair, with a fresh cloud, builds no
+        RigidTransform."""
+        (scene,) = generate_cohort(1, pose_kind="front", seed=63)
+        cameras = [PinholeCamera.from_dict(camera.to_dict()) for camera in scene.cameras]
+        views = list(zip(cameras, scene.depths))
+        built = []
+        post_init = RigidTransform.__post_init__
+
+        def counting(transform):
+            built.append(transform)
+            post_init(transform)
+
+        monkeypatch.setattr(RigidTransform, "__post_init__", counting)
+        requests = []
+        for _ in range(2):
+            before = len(built)
+            poses = localize(*cameras, scene.observation, fuse(views), scene.ratios,
+                             scene.pose_kind, scene.axes)
+            assert [p.target_id for p in poses] == [1, 2]
+            requests.append(len(built) - before)
+        assert requests[0] > 0 and requests[1] == 0, requests
 
     def test_rigid_equivariance_of_full_pipeline(self):
         # rotating the whole scene about Z (and translating it) transforms
