@@ -377,16 +377,12 @@ class _View:
         """The valid pixels of image rows [top, bottom) and columns [left, right)
         in the base frame, in row-major order, as (3, n) coordinate rows written
         to `out` if given.  Pixel coordinates are float grids gathered by the
-        valid mask.  A lone pixel of a view of several goes through the rows
-        transform as two columns: numpy rotates one column with gemv, which
-        rounds differently from the gemm that rotates the whole view."""
+        valid mask.  Each point has the bits a whole-view deprojection gives it."""
         mask = self.mask[top:bottom, left:right]
         height, width = mask.shape
         u = np.broadcast_to(np.arange(left, left + width, dtype=float), mask.shape)
         v = np.broadcast_to(np.arange(top, top + height, dtype=float)[:, None], mask.shape)
         u, v, depths = u[mask], v[mask], self.depths[top:bottom, left:right][mask]
-        if len(depths) == 1 < self.count:
-            return self.camera.deproject((u.repeat(2), v.repeat(2)), depths.repeat(2)).T[:, :1]
         return self.camera.deproject((u, v), depths, out=out).T
 
 

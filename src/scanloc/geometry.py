@@ -54,6 +54,18 @@ def _as_vec3(value, name: str) -> np.ndarray:
     return v
 
 
+def _rotated(rotation: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
+    """`rotation @ rows` for a column (3,) or coordinate rows (3, N), into `out`
+    if given: the one place a rotation meets points.  numpy rotates a lone column
+    with gemv, which rounds unlike gemm, so it is rotated as the first of two."""
+    if rows.ndim == 2 and rows.shape[1] != 1:
+        return np.matmul(rotation, rows, out=out)
+    pair = np.matmul(rotation, rows.reshape(3, 1).repeat(2, axis=1))
+    out = np.empty(rows.shape) if out is None else out
+    out[...] = pair[:, 0].reshape(rows.shape)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
     """A rotation plus translation acting on 3D points (p' = R @ p + t)."""
@@ -91,7 +103,7 @@ class RigidTransform:
 
     @classmethod
     def orthonormalized(cls, rotation, translation) -> "RigidTransform":
-        """Build a transform from a noisy rotation, projecting it onto SO(3)."""
+        """Build a transform from a noisy rotation, projected onto SO(3) by SVD."""
         rot = np.asarray(rotation, dtype=float)
         u, _, vt = np.linalg.svd(rot)
         proj = u @ vt
@@ -107,21 +119,19 @@ class RigidTransform:
         return m
 
     def apply(self, points) -> np.ndarray:
-        """Transform one point (3,) or many points (N, 3); many go through
-        `apply_rows`, and come back as a view of its coordinate rows."""
+        """Transform one point (3,) or many points (N, 3) through `apply_rows`;
+        many come back as a view of its coordinate rows."""
         p = np.asarray(points, dtype=float)
-        if p.shape == (3,):
-            return self.rotation @ p + self.translation
-        if p.ndim == 2 and p.shape[1] == 3:
-            return self.apply_rows(p.T).T
-        raise InvalidArrayError(f"points must have shape (3,) or (N, 3), got {p.shape}")
+        if p.ndim not in (1, 2) or p.shape[-1] != 3:
+            raise InvalidArrayError(f"points must have shape (3,) or (N, 3), got {p.shape}")
+        return self.apply_rows(p.T).T
 
     def apply_rows(self, rows, out=None) -> np.ndarray:
-        """Transform points held as three coordinate rows, (3, N): `R @ rows`,
-        then each row gains its translation, into `out` if given.  This is the
-        one batched transform; its bits are those of `points @ R.T + t`."""
-        out = np.matmul(self.rotation, rows, out=out)
-        out += self.translation[:, None]
+        """Transform a point (3,) or points held as three coordinate rows (3, N):
+        `R @ rows`, then each row gains its translation, into `out` if given.
+        A point has the bits of its row of `points @ R.T + t`, in any batch."""
+        out = _rotated(self.rotation, rows, out)
+        np.add(out.T, self.translation, out=out.T)
         return out
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
@@ -186,11 +196,11 @@ def rotation_to_angle_axis(rotation) -> np.ndarray:
 
     scipy's `Rotation.from_matrix(m).as_rotvec()` step for step, so bitwise the
     same: a matrix not orthogonal within 1e-12 is first projected onto the
-    nearest rotation by its SVD; the quaternion comes from the largest of the
-    diagonal and the trace (Shoemake, SIGGRAPH 1985), is normalized and made
-    canonical, and is scaled by angle / sin(angle/2), or its Taylor series at
-    angles up to 1e-3.  A non-finite matrix, or one whose determinant is not
-    positive, raises InvalidArrayError."""
+    nearest rotation by `RigidTransform.orthonormalized`; the quaternion comes
+    from the largest of the diagonal and the trace (Shoemake, SIGGRAPH 1985),
+    is normalized and made canonical, and is scaled by angle / sin(angle/2),
+    or its Taylor series at angles up to 1e-3.  A non-finite matrix, or one
+    whose determinant is not positive, raises InvalidArrayError."""
     rot = np.asarray(rotation, dtype=float)
     if rot.shape != (3, 3):
         raise InvalidArrayError(f"rotation must be 3x3, got shape {rot.shape}")
@@ -199,8 +209,7 @@ def rotation_to_angle_axis(rotation) -> np.ndarray:
     if not np.linalg.det(rot) > 0:
         raise InvalidArrayError("rotation matrix must have a positive determinant")
     if not np.isclose(rot @ rot.T, np.eye(3), atol=1e-12).all():
-        u, _, vt = np.linalg.svd(rot)
-        rot = u @ vt
+        rot = RigidTransform.orthonormalized(rot, np.zeros(3)).rotation
     m = rot.tolist()
     trace = m[0][0] + m[1][1] + m[2][2]
     decision = [m[0][0], m[1][1], m[2][2], trace]
@@ -279,17 +288,17 @@ class PinholeCamera:
         return inside if uv.ndim > 1 else bool(inside)
 
     def project_points(self, points) -> np.ndarray:
-        """Pixels (N, 2) of base-frame points (N, 3); NaN for a point at or
-        behind the camera plane.  A pixel may fall outside the image: `contains`
-        decides that."""
-        p_cam = self.pose.inverse().apply(np.asarray(points, dtype=float).reshape(-1, 3))
-        z = np.where(p_cam[:, 2] > MIN_DEPTH, p_cam[:, 2], np.nan)[:, None]
-        return [self.fx, self.fy] * p_cam[:, :2] / z + [self.cx, self.cy]
+        """Pixels (N, 2) of base-frame points (N, 3), or the pixel (2,) of one
+        point (3,); NaN for a point at or behind the camera plane.  A pixel may
+        fall outside the image: `contains` decides that."""
+        p_cam = self.pose.inverse().apply(points)
+        z = np.where(p_cam[..., 2] > MIN_DEPTH, p_cam[..., 2], np.nan)[..., None]
+        return [self.fx, self.fy] * p_cam[..., :2] / z + [self.cx, self.cy]
 
     def project(self, point) -> Pixel:
         """`project_points` of one point; raises NonPositiveDepthError when the
         point sits at or behind the camera plane."""
-        (uv,) = self.project_points(_as_vec3(point, "point"))
+        uv = self.project_points(_as_vec3(point, "point"))
         if np.isnan(uv[0]):
             raise NonPositiveDepthError(f"point {point} is at or behind the camera plane")
         return Pixel(float(uv[0]), float(uv[1]))
@@ -317,7 +326,7 @@ class PinholeCamera:
             row *= z
             row /= focal
         rows[2] = z
-        return self.pose.apply(rows) if z.ndim == 0 else self.pose.apply_rows(rows, out).T
+        return self.pose.apply_rows(rows, out).T
 
     def pixel_rays(self, uv) -> tuple[np.ndarray, np.ndarray]:
         """Base-frame rays through pixels, scaled so depth equals the ray parameter.
@@ -325,15 +334,14 @@ class PinholeCamera:
         Takes N pixels as an (N, 2) array or as a tuple (u, v) of (N,)
         arrays.  Returns (origin (3,), directions (N, 3)); a point
         `origin + t * dir` has camera-frame depth exactly t.  The directions
-        are rotated as coordinate rows, like `apply_rows` without its
-        translation.
+        are rotated as `apply_rows` rotates points.
         """
         u, v = uv if isinstance(uv, tuple) else np.asarray(uv, dtype=float).T
         rows = np.empty((3, len(u)))  # camera-frame direction rows
         rows[0] = (u - self.cx) / self.fx
         rows[1] = (v - self.cy) / self.fy
         rows[2] = 1.0
-        return self.pose.translation.copy(), (self.pose.rotation @ rows).T
+        return self.pose.translation.copy(), _rotated(self.pose.rotation, rows).T
 
     def projection_matrix(self) -> np.ndarray:
         """The 3x4 matrix `K [R | t]` mapping homogeneous base-frame points to

@@ -122,8 +122,8 @@ def solve_park_martin(pairs: list[MotionPair]) -> RigidTransform:
     Rotation: with rotation log-vectors alpha_i = log(R_Ai) and
     beta_i = log(R_Bi), form M = sum(beta_i alpha_i^T) and take
     R_X = (M^T M)^{-1/2} M^T, computed through a symmetric eigendecomposition
-    and re-projected onto SO(3) by SVD.  Translation: stack
-    (R_Ai - I) t_X = R_X t_Bi - t_Ai and solve by least squares.
+    and re-projected onto SO(3) by `RigidTransform.orthonormalized`.  Translation:
+    stack (R_Ai - I) t_X = R_X t_Bi - t_Ai and solve by least squares.
     """
     if len(pairs) < 2:
         raise InsufficientMotionError("need at least 2 motion pairs")
@@ -141,10 +141,8 @@ def solve_park_martin(pairs: list[MotionPair]) -> RigidTransform:
             "motion axes do not span 3D; the rotation normal matrix is singular"
         )
     inv_sqrt = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
-    rot = inv_sqrt @ m.T
     # numerical hygiene: snap the closed form back onto the rotation group
-    u, _, vt = np.linalg.svd(rot)
-    rot = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
+    rot = RigidTransform.orthonormalized(inv_sqrt @ m.T, np.zeros(3)).rotation
 
     lhs = np.vstack([pair.a.rotation - np.eye(3) for pair in pairs])
     rhs = np.concatenate(

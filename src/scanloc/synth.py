@@ -225,15 +225,13 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
 
     The rectangle is cast in bands of whole image rows of about
     `_TILE_RAYS` rays each, so a band's temporaries stay small and each band
-    fills one slice of the image.  A band holds at least two rays unless
-    the rectangle holds one: numpy rotates a single ray with a
-    matrix-vector product, which rounds differently from the many-ray one.
-    Within a band, the near root (-qb - sq) / 2qa is solved for every ray
-    and the far root only where the near one misses.  With qa > 0 and
-    sq >= 0, -qb - sq <= -qb + sq holds after rounding, and so after the
-    division by the same positive 2qa: the near root is the nearest hit
-    whenever it hits.  Each cast ray gets the same elementwise arithmetic
-    as in a full-image cast, so every depth bit does.
+    fills one slice of the image.  Within a band, the near root
+    (-qb - sq) / 2qa is solved for every ray and the far root only where the
+    near one misses.  With qa > 0 and sq >= 0, -qb - sq <= -qb + sq holds
+    after rounding, and so after the division by the same positive 2qa: the
+    near root is the nearest hit whenever it hits.  Each cast ray gets the
+    direction bits and the elementwise arithmetic of a full-image cast, so
+    every depth bit does.
     """
     a, c, h = torso.half_width, torso.thickness, torso.base_height
     box = [[x, y, z] for x in (-a, a) for y in (0.0, torso.length) for z in (h, h + c)]
@@ -243,8 +241,8 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
         lo, hi = np.floor(uv.min(axis=0)) - 1, np.ceil(uv.max(axis=0)) + 2
     (u0, v0), (u1, v1) = np.clip([lo, hi], 0, [camera.width, camera.height]).astype(int)
     rows, cols = v1 - v0, u1 - u0
-    # ceil(rays / _TILE_RAYS) bands, at most one per row, or per two rows of one column
-    bands = max(1, min(-(-rows * cols // _TILE_RAYS), rows if cols > 1 else rows // 2))
+    # ceil(rays / _TILE_RAYS) bands, at most one per row
+    bands = max(1, min(-(-rows * cols // _TILE_RAYS), rows))
     edges = v0 + np.arange(bands + 1) * rows // bands
 
     origin = camera.center

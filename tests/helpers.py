@@ -12,6 +12,14 @@ def random_transform(rng, trans_scale=1.0) -> RigidTransform:
     return RigidTransform(rot.as_matrix(), rng.uniform(-trans_scale, trans_scale, 3))
 
 
+def batched_rotation(points, rotation) -> np.ndarray:
+    """`points @ rotation.T`, the (N, 3) batched expression every rotation of
+    points equals bit for bit.  A lone point is taken from a two-row batch:
+    numpy would rotate one row with gemv, which rounds differently from gemm."""
+    batch = np.repeat(points, 2, axis=0) if len(points) == 1 else points
+    return np.matmul(batch, rotation.T)[:len(points)]
+
+
 def look_at_camera(center, target, fx=600.0, width=640, height=480) -> PinholeCamera:
     """Camera at `center` with its optical axis through `target`.
 

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from helpers import look_at_camera, render_sphere_depth, unique_rows_centroids
+from helpers import batched_rotation, look_at_camera, render_sphere_depth, unique_rows_centroids
 from scanloc.cloud import (
     MAX_DEPTH,
     NORMAL_RADIUS,
@@ -349,11 +349,12 @@ class TestFusionBuffer:
 def longhand_points(camera, depth):
     """One view's valid pixels in the base frame with `deproject` written out:
     the pinhole formula on `np.argwhere` pixels, then one (N, 3) matmul against
-    the transposed rotation and the translation broadcast over rows."""
+    the transposed rotation (a lone pixel taken from a two-row batch) and the
+    translation broadcast over rows."""
     v, u = np.argwhere(depth.valid_mask).T
     z = depth.values[depth.valid_mask]
     p_cam = np.column_stack([(u - camera.cx) * z / camera.fx, (v - camera.cy) * z / camera.fy, z])
-    return np.matmul(p_cam, camera.pose.rotation.T) + camera.pose.translation
+    return batched_rotation(p_cam, camera.pose.rotation) + camera.pose.translation
 
 
 def tiny_views(valid_counts, rng):
@@ -372,7 +373,7 @@ def tiny_views(valid_counts, rng):
 
 class TestTinyViews:
     """Views of one and two valid pixels: a view's rows transform then
-    multiplies one or two columns (gemv, not gemm, for one)."""
+    rotates one or two columns, and one gets the bits of the first of two."""
 
     @pytest.mark.parametrize("voxel", [0.0, 0.005], ids=["voxel-0", "voxel-5mm"])
     @pytest.mark.parametrize("valid_counts", [(1,), (2,), (1, 2), (2, 1), (1, 1)],
@@ -1006,8 +1007,8 @@ class TestViewWindows:
         assert_same_window(views, voxel, low, high, rounding)
 
     def test_windows_of_one_valid_pixel(self):
-        """A rectangle that holds one valid pixel of a view of many still
-        rotates it as two columns (gemm), as the whole view's transform does."""
+        """A rectangle that holds one valid pixel of a view of many gives its
+        point the bits the whole view's transform gives it."""
         views = plane_views([0.03, -0.02, 1.0], [0.0, 0.0, 0.0], step=8)
         view, voxel = _View(*views[0]), 0.001
         rows = fuse(views, voxel=0.0).points.T

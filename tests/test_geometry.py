@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
+from helpers import batched_rotation
 from scanloc.errors import (
     DegenerateGeometryError,
     NonPositiveDepthError,
@@ -123,6 +124,7 @@ class TestRigidTransform:
 
 
 IDENTITY = RigidTransform.identity()
+CAMERA = PinholeCamera(600.0, 600.0, 320.0, 240.0, 640, 480, IDENTITY)
 BAD_CONSTRUCTOR_INPUT = {
     "vector-shape": lambda: angle_axis_to_rotation([1.0, 2.0]),
     "vector-finite": lambda: angle_axis_to_rotation([np.nan, 0.0, 0.0]),
@@ -132,6 +134,9 @@ BAD_CONSTRUCTOR_INPUT = {
     "rotation-reflection": lambda: RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3)),
     "matrix-shape": lambda: RigidTransform.from_matrix(np.eye(3)),
     "points-shape": lambda: IDENTITY.apply(np.zeros((2, 2))),
+    "project-flat-points": lambda: CAMERA.project_points(np.arange(1.0, 7.0)),
+    "project-point-columns": lambda: CAMERA.project_points(np.ones((3, 2))),
+    "project-points-3d": lambda: CAMERA.project_points(np.ones((2, 3, 1))),
     "angle-axis-shape": lambda: rotation_to_angle_axis(np.eye(2)),
     "angle-axis-finite": lambda: rotation_to_angle_axis(np.full((3, 3), np.nan)),
     "angle-axis-reflection": lambda: rotation_to_angle_axis(np.diag([1.0, 1.0, -1.0])),
@@ -299,10 +304,8 @@ class TestProjection:
             cam.deproject(Pixel(320, 240), 0.0)
 
     def test_deproject_many_equals_each_bitwise(self):
-        # A camera looking straight down has a signed-permutation rotation, which
-        # rotates exactly: rows must then agree bit for bit.  A general pose agrees
-        # to rounding only, because numpy rotates one row (gemv) and many (gemm)
-        # with different BLAS kernels, which may round differently.
+        # every other camera looks straight down, with a signed-permutation
+        # rotation; the rest take a general pose
         rng = np.random.default_rng(14)
         for k in range(20):
             centre = rng.uniform(-1, 1, 3) + [0, 0, 2]
@@ -313,7 +316,7 @@ class TestProjection:
             many = cam.deproject(uv, depths)
             assert many.shape == (50, 3)
             each = np.array([cam.deproject(Pixel(*pixel), depth) for pixel, depth in zip(uv, depths)])
-            assert np.array_equal(many, each) if k % 2 else np.allclose(many, each, rtol=0, atol=1e-12)
+            assert many.tobytes() == each.tobytes()
 
     def test_deproject_rejects_any_depth_at_or_below_min(self):
         cam = PinholeCamera(500, 500, 320, 240, 640, 480, RigidTransform.identity())
@@ -356,7 +359,7 @@ class TestProjection:
         assert _floor_in(np.dtype(np.float64), bound) == bound
 
     def test_project_points_rows_equal_project_bitwise(self):
-        # bit for bit when the rotation is exact (see the deproject test above)
+        # straight-down and general poses, as in the deproject test above
         rng = np.random.default_rng(15)
         for k in range(20):
             centre = rng.uniform(-1, 1, 3) + [0, 0, 2]
@@ -366,7 +369,7 @@ class TestProjection:
             many = cam.project_points(points)
             assert many.shape == (50, 2)
             each = np.array([cam.project(point) for point in points])
-            assert np.array_equal(many, each) if k % 2 else np.allclose(many, each, rtol=0, atol=1e-9)
+            assert many.tobytes() == each.tobytes()
 
     def test_project_points_gives_nan_behind_the_camera(self):
         cam = PinholeCamera(500, 500, 320, 240, 640, 480, RigidTransform.identity())
@@ -399,8 +402,9 @@ def random_camera(rng) -> PinholeCamera:
 
 def batched_transform(points, transform: RigidTransform) -> np.ndarray:
     """The (N, 3) batched expression the rows transform replaces: one matmul
-    against the transposed rotation, then the translation broadcast over rows."""
-    return np.matmul(points, transform.rotation.T) + transform.translation
+    against the transposed rotation (a lone point taken from a two-row batch),
+    then the translation broadcast over rows."""
+    return batched_rotation(points, transform.rotation) + transform.translation
 
 
 def rows_transform_case(n: int, rng):
@@ -465,17 +469,35 @@ class TestRowsTransform:
                                     (uv[:, 1] - cam.cy) / cam.fy, np.ones(n)])
             origin, got = cam.pixel_rays(uv)
             assert origin.tobytes() == cam.pose.translation.tobytes()
-            assert got.tobytes() == np.matmul(dirs, cam.pose.rotation.T).tobytes()
+            assert got.tobytes() == batched_rotation(dirs, cam.pose.rotation).tobytes()
 
-    def test_one_point_stays_rotation_times_point_plus_translation(self):
+    def test_one_point_equals_its_row_of_a_batch(self):
+        """A point (3,) and a pixel at a scalar depth transform to the bits of
+        their row of the batched expression, at a general pose."""
         rng = np.random.default_rng(5000)
         for _ in range(400):
-            cam, (point,), (pixel,), (depth,) = rows_transform_case(1, rng)
-            r, t = cam.pose.rotation, cam.pose.translation
-            assert cam.pose.apply(point).tobytes() == (r @ point + t).tobytes()
-            p_cam = np.array([(pixel[0] - cam.cx) * depth / cam.fx,
-                              (pixel[1] - cam.cy) * depth / cam.fy, depth])
-            assert cam.deproject(Pixel(*pixel), depth).tobytes() == (r @ p_cam + t).tobytes()
+            cam, points, uv, z = rows_transform_case(2, rng)
+            point, pixel, depth = points[0], uv[0], z[0]
+            assert cam.pose.apply(point).tobytes() == batched_transform(points, cam.pose)[0].tobytes()
+            p_cam = np.column_stack([(uv[:, 0] - cam.cx) * z / cam.fx,
+                                     (uv[:, 1] - cam.cy) * z / cam.fy, z])
+            want = batched_transform(p_cam, cam.pose)[0].tobytes()
+            assert cam.deproject(Pixel(*pixel), depth).tobytes() == want
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), data=st.data())
+    def test_a_point_alone_equals_its_row_of_any_batch(self, seed, n, data):
+        """`apply`, `deproject`, `project_points` and `pixel_rays` give point i
+        of a batch of 1 to 8 the bits they give it alone, at a random pose."""
+        cam, points, uv, z = rows_transform_case(n, np.random.default_rng(seed))
+        i = data.draw(st.integers(0, n - 1), label="i")
+        assert cam.pose.apply(points)[i].tobytes() == cam.pose.apply(points[i]).tobytes()
+        world = cam.deproject(uv, z)
+        assert world[i].tobytes() == cam.deproject(Pixel(*uv[i]), z[i]).tobytes()
+        pixels = cam.project_points(world)
+        assert not np.isnan(pixels).any()
+        assert pixels[i].tobytes() == cam.project_points(world[i]).tobytes()
+        assert cam.pixel_rays(uv)[1][i].tobytes() == cam.pixel_rays(uv[i:i + 1])[1][0].tobytes()
 
 
 def two_view_rig(rng=None):
