@@ -54,6 +54,22 @@ def _as_vec3(value, name: str) -> np.ndarray:
     return v
 
 
+def _pixel_coordinates(pixels) -> tuple:
+    """The u and v of one pixel (2,), of N pixels (N, 2), or of a tuple (u, v)
+    whose two parts have one shape; raises InvalidArrayError for any other
+    shape.  Neither part is copied."""
+    if isinstance(pixels, tuple) and len(pixels) == 2:
+        u, v = pixels
+    else:
+        uv = np.asarray(pixels)
+        if uv.ndim not in (1, 2) or uv.shape[-1] != 2:
+            raise InvalidArrayError(f"pixels must have shape (2,) or (N, 2), got {uv.shape}")
+        u, v = np.moveaxis(uv, -1, 0)
+    if np.shape(u) != np.shape(v):
+        raise InvalidArrayError(f"pixel u and v differ in shape: {np.shape(u)} and {np.shape(v)}")
+    return u, v
+
+
 def _rotated(rotation: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
     """`rotation @ rows` for a column (3,) or coordinate rows (3, N), into `out`
     if given: the one place a rotation meets points.  numpy rotates a lone column
@@ -308,11 +324,14 @@ class PinholeCamera:
         one pixel (u, v) at a scalar depth gives (3,); N pixels, as an (N, 2)
         array or as a tuple (u, v) of (N,) arrays, at (N,) depths give (N, 3),
         a view of the points' three coordinate rows from `apply_rows`.  Those
-        rows are written to `out`, a (3, N) array, if given.  A depth at or
-        below MIN_DEPTH raises.  Float32 depths are not copied: they are
+        rows are written to `out`, a (3, N) array, if given.  Pixels whose
+        shape does not match the depths' raise InvalidArrayError, and a depth
+        at or below MIN_DEPTH raises.  Float32 depths are not copied: they are
         upcast, exactly, where they are multiplied and stored."""
-        u, v = pixels if isinstance(pixels, tuple) else np.moveaxis(np.asarray(pixels), -1, 0)
+        u, v = _pixel_coordinates(pixels)
         z = np.asarray(depth)
+        if np.shape(u) != z.shape:
+            raise InvalidArrayError(f"{np.shape(u)} pixels do not match {z.shape} depths")
         if z.dtype != np.float32:
             z = z.astype(float, copy=False)
         bad = z[z <= _floor_in(z.dtype, MIN_DEPTH)]
@@ -336,7 +355,9 @@ class PinholeCamera:
         `origin + t * dir` has camera-frame depth exactly t.  The directions
         are rotated as `apply_rows` rotates points.
         """
-        u, v = uv if isinstance(uv, tuple) else np.asarray(uv, dtype=float).T
+        u, v = _pixel_coordinates(uv)
+        if np.ndim(u) != 1:
+            raise InvalidArrayError(f"pixel_rays takes N pixels, got a pixel of shape {np.shape(uv)}")
         rows = np.empty((3, len(u)))  # camera-frame direction rows
         rows[0] = (u - self.cx) / self.fx
         rows[1] = (v - self.cy) / self.fy

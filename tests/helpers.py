@@ -1,15 +1,42 @@
-"""Shared helpers for test scenes: cameras, transforms, analytic renders,
-and the reference voxel centroids."""
+"""Shared helpers for test scenes: cameras, rigs, transforms, hand-eye
+samples, analytic renders, and the reference voxel centroids."""
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
 from scanloc.geometry import MIN_DEPTH, PinholeCamera, RigidTransform
+from scanloc.handeye import PosePairSample
+from scanloc.synth import TorsoSpec, default_cameras
 
 
 def random_transform(rng, trans_scale=1.0) -> RigidTransform:
     rot = Rotation.random(random_state=np.random.RandomState(rng.integers(2**31)))
     return RigidTransform(rot.as_matrix(), rng.uniform(-trans_scale, trans_scale, 3))
+
+
+def synthesize_samples(x_true, tag_in_gripper, grippers) -> list[PosePairSample]:
+    """Tag detections from the rigid-scene model, via raw 4x4 products: the
+    camera X sees the tag mounted at Y on a gripper at G as X^-1 @ G @ Y."""
+    x_inv = np.linalg.inv(x_true.as_matrix())
+    samples = []
+    for g in grippers:
+        c = x_inv @ g.as_matrix() @ tag_in_gripper.as_matrix()
+        samples.append(
+            PosePairSample(
+                gripper_in_base=g,
+                tag_in_camera=RigidTransform.orthonormalized(c[:3, :3], c[:3, 3]),
+            )
+        )
+    return samples
+
+
+def synthesize_pose_pairs(rng, n) -> tuple[RigidTransform, list[PosePairSample]]:
+    """A random camera pose and `n` exact samples of it, drawn in the order
+    camera pose, tag mount (within 0.1 m), then each gripper pose."""
+    x_true = random_transform(rng)
+    tag_in_gripper = random_transform(rng, trans_scale=0.1)
+    grippers = [random_transform(rng) for _ in range(n)]
+    return x_true, synthesize_samples(x_true, tag_in_gripper, grippers)
 
 
 def batched_rotation(points, rotation) -> np.ndarray:
@@ -38,6 +65,23 @@ def look_at_camera(center, target, fx=600.0, width=640, height=480) -> PinholeCa
     x_cam = np.cross(y_cam, forward)
     pose = RigidTransform(np.column_stack([x_cam, y_cam, forward]), center)
     return PinholeCamera(fx, fx, width / 2, height / 2, width, height, pose)
+
+
+def two_view_rig(height=1.2, target_height=0.2):
+    """Two cameras 0.3 m apart at `height`, both aimed at the midline point
+    (0, 0.25, `target_height`)."""
+    target = [0.0, 0.25, target_height]
+    return (look_at_camera([-0.15, 0.25, height], target),
+            look_at_camera([0.15, 0.25, height], target))
+
+
+def small_cameras() -> tuple[PinholeCamera, PinholeCamera]:
+    """The default rig at quarter resolution, for fast tests."""
+    return tuple(
+        PinholeCamera(fx=300.0, fy=300.0, cx=159.5, cy=119.5, width=320, height=240,
+                      pose=cam.pose)
+        for cam in default_cameras(TorsoSpec())
+    )
 
 
 def pixel_ray_grid(camera: PinholeCamera):

@@ -15,13 +15,15 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from helpers import (
-    look_at_camera,
     make_front_dataset,
     make_side_dataset,
     oracle_front_target,
     oracle_perpendicular,
     oracle_side_target,
     random_transform,
+    small_cameras,
+    synthesize_pose_pairs,
+    two_view_rig,
 )
 from scanloc.cli import main
 from scanloc.cloud import FusedCloud, adjust_target
@@ -44,7 +46,6 @@ from scanloc.handeye import (
 from scanloc.synth import (
     NoiseSpec,
     TorsoSpec,
-    default_cameras,
     default_ratios,
     generate_cohort,
     generate_scene,
@@ -103,23 +104,6 @@ def build_noiseless_cohorts(cache):
 # 1 ------------------------------------------------------------------------
 
 
-def synthesize_pose_pairs(rng, n):
-    x_true = random_transform(rng)
-    tag_in_gripper = random_transform(rng, trans_scale=0.1)
-    x_inv = np.linalg.inv(x_true.as_matrix())
-    samples = []
-    for _ in range(n):
-        g = random_transform(rng)
-        c = x_inv @ g.as_matrix() @ tag_in_gripper.as_matrix()
-        samples.append(
-            PosePairSample(
-                gripper_in_base=g,
-                tag_in_camera=RigidTransform.orthonormalized(c[:3, :3], c[:3, 3]),
-            )
-        )
-    return x_true, samples
-
-
 def test_criterion_1_hand_eye_closure():
     """20 noiseless pose pairs recover the camera pose to 1e-6 rad / 1e-6 m;
     under 0.2 deg / 1 mm noise the residual stays within 1.5x of the residual
@@ -160,12 +144,6 @@ def test_criterion_1_hand_eye_closure():
 
 
 # 2 ------------------------------------------------------------------------
-
-
-def two_view_rig():
-    cam_a = look_at_camera([-0.15, 0.25, 1.2], [0.0, 0.25, 0.2])
-    cam_b = look_at_camera([0.15, 0.25, 1.2], [0.0, 0.25, 0.2])
-    return cam_a, cam_b
 
 
 def test_criterion_2_triangulation_closure():
@@ -461,18 +439,6 @@ def test_criterion_7_failure_accounting(cohort_cache):
 
 
 # 8 ------------------------------------------------------------------------
-
-
-def small_cameras():
-    out = []
-    for cam in default_cameras(TorsoSpec()):
-        out.append(
-            PinholeCamera(
-                fx=300.0, fy=300.0, cx=159.5, cy=119.5, width=320, height=240,
-                pose=cam.pose,
-            )
-        )
-    return tuple(out)
 
 
 def test_criterion_8_invariant_suite(tmp_path):

@@ -1,0 +1,167 @@
+"""Each design decision is written in one module, and each test helper once.
+
+A rule names a decision, the one `src/scanloc` module that owns it and an
+`ast` finder for the nodes that write it.  Three tests hold every rule: the
+finder sees its sample, the owner holds the decision, and no other module
+writes it.  A tripwire holds `tests/` to the same aim: no two top-level
+helper functions share a body.
+"""
+
+import ast
+import collections
+import pathlib
+from typing import Callable, NamedTuple
+
+import pytest
+
+from scanloc import targets
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "scanloc"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+class Rule(NamedTuple):
+    name: str
+    owner: str
+    reason: str
+    finds: Callable[[ast.AST], str | None]  # what a node writes, if it writes the decision
+    sample: str
+    sample_findings: list[str]
+    holds: Callable[[list[str]], bool]  # given what the owner's nodes write
+
+
+def findings(rule: Rule, source: str) -> list[str]:
+    """Each node of `source` that writes the rule's decision, in line order."""
+    found = sorted((node.lineno, what) for node in ast.walk(ast.parse(source))
+                   if (what := rule.finds(node)))
+    return [f"line {line}: {what}" for line, what in found]
+
+
+def called_name(node) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return None
+
+
+def intrinsic_read(node):
+    if isinstance(node, ast.Attribute) and node.attr in ("fx", "fy", "cx", "cy") \
+            and isinstance(node.ctx, ast.Load):
+        return f".{node.attr}"
+    return None
+
+
+def json_io(node):
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "json" and node.attr in ("load", "loads", "dump")):
+        return f"json.{node.attr}"
+    if isinstance(node, ast.ImportFrom) and node.module == "json":
+        return "from json import"
+    return None
+
+
+def fit_call(node):
+    name = called_name(node)
+    return f"{name}()" if name in ("fit_front", "fit_side") else None
+
+
+VOCABULARIES = ({"front", "side"}, {1, 2, 4})
+
+
+def vocabulary_literal(node):
+    """A tuple, list or set literal that holds a whole vocabulary."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        # a bool is not a target id, though True == 1
+        values = {elt.value for elt in node.elts
+                  if isinstance(elt, ast.Constant) and type(elt.value) in (int, str)}
+        if any(vocabulary <= values for vocabulary in VOCABULARIES):
+            return ast.unparse(node)
+    return None
+
+
+RULES = [
+    Rule("pinhole", "geometry.py",
+         "Every other module projects, deprojects and judges pixels through "
+         "`PinholeCamera`, so the pinhole formula and the in-image rule are written "
+         "once.  A module that reads a camera's `fx`, `fy`, `cx` or `cy` is writing "
+         "the formula again.",
+         intrinsic_read,
+         "u = cam.fx * x / z + cam.cx\nfx = 600.0\nself.cy = 2\nv = data['fy']\n",
+         ["line 1: .cx", "line 1: .fx"],
+         bool),
+    Rule("svd", "geometry.py",
+         "The projection of a noisy matrix onto the rotation group is written once, "
+         "as `RigidTransform.orthonormalized`, and the DLT solve of `triangulate` sits "
+         "beside it.  A module that calls `svd` is writing a projection again.",
+         lambda node: "svd" if called_name(node) == "svd" else None,
+         "u, s, vt = np.linalg.svd(m)\nsvd(m)\nsvd = 2\nx = np.linalg.svd\n",
+         ["line 1: svd", "line 2: svd"],
+         bool),
+    Rule("json", "jsonfile.py",
+         "Every other module goes through `read_json` / `write_json`, so how a JSON "
+         "file is opened, parsed, reported when bad and written is decided once.  "
+         "`json.dumps` stays allowed: it formats a log line, not a file.",
+         json_io,
+         "import json\njson.dump(x, fh)\nlog(json.dumps(x))\nfrom json import load\n",
+         ["line 2: json.dump", "line 4: from json import"],
+         lambda found: found == ["json.load", "json.dump"]),
+    Rule("fit", "targets.py",
+         "Every other module fits through `targets.fit_target`, so which fit and "
+         "which params slot a target id gets is decided once.",
+         fit_call,
+         "r = fit_front(data)\nfit_side = None\n"
+         "s = targets.fit_side(data)\nt = fit_target(data, 1)\nf = fit_front\n",
+         ["line 1: fit_front()", "line 3: fit_side()"],
+         lambda found: sorted(found) == ["fit_front()", "fit_side()"]),
+    Rule("target", "targets.py",
+         "Every other module reads `TARGET_IDS`, `FRONT_TARGET_IDS`, `SIDE_TARGET_ID` "
+         "and `POSE_KINDS` from `targets`, so the target vocabulary is written once.  "
+         "A tuple, list or set literal that holds both \"front\" and \"side\", or 1, 2 "
+         "and 4, is writing it again.",
+         vocabulary_literal,
+         "a = ('front', 'side')\nb = [4, 2, 1, 0]\nc = {'front'}\nd = (1, 2)\n"
+         "e = (True, 2, 4)\nf = {'side': 1, 'front': 2}\ng = {'side', 'front', 'back'}\n",
+         ["line 1: ('front', 'side')", "line 2: [4, 2, 1, 0]",
+          "line 7: {'side', 'front', 'back'}"],
+         lambda _: targets.TARGET_IDS == (1, 2, 4) and targets.POSE_KINDS == ("front", "side")),
+]
+RULE_IDS = [rule.name for rule in RULES]
+OTHER_MODULES = [pytest.param(rule, path, id=f"{rule.name}-{path.name}")
+                 for rule in RULES for path in MODULES if path.name != rule.owner]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+def test_finder_sees_its_sample(rule):
+    assert findings(rule, rule.sample) == rule.sample_findings
+
+
+@pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+def test_owner_holds_the_decision(rule):
+    found = findings(rule, (SRC / rule.owner).read_text())
+    assert rule.holds([line.split(": ", 1)[1] for line in found]), found
+
+
+@pytest.mark.parametrize("rule, path", OTHER_MODULES)
+def test_no_other_module_writes_it(rule, path):
+    assert findings(rule, path.read_text()) == [], f"only {rule.owner}: {rule.reason}"
+
+
+def shared_bodies(sources: dict[str, str]) -> list[list[str]]:
+    """Each set of top-level helpers, named `module.function`, whose bodies are
+    the same statements once their docstrings are dropped.  Tests are skipped."""
+    by_body = collections.defaultdict(list)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_"):
+                body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                by_body["\n".join(map(ast.dump, body))].append(f"{module}.{node.name}")
+    return sorted(names for names in by_body.values() if len(names) > 1)
+
+
+def test_no_two_helpers_share_a_body():
+    sample = {"a": "def f(x):\n    'doc'\n    return x + 1\ndef test_t(x):\n    return x + 1\n",
+              "b": "def g(x):\n    return x + 1\ndef h(y):\n    return y + 1\n"}
+    assert shared_bodies(sample) == [["a.f", "b.g"]]
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert shared_bodies({path.stem: path.read_text() for path in tests}) == []

@@ -12,26 +12,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial.transform import Rotation
 
+from helpers import small_cameras, synthesize_pose_pairs
 from scanloc import cli
 from scanloc.cli import _parse_thresholds, build_parser, main
 from scanloc.cloud import FusedCloud
 from scanloc.geometry import PinholeCamera, RigidTransform
-from scanloc.synth import TorsoSpec, default_cameras
-
-
-def small_cameras():
-    """The default rig at quarter resolution, for fast tests."""
-    out = []
-    for cam in default_cameras(TorsoSpec()):
-        out.append(
-            PinholeCamera(
-                fx=300.0, fy=300.0, cx=159.5, cy=119.5, width=320, height=240,
-                pose=cam.pose,
-            )
-        )
-    return out
 
 
 def edited_cameras(**fields):
@@ -166,26 +152,11 @@ class TestSynth:
 
 def write_calibration_samples(path, n, seed) -> RigidTransform:
     """Write `n` exact pose-pair samples of a random camera pose; return that pose."""
-    rng = np.random.default_rng(seed)
-
-    def rand_tf(scale=1.0):
-        rot = Rotation.random(
-            random_state=np.random.RandomState(int(rng.integers(2**31)))
-        )
-        return RigidTransform(rot.as_matrix(), rng.uniform(-scale, scale, 3))
-
-    x_true = rand_tf()
-    tag_in_gripper = rand_tf(0.1)
-    x_inv = np.linalg.inv(x_true.as_matrix())
-    samples = []
-    for _ in range(n):
-        g = rand_tf()
-        c = x_inv @ g.as_matrix() @ tag_in_gripper.as_matrix()
-        samples.append({
-            "gripper_in_base": g.to_dict(),
-            "tag_in_camera": RigidTransform.orthonormalized(c[:3, :3], c[:3, 3]).to_dict(),
-        })
-    path.write_text(json.dumps(samples))
+    x_true, samples = synthesize_pose_pairs(np.random.default_rng(seed), n)
+    path.write_text(json.dumps([
+        {"gripper_in_base": s.gripper_in_base.to_dict(), "tag_in_camera": s.tag_in_camera.to_dict()}
+        for s in samples
+    ]))
     return x_true
 
 

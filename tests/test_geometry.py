@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
-from helpers import batched_rotation
+from helpers import batched_rotation, look_at_camera, random_transform, two_view_rig
 from scanloc.errors import (
     DegenerateGeometryError,
     NonPositiveDepthError,
@@ -35,24 +35,6 @@ from scanloc.geometry import (
 from scanloc.targets import RatioPair, pose_kind_for_target, required_joints
 
 
-def random_transform(rng) -> RigidTransform:
-    rot = Rotation.random(random_state=np.random.RandomState(rng.integers(2**31)))
-    return RigidTransform(rot.as_matrix(), rng.uniform(-2, 2, size=3))
-
-
-def look_at_camera(center, target, fx=600.0, width=640, height=480) -> PinholeCamera:
-    """Build a camera at `center` whose optical axis points at `target`."""
-    center = np.asarray(center, dtype=float)
-    forward = np.asarray(target, dtype=float) - center
-    forward = forward / np.linalg.norm(forward)
-    down_ref = np.array([0.0, 1.0, 0.0])
-    y_cam = down_ref - np.dot(down_ref, forward) * forward
-    y_cam = y_cam / np.linalg.norm(y_cam)
-    x_cam = np.cross(y_cam, forward)
-    pose = RigidTransform(np.column_stack([x_cam, y_cam, forward]), center)
-    return PinholeCamera(fx, fx, width / 2, height / 2, width, height, pose)
-
-
 def reference_project(camera: PinholeCamera, point) -> np.ndarray:
     """Independent pinhole transcription: K, R, t written out longhand."""
     r = camera.pose.rotation
@@ -71,8 +53,8 @@ class TestRigidTransform:
     def test_compose_matches_sequential_action(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            t1 = random_transform(rng)
-            t2 = random_transform(rng)
+            t1 = random_transform(rng, trans_scale=2)
+            t2 = random_transform(rng, trans_scale=2)
             p = rng.uniform(-3, 3, size=3)
             assert np.allclose(
                 t1.compose(t2).apply(p), t1.apply(t2.apply(p)), atol=1e-12
@@ -81,14 +63,14 @@ class TestRigidTransform:
     def test_inverse_round_trip_is_identity(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            t = random_transform(rng)
+            t = random_transform(rng, trans_scale=2)
             m = t.compose(t.inverse()).as_matrix()
             assert np.allclose(m, np.eye(4), atol=1e-12)
 
     def test_inverse_is_built_once_and_bitwise_the_formula(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            t = random_transform(rng)
+            t = random_transform(rng, trans_scale=2)
             inverse = t.inverse()
             assert t.inverse() is inverse
             rt = t.rotation.T
@@ -102,7 +84,7 @@ class TestRigidTransform:
         rng = np.random.default_rng(9)
         t = RigidTransform.identity()
         for _ in range(200):
-            t = t.compose(random_transform(rng))
+            t = t.compose(random_transform(rng, trans_scale=2))
         r = t.rotation
         assert np.linalg.norm(r.T @ r - np.eye(3)) < 1e-9
         assert abs(np.linalg.det(r) - 1) < 1e-9
@@ -117,7 +99,7 @@ class TestRigidTransform:
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(10)
-        t = random_transform(rng)
+        t = random_transform(rng, trans_scale=2)
         back = RigidTransform.from_dict(t.to_dict())
         assert np.array_equal(back.rotation, t.rotation)
         assert np.array_equal(back.translation, t.translation)
@@ -137,6 +119,12 @@ BAD_CONSTRUCTOR_INPUT = {
     "project-flat-points": lambda: CAMERA.project_points(np.arange(1.0, 7.0)),
     "project-point-columns": lambda: CAMERA.project_points(np.ones((3, 2))),
     "project-points-3d": lambda: CAMERA.project_points(np.ones((2, 3, 1))),
+    "deproject-pixels-not-depths": lambda: CAMERA.deproject(np.ones((3, 2)), [1.0, 2.0]),
+    "deproject-u-not-v": lambda: CAMERA.deproject((np.ones(3), np.ones(2)), np.ones(3)),
+    "deproject-pixel-columns": lambda: CAMERA.deproject(np.ones((2, 3)), [1.0, 1.0]),
+    "deproject-one-pixel-many-depths": lambda: CAMERA.deproject(Pixel(1.0, 2.0), [1.0, 2.0]),
+    "rays-pixel-columns": lambda: CAMERA.pixel_rays(np.ones((4, 3))),
+    "rays-one-pixel": lambda: CAMERA.pixel_rays(Pixel(1.0, 2.0)),
     "angle-axis-shape": lambda: rotation_to_angle_axis(np.eye(2)),
     "angle-axis-finite": lambda: rotation_to_angle_axis(np.full((3, 3), np.nan)),
     "angle-axis-reflection": lambda: rotation_to_angle_axis(np.diag([1.0, 1.0, -1.0])),
@@ -397,7 +385,7 @@ def random_camera(rng) -> PinholeCamera:
     """A camera at a uniformly random rotation, with random intrinsics."""
     fx, fy = rng.uniform(200, 900, 2)
     return PinholeCamera(fx, fy, rng.uniform(100, 540), rng.uniform(80, 400), 640, 480,
-                         random_transform(rng))
+                         random_transform(rng, trans_scale=2))
 
 
 def batched_transform(points, transform: RigidTransform) -> np.ndarray:
@@ -500,24 +488,17 @@ class TestRowsTransform:
         assert cam.pixel_rays(uv)[1][i].tobytes() == cam.pixel_rays(uv[i:i + 1])[1][0].tobytes()
 
 
-def two_view_rig(rng=None):
-    target = np.array([0.0, 0.25, 0.1])
-    cam_a = look_at_camera([-0.15, 0.25, 1.1], target)
-    cam_b = look_at_camera([0.15, 0.25, 1.1], target)
-    return cam_a, cam_b
-
-
 class TestTriangulation:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(21)
-        cam_a, cam_b = two_view_rig()
+        cam_a, cam_b = two_view_rig(height=1.1, target_height=0.1)
         for _ in range(100):
             truth = np.array([0, 0.25, 0.1]) + rng.uniform(-0.15, 0.15, 3)
             est = triangulate(cam_a, cam_b, cam_a.project(truth), cam_b.project(truth))
             assert np.linalg.norm(est - truth) < 1e-7
 
     def test_point_one_meter_out(self):
-        cam_a, cam_b = two_view_rig()
+        cam_a, cam_b = two_view_rig(height=1.1, target_height=0.1)
         truth = np.array([0.0, 0.25, 0.1])  # ~1 m from both cameras
         est = triangulate(cam_a, cam_b, cam_a.project(truth), cam_b.project(truth))
         assert np.linalg.norm(est - truth) < 1e-7
@@ -530,7 +511,7 @@ class TestTriangulation:
         views, using the longhand projection transcription.
         """
         rng = np.random.default_rng(22)
-        cam_a, cam_b = two_view_rig()
+        cam_a, cam_b = two_view_rig(height=1.1, target_height=0.1)
         truth = np.array([0.02, 0.3, 0.12])
         pix_a = cam_a.project(truth)
         pix_b = cam_b.project(truth)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from helpers import random_transform, synthesize_samples
 from scanloc.errors import InsufficientMotionError, InsufficientSamplesError
 from scanloc.geometry import RigidTransform, rotation_to_angle_axis
 from scanloc.handeye import (
@@ -20,26 +21,6 @@ from scanloc.handeye import (
     mean_residual,
     solve_park_martin,
 )
-
-
-def random_transform(rng, trans_scale=1.0) -> RigidTransform:
-    rot = Rotation.random(random_state=np.random.RandomState(rng.integers(2**31)))
-    return RigidTransform(rot.as_matrix(), rng.uniform(-trans_scale, trans_scale, 3))
-
-
-def synthesize_samples(x_true, tag_in_gripper, grippers):
-    """Tag detections from the rigid-scene model, via raw 4x4 products."""
-    x_inv = np.linalg.inv(x_true.as_matrix())
-    samples = []
-    for g in grippers:
-        c = x_inv @ g.as_matrix() @ tag_in_gripper.as_matrix()
-        samples.append(
-            PosePairSample(
-                gripper_in_base=g,
-                tag_in_camera=RigidTransform.orthonormalized(c[:3, :3], c[:3, 3]),
-            )
-        )
-    return samples
 
 
 def perturb(sample: PosePairSample, rng, rot_sigma_rad, trans_sigma_m):

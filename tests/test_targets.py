@@ -48,12 +48,12 @@ from scanloc.targets import (
 )
 
 from helpers import (
-    look_at_camera,
     make_front_dataset,
     make_side_dataset,
     oracle_front_target,
     oracle_perpendicular,
     oracle_side_target,
+    two_view_rig,
 )
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -486,12 +486,6 @@ def slab_cloud(x_range=(-0.35, 0.35), y_range=(-0.1, 0.6), z=0.2, step=0.004):
     return FusedCloud(points=points, normals=normals)
 
 
-def slab_rig():
-    cam_a = look_at_camera([-0.15, 0.25, 1.2], [0.0, 0.25, 0.2])
-    cam_b = look_at_camera([0.15, 0.25, 1.2], [0.0, 0.25, 0.2])
-    return cam_a, cam_b
-
-
 def observe(cam_a, cam_b, points_by_joint):
     views = ({}, {})
     for joint, point in points_by_joint.items():
@@ -514,7 +508,7 @@ SLAB_PARAMS = TargetModelParams(
 
 class TestLocalize:
     def test_front_targets_on_flat_slab(self):
-        cam_a, cam_b = slab_rig()
+        cam_a, cam_b = two_view_rig()
         cloud = slab_cloud()
         obs = observe(cam_a, cam_b, SLAB_KEYPOINTS)
         poses = localize(cam_a, cam_b, obs, cloud, SLAB_PARAMS, "front")
@@ -540,7 +534,7 @@ class TestLocalize:
             assert np.allclose(rot @ [1, 0, 0], [1, 0, 0], atol=1e-5)
 
     def test_side_target_on_flat_slab(self):
-        cam_a, cam_b = slab_rig()
+        cam_a, cam_b = two_view_rig()
         cloud = slab_cloud()
         obs = observe(cam_a, cam_b, SLAB_KEYPOINTS)
         poses = localize(cam_a, cam_b, obs, cloud, SLAB_PARAMS, "side")
@@ -556,7 +550,7 @@ class TestLocalize:
         assert abs(poses[0].z - 0.2) < 1e-9
 
     def test_pose_z_stays_within_cloud_range(self):
-        cam_a, cam_b = slab_rig()
+        cam_a, cam_b = two_view_rig()
         cloud = slab_cloud()
         obs = observe(cam_a, cam_b, SLAB_KEYPOINTS)
         for kind in ("front", "side"):
@@ -564,7 +558,7 @@ class TestLocalize:
                 assert cloud.points[:, 2].min() <= pose.z <= cloud.points[:, 2].max()
 
     def test_missing_hip_fails_side_but_not_front(self):
-        cam_a, cam_b = slab_rig()
+        cam_a, cam_b = two_view_rig()
         cloud = slab_cloud()
         kps = {k: v for k, v in SLAB_KEYPOINTS.items() if k != "right_hip"}
         obs = observe(cam_a, cam_b, kps)
@@ -574,7 +568,7 @@ class TestLocalize:
         assert len(poses) == 2  # falls back to the configured hip-ward axis
 
     def test_out_of_bounds_pixel_counts_as_missing(self):
-        cam_a, cam_b = slab_rig()
+        cam_a, cam_b = two_view_rig()
         cloud = slab_cloud()
         obs = observe(cam_a, cam_b, SLAB_KEYPOINTS)
         views = (dict(obs.views[0]), dict(obs.views[1]))
@@ -584,7 +578,7 @@ class TestLocalize:
             localize(cam_a, cam_b, broken, cloud, SLAB_PARAMS, "side")
 
     def test_far_from_surface_flagged_and_logged(self, caplog):
-        cam_a, cam_b = slab_rig()
+        cam_a, cam_b = two_view_rig()
         patch = slab_cloud(x_range=(-0.3, -0.2), y_range=(0.0, 0.1))
         obs = observe(cam_a, cam_b, SLAB_KEYPOINTS)
         with caplog.at_level(logging.WARNING, logger="scanloc.targets"):
@@ -619,7 +613,7 @@ class TestLocalize:
     def test_rigid_equivariance_of_full_pipeline(self):
         # rotating the whole scene about Z (and translating it) transforms
         # the predicted poses by exactly the same motion
-        cam_a, cam_b = slab_rig()
+        cam_a, cam_b = two_view_rig()
         cloud = slab_cloud()
         obs = observe(cam_a, cam_b, SLAB_KEYPOINTS)
         base = localize(cam_a, cam_b, obs, cloud, SLAB_PARAMS, "front")
