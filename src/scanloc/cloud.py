@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -118,7 +119,7 @@ def write_pfm(path, values) -> None:
 
 def read_pfm(path) -> np.ndarray:
     """Read a grayscale PFM file into a (height, width) float32 array: a
-    read-only view of the file's bytes when they are little-endian."""
+    read-only flipped view of `_read_payload`'s array."""
     with open(path, "rb") as fh:
         def token():
             chars = []
@@ -136,16 +137,28 @@ def read_pfm(path) -> np.ndarray:
             raise MalformedFileError(f"{path}: PFM header is cut short or not numeric") from None
         if magic != b"Pf" or not math.isfinite(scale) or scale == 0:
             raise MalformedFileError(f"{path}: not a grayscale PFM (magic {magic!r}, scale {scale})")
-        _check_payload(fh, path, (height, width))
-        data = np.frombuffer(fh.read(), dtype="<f4" if scale < 0 else ">f4")
-    return np.flipud(data.reshape(height, width)).astype(np.float32, copy=False)
+        data = _read_payload(fh, path, (height, width), "<f4" if scale < 0 else ">f4")
+    return np.flipud(data)
 
 
-def _check_payload(fh, path, shape: tuple[int, int]) -> None:
-    """Raise MalformedFileError unless `shape` is positive and its float32s fill `fh`."""
+def _read_payload(fh, path, shape: tuple[int, int], dtype: str) -> np.ndarray:
+    """The rest of `fh`, `dtype` items, as a float32 array of `shape` in native
+    byte order over a read-only buffer, which no caller can make writable;
+    MalformedFileError unless `shape` is positive and its items fill `fh`
+    exactly.  One `readinto` fills a fresh anonymous mapping that one
+    call faults in (MAP_POPULATE, where the platform has it): the pages of a
+    `fh.read()` fault in one at a time, again on every read.  A file mapping
+    would hold a descriptor per array and turn a truncated file into SIGBUS."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if min(shape) <= 0 or left != 4 * shape[0] * shape[1]:
         raise MalformedFileError(f"{path}: header declares shape {shape}, but {left} data bytes follow")
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    buffer = mmap.mmap(-1, left, flags=flags)
+    if fh.readinto(buffer) != left:
+        raise MalformedFileError(f"{path}: cut short while its data was read")
+    if not np.dtype(dtype).isnative:
+        np.frombuffer(buffer, dtype).byteswap(inplace=True)
+    return np.frombuffer(memoryview(buffer).toreadonly(), np.float32).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +304,7 @@ class FusedCloud:
             if len(header) != 40 or header[:8] != _CLOUD_MAGIC:
                 raise MalformedFileError(f"{path}: not a v2 cloud file or cut short ({header[:8]!r})")
             count, *toward = struct.unpack("<Q3d", header[8:])
-            _check_payload(fh, path, (count, 3))
-            points = np.frombuffer(fh.read(), dtype="<f4").reshape(count, 3).astype(float)
+            points = _read_payload(fh, path, (count, 3), "<f4").astype(float)
         if not (np.all(np.isfinite(points)) and np.all(np.isfinite(toward))):
             raise MalformedFileError(f"{path}: non-finite point or camera centre")
         return cls._with_pca_normals(points, np.array(toward))

@@ -324,14 +324,17 @@ class PinholeCamera:
         one pixel (u, v) at a scalar depth gives (3,); N pixels, as an (N, 2)
         array or as a tuple (u, v) of (N,) arrays, at (N,) depths give (N, 3),
         a view of the points' three coordinate rows from `apply_rows`.  Those
-        rows are written to `out`, a (3, N) array, if given.  Pixels whose
-        shape does not match the depths' raise InvalidArrayError, and a depth
-        at or below MIN_DEPTH raises.  Float32 depths are not copied: they are
-        upcast, exactly, where they are multiplied and stored."""
+        rows are written to `out`, a (3, N) float64 array, if given.  Pixels
+        whose shape does not match the depths', or any other `out`, raise
+        InvalidArrayError, and a depth at or below MIN_DEPTH raises.  Float32
+        depths are not copied: they are upcast, exactly, where they are
+        multiplied and stored."""
         u, v = _pixel_coordinates(pixels)
         z = np.asarray(depth)
         if np.shape(u) != z.shape:
             raise InvalidArrayError(f"{np.shape(u)} pixels do not match {z.shape} depths")
+        if out is not None and (np.shape(out) != (3,) + z.shape or out.dtype != np.float64):
+            raise InvalidArrayError(f"out must be a float64 array of shape {(3,) + z.shape}")
         if z.dtype != np.float32:
             z = z.astype(float, copy=False)
         bad = z[z <= _floor_in(z.dtype, MIN_DEPTH)]

@@ -8,6 +8,7 @@ the field it rejects.
 from __future__ import annotations
 
 import json
+import math
 from numbers import Real
 
 import numpy as np
@@ -56,20 +57,26 @@ def _two(value, kind: type, name: str) -> list:
     return value
 
 
+def _number(x) -> bool:
+    """A real number that is not a boolean: JSON's int and float by exact type,
+    any other `Real` (a numpy scalar) by isinstance."""
+    return type(x) in (int, float) or isinstance(x, Real) and not isinstance(x, bool)
+
+
 def _finite(value, where: str, shape: tuple = ()) -> np.ndarray:
-    """`value` as a finite float array of `shape`, else MalformedFileError naming `where`;
-    as in `_whole`, a boolean or a string is not a number.  An integer too large
-    for a float raises OverflowError, which `read_json` reports as malformed."""
-    try:
-        numbers = all(isinstance(x, Real) and not isinstance(x, bool)
-                      for x in np.asarray(value, dtype=object).flat)
-        v = np.asarray(value, dtype=float) if numbers else None
-    except (TypeError, ValueError):
-        v = None
-    if v is None or v.shape != shape or not np.all(np.isfinite(v)):
+    """`value` as a finite float array of `shape`, () or (n,), else
+    MalformedFileError naming `where`; as in `_whole`, a boolean or a string is
+    not a number.  Each value is checked without numpy and the array is built
+    once, after.  An integer too large for a float raises OverflowError, which
+    `read_json` reports as malformed."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    if not shape:
+        items = [items]
+    if not (isinstance(items, (list, tuple)) and len(items) == (shape or (1,))[0]
+            and all(map(_number, items)) and all(map(math.isfinite, items))):
         what = f"{shape[0]} finite numbers" if shape else "a finite number"
         raise MalformedFileError(f"{where} must be {what}, got {value!r}")
-    return v
+    return np.asarray(value, dtype=float)
 
 
 def _whole(value, name: str) -> int:

@@ -66,6 +66,11 @@ def fit_call(node):
     return f"{name}()" if name in ("fit_front", "fit_side") else None
 
 
+def payload_read(node):
+    name = called_name(node)
+    return f"{name}()" if name in ("readinto", "frombuffer", "fromfile", "mmap") else None
+
+
 VOCABULARIES = ({"front", "side"}, {1, 2, 4})
 
 
@@ -125,6 +130,16 @@ RULES = [
          ["line 1: ('front', 'side')", "line 2: [4, 2, 1, 0]",
           "line 7: {'side', 'front', 'back'}"],
          lambda _: targets.TARGET_IDS == (1, 2, 4) and targets.POSE_KINDS == ("front", "side")),
+    Rule("payload", "cloud.py",
+         "`read_pfm` and `FusedCloud.load` read their float32 payloads through "
+         "`cloud._read_payload`, so how a payload is checked against its header, into "
+         "what memory it is read and how it is faulted in are decided once.  A module "
+         "that calls `readinto`, `frombuffer`, `fromfile` or `mmap` is reading one again.",
+         payload_read,
+         "fh.readinto(buf)\nx = np.frombuffer(b, '<f4')\nm = mmap.mmap(-1, 8)\n"
+         "f = np.fromfile\ndata = fh.read()\ny = numpy.fromfile(fh)\n",
+         ["line 1: readinto()", "line 2: frombuffer()", "line 3: mmap()", "line 6: fromfile()"],
+         lambda found: set(found) == {"frombuffer()", "mmap()", "readinto()"}),
 ]
 RULE_IDS = [rule.name for rule in RULES]
 OTHER_MODULES = [pytest.param(rule, path, id=f"{rule.name}-{path.name}")

@@ -534,6 +534,11 @@ class TestMalformedInput:
              "keypoints_true left_shoulder must be 3 finite numbers"),
             (lambda d: {**d, "targets_true": {**d["targets_true"], "1": ["a", 0.1, 0.1]}},
              "targets_true 1 must be 3 finite numbers, got ['a', 0.1, 0.1]"),
+            (lambda d: {**d, "target_normals_true": {**d["target_normals_true"],
+                                                     "1": [0.0, True, 1.0]}},
+             "target_normals_true 1 must be 3 finite numbers, got [0.0, True, 1.0]"),
+            (lambda d: {**d, "targets_true": {**d["targets_true"], "1": [[0.1, 0.1, 0.1]]}},
+             "targets_true 1 must be 3 finite numbers, got [[0.1, 0.1, 0.1]]"),
             (lambda d: {**d, "ratios": {**d["ratios"], "front": {
                 **d["ratios"]["front"], "3": d["ratios"]["front"]["1"]}}},
              "unsupported front target id '3'"),
@@ -560,6 +565,7 @@ class TestMalformedInput:
              "camera-bool-height", "camera-bool-fx", "torso-bool", "keypoint-sigma-not-number",
              "depth-sigma-bool", "noise-seed-fraction", "scene-id-not-number", "scene-id-bool",
              "observation-not-number", "observation-bool", "keypoint-bool", "target-not-number",
+             "normal-bool-inside", "target-nested-list",
              "ratios-name-target-3", "huge-torso-int", "huge-camera-int", "huge-rotation-int",
              "huge-ratio-int"],
     )

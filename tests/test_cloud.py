@@ -10,6 +10,7 @@ Oracles:
 * `np.unique(axis=0)` + `np.add.at` for the packed-key voxel centroids,
 * per-view `np.argwhere` pixels, `deproject` and `np.vstack` for `fuse`'s
   one point buffer,
+* the written uint32 words for the PFM and `.cloud` payloads, bitwise,
 * the pinhole formula and an (N, 3) matmul written out longhand for views of
   one and two valid pixels,
 * the snap on the whole voxel grid of a scene's raw points for the snap on a
@@ -25,6 +26,8 @@ Oracles:
 import functools
 import itertools
 import math
+import mmap
+import os
 import struct
 import tracemalloc
 
@@ -66,7 +69,7 @@ from scanloc.errors import (
 )
 from scanloc.evaluation import backprojection_comparison
 from scanloc.geometry import MIN_DEPTH, PinholeCamera, angle_between_degrees
-from scanloc.synth import NoiseSpec, generate_cohort
+from scanloc.synth import NoiseSpec, generate_cohort, load_cohort, save_cohort
 from scanloc.targets import localize
 
 
@@ -161,6 +164,69 @@ class TestPfm:
         assert not view.flags.owndata and not view.flags.writeable
         for back in (view, read_pfm(big)):
             assert back.dtype == np.float32 and np.array_equal(back, values)
+
+
+PFM_SEPARATORS = [b" ", b"\n", b"\t", b" \n"]
+
+
+def random_bits(data, shape) -> np.ndarray:
+    """uint32 words drawn from the test data, so their float32 view holds NaN,
+    inf and subnormals."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    return np.random.default_rng(seed).integers(0, 2**32, size=shape, dtype=np.uint32)
+
+
+class TestPayloadReader:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_every_bit_survives(self, tmp_path_factory, data):
+        """A PFM of any size, endianness and header spacing, so its payload
+        starts at every offset mod 4, reads back its bits flipped, as a
+        float32 array that owns no data and cannot be made writable; a
+        `.cloud` file loads its finite float32 points exactly, upcast."""
+        height, width = (data.draw(st.integers(1, 40), label=side) for side in ("height", "width"))
+        big = data.draw(st.booleans(), label="big-endian")
+        spaces = [data.draw(st.sampled_from(PFM_SEPARATORS), label="separator") for _ in range(3)]
+        last = data.draw(st.sampled_from(PFM_SEPARATORS[:3]), label="last separator")
+        bits = random_bits(data, (height, width))
+        header = b"Pf" + spaces[0] + b"%d" % width + spaces[1] + b"%d" % height + spaces[2]
+        header += (b"1.0" if big else b"-1.0") + last
+        path = tmp_path_factory.mktemp("payload") / "depth.pfm"
+        path.write_bytes(header + bits.astype(">u4" if big else "<u4").tobytes())
+        back = read_pfm(path)
+        assert back.dtype == np.float32 and back.shape == (height, width)
+        assert not back.flags.writeable and not back.flags.owndata
+        with pytest.raises(ValueError):
+            back.flags.writeable = True
+        assert np.array_equal(back.view(np.uint32), np.flipud(bits))
+
+        words = random_bits(data, (height, 3))
+        words[(words >> 23 & 0xFF) == 0xFF] ^= 1 << 30  # an all-ones exponent made finite
+        toward = [0.5, -0.25, 2.0]
+        path.with_suffix(".cloud").write_bytes(
+            b"SCLOUD02" + struct.pack("<Q3d", height, *toward) + words.astype("<u4").tobytes())
+        loaded = FusedCloud.load(path.with_suffix(".cloud"))
+        assert np.array_equal(loaded.points, words.view(np.float32).astype(float))
+
+    def test_loaded_depth_maps_hold_no_file(self, tmp_path):
+        """A depth map's payload lives in memory: kept scenes open no file."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to count open files")
+        save_cohort(generate_cohort(4, seed=71, pose_kind="side"), tmp_path)
+        before = len(os.listdir("/proc/self/fd"))
+        scenes = load_cohort(tmp_path)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert len(scenes) == 4
+
+    def test_reads_the_same_bits_without_populate(self, tmp_path, monkeypatch):
+        values = np.random.default_rng(72).uniform(0.1, 3.0, size=(48, 64)).astype(np.float32)
+        path = tmp_path / "depth.pfm"
+        write_pfm(path, values)
+        populated = read_pfm(path)
+        monkeypatch.delattr(mmap, "MAP_POPULATE", raising=False)
+        plain = read_pfm(path)
+        assert np.array_equal(plain.view(np.uint32), populated.view(np.uint32))
+        assert np.array_equal(plain, values) and not plain.flags.writeable
 
 
 class TestDepthMap:

@@ -123,6 +123,10 @@ BAD_CONSTRUCTOR_INPUT = {
     "deproject-u-not-v": lambda: CAMERA.deproject((np.ones(3), np.ones(2)), np.ones(3)),
     "deproject-pixel-columns": lambda: CAMERA.deproject(np.ones((2, 3)), [1.0, 1.0]),
     "deproject-one-pixel-many-depths": lambda: CAMERA.deproject(Pixel(1.0, 2.0), [1.0, 2.0]),
+    "deproject-out-columns": lambda: CAMERA.deproject(np.ones((5, 2)), np.ones(5), np.empty((3, 4))),
+    "deproject-out-rows": lambda: CAMERA.deproject(np.ones((5, 2)), np.ones(5), np.empty((4, 5))),
+    "deproject-out-float32": lambda: CAMERA.deproject(
+        np.ones((5, 2)), np.ones(5), np.empty((3, 5), np.float32)),
     "rays-pixel-columns": lambda: CAMERA.pixel_rays(np.ones((4, 3))),
     "rays-one-pixel": lambda: CAMERA.pixel_rays(Pixel(1.0, 2.0)),
     "angle-axis-shape": lambda: rotation_to_angle_axis(np.eye(2)),

@@ -462,6 +462,12 @@ class TestCohort:
         scenes = generate_cohort(2, ranges={"base_height": 0.06}, seed=1)
         assert all(s.torso.base_height == 0.06 for s in scenes)
 
+    def test_numpy_scalar_range_values_allowed(self):
+        """A bound may be any real number but a boolean, numpy scalars included."""
+        ranges = {"base_height": np.float64(0.06), "half_width": (np.float32(0.1875), np.float64(0.2))}
+        (scene,) = generate_cohort(1, ranges=ranges, seed=1)
+        assert scene.torso.base_height == 0.06 and 0.1875 <= scene.torso.half_width <= 0.2
+
 
 class TestSceneIO:
     def test_round_trip(self, tmp_path):
