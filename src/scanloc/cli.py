@@ -132,6 +132,8 @@ def _parse_synth_config(data):
         raise ConfigError("synth config needs 'n' (number of scenes)")
     n = _whole(data["n"], "n")
     seed = _whole(data.get("seed", 0), "seed")
+    if seed < 0:
+        raise InvalidRangeError(f"seed must be >= 0, got {seed}")
     pose_kind = str(data.get("pose", "front"))
     if n < 1 or pose_kind not in POSE_KINDS:
         raise InvalidRangeError(f"need n >= 1 and pose 'front' or 'side', got {n}, {pose_kind!r}")
@@ -146,7 +148,10 @@ def _parse_synth_config(data):
         )
     if pose_kind == "side" and ratios.side is None:
         raise ConfigError("side scenes need side ratios")
-    noise = NoiseSpec.from_dict(data.get("noise", {}))
+    noise = data.get("noise", {})
+    if isinstance(noise, dict) and "seed" in noise:
+        raise ConfigError("noise takes no seed: each scene's noise seed is drawn from 'seed'")
+    noise = NoiseSpec.from_dict(noise)
     cameras = None
     if "cameras" in data:
         cameras = tuple(PinholeCamera.from_dict(c) for c in _two(data["cameras"], dict, "cameras"))

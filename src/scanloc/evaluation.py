@@ -19,6 +19,7 @@ import numpy as np
 
 from .cloud import FusedCloud, _snap, _valid_depths, fuse
 from .errors import (
+    ConfigError,
     InsufficientDataError,
     MissingPixelError,
     NoValidFoldsError,
@@ -123,6 +124,11 @@ def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
     scenes = list(scenes)
     if len(scenes) < 2:
         raise InsufficientDataError(f"leave-one-out needs >= 2 scenes, got {len(scenes)}")
+    # a fold holds out one scene id, so a shared id would train on its own copy
+    ids = [scene.scene_id for scene in scenes]
+    shared = sorted({i for i in ids if ids.count(i) > 1})
+    if shared:
+        raise ConfigError(f"scene id {shared[0]} is shared by {ids.count(shared[0])} scenes")
 
     samples, faults = zip(*(_scene_sample(scene, target_id) for scene in scenes))
 
@@ -132,8 +138,6 @@ def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
             folds.append(FoldResult(scene.scene_id, target_id, True, faults[i]))
             continue
         training = [s for j, s in enumerate(samples) if j != i and s is not None]
-        # leak check: the held-out scene must not appear in the training set
-        assert all(s.scene_id != scene.scene_id for s in training)
         if not training:
             folds.append(
                 FoldResult(scene.scene_id, target_id, True, "no valid training scenes")

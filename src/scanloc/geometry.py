@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegenerateGeometryError,
     InvalidArrayError,
     NonPositiveDepthError,
@@ -174,11 +173,10 @@ class RigidTransform:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RigidTransform":
+        """A pose as `to_dict` writes it, every number finite."""
         _check_keys(data, {"rotation", "translation"}, "pose")
-        rot = np.asarray(data["rotation"], dtype=float)
-        if rot.size != 9:
-            raise ConfigError("pose rotation must hold 9 row-major values")
-        return cls(rot.reshape(3, 3), np.asarray(data["translation"], dtype=float))
+        return cls(_finite(data["rotation"], "pose rotation", (9,)).reshape(3, 3),
+                   _finite(data["translation"], "pose translation", (3,)))
 
 
 def angle_axis_to_rotation(angle_axis) -> np.ndarray:

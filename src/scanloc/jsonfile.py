@@ -79,10 +79,26 @@ def _finite(value, where: str, shape: tuple = ()) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _as_lists(vectors: dict) -> dict:
+    """Named vectors as a JSON object of number lists, each name as text."""
+    return {str(key): [float(x) for x in vector] for key, vector in vectors.items()}
+
+
+def _vectors(data, keys, name: str, size: int = 3) -> dict:
+    """The JSON object `data` of named vectors, each named by one of `keys` as
+    text and each `size` finite numbers, keyed as in `keys`; else ConfigError
+    naming `name` or MalformedFileError naming `name key`."""
+    key_of = {str(key): key for key in keys}
+    _check_keys(data, set(key_of), name)
+    return {key_of[key]: _finite(v, f"{name} {key}", (size,)) for key, v in data.items()}
+
+
 def _whole(value, name: str) -> int:
-    """`value` as an int; a boolean, a non-number or a number with a fraction is rejected."""
+    """`value` as an int; a boolean, a non-number or a number with a fraction is
+    rejected, and as in `_finite` an integer too large for a float raises
+    OverflowError."""
     if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        isinstance(value, (int, float)) and float(value).is_integer()
     ):
         raise InvalidRangeError(f"{name} must be a whole number, got {value!r}")
     return int(value)

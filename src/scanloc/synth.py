@@ -32,7 +32,7 @@ from .errors import (
     MalformedFileError,
 )
 from .geometry import MIN_DEPTH, PinholeCamera, Pixel, RigidTransform
-from .jsonfile import _check_keys, _finite, _two, _whole, read_json, write_json
+from .jsonfile import _as_lists, _check_keys, _finite, _two, _vectors, _whole, read_json, write_json
 from .targets import (
     ALL_JOINTS,
     POSE_KINDS,
@@ -43,6 +43,8 @@ from .targets import (
     TargetModelParams,
     params_from_dict,
     params_to_dict,
+    pixel_views_from_json,
+    pixel_views_to_json,
     regress_targets,
 )
 
@@ -136,6 +138,8 @@ class NoiseSpec:
         sigmas = (self.keypoint_sigma_px, self.depth_sigma_m)
         if not all(math.isfinite(s) and s >= 0 for s in sigmas):
             raise InvalidRangeError(f"noise sigmas must be finite and nonnegative, got {sigmas}")
+        if self.seed < 0:
+            raise InvalidRangeError(f"noise seed must be >= 0, got {self.seed}")
         for joint, prob in self.fault_prob.items():
             if joint not in ALL_JOINTS:
                 raise ConfigError(f"unknown joint {joint!r} in fault probabilities")
@@ -484,9 +488,16 @@ def generate_cohort(n: int, ranges: dict | None = None,
     The generative ratios are shared across the cohort; only anatomy (and
     noise) varies.  Scene i draws from its own stream, the i-th child of
     `seed`, so it is a pure function of (seed, i) and does not depend on n.
+    That stream also draws the scene's noise seed, so `noise` must leave its
+    seed at 0.
     """
     if n < 1:
         raise InvalidRangeError(f"cohort size must be >= 1, got {n}")
+    if seed < 0:
+        raise InvalidRangeError(f"seed must be >= 0, got {seed}")
+    if noise.seed != 0:
+        raise InvalidRangeError(
+            f"a cohort draws each scene's noise seed from its seed; got noise seed {noise.seed}")
     full_ranges = _validate_ranges(ranges or {})
     ratios = ratios if ratios is not None else default_ratios()
     scenes = []
@@ -500,28 +511,6 @@ def generate_cohort(n: int, ranges: dict | None = None,
 
 
 # scene files -----------------------------------------------------------------
-
-
-def _pixels_to_json(views: tuple[dict, dict]) -> list:
-    return [
-        {str(k): [float(p[0]), float(p[1])] for k, p in sorted(view.items(), key=lambda kv: str(kv[0]))}
-        for view in views
-    ]
-
-
-def _pixels_from_json(scene: dict, name: str, keys: tuple) -> tuple[dict, dict]:
-    """scene[name]'s two views, each keyed by some of `keys` (as strings) and
-    each pixel two finite numbers; else MalformedFileError."""
-    key_of = {str(k): k for k in keys}
-    out = []
-    for vi, view in enumerate(_two(scene[name], dict, name)):
-        _check_keys(view, set(key_of), f"{name} view{vi}")
-        parsed = {}
-        for key, uv in view.items():
-            u, v = _finite(uv, f"{name} view{vi} {key}", (2,))
-            parsed[key_of[key]] = Pixel(float(u), float(v))
-        out.append(parsed)
-    return (out[0], out[1])
 
 
 _SCENE_KEYS = {
@@ -549,16 +538,12 @@ def save_scene(scene: SyntheticScene, directory) -> None:
         "cameras": [camera.to_dict() for camera in scene.cameras],
         "depth_files": depth_files,
         "observation": scene.observation.to_dict(),
-        "keypoints_true": {
-            j: [float(x) for x in getattr(scene.keypoints_true, j)] for j in ALL_JOINTS
-        },
-        "keypoint_pixels_true": _pixels_to_json(scene.keypoint_pixels_true),
-        "targets_true": {str(t): [float(x) for x in p] for t, p in sorted(scene.targets_true.items())},
-        "target_normals_true": {
-            str(t): [float(x) for x in n] for t, n in sorted(scene.target_normals_true.items())
-        },
-        "target_pixels_true": _pixels_to_json(scene.target_pixels_true),
-        "target_pixels_observed": _pixels_to_json(scene.target_pixels_observed),
+        "keypoints_true": _as_lists({j: getattr(scene.keypoints_true, j) for j in ALL_JOINTS}),
+        "keypoint_pixels_true": pixel_views_to_json(scene.keypoint_pixels_true),
+        "targets_true": _as_lists(scene.targets_true),
+        "target_normals_true": _as_lists(scene.target_normals_true),
+        "target_pixels_true": pixel_views_to_json(scene.target_pixels_true),
+        "target_pixels_observed": pixel_views_to_json(scene.target_pixels_observed),
         "faulted_joints": dict(sorted(scene.faulted_joints.items())),
     }
     write_json(os.path.join(directory, "scene.json"), data)
@@ -570,10 +555,11 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
     ratios, axes = params_from_dict(data["ratios"])
     if data["pose_kind"] not in POSE_KINDS:
         raise MalformedFileError(f"pose_kind must be 'front' or 'side', got {data['pose_kind']!r}")
-    _check_keys(data["keypoints_true"], set(ALL_JOINTS), "keypoints_true")
-    _check_keys(data["targets_true"], {str(t) for t in TARGET_IDS}, "targets_true")
-    _check_keys(data["target_normals_true"], {str(t) for t in TARGET_IDS}, "target_normals_true")
     _check_keys(data["faulted_joints"], set(ALL_JOINTS), "faulted_joints")
+
+    def pixels(name, keys):
+        return pixel_views_from_json(_two(data[name], dict, name), keys, name)
+
     depth_files = [os.path.join(directory, name)
                    for name in _two(data["depth_files"], str, "depth_files")]
     scene = SyntheticScene(
@@ -587,15 +573,13 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
         depths=(),
         observation=KeypointObservation.from_dict(data["observation"]),
         keypoints_true=Keypoints3D(
-            **{j: _finite(v, f"keypoints_true {j}", (3,)) for j, v in data["keypoints_true"].items()}
-        ),
-        keypoint_pixels_true=_pixels_from_json(data, "keypoint_pixels_true", ALL_JOINTS),
-        targets_true={int(t): _finite(p, f"targets_true {t}", (3,))
-                      for t, p in data["targets_true"].items()},
-        target_normals_true={int(t): _finite(nv, f"target_normals_true {t}", (3,))
-                             for t, nv in data["target_normals_true"].items()},
-        target_pixels_true=_pixels_from_json(data, "target_pixels_true", TARGET_IDS),
-        target_pixels_observed=_pixels_from_json(data, "target_pixels_observed", TARGET_IDS),
+            **_vectors(data["keypoints_true"], ALL_JOINTS, "keypoints_true")),
+        keypoint_pixels_true=pixels("keypoint_pixels_true", ALL_JOINTS),
+        targets_true=_vectors(data["targets_true"], TARGET_IDS, "targets_true"),
+        target_normals_true=_vectors(data["target_normals_true"], TARGET_IDS,
+                                     "target_normals_true"),
+        target_pixels_true=pixels("target_pixels_true", TARGET_IDS),
+        target_pixels_observed=pixels("target_pixels_observed", TARGET_IDS),
         faulted_joints=dict(data["faulted_joints"]),
     )
     views = {f"{name} view{vi}": view for name in ("target_pixels_true", "target_pixels_observed")
@@ -609,10 +593,19 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
 
 def load_scene(directory) -> SyntheticScene:
     """Read a scene written by `save_scene`; any bad value in scene.json
-    raises MalformedFileError naming the file, before a depth map is read."""
+    raises MalformedFileError naming the file, before a depth map is read, and
+    so does a depth map whose size is not its camera's, naming the map."""
     scene, depth_files = read_json(os.path.join(directory, "scene.json"),
                                    lambda data: _scene_from_json(data, directory))
-    return replace(scene, depths=tuple(DepthMap._owning(read_pfm(f)) for f in depth_files))
+    depths = []
+    for camera, path in zip(scene.cameras, depth_files):
+        values = read_pfm(path)
+        if values.shape != (camera.height, camera.width):
+            raise MalformedFileError(
+                f"{path}: depth map is {values.shape[1]}x{values.shape[0]} pixels, "
+                f"its camera {camera.width}x{camera.height}")
+        depths.append(DepthMap._owning(values))
+    return replace(scene, depths=tuple(depths))
 
 
 def save_cohort(scenes, directory) -> None:

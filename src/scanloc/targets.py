@@ -47,7 +47,7 @@ from .geometry import (
     rotation_to_angle_axis,
     triangulate,
 )
-from .jsonfile import _check_keys, _finite, read_json, write_json
+from .jsonfile import _as_lists, _check_keys, _finite, _vectors, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -442,21 +442,26 @@ class KeypointObservation:
         return pixel
 
     def to_dict(self) -> dict:
-        return {
-            f"view{i}": {j: [float(p[0]), float(p[1])] for j, p in view.items()}
-            for i, view in enumerate(self.views)
-        }
+        return dict(zip(("view0", "view1"), pixel_views_to_json(self.views)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "KeypointObservation":
         _check_keys(data, {"view0", "view1"}, "observation")
-        views = []
-        for key in ("view0", "view1"):
-            view = data.get(key, {})
-            _check_keys(view, set(ALL_JOINTS), f"observation {key}")
-            views.append({joint: Pixel(*map(float, _finite(uv, f"observation {key} {joint}", (2,))))
-                          for joint, uv in view.items()})
-        return cls(views=(views[0], views[1]))
+        views = (data.get("view0", {}), data.get("view1", {}))
+        return cls(views=pixel_views_from_json(views, ALL_JOINTS, "observation"))
+
+
+def pixel_views_to_json(views: tuple[dict, dict]) -> list:
+    """Two views of named pixels as two JSON objects of [u, v] lists."""
+    return [_as_lists(view) for view in views]
+
+
+def pixel_views_from_json(views, keys, name: str) -> tuple[dict, dict]:
+    """Two JSON objects of named pixels, each read by `_vectors` as
+    `name view{i}`, as Pixels."""
+    return tuple({key: Pixel(*uv.tolist()) for key, uv in
+                  _vectors(view, keys, f"{name} view{vi}", 2).items()}
+                 for vi, view in enumerate(views))
 
 
 def triangulate_joints(
@@ -593,10 +598,7 @@ def params_to_dict(params: TargetModelParams, axes: ReferenceAxes) -> dict:
             }
             for tid, pair in sorted(params.front.items())
         },
-        "reference_axes": {
-            "front": [float(x) for x in axes.front],
-            "side": [float(x) for x in axes.side],
-        },
+        "reference_axes": _as_lists({"front": axes.front, "side": axes.side}),
     }
     if params.side is not None:
         data["side"] = {"r_s1": params.side.segment_ratio, "r_s2": params.side.offset_ratio}
@@ -632,13 +634,8 @@ def params_from_dict(data: dict) -> tuple[TargetModelParams, ReferenceAxes]:
     side = None
     if "side" in data:
         side = _ratio_pair(data["side"], ("r_s1", "r_s2"), "side target")
-    axes = ReferenceAxes()
-    if "reference_axes" in data:
-        given = data["reference_axes"]
-        _check_keys(given, {"front", "side"}, "reference_axes")
-        axes = ReferenceAxes(**{
-            name: _finite(given[name], f"reference_axes {name}", (3,)) for name in given
-        })
+    axes = ReferenceAxes(**_vectors(data.get("reference_axes", {}), ("front", "side"),
+                                    "reference_axes"))
     return TargetModelParams(front=front, side=side), axes
 
 

@@ -253,6 +253,24 @@ def make_side_dataset(rng, n, ratios, noise_sigma=0.0, length_range=(0.40, 0.48)
     return FitDataset(samples)
 
 
+def planar_design(data):
+    """Left shoulders, segments, |segment| * sideways unit and targets, in XY,
+    the sideways unit picked by `front_reference` with the default front axis."""
+    from scanloc.targets import front_reference
+
+    starts, segs, offs, gts = [], [], [], []
+    for sample in data.samples:
+        kps = sample.keypoints
+        ref = front_reference(kps, np.array([0.0, 1.0, 0.0]))
+        t2 = oracle_perpendicular(kps.left_shoulder, kps.right_shoulder, ref)
+        seg = kps.right_shoulder - kps.left_shoulder
+        starts.append(kps.left_shoulder[:2])
+        segs.append(seg[:2])
+        offs.append(np.linalg.norm(seg) * t2[:2])
+        gts.append(sample.target[:2])
+    return map(np.asarray, (starts, segs, offs, gts))
+
+
 def unique_rows_centroids(points, voxel):
     """Reference voxel centroids: lexicographic row sort, in-order accumulation."""
     keys = np.floor(points / voxel).astype(np.int64)

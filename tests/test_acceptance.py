@@ -20,6 +20,7 @@ from helpers import (
     oracle_front_target,
     oracle_perpendicular,
     oracle_side_target,
+    planar_design,
     random_transform,
     small_cameras,
     synthesize_pose_pairs,
@@ -54,7 +55,6 @@ from scanloc.targets import (
     ReferenceAxes,
     fit_front,
     fit_side,
-    front_reference,
     front_target,
     localize,
     side_target,
@@ -216,20 +216,6 @@ def test_criterion_3_formula_transcriptions():
 
 
 # 4 ------------------------------------------------------------------------
-
-
-def planar_design(data):
-    starts, segs, offs, gts = [], [], [], []
-    for sample in data.samples:
-        kps = sample.keypoints
-        ref = front_reference(kps, np.array([0.0, 1.0, 0.0]))
-        t2 = oracle_perpendicular(kps.left_shoulder, kps.right_shoulder, ref)
-        seg = kps.right_shoulder - kps.left_shoulder
-        starts.append(kps.left_shoulder[:2])
-        segs.append(seg[:2])
-        offs.append(np.linalg.norm(seg) * t2[:2])
-        gts.append(sample.target[:2])
-    return map(np.asarray, (starts, segs, offs, gts))
 
 
 def side_planar_design(data):

@@ -3,8 +3,8 @@
 A rule names a decision, the one `src/scanloc` module that owns it and an
 `ast` finder for the nodes that write it.  Three tests hold every rule: the
 finder sees its sample, the owner holds the decision, and no other module
-writes it.  A tripwire holds `tests/` to the same aim: no two top-level
-helper functions share a body.
+writes it.  A tripwire holds `tests/` to the same aim: no two helper
+functions or methods share a body.
 """
 
 import ast
@@ -163,20 +163,27 @@ def test_no_other_module_writes_it(rule, path):
 
 
 def shared_bodies(sources: dict[str, str]) -> list[list[str]]:
-    """Each set of top-level helpers, named `module.function`, whose bodies are
-    the same statements once their docstrings are dropped.  Tests are skipped."""
+    """Each set of helpers, top-level functions named `module.function` and
+    methods named `module.Class.method`, whose bodies are the same statements
+    once their docstrings are dropped.  Tests are skipped."""
     by_body = collections.defaultdict(list)
     for module, source in sources.items():
-        for node in ast.parse(source).body:
+        tree = ast.parse(source)
+        nodes = [(module, node) for node in tree.body]
+        nodes += [(f"{module}.{cls.name}", node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for scope, node in nodes:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_"):
                 body = node.body[1:] if ast.get_docstring(node) is not None else node.body
-                by_body["\n".join(map(ast.dump, body))].append(f"{module}.{node.name}")
+                by_body["\n".join(map(ast.dump, body))].append(f"{scope}.{node.name}")
     return sorted(names for names in by_body.values() if len(names) > 1)
 
 
 def test_no_two_helpers_share_a_body():
     sample = {"a": "def f(x):\n    'doc'\n    return x + 1\ndef test_t(x):\n    return x + 1\n",
-              "b": "def g(x):\n    return x + 1\ndef h(y):\n    return y + 1\n"}
-    assert shared_bodies(sample) == [["a.f", "b.g"]]
+              "b": "def g(x):\n    return x + 1\ndef h(y):\n    return y + 1\n"
+                   "class C:\n    def m(self, x):\n        return x + 1\n"
+                   "    def test_u(self, x):\n        return x + 1\n"}
+    assert shared_bodies(sample) == [["a.f", "b.g", "b.C.m"]]
     tests = sorted((ROOT / "tests").glob("*.py"))
     assert shared_bodies({path.stem: path.read_text() for path in tests}) == []

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import small_cameras, synthesize_pose_pairs
 from scanloc import cli
 from scanloc.cli import _parse_thresholds, build_parser, main
-from scanloc.cloud import FusedCloud
+from scanloc.cloud import FusedCloud, write_pfm
 from scanloc.geometry import PinholeCamera, RigidTransform
 
 
@@ -388,6 +388,15 @@ def fusion_argv(command, cohort_dir, tmp_path, out):
     return [*argv, "--out", str(out)]
 
 
+def assert_refused(caplog, argv, out, *names):
+    """`main(argv)` exits 1 with `assert_one_line_error(caplog, *names)` and
+    leaves no `out`."""
+    with caplog.at_level(logging.ERROR, logger="scanloc"):
+        assert main(argv) == 1
+    assert_one_line_error(caplog, *names)
+    assert not out.exists()
+
+
 def assert_one_line_error(caplog, *names):
     """Exactly one ERROR record: one line, no traceback, naming each of `names`."""
     (error,) = [r for r in caplog.records if r.levelno == logging.ERROR]
@@ -446,10 +455,27 @@ class TestMalformedInput:
         pfm = scene / depth_file
         pfm.write_bytes(pfm.read_bytes()[:-100])
         out = tmp_path / "cloud.bin"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(["fuse", "--scene", str(scene), "--out", str(out)]) == 1
-        assert_one_line_error(caplog, str(pfm))
-        assert not out.exists()
+        assert_refused(caplog, ["fuse", "--scene", str(scene), "--out", str(out)], out,
+                       str(pfm))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (480, 640)], ids=["4x4", "twice-the-camera"])
+    def test_fuse_on_depth_map_not_its_cameras_size_exits_1(self, cohort_dir, tmp_path, caplog,
+                                                            shape):
+        scene = tmp_path / "scene"
+        shutil.copytree(cohort_dir / "scene_001", scene)
+        pfm = scene / "depth_1.pfm"
+        write_pfm(pfm, np.zeros(shape, dtype=np.float32))
+        out = tmp_path / "cloud.bin"
+        assert_refused(caplog, ["fuse", "--scene", str(scene), "--out", str(out)], out,
+                       str(pfm), "its camera 320x240")
+
+    def test_evaluate_on_shared_scene_id_exits_1(self, cohort_dir, tmp_path, caplog):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(cohort_dir, scenes)
+        shutil.copytree(scenes / "scene_000", scenes / "scene_009")
+        out = tmp_path / "reports"
+        assert_refused(caplog, ["evaluate", "--scenes", str(scenes), "--target", "1",
+                                "--out", str(out)], out / "folds.csv", "scene id 0 is shared")
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(data=st.data())
@@ -554,6 +580,15 @@ class TestMalformedInput:
             (lambda d: {**d, "ratios": {**d["ratios"], "side": {
                 **d["ratios"]["side"], "r_s1": 10**400}}},
              "too large to convert to float"),
+            (lambda d: {**d, "noise": {**d["noise"], "seed": -1}},
+             "noise seed must be >= 0, got -1"),
+            (lambda d: {**d, "scene_id": 10**400}, "too large to convert to float"),
+            (lambda d: {**d, "cameras": [{**d["cameras"][0], "pose": {
+                "rotation": [True, 0, 0, 0, 1, 0, 0, 0, 1], "translation": ["-0.15", 0, 1]}},
+                d["cameras"][1]]}, "pose rotation must be 9 finite numbers, got [True"),
+            (lambda d: {**d, "cameras": [d["cameras"][0], {**d["cameras"][1], "pose": {
+                **d["cameras"][1]["pose"], "translation": ["-0.15", 0, 1]}}]},
+             "pose translation must be 3 finite numbers, got ['-0.15', 0, 1]"),
         ],
         ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
              "one-pixel-view", "observation-view-not-object", "one-camera", "cameras-not-list",
@@ -567,7 +602,7 @@ class TestMalformedInput:
              "observation-not-number", "observation-bool", "keypoint-bool", "target-not-number",
              "normal-bool-inside", "target-nested-list",
              "ratios-name-target-3", "huge-torso-int", "huge-camera-int", "huge-rotation-int",
-             "huge-ratio-int"],
+             "huge-ratio-int", "negative-noise-seed", "huge-scene-id", "pose-bool", "pose-string"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):
@@ -577,10 +612,8 @@ class TestMalformedInput:
         bad = corrupt(json.loads(path.read_text()))
         path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         out = tmp_path / "cloud.bin"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(["fuse", "--scene", str(scene), "--out", str(out)]) == 1
-        assert_one_line_error(caplog, str(path), detail)
-        assert not out.exists()
+        assert_refused(caplog, ["fuse", "--scene", str(scene), "--out", str(out)], out,
+                       str(path), detail)
 
     @pytest.mark.parametrize(
         "params, key",
@@ -607,11 +640,9 @@ class TestMalformedInput:
         params_file = tmp_path / "params.json"
         params_file.write_text(json.dumps(params))
         out = tmp_path / "poses.json"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(["localize", "--scene", str(cohort_dir / "scene_001"),
-                         "--params", str(params_file), "--out", str(out)]) == 1
-        assert_one_line_error(caplog, str(params_file), key)
-        assert not out.exists()
+        assert_refused(caplog, ["localize", "--scene", str(cohort_dir / "scene_001"),
+                                "--params", str(params_file), "--out", str(out)],
+                       out, str(params_file), key)
 
     @pytest.mark.parametrize("option, name", [
         ("--voxel=-1", "voxel"), ("--voxel=nan", "voxel"), ("--voxel=inf", "voxel"),
@@ -620,20 +651,15 @@ class TestMalformedInput:
     def test_bad_fusion_option_exits_1(self, cohort_dir, tmp_path, caplog, command,
                                        option, name):
         out = tmp_path / "out"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main([*fusion_argv(command, cohort_dir, tmp_path, out), option]) == 1
-        assert_one_line_error(caplog, name, option.split("=")[1])
-        assert not out.exists()
+        assert_refused(caplog, [*fusion_argv(command, cohort_dir, tmp_path, out), option], out,
+                       name, option.split("=")[1])
 
     def test_fuse_at_a_voxel_too_fine_to_key_writes_no_file(self, cohort_dir, tmp_path,
                                                              caplog):
         """The grid is refused when `save` reads the points, before --out is opened."""
         out = tmp_path / "cloud.bin"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(["fuse", "--scene", str(cohort_dir / "scene_001"), "--out", str(out),
-                         "--voxel", "1e-12"]) == 1
-        assert_one_line_error(caplog, "1e-12")
-        assert not out.exists()
+        assert_refused(caplog, ["fuse", "--scene", str(cohort_dir / "scene_001"), "--out", str(out),
+                                "--voxel", "1e-12"], out, "1e-12")
 
     @pytest.mark.parametrize("command", ["fuse", "localize", "evaluate"])
     def test_neighbors_option_is_a_usage_error(self, cohort_dir, tmp_path, command):
@@ -659,7 +685,7 @@ class TestMalformedInput:
         ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
         ({"n": True}, "n must be a whole number, got True"),
         ({"seed": False}, "seed must be a whole number, got False"),
-        ({"noise": {"seed": 1.5}}, "noise seed must be a whole number, got 1.5"),
+        ({"noise": {"seed": 1.5}}, "noise takes no seed"),
         ({"torso": {"half_width": True}}, "invalid interval for half_width: True"),
         ({"noise": {"depth_sigma_m": True}}, "noise depth_sigma_m must be a finite number, got True"),
         ({"ratios": {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}},
@@ -676,28 +702,32 @@ class TestMalformedInput:
         ({"cameras": edited_cameras(height=240.5)}, "camera height must be a whole number, got 240.5"),
         ({"cameras": 5}, "cameras must be a list of exactly two JSON objects"),
         ({"cameras": {"a": 1, "b": 2}}, "cameras must be a list of exactly two JSON objects"),
+        ({"noise": {"seed": 7}}, "noise takes no seed"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
             "nan-depth-sigma", "inf-keypoint-sigma", "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool",
             "noise-seed-fraction", "torso-bool", "depth-sigma-bool",
             "front-ratios-lack-target-2", "front-ratios-name-target-7", "side-ratios-missing",
             "fault-prob-not-number",
-            "camera-nan-fx", "camera-fractional-height", "cameras-not-list", "cameras-object"])
+            "camera-nan-fx", "camera-fractional-height", "cameras-not-list", "cameras-object",
+            "noise-seed", "negative-seed"])
     def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
         config = tmp_path / "synth.json"
         write_synth_config(config, n=1)
         config.write_text(json.dumps({**json.loads(config.read_text()), **field}))
         out = tmp_path / "scenes"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
-        assert_one_line_error(caplog, str(config), detail)
-        assert not out.exists()
+        assert_refused(caplog, ["synth", "--config", str(config), "--out", str(out)], out,
+                       str(config), detail)
 
     @pytest.mark.parametrize("corrupt, detail", [
         (lambda text: text[:-10], ""),
         (lambda text: text.replace("[0.0, 0.0, 0.0]", '["a", 0, 0]', 1), "'a'"),
         (lambda text: text.replace("[0.0, 0.0, 0.0]", "[NaN, 0, 0]", 1), "finite"),
         (lambda text: text.replace("1.0", "2.0", 1), "orthonormal"),
-    ], ids=["truncated", "non-numeric", "nan", "not-orthonormal"])
+        (lambda text: text.replace("[0.0, 0.0, 0.0]", "[true, 0, 0]", 1), "got [True, 0, 0]"),
+        (lambda text: text.replace("1.0", '"1.0"', 1), "pose rotation must be 9 finite numbers"),
+        (lambda text: text.replace(", 1.0]", "]", 1), "pose rotation must be 9 finite numbers"),
+    ], ids=["truncated", "non-numeric", "nan", "not-orthonormal", "bool", "string", "eight-values"])
     def test_calibrate_on_bad_samples_exits_1(self, tmp_path, caplog, corrupt, detail):
         identity = RigidTransform(np.eye(3), np.zeros(3)).to_dict()
         samples = tmp_path / "samples.json"
@@ -705,10 +735,8 @@ class TestMalformedInput:
             [{"gripper_in_base": identity, "tag_in_camera": identity}] * 3
         )))
         out = tmp_path / "calib.json"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(["calibrate", "--samples", str(samples), "--out", str(out)]) == 1
-        assert_one_line_error(caplog, str(samples), detail)
-        assert not out.exists()
+        assert_refused(caplog, ["calibrate", "--samples", str(samples), "--out", str(out)], out,
+                       str(samples), detail)
 
     @pytest.mark.parametrize("field, detail", [
         ({"fx": float("nan")}, "camera fx must be a finite number, got nan"),
@@ -730,11 +758,8 @@ class TestMalformedInput:
             {k: v for k, v in {**INTRINSICS, **field}.items() if v is not None}
         ))
         out = tmp_path / "calib.json"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(["calibrate", "--samples", str(samples), "--intrinsics", str(intrinsics),
-                         "--out", str(out)]) == 1
-        assert_one_line_error(caplog, str(intrinsics), detail)
-        assert not out.exists()
+        assert_refused(caplog, ["calibrate", "--samples", str(samples), "--intrinsics",
+                                str(intrinsics), "--out", str(out)], out, str(intrinsics), detail)
 
     @pytest.mark.parametrize("content", [b"not json", b'{"n": "\xff"}', b"[" * 100_000, None],
                              ids=["not-json", "not-utf8", "too-deep", "wrong-type"])
@@ -759,10 +784,8 @@ class TestMalformedInput:
         wrong_type = b"{}" if kind == "calibration-samples" else b"[1, 2]"
         bad.write_bytes(wrong_type if content is None else content)
         out = tmp_path / "out"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main([str(a).format(bad=bad) for a in argv] + ["--out", str(out)]) == 1
-        assert_one_line_error(caplog, str(bad))
-        assert not out.exists()
+        assert_refused(caplog, [str(a).format(bad=bad) for a in argv] + ["--out", str(out)], out,
+                       str(bad))
 
     @pytest.mark.parametrize("bad, argv", [
         ("dir", ["calibrate", "--samples", "{dir}", "--out", "{out}"]),
@@ -787,10 +810,8 @@ class TestMalformedInput:
             raise AssertionError("fused a scene before the bad path was reported")
 
         monkeypatch.setattr("scanloc.cli.scene_cloud", no_fusion)
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main([arg.format(**paths) for arg in argv]) == 1
-        assert_one_line_error(caplog, str(paths[bad]))
-        assert not paths["out"].exists()
+        assert_refused(caplog, [arg.format(**paths) for arg in argv], paths["out"],
+                       str(paths[bad]))
 
 
 def edit_observation(scene_dir, edit):
@@ -845,11 +866,8 @@ class TestFitFaults:
         params_file = tmp_path / "params.json"
         params_file.write_text(json.dumps(FRONT_PARAMS))
         out = tmp_path / "poses.json"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(["localize", "--scene", str(scene), "--params", str(params_file),
-                         "--out", str(out)]) == 1
-        assert_one_line_error(caplog, "not human-scale")
-        assert not out.exists()
+        assert_refused(caplog, ["localize", "--scene", str(scene), "--params", str(params_file),
+                                "--out", str(out)], out, "not human-scale")
 
     def test_front_localize_drops_a_collapsed_hip(self, cohort_dir, tmp_path, caplog):
         for name in ("collapsed", "unseen"):
@@ -908,10 +926,8 @@ class TestFitFaults:
         assert "dropping left_shoulder" in warning.getMessage()
         (tmp_path / "poses.json").unlink()
         collapse(scene, "right_hip")
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(argv) == 1
-        assert_one_line_error(caplog, "right_shoulder-right_hip", "not human-scale")
-        assert not (tmp_path / "poses.json").exists()
+        assert_refused(caplog, argv, tmp_path / "poses.json", "right_shoulder-right_hip",
+                       "not human-scale")
 
     def test_localize_with_overflowing_ratios_exits_1(self, tmp_path, caplog):
         with caplog.at_level(logging.ERROR, logger="scanloc"):
@@ -931,8 +947,6 @@ class TestFitFaults:
 
     def test_fit_on_cohort_without_the_target_exits_1(self, cohort_dir, tmp_path, caplog):
         params_file = tmp_path / "params.json"
-        with caplog.at_level(logging.ERROR, logger="scanloc"):
-            assert main(["fit", "--dataset", str(cohort_dir), "--target", "4",
-                         "--out", str(params_file)]) == 1
-        assert_one_line_error(caplog, "no ground truth for target 4")
-        assert not params_file.exists()
+        assert_refused(caplog, ["fit", "--dataset", str(cohort_dir), "--target", "4",
+                                "--out", str(params_file)], params_file,
+                       "no ground truth for target 4")

@@ -377,8 +377,8 @@ def stacked_views_fuse(views, voxel):
     return unique_rows_centroids(points, voxel) if voxel > 0 else points
 
 
-NOISY = NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005, seed=59)
-MILD = NoiseSpec(keypoint_sigma_px=1.0, depth_sigma_m=0.002, seed=62)
+NOISY = NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005)
+MILD = NoiseSpec(keypoint_sigma_px=1.0, depth_sigma_m=0.002)
 FUSION_CASES = [
     pytest.param(NOISY, "side", 0.002, id="noisy-side-2mm"),
     pytest.param(MILD, "front", 0.005, id="mild-front-5mm"),
@@ -462,7 +462,7 @@ class TestVoxelCentroids:
         # negative and positive keys, many points per voxel, duplicated points
         points = rng.uniform(-0.3, 0.2, size=(20_000, 3))
         points[:2000] = points[2000:4000]
-        scene = fuse(scene_views(NoiseSpec(depth_sigma_m=0.005, seed=59)), voxel=0.0).points
+        scene = fuse(scene_views(NoiseSpec(depth_sigma_m=0.005)), voxel=0.0).points
         for cloud, voxel in ((points, 0.004), (points, 0.05), (points, 1.0),
                              (scene, 0.002), (scene, 0.005)):
             assert np.array_equal(
@@ -608,7 +608,7 @@ class TestLazyNormals:
     @pytest.mark.parametrize(
         "noise, voxel",
         [(NoiseSpec(seed=0), 0.005),
-         (NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005, seed=60), 0.005),
+         (NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005), 0.005),
          (NoiseSpec(seed=0), 0.002)],
         ids=["noiseless", "noisy", "noiseless-2mm"],
     )
@@ -751,7 +751,7 @@ class TestPlanarNearest:
 
     @pytest.mark.parametrize("voxel", [0.002, 0.0], ids=["2mm", "unvoxelized"])
     def test_scene_clouds_match_linear_scan(self, voxel):
-        cloud = fuse(scene_views(NoiseSpec(depth_sigma_m=0.005, seed=63)), voxel=voxel)
+        cloud = fuse(scene_views(NoiseSpec(depth_sigma_m=0.005)), voxel=voxel)
         rng = np.random.default_rng(64)
         lo, hi = cloud.points[:, :2].min(axis=0), cloud.points[:, :2].max(axis=0)
         on_points = cloud.points[rng.integers(0, len(cloud), 40), :2]
@@ -1291,7 +1291,7 @@ class TestCloudFile:
 
     def test_loaded_normals_agree_with_fused(self, tmp_path):
         (scene,) = generate_cohort(
-            1, noise=NoiseSpec(keypoint_sigma_px=1.0, depth_sigma_m=0.002, seed=68),
+            1, noise=NoiseSpec(keypoint_sigma_px=1.0, depth_sigma_m=0.002),
             pose_kind="front", seed=69)
         fused = fuse(list(zip(scene.cameras, scene.depths)), voxel=0.005)
         path = tmp_path / "front.cloud"

@@ -10,6 +10,7 @@ import pytest
 
 from scanloc.cloud import DepthMap
 from scanloc.errors import (
+    ConfigError,
     InsufficientDataError,
     MissingPixelError,
     NoValidFoldsError,
@@ -245,6 +246,16 @@ class TestLoocv:
         direct = fit_front(FitDataset([sample]))
         assert folds[0].fitted.segment_ratio == direct.ratios.segment_ratio
         assert folds[0].fitted.offset_ratio == direct.ratios.offset_ratio
+
+    def test_shared_scene_id_rejected_before_any_fold(self, front_cohort, monkeypatch):
+        scenes, clouds = front_cohort
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted a fold before the shared id was reported")
+
+        monkeypatch.setattr("scanloc.evaluation.fit_target", no_fit)
+        with pytest.raises(ConfigError, match="scene id 0 is shared by 2 scenes"):
+            loocv([*scenes, scenes[0]], 1, clouds=[*clouds, clouds[0]])
 
     def test_too_few_scenes(self, front_cohort):
         scenes, clouds = front_cohort

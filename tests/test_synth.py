@@ -1,11 +1,14 @@
 """Synthetic scene generator: analytic surface, raycasting, noise, cohorts."""
 
 import filecmp
+import json
+import re
 import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scanloc import synth
 from scanloc.cloud import DepthMap, fuse
@@ -13,6 +16,7 @@ from scanloc.errors import (
     CameraMissesTorsoError,
     ConfigError,
     InvalidRangeError,
+    MalformedFileError,
 )
 from scanloc.evaluation import loocv, scene_cloud
 from scanloc.geometry import PinholeCamera, angle_between_degrees
@@ -43,7 +47,13 @@ from scanloc.targets import (
     triangulate_joints,
 )
 
-from helpers import full_image_raycast, full_image_roots, look_at_camera, pixel_ray_grid
+from helpers import (
+    full_image_raycast,
+    full_image_roots,
+    look_at_camera,
+    pixel_ray_grid,
+    small_cameras,
+)
 
 TORSO = TorsoSpec()
 RATIOS = default_ratios()
@@ -424,6 +434,8 @@ class TestNoise:
             NoiseSpec(fault_prob={"left_elbow": 0.5})
         with pytest.raises(ConfigError):
             NoiseSpec(fault_prob={"right_hip": 1.5})
+        with pytest.raises(InvalidRangeError, match="noise seed must be >= 0, got -1"):
+            NoiseSpec(seed=-1)
 
 
 class TestCohort:
@@ -457,6 +469,11 @@ class TestCohort:
             generate_cohort(2, ranges={"half_width": (0.2, 0.1)})
         with pytest.raises(ConfigError):
             generate_cohort(2, ranges={"waist": (0.1, 0.2)})
+        with pytest.raises(InvalidRangeError, match="seed must be >= 0, got -1"):
+            generate_cohort(1, seed=-1)
+        # each scene's noise seed is drawn from the cohort seed
+        with pytest.raises(InvalidRangeError, match="got noise seed 3"):
+            generate_cohort(1, noise=NoiseSpec(depth_sigma_m=0.005, seed=3))
 
     def test_scalar_range_value_allowed(self):
         scenes = generate_cohort(2, ranges={"base_height": 0.06}, seed=1)
@@ -469,7 +486,51 @@ class TestCohort:
         assert scene.torso.base_height == 0.06 and 0.1875 <= scene.torso.half_width <= 0.2
 
 
+def numeric_leaves(value, path=()):
+    """The key paths of every number in the JSON value `value`."""
+    if isinstance(value, dict):
+        return [leaf for key, item in value.items() for leaf in numeric_leaves(item, (*path, key))]
+    if isinstance(value, list):
+        return [leaf for i, item in enumerate(value) for leaf in numeric_leaves(item, (*path, i))]
+    return [path] if type(value) in (int, float) else []
+
+
+@pytest.fixture(scope="module")
+def json_only_scene(tmp_path_factory):
+    """A noisy front scene's directory holding its scene.json and no depth map,
+    and that scene.json's text."""
+    directory = tmp_path_factory.mktemp("json_only_scene")
+    noise = NoiseSpec(keypoint_sigma_px=1.0, depth_sigma_m=0.002, fault_prob={"right_hip": 0.5},
+                      seed=7)
+    save_scene(generate_scene(TORSO, RATIOS, small_cameras(), noise, "front"), directory)
+    for depth_file in directory.glob("*.pfm"):
+        depth_file.unlink()
+    return directory, (directory / "scene.json").read_text()
+
+
+# JSON values that are not a finite number a float can hold
+NOT_NUMBERS = [True, "1.0", None, [1.0], float("nan"), 10**400]
+
+
 class TestSceneIO:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_any_number_made_bad_is_refused_before_a_depth_map(self, json_only_scene, data):
+        """Any number in scene.json replaced by a value that is not a finite
+        number fails as malformed, naming scene.json: the scene has no depth
+        map on disk, so reading one would raise FileNotFoundError instead."""
+        directory, text = json_only_scene
+        scene = json.loads(text)
+        *parents, key = data.draw(st.sampled_from(numeric_leaves(scene)), label="leaf")
+        container = scene
+        for step in parents:
+            container = container[step]
+        container[key] = data.draw(st.sampled_from(NOT_NUMBERS), label="value")
+        path = directory / "scene.json"
+        path.write_text(json.dumps(scene))
+        with pytest.raises(MalformedFileError, match=re.escape(str(path))):
+            load_scene(directory)
+
     def test_round_trip(self, tmp_path):
         noise = NoiseSpec(keypoint_sigma_px=1.0, depth_sigma_m=0.002,
                           fault_prob={"right_hip": 0.5}, seed=123)

@@ -53,6 +53,7 @@ from helpers import (
     oracle_front_target,
     oracle_perpendicular,
     oracle_side_target,
+    planar_design,
     two_view_rig,
 )
 
@@ -243,20 +244,6 @@ class TestFitFront:
         with pytest.raises(InsufficientSamplesError):
             FitDataset([])
 
-    @staticmethod
-    def _planar_design(data):
-        starts, segs, offs, gts = [], [], [], []
-        for sample in data.samples:
-            kps = sample.keypoints
-            ref = front_reference(kps, np.array([0.0, 1.0, 0.0]))
-            t2 = oracle_perpendicular(kps.left_shoulder, kps.right_shoulder, ref)
-            seg = kps.right_shoulder - kps.left_shoulder
-            starts.append(kps.left_shoulder[:2])
-            segs.append(seg[:2])
-            offs.append(np.linalg.norm(seg) * t2[:2])
-            gts.append(sample.target[:2])
-        return map(np.asarray, (starts, segs, offs, gts))
-
     def test_noisy_fit_beats_dense_grid(self):
         # closed-form optimum vs every probe of a 201x201 grid over [-1,1]^2,
         # compared in the mean squared planar loss the fit minimizes
@@ -265,7 +252,7 @@ class TestFitFront:
             rng = np.random.default_rng(4000 + seed)
             data = make_front_dataset(rng, 20, (0.62, 0.31), noise_sigma=0.005)
             result = fit_front(data)
-            starts, segs, offs, gts = self._planar_design(data)
+            starts, segs, offs, gts = planar_design(data)
 
             def mean_sq(r1, r2):
                 pred = starts + r1 * segs + r2 * offs
@@ -285,7 +272,7 @@ class TestFitFront:
         rng = np.random.default_rng(1212)
         data = make_front_dataset(rng, 20, (0.62, 0.31), noise_sigma=0.005)
         result = fit_front(data)
-        starts, segs, offs, gts = self._planar_design(data)
+        starts, segs, offs, gts = planar_design(data)
         pred = starts + result.ratios.segment_ratio * segs + result.ratios.offset_ratio * offs
         want = np.mean(np.linalg.norm(pred - gts, axis=1))
         assert abs(result.mean_planar_residual - want) < 1e-12
