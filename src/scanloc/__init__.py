@@ -47,7 +47,6 @@ from .targets import (
     FitSample,
     Keypoints3D,
     RatioPair,
-    ReferenceAxes,
     ScanTargetPose,
     TargetModelParams,
     fit_front,
@@ -72,7 +71,6 @@ __all__ = [
     "Pixel",
     "PosePairSample",
     "RatioPair",
-    "ReferenceAxes",
     "RigidTransform",
     "ScanTargetPose",
     "ScanlocError",

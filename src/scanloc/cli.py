@@ -24,8 +24,8 @@ from .errors import ConfigError, InvalidRangeError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
-    _scene_sample,
     backprojection_comparison,
+    cohort_samples,
     loocv,
     median_backprojection_errors,
     scene_cloud,
@@ -53,7 +53,6 @@ from .targets import (
     POSE_KINDS,
     TARGET_IDS,
     FitDataset,
-    ReferenceAxes,
     fit_target,
     load_params,
     localize,
@@ -138,10 +137,7 @@ def _parse_synth_config(data):
     if n < 1 or pose_kind not in POSE_KINDS:
         raise InvalidRangeError(f"need n >= 1 and pose 'front' or 'side', got {n}, {pose_kind!r}")
     ranges = _validate_ranges(data.get("torso", {}))
-    if "ratios" in data:
-        ratios, axes = params_from_dict(data["ratios"])
-    else:
-        ratios, axes = default_ratios(), None
+    ratios = params_from_dict(data["ratios"]) if "ratios" in data else default_ratios()
     if pose_kind == "front" and not set(FRONT_TARGET_IDS) <= set(ratios.front):
         raise ConfigError(
             f"front scenes need ratios for targets 1 and 2, got {sorted(ratios.front)}"
@@ -156,7 +152,7 @@ def _parse_synth_config(data):
     if "cameras" in data:
         cameras = tuple(PinholeCamera.from_dict(c) for c in _two(data["cameras"], dict, "cameras"))
     return dict(n=n, seed=seed, pose_kind=pose_kind, ranges=ranges, ratios=ratios,
-                noise=noise, cameras=cameras, axes=axes)
+                noise=noise, cameras=cameras)
 
 
 def _cmd_synth(args) -> int:
@@ -181,15 +177,13 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_fit(args) -> int:
     scenes = load_cohort(args.dataset)
-    samples = []
-    for scene in scenes:
-        sample, fault = _scene_sample(scene, args.target)
+    samples, faults = cohort_samples(scenes, args.target)
+    for scene, fault in zip(scenes, faults):
         if fault:
             log.warning("skipping scene %d: %s", scene.scene_id, fault)
-        else:
-            samples.append(sample)
+    samples = [sample for sample in samples if sample is not None]
     params, result = fit_target(FitDataset(samples), args.target)
-    save_params(args.out, params, ReferenceAxes())
+    save_params(args.out, params)
     log.info(
         "fitted target %d on %d scenes: segment %.6f offset %.6f, "
         "mean planar residual %.3f mm -> %s",
@@ -201,11 +195,11 @@ def _cmd_fit(args) -> int:
 
 def _cmd_localize(args) -> int:
     scene = load_scene(_scene_dir(args.scene))
-    params, axes = load_params(args.params)
+    params = load_params(args.params)
     cloud = scene_cloud(scene, args.voxel)
     poses = localize(
         scene.cameras[0], scene.cameras[1], scene.observation, cloud,
-        params, scene.pose_kind, axes=axes,
+        params, scene.pose_kind,
     )
     output = {
         "scene_id": scene.scene_id,

@@ -107,6 +107,19 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
     return sample, ""
 
 
+def cohort_samples(scenes, target_id: int) -> tuple[tuple, tuple]:
+    """Each scene's `_scene_sample`, as the samples (None where faulty) and
+    the fault reasons, in scene order.  A scene id shared by two scenes
+    raises ConfigError: a copied scene would be trained on twice, or, held
+    out, trained on its own copy."""
+    ids = [scene.scene_id for scene in scenes]
+    shared = sorted({i for i in ids if ids.count(i) > 1})
+    if shared:
+        raise ConfigError(f"scene id {shared[0]} is shared by {ids.count(shared[0])} scenes")
+    samples, faults = zip(*(_scene_sample(scene, target_id) for scene in scenes))
+    return samples, faults
+
+
 def scene_cloud(scene: SyntheticScene, voxel: float = DEFAULT_EVAL_VOXEL) -> FusedCloud:
     return fuse(list(zip(scene.cameras, scene.depths)), voxel=voxel)
 
@@ -124,13 +137,7 @@ def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
     scenes = list(scenes)
     if len(scenes) < 2:
         raise InsufficientDataError(f"leave-one-out needs >= 2 scenes, got {len(scenes)}")
-    # a fold holds out one scene id, so a shared id would train on its own copy
-    ids = [scene.scene_id for scene in scenes]
-    shared = sorted({i for i in ids if ids.count(i) > 1})
-    if shared:
-        raise ConfigError(f"scene id {shared[0]} is shared by {ids.count(shared[0])} scenes")
-
-    samples, faults = zip(*(_scene_sample(scene, target_id) for scene in scenes))
+    samples, faults = cohort_samples(scenes, target_id)
 
     folds = []
     for i, scene in enumerate(scenes):

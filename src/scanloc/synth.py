@@ -39,7 +39,6 @@ from .targets import (
     TARGET_IDS,
     KeypointObservation,
     Keypoints3D,
-    ReferenceAxes,
     TargetModelParams,
     params_from_dict,
     params_to_dict,
@@ -179,7 +178,6 @@ class SyntheticScene:
     torso: TorsoSpec
     noise: NoiseSpec
     ratios: TargetModelParams
-    axes: ReferenceAxes
     cameras: tuple[PinholeCamera, PinholeCamera]
     depths: tuple[DepthMap, DepthMap]
     observation: KeypointObservation
@@ -319,12 +317,12 @@ def true_keypoints(torso: TorsoSpec) -> Keypoints3D:
     return Keypoints3D(left_shoulder=ls, right_shoulder=rs, right_hip=hip)
 
 
-def true_targets(torso: TorsoSpec, ratios: TargetModelParams, pose_kind: str,
-                 axes: ReferenceAxes) -> tuple[dict, dict]:
+def true_targets(torso: TorsoSpec, ratios: TargetModelParams,
+                 pose_kind: str) -> tuple[dict, dict]:
     """Ground-truth targets 1, 2 and 4 and their analytic normals: the ratio
     model evaluated on the exact keypoints, dropped onto the surface."""
     targets, normals = {}, {}
-    for tid, raw in regress_targets(true_keypoints(torso), ratios, pose_kind, axes):
+    for tid, raw in regress_targets(true_keypoints(torso), ratios, pose_kind):
         targets[tid] = _surface_point(torso, raw, f"target {tid}")
         normals[tid] = np.asarray(torso.surface_normal(raw[0], raw[1]), dtype=float)
     return targets, normals
@@ -360,17 +358,15 @@ def _observed_depth(depth: DepthMap, sigma: float, rng) -> DepthMap:
 
 def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
                    cameras: tuple | None, noise: NoiseSpec, pose_kind: str,
-                   scene_id: int = 0,
-                   axes: ReferenceAxes | None = None) -> SyntheticScene:
+                   scene_id: int = 0) -> SyntheticScene:
     """Build one scene: exact geometry first, then noise on top of it."""
-    axes = axes or ReferenceAxes()
     if cameras is None:
         cameras = default_cameras(torso)
     cameras = tuple(cameras)
     _check_visibility(cameras, torso)
 
     kps = true_keypoints(torso)
-    targets, normals = true_targets(torso, ratios, pose_kind, axes)
+    targets, normals = true_targets(torso, ratios, pose_kind)
     kp_points = {j: getattr(kps, j) for j in ALL_JOINTS}
     kp_pixels_true = _exact_pixels(cameras, kp_points, "keypoint")
     target_pixels_true = _exact_pixels(cameras, targets, "target")
@@ -422,7 +418,6 @@ def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
         torso=torso,
         noise=noise,
         ratios=ratios,
-        axes=axes,
         cameras=cameras,
         depths=depths,
         observation=KeypointObservation(views=observed),
@@ -481,8 +476,7 @@ def _validate_ranges(ranges: dict) -> dict:
 def generate_cohort(n: int, ranges: dict | None = None,
                     ratios: TargetModelParams | None = None,
                     noise: NoiseSpec = NoiseSpec(), pose_kind: str = "front",
-                    seed: int = 0, cameras=None,
-                    axes: ReferenceAxes | None = None) -> list[SyntheticScene]:
+                    seed: int = 0, cameras=None) -> list[SyntheticScene]:
     """n scenes with torso dimensions drawn per-field from uniform intervals.
 
     The generative ratios are shared across the cohort; only anatomy (and
@@ -506,7 +500,7 @@ def generate_cohort(n: int, ranges: dict | None = None,
         torso = sample_torso(full_ranges, rng)
         scene_noise = replace(noise, seed=int(rng.integers(2**63)))
         scenes.append(generate_scene(torso, ratios, cameras, scene_noise, pose_kind,
-                                     scene_id=i, axes=axes))
+                                     scene_id=i))
     return scenes
 
 
@@ -534,7 +528,7 @@ def save_scene(scene: SyntheticScene, directory) -> None:
         "pose_kind": scene.pose_kind,
         "torso": scene.torso.to_dict(),
         "noise": scene.noise.to_dict(),
-        "ratios": params_to_dict(scene.ratios, scene.axes),
+        "ratios": params_to_dict(scene.ratios),
         "cameras": [camera.to_dict() for camera in scene.cameras],
         "depth_files": depth_files,
         "observation": scene.observation.to_dict(),
@@ -552,7 +546,6 @@ def save_scene(scene: SyntheticScene, directory) -> None:
 def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
     """scene.json's scene, without depth maps, and the paths of its depth files."""
     _check_keys(data, _SCENE_KEYS, "scene")
-    ratios, axes = params_from_dict(data["ratios"])
     if data["pose_kind"] not in POSE_KINDS:
         raise MalformedFileError(f"pose_kind must be 'front' or 'side', got {data['pose_kind']!r}")
     _check_keys(data["faulted_joints"], set(ALL_JOINTS), "faulted_joints")
@@ -567,8 +560,7 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
         pose_kind=data["pose_kind"],
         torso=TorsoSpec.from_dict(data["torso"]),
         noise=NoiseSpec.from_dict(data["noise"]),
-        ratios=ratios,
-        axes=axes,
+        ratios=params_from_dict(data["ratios"]),
         cameras=tuple(PinholeCamera.from_dict(c) for c in _two(data["cameras"], dict, "cameras")),
         depths=(),
         observation=KeypointObservation.from_dict(data["observation"]),

@@ -12,10 +12,10 @@ ground truth all read a segment through `_segment`.
 
 Fitting (`fit_target`, the one entry per target id) recovers the two
 ratios per target from examples by minimizing the mean squared planar (XY)
-mismatch under the default `ReferenceAxes`.  Both models are linear least
-squares solved by one shared `lstsq` call: the front model in its two
-ratios directly, the lateral one in (walk ratio, walk ratio magnitude
-times sideways ratio), from which the sideways ratio is recovered.
+mismatch.  Both models are linear least squares solved by one shared
+`lstsq` call: the front model in its two ratios directly, the lateral one
+in (walk ratio, walk ratio magnitude times sideways ratio), from which the
+sideways ratio is recovered.
 """
 
 from __future__ import annotations
@@ -75,6 +75,14 @@ _MIN_KEYPOINT_DIST = 0.05
 _MAX_KEYPOINT_DIST = 1.5
 # a params ratio beyond this moves a target more than 1.5 m even off the shortest segment
 _MAX_RATIO = _MAX_KEYPOINT_DIST / _MIN_KEYPOINT_DIST
+
+# The sideways convention, fixed because the fitted ratios' signs depend on it:
+# a front target steps toward the hips, along TOWARD_HIPS when the right hip
+# was not seen, and the lateral one along LATERAL, away from the body's midline
+# on the scanned side.  A params file records it as `reference_axes`.
+TOWARD_HIPS = (0, 1, 0)
+LATERAL = (1, 0, 0)
+_REFERENCE_AXES = {"front": TOWARD_HIPS, "side": LATERAL}
 
 
 def _opt_vec3(value, name):
@@ -141,24 +149,6 @@ class TargetModelParams:
                 raise ConfigError(f"unsupported front target id {tid!r}; expected 1 or 2")
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceAxes:
-    """Directions that disambiguate the sideways step.
-
-    front: fallback direction toward the hips, used when the right hip was
-    not observed (when it was, the shoulder-midpoint-to-hip direction is
-    used instead).  side: the lateral direction pointing away from the
-    body's midline on the scanned side.
-    """
-
-    front: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
-    side: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-
-    def __post_init__(self):
-        object.__setattr__(self, "front", _opt_vec3(self.front, "front axis"))
-        object.__setattr__(self, "side", _opt_vec3(self.side, "side axis"))
-
-
 def perpendicular_planar_direction(start, end, reference) -> np.ndarray:
     """Unit vector perpendicular to the start-end segment and parallel to XY.
 
@@ -211,16 +201,16 @@ def side_target(shoulder, hip, segment_ratio: float, offset_ratio: float, refere
     return anchor + offset_ratio * walked * t2
 
 
-def front_reference(keypoints: Keypoints3D, fallback) -> np.ndarray:
+def front_reference(keypoints: Keypoints3D) -> np.ndarray:
     """Per-scene sideways disambiguator for front targets.
 
     The true "toward the hips" direction when the right hip was seen;
-    the configured fallback axis otherwise.
+    `TOWARD_HIPS` otherwise.
     """
     if keypoints.right_hip is not None:
         mid = 0.5 * (keypoints.left_shoulder + keypoints.right_shoulder)
         return keypoints.right_hip - mid
-    return np.asarray(fallback, dtype=float)
+    return np.asarray(TOWARD_HIPS, dtype=float)
 
 
 def pose_kind_for_target(target_id: int) -> str:
@@ -238,17 +228,17 @@ def required_joints(pose_kind: str) -> tuple[str, str]:
     return SEGMENT_JOINTS[pose_kind]
 
 
-def _segment(keypoints: Keypoints3D, pose_kind: str, axes: ReferenceAxes):
+def _segment(keypoints: Keypoints3D, pose_kind: str):
     """The pose kind's segment start and end, and its sideways reference:
-    `front_reference` for front targets, the side axis for the lateral one."""
+    `front_reference` for front targets, `LATERAL` for the lateral one."""
     joints = required_joints(pose_kind)
     start, end = (getattr(keypoints, joint) for joint in joints)
     for joint, point in zip(joints, (start, end)):
         if point is None:
             raise MissingKeypointError(f"{pose_kind} targets need {joint}, not seen in both views")
     if pose_kind == "front":
-        return start, end, front_reference(keypoints, axes.front)
-    return start, end, axes.side
+        return start, end, front_reference(keypoints)
+    return start, end, LATERAL
 
 
 # fitting ---------------------------------------------------------------------
@@ -305,16 +295,15 @@ def _lstsq_ratios(starts, segs, lengths, perps, targets) -> tuple[float, float, 
 
 
 def _sample_arrays(data: FitDataset, pose_kind: str):
-    """Planar design rows of every sample, under the default `ReferenceAxes`:
-    segment starts, segments, lengths, unit sideways directions and targets."""
-    axes = ReferenceAxes()
+    """Planar design rows of every sample: segment starts, segments,
+    lengths, unit sideways directions and targets."""
     starts = np.empty((len(data), 2))
     segs = np.empty((len(data), 2))
     lengths = np.empty(len(data))
     perps = np.empty((len(data), 2))
     gts = np.empty((len(data), 2))
     for i, sample in enumerate(data.samples):
-        start, end, reference = _segment(sample.keypoints, pose_kind, axes)
+        start, end, reference = _segment(sample.keypoints, pose_kind)
         seg = end - start
         starts[i] = start[:2]
         segs[i] = seg[:2]
@@ -492,7 +481,7 @@ def pose_keypoints(
     The segment joints are kept, and ImplausibleKeypointsError refuses the
     scene if they are not human-scale.  Each other joint is kept only if it
     is human-scale from every kept joint; otherwise it is dropped, and a
-    front scene falls back to `ReferenceAxes.front` as for a hip not seen.
+    front scene falls back to `TOWARD_HIPS` as for a hip not seen.
     The caller logs the drops, naming its scene.
     """
     positions = triangulate_joints(camera_a, camera_b, observation)
@@ -512,10 +501,9 @@ def regress_targets(
     keypoints: Keypoints3D,
     params: TargetModelParams,
     pose_kind: str,
-    axes: ReferenceAxes | None = None,
 ) -> list[tuple[int, np.ndarray]]:
     """Raw model predictions (before surface snapping), ordered by target id."""
-    start, end, reference = _segment(keypoints, pose_kind, axes or ReferenceAxes())
+    start, end, reference = _segment(keypoints, pose_kind)
     if pose_kind == "front":
         if not params.front:
             raise ConfigError("no front-target ratios are configured")
@@ -536,14 +524,13 @@ def localize(
     cloud: FusedCloud,
     params: TargetModelParams,
     pose_kind: str,
-    axes: ReferenceAxes | None = None,
 ) -> list[ScanTargetPose]:
     """Full pipeline: triangulate joints (`pose_keypoints`, logging each
     dropped joint), then `poses_from_keypoints`."""
     keypoints, dropped = pose_keypoints(camera_a, camera_b, observation, pose_kind)
     for joint, reason in dropped.items():
         log.warning("dropping %s: %s", joint, reason)
-    return poses_from_keypoints(keypoints, cloud, params, pose_kind, axes)
+    return poses_from_keypoints(keypoints, cloud, params, pose_kind)
 
 
 def poses_from_keypoints(
@@ -551,7 +538,6 @@ def poses_from_keypoints(
     cloud: FusedCloud,
     params: TargetModelParams,
     pose_kind: str,
-    axes: ReferenceAxes | None = None,
 ) -> list[ScanTargetPose]:
     """Regress the targets from `keypoints` and snap them to the surface.
 
@@ -559,10 +545,10 @@ def poses_from_keypoints(
     normal at the regressed target.  Targets whose planar snap distance is
     suspiciously large are flagged (and logged), not dropped.
     """
-    start, end, _ = _segment(keypoints, pose_kind, axes or ReferenceAxes())
+    start, end, _ = _segment(keypoints, pose_kind)
     roll_ref = end - start  # the body axis that pins the probe's free roll
     poses = []
-    for target_id, point in regress_targets(keypoints, params, pose_kind, axes):
+    for target_id, point in regress_targets(keypoints, params, pose_kind):
         adjusted = adjust_target(cloud, point)
         if adjusted.far_from_surface:
             log.warning(
@@ -589,36 +575,55 @@ def poses_from_keypoints(
 # params file -----------------------------------------------------------------
 
 
-def params_to_dict(params: TargetModelParams, axes: ReferenceAxes) -> dict:
+def params_to_dict(params: TargetModelParams) -> dict:
+    """The params file's JSON value; a ratio `params_from_dict` would refuse
+    raises MalformedFileError naming its key, so no such file is written."""
     data: dict = {
         "front": {
-            str(tid): {
-                "r_f1": pair.segment_ratio,
-                "r_f2": pair.offset_ratio,
-            }
+            str(tid): _bounded({"r_f1": pair.segment_ratio, "r_f2": pair.offset_ratio},
+                               f"front target {tid}")
             for tid, pair in sorted(params.front.items())
         },
-        "reference_axes": _as_lists({"front": axes.front, "side": axes.side}),
+        "reference_axes": _as_lists(_REFERENCE_AXES),
     }
     if params.side is not None:
-        data["side"] = {"r_s1": params.side.segment_ratio, "r_s2": params.side.offset_ratio}
+        data["side"] = _bounded({"r_s1": params.side.segment_ratio,
+                                 "r_s2": params.side.offset_ratio}, "side target")
     return data
+
+
+def _bounded(ratios: dict, where: str) -> dict:
+    """`ratios`, a params entry's ratios by key; one beyond _MAX_RATIO in
+    magnitude raises MalformedFileError naming `where key`."""
+    for key, ratio in ratios.items():
+        if abs(ratio) > _MAX_RATIO:
+            raise MalformedFileError(
+                f"{where} {key} must be at most {_MAX_RATIO:g} in magnitude, got {ratio!r}")
+    return ratios
 
 
 def _ratio_pair(entry: dict, keys: tuple[str, str], where: str) -> RatioPair:
     _check_keys(entry, set(keys), where)
-    ratios = [float(_finite(entry.get(k), f"{where} {k}")) for k in keys]
-    for key, ratio in zip(keys, ratios):
-        if abs(ratio) > _MAX_RATIO:
+    ratios = _bounded({k: float(_finite(entry.get(k), f"{where} {k}")) for k in keys}, where)
+    return RatioPair(*ratios.values())
+
+
+def _check_reference_axes(data) -> None:
+    """`data`, a params file's `reference_axes`, must hold the sideways
+    convention: any other axis would mirror the targets the ratios were fit for."""
+    axes = _vectors(data, _REFERENCE_AXES, "reference_axes")
+    for key, axis in _REFERENCE_AXES.items():
+        if key not in axes or axes[key].tolist() != list(axis):
             raise MalformedFileError(
-                f"{where} {key} must be at most {_MAX_RATIO:g} in magnitude, got {ratio!r}")
-    return RatioPair(*ratios)
+                f"reference_axes {key} must be {[float(x) for x in axis]}, got "
+                f"{data.get(key)!r}: the ratio model's sideways convention is fixed")
 
 
-def params_from_dict(data: dict) -> tuple[TargetModelParams, ReferenceAxes]:
-    """Parse `params_to_dict` output; a missing or non-finite number, or a ratio
-    beyond _MAX_RATIO in magnitude, raises MalformedFileError naming its key,
-    and a front target id other than 1 or 2 raises ConfigError naming it."""
+def params_from_dict(data: dict) -> TargetModelParams:
+    """Parse `params_to_dict` output; a missing or non-finite number, a ratio
+    beyond _MAX_RATIO in magnitude or a `reference_axes` other than the
+    sideways convention raises MalformedFileError naming its key, and a front
+    target id other than 1 or 2 raises ConfigError naming it."""
     _check_keys(data, {"front", "side", "reference_axes"}, "params")
     entries = data.get("front", {})
     if not isinstance(entries, dict):
@@ -634,14 +639,14 @@ def params_from_dict(data: dict) -> tuple[TargetModelParams, ReferenceAxes]:
     side = None
     if "side" in data:
         side = _ratio_pair(data["side"], ("r_s1", "r_s2"), "side target")
-    axes = ReferenceAxes(**_vectors(data.get("reference_axes", {}), ("front", "side"),
-                                    "reference_axes"))
-    return TargetModelParams(front=front, side=side), axes
+    if "reference_axes" in data:
+        _check_reference_axes(data["reference_axes"])
+    return TargetModelParams(front=front, side=side)
 
 
-def save_params(path, params: TargetModelParams, axes: ReferenceAxes) -> None:
-    write_json(path, params_to_dict(params, axes))
+def save_params(path, params: TargetModelParams) -> None:
+    write_json(path, params_to_dict(params))
 
 
-def load_params(path) -> tuple[TargetModelParams, ReferenceAxes]:
+def load_params(path) -> TargetModelParams:
     return read_json(path, params_from_dict)

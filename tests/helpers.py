@@ -1,7 +1,9 @@
 """Shared helpers for test scenes: cameras, rigs, transforms, hand-eye
-samples, analytic renders, and the reference voxel centroids."""
+samples, analytic renders, the reference voxel centroids, and JSON files
+with one number made bad."""
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from scanloc.geometry import MIN_DEPTH, PinholeCamera, RigidTransform
@@ -226,7 +228,7 @@ def make_front_dataset(rng, n, ratios, noise_sigma=0.0, with_hip=True):
         kps = Keypoints3D(
             left_shoulder=ls, right_shoulder=rs, right_hip=hip if with_hip else None
         )
-        ref = front_reference(kps, np.array([0.0, 1.0, 0.0]))
+        ref = front_reference(kps)
         target = oracle_front_target(ls, rs, ratios[0], ratios[1], ref)
         target = target + noise_sigma * rng.standard_normal(3)
         samples.append(FitSample(keypoints=kps, target=target, scene_id=i))
@@ -255,13 +257,13 @@ def make_side_dataset(rng, n, ratios, noise_sigma=0.0, length_range=(0.40, 0.48)
 
 def planar_design(data):
     """Left shoulders, segments, |segment| * sideways unit and targets, in XY,
-    the sideways unit picked by `front_reference` with the default front axis."""
+    the sideways unit picked by `front_reference`."""
     from scanloc.targets import front_reference
 
     starts, segs, offs, gts = [], [], [], []
     for sample in data.samples:
         kps = sample.keypoints
-        ref = front_reference(kps, np.array([0.0, 1.0, 0.0]))
+        ref = front_reference(kps)
         t2 = oracle_perpendicular(kps.left_shoulder, kps.right_shoulder, ref)
         seg = kps.right_shoulder - kps.left_shoulder
         starts.append(kps.left_shoulder[:2])
@@ -269,6 +271,28 @@ def planar_design(data):
         offs.append(np.linalg.norm(seg) * t2[:2])
         gts.append(sample.target[:2])
     return map(np.asarray, (starts, segs, offs, gts))
+
+
+# JSON values that are not a finite number a float can hold
+NOT_NUMBERS = [True, "1.0", None, [1.0], float("nan"), 10**400]
+
+
+def numeric_leaves(value, path=()):
+    """The key paths of every number in the JSON value `value`."""
+    if isinstance(value, dict):
+        return [leaf for key, item in value.items() for leaf in numeric_leaves(item, (*path, key))]
+    if isinstance(value, list):
+        return [leaf for i, item in enumerate(value) for leaf in numeric_leaves(item, (*path, i))]
+    return [path] if type(value) in (int, float) else []
+
+
+def spoil_a_number(draw, value) -> None:
+    """Replace one number of the JSON value `value`, in place, by one of
+    NOT_NUMBERS; hypothesis's `draw` picks both."""
+    *parents, key = draw(st.sampled_from(numeric_leaves(value)), label="leaf")
+    for step in parents:
+        value = value[step]
+    value[key] = draw(st.sampled_from(NOT_NUMBERS), label="value")
 
 
 def unique_rows_centroids(points, voxel):

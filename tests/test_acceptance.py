@@ -52,7 +52,6 @@ from scanloc.synth import (
     generate_scene,
 )
 from scanloc.targets import (
-    ReferenceAxes,
     fit_front,
     fit_side,
     front_target,
@@ -512,13 +511,9 @@ def test_criterion_8_invariant_suite(tmp_path):
                 points=motion.apply(cloud.points),
                 normals=cloud.normals @ motion.rotation.T,
             )
-            axes = ReferenceAxes(
-                front=motion.rotation @ ReferenceAxes().front,
-                side=motion.rotation @ ReferenceAxes().side,
-            )
             moved = localize(
                 moved_cams[0], moved_cams[1], scene.observation, moved_cloud,
-                ratios, pose_kind, axes=axes,
+                ratios, pose_kind,
             )
             for before, after in zip(base, moved):
                 assert before.target_id == after.target_id

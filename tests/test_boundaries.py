@@ -71,6 +71,13 @@ def payload_read(node):
     return f"{name}()" if name in ("readinto", "frombuffer", "fromfile", "mmap") else None
 
 
+def sideways_convention(node):
+    if isinstance(node, ast.Constant) and node.value == "reference_axes":
+        return repr(node.value)
+    name = called_name(node)
+    return f"{name}()" if name in ("perpendicular_planar_direction", "front_reference") else None
+
+
 VOCABULARIES = ({"front", "side"}, {1, 2, 4})
 
 
@@ -140,6 +147,19 @@ RULES = [
          "f = np.fromfile\ndata = fh.read()\ny = numpy.fromfile(fh)\n",
          ["line 1: readinto()", "line 2: frombuffer()", "line 3: mmap()", "line 6: fromfile()"],
          lambda found: set(found) == {"frombuffer()", "mmap()", "readinto()"}),
+    Rule("sideways-convention", "targets.py",
+         "The sign of a target's sideways step is a fixed convention of the ratio "
+         "model, `TOWARD_HIPS` and `LATERAL`, and `targets._segment` is the one place "
+         "it picks a segment's sideways reference.  A module that names the params "
+         "file's \"reference_axes\" or calls `perpendicular_planar_direction` or "
+         "`front_reference` is choosing a sideways direction again.",
+         sideways_convention,
+         "axes = data['reference_axes']\nt2 = perpendicular_planar_direction(a, b, ref)\n"
+         "ref = targets.front_reference(kps)\nf = front_reference\nw = 'reference_axes side'\n",
+         ["line 1: 'reference_axes'", "line 2: perpendicular_planar_direction()",
+          "line 3: front_reference()"],
+         lambda found: {"'reference_axes'", "perpendicular_planar_direction()",
+                        "front_reference()"} <= set(found)),
 ]
 RULE_IDS = [rule.name for rule in RULES]
 OTHER_MODULES = [pytest.param(rule, path, id=f"{rule.name}-{path.name}")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import small_cameras, synthesize_pose_pairs
+from helpers import oracle_side_target, small_cameras, synthesize_pose_pairs
 from scanloc import cli
 from scanloc.cli import _parse_thresholds, build_parser, main
 from scanloc.cloud import FusedCloud, write_pfm
@@ -375,10 +375,15 @@ def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):
     assert built == [1]
 
 
+FRONT_PARAMS = {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}
+# the sideways convention with its lateral axis flipped, which would mirror target 4
+MIRRORED = {"front": [0, 1, 0], "side": [-1, 0, 0]}
+
+
 def fusion_argv(command, cohort_dir, tmp_path, out):
     """A complete `fuse`, `localize` or `evaluate` command line writing to `out`."""
     params_file = tmp_path / "params.json"
-    params_file.write_text(json.dumps({"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}))
+    params_file.write_text(json.dumps(FRONT_PARAMS))
     scene = str(cohort_dir / "scene_001")
     argv = {
         "fuse": ["fuse", "--scene", scene],
@@ -476,6 +481,14 @@ class TestMalformedInput:
         out = tmp_path / "reports"
         assert_refused(caplog, ["evaluate", "--scenes", str(scenes), "--target", "1",
                                 "--out", str(out)], out / "folds.csv", "scene id 0 is shared")
+
+    def test_fit_on_shared_scene_id_exits_1(self, cohort_dir, tmp_path, caplog):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(cohort_dir, scenes)
+        shutil.copytree(scenes / "scene_000", scenes / "scene_009")
+        params_file = tmp_path / "params.json"
+        assert_refused(caplog, ["fit", "--dataset", str(scenes), "--target", "1",
+                                "--out", str(params_file)], params_file, "scene id 0 is shared")
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(data=st.data())
@@ -632,9 +645,12 @@ class TestMalformedInput:
             ({"front": {}, "reference_axes": {"front": [0, 1, False]}},
              "reference_axes front must be 3 finite numbers, got [0, 1, False]"),
             ({"front": {"1": {"r_f1": 10**400, "r_f2": 0.2}}}, "too large to convert to float"),
+            ({**FRONT_PARAMS, "reference_axes": MIRRORED},
+             "reference_axes side must be [1.0, 0.0, 0.0], got [-1, 0, 0]"),
         ],
         ids=["non-numeric", "null", "missing", "target-id", "unsupported-target-id", "list",
-             "short-axis", "front-not-object", "bool-ratio", "bool-axis", "huge-int-ratio"],
+             "short-axis", "front-not-object", "bool-ratio", "bool-axis", "huge-int-ratio",
+             "mirrored-axis"],
     )
     def test_localize_on_bad_params_exits_1(self, cohort_dir, tmp_path, caplog, params, key):
         params_file = tmp_path / "params.json"
@@ -704,13 +720,15 @@ class TestMalformedInput:
         ({"cameras": {"a": 1, "b": 2}}, "cameras must be a list of exactly two JSON objects"),
         ({"noise": {"seed": 7}}, "noise takes no seed"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"ratios": {"front": {**FRONT_PARAMS["front"], "2": {"r_f1": 0.75, "r_f2": 0.5}},
+                     "reference_axes": MIRRORED}}, "reference_axes side"),
     ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
             "nan-depth-sigma", "inf-keypoint-sigma", "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool",
             "noise-seed-fraction", "torso-bool", "depth-sigma-bool",
             "front-ratios-lack-target-2", "front-ratios-name-target-7", "side-ratios-missing",
             "fault-prob-not-number",
             "camera-nan-fx", "camera-fractional-height", "cameras-not-list", "cameras-object",
-            "noise-seed", "negative-seed"])
+            "noise-seed", "negative-seed", "mirrored-axis"])
     def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
         config = tmp_path / "synth.json"
         write_synth_config(config, n=1)
@@ -828,9 +846,6 @@ def collapse(scene_dir, joint):
     edit_observation(scene_dir, lambda view: view.update({joint: view["right_shoulder"]}))
 
 
-FRONT_PARAMS = {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}
-
-
 class TestFitFaults:
     def test_fit_skips_implausible_scene(self, cohort_dir, tmp_path, caplog):
         dataset = tmp_path / "scenes"
@@ -944,6 +959,25 @@ class TestFitFaults:
         assert code == 1
         assert_one_line_error(caplog, "front target 1 r_f1 must be at most 30 in magnitude")
         assert not out.exists()
+
+    def test_fit_to_a_ratio_beyond_thirty_writes_no_file(self, tmp_path, caplog):
+        """Targets placed 0.01% of the way down each side segment, by an
+        offset ratio of 150, fit to an offset ratio beyond the 30 that
+        `localize` reads: `fit` refuses it before --out is opened."""
+        config = tmp_path / "synth.json"
+        write_synth_config(config, pose="side")
+        scenes = tmp_path / "scenes"
+        assert main(["synth", "--config", str(config), "--out", str(scenes)]) == 0
+        for path in scenes.glob("scene_*/scene.json"):
+            data = json.loads(path.read_text())
+            shoulder, hip = (data["keypoints_true"][j] for j in ("right_shoulder", "right_hip"))
+            target = oracle_side_target(shoulder, hip, 1e-4, 150.0, [1.0, 0.0, 0.0])
+            data["targets_true"]["4"] = target.tolist()
+            path.write_text(json.dumps(data))
+        params_file = tmp_path / "params.json"
+        assert_refused(caplog, ["fit", "--dataset", str(scenes), "--target", "4",
+                                "--out", str(params_file)], params_file,
+                       "side target r_s2 must be at most 30 in magnitude")
 
     def test_fit_on_cohort_without_the_target_exits_1(self, cohort_dir, tmp_path, caplog):
         params_file = tmp_path / "params.json"

@@ -997,7 +997,7 @@ class TestSnapWindows:
 
         monkeypatch.setattr("scanloc.cloud._voxel_centroids", recording)
         poses = localize(*scene.cameras, scene.observation, cloud, scene.ratios,
-                         scene.pose_kind, scene.axes)
+                         scene.pose_kind)
         assert sorted(p.target_id for p in poses) == sorted(scene.targets_true)
         assert len(sizes) >= len(poses)
         assert all(size < pixels / 4 for size in sizes), sizes
@@ -1147,7 +1147,7 @@ class TestUnreadClouds:
         cloud = fuse(views, voxel=voxel)
         assert sum(counted) == 0
         poses = localize(*scene.cameras, scene.observation, cloud, scene.ratios,
-                         scene.pose_kind, scene.axes)
+                         scene.pose_kind)
         assert sorted(p.target_id for p in poses) == sorted(scene.targets_true)
         assert 0 < sum(counted) < pixels / 4
         assert cloud._points is None

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from scanloc.targets import (
     FitSample,
     KeypointObservation,
     Keypoints3D,
+    LATERAL,
     RatioPair,
-    ReferenceAxes,
+    TOWARD_HIPS,
     TargetModelParams,
     _sample_arrays,
     _segment,
@@ -54,6 +56,7 @@ from helpers import (
     oracle_perpendicular,
     oracle_side_target,
     planar_design,
+    spoil_a_number,
     two_view_rig,
 )
 
@@ -390,24 +393,33 @@ class TestKeypointsValidation:
         assert kps.right_hip is None
 
 
+@pytest.fixture(scope="module")
+def fitted_params_text():
+    """The params file that fits of targets 1, 2 and 4 on noisy samples write."""
+    rng = np.random.default_rng(77)
+    front = {tid: fit_front(make_front_dataset(rng, 6, ratios, noise_sigma=0.002)).ratios
+             for tid, ratios in ((1, (0.75, 0.2)), (2, (0.75, 0.5)))}
+    side = fit_side(make_side_dataset(rng, 6, (0.4, 0.15), noise_sigma=0.002)).ratios
+    return json.dumps(params_to_dict(TargetModelParams(front=front, side=side)))
+
+
 class TestParamsIO:
     def test_round_trip(self, tmp_path):
         params = TargetModelParams(
             front={1: RatioPair(0.3, 0.2), 2: RatioPair(0.55, 0.4)},
             side=RatioPair(0.4, 0.3),
         )
-        axes = ReferenceAxes(front=[0, 1, 0], side=[1, 0, 0])
         path = tmp_path / "params.json"
-        save_params(path, params, axes)
-        loaded, loaded_axes = load_params(path)
+        save_params(path, params)
+        loaded = load_params(path)
         assert loaded.front[1] == RatioPair(0.3, 0.2)
         assert loaded.front[2] == RatioPair(0.55, 0.4)
         assert loaded.side == RatioPair(0.4, 0.3)
-        assert np.array_equal(loaded_axes.front, [0, 1, 0])
-        assert np.array_equal(loaded_axes.side, [1, 0, 0])
+        assert json.loads(path.read_text())["reference_axes"] == {
+            "front": [0.0, 1.0, 0.0], "side": [1.0, 0.0, 0.0]}
 
     def test_side_is_optional(self):
-        params, _ = params_from_dict({"front": {"1": {"r_f1": 0.1, "r_f2": 0.2}}})
+        params = params_from_dict({"front": {"1": {"r_f1": 0.1, "r_f2": 0.2}}})
         assert params.side is None
 
     def test_unknown_keys_rejected(self):
@@ -424,7 +436,7 @@ class TestParamsIO:
 
     def test_ratio_beyond_thirty_rejected_naming_its_key(self):
         # 30 = the longest over the shortest human-scale segment: the bound is inclusive
-        params, _ = params_from_dict({"side": {"r_s1": -30.0, "r_s2": 30}, "front": {}})
+        params = params_from_dict({"side": {"r_s1": -30.0, "r_s2": 30}, "front": {}})
         assert params.side == RatioPair(-30.0, 30.0)
         for entry, key in (({"side": {"r_s1": 0.4, "r_s2": -30.5}}, "side target r_s2"),
                            ({"front": {"2": {"r_f1": 31, "r_f2": 0.2}}}, "front target 2 r_f1")):
@@ -433,9 +445,41 @@ class TestParamsIO:
 
     def test_dict_round_trip_exact(self):
         params = TargetModelParams(front={1: RatioPair(0.123456789, -0.5)}, side=None)
-        axes = ReferenceAxes()
-        back, _ = params_from_dict(params_to_dict(params, axes))
+        back = params_from_dict(params_to_dict(params))
         assert back.front[1] == params.front[1]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_any_number_made_bad_is_refused(self, fitted_params_text, tmp_path_factory, data):
+        """Any number of a fitted params file, `reference_axes` included,
+        replaced by a value that is not a finite number fails as malformed,
+        naming the file."""
+        params = json.loads(fitted_params_text)
+        spoil_a_number(data.draw, params)
+        path = tmp_path_factory.mktemp("params") / "params.json"
+        path.write_text(json.dumps(params))
+        with pytest.raises(MalformedFileError, match=re.escape(str(path))):
+            load_params(path)
+
+    def test_reference_axes_may_be_left_out_or_hold_the_convention(self):
+        entry = {"front": {"1": {"r_f1": 0.1, "r_f2": 0.2}}}
+        for axes in ({"front": list(TOWARD_HIPS), "side": list(LATERAL)},
+                     {"front": [0.0, 1.0, 0.0], "side": [1.0, 0.0, 0.0]}):
+            assert params_from_dict({**entry, "reference_axes": axes}) == params_from_dict(entry)
+
+    @pytest.mark.parametrize("axes, key", [
+        ({"front": [0, 1, 0], "side": [-1, 0, 0]}, "side"),
+        ({"front": [0, -1, 0], "side": [1, 0, 0]}, "front"),
+        ({"front": [0, 2, 0], "side": [1, 0, 0]}, "front"),
+        ({"front": [0, 1, 0], "side": [0.8, 0.6, 0]}, "side"),
+        ({"side": [1, 0, 0]}, "front"),
+        ({}, "front"),
+    ], ids=["mirrored-side", "mirrored-front", "scaled-front", "turned-side", "no-front", "empty"])
+    def test_reference_axes_other_than_the_convention_rejected(self, axes, key):
+        """Another axis would mirror or move the targets the ratios were fit for."""
+        with pytest.raises(MalformedFileError, match=f"reference_axes {key} must be .*: the "
+                                                     "ratio model's sideways convention is fixed"):
+            params_from_dict({"front": {}, "reference_axes": axes})
 
     @pytest.mark.parametrize("tid", [3, 4, 0, "1"])
     def test_unsupported_front_target_rejected_naming_it(self, tid):
@@ -455,7 +499,7 @@ class TestParamsIO:
         path.write_text(json.dumps(
             {"front": {key: {"r_f1": a, "r_f2": b} for key, (a, b) in front.items()}}))
         if keys <= {"1", "2"}:
-            params, _ = load_params(path)
+            params = load_params(path)
             assert set(params.front) == {int(key) for key in keys}
         else:
             with pytest.raises(MalformedFileError) as info:
@@ -592,7 +636,7 @@ class TestLocalize:
         for _ in range(2):
             before = len(built)
             poses = localize(*cameras, scene.observation, fuse(views), scene.ratios,
-                             scene.pose_kind, scene.axes)
+                             scene.pose_kind)
             assert [p.target_id for p in poses] == [1, 2]
             requests.append(len(built) - before)
         assert requests[0] > 0 and requests[1] == 0, requests
@@ -622,10 +666,7 @@ class TestLocalize:
             points=motion.apply(cloud.points),
             normals=cloud.normals @ motion.rotation.T,
         )
-        axes2 = ReferenceAxes(
-            front=motion.rotation @ [0, 1, 0], side=motion.rotation @ [1, 0, 0]
-        )
-        moved = localize(cam_a2, cam_b2, obs, cloud2, SLAB_PARAMS, "front", axes=axes2)
+        moved = localize(cam_a2, cam_b2, obs, cloud2, SLAB_PARAMS, "front")
         for before, after in zip(base, moved):
             assert np.allclose(after.position, motion.apply(before.position), atol=1e-9)
             rot_before = angle_axis_to_rotation(before.rotation_vector)
@@ -668,17 +709,16 @@ class TestSegment:
     def test_missing_segment_joint_is_named(self, pose_kind, missing):
         kps = Keypoints3D(**{k: v for k, v in SLAB_KEYPOINTS.items() if k != missing})
         with pytest.raises(MissingKeypointError, match=missing):
-            _segment(kps, pose_kind, ReferenceAxes())
+            _segment(kps, pose_kind)
 
     def test_segment_ends_and_references(self):
         kps = Keypoints3D(**SLAB_KEYPOINTS)
-        axes = ReferenceAxes()
-        start, end, ref = _segment(kps, "front", axes)
+        start, end, ref = _segment(kps, "front")
         assert start is kps.left_shoulder and end is kps.right_shoulder
-        assert np.array_equal(ref, front_reference(kps, axes.front))
-        start, end, ref = _segment(kps, "side", axes)
+        assert np.array_equal(ref, front_reference(kps))
+        start, end, ref = _segment(kps, "side")
         assert start is kps.right_shoulder and end is kps.right_hip
-        assert ref is axes.side
+        assert ref is LATERAL
 
     def test_pose_kind_for_target(self):
         assert [pose_kind_for_target(t) for t in (1, 2, 4)] == ["front", "front", "side"]
