@@ -14,13 +14,12 @@ import argparse
 import functools
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
 
 from .cloud import DEFAULT_VOXEL, NORMAL_RADIUS, _check_fusion_options
-from .errors import ConfigError, InvalidRangeError, ScanlocError
+from .errors import ConfigError, InvalidRangeError, MalformedFileError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
@@ -41,6 +40,7 @@ from .handeye import build_motion_pairs, load_samples, mean_residual, solve_park
 from .jsonfile import _check_keys, _two, _whole, read_json, write_json
 from .synth import (
     NoiseSpec,
+    _scene_names,
     _validate_ranges,
     default_ratios,
     generate_cohort,
@@ -63,8 +63,6 @@ from .targets import (
 log = logging.getLogger("scanloc")
 
 _SYNTH_KEYS = {"n", "seed", "pose", "torso", "ratios", "noise", "cameras"}
-# a start:stop:step threshold range may span at most this many steps
-MAX_THRESHOLDS = 1000
 
 
 def _scene_dir(path) -> str:
@@ -74,29 +72,6 @@ def _scene_dir(path) -> str:
     if os.path.basename(path) == "scene.json" and os.path.isfile(path):
         return os.path.dirname(path) or "."
     raise ConfigError(f"not a scene directory or scene.json: {path}")
-
-
-def _parse_thresholds(text: str):
-    try:
-        numbers = [float(x) for x in text.split(":" if ":" in text else ",")]
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError
-        if ":" in text:
-            start, stop, step = numbers
-            if step <= 0 or stop < start or not (stop - start) / step <= MAX_THRESHOLDS:
-                raise ValueError
-            count = int(round((stop - start) / step))
-            values = [start + i * step for i in range(count + 1)
-                      if start + i * step <= stop + 1e-9]
-        else:
-            values = numbers
-        if not values or any(v <= 0 for v in values):
-            raise ValueError
-        return tuple(values)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"thresholds must be start:stop:step or a comma list of mm, got {text!r}"
-        )
 
 
 # subcommand handlers -----------------------------------------------------------
@@ -112,12 +87,12 @@ def _parse_intrinsics(data) -> PinholeCamera:
 def _cmd_calibrate(args) -> int:
     samples = load_samples(args.samples)
     camera = read_json(args.intrinsics, _parse_intrinsics) if args.intrinsics else None
-    pairs = build_motion_pairs(samples, all_pairs=args.all_pairs)
+    pairs = build_motion_pairs(samples, all_pairs=True)
     pose = solve_park_martin(pairs)
     residual = mean_residual(pairs, pose)
     log.info(
-        "calibrated from %d samples (all_pairs=%s): mean rotation residual %.3e rad",
-        len(samples), args.all_pairs, residual,
+        "calibrated from %d samples (%d motion pairs): mean rotation residual %.3e rad",
+        len(samples), len(pairs), residual,
     )
     output = {"pose": pose.to_dict()} if camera is None else replace(camera, pose=pose).to_dict()
     write_json(args.out, output)
@@ -157,9 +132,16 @@ def _parse_synth_config(data):
 
 def _cmd_synth(args) -> int:
     config = read_json(args.config, _parse_synth_config)
+    # scenes of another run left beside these would join the cohort that fit reads
+    if os.path.isdir(args.out) and _scene_names(args.out):
+        raise ConfigError(f"--out {args.out} already holds scene_* directories")
     log.info("generating %d %s-pose scenes, master seed %d",
              config["n"], config["pose_kind"], config["seed"])
-    save_cohort(generate_cohort(**config), args.out)
+    try:
+        scenes = generate_cohort(**config)
+    except ScanlocError as exc:
+        raise MalformedFileError(f"{args.config}: {exc}") from None
+    save_cohort(scenes, args.out)
     log.info("wrote %d scenes to %s", config["n"], args.out)
     return 0
 
@@ -196,6 +178,8 @@ def _cmd_fit(args) -> int:
 def _cmd_localize(args) -> int:
     scene = load_scene(_scene_dir(args.scene))
     params = load_params(args.params)
+    if not (params.front if scene.pose_kind == "front" else params.side):
+        raise ConfigError(f"{args.params} holds no ratios for a {scene.pose_kind} scene")
     cloud = scene_cloud(scene, args.voxel)
     poses = localize(
         scene.cameras[0], scene.cameras[1], scene.observation, cloud,
@@ -226,12 +210,12 @@ def _cmd_evaluate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     # the run's settings, echoed into summary.json
     config = {"target_id": args.target, "voxel_m": args.voxel,
-              "normal_radius_m": NORMAL_RADIUS, "thresholds_mm": list(args.thresholds)}
+              "normal_radius_m": NORMAL_RADIUS, "thresholds_mm": list(DEFAULT_THRESHOLDS_MM)}
     log.info("evaluate config: %s", json.dumps(config, sort_keys=True))
     clouds = [scene_cloud(scene, args.voxel) for scene in scenes]
 
     folds = loocv(scenes, args.target, clouds=clouds)
-    table = success_table(folds, args.thresholds)
+    table = success_table(folds)
     summary = summarize(folds)
     results = []
     for scene, cloud in zip(scenes, clouds):
@@ -277,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output calibration JSON")
     p.add_argument("--intrinsics", help="JSON with fx, fy, cx, cy, width, height "
                                         "to embed alongside the solved pose")
-    p.add_argument("--all-pairs", action="store_true",
-                   help="use every sample pair instead of consecutive ones")
     p.set_defaults(handler=_cmd_calibrate)
 
     p = sub.add_parser("synth", help="generate a synthetic scene cohort")
@@ -309,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="leave-one-out evaluation reports")
     p.add_argument("--scenes", required=True, help="cohort directory")
     p.add_argument("--target", type=int, choices=TARGET_IDS, required=True)
-    p.add_argument("--thresholds", type=_parse_thresholds,
-                   default=DEFAULT_THRESHOLDS_MM,
-                   help="success thresholds in mm, start:stop:step or comma list")
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--voxel", type=float, default=DEFAULT_EVAL_VOXEL)
     # accepted only as 1, because the benchmark's evaluate-noisy argv still passes it

@@ -2,11 +2,12 @@
 
 Each sample pairs the robot gripper pose in the base frame with a marker
 (tag) pose in the camera frame, where the tag is rigidly mounted on the
-gripper and the camera is rigidly mounted in the workspace.  Consecutive
+gripper and the camera is rigidly mounted in the workspace.  Pairs of
 samples produce relative-motion pairs (A, B) satisfying A @ X = X @ B for
 the unknown camera-to-base transform X, which is then solved in closed
-form: rotation via the log-vector normal equations, translation via
-stacked linear least squares.
+form (Park & Martin): rotation via the log-vector normal equations,
+translation via stacked linear least squares.  `scanloc calibrate` pairs
+every two samples; the library pairs consecutive ones by default.
 """
 
 from __future__ import annotations
@@ -68,12 +69,17 @@ def build_motion_pairs(
 
     Consecutive samples (i, i+1) are paired by default; all_pairs=True uses
     every unordered sample pair instead, which squares the equation count
-    on noisy recordings.  Pairs whose gripper motion rotates less than
-    MIN_ROTATION_RAD are dropped: they constrain nothing but noise.
+    and gives the smaller error on noisy recordings.  The rotation solve
+    needs three motion pairs, so fewer than 4 samples paired consecutively,
+    or 3 with every pair, raise InsufficientSamplesError.  Pairs whose
+    gripper motion rotates less than MIN_ROTATION_RAD are dropped: they
+    constrain nothing but noise.
     """
-    if len(samples) < 3:
+    needed = 3 if all_pairs else 4
+    if len(samples) < needed:
+        pairing = "every pair" if all_pairs else "consecutive pairs"
         raise InsufficientSamplesError(
-            f"need at least 3 samples to calibrate, got {len(samples)}"
+            f"need at least {needed} samples to calibrate from {pairing}, got {len(samples)}"
         )
     if all_pairs:
         index_pairs = [

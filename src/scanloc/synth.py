@@ -605,11 +605,16 @@ def save_cohort(scenes, directory) -> None:
         save_scene(scene, os.path.join(directory, f"scene_{scene.scene_id:03d}"))
 
 
-def load_cohort(directory) -> list[SyntheticScene]:
-    names = sorted(
+def _scene_names(directory) -> list[str]:
+    """The scene_* subdirectories of `directory`, sorted."""
+    return sorted(
         d for d in os.listdir(directory)
         if d.startswith("scene_") and os.path.isdir(os.path.join(directory, d))
     )
+
+
+def load_cohort(directory) -> list[SyntheticScene]:
+    names = _scene_names(directory)
     if not names:
         raise ConfigError(f"no scene_* directories under {directory}")
     return [load_scene(os.path.join(directory, name)) for name in names]

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import oracle_side_target, small_cameras, synthesize_pose_pairs
 from scanloc import cli
-from scanloc.cli import _parse_thresholds, build_parser, main
+from scanloc.cli import build_parser, main
 from scanloc.cloud import FusedCloud, write_pfm
-from scanloc.geometry import PinholeCamera, RigidTransform
+from scanloc.geometry import PinholeCamera, RigidTransform, angle_axis_to_rotation
+from scanloc.handeye import PosePairSample, build_motion_pairs, load_samples, solve_park_martin
 
 
 def edited_cameras(**fields):
@@ -66,23 +67,6 @@ def side_cohort_dir(tmp_path_factory):
     return scenes
 
 
-class TestThresholdParsing:
-    def test_colon_range(self):
-        assert _parse_thresholds("5:40:5") == tuple(float(t) for t in range(5, 45, 5))
-
-    def test_comma_list(self):
-        assert _parse_thresholds("5,10,25") == (5.0, 10.0, 25.0)
-
-    def test_single_value(self):
-        assert _parse_thresholds("25") == (25.0,)
-
-    def test_rejects_garbage(self):
-        for text in ("", "abc", "10:5:5", "5:40:0", "-5,10", "5:inf:5", "nan", "inf", "5,nan",
-                     "1e-300:1e300:1e-300", "1:1e9:1"):
-            with pytest.raises(argparse.ArgumentTypeError):
-                _parse_thresholds(text)
-
-
 class TestExitCodes:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -99,6 +83,19 @@ class TestExitCodes:
             main(["evaluate", "--scenes", str(tmp_path), "--target", "9",
                   "--out", str(tmp_path / "r")])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--scenes", "{dir}", "--target", "1", "--thresholds", "5:40:5"],
+        ["calibrate", "--samples", "{dir}/samples.json", "--all-pairs"],
+    ], ids=["evaluate-thresholds", "calibrate-all-pairs"])
+    def test_fixed_table_and_pairing_take_no_option(self, tmp_path, argv):
+        """`evaluate` always writes the 5-40 mm table and `calibrate` always
+        pairs every sample."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(dir=tmp_path) for arg in argv] + ["--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
 
     def test_missing_input_exits_1(self, tmp_path):
         code = main(["evaluate", "--scenes", str(tmp_path / "nope"), "--target", "1",
@@ -149,14 +146,32 @@ class TestSynth:
         assert info.value.code == 2
         assert not (tmp_path / "out").exists()
 
+    def test_refuses_an_out_holding_scenes(self, tmp_path, caplog):
+        """A 2-scene run into a 4-scene cohort would leave scenes 2 and 3 of
+        another seed for `fit` to train on: it generates nothing instead."""
+        config = tmp_path / "synth.json"
+        write_synth_config(config, n=4, seed=3)
+        out = tmp_path / "scenes"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        write_synth_config(config, n=2, seed=4)
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+        assert_one_line_error(caplog, f"--out {out}")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
-def write_calibration_samples(path, n, seed) -> RigidTransform:
-    """Write `n` exact pose-pair samples of a random camera pose; return that pose."""
-    x_true, samples = synthesize_pose_pairs(np.random.default_rng(seed), n)
+
+def write_samples(path, samples) -> None:
     path.write_text(json.dumps([
         {"gripper_in_base": s.gripper_in_base.to_dict(), "tag_in_camera": s.tag_in_camera.to_dict()}
         for s in samples
     ]))
+
+
+def write_calibration_samples(path, n, seed) -> RigidTransform:
+    """Write `n` exact pose-pair samples of a random camera pose; return that pose."""
+    x_true, samples = synthesize_pose_pairs(np.random.default_rng(seed), n)
+    write_samples(path, samples)
     return x_true
 
 
@@ -181,11 +196,40 @@ class TestCalibrate:
         x_true = write_calibration_samples(samples_file, 8, seed=10)
         out = tmp_path / "pose.json"
         assert main(["calibrate", "--samples", str(samples_file),
-                     "--out", str(out), "--all-pairs"]) == 0
+                     "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert set(data) == {"pose"}
         pose = RigidTransform.from_dict(data["pose"])
         assert np.linalg.norm(pose.as_matrix() - x_true.as_matrix()) < 1e-9
+
+    def test_recovers_camera_pose_from_three_samples(self, tmp_path):
+        """Three samples give three motion pairs only when every pair is used."""
+        samples_file = tmp_path / "samples.json"
+        x_true = write_calibration_samples(samples_file, 3, seed=12)
+        out = tmp_path / "pose.json"
+        assert main(["calibrate", "--samples", str(samples_file), "--out", str(out)]) == 0
+        pose = RigidTransform.from_dict(json.loads(out.read_text())["pose"])
+        assert np.linalg.norm(pose.as_matrix() - x_true.as_matrix()) < 1e-9
+
+    def test_writes_the_every_pair_solve(self, tmp_path):
+        """On a noisy recording, where the two pairings solve to different
+        poses, the pose written is bitwise the solve over every sample pair."""
+        rng = np.random.default_rng(13)
+        _, exact = synthesize_pose_pairs(rng, 12)
+        samples_file = tmp_path / "samples.json"
+        write_samples(samples_file, [
+            PosePairSample(s.gripper_in_base, RigidTransform(
+                angle_axis_to_rotation(rng.normal(0, np.radians(0.3), 3)) @ s.tag_in_camera.rotation,
+                s.tag_in_camera.translation + rng.normal(0, 0.001, 3)))
+            for s in exact
+        ])
+        out = tmp_path / "pose.json"
+        assert main(["calibrate", "--samples", str(samples_file), "--out", str(out)]) == 0
+        samples = load_samples(samples_file)
+        every_pair = solve_park_martin(build_motion_pairs(samples, all_pairs=True))
+        assert json.loads(out.read_text())["pose"] == every_pair.to_dict()
+        consecutive = solve_park_martin(build_motion_pairs(samples))
+        assert consecutive.to_dict() != every_pair.to_dict()
 
 
 # sha256 of what `fit`, `localize` and `evaluate --target 1` write for the
@@ -274,8 +318,7 @@ class TestPipeline:
         assert not out.exists()
 
     def test_evaluate_smoke_and_determinism(self, cohort_dir, tmp_path):
-        argv = ["evaluate", "--scenes", str(cohort_dir), "--target", "1",
-                "--thresholds", "5:40:5", "--voxel", "0.004"]
+        argv = ["evaluate", "--scenes", str(cohort_dir), "--target", "1", "--voxel", "0.004"]
         assert main(argv + ["--out", str(tmp_path / "r1")]) == 0
         assert main(argv + ["--out", str(tmp_path / "r2")]) == 0
         for name in ("summary.json", "folds.csv", "success_table.csv",
@@ -342,12 +385,12 @@ class TestPipeline:
 
 # every subcommand's options; a new flag is a deliberate edit here
 CLI_OPTIONS = {
-    "calibrate": {"--samples", "--out", "--intrinsics", "--all-pairs"},
+    "calibrate": {"--samples", "--out", "--intrinsics"},
     "synth": {"--config", "--out"},
     "fuse": {"--scene", "--out", "--voxel"},
     "fit": {"--dataset", "--target", "--out"},
     "localize": {"--scene", "--params", "--out", "--voxel"},
-    "evaluate": {"--scenes", "--target", "--thresholds", "--out", "--voxel", "--jobs"},
+    "evaluate": {"--scenes", "--target", "--out", "--voxel", "--jobs"},
 }
 
 
@@ -647,10 +690,11 @@ class TestMalformedInput:
             ({"front": {"1": {"r_f1": 10**400, "r_f2": 0.2}}}, "too large to convert to float"),
             ({**FRONT_PARAMS, "reference_axes": MIRRORED},
              "reference_axes side must be [1.0, 0.0, 0.0], got [-1, 0, 0]"),
+            ({"side": {"r_s1": 0.4, "r_s2": 0.15}}, "holds no ratios for a front scene"),
         ],
         ids=["non-numeric", "null", "missing", "target-id", "unsupported-target-id", "list",
              "short-axis", "front-not-object", "bool-ratio", "bool-axis", "huge-int-ratio",
-             "mirrored-axis"],
+             "mirrored-axis", "no-ratios-for-the-pose"],
     )
     def test_localize_on_bad_params_exits_1(self, cohort_dir, tmp_path, caplog, params, key):
         params_file = tmp_path / "params.json"
@@ -722,13 +766,17 @@ class TestMalformedInput:
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"ratios": {"front": {**FRONT_PARAMS["front"], "2": {"r_f1": 0.75, "r_f2": 0.5}},
                      "reference_axes": MIRRORED}}, "reference_axes side"),
+        ({"torso": {"shoulder_span": [0.5, 0.5]}}, "shoulder span must be narrower than the torso"),
+        ({"ratios": {"front": {"1": {"r_f1": 0.75, "r_f2": 5}, "2": {"r_f1": 0.75, "r_f2": 0.5}}}},
+         "falls off the torso surface"),
     ], ids=["n", "seed", "torso-scalar", "torso-interval", "keypoint-sigma", "depth-sigma",
             "nan-depth-sigma", "inf-keypoint-sigma", "no-scenes", "pose", "n-fraction", "seed-fraction", "n-bool", "seed-bool",
             "noise-seed-fraction", "torso-bool", "depth-sigma-bool",
             "front-ratios-lack-target-2", "front-ratios-name-target-7", "side-ratios-missing",
             "fault-prob-not-number",
             "camera-nan-fx", "camera-fractional-height", "cameras-not-list", "cameras-object",
-            "noise-seed", "negative-seed", "mirrored-axis"])
+            "noise-seed", "negative-seed", "mirrored-axis", "drawn-torso-refused",
+            "drawn-target-refused"])
     def test_synth_on_bad_config_value_exits_1(self, tmp_path, caplog, field, detail):
         config = tmp_path / "synth.json"
         write_synth_config(config, n=1)

@@ -45,8 +45,8 @@ class TestMotionPairs:
         y = random_transform(rng, trans_scale=0.1)
         grippers = [random_transform(rng) for _ in range(3)]
         samples = synthesize_samples(x_true, y, grippers)
-        pairs = build_motion_pairs(samples)
-        assert len(pairs) == 2
+        pairs = build_motion_pairs(samples, all_pairs=True)
+        assert len(pairs) == 3
         xm = x_true.as_matrix()
         for pair in pairs:
             diff = pair.a.as_matrix() @ xm - xm @ pair.b.as_matrix()
@@ -60,6 +60,18 @@ class TestMotionPairs:
         )
         with pytest.raises(InsufficientSamplesError):
             build_motion_pairs(samples)
+
+    def test_too_few_samples_for_three_pairs_name_the_count_needed(self):
+        rng = np.random.default_rng(37)
+        x_true = random_transform(rng)
+        samples = synthesize_samples(
+            x_true, random_transform(rng), [random_transform(rng) for _ in range(3)]
+        )
+        with pytest.raises(InsufficientSamplesError, match="need at least 4 samples .* got 3"):
+            build_motion_pairs(samples)
+        with pytest.raises(InsufficientSamplesError,
+                           match="need at least 3 samples to calibrate from every pair, got 2"):
+            build_motion_pairs(samples[:2], all_pairs=True)
 
     def test_near_identity_motions_dropped(self):
         rng = np.random.default_rng(33)
