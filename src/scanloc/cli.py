@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from .cloud import DEFAULT_VOXEL, NORMAL_RADIUS, _check_fusion_options
-from .errors import ConfigError, InvalidRangeError, MalformedFileError, ScanlocError
+from .errors import ConfigError, MalformedFileError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
@@ -107,10 +107,10 @@ def _parse_synth_config(data):
     n = _whole(data["n"], "n")
     seed = _whole(data.get("seed", 0), "seed")
     if seed < 0:
-        raise InvalidRangeError(f"seed must be >= 0, got {seed}")
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     pose_kind = str(data.get("pose", "front"))
     if n < 1 or pose_kind not in POSE_KINDS:
-        raise InvalidRangeError(f"need n >= 1 and pose 'front' or 'side', got {n}, {pose_kind!r}")
+        raise ConfigError(f"need n >= 1 and pose 'front' or 'side', got {n}, {pose_kind!r}")
     ranges = _validate_ranges(data.get("torso", {}))
     ratios = params_from_dict(data["ratios"]) if "ratios" in data else default_ratios()
     if pose_kind == "front" and not set(FRONT_TARGET_IDS) <= set(ratios.front):

@@ -38,14 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyCloudError,
-    InvalidArrayError,
-    InvalidQueryError,
-    InvalidRangeError,
-    MalformedFileError,
-    VoxelKeyOverflowError,
-)
+from .errors import ConfigError, MalformedFileError, ScanlocError
 from .geometry import MIN_DEPTH, PinholeCamera, _floor_in
 
 # Depth readings beyond this are treated as invalid (sensor range limit).
@@ -68,7 +61,7 @@ class DepthMap:
     def __post_init__(self):
         v = np.array(self.values, dtype=float)  # always a copy, made once
         if v.ndim != 2:
-            raise InvalidArrayError(f"depth map must be 2D, got shape {v.shape}")
+            raise ConfigError(f"depth map must be 2D, got shape {v.shape}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -109,7 +102,7 @@ def write_pfm(path, values) -> None:
     """Write a grayscale PFM file (little-endian, rows stored bottom-up)."""
     v = np.asarray(values, dtype="<f4")
     if v.ndim != 2:
-        raise InvalidArrayError("PFM writer expects a 2D array")
+        raise ConfigError("PFM writer expects a 2D array")
     with open(path, "wb") as fh:
         fh.write(b"Pf\n")
         fh.write(f"{v.shape[1]} {v.shape[0]}\n".encode("ascii"))
@@ -192,7 +185,7 @@ class FusedCloud:
     until `points` is first read (as `len`, `save`, `normals`,
     `planar_nearest` and `normal_at` do).  That read deprojects every valid
     pixel, builds the voxel grid if the cloud has a voxel, and drops the
-    views; it raises VoxelKeyOverflowError if the grid's keys do not fit in
+    views; it raises ScanlocError if the grid's keys do not fit in
     int64.  A snap before it on a voxel grid deprojects only the pixels that
     can see its key window (`_snap`).
     """
@@ -201,13 +194,13 @@ class FusedCloud:
         pts = np.asarray(points, dtype=float)
         nrm = np.asarray(normals, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape != nrm.shape:
-            raise InvalidArrayError("points and normals must both have shape (N, 3)")
+            raise ConfigError("points and normals must both have shape (N, 3)")
         self._set_points(pts.copy())  # the caller still holds `points`
         if not np.all(np.isfinite(nrm)):
-            raise InvalidArrayError("cloud coordinates must be finite")
+            raise ConfigError("cloud coordinates must be finite")
         lengths = np.linalg.norm(nrm, axis=1)
         if np.any(np.abs(lengths - 1.0) > 1e-5):
-            raise InvalidArrayError("normals must be unit length")
+            raise ConfigError("normals must be unit length")
         self._normals = nrm.copy()
         self._toward = None
 
@@ -231,9 +224,9 @@ class FusedCloud:
 
     def _set_points(self, pts: np.ndarray) -> None:
         if len(pts) == 0:
-            raise EmptyCloudError("a fused cloud needs at least one point")
+            raise ScanlocError("a fused cloud needs at least one point")
         if not np.all(np.isfinite(pts)):
-            raise InvalidArrayError("cloud coordinates must be finite")
+            raise ConfigError("cloud coordinates must be finite")
         pts.flags.writeable = False
         self._points, self._raw = pts, None
 
@@ -241,7 +234,7 @@ class FusedCloud:
     def points(self) -> np.ndarray:
         """The cloud's points, (N, 3), read-only.  On a cloud from `fuse` the
         first read deprojects its views, builds the voxel grid if it has a
-        voxel (raising VoxelKeyOverflowError if the keys do not fit in int64)
+        voxel (raising ScanlocError if the keys do not fit in int64)
         and drops the views."""
         if self._points is None:
             views, voxel = self._raw
@@ -288,7 +281,7 @@ class FusedCloud:
         its normals face; `load` estimates the normals again, so none is written.
         The points are built before the file opens: a refused grid leaves no file."""
         if self._toward is None:
-            raise InvalidArrayError(
+            raise ConfigError(
                 "a cloud with given normals has no file form: .cloud files hold no normals")
         points = self.points
         with open(path, "wb") as fh:
@@ -329,15 +322,15 @@ def fuse(
     _check_fusion_options(voxel)
     held = [view for view in (_View(camera, depth) for camera, depth in views) if view.count]
     if not held:
-        raise EmptyCloudError("no valid depth pixels in any view")
+        raise ScanlocError("no valid depth pixels in any view")
     toward = np.mean([camera.center for camera, _ in views], axis=0)
     return FusedCloud._of_views(held, voxel, toward)
 
 
 def _check_fusion_options(voxel: float) -> None:
-    """Raise InvalidRangeError unless `fuse` accepts this voxel size."""
+    """Raise ConfigError unless `fuse` accepts this voxel size."""
     if not (math.isfinite(voxel) and voxel >= 0):
-        raise InvalidRangeError(f"voxel must be a finite size >= 0 m, got {voxel!r}")
+        raise ConfigError(f"voxel must be a finite size >= 0 m, got {voxel!r}")
 
 
 class _View:
@@ -430,7 +423,7 @@ def _deproject_views(views: list[_View]) -> np.ndarray:
 def _key_bounds(rows: np.ndarray, voxel: float):
     """Each coordinate row's lowest voxel key (floats) and key span (ints).
 
-    Raises VoxelKeyOverflowError unless the keys pack into one int64.
+    Raises ScanlocError unless the keys pack into one int64.
     """
     # floor(x / voxel) never decreases with x, so a row's key bounds are the
     # keys of its own bounds
@@ -438,7 +431,7 @@ def _key_bounds(rows: np.ndarray, voxel: float):
     in_range = np.abs([lo, hi]).max() < 2.0**63
     spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)] if in_range else None
     if spans is None or math.prod(spans) > np.iinfo(np.int64).max:
-        raise VoxelKeyOverflowError(
+        raise ScanlocError(
             f"voxel size {voxel:g} m is too small to key this cloud's extent in int64"
         )
     return lo, spans
@@ -589,10 +582,10 @@ def _pca_normals(points: np.ndarray, toward: np.ndarray, index: np.ndarray,
 
 
 def _query_xy(target) -> np.ndarray:
-    """The XY of a planar query; raises InvalidQueryError unless it has two finite ones."""
+    """The XY of a planar query; raises ConfigError unless it has two finite ones."""
     t = np.asarray(target, dtype=float).reshape(-1)[:2]
     if len(t) < 2 or not np.all(np.isfinite(t)):
-        raise InvalidQueryError(f"a planar query needs finite X and Y coordinates, got {t}")
+        raise ConfigError(f"a planar query needs finite X and Y coordinates, got {t}")
     return t
 
 

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import FusedCloud, _snap, _valid_depths, fuse
-from .errors import (
-    ConfigError,
-    InsufficientDataError,
-    MissingPixelError,
-    NoValidFoldsError,
-)
+from .errors import ConfigError, ImplausibleKeypointsError, ScanlocError
 from .geometry import Pixel, angle_between_degrees, triangulate
 from .jsonfile import write_json
 from .synth import SyntheticScene
@@ -79,12 +74,12 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
     visible in both views, or triangulates to a segment that is not
     human-scale (a grossly displaced detection; see `pose_keypoints`).  A
     dropped joint off the segment is logged once, naming the scene.  A
-    scene without ground truth for the target raises InsufficientDataError.
+    scene without ground truth for the target raises ScanlocError.
     """
     pose_kind = pose_kind_for_target(target_id)
     needed = required_joints(pose_kind)
     if target_id not in scene.targets_true:
-        raise InsufficientDataError(
+        raise ScanlocError(
             f"scene {scene.scene_id} has no ground truth for target {target_id}"
         )
     for joint in needed:
@@ -97,7 +92,7 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
     try:
         kps, dropped = pose_keypoints(scene.cameras[0], scene.cameras[1], scene.observation,
                                       pose_kind)
-    except ValueError as exc:
+    except ImplausibleKeypointsError as exc:
         return None, f"implausible keypoints: {exc}"
     for joint, reason in dropped.items():
         log.warning("scene %d: dropping %s: %s", scene.scene_id, joint, reason)
@@ -136,7 +131,7 @@ def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
     pose_kind = pose_kind_for_target(target_id)
     scenes = list(scenes)
     if len(scenes) < 2:
-        raise InsufficientDataError(f"leave-one-out needs >= 2 scenes, got {len(scenes)}")
+        raise ScanlocError(f"leave-one-out needs >= 2 scenes, got {len(scenes)}")
     samples, faults = cohort_samples(scenes, target_id)
 
     folds = []
@@ -175,7 +170,7 @@ def success_table(folds, thresholds_mm=DEFAULT_THRESHOLDS_MM) -> SuccessTable:
     """Success = valid fold with position error within the threshold."""
     folds = list(folds)
     if not folds:
-        raise InsufficientDataError("success table needs at least one fold")
+        raise ScanlocError("success table needs at least one fold")
     thresholds = tuple(float(t) for t in thresholds_mm)
     rates, counts = {}, {}
     for target_id in sorted({f.target_id for f in folds}):
@@ -196,7 +191,7 @@ def summarize(folds) -> dict:
     folds = list(folds)
     valid = [f for f in folds if not f.faulty]
     if not valid:
-        raise NoValidFoldsError("every fold is faulty; nothing to summarize")
+        raise ScanlocError("every fold is faulty; nothing to summarize")
     pos = np.array([f.position_error_mm for f in valid])
     ang = np.array([f.normal_error_deg for f in valid])
 
@@ -250,7 +245,7 @@ def _nearest_valid_depth(depth_map, pixel: Pixel):
         u, v = u0 + du, v0 + dv
         if 0 <= u < depth_map.width and 0 <= v < depth_map.height and valid[v - top, u - left]:
             return float(depth_map.values[v, u])
-    raise MissingPixelError(
+    raise ScanlocError(
         f"no valid depth within {NEAREST_PIXEL_RADIUS} px of ({pixel.u:.1f}, {pixel.v:.1f})"
     )
 

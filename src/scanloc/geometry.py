@@ -20,12 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometryError,
-    InvalidArrayError,
-    NonPositiveDepthError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, ScanlocError
 from .jsonfile import _check_keys, _finite, _whole
 
 # Constructors reject matrices farther than this from the orthonormal group.
@@ -47,25 +42,25 @@ def _floor_in(dtype: np.dtype, bound: float) -> np.floating:
 def _as_vec3(value, name: str) -> np.ndarray:
     v = np.asarray(value, dtype=float).reshape(-1)
     if v.shape != (3,):
-        raise InvalidArrayError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
+        raise ConfigError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
     if not np.all(np.isfinite(v)):
-        raise InvalidArrayError(f"{name} must be finite, got {v}")
+        raise ConfigError(f"{name} must be finite, got {v}")
     return v
 
 
 def _pixel_coordinates(pixels) -> tuple:
     """The u and v of one pixel (2,), of N pixels (N, 2), or of a tuple (u, v)
-    whose two parts have one shape; raises InvalidArrayError for any other
+    whose two parts have one shape; raises ConfigError for any other
     shape.  Neither part is copied."""
     if isinstance(pixels, tuple) and len(pixels) == 2:
         u, v = pixels
     else:
         uv = np.asarray(pixels)
         if uv.ndim not in (1, 2) or uv.shape[-1] != 2:
-            raise InvalidArrayError(f"pixels must have shape (2,) or (N, 2), got {uv.shape}")
+            raise ConfigError(f"pixels must have shape (2,) or (N, 2), got {uv.shape}")
         u, v = np.moveaxis(uv, -1, 0)
     if np.shape(u) != np.shape(v):
-        raise InvalidArrayError(f"pixel u and v differ in shape: {np.shape(u)} and {np.shape(v)}")
+        raise ConfigError(f"pixel u and v differ in shape: {np.shape(u)} and {np.shape(v)}")
     return u, v
 
 
@@ -91,13 +86,13 @@ class RigidTransform:
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=float)
         if rot.shape != (3, 3):
-            raise InvalidArrayError(f"rotation must be 3x3, got shape {rot.shape}")
+            raise ConfigError(f"rotation must be 3x3, got shape {rot.shape}")
         if not np.all(np.isfinite(rot)):
-            raise InvalidArrayError("rotation must be finite")
+            raise ConfigError("rotation must be finite")
         if np.linalg.norm(rot.T @ rot - np.eye(3)) > _ROTATION_ATOL:
-            raise InvalidArrayError("rotation matrix is not orthonormal")
+            raise ConfigError("rotation matrix is not orthonormal")
         if np.linalg.det(rot) < 0:
-            raise InvalidArrayError("rotation matrix is a reflection (det < 0)")
+            raise ConfigError("rotation matrix is a reflection (det < 0)")
         trans = _as_vec3(self.translation, "translation")
         rot = rot.copy()
         rot.flags.writeable = False
@@ -113,7 +108,7 @@ class RigidTransform:
     def from_matrix(cls, matrix) -> "RigidTransform":
         m = np.asarray(matrix, dtype=float)
         if m.shape != (4, 4):
-            raise InvalidArrayError(f"expected a 4x4 matrix, got shape {m.shape}")
+            raise ConfigError(f"expected a 4x4 matrix, got shape {m.shape}")
         return cls(m[:3, :3], m[:3, 3])
 
     @classmethod
@@ -138,7 +133,7 @@ class RigidTransform:
         many come back as a view of its coordinate rows."""
         p = np.asarray(points, dtype=float)
         if p.ndim not in (1, 2) or p.shape[-1] != 3:
-            raise InvalidArrayError(f"points must have shape (3,) or (N, 3), got {p.shape}")
+            raise ConfigError(f"points must have shape (3,) or (N, 3), got {p.shape}")
         return self.apply_rows(p.T).T
 
     def apply_rows(self, rows, out=None) -> np.ndarray:
@@ -189,7 +184,7 @@ def angle_axis_to_rotation(angle_axis) -> np.ndarray:
     x, y, z = v.tolist()
     angle = math.sqrt(x * x + y * y + z * z)
     if not math.isfinite(angle):
-        raise InvalidArrayError(f"angle_axis {v} has no finite angle")
+        raise ConfigError(f"angle_axis {v} has no finite angle")
     if angle <= 1e-3:
         angle2 = angle * angle
         scale = 0.5 - angle2 / 48 + angle2 * angle2 / 3840
@@ -214,14 +209,14 @@ def rotation_to_angle_axis(rotation) -> np.ndarray:
     from the largest of the diagonal and the trace (Shoemake, SIGGRAPH 1985),
     is normalized and made canonical, and is scaled by angle / sin(angle/2),
     or its Taylor series at angles up to 1e-3.  A non-finite matrix, or one
-    whose determinant is not positive, raises InvalidArrayError."""
+    whose determinant is not positive, raises ConfigError."""
     rot = np.asarray(rotation, dtype=float)
     if rot.shape != (3, 3):
-        raise InvalidArrayError(f"rotation must be 3x3, got shape {rot.shape}")
+        raise ConfigError(f"rotation must be 3x3, got shape {rot.shape}")
     if not np.all(np.isfinite(rot)):
-        raise InvalidArrayError("rotation must be finite")
+        raise ConfigError("rotation must be finite")
     if not np.linalg.det(rot) > 0:
-        raise InvalidArrayError("rotation matrix must have a positive determinant")
+        raise ConfigError("rotation matrix must have a positive determinant")
     if not np.isclose(rot @ rot.T, np.eye(3), atol=1e-12).all():
         rot = RigidTransform.orthonormalized(rot, np.zeros(3)).rotation
     m = rot.tolist()
@@ -257,7 +252,7 @@ def angle_between_degrees(a, b) -> float:
     na = np.linalg.norm(va)
     nb = np.linalg.norm(vb)
     if na < 1e-12 or nb < 1e-12:
-        raise ZeroVectorError("cannot measure an angle against a zero vector")
+        raise ScanlocError("cannot measure an angle against a zero vector")
     cos = np.clip(np.dot(va / na, vb / nb), -1.0, 1.0)
     return float(np.degrees(np.arccos(cos)))
 
@@ -283,11 +278,11 @@ class PinholeCamera:
 
     def __post_init__(self):
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
-            raise InvalidArrayError("focal lengths must be positive and finite")
+            raise ConfigError("focal lengths must be positive and finite")
         if self.width <= 0 or self.height <= 0:
-            raise InvalidArrayError("image size must be positive")
+            raise ConfigError("image size must be positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise InvalidArrayError("principal point must lie inside the image")
+            raise ConfigError("principal point must lie inside the image")
 
     @property
     def center(self) -> np.ndarray:
@@ -310,11 +305,11 @@ class PinholeCamera:
         return [self.fx, self.fy] * p_cam[..., :2] / z + [self.cx, self.cy]
 
     def project(self, point) -> Pixel:
-        """`project_points` of one point; raises NonPositiveDepthError when the
+        """`project_points` of one point; raises ScanlocError when the
         point sits at or behind the camera plane."""
         uv = self.project_points(_as_vec3(point, "point"))
         if np.isnan(uv[0]):
-            raise NonPositiveDepthError(f"point {point} is at or behind the camera plane")
+            raise ScanlocError(f"point {point} is at or behind the camera plane")
         return Pixel(float(uv[0]), float(uv[1]))
 
     def deproject(self, pixels, depth, out=None) -> np.ndarray:
@@ -324,20 +319,20 @@ class PinholeCamera:
         a view of the points' three coordinate rows from `apply_rows`.  Those
         rows are written to `out`, a (3, N) float64 array, if given.  Pixels
         whose shape does not match the depths', or any other `out`, raise
-        InvalidArrayError, and a depth at or below MIN_DEPTH raises.  Float32
+        ConfigError, and a depth at or below MIN_DEPTH raises.  Float32
         depths are not copied: they are upcast, exactly, where they are
         multiplied and stored."""
         u, v = _pixel_coordinates(pixels)
         z = np.asarray(depth)
         if np.shape(u) != z.shape:
-            raise InvalidArrayError(f"{np.shape(u)} pixels do not match {z.shape} depths")
+            raise ConfigError(f"{np.shape(u)} pixels do not match {z.shape} depths")
         if out is not None and (np.shape(out) != (3,) + z.shape or out.dtype != np.float64):
-            raise InvalidArrayError(f"out must be a float64 array of shape {(3,) + z.shape}")
+            raise ConfigError(f"out must be a float64 array of shape {(3,) + z.shape}")
         if z.dtype != np.float32:
             z = z.astype(float, copy=False)
         bad = z[z <= _floor_in(z.dtype, MIN_DEPTH)]
         if bad.size:
-            raise NonPositiveDepthError(f"depth must be positive, got {float(bad[0])!r}")
+            raise ScanlocError(f"depth must be positive, got {float(bad[0])!r}")
         rows = np.empty((3,) + z.shape)  # camera-frame rows: (u - cx) * z / fx, ...
         # `rows[0, ...]` is a view even for one pixel, where `rows[0]` is a copy
         for row, pixel, centre, focal in ((rows[0, ...], u, self.cx, self.fx),
@@ -358,7 +353,7 @@ class PinholeCamera:
         """
         u, v = _pixel_coordinates(uv)
         if np.ndim(u) != 1:
-            raise InvalidArrayError(f"pixel_rays takes N pixels, got a pixel of shape {np.shape(uv)}")
+            raise ConfigError(f"pixel_rays takes N pixels, got a pixel of shape {np.shape(uv)}")
         rows = np.empty((3, len(u)))  # camera-frame direction rows
         rows[0] = (u - self.cx) / self.fx
         rows[1] = (v - self.cy) / self.fy
@@ -416,7 +411,7 @@ def triangulate(
     """
     baseline = np.linalg.norm(camera_a.center - camera_b.center)
     if baseline <= 1e-6:
-        raise DegenerateGeometryError(
+        raise ScanlocError(
             f"camera centers are {baseline:.2e} m apart; need a real baseline"
         )
     _, ray_a = camera_a.pixel_rays([pixel_a])
@@ -424,7 +419,7 @@ def triangulate(
     da = ray_a[0] / np.linalg.norm(ray_a[0])
     db = ray_b[0] / np.linalg.norm(ray_b[0])
     if np.linalg.norm(np.cross(da, db)) < 1e-9:
-        raise DegenerateGeometryError("viewing rays are parallel")
+        raise ScanlocError("viewing rays are parallel")
 
     rows = []
     for cam, pix in ((camera_a, pixel_a), (camera_b, pixel_b)):
@@ -434,5 +429,5 @@ def triangulate(
     _, _, vt = np.linalg.svd(np.asarray(rows))
     hom = vt[-1]
     if abs(hom[3]) < 1e-12 * np.linalg.norm(hom):
-        raise DegenerateGeometryError("triangulated point is at infinity")
+        raise ScanlocError("triangulated point is at infinity")
     return hom[:3] / hom[3]

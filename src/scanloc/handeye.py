@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientMotionError, InsufficientSamplesError
+from .errors import ConfigError, ScanlocError
 from .geometry import RigidTransform, rotation_to_angle_axis
 from .jsonfile import _check_keys, read_json
 
@@ -71,14 +71,14 @@ def build_motion_pairs(
     every unordered sample pair instead, which squares the equation count
     and gives the smaller error on noisy recordings.  The rotation solve
     needs three motion pairs, so fewer than 4 samples paired consecutively,
-    or 3 with every pair, raise InsufficientSamplesError.  Pairs whose
+    or 3 with every pair, raise ScanlocError.  Pairs whose
     gripper motion rotates less than MIN_ROTATION_RAD are dropped: they
     constrain nothing but noise.
     """
     needed = 3 if all_pairs else 4
     if len(samples) < needed:
         pairing = "every pair" if all_pairs else "consecutive pairs"
-        raise InsufficientSamplesError(
+        raise ScanlocError(
             f"need at least {needed} samples to calibrate from {pairing}, got {len(samples)}"
         )
     if all_pairs:
@@ -102,12 +102,12 @@ def build_motion_pairs(
         pairs.append(MotionPair(a, b))
         axes.append(alpha / angle)
 
-    if len(pairs) < 2:
-        raise InsufficientMotionError(
-            f"only {len(pairs)} motion pairs rotate enough to use; need at least 2"
+    if len(pairs) < 3:
+        raise ScanlocError(
+            f"only {len(pairs)} motion pairs rotate enough to use; need at least 3"
         )
     if _axes_all_parallel(axes):
-        raise InsufficientMotionError(
+        raise ScanlocError(
             "all motions rotate about (anti)parallel axes; rotate about a second axis"
         )
     return pairs
@@ -131,8 +131,8 @@ def solve_park_martin(pairs: list[MotionPair]) -> RigidTransform:
     and re-projected onto SO(3) by `RigidTransform.orthonormalized`.  Translation:
     stack (R_Ai - I) t_X = R_X t_Bi - t_Ai and solve by least squares.
     """
-    if len(pairs) < 2:
-        raise InsufficientMotionError("need at least 2 motion pairs")
+    if len(pairs) < 3:
+        raise ScanlocError("need at least 3 motion pairs")
 
     m = np.zeros((3, 3))
     for pair in pairs:
@@ -143,7 +143,7 @@ def solve_park_martin(pairs: list[MotionPair]) -> RigidTransform:
     mtm = m.T @ m
     eigvals, eigvecs = np.linalg.eigh(mtm)
     if eigvals[0] < 1e-12 * max(eigvals[-1], 1.0):
-        raise InsufficientMotionError(
+        raise ScanlocError(
             "motion axes do not span 3D; the rotation normal matrix is singular"
         )
     inv_sqrt = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
@@ -156,7 +156,7 @@ def solve_park_martin(pairs: list[MotionPair]) -> RigidTransform:
     )
     trans, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
     if rank < 3:
-        raise InsufficientMotionError(
+        raise ScanlocError(
             "translation system is rank-deficient; motions leave an axis unconstrained"
         )
     return RigidTransform(rot, trans)

@@ -13,21 +13,21 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, InvalidRangeError, MalformedFileError
+from .errors import ConfigError, MalformedFileError
 
 
 def read_json(path, parse):
     """`parse(data)` for the JSON value `data` in the UTF-8 file `path`.  Bytes
     that are not UTF-8, not JSON or nested too deeply to parse, and any
-    ConfigError, KeyError, OverflowError (an integer too large for a float),
-    TypeError or ValueError from `parse`, become one MalformedFileError naming
-    `path`; an OSError passes through."""
+    KeyError, OverflowError (an integer too large for a float), TypeError or
+    ValueError (ConfigError included) from `parse`, become one
+    MalformedFileError naming `path`; an OSError passes through."""
     with open(path, encoding="utf-8") as fh:
         try:
             return parse(json.load(fh))
         except KeyError as exc:
             raise MalformedFileError(f"{path}: missing key {exc}") from None
-        except (ConfigError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+        except (OverflowError, RecursionError, TypeError, ValueError) as exc:
             raise MalformedFileError(f"{path}: {exc}") from None
 
 
@@ -100,5 +100,5 @@ def _whole(value, name: str) -> int:
     if isinstance(value, bool) or not (
         isinstance(value, (int, float)) and float(value).is_integer()
     ):
-        raise InvalidRangeError(f"{name} must be a whole number, got {value!r}")
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cloud import DepthMap, read_pfm, write_pfm
-from .errors import (
-    CameraMissesTorsoError,
-    ConfigError,
-    InvalidRangeError,
-    MalformedFileError,
-)
+from .errors import ConfigError, MalformedFileError, ScanlocError
 from .geometry import MIN_DEPTH, PinholeCamera, Pixel, RigidTransform
 from .jsonfile import _as_lists, _check_keys, _finite, _two, _vectors, _whole, read_json, write_json
 from .targets import (
@@ -136,9 +131,9 @@ class NoiseSpec:
     def __post_init__(self):
         sigmas = (self.keypoint_sigma_px, self.depth_sigma_m)
         if not all(math.isfinite(s) and s >= 0 for s in sigmas):
-            raise InvalidRangeError(f"noise sigmas must be finite and nonnegative, got {sigmas}")
+            raise ConfigError(f"noise sigmas must be finite and nonnegative, got {sigmas}")
         if self.seed < 0:
-            raise InvalidRangeError(f"noise seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"noise seed must be >= 0, got {self.seed}")
         for joint, prob in self.fault_prob.items():
             if joint not in ALL_JOINTS:
                 raise ConfigError(f"unknown joint {joint!r} in fault probabilities")
@@ -293,7 +288,7 @@ def _check_visibility(cameras, torso: TorsoSpec) -> None:
     for index, camera in enumerate(cameras):
         fraction = float(np.mean(camera.contains(camera.project_points(samples))))
         if fraction < MIN_VISIBLE_FRACTION:
-            raise CameraMissesTorsoError(
+            raise ScanlocError(
                 f"camera {index} sees only {fraction:.0%} of the torso surface"
             )
 
@@ -336,7 +331,7 @@ def _exact_pixels(cameras, named_points: dict, what: str) -> tuple[dict, dict]:
         uv = camera.project_points(points)
         for name, px, ok in zip(names, uv, camera.contains(uv)):
             if not ok:
-                raise CameraMissesTorsoError(
+                raise ScanlocError(
                     f"{what} {name} projects outside camera {vi}"
                 )
             views[vi][name] = Pixel(float(px[0]), float(px[1]))
@@ -465,10 +460,10 @@ def _validate_ranges(ranges: dict) -> dict:
     for name, bounds in ranges.items():
         try:
             lo, hi = np.broadcast_to(_finite(bounds, name, () if np.isscalar(bounds) else (2,)), 2)
-        except (TypeError, ValueError):
+        except ConfigError:
             lo = hi = np.nan
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-            raise InvalidRangeError(f"invalid interval for {name}: {bounds!r}")
+            raise ConfigError(f"invalid interval for {name}: {bounds!r}")
         full[name] = (float(lo), float(hi))
     return full
 
@@ -486,11 +481,11 @@ def generate_cohort(n: int, ranges: dict | None = None,
     seed at 0.
     """
     if n < 1:
-        raise InvalidRangeError(f"cohort size must be >= 1, got {n}")
+        raise ConfigError(f"cohort size must be >= 1, got {n}")
     if seed < 0:
-        raise InvalidRangeError(f"seed must be >= 0, got {seed}")
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if noise.seed != 0:
-        raise InvalidRangeError(
+        raise ConfigError(
             f"a cohort draws each scene's noise seed from its seed; got noise seed {noise.seed}")
     full_ranges = _validate_ranges(ranges or {})
     ratios = ratios if ratios is not None else default_ratios()

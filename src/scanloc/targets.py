@@ -26,19 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cloud import FusedCloud, adjust_target
-from .errors import (
-    AmbiguousSignError,
-    ConfigError,
-    DegenerateAxisError,
-    DegenerateRollError,
-    ImplausibleKeypointsError,
-    InsufficientSamplesError,
-    InvalidRangeError,
-    MalformedFileError,
-    MissingKeypointError,
-    RankDeficientError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, ImplausibleKeypointsError, MalformedFileError, ScanlocError
 from .geometry import (
     PinholeCamera,
     Pixel,
@@ -127,7 +115,7 @@ class RatioPair:
 
     def __post_init__(self):
         if not (np.isfinite(self.segment_ratio) and np.isfinite(self.offset_ratio)):
-            raise InvalidRangeError("ratios must be finite")
+            raise ConfigError("ratios must be finite")
         if not (-1 < self.segment_ratio < 1 and -1 < self.offset_ratio < 1):
             log.warning(
                 "ratio pair (%.4f, %.4f) is outside the expected (-1, 1) range",
@@ -158,16 +146,16 @@ def perpendicular_planar_direction(start, end, reference) -> np.ndarray:
     seg = np.asarray(end, dtype=float) - np.asarray(start, dtype=float)
     length = np.linalg.norm(seg)
     if length < 1e-9:
-        raise DegenerateAxisError("keypoint segment has zero length")
+        raise ScanlocError("keypoint segment has zero length")
     t1 = seg / length
     planar = np.array([t1[1], -t1[0], 0.0])  # cross(t1, z)
     norm = np.linalg.norm(planar)
     if norm < _VERTICAL_TOL_RAD:
-        raise DegenerateAxisError("keypoint segment is vertical; no planar perpendicular")
+        raise ScanlocError("keypoint segment is vertical; no planar perpendicular")
     t2 = planar / norm
     sign = float(np.dot(t2, np.asarray(reference, dtype=float)))
     if abs(sign) < _SIGN_TOL:
-        raise AmbiguousSignError(
+        raise ScanlocError(
             "reference direction is perpendicular to the candidate axis; cannot pick a side"
         )
     return t2 if sign > 0 else -t2
@@ -218,13 +206,13 @@ def pose_kind_for_target(target_id: int) -> str:
         return "front"
     if target_id == SIDE_TARGET_ID:
         return "side"
-    raise InvalidRangeError(f"unsupported target id {target_id}; expected 1, 2 or 4")
+    raise ConfigError(f"unsupported target id {target_id}; expected 1, 2 or 4")
 
 
 def required_joints(pose_kind: str) -> tuple[str, str]:
     """The pose kind's segment joints: (start, end)."""
     if pose_kind not in SEGMENT_JOINTS:
-        raise InvalidRangeError(f"pose_kind must be 'front' or 'side', got {pose_kind!r}")
+        raise ConfigError(f"pose_kind must be 'front' or 'side', got {pose_kind!r}")
     return SEGMENT_JOINTS[pose_kind]
 
 
@@ -235,7 +223,7 @@ def _segment(keypoints: Keypoints3D, pose_kind: str):
     start, end = (getattr(keypoints, joint) for joint in joints)
     for joint, point in zip(joints, (start, end)):
         if point is None:
-            raise MissingKeypointError(f"{pose_kind} targets need {joint}, not seen in both views")
+            raise ScanlocError(f"{pose_kind} targets need {joint}, not seen in both views")
     if pose_kind == "front":
         return start, end, front_reference(keypoints)
     return start, end, LATERAL
@@ -262,7 +250,7 @@ class FitDataset:
 
     def __post_init__(self):
         if len(self.samples) < 1:
-            raise InsufficientSamplesError("a fit dataset needs at least one sample")
+            raise ScanlocError("a fit dataset needs at least one sample")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -286,7 +274,7 @@ def _lstsq_ratios(starts, segs, lengths, perps, targets) -> tuple[float, float, 
     rows = np.column_stack([segs.reshape(-1), offsets.reshape(-1)])
     solution, _, rank, _ = np.linalg.lstsq(rows, (targets - starts).reshape(-1), rcond=None)
     if rank < 2:
-        raise RankDeficientError(
+        raise ScanlocError(
             "planar design rows are collinear; samples do not pin down both ratios"
         )
     a, c = float(solution[0]), float(solution[1])
@@ -333,11 +321,11 @@ def fit_side(data: FitDataset) -> FitResult:
     The lateral model shoulder + a * seg + b * |a| * |seg| * t2 is linear
     in (a, c = b * |a|), so the same solver as the front fit gives the
     global optimum and b = c / |a|.  At a = 0 the target sits on the
-    shoulder and b is undefined: that raises RankDeficientError.
+    shoulder and b is undefined: that raises ScanlocError.
     """
     a, c, residual = _lstsq_ratios(*_sample_arrays(data, "side"))
     if a == 0.0:
-        raise RankDeficientError(
+        raise ScanlocError(
             "fitted segment ratio is 0; the offset ratio is not identifiable"
         )
     return FitResult(ratios=RatioPair(a, c / abs(a)), mean_planar_residual=residual)
@@ -365,15 +353,15 @@ def orientation_from_normal(normal, roll_reference) -> np.ndarray:
     n = np.asarray(normal, dtype=float)
     n_len = np.linalg.norm(n)
     if n_len < 1e-12:
-        raise ZeroVectorError("surface normal has zero length")
+        raise ScanlocError("surface normal has zero length")
     n = n / n_len
     ref = np.asarray(roll_reference, dtype=float)
     ref_len = np.linalg.norm(ref)
     if ref_len < 1e-12:
-        raise ZeroVectorError("roll reference has zero length")
+        raise ScanlocError("roll reference has zero length")
     proj = ref - np.dot(ref, n) * n
     if np.linalg.norm(proj) < ref_len * _VERTICAL_TOL_RAD:
-        raise DegenerateRollError("roll reference is parallel to the surface normal")
+        raise ScanlocError("roll reference is parallel to the surface normal")
     x_col = proj / np.linalg.norm(proj)
     z_col = -n
     y_col = np.cross(z_col, x_col)

@@ -4,7 +4,8 @@ A rule names a decision, the one `src/scanloc` module that owns it and an
 `ast` finder for the nodes that write it.  Three tests hold every rule: the
 finder sees its sample, the owner holds the decision, and no other module
 writes it.  A tripwire holds `tests/` to the same aim: no two helper
-functions or methods share a body.
+functions or methods share a body.  `ERROR_CLASSES` pins the exception
+vocabulary, so a new error class is a deliberate edit.
 """
 
 import ast
@@ -14,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from scanloc import targets
+from scanloc import errors, targets
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "scanloc"
@@ -76,6 +77,24 @@ def sideways_convention(node):
         return repr(node.value)
     name = called_name(node)
     return f"{name}()" if name in ("perpendicular_planar_direction", "front_reference") else None
+
+
+def exception_class(node):
+    """A class whose base is `Exception` or a name ending in `Error`."""
+    if isinstance(node, ast.ClassDef) and any(
+            name == "Exception" or name.endswith("Error")
+            for name in (getattr(base, "attr", getattr(base, "id", "")) for base in node.bases)):
+        return f"class {node.name}"
+    return None
+
+
+# each error class of `scanloc.errors` and its bases: one class per way a caller reacts
+ERROR_CLASSES = {
+    "ScanlocError": ("Exception",),
+    "ConfigError": ("ScanlocError", "ValueError"),
+    "MalformedFileError": ("ConfigError",),
+    "ImplausibleKeypointsError": ("ConfigError",),
+}
 
 
 VOCABULARIES = ({"front", "side"}, {1, 2, 4})
@@ -160,6 +179,16 @@ RULES = [
           "line 3: front_reference()"],
          lambda found: {"'reference_axes'", "perpendicular_planar_direction()",
                         "front_reference()"} <= set(found)),
+    Rule("exception", "errors.py",
+         "A caller reacts to a failure in one of four ways, and `errors.py` holds one "
+         "class for each; a failure is told apart from its kin by its message.  A "
+         "module that defines a class based on `Exception` or on an `...Error` is "
+         "adding a way to fail that no caller catches.",
+         exception_class,
+         "class A(Exception): pass\nclass B(ValueError): pass\n"
+         "class C(errors.ScanlocError): pass\nclass D: pass\nclass E(ErrorLog): pass\n",
+         ["line 1: class A", "line 2: class B", "line 3: class C"],
+         lambda found: sorted(found) == sorted(f"class {name}" for name in ERROR_CLASSES)),
 ]
 RULE_IDS = [rule.name for rule in RULES]
 OTHER_MODULES = [pytest.param(rule, path, id=f"{rule.name}-{path.name}")
@@ -180,6 +209,13 @@ def test_owner_holds_the_decision(rule):
 @pytest.mark.parametrize("rule, path", OTHER_MODULES)
 def test_no_other_module_writes_it(rule, path):
     assert findings(rule, path.read_text()) == [], f"only {rule.owner}: {rule.reason}"
+
+
+def test_error_classes_are_pinned():
+    defined = {name: tuple(base.__name__ for base in cls.__bases__)
+               for name, cls in vars(errors).items()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__}
+    assert defined == ERROR_CLASSES
 
 
 def shared_bodies(sources: dict[str, str]) -> list[list[str]]:

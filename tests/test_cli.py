@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import logging
+import re
 import shutil
 import warnings
 
@@ -13,12 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_side_target, small_cameras, synthesize_pose_pairs
+from helpers import oracle_side_target, small_cameras, spoil_a_number, synthesize_pose_pairs
 from scanloc import cli
 from scanloc.cli import build_parser, main
 from scanloc.cloud import FusedCloud, write_pfm
+from scanloc.errors import MalformedFileError
 from scanloc.geometry import PinholeCamera, RigidTransform, angle_axis_to_rotation
 from scanloc.handeye import PosePairSample, build_motion_pairs, load_samples, solve_park_martin
+from scanloc.jsonfile import read_json
+from scanloc.synth import default_ratios
+from scanloc.targets import params_to_dict
 
 
 def edited_cameras(**fields):
@@ -495,7 +500,49 @@ def main_stderr(argv) -> tuple[int, str]:
     return code, stream.getvalue()
 
 
+@pytest.fixture(scope="module")
+def full_synth_config():
+    """A synth config that sets every section: cameras, torso ranges (one an
+    interval, one a scalar), noise with a fault probability, and ratios."""
+    return json.dumps({
+        "n": 2, "seed": 5, "pose": "front",
+        "cameras": [c.to_dict() for c in small_cameras()],
+        "torso": {"half_width": [0.14, 0.18], "length": 0.5},
+        "noise": {"keypoint_sigma_px": 1.0, "depth_sigma_m": 0.002,
+                  "fault_prob": {"right_hip": 0.1}},
+        "ratios": params_to_dict(default_ratios()),
+    })
+
+
 class TestMalformedInput:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_any_number_of_calibration_samples_made_bad_is_refused(self, tmp_path_factory, data):
+        """Any number of a 6-sample calibration file replaced by a value that
+        is not a finite number fails as malformed, naming the file."""
+        _, samples = synthesize_pose_pairs(np.random.default_rng(12), 6)
+        path = tmp_path_factory.mktemp("samples") / "samples.json"
+        write_samples(path, samples)
+        items = json.loads(path.read_text())
+        spoil_a_number(data.draw, items)
+        path.write_text(json.dumps(items))
+        with pytest.raises(MalformedFileError, match=re.escape(str(path))):
+            load_samples(path)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_any_number_of_a_synth_config_made_bad_is_refused(self, full_synth_config,
+                                                              tmp_path_factory, data):
+        """Any number of a synth config replaced by a value that is not a
+        finite number fails as malformed, naming the file, before a scene is
+        generated."""
+        config = json.loads(full_synth_config)
+        spoil_a_number(data.draw, config)
+        path = tmp_path_factory.mktemp("synth") / "config.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(MalformedFileError, match=re.escape(str(path))):
+            read_json(path, cli._parse_synth_config)
+
     def test_fuse_on_truncated_pfm_exits_1(self, cohort_dir, tmp_path, caplog):
         scene = tmp_path / "scene"
         shutil.copytree(cohort_dir / "scene_001", scene)

@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from scanloc.cloud import DepthMap
-from scanloc.errors import (
-    ConfigError,
-    InsufficientDataError,
-    MissingPixelError,
-    NoValidFoldsError,
-)
+from scanloc.errors import ConfigError, ScanlocError
 from scanloc.evaluation import (
     FoldResult,
     backprojection_comparison,
@@ -106,7 +101,7 @@ class TestSuccessTable:
         assert table.rate(4, 10) == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ScanlocError, match="success table needs at least one fold"):
             success_table([], [10])
 
 
@@ -148,7 +143,7 @@ class TestSummarize:
         assert out["n_faulty"] == 1
 
     def test_all_faulty_rejected(self):
-        with pytest.raises(NoValidFoldsError):
+        with pytest.raises(ScanlocError, match="every fold is faulty; nothing to summarize"):
             summarize([faulty_fold(0), faulty_fold(1)])
 
     def test_reads_a_generator_once(self):
@@ -259,12 +254,12 @@ class TestLoocv:
 
     def test_too_few_scenes(self, front_cohort):
         scenes, clouds = front_cohort
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ScanlocError, match="leave-one-out needs >= 2 scenes, got 1"):
             loocv(scenes[:1], 1, clouds=clouds[:1])
 
     def test_missing_target_rejected(self, front_cohort):
         scenes, clouds = front_cohort
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ScanlocError, match=r"scene \d+ has no ground truth for target 4"):
             loocv(scenes, 4, clouds=clouds)  # front scenes carry no side-target truth
 
     def test_unknown_target_rejected(self, front_cohort):
@@ -381,7 +376,7 @@ class TestBackprojection:
         scenes, clouds = front_cohort
         empty = DepthMap(np.zeros((480, 640)))
         broken = replace(scenes[0], depths=(empty, empty))
-        with pytest.raises(MissingPixelError):
+        with pytest.raises(ScanlocError, match="no valid depth within 2 px of"):
             backprojection_comparison(broken, cloud=clouds[0])
 
     def test_nearest_depth_order(self):
@@ -394,7 +389,7 @@ class TestBackprojection:
         values[5, 7] = 0.8
         values[6, 6] = 0.2
         assert _nearest_valid_depth(DepthMap(values), Pixel(5.0, 5.0)) == 0.2
-        with pytest.raises(MissingPixelError):
+        with pytest.raises(ScanlocError, match=r"no valid depth within 2 px of \(5\.0, 5\.0\)"):
             _nearest_valid_depth(DepthMap(np.zeros((10, 10))), Pixel(5.0, 5.0))
 
     def test_nearest_depth_image_edge(self):
@@ -407,7 +402,7 @@ class TestBackprojection:
         values[5, 9] = 0.7
         assert _nearest_valid_depth(DepthMap(values), Pixel(11.0, 5.0)) == 0.7
         for far in (Pixel(-40.0, -40.0), Pixel(40.0, 5.0), Pixel(5.0, 12.5)):
-            with pytest.raises(MissingPixelError):
+            with pytest.raises(ScanlocError, match="no valid depth within 2 px of"):
                 _nearest_valid_depth(DepthMap(values), far)
 
     def test_median_pooling(self):

@@ -12,7 +12,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from helpers import random_transform, synthesize_samples
-from scanloc.errors import InsufficientMotionError, InsufficientSamplesError
+from scanloc.errors import ScanlocError
 from scanloc.geometry import RigidTransform, rotation_to_angle_axis
 from scanloc.handeye import (
     PosePairSample,
@@ -58,7 +58,7 @@ class TestMotionPairs:
         samples = synthesize_samples(
             x_true, random_transform(rng), [random_transform(rng) for _ in range(2)]
         )
-        with pytest.raises(InsufficientSamplesError):
+        with pytest.raises(ScanlocError, match="need at least 4 samples .* got 2"):
             build_motion_pairs(samples)
 
     def test_too_few_samples_for_three_pairs_name_the_count_needed(self):
@@ -67,9 +67,9 @@ class TestMotionPairs:
         samples = synthesize_samples(
             x_true, random_transform(rng), [random_transform(rng) for _ in range(3)]
         )
-        with pytest.raises(InsufficientSamplesError, match="need at least 4 samples .* got 3"):
+        with pytest.raises(ScanlocError, match="need at least 4 samples .* got 3"):
             build_motion_pairs(samples)
-        with pytest.raises(InsufficientSamplesError,
+        with pytest.raises(ScanlocError,
                            match="need at least 3 samples to calibrate from every pair, got 2"):
             build_motion_pairs(samples[:2], all_pairs=True)
 
@@ -84,6 +84,22 @@ class TestMotionPairs:
         pairs = build_motion_pairs(synthesize_samples(x_true, y, grippers))
         assert len(pairs) == 3  # 4 consecutive pairs, one dropped
 
+    def test_two_usable_pairs_rejected(self):
+        """Two motion pairs give a rotation normal matrix of rank at most 2,
+        which never solves; four samples whose first two share a gripper pose
+        leave exactly two."""
+        rng = np.random.default_rng(38)
+        x_true = random_transform(rng)
+        base = random_transform(rng)
+        grippers = [base, base, random_transform(rng), random_transform(rng)]
+        samples = synthesize_samples(x_true, random_transform(rng), grippers)
+        with pytest.raises(ScanlocError,
+                           match="only 2 motion pairs rotate enough to use; need at least 3"):
+            build_motion_pairs(samples)
+        pairs = build_motion_pairs(samples, all_pairs=True)
+        with pytest.raises(ScanlocError, match="need at least 3 motion pairs"):
+            solve_park_martin(pairs[:2])
+
     def test_pure_translation_motions_rejected(self):
         rng = np.random.default_rng(34)
         x_true = random_transform(rng)
@@ -93,7 +109,8 @@ class TestMotionPairs:
             RigidTransform(start.rotation, start.translation + [0.1 * i, 0.05 * i, 0])
             for i in range(5)
         ]
-        with pytest.raises(InsufficientMotionError):
+        with pytest.raises(ScanlocError,
+                           match="only 0 motion pairs rotate enough to use; need at least 3"):
             build_motion_pairs(synthesize_samples(x_true, y, grippers))
 
     def test_single_axis_motions_rejected(self):
@@ -107,7 +124,7 @@ class TestMotionPairs:
             )
             for i in range(5)
         ]
-        with pytest.raises(InsufficientMotionError):
+        with pytest.raises(ScanlocError, match=r"all motions rotate about \(anti\)parallel axes"):
             build_motion_pairs(synthesize_samples(x_true, y, grippers))
 
     def test_all_pairs_mode_uses_every_combination(self):
