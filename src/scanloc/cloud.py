@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, MalformedFileError, ScanlocError
 from .geometry import MIN_DEPTH, PinholeCamera, _floor_in
+from .jsonfile import _finite_number
 
 # Depth readings beyond this are treated as invalid (sensor range limit).
 MAX_DEPTH = 10.0
@@ -128,7 +129,7 @@ def read_pfm(path) -> np.ndarray:
             magic, width, height, scale = token(), int(token()), int(token()), float(token())
         except ValueError:
             raise MalformedFileError(f"{path}: PFM header is cut short or not numeric") from None
-        if magic != b"Pf" or not math.isfinite(scale) or scale == 0:
+        if magic != b"Pf" or not _finite_number(scale) or scale == 0:
             raise MalformedFileError(f"{path}: not a grayscale PFM (magic {magic!r}, scale {scale})")
         data = _read_payload(fh, path, (height, width), "<f4" if scale < 0 else ">f4")
     return np.flipud(data)
@@ -329,7 +330,7 @@ def fuse(
 
 def _check_fusion_options(voxel: float) -> None:
     """Raise ConfigError unless `fuse` accepts this voxel size."""
-    if not (math.isfinite(voxel) and voxel >= 0):
+    if not (_finite_number(voxel) and voxel >= 0):
         raise ConfigError(f"voxel must be a finite size >= 0 m, got {voxel!r}")
 
 

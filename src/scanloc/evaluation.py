@@ -6,7 +6,10 @@ held-out scene, and scores position (3D Euclidean, mm) and orientation
 required joints are missing, known-corrupt or not human-scale are
 "faulty": they are kept out of every training set, reported with no error
 values, and counted as failures (never successes) in success-rate tables.
-Target ids and the pose kind each one belongs to come from `targets`.
+An evaluation is of one target, as the paper reports each scan target on
+its own: a success table, a back-projection comparison and its medians each
+belong to one.  Target ids and the pose kind each one belongs to come from
+`targets`.
 """
 
 from __future__ import annotations
@@ -56,14 +59,16 @@ class FoldResult:
 
 @dataclass(frozen=True)
 class SuccessTable:
-    """Success rate per (threshold, target); faulty folds never succeed."""
+    """One target's success rate at each threshold; faulty folds never succeed."""
 
+    target_id: int
     thresholds_mm: tuple
-    rates: dict  # target_id -> tuple of rates aligned with thresholds_mm
-    counts: dict  # target_id -> number of folds
+    rates: tuple  # aligned with thresholds_mm
 
-    def rate(self, target_id: int, threshold_mm: float) -> float:
-        return self.rates[target_id][self.thresholds_mm.index(threshold_mm)]
+
+def _check_truth(scene: SyntheticScene, target_id: int) -> None:
+    if target_id not in scene.targets_true:
+        raise ScanlocError(f"scene {scene.scene_id} has no ground truth for target {target_id}")
 
 
 def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | None, str]:
@@ -78,10 +83,7 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
     """
     pose_kind = pose_kind_for_target(target_id)
     needed = required_joints(pose_kind)
-    if target_id not in scene.targets_true:
-        raise ScanlocError(
-            f"scene {scene.scene_id} has no ground truth for target {target_id}"
-        )
+    _check_truth(scene, target_id)
     for joint in needed:
         if joint in scene.faulted_joints:
             return None, f"{joint} {scene.faulted_joints[joint]}"
@@ -167,23 +169,21 @@ def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
 
 
 def success_table(folds, thresholds_mm=DEFAULT_THRESHOLDS_MM) -> SuccessTable:
-    """Success = valid fold with position error within the threshold."""
+    """Success = valid fold with position error within the threshold.  The
+    folds are one target's, as `loocv` gives them: folds of two targets raise
+    ConfigError, because the table's one column names its target."""
     folds = list(folds)
     if not folds:
         raise ScanlocError("success table needs at least one fold")
+    target_ids = sorted({f.target_id for f in folds})
+    if len(target_ids) > 1:
+        raise ConfigError(f"a success table holds one target, got folds of targets {target_ids}")
     thresholds = tuple(float(t) for t in thresholds_mm)
-    rates, counts = {}, {}
-    for target_id in sorted({f.target_id for f in folds}):
-        rows = [f for f in folds if f.target_id == target_id]
-        counts[target_id] = len(rows)
-        rates[target_id] = tuple(
-            sum(
-                1 for f in rows
-                if not f.faulty and f.position_error_mm <= t
-            ) / len(rows)
-            for t in thresholds
-        )
-    return SuccessTable(thresholds_mm=thresholds, rates=rates, counts=counts)
+    rates = tuple(
+        sum(1 for f in folds if not f.faulty and f.position_error_mm <= t) / len(folds)
+        for t in thresholds
+    )
+    return SuccessTable(target_ids[0], thresholds, rates)
 
 
 def summarize(folds) -> dict:
@@ -255,54 +255,43 @@ def _pixel_error(camera, point, truth: Pixel) -> float:
     return float(np.hypot(projected.u - truth.u, projected.v - truth.v))
 
 
-def backprojection_comparison(scene: SyntheticScene,
-                              cloud: FusedCloud) -> list[BackprojectionResult]:
-    """Two-view vs single-view target estimates, scored in pixel space.
+def backprojection_comparison(scene: SyntheticScene, cloud: FusedCloud,
+                              target_id: int) -> BackprojectionResult:
+    """Two-view vs single-view estimates of one target, scored in pixel space.
 
     Both estimates start from the observed target pixels and end with the
     same nearest-neighbor depth adjustment; the single-view estimate reads
     its depth from that camera's own depth map instead of triangulating.
-    A target's three estimates lie millimetres apart, so one snap adjusts
-    them all, through one key window of `cloud`, the scene's fused cloud; no
-    normal of it is read.
+    The three estimates lie millimetres apart, so one snap adjusts them all,
+    through one key window of `cloud`, the scene's fused cloud; no normal of
+    it is read.  A scene without ground truth for the target raises
+    ScanlocError.
     """
-    results = []
-    for target_id in sorted(scene.targets_true):
-        observed = [scene.target_pixels_observed[vi][target_id] for vi in (0, 1)]
-        truth = [scene.target_pixels_true[vi][target_id] for vi in (0, 1)]
-        points = [triangulate(scene.cameras[0], scene.cameras[1], *observed)]
-        for k in (0, 1):
-            depth = _nearest_valid_depth(scene.depths[k], observed[k])
-            points.append(scene.cameras[k].deproject(observed[k], depth))
-        _, neighbors = _snap(cloud, *points)
-        errors = [
-            tuple(_pixel_error(camera, [x, y, neighbor.point[2]], pixel)
-                  for camera, pixel in zip(scene.cameras, truth))
-            for (x, y, _), neighbor in zip(points, neighbors)
-        ]
-        results.append(
-            BackprojectionResult(
-                scene_id=scene.scene_id,
-                target_id=target_id,
-                two_view=errors[0],
-                single_view=tuple(errors[1:]),
-            )
-        )
-    return results
+    _check_truth(scene, target_id)
+    observed = [scene.target_pixels_observed[vi][target_id] for vi in (0, 1)]
+    truth = [scene.target_pixels_true[vi][target_id] for vi in (0, 1)]
+    points = [triangulate(scene.cameras[0], scene.cameras[1], *observed)]
+    for k in (0, 1):
+        depth = _nearest_valid_depth(scene.depths[k], observed[k])
+        points.append(scene.cameras[k].deproject(observed[k], depth))
+    _, neighbors = _snap(cloud, *points)
+    errors = [
+        tuple(_pixel_error(camera, [x, y, neighbor.point[2]], pixel)
+              for camera, pixel in zip(scene.cameras, truth))
+        for (x, y, _), neighbor in zip(points, neighbors)
+    ]
+    return BackprojectionResult(scene.scene_id, target_id, errors[0], tuple(errors[1:]))
 
 
 def median_backprojection_errors(results) -> dict:
-    """Pooled medians per target: {'two_view': ..., 'single_view': ...}."""
-    out = {}
-    for target_id in sorted({r.target_id for r in results}):
-        rows = [r for r in results if r.target_id == target_id]
-        two = [e for r in rows for e in r.two_view]
-        single = [e for r in rows for source in r.single_view for e in source]
-        out[target_id] = {
-            "two_view": float(np.median(two)),
-            "single_view": float(np.median(single)),
-        }
-    return out
+    """The medians of every pixel error the results hold, pooled as `summarize`
+    pools its folds: {'two_view': ..., 'single_view': ...}."""
+    results = list(results)
+    if not results:
+        raise ScanlocError("back-projection medians need at least one result")
+    two = [e for r in results for e in r.two_view]
+    single = [e for r in results for source in r.single_view for e in source]
+    return {"two_view": float(np.median(two)), "single_view": float(np.median(single))}
 
 
 # report files ------------------------------------------------------------------
@@ -334,14 +323,11 @@ def write_folds_csv(folds, path) -> None:
 
 
 def write_success_csv(table: SuccessTable, path) -> None:
-    targets = sorted(table.rates)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["threshold_mm"] + [f"target_{t}" for t in targets])
-        for i, threshold in enumerate(table.thresholds_mm):
-            writer.writerow(
-                [f"{threshold:g}"] + [f"{table.rates[t][i]:.4f}" for t in targets]
-            )
+        writer.writerow(["threshold_mm", f"target_{table.target_id}"])
+        for threshold, rate in zip(table.thresholds_mm, table.rates):
+            writer.writerow([f"{threshold:g}", f"{rate:.4f}"])
 
 
 def write_summary_json(summary: dict, path) -> None:

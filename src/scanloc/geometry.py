@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ScanlocError
-from .jsonfile import _check_keys, _finite, _whole
+from .jsonfile import _check_keys, _finite, _finite_number, _whole
 
 # Constructors reject matrices farther than this from the orthonormal group.
 _ROTATION_ATOL = 1e-8
@@ -40,12 +40,12 @@ def _floor_in(dtype: np.dtype, bound: float) -> np.floating:
 
 
 def _as_vec3(value, name: str) -> np.ndarray:
-    v = np.asarray(value, dtype=float).reshape(-1)
-    if v.shape != (3,):
+    items = np.ravel(value).tolist()
+    if len(items) != 3:
         raise ConfigError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
-    if not np.all(np.isfinite(v)):
-        raise ConfigError(f"{name} must be finite, got {v}")
-    return v
+    if not all(map(_finite_number, items)):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return np.array(items, dtype=float)
 
 
 def _pixel_coordinates(pixels) -> tuple:
@@ -103,13 +103,6 @@ class RigidTransform:
     @classmethod
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "RigidTransform":
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ConfigError(f"expected a 4x4 matrix, got shape {m.shape}")
-        return cls(m[:3, :3], m[:3, 3])
 
     @classmethod
     def orthonormalized(cls, rotation, translation) -> "RigidTransform":
@@ -183,7 +176,7 @@ def angle_axis_to_rotation(angle_axis) -> np.ndarray:
     v = _as_vec3(angle_axis, "angle_axis")
     x, y, z = v.tolist()
     angle = math.sqrt(x * x + y * y + z * z)
-    if not math.isfinite(angle):
+    if not _finite_number(angle):
         raise ConfigError(f"angle_axis {v} has no finite angle")
     if angle <= 1e-3:
         angle2 = angle * angle

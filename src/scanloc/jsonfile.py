@@ -19,15 +19,14 @@ from .errors import ConfigError, MalformedFileError
 def read_json(path, parse):
     """`parse(data)` for the JSON value `data` in the UTF-8 file `path`.  Bytes
     that are not UTF-8, not JSON or nested too deeply to parse, and any
-    KeyError, OverflowError (an integer too large for a float), TypeError or
-    ValueError (ConfigError included) from `parse`, become one
-    MalformedFileError naming `path`; an OSError passes through."""
+    KeyError, TypeError or ValueError (ConfigError included) from `parse`,
+    become one MalformedFileError naming `path`; an OSError passes through."""
     with open(path, encoding="utf-8") as fh:
         try:
             return parse(json.load(fh))
         except KeyError as exc:
             raise MalformedFileError(f"{path}: missing key {exc}") from None
-        except (OverflowError, RecursionError, TypeError, ValueError) as exc:
+        except (RecursionError, TypeError, ValueError) as exc:
             raise MalformedFileError(f"{path}: {exc}") from None
 
 
@@ -57,23 +56,26 @@ def _two(value, kind: type, name: str) -> list:
     return value
 
 
-def _number(x) -> bool:
-    """A real number that is not a boolean: JSON's int and float by exact type,
-    any other `Real` (a numpy scalar) by isinstance."""
-    return type(x) in (int, float) or isinstance(x, Real) and not isinstance(x, bool)
+def _finite_number(x) -> bool:
+    """A real number, not a boolean, that a float holds finitely: JSON's int and
+    float by exact type, any other `Real` (a numpy scalar) by isinstance.  An
+    integer too large for a float is not finite."""
+    try:
+        return ((type(x) in (int, float) or isinstance(x, Real) and not isinstance(x, bool))
+                and math.isfinite(x))
+    except OverflowError:
+        return False
 
 
 def _finite(value, where: str, shape: tuple = ()) -> np.ndarray:
     """`value` as a finite float array of `shape`, () or (n,), else
-    MalformedFileError naming `where`; as in `_whole`, a boolean or a string is
-    not a number.  Each value is checked without numpy and the array is built
-    once, after.  An integer too large for a float raises OverflowError, which
-    `read_json` reports as malformed."""
+    MalformedFileError naming `where`; each value must be a `_finite_number`.
+    Each value is checked without numpy and the array is built once, after."""
     items = value.tolist() if isinstance(value, np.ndarray) else value
     if not shape:
         items = [items]
     if not (isinstance(items, (list, tuple)) and len(items) == (shape or (1,))[0]
-            and all(map(_number, items)) and all(map(math.isfinite, items))):
+            and all(map(_finite_number, items))):
         what = f"{shape[0]} finite numbers" if shape else "a finite number"
         raise MalformedFileError(f"{where} must be {what}, got {value!r}")
     return np.asarray(value, dtype=float)
@@ -94,11 +96,9 @@ def _vectors(data, keys, name: str, size: int = 3) -> dict:
 
 
 def _whole(value, name: str) -> int:
-    """`value` as an int; a boolean, a non-number or a number with a fraction is
-    rejected, and as in `_finite` an integer too large for a float raises
-    OverflowError."""
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and float(value).is_integer()
-    ):
+    """`value` as an int; an int or float that is not a `_finite_number` or has
+    a fraction is rejected."""
+    if not (isinstance(value, (int, float)) and _finite_number(value)
+            and float(value).is_integer()):
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)

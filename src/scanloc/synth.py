@@ -18,28 +18,40 @@ both views or displace it by 50 px (a plausible wrong detection).
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .cloud import DepthMap, read_pfm, write_pfm
 from .errors import ConfigError, MalformedFileError, ScanlocError
 from .geometry import MIN_DEPTH, PinholeCamera, Pixel, RigidTransform
-from .jsonfile import _as_lists, _check_keys, _finite, _two, _vectors, _whole, read_json, write_json
+from .jsonfile import (
+    _as_lists,
+    _check_keys,
+    _finite,
+    _finite_number,
+    _two,
+    _vectors,
+    _whole,
+    read_json,
+    write_json,
+)
 from .targets import (
     ALL_JOINTS,
+    FRONT_TARGET_IDS,
     POSE_KINDS,
     TARGET_IDS,
     KeypointObservation,
     Keypoints3D,
+    RatioPair,
     TargetModelParams,
     params_from_dict,
     params_to_dict,
     pixel_views_from_json,
     pixel_views_to_json,
     regress_targets,
+    required_joints,
 )
 
 DISPLACEMENT_PX = 50.0
@@ -53,16 +65,6 @@ MIN_VISIBLE_FRACTION = 0.9
 # rays per band of `raycast_depth`: small enough that a band's temporaries
 # stay in L2 cache and below glibc's mmap threshold
 _TILE_RAYS = 8192
-
-_TORSO_FIELDS = (
-    "half_width",
-    "thickness",
-    "length",
-    "shoulder_span",
-    "shoulder_offset",
-    "hip_offset",
-    "base_height",
-)
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,9 @@ class TorsoSpec:
         return cls(**{k: float(_finite(v, f"torso {k}")) for k, v in data.items()})
 
 
+_TORSO_FIELDS = tuple(f.name for f in fields(TorsoSpec))
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Observation-noise settings; zero everywhere by default."""
@@ -130,7 +135,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         sigmas = (self.keypoint_sigma_px, self.depth_sigma_m)
-        if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+        if not all(_finite_number(s) and s >= 0 for s in sigmas):
             raise ConfigError(f"noise sigmas must be finite and nonnegative, got {sigmas}")
         if self.seed < 0:
             raise ConfigError(f"noise seed must be >= 0, got {self.seed}")
@@ -438,8 +443,6 @@ DEFAULT_TORSO_RANGES = {
 
 
 def default_ratios() -> TargetModelParams:
-    from .targets import RatioPair
-
     return TargetModelParams(
         front={1: RatioPair(0.75, 0.20), 2: RatioPair(0.75, 0.50)},
         side=RatioPair(0.40, 0.15),
@@ -478,17 +481,23 @@ def generate_cohort(n: int, ranges: dict | None = None,
     noise) varies.  Scene i draws from its own stream, the i-th child of
     `seed`, so it is a pure function of (seed, i) and does not depend on n.
     That stream also draws the scene's noise seed, so `noise` must leave its
-    seed at 0.
+    seed at 0.  The ratios must place every target of the pose kind.
     """
     if n < 1:
         raise ConfigError(f"cohort size must be >= 1, got {n}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    required_joints(pose_kind)  # a pose kind that is not one raises ConfigError
+    ratios = ratios if ratios is not None else default_ratios()
+    if pose_kind == "front" and not set(FRONT_TARGET_IDS) <= set(ratios.front):
+        raise ConfigError(
+            f"front scenes need ratios for targets 1 and 2, got {sorted(ratios.front)}")
+    if pose_kind == "side" and ratios.side is None:
+        raise ConfigError("side scenes need side ratios")
     if noise.seed != 0:
         raise ConfigError(
             f"a cohort draws each scene's noise seed from its seed; got noise seed {noise.seed}")
     full_ranges = _validate_ranges(ranges or {})
-    ratios = ratios if ratios is not None else default_ratios()
     scenes = []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))

@@ -35,7 +35,7 @@ from .geometry import (
     rotation_to_angle_axis,
     triangulate,
 )
-from .jsonfile import _as_lists, _check_keys, _finite, _vectors, read_json, write_json
+from .jsonfile import _as_lists, _check_keys, _finite, _finite_number, _vectors, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -114,7 +114,7 @@ class RatioPair:
     offset_ratio: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.segment_ratio) and np.isfinite(self.offset_ratio)):
+        if not (_finite_number(self.segment_ratio) and _finite_number(self.offset_ratio)):
             raise ConfigError("ratios must be finite")
         if not (-1 < self.segment_ratio < 1 and -1 < self.offset_ratio < 1):
             log.warning(

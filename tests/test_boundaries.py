@@ -88,6 +88,16 @@ def exception_class(node):
     return None
 
 
+def finite_test(node):
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "math" and node.attr == "isfinite"):
+        return "math.isfinite"
+    if isinstance(node, ast.ImportFrom) and node.module == "math" \
+            and any(alias.name == "isfinite" for alias in node.names):
+        return "from math import isfinite"
+    return None
+
+
 # each error class of `scanloc.errors` and its bases: one class per way a caller reacts
 ERROR_CLASSES = {
     "ScanlocError": ("Exception",),
@@ -189,6 +199,16 @@ RULES = [
          "class C(errors.ScanlocError): pass\nclass D: pass\nclass E(ErrorLog): pass\n",
          ["line 1: class A", "line 2: class B", "line 3: class C"],
          lambda found: sorted(found) == sorted(f"class {name}" for name in ERROR_CLASSES)),
+    Rule("finite-number", "jsonfile.py",
+         "Whether a value is a finite real number is decided once, by "
+         "`jsonfile._finite_number`, which refuses a boolean and an integer too large "
+         "for a float.  `math.isfinite` raises OverflowError on such an integer, so a "
+         "module that calls it can let a bare error out instead of a ConfigError.",
+         finite_test,
+         "ok = math.isfinite(x)\nnp.isfinite(a)\nfrom math import isfinite, sqrt\n"
+         "isfinite(y)\nf = math.isinf\n",
+         ["line 1: math.isfinite", "line 3: from math import isfinite"],
+         lambda found: found == ["math.isfinite"]),
 ]
 RULE_IDS = [rule.name for rule in RULES]
 OTHER_MODULES = [pytest.param(rule, path, id=f"{rule.name}-{path.name}")

@@ -17,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 from helpers import oracle_side_target, small_cameras, spoil_a_number, synthesize_pose_pairs
 from scanloc import cli
 from scanloc.cli import build_parser, main
-from scanloc.cloud import FusedCloud, write_pfm
-from scanloc.errors import MalformedFileError
+from scanloc.cloud import FusedCloud, fuse, write_pfm
+from scanloc.errors import ConfigError, MalformedFileError
 from scanloc.geometry import PinholeCamera, RigidTransform, angle_axis_to_rotation
 from scanloc.handeye import PosePairSample, build_motion_pairs, load_samples, solve_park_martin
-from scanloc.jsonfile import read_json
-from scanloc.synth import default_ratios
-from scanloc.targets import params_to_dict
+from scanloc.jsonfile import _whole, read_json
+from scanloc.synth import NoiseSpec, default_ratios, generate_cohort
+from scanloc.targets import RatioPair, params_to_dict
 
 
 def edited_cameras(**fields):
@@ -543,6 +543,20 @@ class TestMalformedInput:
         with pytest.raises(MalformedFileError, match=re.escape(str(path))):
             read_json(path, cli._parse_synth_config)
 
+    @pytest.mark.parametrize("call, detail", [
+        (lambda: generate_cohort(2, ranges={"length": 10**400}), "invalid interval for length"),
+        (lambda: NoiseSpec(depth_sigma_m=10**400), "noise sigmas must be finite"),
+        (lambda: fuse([], voxel=10**400), "voxel must be a finite size"),
+        (lambda: angle_axis_to_rotation([10**400, 0, 0]), "angle_axis must be finite"),
+        (lambda: _whole(10**400, "n"), "n must be a whole number"),
+        (lambda: RatioPair(10**400, 0.1), "ratios must be finite"),
+    ], ids=["cohort-range", "noise-sigma", "fuse-voxel", "angle-axis", "whole", "ratio-pair"])
+    def test_a_number_too_large_for_a_float_is_a_config_error(self, call, detail):
+        """An integer too large for a float is refused as not finite, so a
+        library caller gets a ConfigError, not an OverflowError or TypeError."""
+        with pytest.raises(ConfigError, match=detail):
+            call()
+
     def test_fuse_on_truncated_pfm_exits_1(self, cohort_dir, tmp_path, caplog):
         scene = tmp_path / "scene"
         shutil.copytree(cohort_dir / "scene_001", scene)
@@ -672,20 +686,20 @@ class TestMalformedInput:
                 **d["ratios"]["front"], "3": d["ratios"]["front"]["1"]}}},
              "unsupported front target id '3'"),
             (lambda d: {**d, "torso": {**d["torso"], "half_width": 10**400}},
-             "too large to convert to float"),
+             "torso half_width must be a finite number, got 1000"),
             (lambda d: {**d, "cameras": [{**d["cameras"][0], "fx": 10**400},
                                          d["cameras"][1]]},
-             "too large to convert to float"),
+             "camera fx must be a finite number, got 1000"),
             (lambda d: {**d, "cameras": [d["cameras"][0], {**d["cameras"][1], "pose": {
                 **d["cameras"][1]["pose"],
                 "rotation": [10**400, *d["cameras"][1]["pose"]["rotation"][1:]]}}]},
-             "too large to convert to float"),
+             "pose rotation must be 9 finite numbers, got [1000"),
             (lambda d: {**d, "ratios": {**d["ratios"], "side": {
                 **d["ratios"]["side"], "r_s1": 10**400}}},
-             "too large to convert to float"),
+             "side target r_s1 must be a finite number, got 1000"),
             (lambda d: {**d, "noise": {**d["noise"], "seed": -1}},
              "noise seed must be >= 0, got -1"),
-            (lambda d: {**d, "scene_id": 10**400}, "too large to convert to float"),
+            (lambda d: {**d, "scene_id": 10**400}, "scene_id must be a whole number, got 1000"),
             (lambda d: {**d, "cameras": [{**d["cameras"][0], "pose": {
                 "rotation": [True, 0, 0, 0, 1, 0, 0, 0, 1], "translation": ["-0.15", 0, 1]}},
                 d["cameras"][1]]}, "pose rotation must be 9 finite numbers, got [True"),
@@ -734,7 +748,8 @@ class TestMalformedInput:
              "front target 1 r_f1 must be a finite number, got True"),
             ({"front": {}, "reference_axes": {"front": [0, 1, False]}},
              "reference_axes front must be 3 finite numbers, got [0, 1, False]"),
-            ({"front": {"1": {"r_f1": 10**400, "r_f2": 0.2}}}, "too large to convert to float"),
+            ({"front": {"1": {"r_f1": 10**400, "r_f2": 0.2}}},
+             "front target 1 r_f1 must be a finite number, got 1000"),
             ({**FRONT_PARAMS, "reference_axes": MIRRORED},
              "reference_axes side must be [1.0, 0.0, 0.0], got [-1, 0, 0]"),
             ({"side": {"r_s1": 0.4, "r_s2": 0.15}}, "holds no ratios for a front scene"),
@@ -786,7 +801,7 @@ class TestMalformedInput:
         ({"noise": {"depth_sigma_m": "abc"}}, "noise depth_sigma_m must be a finite number, got 'abc'"),
         ({"noise": {"depth_sigma_m": float("nan")}}, "nan"),
         ({"noise": {"keypoint_sigma_px": float("inf")}}, "inf"),
-        ({"n": 0}, "n >= 1"),
+        ({"n": 0}, "cohort size must be >= 1"),
         ({"pose": "back"}, "'back'"),
         ({"n": 2.5}, "n must be a whole number, got 2.5"),
         ({"seed": 1.5}, "seed must be a whole number, got 1.5"),

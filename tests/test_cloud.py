@@ -1155,7 +1155,8 @@ class TestUnreadClouds:
 
         monkeypatch.setattr("scanloc.evaluation._snap", counted_snap)
         cloud = fuse(views, voxel=voxel)
-        assert backprojection_comparison(scene, cloud)
+        for target_id in scene.targets_true:
+            assert backprojection_comparison(scene, cloud, target_id)
         assert len(per_snap) == len(scene.targets_true)
         assert all(count > 0 for count in per_snap), per_snap
         assert sum(per_snap) < 0.12 * pixels, (sum(per_snap), pixels)

@@ -11,7 +11,9 @@ import pytest
 from scanloc.cloud import DepthMap
 from scanloc.errors import ConfigError, ScanlocError
 from scanloc.evaluation import (
+    BackprojectionResult,
     FoldResult,
+    SuccessTable,
     backprojection_comparison,
     loocv,
     median_backprojection_errors,
@@ -56,49 +58,44 @@ class TestSuccessTable:
     def test_hand_thresholds(self):
         folds = [valid_fold(i, 10.0) for i in range(4)]
         table = success_table(folds, [5, 15])
-        assert table.rates[1] == (0.0, 1.0)
-        assert table.counts[1] == 4
+        assert table == SuccessTable(1, (5.0, 15.0), (0.0, 1.0))
 
     def test_one_faulty_among_ten(self):
         folds = [valid_fold(i, 0.0) for i in range(9)] + [faulty_fold(9)]
         table = success_table(folds, [5, 10, 20, 40])
-        assert table.rates[1] == (0.9, 0.9, 0.9, 0.9)
+        assert table.rates == (0.9, 0.9, 0.9, 0.9)
 
     def test_faulty_never_succeeds_at_any_threshold(self):
         folds = [faulty_fold(0), valid_fold(1, 1.0)]
         table = success_table(folds, [1000.0])
-        assert table.rates[1] == (0.5,)
+        assert table.rates == (0.5,)
 
     def test_monotone_rates_random_folds(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
+            target_id = int(rng.integers(1, 3))
             folds = []
             for i in range(int(rng.integers(1, 40))):
                 if rng.uniform() < 0.2:
-                    folds.append(faulty_fold(i, target_id=int(rng.integers(1, 3))))
+                    folds.append(faulty_fold(i, target_id=target_id))
                 else:
-                    folds.append(
-                        valid_fold(i, float(rng.uniform(0, 60)),
-                                   target_id=int(rng.integers(1, 3)))
-                    )
+                    folds.append(valid_fold(i, float(rng.uniform(0, 60)), target_id=target_id))
             thresholds = np.sort(rng.uniform(0, 60, size=6))
             table = success_table(folds, thresholds)
-            for target_id, rates in table.rates.items():
-                rates = np.array(rates)
-                assert np.all(np.diff(rates) >= 0)
-                assert np.all((rates >= 0) & (rates <= 1))
-                n = table.counts[target_id]
-                n_valid = sum(
-                    1 for f in folds if f.target_id == target_id and not f.faulty
-                )
-                assert rates[-1] <= n_valid / n + 1e-12
+            assert table.target_id == target_id
+            rates = np.array(table.rates)
+            assert np.all(np.diff(rates) >= 0)
+            assert np.all((rates >= 0) & (rates <= 1))
+            n_valid = sum(1 for f in folds if not f.faulty)
+            assert rates[-1] <= n_valid / len(folds) + 1e-12
 
-    def test_targets_split(self):
+    def test_folds_of_two_targets_refused(self):
+        """A table's CSV column names its one target, so it pools no two."""
         folds = [valid_fold(0, 3.0, target_id=1), valid_fold(0, 30.0, target_id=4)]
-        table = success_table(folds, [10])
-        assert table.rates[1] == (1.0,)
-        assert table.rates[4] == (0.0,)
-        assert table.rate(4, 10) == 0.0
+        assert success_table(folds[:1], [10]) == SuccessTable(1, (10.0,), (1.0,))
+        assert success_table(folds[1:], [10]) == SuccessTable(4, (10.0,), (0.0,))
+        with pytest.raises(ConfigError, match=r"one target, got folds of targets \[1, 4\]"):
+            success_table(folds, [10])
 
     def test_empty_rejected(self):
         with pytest.raises(ScanlocError, match="success table needs at least one fold"):
@@ -335,7 +332,7 @@ class TestFaultAccounting:
         scenes, clouds = side_with_faults
         folds = loocv(scenes, 4, clouds=clouds)
         table = success_table(folds, [25])
-        assert table.rates[4] == (3 / 5,)
+        assert table.rates == (3 / 5,)
         summary = summarize(folds)
         assert summary["n_valid"] == 3
         assert summary["n_faulty"] == 2
@@ -344,8 +341,8 @@ class TestFaultAccounting:
 class TestBackprojection:
     def test_noiseless_clean_closure(self, front_cohort):
         scenes, clouds = front_cohort
-        results = backprojection_comparison(scenes[0], cloud=clouds[0])
-        assert {r.target_id for r in results} == {1, 2}
+        results = [backprojection_comparison(scenes[0], clouds[0], t) for t in (1, 2)]
+        assert [r.target_id for r in results] == [1, 2]
         for r in results:
             assert all(e <= 2.0 for e in r.two_view)
             for source in r.single_view:
@@ -359,7 +356,8 @@ class TestBackprojection:
             raise AssertionError("back-projection estimated a normal")
 
         monkeypatch.setattr("scanloc.cloud._pca_normals", no_pca)
-        assert backprojection_comparison(scenes[0], cloud=cloud)  # it snaps without a PCA
+        for target_id in (1, 2):  # each snaps without a PCA
+            assert backprojection_comparison(scenes[0], cloud, target_id)
 
     def test_deproject_reproject_round_trip(self, front_cohort):
         scenes, _ = front_cohort
@@ -377,7 +375,7 @@ class TestBackprojection:
         empty = DepthMap(np.zeros((480, 640)))
         broken = replace(scenes[0], depths=(empty, empty))
         with pytest.raises(ScanlocError, match="no valid depth within 2 px of"):
-            backprojection_comparison(broken, cloud=clouds[0])
+            backprojection_comparison(broken, clouds[0], 1)
 
     def test_nearest_depth_order(self):
         values = np.zeros((10, 10))
@@ -406,15 +404,18 @@ class TestBackprojection:
                 _nearest_valid_depth(DepthMap(values), far)
 
     def test_median_pooling(self):
-        from scanloc.evaluation import BackprojectionResult
-
         results = [
             BackprojectionResult(0, 1, (1.0, 3.0), ((2.0, 4.0), (6.0, 8.0))),
             BackprojectionResult(1, 1, (5.0, 7.0), ((10.0, 12.0), (14.0, 16.0))),
         ]
-        med = median_backprojection_errors(results)
-        assert med[1]["two_view"] == 4.0
-        assert med[1]["single_view"] == 9.0
+        assert median_backprojection_errors(results) == {"two_view": 4.0, "single_view": 9.0}
+        with pytest.raises(ScanlocError, match="need at least one result"):
+            median_backprojection_errors([])
+
+    def test_target_without_ground_truth_raises(self, front_cohort):
+        scenes, clouds = front_cohort
+        with pytest.raises(ScanlocError, match="scene 0 has no ground truth for target 4"):
+            backprojection_comparison(scenes[0], clouds[0], 4)
 
 
 class TestReports:
@@ -423,7 +424,7 @@ class TestReports:
         folds = loocv(scenes, 1, clouds=clouds) + [faulty_fold(99)]
         table = success_table(folds, [5, 25])
         summary = summarize(folds)
-        results = backprojection_comparison(scenes[0], cloud=clouds[0])
+        results = [backprojection_comparison(scenes[0], clouds[0], t) for t in (1, 2)]
 
         for name, writer, payload in (
             ("folds.csv", write_folds_csv, folds),

@@ -109,7 +109,6 @@ BAD_CONSTRUCTOR_INPUT = {
     "rotation-finite": lambda: RigidTransform(np.full((3, 3), np.inf), np.zeros(3)),
     "rotation-orthonormal": lambda: RigidTransform(np.eye(3) * 1.01, np.zeros(3)),
     "rotation-reflection": lambda: RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3)),
-    "matrix-shape": lambda: RigidTransform.from_matrix(np.eye(3)),
     "points-shape": lambda: IDENTITY.apply(np.zeros((2, 2))),
     "project-flat-points": lambda: CAMERA.project_points(np.arange(1.0, 7.0)),
     "project-point-columns": lambda: CAMERA.project_points(np.ones((3, 2))),

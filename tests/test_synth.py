@@ -36,6 +36,8 @@ from scanloc.targets import (
     FitSample,
     KeypointObservation,
     Keypoints3D,
+    RatioPair,
+    TargetModelParams,
     fit_front,
     fit_side,
     localize,
@@ -471,6 +473,18 @@ class TestCohort:
         with pytest.raises(ConfigError, match="got noise seed 3"):
             generate_cohort(1, noise=NoiseSpec(depth_sigma_m=0.005, seed=3))
 
+    def test_ratios_must_place_every_target_of_the_pose(self):
+        """A cohort refuses what `scanloc synth` refuses: a pose kind that is
+        not one, or ratios that leave one of its targets without ground truth."""
+        front_only = TargetModelParams(front={1: RatioPair(0.75, 0.2)})
+        with pytest.raises(ConfigError,
+                           match=r"front scenes need ratios for targets 1 and 2, got \[1\]"):
+            generate_cohort(2, ratios=front_only)
+        with pytest.raises(ConfigError, match="^side scenes need side ratios$"):
+            generate_cohort(2, ratios=front_only, pose_kind="side")
+        with pytest.raises(ConfigError, match="pose_kind must be 'front' or 'side', got 'back'"):
+            generate_cohort(2, pose_kind="back")
+
     def test_scalar_range_value_allowed(self):
         scenes = generate_cohort(2, ranges={"base_height": 0.06}, seed=1)
         assert all(s.torso.base_height == 0.06 for s in scenes)
@@ -495,7 +509,37 @@ def json_only_scene(tmp_path_factory):
     return directory, (directory / "scene.json").read_text()
 
 
+def json_objects(value, path=()):
+    """The key paths of every JSON object in the JSON value `value`, itself included."""
+    if isinstance(value, dict):
+        return [path] + [p for key, item in value.items() for p in json_objects(item, (*path, key))]
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value) for p in json_objects(item, (*path, i))]
+    return []
+
+
 class TestSceneIO:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_a_cut_or_an_unknown_key_is_refused_before_a_depth_map(self, json_only_scene, data):
+        """scene.json cut at any byte before its closing brace, or with a key
+        no reader knows added to any of its JSON objects, fails as malformed,
+        naming scene.json, before a depth map is read."""
+        directory, text = json_only_scene
+        path = directory / "scene.json"
+        if data.draw(st.booleans(), label="cut"):
+            cut = data.draw(st.integers(0, len(text.rstrip()) - 1), label="cut at")
+            path.write_bytes(text.encode()[:cut])
+        else:
+            scene = json.loads(text)
+            target = scene
+            for step in data.draw(st.sampled_from(json_objects(scene)), label="object"):
+                target = target[step]
+            target[data.draw(st.sampled_from(["unknown", "3", ""]), label="key")] = 0.0
+            path.write_text(json.dumps(scene))
+        with pytest.raises(MalformedFileError, match=re.escape(str(path))):
+            load_scene(directory)
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(data=st.data())
     def test_any_number_made_bad_is_refused_before_a_depth_map(self, json_only_scene, data):
