@@ -106,10 +106,7 @@ def _parse_synth_config(data):
     pose_kind = str(data.get("pose", "front"))
     ranges = _validate_ranges(data.get("torso", {}))
     ratios = params_from_dict(data["ratios"]) if "ratios" in data else None
-    noise = data.get("noise", {})
-    if isinstance(noise, dict) and "seed" in noise:
-        raise ConfigError("noise takes no seed: each scene's noise seed is drawn from 'seed'")
-    noise = NoiseSpec.from_dict(noise)
+    noise = NoiseSpec.from_dict(data.get("noise", {}))
     cameras = None
     if "cameras" in data:
         cameras = tuple(PinholeCamera.from_dict(c) for c in _two(data["cameras"], dict, "cameras"))

@@ -223,17 +223,33 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
     that provably miss are never cast (Kay & Kajiya, SIGGRAPH 1986): only
     pixels in the image rectangle around the projected bounding box (+1 px;
     every pixel if a box corner is behind the camera) get a ray, and only
-    rays with a real root are solved.
+    rays with a real root are solved.  The rectangle is filled in bands of
+    whole image rows of about `_TILE_RAYS` rays each, so a band's
+    temporaries stay small.  The camera's rotation alone picks one of two
+    paths, and both give every depth the bits of a full-image cast.
 
-    The rectangle is cast in bands of whole image rows of about
-    `_TILE_RAYS` rays each, so a band's temporaries stay small and each band
-    fills one slice of the image.  Within a band, the near root
-    (-qb - sq) / 2qa is solved for every ray and the far root only where the
-    near one misses.  With qa > 0 and sq >= 0, -qb - sq <= -qb + sq holds
-    after rounding, and so after the division by the same positive 2qa: the
-    near root is the nearest hit whenever it hits.  Each cast ray gets the
-    direction bits and the elementwise arithmetic of a full-image cast, so
-    every depth bit does.
+    Column path, for a camera whose image v axis is world +Y or -Y
+    (R[0,1] == R[2,1] == R[1,0] == R[1,2] == 0), as every `default_cameras`
+    view is: the rays of one image column share dx and dz, so they share
+    both roots and the roots' depth and upper-sheet tests (Wald et al.,
+    "Interactive Rendering with Coherent Ray Tracing", EG 2001).  Those are
+    solved once per column, from one `pixel_rays` call over the rectangle's
+    top row; one call over its left column gives each row's dy.  Each pixel
+    then only tests the Y extent, y = origin_y + t * dy, of the far root and
+    then of the near root, which overwrites it where both hit.  The
+    direction bits are the full-image bits because the rotation's zeros
+    make the products they enter exact zeros, which leave dx and dz as
+    functions of u alone and dy = R[1,1] * (v - cy) / fy of v alone; a zero
+    product can flip the sign of a zero direction component, which no root
+    or test reads.
+
+    Band path, for any other camera: each band's rays are cast one by one.
+    The near root (-qb - sq) / 2qa is solved for every ray and the far root
+    only where the near one misses.  With qa > 0 and sq >= 0,
+    -qb - sq <= -qb + sq holds after rounding, and so after the division by
+    the same positive 2qa: the near root is the nearest hit whenever it
+    hits.  Each cast ray gets the direction bits and the elementwise
+    arithmetic of a full-image cast, so every depth does.
     """
     a, c, h = torso.half_width, torso.thickness, torso.base_height
     box = [[x, y, z] for x in (-a, a) for y in (0.0, torso.length) for z in (h, h + c)]
@@ -251,6 +267,17 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
     qc = (origin[0] / a) ** 2 + ((origin[2] - h) / c) ** 2 - 1.0
     us = np.arange(u0, u1, dtype=float)
     depth = np.zeros((camera.height, camera.width))
+    r = camera.pose.rotation
+    if r[0, 1] == r[2, 1] == r[1, 0] == r[1, 2] == 0:
+        _, top = camera.pixel_rays((us, np.full(cols, float(v0))))
+        _, left = camera.pixel_rays((np.full(rows, float(u0)), np.arange(v0, v1, dtype=float)))
+        roots = _column_roots(origin, top, qc, torso)
+        for v_lo, v_hi in zip(edges[:-1], edges[1:]):
+            dy = left[v_lo - v0:v_hi - v0, 1:2]
+            for t in roots:
+                y = origin[1] + t * dy
+                np.copyto(depth[v_lo:v_hi, u0:u1], t, where=(y >= 0) & (y <= torso.length))
+        return DepthMap._owning(depth)
     for v_lo, v_hi in zip(edges[:-1], edges[1:]):
         vs = np.repeat(np.arange(v_lo, v_hi, dtype=float), cols)
         _, dirs = camera.pixel_rays((np.tile(us, v_hi - v_lo), vs))
@@ -258,15 +285,38 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
     return DepthMap._owning(depth)
 
 
-def _cast_band(origin, dirs, qc, torso: TorsoSpec) -> np.ndarray:
-    """Depths of one band's rays, `dirs` (N, 3) from `origin`; misses are 0."""
+def _real_roots(origin, dx, dz, qc, torso: TorsoSpec):
+    """The rays (dx, dz) from `origin` whose quadratic has a real root, as
+    indices, and their qa, qb and sqrt(disc)."""
     a, c, h = torso.half_width, torso.thickness, torso.base_height
-    dx, dy, dz = dirs.T
     qa = (dx / a) ** 2 + (dz / c) ** 2
     qb = 2 * (origin[0] * dx / a**2 + (origin[2] - h) * dz / c**2)
     disc = qb**2 - 4 * qa * qc
     sel = np.flatnonzero((disc >= 0) & (qa > 1e-18))
-    qa, qb, sq = qa[sel], qb[sel], np.sqrt(disc[sel])
+    return sel, qa[sel], qb[sel], np.sqrt(disc[sel])
+
+
+def _column_roots(origin, dirs, qc, torso: TorsoSpec) -> list[np.ndarray]:
+    """The far root, then the near root, of each ray of `dirs` (N, 3) from
+    `origin`, NaN where the root fails a test other than the Y extent's.  A
+    root that fails on every ray is left out."""
+    dx, _, dz = dirs.T
+    sel, qa, qb, sq = _real_roots(origin, dx, dz, qc, torso)
+    roots = []
+    for t in ((-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)):
+        ok = (t > MIN_DEPTH) & (origin[2] + t * dz[sel] >= torso.base_height - 1e-12)
+        if ok.any():
+            column = np.full(len(dx), np.nan)
+            column[sel[ok]] = t[ok]
+            roots.append(column)
+    return roots
+
+
+def _cast_band(origin, dirs, qc, torso: TorsoSpec) -> np.ndarray:
+    """Depths of one band's rays, `dirs` (N, 3) from `origin`; misses are 0."""
+    h = torso.base_height
+    dx, dy, dz = dirs.T
+    sel, qa, qb, sq = _real_roots(origin, dx, dz, qc, torso)
 
     def hits(t, rays):
         y = origin[1] + t * dy[rays]

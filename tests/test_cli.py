@@ -143,6 +143,15 @@ class TestSynth:
                     shallow=False,
                 ), f"{scene}/{name}"
 
+    def test_an_explicit_noise_seed_of_0_is_the_default(self, tmp_path):
+        config = tmp_path / "synth.json"
+        for out, noise in (("a", {"depth_sigma_m": 0.002}), ("b", {"depth_sigma_m": 0.002, "seed": 0})):
+            write_synth_config(config, n=1, noise=noise)
+            assert main(["synth", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        for name in ("scene.json", "depth_0.pfm", "depth_1.pfm"):
+            assert filecmp.cmp(tmp_path / "a" / "scene_000" / name,
+                               tmp_path / "b" / "scene_000" / name, shallow=False), name
+
     def test_jobs_option_is_a_usage_error(self, tmp_path):
         config = tmp_path / "synth.json"
         write_synth_config(config, n=1)
@@ -807,7 +816,7 @@ class TestMalformedInput:
         ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
         ({"n": True}, "n must be a whole number, got True"),
         ({"seed": False}, "seed must be a whole number, got False"),
-        ({"noise": {"seed": 1.5}}, "noise takes no seed"),
+        ({"noise": {"seed": 1.5}}, "noise seed must be a whole number, got 1.5"),
         ({"torso": {"half_width": True}}, "invalid interval for half_width: True"),
         ({"noise": {"depth_sigma_m": True}}, "noise depth_sigma_m must be a finite number, got True"),
         ({"ratios": {"front": {"1": {"r_f1": 0.75, "r_f2": 0.2}}}},
@@ -824,7 +833,8 @@ class TestMalformedInput:
         ({"cameras": edited_cameras(height=240.5)}, "camera height must be a whole number, got 240.5"),
         ({"cameras": 5}, "cameras must be a list of exactly two JSON objects"),
         ({"cameras": {"a": 1, "b": 2}}, "cameras must be a list of exactly two JSON objects"),
-        ({"noise": {"seed": 7}}, "noise takes no seed"),
+        ({"noise": {"seed": 7}},
+         "a cohort draws each scene's noise seed from its seed; got noise seed 7"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"ratios": {"front": {**FRONT_PARAMS["front"], "2": {"r_f1": 0.75, "r_f2": 0.5}},
                      "reference_axes": MIRRORED}}, "reference_axes side"),

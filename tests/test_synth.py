@@ -4,7 +4,8 @@ import filecmp
 import json
 import re
 import tracemalloc
-from dataclasses import astuple
+from collections import Counter
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from scanloc import synth
 from scanloc.cloud import DepthMap, fuse
 from scanloc.errors import ConfigError, MalformedFileError, ScanlocError
 from scanloc.evaluation import loocv, scene_cloud
-from scanloc.geometry import PinholeCamera, angle_between_degrees
+from scanloc.geometry import PinholeCamera, RigidTransform, angle_between_degrees
 from scanloc.synth import (
+    DEFAULT_TORSO_RANGES,
     RIG_IMAGE_SIZE,
     NoiseSpec,
     TorsoSpec,
@@ -201,6 +203,33 @@ class TestCulledRaycast:
         assert not assert_same_bits(camera, TORSO).any()
 
 
+def count_raycast_paths(monkeypatch):
+    """Counts of calls into each path of `raycast_depth`, by function name:
+    `_column_roots` once per column-path cast, `_cast_band` once per band."""
+    calls = Counter()
+    for name in ("_column_roots", "_cast_band"):
+        def counted(*args, _name=name, _path=getattr(synth, name)):
+            calls[_name] += 1
+            return _path(*args)
+        monkeypatch.setattr(synth, name, counted)
+    return calls
+
+
+def flipped(camera):
+    """`camera` turned half a turn about its optical axis: image v runs
+    along world -Y, so R[1,1] == -1."""
+    pose = RigidTransform(camera.pose.rotation * [-1.0, -1.0, 1.0], camera.pose.translation)
+    return replace(camera, pose=pose)
+
+
+def column_aligned(camera):
+    r = camera.pose.rotation
+    return r[0, 1] == r[2, 1] == r[1, 0] == r[1, 2] == 0 and abs(r[1, 1]) == 1
+
+
+# a Y-aligned camera with a box corner behind it: its rectangle is the image
+WHOLE_IMAGE_COLUMN_CAMERA = look_at_camera([0.1, 0.3, 0.2], [-0.1, 0.3, 0.05])
+
 # views whose images mix near-root and far-root hits; default rig views take
 # only the near root
 MIXED_ROOT_CAMERAS = [
@@ -229,9 +258,12 @@ class TestBandedRaycast:
     @pytest.mark.parametrize("tile", [1, 2, 3, 7, 640, 641])
     def test_any_band_size_matches_full_image(self, tile, band_cases, monkeypatch):
         monkeypatch.setattr(synth, "_TILE_RAYS", tile)
+        calls = count_raycast_paths(monkeypatch)
         for camera, torso, want in band_cases:
             got = raycast_depth(camera, torso).values
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the sweep bands both paths: the Y-aligned cameras and the tilted ones
+        assert calls["_column_roots"] > 0 and calls["_cast_band"] > 0
 
     @pytest.mark.parametrize("camera", MIXED_ROOT_CAMERAS)
     def test_views_mixing_near_and_far_root_hits(self, camera):
@@ -244,36 +276,46 @@ class TestBandedRaycast:
     def test_no_band_casts_a_single_ray(self, width, height, monkeypatch):
         """With one ray per band asked for, each band still casts whole image
         rows, so two rays or more unless the image is one pixel wide, and
-        every depth has the bits of the full-image cast."""
-        camera = look_at_camera([0.0, 0.3, 1.0], [0.0, 0.3, 0.1], width=width, height=height)
-        want = full_image_raycast(camera, TORSO)
-        sizes = []
-        pixel_rays = PinholeCamera.pixel_rays
-
-        def counting_rays(self, uv):
-            sizes.append(len(uv[0]))
-            return pixel_rays(self, uv)
-
+        every depth has the bits of the full-image cast.  The camera looking
+        straight down takes the column path, which casts the rectangle's top
+        row and left column; the tilted one takes the band path."""
         monkeypatch.setattr(synth, "_TILE_RAYS", 1)
-        monkeypatch.setattr(PinholeCamera, "pixel_rays", counting_rays)
-        got = raycast_depth(camera, TORSO).values
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)) and got.any()
-        assert min(sizes) >= min(2, width)
+        for target_y in (0.3, 0.35):
+            camera = look_at_camera([0.0, 0.3, 1.0], [0.0, target_y, 0.1],
+                                    width=width, height=height)
+            want = full_image_raycast(camera, TORSO)
+            sizes = []
+            pixel_rays = PinholeCamera.pixel_rays
+
+            def counting_rays(self, uv):
+                sizes.append(len(uv[0]))
+                return pixel_rays(self, uv)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(PinholeCamera, "pixel_rays", counting_rays)
+                got = raycast_depth(camera, TORSO).values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)) and got.any()
+            assert min(sizes) >= min(2, width)
 
     @pytest.mark.parametrize("pose_kind", ["front", "side"])
     def test_peak_memory_is_about_two_images(self, pose_kind):
         """One call holds at most its image, the image's copy in the
-        `DepthMap` and 1 MiB of band temporaries at once."""
-        for scene in generate_cohort(2, pose_kind=pose_kind, seed=5):
-            for camera in scene.cameras:
-                image = 8 * camera.width * camera.height
-                tracemalloc.start()
-                try:
-                    raycast_depth(camera, scene.torso)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= 2 * image + 2**20, f"peak {peak / image:.2f}x the image"
+        `DepthMap` and 1 MiB of band temporaries at once, on either path:
+        the cohort's views and a Y-aligned camera whose rectangle is the
+        whole image take the column path."""
+        assert _box_corner_depths(WHOLE_IMAGE_COLUMN_CAMERA, TORSO).min() < 0
+        views = [(camera, scene.torso)
+                 for scene in generate_cohort(2, pose_kind=pose_kind, seed=5)
+                 for camera in scene.cameras] + [(WHOLE_IMAGE_COLUMN_CAMERA, TORSO)]
+        for camera, torso in views:
+            image = 8 * camera.width * camera.height
+            tracemalloc.start()
+            try:
+                raycast_depth(camera, torso)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * image + 2**20, f"peak {peak / image:.2f}x the image"
 
     def test_the_depth_map_takes_the_cast_image(self):
         """The returned `DepthMap` holds the image the bands filled, not a
@@ -289,6 +331,72 @@ class TestBandedRaycast:
                     tracemalloc.stop()
                 assert depth.values.dtype == np.float64 and not depth.values.flags.writeable
                 assert peak <= image + 1.5 * 2**20, f"peak {peak / image:.2f}x the image"
+
+
+class TestColumnRaycast:
+    """Cameras whose image v axis is world +Y or -Y take the column path; it
+    casts the bits of one ray per pixel of the whole image."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_y_aligned_cameras_match_full_image(self, data):
+        torso = TorsoSpec(**{name: data.draw(st.floats(lo, hi), label=name)
+                             for name, (lo, hi) in DEFAULT_TORSO_RANGES.items()})
+        y = data.draw(st.floats(-0.3, 0.9), label="camera y")
+        center = [data.draw(st.floats(-0.8, 0.8), label="camera x"), y,
+                  data.draw(st.floats(0.0, 1.5), label="camera height")]
+        target = [data.draw(st.floats(-0.2, 0.2), label="target x"), y,
+                  data.draw(st.floats(0.0, 0.2), label="target height")]
+        if np.hypot(center[0] - target[0], center[2] - target[2]) < 1e-3:
+            target[2] = center[2] - 0.1
+        camera = look_at_camera(center, target, fx=data.draw(st.floats(40.0, 600.0), label="fx"),
+                                width=data.draw(st.integers(1, 160), label="width"),
+                                height=data.draw(st.integers(1, 120), label="height"))
+        if data.draw(st.booleans(), label="flipped"):
+            camera = flipped(camera)
+        assert column_aligned(camera)
+        assert_same_bits(camera, torso)
+
+    @pytest.mark.parametrize("turn", [lambda camera: camera, flipped], ids=["upright", "flipped"])
+    def test_placed_cameras(self, turn, monkeypatch):
+        calls = count_raycast_paths(monkeypatch)
+        clipped = turn(look_at_camera([0.3, 0.5, 0.6], [0.25, 0.5, 0.05]))
+        depth = assert_same_bits(clipped, TORSO)
+        assert np.all(_box_corner_depths(clipped, TORSO) > 0)
+        # the torso runs off a side edge and an end edge and leaves misses
+        assert (depth[:, 0] > 0).any() + (depth[:, -1] > 0).any() == 1
+        assert (depth[0] > 0).any() + (depth[-1] > 0).any() == 1
+        assert (depth == 0).mean() > 0.5
+
+        behind = turn(WHOLE_IMAGE_COLUMN_CAMERA)
+        assert _box_corner_depths(behind, TORSO).min() < 0
+        assert assert_same_bits(behind, TORSO).any()
+
+        missing = turn(look_at_camera([2.0, 0.3, 1.0], [2.0, 0.3, 0.0]))
+        assert np.all(_box_corner_depths(missing, TORSO) > 0)
+        assert not assert_same_bits(missing, TORSO).any()
+
+        mixed = turn(MIXED_ROOT_CAMERAS[1])
+        _, ok = full_image_roots(mixed, TORSO)
+        assert ok[:, 0].sum() > 1000 and (ok[:, 1] & ~ok[:, 0]).sum() > 100
+        assert assert_same_bits(mixed, TORSO).any()
+        assert calls == {"_column_roots": 4}
+
+    def test_every_rig_view_takes_the_column_path(self, monkeypatch):
+        calls = count_raycast_paths(monkeypatch)
+        views = 0
+        for pose_kind in ("front", "side"):
+            for scene in generate_cohort(4, pose_kind=pose_kind, seed=3):
+                assert all(column_aligned(camera) for camera in scene.cameras)
+                views += len(scene.cameras)
+        assert calls == {"_column_roots": views}
+
+    def test_a_tilted_camera_takes_the_band_path(self, monkeypatch):
+        calls = count_raycast_paths(monkeypatch)
+        camera = look_at_camera([0.0, 0.25, 1.0], [0.0, 0.3, 0.1])
+        assert not column_aligned(camera)
+        assert assert_same_bits(camera, TORSO).any()
+        assert calls["_cast_band"] > 0 and calls["_column_roots"] == 0
 
 
 class TestGenerateScene:
