@@ -80,8 +80,10 @@ class TorsoSpec:
     base_height: float = 0.05
 
     def __post_init__(self):
-        for name in ("half_width", "thickness", "length", "shoulder_span"):
-            if getattr(self, name) <= 0:
+        for name, value in vars(self).items():
+            if not _finite_number(value):
+                raise ConfigError(f"torso {name} must be a finite number, got {value!r}")
+            if value <= 0 and name in ("half_width", "thickness", "length", "shoulder_span"):
                 raise ConfigError(f"torso {name} must be positive")
         if self.shoulder_span >= 2 * self.half_width:
             raise ConfigError("shoulder span must be narrower than the torso")
@@ -222,34 +224,29 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
     Z of the hit (the pixel-ray parameter), matching deprojection.  Rays
     that provably miss are never cast (Kay & Kajiya, SIGGRAPH 1986): only
     pixels in the image rectangle around the projected bounding box (+1 px;
-    every pixel if a box corner is behind the camera) get a ray, and only
-    rays with a real root are solved.  The rectangle is filled in bands of
-    whole image rows of about `_TILE_RAYS` rays each, so a band's
-    temporaries stay small.  The camera's rotation alone picks one of two
-    paths, and both give every depth the bits of a full-image cast.
+    every pixel if a box corner is behind the camera) get a ray.  The
+    rectangle is filled in bands of whole image rows of about `_TILE_RAYS`
+    rays each, so a band's temporaries stay small.  Each band writes
+    `_roots`' far root, then its near root, wherever
+    y = origin_y + t * dy lies in [0, length].
 
-    Column path, for a camera whose image v axis is world +Y or -Y
+    On a camera whose image v axis is world +Y or -Y
     (R[0,1] == R[2,1] == R[1,0] == R[1,2] == 0), as every `default_cameras`
-    view is: the rays of one image column share dx and dz, so they share
-    both roots and the roots' depth and upper-sheet tests (Wald et al.,
-    "Interactive Rendering with Coherent Ray Tracing", EG 2001).  Those are
-    solved once per column, from one `pixel_rays` call over the rectangle's
-    top row; one call over its left column gives each row's dy.  Each pixel
-    then only tests the Y extent, y = origin_y + t * dy, of the far root and
-    then of the near root, which overwrites it where both hit.  The
-    direction bits are the full-image bits because the rotation's zeros
-    make the products they enter exact zeros, which leave dx and dz as
-    functions of u alone and dy = R[1,1] * (v - cy) / fy of v alone; a zero
-    product can flip the sign of a zero direction component, which no root
-    or test reads.
+    view is, the rays of one image column share dx and dz, and so both
+    roots (Wald et al., "Interactive Rendering with Coherent Ray Tracing",
+    EG 2001): `_roots` runs once, on the rectangle's top row, and one
+    `pixel_rays` call over its left column gives each row's dy.  The
+    rotation's zeros make the products they enter exact zeros, so dx and dz
+    are functions of u alone and dy = R[1,1] * (v - cy) / fy of v alone,
+    with the bits of a full-image cast up to the sign of a zero component,
+    which no root or test reads.  On any other camera `_roots` runs on each
+    band's rays.
 
-    Band path, for any other camera: each band's rays are cast one by one.
-    The near root (-qb - sq) / 2qa is solved for every ray and the far root
-    only where the near one misses.  With qa > 0 and sq >= 0,
-    -qb - sq <= -qb + sq holds after rounding, and so after the division by
-    the same positive 2qa: the near root is the nearest hit whenever it
-    hits.  Each cast ray gets the direction bits and the elementwise
-    arithmetic of a full-image cast, so every depth does.
+    Every depth has the bits of a full-image cast.  `where=` only chooses
+    which elements are computed, and leaves the bits of every computed one
+    unchanged.  With qa > 0 and sq >= 0, -qb - sq <= -qb + sq holds after
+    rounding, and so after the division by the same positive 2qa: the near
+    root, written last, is the nearest hit wherever it hits.
     """
     a, c, h = torso.half_width, torso.thickness, torso.base_height
     box = [[x, y, z] for x in (-a, a) for y in (0.0, torso.length) for z in (h, h + c)]
@@ -261,77 +258,46 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
     rows, cols = v1 - v0, u1 - u0
     # ceil(rays / _TILE_RAYS) bands, at most one per row
     bands = max(1, min(-(-rows * cols // _TILE_RAYS), rows))
-    edges = v0 + np.arange(bands + 1) * rows // bands
+    edges = np.arange(bands + 1) * rows // bands  # in rows of the rectangle
 
     origin = camera.center
     qc = (origin[0] / a) ** 2 + ((origin[2] - h) / c) ** 2 - 1.0
-    us = np.arange(u0, u1, dtype=float)
-    depth = np.zeros((camera.height, camera.width))
+    us, vs = np.arange(u0, u1, dtype=float), np.arange(v0, v1, dtype=float)
     r = camera.pose.rotation
-    if r[0, 1] == r[2, 1] == r[1, 0] == r[1, 2] == 0:
+    columns = r[0, 1] == r[2, 1] == r[1, 0] == r[1, 2] == 0
+    if columns:
         _, top = camera.pixel_rays((us, np.full(cols, float(v0))))
-        _, left = camera.pixel_rays((np.full(rows, float(u0)), np.arange(v0, v1, dtype=float)))
-        roots = _column_roots(origin, top, qc, torso)
-        for v_lo, v_hi in zip(edges[:-1], edges[1:]):
-            dy = left[v_lo - v0:v_hi - v0, 1:2]
-            for t in roots:
-                y = origin[1] + t * dy
-                np.copyto(depth[v_lo:v_hi, u0:u1], t, where=(y >= 0) & (y <= torso.length))
-        return DepthMap._owning(depth)
-    for v_lo, v_hi in zip(edges[:-1], edges[1:]):
-        vs = np.repeat(np.arange(v_lo, v_hi, dtype=float), cols)
-        _, dirs = camera.pixel_rays((np.tile(us, v_hi - v_lo), vs))
-        depth[v_lo:v_hi, u0:u1] = _cast_band(origin, dirs, qc, torso).reshape(v_hi - v_lo, cols)
+        _, left = camera.pixel_rays((np.full(rows, float(u0)), vs))
+        roots = _roots(origin, top[:, 0], top[:, 2], qc, torso)
+    depth = np.zeros((camera.height, camera.width))
+    for b0, b1 in zip(edges[:-1], edges[1:]):
+        if columns:
+            dy = left[b0:b1, 1:2]
+        else:
+            _, dirs = camera.pixel_rays((np.tile(us, b1 - b0), np.repeat(vs[b0:b1], cols)))
+            dx, dy, dz = np.moveaxis(dirs.reshape(b1 - b0, cols, 3), -1, 0)
+            roots = _roots(origin, dx, dz, qc, torso)
+        for t in roots:
+            y = origin[1] + t * dy
+            np.copyto(depth[v0 + b0:v0 + b1, u0:u1], t, where=(y >= 0) & (y <= torso.length))
     return DepthMap._owning(depth)
 
 
-def _real_roots(origin, dx, dz, qc, torso: TorsoSpec):
-    """The rays (dx, dz) from `origin` whose quadratic has a real root, as
-    indices, and their qa, qb and sqrt(disc)."""
+def _roots(origin, dx, dz, qc, torso: TorsoSpec) -> list[np.ndarray]:
+    """The far root, then the near root, of the rays (dx, dz) from `origin`,
+    any arrays that broadcast; NaN where a root is not real or fails the
+    depth or upper-sheet test.  A root that misses on every ray is left out."""
     a, c, h = torso.half_width, torso.thickness, torso.base_height
     qa = (dx / a) ** 2 + (dz / c) ** 2
     qb = 2 * (origin[0] * dx / a**2 + (origin[2] - h) * dz / c**2)
     disc = qb**2 - 4 * qa * qc
-    sel = np.flatnonzero((disc >= 0) & (qa > 1e-18))
-    return sel, qa[sel], qb[sel], np.sqrt(disc[sel])
-
-
-def _column_roots(origin, dirs, qc, torso: TorsoSpec) -> list[np.ndarray]:
-    """The far root, then the near root, of each ray of `dirs` (N, 3) from
-    `origin`, NaN where the root fails a test other than the Y extent's.  A
-    root that fails on every ray is left out."""
-    dx, _, dz = dirs.T
-    sel, qa, qb, sq = _real_roots(origin, dx, dz, qc, torso)
-    roots = []
-    for t in ((-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)):
-        ok = (t > MIN_DEPTH) & (origin[2] + t * dz[sel] >= torso.base_height - 1e-12)
-        if ok.any():
-            column = np.full(len(dx), np.nan)
-            column[sel[ok]] = t[ok]
-            roots.append(column)
-    return roots
-
-
-def _cast_band(origin, dirs, qc, torso: TorsoSpec) -> np.ndarray:
-    """Depths of one band's rays, `dirs` (N, 3) from `origin`; misses are 0."""
-    h = torso.base_height
-    dx, dy, dz = dirs.T
-    sel, qa, qb, sq = _real_roots(origin, dx, dz, qc, torso)
-
-    def hits(t, rays):
-        y = origin[1] + t * dy[rays]
-        z = origin[2] + t * dz[rays]
-        return (t > MIN_DEPTH) & (z >= h - 1e-12) & (y >= 0) & (y <= torso.length)
-
-    depth = np.zeros(len(dx))
-    near = (-qb - sq) / (2 * qa)
-    ok = hits(near, sel)
-    depth[sel[ok]] = near[ok]
-    miss = np.flatnonzero(~ok)
-    far = (-qb[miss] + sq[miss]) / (2 * qa[miss])
-    ok = hits(far, sel[miss])
-    depth[sel[miss[ok]]] = far[ok]
-    return depth
+    real = (disc >= 0) & (qa > 1e-18)
+    sq = np.sqrt(disc, out=np.full_like(disc, np.nan), where=real)
+    roots = (-qb + sq, -qb - sq)
+    for t in roots:
+        np.divide(t, 2 * qa, out=t, where=real)
+        t[(t <= MIN_DEPTH) | (origin[2] + t * dz < h - 1e-12)] = np.nan
+    return [t for t in roots if not np.isnan(t).all()]
 
 
 def _check_visibility(cameras, torso: TorsoSpec) -> None:

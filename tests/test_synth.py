@@ -4,7 +4,7 @@ import filecmp
 import json
 import re
 import tracemalloc
-from collections import Counter
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -97,6 +97,14 @@ class TestTorsoSpec:
             TorsoSpec(shoulder_offset=0.5, hip_offset=0.4)
         with pytest.raises(ConfigError):
             TorsoSpec(hip_offset=0.7, length=0.55)
+
+    @pytest.mark.parametrize("name, value", [
+        ("half_width", float("nan")), ("base_height", float("inf")),
+        ("half_width", True), ("thickness", "0.1"), ("length", None),
+    ])
+    def test_every_field_must_be_a_finite_number(self, name, value):
+        with pytest.raises(ConfigError, match=f"torso {name} must be a finite number"):
+            TorsoSpec(**{name: value})
 
     def test_surface_height_profile(self):
         t = TORSO
@@ -203,16 +211,33 @@ class TestCulledRaycast:
         assert not assert_same_bits(camera, TORSO).any()
 
 
-def count_raycast_paths(monkeypatch):
-    """Counts of calls into each path of `raycast_depth`, by function name:
-    `_column_roots` once per column-path cast, `_cast_band` once per band."""
-    calls = Counter()
-    for name in ("_column_roots", "_cast_band"):
-        def counted(*args, _name=name, _path=getattr(synth, name)):
-            calls[_name] += 1
-            return _path(*args)
-        monkeypatch.setattr(synth, name, counted)
+def solver_calls(monkeypatch):
+    """The shape of the rays of each call of `synth._roots`, the one root
+    solver of `raycast_depth`, in a list that grows as casts run.  The
+    column path solves one (cols,) image row per cast, the band path one
+    (band_rows, cols) band per band."""
+    calls = []
+    roots = synth._roots
+
+    def counted(origin, dx, dz, qc, torso):
+        calls.append(np.shape(dx))
+        return roots(origin, dx, dz, qc, torso)
+
+    monkeypatch.setattr(synth, "_roots", counted)
     return calls
+
+
+def assert_one_solve_per_band(camera, calls, tile):
+    """One cast's solver `calls` solved a Y-aligned camera's rays once, as
+    one image row, and any other camera's once per band of whole image
+    rows, as many bands as `raycast_depth` cuts its rectangle into for
+    `tile` rays a band."""
+    if y_aligned(camera):
+        assert [len(shape) for shape in calls] == [1]
+        return
+    assert calls and all(len(shape) == 2 and shape[1] == calls[0][1] for shape in calls)
+    rows, cols = sum(shape[0] for shape in calls), calls[0][1]
+    assert len(calls) == max(1, min(-(-rows * cols // tile), rows))
 
 
 def flipped(camera):
@@ -222,9 +247,50 @@ def flipped(camera):
     return replace(camera, pose=pose)
 
 
-def column_aligned(camera):
+def y_aligned(camera):
+    """Whether `raycast_depth` takes the column path: image v runs along world ±Y."""
     r = camera.pose.rotation
-    return r[0, 1] == r[2, 1] == r[1, 0] == r[1, 2] == 0 and abs(r[1, 1]) == 1
+    return r[0, 1] == r[2, 1] == r[1, 0] == r[1, 2] == 0
+
+
+def column_aligned(camera):
+    return y_aligned(camera) and abs(camera.pose.rotation[1, 1]) == 1
+
+
+def rolled(camera, angle):
+    """`camera` turned by `angle` radians about its optical axis."""
+    turn = np.array([[np.cos(angle), -np.sin(angle), 0.0],
+                     [np.sin(angle), np.cos(angle), 0.0],
+                     [0.0, 0.0, 1.0]])
+    return replace(camera, pose=RigidTransform(camera.pose.rotation @ turn,
+                                               camera.pose.translation))
+
+
+def draw_raycast_case(data, tilted):
+    """A torso from `DEFAULT_TORSO_RANGES` and a camera at a random position,
+    height, focal length and image size, looking at a random target near the
+    torso.  A Y-aligned camera's target is at the camera's Y, and half of
+    them are flipped; a tilted camera's target is at any Y and the camera
+    is rolled about its optical axis."""
+    torso = TorsoSpec(**{name: data.draw(st.floats(lo, hi), label=name)
+                         for name, (lo, hi) in DEFAULT_TORSO_RANGES.items()})
+    y = data.draw(st.floats(-0.3, 0.9), label="camera y")
+    center = [data.draw(st.floats(-0.8, 0.8), label="camera x"), y,
+              data.draw(st.floats(0.0, 1.5), label="camera height")]
+    target = [data.draw(st.floats(-0.2, 0.2), label="target x"), y,
+              data.draw(st.floats(0.0, 0.2), label="target height")]
+    if np.hypot(center[0] - target[0], center[2] - target[2]) < 1e-3:
+        target[2] = center[2] - 0.1
+    if tilted:
+        target[1] = data.draw(st.floats(-0.3, 0.9), label="target y")
+    camera = look_at_camera(center, target, fx=data.draw(st.floats(40.0, 600.0), label="fx"),
+                            width=data.draw(st.integers(1, 160), label="width"),
+                            height=data.draw(st.integers(1, 120), label="height"))
+    if tilted:
+        return torso, rolled(camera, data.draw(st.floats(0.05, 2 * np.pi - 0.05), label="roll"))
+    if data.draw(st.booleans(), label="flipped"):
+        camera = flipped(camera)
+    return torso, camera
 
 
 # a Y-aligned camera with a box corner behind it: its rectangle is the image
@@ -257,13 +323,27 @@ class TestBandedRaycast:
 
     @pytest.mark.parametrize("tile", [1, 2, 3, 7, 640, 641])
     def test_any_band_size_matches_full_image(self, tile, band_cases, monkeypatch):
+        """Under warnings as errors: the masked solve never divides by a zero
+        qa or takes the square root of a negative discriminant."""
         monkeypatch.setattr(synth, "_TILE_RAYS", tile)
-        calls = count_raycast_paths(monkeypatch)
+        calls = solver_calls(monkeypatch)
         for camera, torso, want in band_cases:
-            got = raycast_depth(camera, torso).values
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = raycast_depth(camera, torso).values
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert_one_solve_per_band(camera, calls, tile)
         # the sweep bands both paths: the Y-aligned cameras and the tilted ones
-        assert calls["_column_roots"] > 0 and calls["_cast_band"] > 0
+        aligned = [y_aligned(camera) for camera, _, _ in band_cases]
+        assert any(aligned) and not all(aligned)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_tilted_cameras_match_full_image(self, data):
+        torso, camera = draw_raycast_case(data, tilted=True)
+        assert not y_aligned(camera)
+        assert_same_bits(camera, torso)
 
     @pytest.mark.parametrize("camera", MIXED_ROOT_CAMERAS)
     def test_views_mixing_near_and_far_root_hits(self, camera):
@@ -340,26 +420,13 @@ class TestColumnRaycast:
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(data=st.data())
     def test_y_aligned_cameras_match_full_image(self, data):
-        torso = TorsoSpec(**{name: data.draw(st.floats(lo, hi), label=name)
-                             for name, (lo, hi) in DEFAULT_TORSO_RANGES.items()})
-        y = data.draw(st.floats(-0.3, 0.9), label="camera y")
-        center = [data.draw(st.floats(-0.8, 0.8), label="camera x"), y,
-                  data.draw(st.floats(0.0, 1.5), label="camera height")]
-        target = [data.draw(st.floats(-0.2, 0.2), label="target x"), y,
-                  data.draw(st.floats(0.0, 0.2), label="target height")]
-        if np.hypot(center[0] - target[0], center[2] - target[2]) < 1e-3:
-            target[2] = center[2] - 0.1
-        camera = look_at_camera(center, target, fx=data.draw(st.floats(40.0, 600.0), label="fx"),
-                                width=data.draw(st.integers(1, 160), label="width"),
-                                height=data.draw(st.integers(1, 120), label="height"))
-        if data.draw(st.booleans(), label="flipped"):
-            camera = flipped(camera)
+        torso, camera = draw_raycast_case(data, tilted=False)
         assert column_aligned(camera)
         assert_same_bits(camera, torso)
 
     @pytest.mark.parametrize("turn", [lambda camera: camera, flipped], ids=["upright", "flipped"])
     def test_placed_cameras(self, turn, monkeypatch):
-        calls = count_raycast_paths(monkeypatch)
+        calls = solver_calls(monkeypatch)
         clipped = turn(look_at_camera([0.3, 0.5, 0.6], [0.25, 0.5, 0.05]))
         depth = assert_same_bits(clipped, TORSO)
         assert np.all(_box_corner_depths(clipped, TORSO) > 0)
@@ -380,23 +447,24 @@ class TestColumnRaycast:
         _, ok = full_image_roots(mixed, TORSO)
         assert ok[:, 0].sum() > 1000 and (ok[:, 1] & ~ok[:, 0]).sum() > 100
         assert assert_same_bits(mixed, TORSO).any()
-        assert calls == {"_column_roots": 4}
+        assert [len(shape) for shape in calls] == [1] * 4
 
     def test_every_rig_view_takes_the_column_path(self, monkeypatch):
-        calls = count_raycast_paths(monkeypatch)
+        calls = solver_calls(monkeypatch)
         views = 0
         for pose_kind in ("front", "side"):
             for scene in generate_cohort(4, pose_kind=pose_kind, seed=3):
                 assert all(column_aligned(camera) for camera in scene.cameras)
                 views += len(scene.cameras)
-        assert calls == {"_column_roots": views}
+        assert [len(shape) for shape in calls] == [1] * views
 
     def test_a_tilted_camera_takes_the_band_path(self, monkeypatch):
-        calls = count_raycast_paths(monkeypatch)
+        calls = solver_calls(monkeypatch)
         camera = look_at_camera([0.0, 0.25, 1.0], [0.0, 0.3, 0.1])
         assert not column_aligned(camera)
         assert assert_same_bits(camera, TORSO).any()
-        assert calls["_cast_band"] > 0 and calls["_column_roots"] == 0
+        assert len(calls) > 1
+        assert_one_solve_per_band(camera, calls, synth._TILE_RAYS)
 
 
 class TestGenerateScene:
