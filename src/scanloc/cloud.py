@@ -11,9 +11,10 @@ buffer: each view's one rows transform (`RigidTransform.apply_rows`, a single
 one coordinate row at a time and drops the views.  Before that, a snap
 deprojects only the valid pixels in the image rectangles that can see one
 window of voxel keys around its queries' XY bounding box, and voxelizes only
-the points in that window: `adjust_target` snaps one query, and the
-back-projection a target's three nearby estimates at once.  This gives
-bitwise the centroids, nearest points and normals that the whole grid gives.
+the points in that window: `adjust_target` snaps all the targets `localize`
+regressed for a scene at once, and the back-projection a target's three nearby
+estimates.  This gives bitwise the centroids, nearest points and normals that
+the whole grid gives.
 Each normal is the PCA of the point's ball (every point within NORMAL_RADIUS),
 oriented toward the cameras and computed when read: a snap scans every point of
 the cloud or of its window for its one ball, so `fuse` builds no index; only
@@ -632,8 +633,10 @@ def _snap(cloud: FusedCloud, *targets) -> tuple[FusedCloud, list[PlanarNeighbor]
     target, the nearest centroid's planar distance, NORMAL_RADIUS and that
     rounding fit in its own half-width, the window holds every grid point as
     near as that one (so ties break alike) and its whole ball.  Otherwise `h`
-    at least doubles, as it does while the window is empty.  One target is
-    `adjust_target`'s snap; its offset is 0, so its half-width is `h`.
+    at least doubles, as it does while the window is empty.  A lone target's
+    offset is 0, so its half-width is `h`.  `adjust_target` snaps a scene's
+    targets (a front scene's two lie about 8 cm apart), and the
+    back-projection a target's three estimates, through one call each.
     """
     xy = np.array([_query_xy(target) for target in targets])
     if cloud._points is not None or cloud._raw[1] == 0:
@@ -663,19 +666,27 @@ def _snap(cloud: FusedCloud, *targets) -> tuple[FusedCloud, list[PlanarNeighbor]
         h = max(2 * h, need)
 
 
-def adjust_target(cloud: FusedCloud, target) -> AdjustedTarget:
-    """Snap a regressed target onto the observed surface.
+def adjust_target(cloud: FusedCloud, targets) -> AdjustedTarget | list[AdjustedTarget]:
+    """Snap regressed targets onto the observed surface: one target, a point
+    (k,) with k >= 2, gives its AdjustedTarget, and N targets (N, k) give a
+    list of N, in order, all from one `_snap` through one key window.
 
     XY stays put; Z and the normal come from the XY-nearest cloud point.
     A neighbor farther than FAR_FROM_SURFACE in the plane sets the
     far_from_surface flag: the regression landed off the scanned surface.
     """
-    t = np.asarray(target, dtype=float).reshape(-1)
-    surface, (neighbor,) = _snap(cloud, t)
-    position = np.array([t[0], t[1], neighbor.point[2]])
-    return AdjustedTarget(
-        position=position,
-        normal=surface.normal_at(neighbor.index).copy(),
-        planar_distance=neighbor.planar_distance,
-        far_from_surface=neighbor.planar_distance > FAR_FROM_SURFACE,
-    )
+    t = np.asarray(targets, dtype=float)
+    rows = np.atleast_2d(t)
+    if rows.ndim != 2 or len(rows) == 0:
+        raise ConfigError(f"targets must have shape (k,) or (N, k) with N >= 1, got {t.shape}")
+    surface, neighbors = _snap(cloud, *rows)
+    adjusted = [
+        AdjustedTarget(
+            position=np.array([row[0], row[1], neighbor.point[2]]),
+            normal=surface.normal_at(neighbor.index).copy(),
+            planar_distance=neighbor.planar_distance,
+            far_from_surface=neighbor.planar_distance > FAR_FROM_SURFACE,
+        )
+        for row, neighbor in zip(rows, neighbors)
+    ]
+    return adjusted if t.ndim == 2 else adjusted[0]

@@ -124,14 +124,18 @@ def scene_cloud(scene: SyntheticScene, voxel: float = DEFAULT_EVAL_VOXEL) -> Fus
 def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
     """Leave-one-out folds over the scenes, in scene order.
 
-    `clouds` aligns 1:1 with `scenes`: the fused cloud each held-out scene
+    `clouds` aligns 1:1 with `scenes`, and a list of another length raises
+    ConfigError naming both counts: the fused cloud each held-out scene
     is localized in (see `scene_cloud`), from the keypoints its fit sample
     holds, so each scene is triangulated once.  Each fold's fit is an exact
     least-squares solve (`fit_target`), a pure function of its training set,
     so fold order cannot change results.
     """
     pose_kind = pose_kind_for_target(target_id)
-    scenes = list(scenes)
+    scenes, clouds = list(scenes), list(clouds)
+    if len(clouds) != len(scenes):
+        raise ConfigError(f"leave-one-out needs one cloud per scene, got {len(clouds)} "
+                          f"clouds for {len(scenes)} scenes")
     if len(scenes) < 2:
         raise ScanlocError(f"leave-one-out needs >= 2 scenes, got {len(scenes)}")
     samples, faults = cohort_samples(scenes, target_id)

@@ -393,34 +393,47 @@ class PinholeCamera:
 def triangulate(
     camera_a: PinholeCamera,
     camera_b: PinholeCamera,
-    pixel_a: Pixel,
-    pixel_b: Pixel,
+    pixels_a,
+    pixels_b,
 ) -> np.ndarray:
-    """Recover the 3D point observed at pixel_a/pixel_b in two views.
+    """Recover the 3D points observed at pixels_a/pixels_b in two views: one
+    pixel pair (two `Pixel`s) gives (3,), and N pairs, as (N, 2) arrays or
+    tuples (u, v) of (N,) arrays, give (N, 3).
 
     Uses the homogeneous DLT: each view contributes the two cross-product
-    constraint rows, the stacked 4x4 system is solved by SVD, and the right
-    singular vector of the smallest singular value is dehomogenized.
+    constraint rows of a pair, the N 4x4 systems are stacked and solved by
+    one SVD call, and each right singular vector of the smallest singular
+    value is dehomogenized.  A row has the bits of its pair's solve alone:
+    its system is built with the same elementwise operations, and LAPACK
+    solves each matrix of a stack exactly as it solves a lone one.  The
+    baseline is checked once; the first pair, in input order, whose viewing
+    rays are parallel or whose point is at infinity raises ScanlocError.
     """
     baseline = np.linalg.norm(camera_a.center - camera_b.center)
     if baseline <= 1e-6:
         raise ScanlocError(
             f"camera centers are {baseline:.2e} m apart; need a real baseline"
         )
-    _, ray_a = camera_a.pixel_rays([pixel_a])
-    _, ray_b = camera_b.pixel_rays([pixel_b])
-    da = ray_a[0] / np.linalg.norm(ray_a[0])
-    db = ray_b[0] / np.linalg.norm(ray_b[0])
-    if np.linalg.norm(np.cross(da, db)) < 1e-9:
-        raise ScanlocError("viewing rays are parallel")
-
-    rows = []
-    for cam, pix in ((camera_a, pixel_a), (camera_b, pixel_b)):
-        p = cam.projection_matrix()
-        rows.append(pix.u * p[2] - p[0])
-        rows.append(pix.v * p[2] - p[1])
-    _, _, vt = np.linalg.svd(np.asarray(rows))
-    hom = vt[-1]
-    if abs(hom[3]) < 1e-12 * np.linalg.norm(hom):
-        raise ScanlocError("triangulated point is at infinity")
-    return hom[:3] / hom[3]
+    (ua, va), (ub, vb) = _pixel_coordinates(pixels_a), _pixel_coordinates(pixels_b)
+    if np.shape(ua) != np.shape(ub) or np.ndim(ua) > 1:
+        raise ConfigError(f"triangulate takes one pixel pair or N pairs, got pixels of "
+                          f"shape {np.shape(ua)} and {np.shape(ub)}")
+    single = np.ndim(ua) == 0
+    ua, va, ub, vb = (np.atleast_1d(np.asarray(c, dtype=float)) for c in (ua, va, ub, vb))
+    directions, systems = [], np.empty((len(ua), 4, 4))
+    for k, (camera, u, v) in enumerate(((camera_a, ua, va), (camera_b, ub, vb))):
+        rays = camera.pixel_rays((u, v))[1]
+        directions.append(rays / np.linalg.norm(rays, axis=1, keepdims=True))
+        p = camera.projection_matrix()
+        systems[:, 2 * k] = u[:, None] * p[2] - p[0]
+        systems[:, 2 * k + 1] = v[:, None] * p[2] - p[1]
+    parallel = np.linalg.norm(np.cross(*directions), axis=1) < 1e-9
+    _, _, vt = np.linalg.svd(systems)
+    hom = vt[:, -1]
+    failed = parallel | (np.abs(hom[:, 3]) < 1e-12 * np.linalg.norm(hom, axis=1))
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise ScanlocError("viewing rays are parallel" if parallel[first]
+                           else "triangulated point is at infinity")
+    points = hom[:, :3] / hom[:, 3:]
+    return points[0] if single else points

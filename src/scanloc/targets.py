@@ -446,15 +446,19 @@ def triangulate_joints(
     camera_b: PinholeCamera,
     observation: KeypointObservation,
 ) -> dict[str, np.ndarray]:
-    """3D positions of every joint seen (in bounds) in both views."""
-    out = {}
+    """3D positions of every joint seen (in bounds) in both views, from one
+    `triangulate` call on their pixel pairs in `ALL_JOINTS` order, so the
+    first joint in that order that cannot be triangulated is the one reported."""
+    seen = {}
     for joint in ALL_JOINTS:
-        pix_a = observation.joint_in_view(joint, 0, camera_a)
-        pix_b = observation.joint_in_view(joint, 1, camera_b)
-        if pix_a is None or pix_b is None:
-            continue
-        out[joint] = triangulate(camera_a, camera_b, pix_a, pix_b)
-    return out
+        pixels = [observation.joint_in_view(joint, vi, camera)
+                  for vi, camera in enumerate((camera_a, camera_b))]
+        if None not in pixels:
+            seen[joint] = pixels
+    if not seen:
+        return {}
+    pixels_a, pixels_b = (np.array(view) for view in zip(*seen.values()))
+    return dict(zip(seen, triangulate(camera_a, camera_b, pixels_a, pixels_b)))
 
 
 def pose_keypoints(
@@ -527,7 +531,8 @@ def poses_from_keypoints(
     params: TargetModelParams,
     pose_kind: str,
 ) -> list[ScanTargetPose]:
-    """Regress the targets from `keypoints` and snap them to the surface.
+    """Regress the targets from `keypoints` and snap them all to the surface
+    with one `adjust_target` call.
 
     Each returned pose presses the tool's +Z against the local surface
     normal at the regressed target.  Targets whose planar snap distance is
@@ -535,9 +540,10 @@ def poses_from_keypoints(
     """
     start, end, _ = _segment(keypoints, pose_kind)
     roll_ref = end - start  # the body axis that pins the probe's free roll
+    regressed = regress_targets(keypoints, params, pose_kind)
+    snapped = adjust_target(cloud, [point for _, point in regressed])
     poses = []
-    for target_id, point in regress_targets(keypoints, params, pose_kind):
-        adjusted = adjust_target(cloud, point)
+    for (target_id, _), adjusted in zip(regressed, snapped):
         if adjusted.far_from_surface:
             log.warning(
                 "target %d regressed %.1f mm away from the scanned surface",

@@ -77,6 +77,13 @@ def two_view_rig(height=1.2, target_height=0.2):
             look_at_camera([0.15, 0.25, height], target))
 
 
+def translated_pair(offset) -> tuple[PinholeCamera, PinholeCamera]:
+    """Two 640x480 cameras looking along +Z, the second moved by `offset`:
+    one pixel seen in both views is one viewing direction."""
+    poses = (RigidTransform.identity(), RigidTransform(np.eye(3), offset))
+    return tuple(PinholeCamera(600, 600, 320, 240, 640, 480, pose) for pose in poses)
+
+
 def small_cameras() -> tuple[PinholeCamera, PinholeCamera]:
     """The default rig at quarter resolution, for fast tests."""
     return tuple(

@@ -894,7 +894,8 @@ class TestSnapWindows:
     def test_shared_window_snap_equals_the_whole_grid_snap(self, data):
         """One snap of 1-4 queries, spread up to several first half-widths
         apart and off the surface too: each query's Z, planar distance and
-        normal are bitwise those of the built whole grid."""
+        normal are bitwise those of the built whole grid, and so is each
+        result of one `adjust_target` call on them all."""
         name = data.draw(st.sampled_from(sorted(SNAP_SCENES)), label="scene")
         voxel = data.draw(st.sampled_from([0.0, 0.002, 0.005]), label="voxel")
         views, built = built_grid(name, voxel)
@@ -923,6 +924,10 @@ class TestSnapWindows:
             assert neighbor.point[2].tobytes() == want.position[2].tobytes()
             assert neighbor.planar_distance == want.planar_distance
             assert surface.normal_at(neighbor.index).tobytes() == want.normal.tobytes()
+        adjusted = adjust_target(cloud, queries)
+        assert len(adjusted) == len(queries)
+        for xy, got in zip(queries, adjusted):
+            assert_same_snap(got, adjust_target(built, xy))
         assert voxel == 0 or cloud._points is None  # the snap never built the whole grid
 
     def test_a_shared_window_widens_for_any_query(self, monkeypatch):
@@ -982,17 +987,23 @@ class TestSnapWindows:
         views = list(zip(scene.cameras, scene.depths))
         pixels = sum(np.count_nonzero(depth.valid_mask) for _, depth in views)
         cloud = fuse(views, voxel=voxel)
-        sizes = []
+        sizes, snaps = [], []
 
         def recording(points, voxel):
             sizes.append(len(points))
             return _voxel_centroids(points, voxel)
 
+        def counted_snap(cloud, *targets):
+            snaps.append(len(targets))
+            return _snap(cloud, *targets)
+
         monkeypatch.setattr("scanloc.cloud._voxel_centroids", recording)
+        monkeypatch.setattr("scanloc.cloud._snap", counted_snap)
         poses = localize(*scene.cameras, scene.observation, cloud, scene.ratios,
                          scene.pose_kind)
         assert sorted(p.target_id for p in poses) == sorted(scene.targets_true)
-        assert len(sizes) >= len(poses)
+        assert snaps == [len(poses)]  # one snap holds every target
+        assert sizes
         assert all(size < pixels / 4 for size in sizes), sizes
         assert cloud._points is None  # the whole grid was never built
 
@@ -1253,6 +1264,8 @@ class TestCloudErrors:
             lambda: FusedCloud(points=[[0.0, 0.0, 0.0]], normals=[[0.0, 0.0, 2.0]]),
             lambda: simple_cloud([[0.0, 0.0, 0.5]]).save(tmp_path / "given.cloud"),
             lambda: adjust_target(simple_cloud([[0.0, 0.0, 0.5]]), [0.1]),
+            lambda: adjust_target(simple_cloud([[0.0, 0.0, 0.5]]), np.zeros((0, 3))),
+            lambda: adjust_target(simple_cloud([[0.0, 0.0, 0.5]]), np.zeros((2, 2, 3))),
         ]
         for call in calls:
             with pytest.raises(ConfigError) as info:

@@ -254,6 +254,14 @@ class TestLoocv:
         with pytest.raises(ScanlocError, match="leave-one-out needs >= 2 scenes, got 1"):
             loocv(scenes[:1], 1, clouds=clouds[:1])
 
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
+    def test_clouds_must_align_with_scenes(self, front_cohort, extra):
+        scenes, clouds = front_cohort
+        clouds = clouds[:extra] if extra < 0 else [*clouds, clouds[0]]
+        message = f"got {len(scenes) + extra} clouds for {len(scenes)} scenes"
+        with pytest.raises(ConfigError, match=message):
+            loocv(scenes, 1, clouds=clouds)
+
     def test_missing_target_rejected(self, front_cohort):
         scenes, clouds = front_cohort
         with pytest.raises(ScanlocError, match=r"scene \d+ has no ground truth for target 4"):

@@ -14,8 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
-from helpers import batched_rotation, look_at_camera, random_transform, two_view_rig
-from scanloc.errors import ScanlocError
+from helpers import (
+    batched_rotation,
+    look_at_camera,
+    random_transform,
+    translated_pair,
+    two_view_rig,
+)
+from scanloc.errors import ConfigError, ScanlocError
 from scanloc.geometry import (
     MIN_DEPTH,
     PinholeCamera,
@@ -27,6 +33,7 @@ from scanloc.geometry import (
     rotation_to_angle_axis,
     triangulate,
 )
+from scanloc.synth import TorsoSpec, default_cameras
 from scanloc.targets import RatioPair, pose_kind_for_target, required_joints
 
 
@@ -486,6 +493,33 @@ class TestRowsTransform:
         assert cam.pixel_rays(uv)[1][i].tobytes() == cam.pixel_rays(uv[i:i + 1])[1][0].tobytes()
 
 
+def lone_dlt(camera_a, camera_b, pixel_a, pixel_b) -> np.ndarray:
+    """One pixel pair's DLT written out: its 4x4 system, one `svd`, and the
+    last right singular vector dehomogenized."""
+    rows = []
+    for camera, pixel in ((camera_a, pixel_a), (camera_b, pixel_b)):
+        p = camera.projection_matrix()
+        rows.append(pixel.u * p[2] - p[0])
+        rows.append(pixel.v * p[2] - p[1])
+    hom = np.linalg.svd(np.asarray(rows))[2][-1]
+    return hom[:3] / hom[3]
+
+
+@st.composite
+def two_view_pixels(draw):
+    """The default rig, or two look-at cameras above a random point, and 1 to
+    8 pixel pairs drawn anywhere in their images."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="default rig"):
+        cameras = default_cameras(TorsoSpec())
+    else:
+        aim = rng.uniform(-0.3, 0.3, 3)
+        cameras = tuple(look_at_camera(aim + rng.uniform([-1, -1, 0.3], [1, 1, 1.5]), aim)
+                        for _ in range(2))
+    n = draw(st.integers(1, 8), label="n")
+    return cameras, [rng.uniform(0, [cam.width, cam.height], (n, 2)) for cam in cameras]
+
+
 class TestTriangulation:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(21)
@@ -541,9 +575,55 @@ class TestTriangulation:
 
     def test_parallel_rays_rejected(self):
         # identical orientation, offset along the optical axis, same pixel
-        pose_a = RigidTransform(np.eye(3), np.zeros(3))
-        pose_b = RigidTransform(np.eye(3), np.array([0.0, 0.0, -0.5]))
-        cam_a = PinholeCamera(600, 600, 320, 240, 640, 480, pose_a)
-        cam_b = PinholeCamera(600, 600, 320, 240, 640, 480, pose_b)
+        cam_a, cam_b = translated_pair([0.0, 0.0, -0.5])
         with pytest.raises(ScanlocError, match="viewing rays are parallel"):
             triangulate(cam_a, cam_b, Pixel(100, 200), Pixel(100, 200))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(case=two_view_pixels())
+    def test_a_stack_has_the_bits_of_each_pair_alone(self, case):
+        """N pairs in one call give, row for row, the bits of N one-pair
+        calls and of the one-pair DLT written out, as (N, 2) arrays and as
+        tuples (u, v)."""
+        (cam_a, cam_b), (pixels_a, pixels_b) = case
+        pairs = [(Pixel(*a), Pixel(*b)) for a, b in zip(pixels_a.tolist(), pixels_b.tolist())]
+        stacked = triangulate(cam_a, cam_b, pixels_a, pixels_b)
+        assert stacked.shape == (len(pairs), 3)
+        bits = stacked.view(np.uint64).tolist()
+        alone = np.array([triangulate(cam_a, cam_b, *pair) for pair in pairs])
+        assert bits == alone.view(np.uint64).tolist()
+        assert bits == np.array([lone_dlt(cam_a, cam_b, *pair) for pair in pairs]
+                                ).view(np.uint64).tolist()
+        as_tuples = triangulate(cam_a, cam_b, tuple(pixels_a.T), tuple(pixels_b.T))
+        assert as_tuples.view(np.uint64).tolist() == bits
+
+    def test_a_stack_with_a_parallel_pair_is_refused(self):
+        cam_a, cam_b = translated_pair([0.0, 0.0, -0.5])
+        truth = np.array([0.05, 0.02, 1.0])
+        seen = [cam_a.project(truth), cam_b.project(truth)]
+        assert np.linalg.norm(triangulate(cam_a, cam_b, *seen) - truth) < 1e-9
+        with pytest.raises(ScanlocError, match="viewing rays are parallel"):
+            triangulate(cam_a, cam_b, np.array([seen[0], (100.0, 200.0)]),
+                        np.array([seen[1], (100.0, 200.0)]))
+
+    def test_the_first_failing_pair_is_the_one_reported(self):
+        """Cameras 1000 km apart: pixels 1e-5 px apart meet about 6e13 m out,
+        at infinity to the DLT, and one pixel in both is parallel rays."""
+        cam_a, cam_b = translated_pair([1e6, 0.0, 0.0])
+        far = ((300.0, 200.0), (300.00001, 200.0))
+        parallel = ((100.0, 200.0), (100.0, 200.0))
+        with pytest.raises(ScanlocError, match="triangulated point is at infinity"):
+            triangulate(cam_a, cam_b, Pixel(*far[0]), Pixel(*far[1]))
+        for first, second, message in ((far, parallel, "at infinity"),
+                                       (parallel, far, "viewing rays are parallel")):
+            with pytest.raises(ScanlocError, match=message):
+                triangulate(cam_a, cam_b, *(np.array(view) for view in zip(first, second)))
+
+    def test_pixels_of_unmatched_shapes_are_refused(self):
+        cam_a, cam_b = two_view_rig()
+        grid = (np.zeros((2, 2)), np.zeros((2, 2)))  # a tuple (u, v) of 2-D parts
+        for pixels_a, pixels_b in ((np.zeros((2, 2)), np.zeros((3, 2))),
+                                   (np.zeros((2, 2)), Pixel(1.0, 2.0)),
+                                   (grid, grid)):
+            with pytest.raises(ConfigError, match="one pixel pair or N pairs"):
+                triangulate(cam_a, cam_b, pixels_a, pixels_b)

@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scanloc.cloud import FusedCloud, fuse
+from scanloc.cloud import FusedCloud, adjust_target, fuse
 from scanloc.errors import ConfigError, MalformedFileError, ScanlocError
-from scanloc.geometry import PinholeCamera, Pixel, angle_axis_to_rotation, RigidTransform
-from scanloc.synth import generate_cohort
+from scanloc.evaluation import scene_cloud
+from scanloc.geometry import PinholeCamera, Pixel, angle_axis_to_rotation, RigidTransform, triangulate
+from scanloc.synth import NoiseSpec, generate_cohort
 from scanloc.targets import (
+    ALL_JOINTS,
     FitDataset,
     FitSample,
     KeypointObservation,
     Keypoints3D,
     LATERAL,
     RatioPair,
+    ScanTargetPose,
     TOWARD_HIPS,
     TargetModelParams,
     _sample_arrays,
@@ -34,10 +37,13 @@ from scanloc.targets import (
     params_from_dict,
     params_to_dict,
     perpendicular_planar_direction,
+    pose_keypoints,
     pose_kind_for_target,
     regress_targets,
+    required_joints,
     save_params,
     side_target,
+    triangulate_joints,
 )
 
 from helpers import (
@@ -48,6 +54,7 @@ from helpers import (
     oracle_side_target,
     planar_design,
     spoil_a_number,
+    translated_pair,
     two_view_rig,
 )
 
@@ -663,6 +670,103 @@ class TestLocalize:
             rot_before = angle_axis_to_rotation(before.rotation_vector)
             rot_after = angle_axis_to_rotation(after.rotation_vector)
             assert np.allclose(rot_after, motion.rotation @ rot_before, atol=1e-9)
+
+
+MILD = NoiseSpec(keypoint_sigma_px=1.0, depth_sigma_m=0.002)
+NOISY = NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005)
+
+
+def poses_json(poses) -> str:
+    """The poses as `scanloc localize` writes them: every float by its repr."""
+    return json.dumps([pose.to_dict() for pose in poses])
+
+
+def lone_snap_poses(scene, params, voxel) -> list[ScanTargetPose]:
+    """`localize` written out with one `adjust_target` call per target, each
+    on its own fresh cloud."""
+    keypoints, _ = pose_keypoints(*scene.cameras, scene.observation, scene.pose_kind)
+    start, end = (getattr(keypoints, joint) for joint in required_joints(scene.pose_kind))
+    poses = []
+    for target_id, point in regress_targets(keypoints, params, scene.pose_kind):
+        adjusted = adjust_target(scene_cloud(scene, voxel), point)
+        rotvec = orientation_from_normal(adjusted.normal, end - start)
+        poses.append(ScanTargetPose(target_id, *adjusted.position.tolist(), *rotvec.tolist(),
+                                    far_from_surface=adjusted.far_from_surface))
+    return poses
+
+
+class TestOneSnap:
+    """`localize` snaps a scene's targets through one window and gives the
+    poses of one snap per target, bit for bit."""
+
+    def assert_lone_snap_poses(self, scene, params, voxel):
+        poses = localize(*scene.cameras, scene.observation, scene_cloud(scene, voxel), params,
+                         scene.pose_kind)
+        assert poses_json(poses) == poses_json(lone_snap_poses(scene, params, voxel))
+        return poses
+
+    @pytest.mark.parametrize("voxel", [0.002, 0.005])
+    @pytest.mark.parametrize("noise", [MILD, NOISY], ids=["mild", "noisy"])
+    @pytest.mark.parametrize("pose_kind", ["front", "side"])
+    def test_scenes(self, pose_kind, noise, voxel):
+        for scene in generate_cohort(2, noise=noise, pose_kind=pose_kind, seed=71):
+            poses = self.assert_lone_snap_poses(scene, scene.ratios, voxel)
+            assert [p.target_id for p in poses] == sorted(scene.targets_true)
+
+    @pytest.mark.parametrize("voxel", [0.002, 0.005])
+    def test_a_front_scene_without_its_right_hip(self, voxel):
+        faults = NoiseSpec(keypoint_sigma_px=1.0, depth_sigma_m=0.002,
+                           fault_prob={"right_hip": 1.0})
+        scenes = generate_cohort(6, noise=faults, pose_kind="front", seed=72)
+        scene = next(s for s in scenes if s.faulted_joints.get("right_hip") == "dropped")
+        keypoints, _ = pose_keypoints(*scene.cameras, scene.observation, "front")
+        assert keypoints.right_hip is None  # the targets step along TOWARD_HIPS
+        self.assert_lone_snap_poses(scene, scene.ratios, voxel)
+
+    @pytest.mark.parametrize("voxel", [0.002, 0.005])
+    def test_a_target_far_from_the_surface(self, voxel):
+        """Target 2 steps toward the head, off the scanned torso, so the one
+        window must widen to hold target 1's neighbourhood and target 2's."""
+        (scene,) = generate_cohort(1, noise=MILD, pose_kind="front", seed=73)
+        params = TargetModelParams(front={1: scene.ratios.front[1], 2: RatioPair(0.5, -0.9)})
+        poses = self.assert_lone_snap_poses(scene, params, voxel)
+        assert [p.far_from_surface for p in poses] == [False, True]
+
+
+class TestTriangulateJoints:
+    def test_one_call_per_scene_with_the_bits_of_each_joint_alone(self, monkeypatch):
+        (scene,) = generate_cohort(1, noise=NOISY, pose_kind="front", seed=74)
+        calls = []
+
+        def counted(camera_a, camera_b, pixels_a, pixels_b):
+            calls.append(len(pixels_a))
+            return triangulate(camera_a, camera_b, pixels_a, pixels_b)
+
+        monkeypatch.setattr("scanloc.targets.triangulate", counted)
+        joints = triangulate_joints(*scene.cameras, scene.observation)
+        assert calls == [len(ALL_JOINTS)]
+        assert list(joints) == list(ALL_JOINTS)
+        for joint, point in joints.items():
+            pixels = [scene.observation.views[vi][joint] for vi in (0, 1)]
+            assert point.tobytes() == triangulate(*scene.cameras, *pixels).tobytes()
+
+    def test_no_joint_seen_makes_no_call(self, monkeypatch):
+        monkeypatch.setattr("scanloc.targets.triangulate", None)
+        assert triangulate_joints(*two_view_rig(), KeypointObservation(views=({}, {}))) == {}
+
+    def test_the_first_failing_joint_in_all_joints_order_is_reported(self):
+        """Whatever order the views list them in: cameras 1000 km apart, where
+        pixels 1e-5 px apart meet at infinity and one pixel in both is
+        parallel rays."""
+        cameras = translated_pair([1e6, 0.0, 0.0])
+        far = (Pixel(300.0, 200.0), Pixel(300.00001, 200.0))
+        parallel = (Pixel(100.0, 200.0), Pixel(100.0, 200.0))
+        for left, right, message in ((far, parallel, "at infinity"),
+                                     (parallel, far, "viewing rays are parallel")):
+            views = tuple({"right_shoulder": right[vi], "left_shoulder": left[vi]}
+                          for vi in (0, 1))
+            with pytest.raises(ScanlocError, match=message):
+                triangulate_joints(*cameras, KeypointObservation(views=views))
 
 
 class TestRegressTargets:
