@@ -26,10 +26,10 @@ from .geometry import Pixel, angle_between_degrees, triangulate
 from .jsonfile import write_json
 from .synth import SyntheticScene
 from .targets import (
-    FitDataset,
     FitSample,
     RatioPair,
-    fit_target,
+    _fit_rows,
+    _sample_arrays,
     pose_keypoints,
     pose_kind_for_target,
     poses_from_keypoints,
@@ -62,8 +62,7 @@ class SuccessTable:
     """One target's success rate at each threshold; faulty folds never succeed."""
 
     target_id: int
-    thresholds_mm: tuple
-    rates: tuple  # aligned with thresholds_mm
+    rates: tuple  # aligned with DEFAULT_THRESHOLDS_MM
 
 
 def _check_truth(scene: SyntheticScene, target_id: int) -> None:
@@ -108,8 +107,10 @@ def cohort_samples(scenes, target_id: int) -> tuple[tuple, tuple]:
     """Each scene's `_scene_sample`, as the samples (None where faulty) and
     the fault reasons, in scene order.  A scene id shared by two scenes
     raises ConfigError: a copied scene would be trained on twice, or, held
-    out, trained on its own copy."""
+    out, trained on its own copy.  An empty cohort raises ScanlocError."""
     ids = [scene.scene_id for scene in scenes]
+    if not ids:
+        raise ScanlocError("the cohort is empty: no scene to sample")
     shared = sorted({i for i in ids if ids.count(i) > 1})
     if shared:
         raise ConfigError(f"scene id {shared[0]} is shared by {ids.count(shared[0])} scenes")
@@ -127,9 +128,9 @@ def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
     `clouds` aligns 1:1 with `scenes`, and a list of another length raises
     ConfigError naming both counts: the fused cloud each held-out scene
     is localized in (see `scene_cloud`), from the keypoints its fit sample
-    holds, so each scene is triangulated once.  Each fold's fit is an exact
-    least-squares solve (`fit_target`), a pure function of its training set,
-    so fold order cannot change results.
+    holds, so each scene is triangulated once.  The valid scenes' fit rows
+    are built once, before any fold, and a fold solves the others' rows in
+    order (`_fit_rows`): a pure function of its training set.
     """
     pose_kind = pose_kind_for_target(target_id)
     scenes, clouds = list(scenes), list(clouds)
@@ -139,19 +140,21 @@ def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
     if len(scenes) < 2:
         raise ScanlocError(f"leave-one-out needs >= 2 scenes, got {len(scenes)}")
     samples, faults = cohort_samples(scenes, target_id)
+    valid = np.flatnonzero([sample is not None for sample in samples])
+    rows = _sample_arrays([samples[i] for i in valid], pose_kind)
 
     folds = []
     for i, scene in enumerate(scenes):
         if faults[i]:
             folds.append(FoldResult(scene.scene_id, target_id, True, faults[i]))
             continue
-        training = [s for j, s in enumerate(samples) if j != i and s is not None]
-        if not training:
+        keep = valid != i
+        if not keep.any():
             folds.append(
                 FoldResult(scene.scene_id, target_id, True, "no valid training scenes")
             )
             continue
-        params, fit = fit_target(FitDataset(training), target_id)
+        params, fit = _fit_rows([row[keep] for row in rows], target_id)
         (pose,) = poses_from_keypoints(samples[i].keypoints, clouds[i], params, pose_kind)
         gt = scene.targets_true[target_id]
         position_error = 1000.0 * float(np.linalg.norm(pose.position - gt))
@@ -172,22 +175,22 @@ def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
     return folds
 
 
-def success_table(folds, thresholds_mm=DEFAULT_THRESHOLDS_MM) -> SuccessTable:
-    """Success = valid fold with position error within the threshold.  The
-    folds are one target's, as `loocv` gives them: folds of two targets raise
-    ConfigError, because the table's one column names its target."""
+def success_table(folds) -> SuccessTable:
+    """Success = valid fold with position error within the threshold, at
+    each of `DEFAULT_THRESHOLDS_MM`.  The folds are one target's, as `loocv`
+    gives them: folds of two targets raise ConfigError, because the table's
+    one column names its target."""
     folds = list(folds)
     if not folds:
         raise ScanlocError("success table needs at least one fold")
     target_ids = sorted({f.target_id for f in folds})
     if len(target_ids) > 1:
         raise ConfigError(f"a success table holds one target, got folds of targets {target_ids}")
-    thresholds = tuple(float(t) for t in thresholds_mm)
     rates = tuple(
         sum(1 for f in folds if not f.faulty and f.position_error_mm <= t) / len(folds)
-        for t in thresholds
+        for t in DEFAULT_THRESHOLDS_MM
     )
-    return SuccessTable(target_ids[0], thresholds, rates)
+    return SuccessTable(target_ids[0], rates)
 
 
 def summarize(folds) -> dict:
@@ -330,7 +333,7 @@ def write_success_csv(table: SuccessTable, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold_mm", f"target_{table.target_id}"])
-        for threshold, rate in zip(table.thresholds_mm, table.rates):
+        for threshold, rate in zip(DEFAULT_THRESHOLDS_MM, table.rates):
             writer.writerow([f"{threshold:g}", f"{rate:.4f}"])
 
 

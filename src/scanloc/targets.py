@@ -10,12 +10,11 @@ segment, with its sideways step scaled by the walked distance rather than
 the whole segment.  Fitting, regression, localization and the synthetic
 ground truth all read a segment through `_segment`.
 
-Fitting (`fit_target`, the one entry per target id) recovers the two
-ratios per target from examples by minimizing the mean squared planar (XY)
-mismatch.  Both models are linear least squares solved by one shared
-`lstsq` call: the front model in its two ratios directly, the lateral one
-in (walk ratio, walk ratio magnitude times sideways ratio), from which the
-sideways ratio is recovered.
+Fitting recovers each target's two ratios from examples by minimizing the
+mean squared planar (XY) mismatch: `_sample_arrays` builds the examples'
+design rows, and `_fit_rows` is the one least-squares solve of rows into
+ratios.  `fit_target` fits a dataset, and a leave-one-out fold masks its
+own row out of one cohort design.
 """
 
 from __future__ import annotations
@@ -263,13 +262,9 @@ class FitResult:
 
 
 def _lstsq_ratios(starts, segs, lengths, perps, targets) -> tuple[float, float, float]:
-    """Exact least squares for targets ~ starts + a * segs + c * lengths * perps.
-
-    The arguments are `_sample_arrays`' rows, one planar (XY) row per
-    sample, so each sample contributes two equations in (a, c).  Returns
-    a, c and the mean planar distance between the fitted predictions and
-    the targets.
-    """
+    """a, c and the mean planar distance to the targets of the exact least
+    squares fit targets ~ starts + a * segs + c * lengths * perps, over
+    `_sample_arrays`' rows (see `_fit_rows`)."""
     offsets = lengths[:, None] * perps
     rows = np.column_stack([segs.reshape(-1), offsets.reshape(-1)])
     solution, _, rank, _ = np.linalg.lstsq(rows, (targets - starts).reshape(-1), rcond=None)
@@ -282,15 +277,15 @@ def _lstsq_ratios(starts, segs, lengths, perps, targets) -> tuple[float, float, 
     return a, c, float(np.mean(np.linalg.norm(pred - targets, axis=1)))
 
 
-def _sample_arrays(data: FitDataset, pose_kind: str):
-    """Planar design rows of every sample: segment starts, segments,
-    lengths, unit sideways directions and targets."""
-    starts = np.empty((len(data), 2))
-    segs = np.empty((len(data), 2))
-    lengths = np.empty(len(data))
-    perps = np.empty((len(data), 2))
-    gts = np.empty((len(data), 2))
-    for i, sample in enumerate(data.samples):
+def _sample_arrays(samples, pose_kind: str):
+    """Planar design rows of every sample, in order: segment starts,
+    segments, lengths, unit sideways directions and targets."""
+    starts = np.empty((len(samples), 2))
+    segs = np.empty((len(samples), 2))
+    lengths = np.empty(len(samples))
+    perps = np.empty((len(samples), 2))
+    gts = np.empty((len(samples), 2))
+    for i, sample in enumerate(samples):
         start, end, reference = _segment(sample.keypoints, pose_kind)
         seg = end - start
         starts[i] = start[:2]
@@ -301,44 +296,44 @@ def _sample_arrays(data: FitDataset, pose_kind: str):
     return starts, segs, lengths, perps, gts
 
 
-def fit_front(data: FitDataset) -> FitResult:
-    """Closed-form least squares for the front-target ratios.
+def _fit_rows(rows, target_id: int) -> tuple[TargetModelParams, FitResult]:
+    """Fit one target's ratios from `_sample_arrays` rows: params that hold
+    them for that target alone, and the fit.
 
-    Each sample contributes its two planar equations
-    (target - start)_xy = a * seg_xy + b * |seg| * t2_xy; the stacked
-    system is linear in (a, b).  A single clean sample already determines
-    both ratios exactly.  The reported residual is the mean planar
-    distance between predictions and annotations (not the squared loss
-    being minimized).
+    Each row contributes its two planar equations
+    (target - start)_xy = a * seg_xy + c * |seg| * t2_xy, linear in (a, c).
+    The front model is that system itself, so b = c, and a single clean
+    sample already determines both ratios exactly.  The lateral model
+    shoulder + a * seg + b * |a| * |seg| * t2 is linear in (a, c = b * |a|),
+    so the same solve gives its global optimum and b = c / |a|; at a = 0
+    the target sits on the shoulder and b is undefined, which raises
+    ScanlocError.  The reported residual is the mean planar distance
+    between predictions and annotations, not the squared loss minimized.
     """
-    a, b, residual = _lstsq_ratios(*_sample_arrays(data, "front"))
-    return FitResult(ratios=RatioPair(a, b), mean_planar_residual=residual)
-
-
-def fit_side(data: FitDataset) -> FitResult:
-    """Exact least-squares fit of the lateral-target ratios.
-
-    The lateral model shoulder + a * seg + b * |a| * |seg| * t2 is linear
-    in (a, c = b * |a|), so the same solver as the front fit gives the
-    global optimum and b = c / |a|.  At a = 0 the target sits on the
-    shoulder and b is undefined: that raises ScanlocError.
-    """
-    a, c, residual = _lstsq_ratios(*_sample_arrays(data, "side"))
+    a, c, residual = _lstsq_ratios(*rows)
+    if pose_kind_for_target(target_id) == "front":
+        result = FitResult(RatioPair(a, c), residual)
+        return TargetModelParams(front={target_id: result.ratios}), result
     if a == 0.0:
-        raise ScanlocError(
-            "fitted segment ratio is 0; the offset ratio is not identifiable"
-        )
-    return FitResult(ratios=RatioPair(a, c / abs(a)), mean_planar_residual=residual)
+        raise ScanlocError("fitted segment ratio is 0; the offset ratio is not identifiable")
+    result = FitResult(RatioPair(a, c / abs(a)), residual)
+    return TargetModelParams(side=result.ratios), result
 
 
 def fit_target(data: FitDataset, target_id: int) -> tuple[TargetModelParams, FitResult]:
-    """Fit one target's ratios: params that hold them for that target alone,
-    and the fit.  The one place a target id picks `fit_front` or `fit_side`."""
-    if pose_kind_for_target(target_id) == "front":
-        result = fit_front(data)
-        return TargetModelParams(front={target_id: result.ratios}), result
-    result = fit_side(data)
-    return TargetModelParams(side=result.ratios), result
+    """Fit one target's ratios on a dataset (`_fit_rows`): the one fit entry
+    per target id."""
+    return _fit_rows(_sample_arrays(data.samples, pose_kind_for_target(target_id)), target_id)
+
+
+def fit_front(data: FitDataset) -> FitResult:
+    """`fit_target`'s fit of the front ratios."""
+    return fit_target(data, FRONT_TARGET_IDS[0])[1]
+
+
+def fit_side(data: FitDataset) -> FitResult:
+    """`fit_target`'s fit of the lateral ratios."""
+    return fit_target(data, SIDE_TARGET_ID)[1]
 
 
 # orientation and full localization ------------------------------------------

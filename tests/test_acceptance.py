@@ -30,6 +30,7 @@ from scanloc.cli import main
 from scanloc.cloud import FusedCloud, adjust_target
 from scanloc.errors import ScanlocError
 from scanloc.evaluation import (
+    DEFAULT_THRESHOLDS_MM,
     backprojection_comparison,
     loocv,
     median_backprojection_errors,
@@ -333,7 +334,7 @@ def test_criterion_5_end_to_end_closure(cohort_cache):
             folds = loocv(scenes, target_id, clouds=clouds)
             stats[target_id] = (
                 summarize(folds),
-                success_table(folds, [25.0]).rates[0],
+                success_table(folds).rates[DEFAULT_THRESHOLDS_MM.index(25.0)],
             )
     elapsed = time.perf_counter() - start
     phases = dict(cohort_cache["seconds"], LOOCV=start + elapsed - loocv_start)
@@ -400,7 +401,8 @@ def test_criterion_7_failure_accounting(cohort_cache):
     faulty_ids = [s.scene_id for s in side if s.faulted_joints]
     assert faulty_ids, "the chosen master seed must produce at least one fault"
 
-    thresholds = [float(t) for t in range(5, 45, 5)]
+    thresholds = tuple(float(t) for t in range(5, 45, 5))
+    assert DEFAULT_THRESHOLDS_MM == thresholds
     tables = {}
     for target_id, scenes, clouds in (
         (1, front, cohort_cache["front_clouds"]),
@@ -411,7 +413,7 @@ def test_criterion_7_failure_accounting(cohort_cache):
         if target_id == 4:
             marked = {f.scene_id for f in folds if f.faulty}
             assert marked == set(faulty_ids)
-        tables[target_id] = success_table(folds, thresholds)
+        tables[target_id] = success_table(folds)
 
     for i, threshold in enumerate(thresholds):
         side_rate = tables[4].rates[i]
@@ -479,8 +481,7 @@ def test_criterion_8_invariant_suite(tmp_path):
                         normal_error_deg=1.0,
                     )
                 )
-        thresholds = np.sort(rng.uniform(0.0, 50.0, 5)) + 0.1
-        rates = np.array(success_table(folds, thresholds).rates)
+        rates = np.array(success_table(folds).rates)
         assert np.all(np.diff(rates) >= 0)
         assert np.all((rates >= 0) & (rates <= 1))
 

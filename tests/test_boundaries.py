@@ -64,7 +64,7 @@ def json_io(node):
 
 def fit_call(node):
     name = called_name(node)
-    return f"{name}()" if name in ("fit_front", "fit_side") else None
+    return f"{name}()" if name in ("fit_front", "fit_side", "_lstsq_ratios") else None
 
 
 def payload_read(node):
@@ -148,13 +148,16 @@ RULES = [
          ["line 2: json.dump", "line 4: from json import"],
          lambda found: found == ["json.load", "json.dump"]),
     Rule("fit", "targets.py",
-         "Every other module fits through `targets.fit_target`, so which fit and "
-         "which params slot a target id gets is decided once.",
+         "Every other module fits through `targets.fit_target`, or, for a "
+         "leave-one-out fold, `targets._fit_rows`, so which fit and which params "
+         "slot a target id gets is decided once, and the least-squares solve of "
+         "design rows into ratios is written once, as one `_lstsq_ratios` call.",
          fit_call,
          "r = fit_front(data)\nfit_side = None\n"
-         "s = targets.fit_side(data)\nt = fit_target(data, 1)\nf = fit_front\n",
-         ["line 1: fit_front()", "line 3: fit_side()"],
-         lambda found: sorted(found) == ["fit_front()", "fit_side()"]),
+         "s = targets.fit_side(data)\nt = fit_target(data, 1)\nf = fit_front\n"
+         "u = targets._lstsq_ratios(*rows)\ng = _lstsq_ratios\nv = _fit_rows(rows, 4)\n",
+         ["line 1: fit_front()", "line 3: fit_side()", "line 6: _lstsq_ratios()"],
+         lambda found: found == ["_lstsq_ratios()"]),
     Rule("target", "targets.py",
          "Every other module reads `TARGET_IDS`, `FRONT_TARGET_IDS`, `SIDE_TARGET_ID` "
          "and `POSE_KINDS` from `targets`, so the target vocabulary is written once.  "

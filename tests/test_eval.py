@@ -8,13 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import small_cameras
+from scanloc import targets
 from scanloc.cloud import DepthMap
 from scanloc.errors import ConfigError, ScanlocError
 from scanloc.evaluation import (
+    DEFAULT_THRESHOLDS_MM,
     BackprojectionResult,
     FoldResult,
     SuccessTable,
     backprojection_comparison,
+    cohort_samples,
     loocv,
     median_backprojection_errors,
     scene_cloud,
@@ -25,7 +29,7 @@ from scanloc.evaluation import (
     write_success_csv,
     write_summary_json,
 )
-from scanloc.geometry import Pixel
+from scanloc.geometry import Pixel, angle_between_degrees
 from scanloc.synth import (
     NoiseSpec,
     TorsoSpec,
@@ -34,7 +38,16 @@ from scanloc.synth import (
     generate_cohort,
     generate_scene,
 )
-from scanloc.targets import FitDataset, RatioPair, TargetModelParams, fit_front
+from scanloc.targets import (
+    FitDataset,
+    RatioPair,
+    TargetModelParams,
+    _sample_arrays,
+    fit_front,
+    fit_target,
+    pose_kind_for_target,
+    poses_from_keypoints,
+)
 from scanloc.evaluation import _nearest_valid_depth, _scene_sample
 
 
@@ -55,20 +68,26 @@ def faulty_fold(scene_id, target_id=1):
 
 
 class TestSuccessTable:
-    def test_hand_thresholds(self):
-        folds = [valid_fold(i, 10.0) for i in range(4)]
-        table = success_table(folds, [5, 15])
-        assert table == SuccessTable(1, (5.0, 15.0), (0.0, 1.0))
+    """Rates at the fixed thresholds 5, 10, ..., 40 mm."""
+
+    def test_thresholds_are_inclusive(self):
+        folds = [valid_fold(0, 10.0), valid_fold(1, 10.0), valid_fold(2, 12.5),
+                 valid_fold(3, 40.0)]
+        table = success_table(folds)
+        assert DEFAULT_THRESHOLDS_MM == (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+        assert table == SuccessTable(1, (0.0, 0.5, 0.75, 0.75, 0.75, 0.75, 0.75, 1.0))
 
     def test_one_faulty_among_ten(self):
         folds = [valid_fold(i, 0.0) for i in range(9)] + [faulty_fold(9)]
-        table = success_table(folds, [5, 10, 20, 40])
-        assert table.rates == (0.9, 0.9, 0.9, 0.9)
+        table = success_table(folds)
+        assert table.rates == (0.9,) * 8
 
     def test_faulty_never_succeeds_at_any_threshold(self):
-        folds = [faulty_fold(0), valid_fold(1, 1.0)]
-        table = success_table(folds, [1000.0])
-        assert table.rates == (0.5,)
+        # a faulty fold fails even where its error field would pass
+        folds = [faulty_fold(0), replace(faulty_fold(1), position_error_mm=0.0),
+                 valid_fold(2, 1.0), valid_fold(3, 2.0)]
+        table = success_table(folds)
+        assert table.rates == (0.5,) * 8
 
     def test_monotone_rates_random_folds(self):
         rng = np.random.default_rng(42)
@@ -80,10 +99,10 @@ class TestSuccessTable:
                     folds.append(faulty_fold(i, target_id=target_id))
                 else:
                     folds.append(valid_fold(i, float(rng.uniform(0, 60)), target_id=target_id))
-            thresholds = np.sort(rng.uniform(0, 60, size=6))
-            table = success_table(folds, thresholds)
+            table = success_table(folds)
             assert table.target_id == target_id
             rates = np.array(table.rates)
+            assert len(rates) == len(DEFAULT_THRESHOLDS_MM)
             assert np.all(np.diff(rates) >= 0)
             assert np.all((rates >= 0) & (rates <= 1))
             n_valid = sum(1 for f in folds if not f.faulty)
@@ -92,14 +111,14 @@ class TestSuccessTable:
     def test_folds_of_two_targets_refused(self):
         """A table's CSV column names its one target, so it pools no two."""
         folds = [valid_fold(0, 3.0, target_id=1), valid_fold(0, 30.0, target_id=4)]
-        assert success_table(folds[:1], [10]) == SuccessTable(1, (10.0,), (1.0,))
-        assert success_table(folds[1:], [10]) == SuccessTable(4, (10.0,), (0.0,))
+        assert success_table(folds[:1]) == SuccessTable(1, (1.0,) * 8)
+        assert success_table(folds[1:]) == SuccessTable(4, (0.0,) * 5 + (1.0,) * 3)
         with pytest.raises(ConfigError, match=r"one target, got folds of targets \[1, 4\]"):
-            success_table(folds, [10])
+            success_table(folds)
 
     def test_empty_rejected(self):
         with pytest.raises(ScanlocError, match="success table needs at least one fold"):
-            success_table([], [10])
+            success_table([])
 
 
 class TestSummarize:
@@ -245,7 +264,7 @@ class TestLoocv:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted a fold before the shared id was reported")
 
-        monkeypatch.setattr("scanloc.evaluation.fit_target", no_fit)
+        monkeypatch.setattr("scanloc.evaluation._fit_rows", no_fit)
         with pytest.raises(ConfigError, match="scene id 0 is shared by 2 scenes"):
             loocv([*scenes, scenes[0]], 1, clouds=[*clouds, clouds[0]])
 
@@ -339,11 +358,125 @@ class TestFaultAccounting:
     def test_success_table_counts_faulty(self, side_with_faults):
         scenes, clouds = side_with_faults
         folds = loocv(scenes, 4, clouds=clouds)
-        table = success_table(folds, [25])
-        assert table.rates == (3 / 5,)
+        table = success_table(folds)
+        assert table.rates == (3 / 5,) * len(DEFAULT_THRESHOLDS_MM)
         summary = summarize(folds)
         assert summary["n_valid"] == 3
         assert summary["n_faulty"] == 2
+
+
+def per_fold_loocv(scenes, target_id, clouds):
+    """`loocv` written with a fit of its own per fold: `fit_target` on a
+    `FitDataset` of the fold's training samples."""
+    samples, faults = cohort_samples(scenes, target_id)
+    folds = []
+    for i, scene in enumerate(scenes):
+        training = [s for j, s in enumerate(samples) if j != i and s is not None]
+        if faults[i] or not training:
+            reason = faults[i] or "no valid training scenes"
+            folds.append(FoldResult(scene.scene_id, target_id, True, reason))
+            continue
+        params, fit = fit_target(FitDataset(training), target_id)
+        (pose,) = poses_from_keypoints(samples[i].keypoints, clouds[i], params,
+                                       pose_kind_for_target(target_id))
+        error = np.linalg.norm(pose.position - scene.targets_true[target_id])
+        normal = angle_between_degrees(pose.surface_normal,
+                                       scene.target_normals_true[target_id])
+        folds.append(FoldResult(scene.scene_id, target_id, False, "", 1000.0 * float(error),
+                                float(normal), fit.ratios, 1000.0 * fit.mean_planar_residual))
+    return folds
+
+
+def refuse_segments_from(monkeypatch, start):
+    """Make every keypoint segment that starts at `start` have no planar
+    perpendicular, as a vertical one has none."""
+    planar = targets.perpendicular_planar_direction
+
+    def refusing(seg_start, end, reference):
+        if np.array_equal(seg_start, start):
+            raise ScanlocError("keypoint segment is vertical; no planar perpendicular")
+        return planar(seg_start, end, reference)
+
+    monkeypatch.setattr(targets, "perpendicular_planar_direction", refusing)
+
+
+@pytest.fixture(scope="module")
+def noisy_cohorts():
+    """Noisy 8-scene cohorts by target id, quarter-resolution, 5 mm clouds:
+    front scenes 0, 1 and 6 lose their left shoulder, and others their
+    right hip; side scenes 0, 1, 6 and 7 lose their right hip."""
+    cohorts = {}
+    for target_id, faults in ((1, {"right_hip": 0.5, "left_shoulder": 0.2}),
+                              (4, {"right_hip": 0.3})):
+        noise = NoiseSpec(keypoint_sigma_px=2.0, depth_sigma_m=0.005, fault_prob=faults)
+        scenes = generate_cohort(8, noise=noise, pose_kind=pose_kind_for_target(target_id),
+                                 seed=8, cameras=small_cameras())
+        cohorts[target_id] = scenes, [scene_cloud(s, 0.005) for s in scenes]
+    return cohorts
+
+
+class TestOneDesign:
+    """`loocv` builds the valid scenes' fit rows once and masks each fold's own."""
+
+    @pytest.mark.parametrize("target_id", [1, 4])
+    def test_folds_have_the_bits_of_a_fit_per_fold(self, noisy_cohorts, target_id):
+        scenes, clouds = noisy_cohorts[target_id]
+        folds = loocv(scenes, target_id, clouds=clouds)
+        faulty = [f.scene_id for f in folds if f.faulty]
+        assert faulty == ([0, 1, 6] if target_id == 1 else [0, 1, 6, 7])
+        # repr spells every float exactly, so equal reprs are equal bits
+        assert repr(folds) == repr(per_fold_loocv(scenes, target_id, clouds))
+
+    def test_one_valid_scene_has_no_training_scenes(self, side_with_faults):
+        scenes, clouds = side_with_faults
+        scenes, clouds = scenes[1:4], clouds[1:4]  # dropped, clean, displaced
+        folds = loocv(scenes, 4, clouds=clouds)
+        assert [f.fault_reason for f in folds] == [
+            "right_hip dropped", "no valid training scenes", "right_hip displaced"]
+        assert repr(folds) == repr(per_fold_loocv(scenes, 4, clouds))
+
+    @pytest.mark.parametrize("target_id", [1, 4])
+    def test_one_row_per_valid_sample_from_one_call(self, noisy_cohorts, target_id,
+                                                     monkeypatch):
+        scenes, clouds = noisy_cohorts[target_id]
+        calls = []
+
+        def counted(samples, pose_kind):
+            rows = _sample_arrays(samples, pose_kind)
+            calls.append(([s.scene_id for s in samples], [len(row) for row in rows]))
+            return rows
+
+        monkeypatch.setattr("scanloc.targets._sample_arrays", counted)
+        monkeypatch.setattr("scanloc.evaluation._sample_arrays", counted)
+        folds = loocv(scenes, target_id, clouds=clouds)
+        valid = [f.scene_id for f in folds if not f.faulty]
+        assert calls == [(valid, [len(valid)] * 5)]
+
+    def test_empty_cohort_refused(self):
+        with pytest.raises(ScanlocError, match="the cohort is empty: no scene to sample"):
+            cohort_samples([], 1)
+
+    def test_rows_that_cannot_be_built_are_refused_before_any_fold(
+            self, side_with_faults, monkeypatch):
+        scenes, clouds = side_with_faults
+        last, _ = _scene_sample(scenes[-1], 4)
+        refuse_segments_from(monkeypatch, last.keypoints.right_shoulder)
+
+        def no_fold(*args, **kwargs):
+            raise AssertionError("a fold ran before the cohort's rows were built")
+
+        monkeypatch.setattr("scanloc.evaluation._fit_rows", no_fold)
+        monkeypatch.setattr("scanloc.evaluation.poses_from_keypoints", no_fold)
+        with pytest.raises(ScanlocError, match="keypoint segment is vertical"):
+            loocv(scenes, 4, clouds=clouds)
+
+    def test_the_only_valid_sample_is_refused_too(self, side_with_faults, monkeypatch):
+        """Its fold would have no training scenes, but its rows are still built."""
+        scenes, clouds = side_with_faults
+        only, _ = _scene_sample(scenes[2], 4)
+        refuse_segments_from(monkeypatch, only.keypoints.right_shoulder)
+        with pytest.raises(ScanlocError, match="keypoint segment is vertical"):
+            loocv(scenes[1:4], 4, clouds=clouds[1:4])
 
 
 class TestBackprojection:
@@ -430,7 +563,7 @@ class TestReports:
     def test_round_trip_and_determinism(self, tmp_path, front_cohort):
         scenes, clouds = front_cohort
         folds = loocv(scenes, 1, clouds=clouds) + [faulty_fold(99)]
-        table = success_table(folds, [5, 25])
+        table = success_table(folds)
         summary = summarize(folds)
         results = [backprojection_comparison(scenes[0], clouds[0], t) for t in (1, 2)]
 
@@ -460,4 +593,5 @@ class TestReports:
         with open(tmp_path / "success_table.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["threshold_mm", "target_1"]
+        assert [row[0] for row in rows[1:]] == ["5", "10", "15", "20", "25", "30", "35", "40"]
         assert float(rows[1][1]) <= float(rows[2][1])

@@ -295,7 +295,7 @@ class TestFitSide:
         for seed in range(10):
             rng = np.random.default_rng(1500 + seed)
             data = make_side_dataset(rng, 20, (0.5, 0.2), noise_sigma=0.005)
-            shoulders, segs, lengths, perps, gts = _sample_arrays(data, "side")
+            shoulders, segs, lengths, perps, gts = _sample_arrays(data.samples, "side")
             result = fit_side(data)
             a, b = result.ratios.segment_ratio, result.ratios.offset_ratio
             pred_fit = shoulders + a * segs + (b * abs(a) * lengths)[:, None] * perps
