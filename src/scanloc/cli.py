@@ -88,7 +88,8 @@ def _cmd_calibrate(args) -> int:
     pose = solve_park_martin(pairs)
     residual = mean_residual(pairs, pose)
     log.info(
-        "calibrated from %d samples (%d motion pairs): mean rotation residual %.3e rad",
+        "calibrated from %d samples (%d motion pairs): mean Frobenius norm of "
+        "A X - X B %.3e over the 4x4 poses, which mixes meters with rotation terms",
         len(samples), len(pairs), residual,
     )
     output = {"pose": pose.to_dict()} if camera is None else replace(camera, pose=pose).to_dict()

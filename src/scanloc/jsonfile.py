@@ -37,13 +37,18 @@ def write_json(path, data) -> None:
         fh.write("\n")
 
 
-def _check_keys(data: dict, allowed: set, context: str) -> None:
-    """Reject unknown keys so config typos fail loudly instead of silently."""
+def _check_keys(data: dict, allowed: set, context: str, whole: bool = False) -> None:
+    """Reject unknown keys so config typos fail loudly instead of silently,
+    and, for a `whole` record, a missing one: the first missing key in sorted
+    order is named."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+    missing = sorted(allowed - set(data)) if whole else ()
+    if missing:
+        raise ConfigError(f"{context} is missing key {missing[0]!r}")
 
 
 def _two(value, kind: type, name: str) -> list:
@@ -86,12 +91,13 @@ def _as_lists(vectors: dict) -> dict:
     return {str(key): [float(x) for x in vector] for key, vector in vectors.items()}
 
 
-def _vectors(data, keys, name: str, size: int = 3) -> dict:
+def _vectors(data, keys, name: str, size: int = 3, whole: bool = False) -> dict:
     """The JSON object `data` of named vectors, each named by one of `keys` as
-    text and each `size` finite numbers, keyed as in `keys`; else ConfigError
-    naming `name` or MalformedFileError naming `name key`."""
+    text (every one of them if `whole`) and each `size` finite numbers, keyed
+    as in `keys`; else ConfigError naming `name` or MalformedFileError naming
+    `name key`."""
     key_of = {str(key): key for key in keys}
-    _check_keys(data, set(key_of), name)
+    _check_keys(data, set(key_of), name, whole)
     return {key_of[key]: _finite(v, f"{name} {key}", (size,)) for key, v in data.items()}
 
 

@@ -119,7 +119,7 @@ class TorsoSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TorsoSpec":
-        _check_keys(data, set(_TORSO_FIELDS), "torso")
+        _check_keys(data, set(_TORSO_FIELDS), "torso", whole=True)
         return cls(**{k: float(_finite(v, f"torso {k}")) for k, v in data.items()})
 
 
@@ -156,10 +156,9 @@ class NoiseSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "NoiseSpec":
-        _check_keys(
-            data, {"keypoint_sigma_px", "depth_sigma_m", "fault_prob", "seed"}, "noise"
-        )
+    def from_dict(cls, data: dict, whole: bool = False) -> "NoiseSpec":
+        """`to_dict`'s inverse; a key left out takes its default, unless `whole`."""
+        _check_keys(data, {f.name for f in fields(cls)}, "noise", whole)
         fault_prob = data.get("fault_prob", {})
         _check_keys(fault_prob, set(ALL_JOINTS), "noise fault_prob")
         return cls(
@@ -372,6 +371,18 @@ def _observed_depth(depth: DepthMap, sigma: float, rng) -> DepthMap:
     return DepthMap._owning(observed)
 
 
+def _jittered(views: tuple[dict, dict], sigma: float, rng) -> tuple[dict, dict]:
+    """The two-view pixel map `views` with Gaussian noise of `sigma` px on each
+    pixel, drawn name by name in the map's order, view 0 before view 1."""
+    jittered = ({}, {})
+    for name in views[0]:
+        for vi in (0, 1):
+            px = views[vi][name]
+            du, dv = sigma * rng.standard_normal(2)
+            jittered[vi][name] = Pixel(px.u + du, px.v + dv)
+    return jittered
+
+
 def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
                    cameras: tuple | None, noise: NoiseSpec, pose_kind: str,
                    scene_id: int = 0) -> SyntheticScene:
@@ -392,12 +403,7 @@ def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
     kp_rng, fault_rng, target_rng = (np.random.default_rng(s) for s in streams[:3])
     depth_rngs = [np.random.default_rng(s) for s in streams[3:]]
 
-    observed = ({}, {})
-    for joint in ALL_JOINTS:
-        for vi in (0, 1):
-            px = kp_pixels_true[vi][joint]
-            du, dv = noise.keypoint_sigma_px * kp_rng.standard_normal(2)
-            observed[vi][joint] = Pixel(px.u + du, px.v + dv)
+    observed = _jittered(kp_pixels_true, noise.keypoint_sigma_px, kp_rng)
 
     faulted = {}
     for joint in ALL_JOINTS:
@@ -417,12 +423,7 @@ def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
                         px.v + DISPLACEMENT_PX * np.sin(angle),
                     )
 
-    target_observed = ({}, {})
-    for tid in sorted(targets):
-        for vi in (0, 1):
-            px = target_pixels_true[vi][tid]
-            du, dv = noise.keypoint_sigma_px * target_rng.standard_normal(2)
-            target_observed[vi][tid] = Pixel(px.u + du, px.v + dv)
+    target_observed = _jittered(target_pixels_true, noise.keypoint_sigma_px, target_rng)
 
     # one view at a time, so one float64 image is alive at once
     depths = tuple(_observed_depth(raycast_depth(camera, torso), noise.depth_sigma_m, rng)
@@ -527,11 +528,50 @@ def generate_cohort(n: int, ranges: dict | None = None,
 # scene files -----------------------------------------------------------------
 
 
-_SCENE_KEYS = {
-    "scene_id", "pose_kind", "torso", "noise", "ratios", "cameras", "depth_files",
-    "observation", "keypoints_true", "keypoint_pixels_true", "targets_true",
-    "target_normals_true", "target_pixels_true", "target_pixels_observed",
-    "faulted_joints",
+def _pose_kind(value, key: str) -> str:
+    if value not in POSE_KINDS:
+        raise MalformedFileError(f"{key} must be 'front' or 'side', got {value!r}")
+    return value
+
+
+def _faults(value, key: str) -> dict:
+    _check_keys(value, set(ALL_JOINTS), key)
+    for joint, kind in value.items():
+        if kind not in ("dropped", "displaced"):
+            raise MalformedFileError(
+                f"{key} {joint} must be 'dropped' or 'displaced', got {kind!r}")
+    return dict(value)
+
+
+def _pixels(keys, whole: bool = False):
+    """The reader of a two-view pixel map over `keys`, each view holding
+    every one of them if `whole`."""
+    return lambda v, k: pixel_views_from_json(_two(v, dict, k), keys, k, whole)
+
+
+# scene.json holds each SyntheticScene field but `depths` under the field's
+# name, as (writer of its JSON value, reader of (value, key)).  A reader names
+# the key in any error and refuses a record with a key left out, but for an
+# undetected joint (observation), an unfaulted joint (faulted_joints), a joint
+# of fault probability 0 (noise fault_prob) and what a params file may leave
+# out (ratios).
+_SCENE_FIELDS = {
+    "scene_id": (int, _whole),
+    "pose_kind": (str, _pose_kind),
+    "torso": (TorsoSpec.to_dict, lambda v, k: TorsoSpec.from_dict(v)),
+    "noise": (NoiseSpec.to_dict, lambda v, k: NoiseSpec.from_dict(v, whole=True)),
+    "ratios": (params_to_dict, lambda v, k: params_from_dict(v)),
+    "cameras": (lambda cameras: [camera.to_dict() for camera in cameras],
+                lambda v, k: tuple(map(PinholeCamera.from_dict, _two(v, dict, k)))),
+    "observation": (KeypointObservation.to_dict, lambda v, k: KeypointObservation.from_dict(v)),
+    "keypoints_true": (lambda kps: _as_lists({j: getattr(kps, j) for j in ALL_JOINTS}),
+                       lambda v, k: Keypoints3D(**_vectors(v, ALL_JOINTS, k, whole=True))),
+    "keypoint_pixels_true": (pixel_views_to_json, _pixels(ALL_JOINTS, whole=True)),
+    "targets_true": (_as_lists, lambda v, k: _vectors(v, TARGET_IDS, k)),
+    "target_normals_true": (_as_lists, lambda v, k: _vectors(v, TARGET_IDS, k)),
+    "target_pixels_true": (pixel_views_to_json, _pixels(TARGET_IDS)),
+    "target_pixels_observed": (pixel_views_to_json, _pixels(TARGET_IDS)),
+    "faulted_joints": (dict, _faults),
 }
 
 
@@ -543,64 +583,27 @@ def save_scene(scene: SyntheticScene, directory) -> None:
         name = f"depth_{vi}.pfm"
         write_pfm(os.path.join(directory, name), depth.values)
         depth_files.append(name)
-    data = {
-        "scene_id": scene.scene_id,
-        "pose_kind": scene.pose_kind,
-        "torso": scene.torso.to_dict(),
-        "noise": scene.noise.to_dict(),
-        "ratios": params_to_dict(scene.ratios),
-        "cameras": [camera.to_dict() for camera in scene.cameras],
-        "depth_files": depth_files,
-        "observation": scene.observation.to_dict(),
-        "keypoints_true": _as_lists({j: getattr(scene.keypoints_true, j) for j in ALL_JOINTS}),
-        "keypoint_pixels_true": pixel_views_to_json(scene.keypoint_pixels_true),
-        "targets_true": _as_lists(scene.targets_true),
-        "target_normals_true": _as_lists(scene.target_normals_true),
-        "target_pixels_true": pixel_views_to_json(scene.target_pixels_true),
-        "target_pixels_observed": pixel_views_to_json(scene.target_pixels_observed),
-        "faulted_joints": dict(sorted(scene.faulted_joints.items())),
-    }
-    write_json(os.path.join(directory, "scene.json"), data)
+    data = {key: write(getattr(scene, key)) for key, (write, _) in _SCENE_FIELDS.items()}
+    write_json(os.path.join(directory, "scene.json"), {**data, "depth_files": depth_files})
 
 
 def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
     """scene.json's scene, without depth maps, and the paths of its depth files."""
-    _check_keys(data, _SCENE_KEYS, "scene")
-    if data["pose_kind"] not in POSE_KINDS:
-        raise MalformedFileError(f"pose_kind must be 'front' or 'side', got {data['pose_kind']!r}")
-    _check_keys(data["faulted_joints"], set(ALL_JOINTS), "faulted_joints")
-
-    def pixels(name, keys):
-        return pixel_views_from_json(_two(data[name], dict, name), keys, name)
-
-    depth_files = [os.path.join(directory, name)
-                   for name in _two(data["depth_files"], str, "depth_files")]
-    scene = SyntheticScene(
-        scene_id=_whole(data["scene_id"], "scene_id"),
-        pose_kind=data["pose_kind"],
-        torso=TorsoSpec.from_dict(data["torso"]),
-        noise=NoiseSpec.from_dict(data["noise"]),
-        ratios=params_from_dict(data["ratios"]),
-        cameras=tuple(PinholeCamera.from_dict(c) for c in _two(data["cameras"], dict, "cameras")),
-        depths=(),
-        observation=KeypointObservation.from_dict(data["observation"]),
-        keypoints_true=Keypoints3D(
-            **_vectors(data["keypoints_true"], ALL_JOINTS, "keypoints_true")),
-        keypoint_pixels_true=pixels("keypoint_pixels_true", ALL_JOINTS),
-        targets_true=_vectors(data["targets_true"], TARGET_IDS, "targets_true"),
-        target_normals_true=_vectors(data["target_normals_true"], TARGET_IDS,
-                                     "target_normals_true"),
-        target_pixels_true=pixels("target_pixels_true", TARGET_IDS),
-        target_pixels_observed=pixels("target_pixels_observed", TARGET_IDS),
-        faulted_joints=dict(data["faulted_joints"]),
-    )
+    _check_keys(data, {*_SCENE_FIELDS, "depth_files"}, "scene", whole=True)
+    names = _two(data["depth_files"], str, "depth_files")
+    for name in names:  # the two maps save_scene writes, never a path elsewhere
+        if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+            raise MalformedFileError(
+                f"depth_files must name files in the scene directory, got {name!r}")
+    scene = SyntheticScene(depths=(), **{key: read(data[key], key)
+                                         for key, (_, read) in _SCENE_FIELDS.items()})
     views = {f"{name} view{vi}": view for name in ("target_pixels_true", "target_pixels_observed")
              for vi, view in enumerate(getattr(scene, name))}
     for name, values in {"target_normals_true": scene.target_normals_true, **views}.items():
         odd = sorted(set(values) ^ set(scene.targets_true))
         if odd:
             raise MalformedFileError(f"{name} and targets_true disagree on target {odd[0]}")
-    return scene, depth_files
+    return scene, [os.path.join(directory, name) for name in names]
 
 
 def load_scene(directory) -> SyntheticScene:

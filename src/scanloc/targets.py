@@ -240,7 +240,9 @@ class FitSample:
     scene_id: int = -1
 
     def __post_init__(self):
-        object.__setattr__(self, "target", _opt_vec3(self.target, "target"))
+        target = _as_vec3(self.target, "target")
+        target.flags.writeable = False
+        object.__setattr__(self, "target", target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,8 +420,8 @@ class KeypointObservation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KeypointObservation":
-        _check_keys(data, {"view0", "view1"}, "observation")
-        views = (data.get("view0", {}), data.get("view1", {}))
+        _check_keys(data, {"view0", "view1"}, "observation", whole=True)
+        views = (data["view0"], data["view1"])
         return cls(views=pixel_views_from_json(views, ALL_JOINTS, "observation"))
 
 
@@ -428,11 +430,11 @@ def pixel_views_to_json(views: tuple[dict, dict]) -> list:
     return [_as_lists(view) for view in views]
 
 
-def pixel_views_from_json(views, keys, name: str) -> tuple[dict, dict]:
+def pixel_views_from_json(views, keys, name: str, whole: bool = False) -> tuple[dict, dict]:
     """Two JSON objects of named pixels, each read by `_vectors` as
     `name view{i}`, as Pixels."""
     return tuple({key: Pixel(*uv.tolist()) for key, uv in
-                  _vectors(view, keys, f"{name} view{vi}", 2).items()}
+                  _vectors(view, keys, f"{name} view{vi}", 2, whole).items()}
                  for vi, view in enumerate(views))
 
 

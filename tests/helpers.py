@@ -293,13 +293,18 @@ def numeric_leaves(value, path=()):
     return [path] if type(value) in (int, float) else []
 
 
+def get_path(value, path):
+    """The item of the JSON value `value` at the key path `path`."""
+    for step in path:
+        value = value[step]
+    return value
+
+
 def spoil_a_number(draw, value) -> None:
     """Replace one number of the JSON value `value`, in place, by one of
     NOT_NUMBERS; hypothesis's `draw` picks both."""
     *parents, key = draw(st.sampled_from(numeric_leaves(value)), label="leaf")
-    for step in parents:
-        value = value[step]
-    value[key] = draw(st.sampled_from(NOT_NUMBERS), label="value")
+    get_path(value, parents)[key] = draw(st.sampled_from(NOT_NUMBERS), label="value")
 
 
 def unique_rows_centroids(points, voxel):

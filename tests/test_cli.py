@@ -1,6 +1,7 @@
 """End-to-end tests for the scanloc command-line interface."""
 
 import argparse
+import copy
 import filecmp
 import hashlib
 import io
@@ -14,16 +15,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_side_target, small_cameras, spoil_a_number, synthesize_pose_pairs
+from helpers import (
+    get_path,
+    oracle_side_target,
+    small_cameras,
+    spoil_a_number,
+    synthesize_pose_pairs,
+)
 from scanloc import cli
 from scanloc.cli import build_parser, main
 from scanloc.cloud import FusedCloud, fuse, write_pfm
 from scanloc.errors import ConfigError, MalformedFileError
 from scanloc.geometry import PinholeCamera, RigidTransform, angle_axis_to_rotation
-from scanloc.handeye import PosePairSample, build_motion_pairs, load_samples, solve_park_martin
+from scanloc.handeye import (
+    PosePairSample,
+    build_motion_pairs,
+    load_samples,
+    mean_residual,
+    solve_park_martin,
+)
 from scanloc.jsonfile import _whole, read_json
 from scanloc.synth import NoiseSpec, default_ratios, generate_cohort
 from scanloc.targets import RatioPair, params_to_dict
+
+
+def without(data, *path):
+    """A copy of the JSON value `data` with the key at the key path `path` left out."""
+    data = copy.deepcopy(data)
+    *parents, key = path
+    del get_path(data, parents)[key]
+    return data
 
 
 def edited_cameras(**fields):
@@ -244,6 +265,29 @@ class TestCalibrate:
         assert json.loads(out.read_text())["pose"] == every_pair.to_dict()
         consecutive = solve_park_martin(build_motion_pairs(samples))
         assert consecutive.to_dict() != every_pair.to_dict()
+
+    def test_logs_the_mean_residual_it_measured(self, tmp_path, caplog):
+        """The logged residual is `mean_residual`, the mean Frobenius norm of
+        A X - X B, and is named as such, not as a rotation residual: with
+        2 mm of translation noise on the tag and none on its rotation, it
+        reads a few 1e-3."""
+        rng = np.random.default_rng(14)
+        _, exact = synthesize_pose_pairs(rng, 6)
+        samples_file = tmp_path / "samples.json"
+        write_samples(samples_file, [
+            PosePairSample(s.gripper_in_base, RigidTransform(
+                s.tag_in_camera.rotation, s.tag_in_camera.translation + rng.normal(0, 0.002, 3)))
+            for s in exact
+        ])
+        with caplog.at_level(logging.INFO, logger="scanloc"):
+            assert main(["calibrate", "--samples", str(samples_file),
+                         "--out", str(tmp_path / "pose.json")]) == 0
+        pairs = build_motion_pairs(load_samples(samples_file), all_pairs=True)
+        residual = mean_residual(pairs, solve_park_martin(pairs))
+        assert residual > 1e-4
+        (line,) = [r.getMessage() for r in caplog.records if "motion pairs" in r.getMessage()]
+        assert f"mean Frobenius norm of A X - X B {residual:.3e}" in line
+        assert "rotation residual" not in line and " rad" not in line
 
 
 # sha256 of what `fit`, `localize` and `evaluate --target 1` write for the
@@ -617,6 +661,24 @@ class TestMalformedInput:
         assert "Traceback" not in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["/etc/hostname", "../scene_000/depth_0.pfm", "",
+                                      ".", "..", "sub/depth_1.pfm", "depth_0\0.pfm"])
+    def test_fuse_on_depth_file_outside_the_scene_exits_1(self, cohort_dir, tmp_path, caplog,
+                                                          name):
+        """A depth file named with a directory part or a NUL byte, or as "",
+        "." or "..", is refused naming scene.json before any depth map is
+        read, even when the file it names exists (another scene's map)."""
+        scenes = tmp_path / "scenes"
+        shutil.copytree(cohort_dir, scenes)
+        path = scenes / "scene_001" / "scene.json"
+        data = json.loads(path.read_text())
+        data["depth_files"][0] = name
+        path.write_text(json.dumps(data))
+        out = tmp_path / "cloud.bin"
+        assert_refused(caplog, ["fuse", "--scene", str(scenes / "scene_001"), "--out", str(out)],
+                       out, str(path), f"depth_files must name files in the scene directory, "
+                                       f"got {name!r}")
+
     @pytest.mark.parametrize(
         "corrupt, detail",
         [
@@ -715,6 +777,17 @@ class TestMalformedInput:
             (lambda d: {**d, "cameras": [d["cameras"][0], {**d["cameras"][1], "pose": {
                 **d["cameras"][1]["pose"], "translation": ["-0.15", 0, 1]}}]},
              "pose translation must be 3 finite numbers, got ['-0.15', 0, 1]"),
+            (lambda d: without(d, "torso", "thickness"), "torso is missing key 'thickness'"),
+            (lambda d: without(d, "noise", "seed"), "noise is missing key 'seed'"),
+            (lambda d: without(d, "keypoints_true", "right_hip"),
+             "keypoints_true is missing key 'right_hip'"),
+            (lambda d: without(d, "keypoint_pixels_true", 1, "right_hip"),
+             "keypoint_pixels_true view1 is missing key 'right_hip'"),
+            (lambda d: without(d, "observation", "view1"), "observation is missing key 'view1'"),
+            (lambda d: {**d, "faulted_joints": {"right_hip": None}},
+             "faulted_joints right_hip must be 'dropped' or 'displaced', got None"),
+            (lambda d: {**d, "faulted_joints": {"left_shoulder": "missed"}},
+             "faulted_joints left_shoulder must be 'dropped' or 'displaced', got 'missed'"),
         ],
         ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
              "one-pixel-view", "observation-view-not-object", "one-camera", "cameras-not-list",
@@ -728,7 +801,9 @@ class TestMalformedInput:
              "observation-not-number", "observation-bool", "keypoint-bool", "target-not-number",
              "normal-bool-inside", "target-nested-list",
              "ratios-name-target-3", "huge-torso-int", "huge-camera-int", "huge-rotation-int",
-             "huge-ratio-int", "negative-noise-seed", "huge-scene-id", "pose-bool", "pose-string"],
+             "huge-ratio-int", "negative-noise-seed", "huge-scene-id", "pose-bool", "pose-string",
+             "torso-no-thickness", "noise-no-seed", "keypoints-no-hip", "keypoint-pixels-no-hip",
+             "observation-no-view", "fault-kind-null", "fault-kind-unknown"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):

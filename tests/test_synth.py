@@ -5,7 +5,7 @@ import json
 import re
 import tracemalloc
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from scanloc.synth import (
     DEFAULT_TORSO_RANGES,
     RIG_IMAGE_SIZE,
     NoiseSpec,
+    SyntheticScene,
     TorsoSpec,
     _exact_pixels,
     default_cameras,
@@ -49,6 +50,7 @@ from scanloc.targets import (
 from helpers import (
     full_image_raycast,
     full_image_roots,
+    get_path,
     look_at_camera,
     pixel_ray_grid,
     small_cameras,
@@ -694,7 +696,80 @@ def json_objects(value, path=()):
     return []
 
 
+def same_bits(a, b) -> bool:
+    """Whether `a` and `b` hold the same values bit for bit: floats of equal
+    bits, arrays of equal dtype, shape and bytes, dicts with equal keys,
+    sequences of equal length and dataclasses of one type, recursively."""
+    if isinstance(a, float) and isinstance(b, float):
+        return float(a).hex() == float(b).hex()
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if is_dataclass(a):
+        return all(same_bits(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_bits(a[key], b[key]) for key in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return a == b
+
+
+# the keys of scene.json that may be left out, by the path of their record:
+# a joint not detected, a joint not faulted, a joint of fault probability 0,
+# and what a params file may leave out of the ratios
+OPTIONAL_SCENE_KEYS = {("observation", "view0"), ("observation", "view1"), ("faulted_joints",),
+                       ("noise", "fault_prob"), ("ratios",), ("ratios", "front")}
+
+
 class TestSceneIO:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_a_key_left_out_is_refused_before_a_depth_map(self, json_only_scene, data):
+        """Any key of scene.json left out, but for OPTIONAL_SCENE_KEYS, fails
+        as malformed, naming scene.json, before a depth map is read."""
+        directory, text = json_only_scene
+        scene = json.loads(text)
+        record, key = data.draw(st.sampled_from([
+            (record, key) for record in json_objects(scene)
+            if record not in OPTIONAL_SCENE_KEYS for key in get_path(scene, record)]), label="key")
+        del get_path(scene, record)[key]
+        path = directory / "scene.json"
+        path.write_text(json.dumps(scene))
+        with pytest.raises(MalformedFileError, match=re.escape(str(path))):
+            load_scene(directory)
+
+    def test_optional_keys_may_be_left_out(self, tmp_path):
+        """An undetected joint, an unfaulted joint, a joint of fault
+        probability 0 and the ratios' reference_axes may be left out."""
+        noise = NoiseSpec(fault_prob={"right_hip": 1.0}, seed=1)
+        save_scene(generate_scene(TORSO, RATIOS, small_cameras(), noise, "front"), tmp_path)
+        path = tmp_path / "scene.json"
+        data = json.loads(path.read_text())
+        for record, key in ((data["observation"]["view1"], "left_shoulder"),
+                            (data["faulted_joints"], "right_hip"),
+                            (data["noise"]["fault_prob"], "right_hip"),
+                            (data["ratios"], "reference_axes")):
+            del record[key]
+        path.write_text(json.dumps(data))
+        loaded = load_scene(tmp_path)
+        assert loaded.faulted_joints == {} and loaded.noise.fault_prob == {}
+        assert "left_shoulder" not in loaded.observation.views[1]
+
+    @pytest.mark.parametrize("kind", ["front", "side"])
+    def test_round_trip_keeps_every_field_bits(self, tmp_path, kind):
+        """Every field scene.json holds loads with the bits it was saved with:
+        one noisy scene per pose kind, with dropped and displaced joints."""
+        assert set(synth._SCENE_FIELDS) == {f.name for f in fields(SyntheticScene)} - {"depths"}
+        noise = NoiseSpec(keypoint_sigma_px=1.5, depth_sigma_m=0.003,
+                          fault_prob={"left_shoulder": 1.0, "right_hip": 1.0}, seed=1)
+        scene = generate_scene(TORSO, RATIOS, small_cameras(), noise, kind, scene_id=17)
+        assert sorted(scene.faulted_joints.values()) == ["displaced", "dropped"]
+        save_scene(scene, tmp_path)
+        loaded = load_scene(tmp_path)
+        for key in synth._SCENE_FIELDS:
+            assert same_bits(getattr(loaded, key), getattr(scene, key)), key
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(data=st.data())
     def test_a_cut_or_an_unknown_key_is_refused_before_a_depth_map(self, json_only_scene, data):

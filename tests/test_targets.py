@@ -343,6 +343,17 @@ class TestFitTarget:
         with pytest.raises(ValueError, match="unsupported target id 3"):
             fit_target(data, 3)
 
+    def test_a_sample_needs_a_target(self):
+        """A sample without a target is refused when it is built, not at the
+        fit; a sample's target is a read-only copy of what it was given."""
+        (sample,) = make_front_dataset(np.random.default_rng(1703), 1, (0.62, 0.31)).samples
+        keypoints = sample.keypoints
+        with pytest.raises(ConfigError, match="target must be a 3-vector"):
+            FitSample(keypoints=keypoints, target=None)
+        given_target = np.array([0.1, 0.2, 0.3])
+        sample = FitSample(keypoints=keypoints, target=given_target)
+        assert not sample.target.flags.writeable and sample.target is not given_target
+
 
 class TestOrientation:
     def test_flat_surface_hand_case(self):
