@@ -23,9 +23,9 @@ from .errors import ConfigError, MalformedFileError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
-    backprojection_comparison,
+    _cohort,
+    _fold_and_backprojection,
     cohort_samples,
-    loocv,
     median_backprojection_errors,
     scene_cloud,
     success_table,
@@ -37,15 +37,19 @@ from .evaluation import (
 )
 from .geometry import PinholeCamera, RigidTransform
 from .handeye import build_motion_pairs, load_samples, mean_residual, solve_park_martin
-from .jsonfile import _check_keys, _two, _whole, read_json, write_json
+from .jsonfile import _check_keys, _whole, read_json, write_json
 from .synth import (
     NoiseSpec,
+    _cameras,
     _scene_names,
     _validate_ranges,
+    check_depth_files,
     generate_cohort,
-    load_cohort,
+    load_depths,
     load_scene,
+    read_scene_json,
     save_cohort,
+    scene_directories,
 )
 from .targets import (
     TARGET_IDS,
@@ -110,7 +114,7 @@ def _parse_synth_config(data):
     noise = NoiseSpec.from_dict(data.get("noise", {}))
     cameras = None
     if "cameras" in data:
-        cameras = tuple(PinholeCamera.from_dict(c) for c in _two(data["cameras"], dict, "cameras"))
+        cameras = _cameras(data["cameras"], "cameras")
     return dict(n=n, seed=seed, pose_kind=pose_kind, ranges=ranges, ratios=ratios,
                 noise=noise, cameras=cameras)
 
@@ -143,7 +147,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    scenes = load_cohort(args.dataset)
+    # the fit reads scene.json alone: no depth map is opened
+    scenes = [read_scene_json(directory)[0] for directory in scene_directories(args.dataset)]
     samples, faults = cohort_samples(scenes, args.target)
     for scene, fault in zip(scenes, faults):
         if fault:
@@ -188,28 +193,42 @@ def _cmd_localize(args) -> int:
     return 0
 
 
+def _evaluate_scene(cohort, i: int, directory, scene, depth_files, voxel: float):
+    """Scene `i`'s fold and back-projection: its depth maps are read and fused
+    here, and dropped on return, so one scene's depth maps are held at a time.
+    An error names the scene's directory."""
+    try:
+        scene = load_depths(scene, depth_files)
+        return _fold_and_backprojection(cohort, i, scene, scene_cloud(scene, voxel))
+    except ScanlocError as exc:
+        raise type(exc)(f"{directory}: {exc}") from None
+
+
 def _cmd_evaluate(args) -> int:
     _check_fusion_options(args.voxel)
-    scenes = load_cohort(args.scenes)
-    # a bad --out fails here, before the fusion and LOOCV work
+    # pass 1: every scene.json and PFM header, and the cohort's fit rows; no depth is read
+    directories = scene_directories(args.scenes)
+    captures = [read_scene_json(directory) for directory in directories]
+    for capture in captures:
+        check_depth_files(*capture)
+    cohort = _cohort([scene for scene, _ in captures], args.target)
+    # a bad --out fails here, before any depth map is read
     os.makedirs(args.out, exist_ok=True)
     # the run's settings, echoed into summary.json
     config = {"target_id": args.target, "voxel_m": args.voxel,
               "normal_radius_m": NORMAL_RADIUS, "thresholds_mm": list(DEFAULT_THRESHOLDS_MM)}
     log.info("evaluate config: %s", json.dumps(config, sort_keys=True))
-    clouds = [scene_cloud(scene, args.voxel) for scene in scenes]
-
-    folds = loocv(scenes, args.target, clouds=clouds)
+    # pass 2: one scene at a time
+    folds, results = zip(*(_evaluate_scene(cohort, i, directory, *capture, args.voxel)
+                           for i, (directory, capture) in enumerate(zip(directories, captures))))
     summary = summarize(folds)
-    results = [backprojection_comparison(scene, cloud, args.target)
-               for scene, cloud in zip(scenes, clouds)]
 
     write_folds_csv(folds, os.path.join(args.out, "folds.csv"))
     write_success_csv(success_table(folds), os.path.join(args.out, "success_table.csv"))
     write_backprojection_csv(results, os.path.join(args.out, "backprojection.csv"))
     summary_out = {
         "config": config,
-        "n_scenes": len(scenes),
+        "n_scenes": len(directories),
         "backprojection_median_px": median_backprojection_errors(results),
         **summary,
     }

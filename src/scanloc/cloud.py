@@ -12,8 +12,8 @@ one coordinate row at a time and drops the views.  Before that, a snap
 deprojects only the valid pixels in the image rectangles that can see one
 window of voxel keys around its queries' XY bounding box, and voxelizes only
 the points in that window: `adjust_target` snaps all the targets `localize`
-regressed for a scene at once, and the back-projection a target's three nearby
-estimates.  This gives bitwise the centroids, nearest points and normals that
+regressed for a scene at once, and `scanloc evaluate` a fold's target with the
+back-projection's three nearby estimates.  This gives bitwise the centroids, nearest points and normals that
 the whole grid gives.
 Each normal is the PCA of the point's ball (every point within NORMAL_RADIUS),
 oriented toward the cameras and computed when read: a snap scans every point of
@@ -116,37 +116,61 @@ def read_pfm(path) -> np.ndarray:
     """Read a grayscale PFM file into a (height, width) float32 array: a
     read-only flipped view of `_read_payload`'s array."""
     with open(path, "rb") as fh:
-        def token():
-            chars = []
-            ch = fh.read(1)
-            while ch and ch.isspace():
-                ch = fh.read(1)
-            while ch and not ch.isspace():
-                chars.append(ch)
-                ch = fh.read(1)
-            return b"".join(chars)
-
-        try:
-            magic, width, height, scale = token(), int(token()), int(token()), float(token())
-        except ValueError:
-            raise MalformedFileError(f"{path}: PFM header is cut short or not numeric") from None
-        if magic != b"Pf" or not _finite_number(scale) or scale == 0:
-            raise MalformedFileError(f"{path}: not a grayscale PFM (magic {magic!r}, scale {scale})")
-        data = _read_payload(fh, path, (height, width), "<f4" if scale < 0 else ">f4")
+        shape, dtype = _pfm_header(fh, path)
+        data = _read_payload(fh, path, shape, dtype)
     return np.flipud(data)
+
+
+def pfm_shape(path) -> tuple[int, int]:
+    """The (height, width) of the PFM file `path`, after every check `read_pfm`
+    makes before it reads the payload: its header, and that its data bytes
+    fill that shape exactly.  The payload itself is not read."""
+    with open(path, "rb") as fh:
+        shape, _ = _pfm_header(fh, path)
+        _payload_bytes(fh, path, shape)
+    return shape
+
+
+def _pfm_header(fh, path) -> tuple[tuple[int, int], str]:
+    """The (height, width) and payload dtype a grayscale PFM header declares,
+    read from `fh` up to its payload; MalformedFileError if it is not one."""
+    def token():
+        chars = []
+        ch = fh.read(1)
+        while ch and ch.isspace():
+            ch = fh.read(1)
+        while ch and not ch.isspace():
+            chars.append(ch)
+            ch = fh.read(1)
+        return b"".join(chars)
+
+    try:
+        magic, width, height, scale = token(), int(token()), int(token()), float(token())
+    except ValueError:
+        raise MalformedFileError(f"{path}: PFM header is cut short or not numeric") from None
+    if magic != b"Pf" or not _finite_number(scale) or scale == 0:
+        raise MalformedFileError(f"{path}: not a grayscale PFM (magic {magic!r}, scale {scale})")
+    return (height, width), "<f4" if scale < 0 else ">f4"
+
+
+def _payload_bytes(fh, path, shape: tuple[int, int]) -> int:
+    """The bytes left in `fh`: MalformedFileError unless `shape` is positive
+    and they are exactly its float32 items."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if min(shape) <= 0 or left != 4 * shape[0] * shape[1]:
+        raise MalformedFileError(f"{path}: header declares shape {shape}, but {left} data bytes follow")
+    return left
 
 
 def _read_payload(fh, path, shape: tuple[int, int], dtype: str) -> np.ndarray:
     """The rest of `fh`, `dtype` items, as a float32 array of `shape` in native
     byte order over a read-only buffer, which no caller can make writable;
-    MalformedFileError unless `shape` is positive and its items fill `fh`
-    exactly.  One `readinto` fills a fresh anonymous mapping that one
-    call faults in (MAP_POPULATE, where the platform has it): the pages of a
-    `fh.read()` fault in one at a time, again on every read.  A file mapping
-    would hold a descriptor per array and turn a truncated file into SIGBUS."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if min(shape) <= 0 or left != 4 * shape[0] * shape[1]:
-        raise MalformedFileError(f"{path}: header declares shape {shape}, but {left} data bytes follow")
+    MalformedFileError unless `_payload_bytes` accepts it.  One `readinto`
+    fills a fresh anonymous mapping that one call faults in (MAP_POPULATE,
+    where the platform has it): the pages of a `fh.read()` fault in one at a
+    time, again on every read.  A file mapping would hold a descriptor per
+    array and turn a truncated file into SIGBUS."""
+    left = _payload_bytes(fh, path, shape)
     flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
     buffer = mmap.mmap(-1, left, flags=flags)
     if fh.readinto(buffer) != left:
@@ -636,7 +660,8 @@ def _snap(cloud: FusedCloud, *targets) -> tuple[FusedCloud, list[PlanarNeighbor]
     at least doubles, as it does while the window is empty.  A lone target's
     offset is 0, so its half-width is `h`.  `adjust_target` snaps a scene's
     targets (a front scene's two lie about 8 cm apart), and the
-    back-projection a target's three estimates, through one call each.
+    evaluation a fold's target and its back-projection's three estimates,
+    through one call each.
     """
     xy = np.array([_query_xy(target) for target in targets])
     if cloud._points is not None or cloud._raw[1] == 0:
@@ -679,14 +704,19 @@ def adjust_target(cloud: FusedCloud, targets) -> AdjustedTarget | list[AdjustedT
     rows = np.atleast_2d(t)
     if rows.ndim != 2 or len(rows) == 0:
         raise ConfigError(f"targets must have shape (k,) or (N, k) with N >= 1, got {t.shape}")
-    surface, neighbors = _snap(cloud, *rows)
-    adjusted = [
+    adjusted = _adjusted(rows, *_snap(cloud, *rows))
+    return adjusted if t.ndim == 2 else adjusted[0]
+
+
+def _adjusted(targets, surface: FusedCloud, neighbors) -> list[AdjustedTarget]:
+    """Each target snapped to its neighbor from `_snap`, whose `surface` gives
+    the neighbor's normal: `adjust_target`'s results from a snap already made."""
+    return [
         AdjustedTarget(
-            position=np.array([row[0], row[1], neighbor.point[2]]),
+            position=np.array([target[0], target[1], neighbor.point[2]]),
             normal=surface.normal_at(neighbor.index).copy(),
             planar_distance=neighbor.planar_distance,
             far_from_surface=neighbor.planar_distance > FAR_FROM_SURFACE,
         )
-        for row, neighbor in zip(rows, neighbors)
+        for target, neighbor in zip(targets, neighbors, strict=True)
     ]
-    return adjusted if t.ndim == 2 else adjusted[0]

@@ -10,6 +10,10 @@ An evaluation is of one target, as the paper reports each scan target on
 its own: a success table, a back-projection comparison and its medians each
 belong to one.  Target ids and the pose kind each one belongs to come from
 `targets`.
+
+`scanloc evaluate` runs a study in two passes: `_cohort` builds the fit
+rows from every scene without a depth map, then `_fold_and_backprojection`
+takes one scene, with its depth maps and cloud, at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import FusedCloud, _snap, _valid_depths, fuse
+from .cloud import FusedCloud, _adjusted, _snap, _valid_depths, fuse
 from .errors import ConfigError, ImplausibleKeypointsError, ScanlocError
 from .geometry import Pixel, angle_between_degrees, triangulate
 from .jsonfile import write_json
@@ -30,9 +34,10 @@ from .targets import (
     RatioPair,
     _fit_rows,
     _sample_arrays,
+    _target_poses,
     pose_keypoints,
     pose_kind_for_target,
-    poses_from_keypoints,
+    regress_targets,
     required_joints,
 )
 
@@ -122,6 +127,73 @@ def scene_cloud(scene: SyntheticScene, voxel: float = DEFAULT_EVAL_VOXEL) -> Fus
     return fuse(list(zip(scene.cameras, scene.depths)), voxel=voxel)
 
 
+@dataclass(frozen=True, eq=False)
+class _Cohort:
+    """The first pass of a leave-one-out study of one target, which reads no
+    depth: each scene's fit sample (None where faulty) and fault reason, as
+    `cohort_samples` gives them, and the valid scenes' fit rows, built once."""
+
+    target_id: int
+    samples: tuple
+    faults: tuple
+    valid: np.ndarray  # the indices of the valid scenes
+    rows: tuple
+
+
+def _cohort(scenes, target_id: int) -> _Cohort:
+    """`_Cohort` of two or more scenes.  It reads their cameras,
+    observations and ground truth only, so a scene whose depth maps are not
+    read yet, a SyntheticScene whose `depths` are (), serves as well."""
+    if len(scenes) < 2:
+        raise ScanlocError(f"leave-one-out needs >= 2 scenes, got {len(scenes)}")
+    samples, faults = cohort_samples(scenes, target_id)
+    valid = np.flatnonzero([sample is not None for sample in samples])
+    rows = _sample_arrays([samples[i] for i in valid], pose_kind_for_target(target_id))
+    return _Cohort(target_id, samples, faults, valid, rows)
+
+
+def _fold(cohort: _Cohort, i: int, scene: SyntheticScene, cloud: FusedCloud,
+          extra=()) -> tuple[FoldResult, list]:
+    """Fold `i` of `cohort`, which holds out `scene`, and the planar neighbors
+    in `cloud` of the `extra` points.
+
+    The fold solves the other valid scenes' rows in order (`_fit_rows`), a
+    pure function of its training set, regresses the held-out target from
+    the keypoints its fit sample holds, and snaps it through the same `_snap`
+    as `extra`: one key window serves them all.  A faulty fold, or one with no
+    valid training scene, snaps `extra` alone, and nothing if it is empty.
+    """
+    target_id = cohort.target_id
+    keep = cohort.valid != i
+    if cohort.faults[i] or not keep.any():
+        fold = FoldResult(scene.scene_id, target_id, True,
+                          cohort.faults[i] or "no valid training scenes")
+        return fold, (_snap(cloud, *extra)[1] if extra else [])
+    pose_kind = pose_kind_for_target(target_id)
+    params, fit = _fit_rows([row[keep] for row in cohort.rows], target_id)
+    keypoints = cohort.samples[i].keypoints
+    regressed = regress_targets(keypoints, params, pose_kind)
+    points = [point for _, point in regressed]
+    surface, neighbors = _snap(cloud, *points, *extra)
+    (pose,) = _target_poses(keypoints, pose_kind, regressed,
+                            _adjusted(points, surface, neighbors[:len(points)]))
+    gt = scene.targets_true[target_id]
+    position_error = 1000.0 * float(np.linalg.norm(pose.position - gt))
+    normal_error = angle_between_degrees(
+        pose.surface_normal, scene.target_normals_true[target_id]
+    )
+    fold = FoldResult(
+        scene_id=scene.scene_id,
+        target_id=target_id,
+        faulty=False,
+        position_error_mm=position_error,
+        normal_error_deg=float(normal_error),
+        fitted=fit.ratios,
+        fit_residual_mm=1000.0 * fit.mean_planar_residual,
+    )
+    return fold, neighbors[len(points):]
+
+
 def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
     """Leave-one-out folds over the scenes, in scene order.
 
@@ -129,50 +201,15 @@ def loocv(scenes, target_id: int, clouds) -> list[FoldResult]:
     ConfigError naming both counts: the fused cloud each held-out scene
     is localized in (see `scene_cloud`), from the keypoints its fit sample
     holds, so each scene is triangulated once.  The valid scenes' fit rows
-    are built once, before any fold, and a fold solves the others' rows in
-    order (`_fit_rows`): a pure function of its training set.
+    are built once, before any fold (`_cohort`), and each fold is `_fold`.
     """
-    pose_kind = pose_kind_for_target(target_id)
     scenes, clouds = list(scenes), list(clouds)
     if len(clouds) != len(scenes):
         raise ConfigError(f"leave-one-out needs one cloud per scene, got {len(clouds)} "
                           f"clouds for {len(scenes)} scenes")
-    if len(scenes) < 2:
-        raise ScanlocError(f"leave-one-out needs >= 2 scenes, got {len(scenes)}")
-    samples, faults = cohort_samples(scenes, target_id)
-    valid = np.flatnonzero([sample is not None for sample in samples])
-    rows = _sample_arrays([samples[i] for i in valid], pose_kind)
-
-    folds = []
-    for i, scene in enumerate(scenes):
-        if faults[i]:
-            folds.append(FoldResult(scene.scene_id, target_id, True, faults[i]))
-            continue
-        keep = valid != i
-        if not keep.any():
-            folds.append(
-                FoldResult(scene.scene_id, target_id, True, "no valid training scenes")
-            )
-            continue
-        params, fit = _fit_rows([row[keep] for row in rows], target_id)
-        (pose,) = poses_from_keypoints(samples[i].keypoints, clouds[i], params, pose_kind)
-        gt = scene.targets_true[target_id]
-        position_error = 1000.0 * float(np.linalg.norm(pose.position - gt))
-        normal_error = angle_between_degrees(
-            pose.surface_normal, scene.target_normals_true[target_id]
-        )
-        folds.append(
-            FoldResult(
-                scene_id=scene.scene_id,
-                target_id=target_id,
-                faulty=False,
-                position_error_mm=position_error,
-                normal_error_deg=float(normal_error),
-                fitted=fit.ratios,
-                fit_residual_mm=1000.0 * fit.mean_planar_residual,
-            )
-        )
-    return folds
+    cohort = _cohort(scenes, target_id)
+    return [_fold(cohort, i, scene, cloud)[0]
+            for i, (scene, cloud) in enumerate(zip(scenes, clouds))]
 
 
 def success_table(folds) -> SuccessTable:
@@ -262,6 +299,35 @@ def _pixel_error(camera, point, truth: Pixel) -> float:
     return float(np.hypot(projected.u - truth.u, projected.v - truth.v))
 
 
+def _backprojection_estimates(scene: SyntheticScene, target_id: int) -> list:
+    """The target's three estimates before their depth is snapped: triangulated
+    from the observed pixels of both views, then deprojected from each
+    camera's own depth map at its nearest valid depth (naming the view if
+    there is none)."""
+    observed = [scene.target_pixels_observed[vi][target_id] for vi in (0, 1)]
+    points = [triangulate(scene.cameras[0], scene.cameras[1], *observed)]
+    for k in (0, 1):
+        try:
+            depth = _nearest_valid_depth(scene.depths[k], observed[k])
+        except ScanlocError as exc:
+            raise ScanlocError(f"view {k}: {exc}") from None
+        points.append(scene.cameras[k].deproject(observed[k], depth))
+    return points
+
+
+def _backprojection_result(scene: SyntheticScene, target_id: int, estimates,
+                           neighbors) -> BackprojectionResult:
+    """The estimates, each at its snapped neighbor's depth, scored against the
+    true target pixels of both views."""
+    truth = [scene.target_pixels_true[vi][target_id] for vi in (0, 1)]
+    errors = [
+        tuple(_pixel_error(camera, [x, y, neighbor.point[2]], pixel)
+              for camera, pixel in zip(scene.cameras, truth))
+        for (x, y, _), neighbor in zip(estimates, neighbors, strict=True)
+    ]
+    return BackprojectionResult(scene.scene_id, target_id, errors[0], tuple(errors[1:]))
+
+
 def backprojection_comparison(scene: SyntheticScene, cloud: FusedCloud,
                               target_id: int) -> BackprojectionResult:
     """Two-view vs single-view estimates of one target, scored in pixel space.
@@ -275,19 +341,20 @@ def backprojection_comparison(scene: SyntheticScene, cloud: FusedCloud,
     ScanlocError.
     """
     _check_truth(scene, target_id)
-    observed = [scene.target_pixels_observed[vi][target_id] for vi in (0, 1)]
-    truth = [scene.target_pixels_true[vi][target_id] for vi in (0, 1)]
-    points = [triangulate(scene.cameras[0], scene.cameras[1], *observed)]
-    for k in (0, 1):
-        depth = _nearest_valid_depth(scene.depths[k], observed[k])
-        points.append(scene.cameras[k].deproject(observed[k], depth))
-    _, neighbors = _snap(cloud, *points)
-    errors = [
-        tuple(_pixel_error(camera, [x, y, neighbor.point[2]], pixel)
-              for camera, pixel in zip(scene.cameras, truth))
-        for (x, y, _), neighbor in zip(points, neighbors)
-    ]
-    return BackprojectionResult(scene.scene_id, target_id, errors[0], tuple(errors[1:]))
+    estimates = _backprojection_estimates(scene, target_id)
+    _, neighbors = _snap(cloud, *estimates)
+    return _backprojection_result(scene, target_id, estimates, neighbors)
+
+
+def _fold_and_backprojection(cohort: _Cohort, i: int, scene: SyntheticScene,
+                             cloud: FusedCloud) -> tuple[FoldResult, BackprojectionResult]:
+    """Fold `i` of `cohort` and the held-out scene's back-projection
+    comparison, through one `_snap` of `cloud`, the scene's fused cloud: the
+    results of `loocv` and `backprojection_comparison`, bitwise, as a snap's
+    results do not depend on the other points it serves."""
+    estimates = _backprojection_estimates(scene, cohort.target_id)
+    fold, neighbors = _fold(cohort, i, scene, cloud, estimates)
+    return fold, _backprojection_result(scene, cohort.target_id, estimates, neighbors)
 
 
 def median_backprojection_errors(results) -> dict:

@@ -160,11 +160,12 @@ class RigidTransform:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RigidTransform":
-        """A pose as `to_dict` writes it, every number finite."""
-        _check_keys(data, {"rotation", "translation"}, "pose")
-        return cls(_finite(data["rotation"], "pose rotation", (9,)).reshape(3, 3),
-                   _finite(data["translation"], "pose translation", (3,)))
+    def from_dict(cls, data: dict, name: str = "pose") -> "RigidTransform":
+        """A pose as `to_dict` writes it, every number finite; an error names
+        the pose as `name`."""
+        _check_keys(data, {"rotation", "translation"}, name, whole=True)
+        return cls(_finite(data["rotation"], f"{name} rotation", (9,)).reshape(3, 3),
+                   _finite(data["translation"], f"{name} translation", (3,)))
 
 
 def angle_axis_to_rotation(angle_axis) -> np.ndarray:
@@ -379,14 +380,18 @@ class PinholeCamera:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PinholeCamera":
+    def from_dict(cls, data: dict, name: str = "camera") -> "PinholeCamera":
+        """A camera as `to_dict` writes it; an error in its pose, or a pose
+        left out, names the camera as `name`."""
         _check_keys(
             data, {"fx", "fy", "cx", "cy", "width", "height", "pose"}, "camera"
         )
+        if "pose" not in data:
+            raise ConfigError(f"{name} is missing key 'pose'")
         return cls(
             *(float(_finite(data.get(k), f"camera {k}")) for k in ("fx", "fy", "cx", "cy")),
             *(_whole(data.get(k), f"camera {k}") for k in ("width", "height")),
-            pose=RigidTransform.from_dict(data.get("pose")),
+            pose=RigidTransform.from_dict(data["pose"], f"{name} pose"),
         )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .cloud import DepthMap, read_pfm, write_pfm
+from .cloud import DepthMap, pfm_shape, read_pfm, write_pfm
 from .errors import ConfigError, MalformedFileError, ScanlocError
 from .geometry import MIN_DEPTH, PinholeCamera, Pixel, RigidTransform
 from .jsonfile import (
@@ -543,6 +543,13 @@ def _faults(value, key: str) -> dict:
     return dict(value)
 
 
+def _cameras(value, key: str) -> tuple[PinholeCamera, PinholeCamera]:
+    """The two cameras of the JSON list `value`, an error naming its camera
+    by its index in the list."""
+    return tuple(PinholeCamera.from_dict(camera, f"camera {i}")
+                 for i, camera in enumerate(_two(value, dict, key)))
+
+
 def _pixels(keys, whole: bool = False):
     """The reader of a two-view pixel map over `keys`, each view holding
     every one of them if `whole`."""
@@ -561,8 +568,7 @@ _SCENE_FIELDS = {
     "torso": (TorsoSpec.to_dict, lambda v, k: TorsoSpec.from_dict(v)),
     "noise": (NoiseSpec.to_dict, lambda v, k: NoiseSpec.from_dict(v, whole=True)),
     "ratios": (params_to_dict, lambda v, k: params_from_dict(v)),
-    "cameras": (lambda cameras: [camera.to_dict() for camera in cameras],
-                lambda v, k: tuple(map(PinholeCamera.from_dict, _two(v, dict, k)))),
+    "cameras": (lambda cameras: [camera.to_dict() for camera in cameras], _cameras),
     "observation": (KeypointObservation.to_dict, lambda v, k: KeypointObservation.from_dict(v)),
     "keypoints_true": (lambda kps: _as_lists({j: getattr(kps, j) for j in ALL_JOINTS}),
                        lambda v, k: Keypoints3D(**_vectors(v, ALL_JOINTS, k, whole=True))),
@@ -606,21 +612,49 @@ def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
     return scene, [os.path.join(directory, name) for name in names]
 
 
+def read_scene_json(directory) -> tuple[SyntheticScene, list]:
+    """scene.json's scene in `directory`, and the paths of its depth maps,
+    which are not opened.  Until a capture type separates what the rig
+    observes from its ground truth, a scene whose depth maps are not read
+    yet is this convention: a SyntheticScene whose `depths` are (), which
+    `load_depths` fills and which nothing fuses.  Any bad value in scene.json
+    raises MalformedFileError naming the file."""
+    return read_json(os.path.join(directory, "scene.json"),
+                     lambda data: _scene_from_json(data, directory))
+
+
+def _check_depth_shape(camera: PinholeCamera, path, shape: tuple[int, int]) -> None:
+    if shape != (camera.height, camera.width):
+        raise MalformedFileError(
+            f"{path}: depth map is {shape[1]}x{shape[0]} pixels, "
+            f"its camera {camera.width}x{camera.height}")
+
+
+def check_depth_files(scene: SyntheticScene, depth_files) -> None:
+    """Every check `load_depths` makes before it reads a payload: each depth
+    map's PFM header and byte count (`pfm_shape`), and its size against its
+    camera's.  A failed check raises MalformedFileError naming the map."""
+    for camera, path in zip(scene.cameras, depth_files):
+        _check_depth_shape(camera, path, pfm_shape(path))
+
+
+def load_depths(scene: SyntheticScene, depth_files) -> SyntheticScene:
+    """`scene`, from `read_scene_json`, with its depth maps read from
+    `depth_files`; a map whose size is not its camera's raises
+    MalformedFileError naming the map."""
+    depths = []
+    for camera, path in zip(scene.cameras, depth_files):
+        values = read_pfm(path)
+        _check_depth_shape(camera, path, values.shape)
+        depths.append(DepthMap._owning(values))
+    return replace(scene, depths=tuple(depths))
+
+
 def load_scene(directory) -> SyntheticScene:
     """Read a scene written by `save_scene`; any bad value in scene.json
     raises MalformedFileError naming the file, before a depth map is read, and
     so does a depth map whose size is not its camera's, naming the map."""
-    scene, depth_files = read_json(os.path.join(directory, "scene.json"),
-                                   lambda data: _scene_from_json(data, directory))
-    depths = []
-    for camera, path in zip(scene.cameras, depth_files):
-        values = read_pfm(path)
-        if values.shape != (camera.height, camera.width):
-            raise MalformedFileError(
-                f"{path}: depth map is {values.shape[1]}x{values.shape[0]} pixels, "
-                f"its camera {camera.width}x{camera.height}")
-        depths.append(DepthMap._owning(values))
-    return replace(scene, depths=tuple(depths))
+    return load_depths(*read_scene_json(directory))
 
 
 def save_cohort(scenes, directory) -> None:
@@ -636,8 +670,14 @@ def _scene_names(directory) -> list[str]:
     )
 
 
-def load_cohort(directory) -> list[SyntheticScene]:
+def scene_directories(directory) -> list[str]:
+    """The paths of the cohort's scene_* directories, sorted; ConfigError if
+    there is none."""
     names = _scene_names(directory)
     if not names:
         raise ConfigError(f"no scene_* directories under {directory}")
-    return [load_scene(os.path.join(directory, name)) for name in names]
+    return [os.path.join(directory, name) for name in names]
+
+
+def load_cohort(directory) -> list[SyntheticScene]:
+    return [load_scene(path) for path in scene_directories(directory)]

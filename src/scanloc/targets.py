@@ -529,18 +529,25 @@ def poses_from_keypoints(
     pose_kind: str,
 ) -> list[ScanTargetPose]:
     """Regress the targets from `keypoints` and snap them all to the surface
-    with one `adjust_target` call.
+    with one `adjust_target` call, then `_target_poses`."""
+    regressed = regress_targets(keypoints, params, pose_kind)
+    snapped = adjust_target(cloud, [point for _, point in regressed])
+    return _target_poses(keypoints, pose_kind, regressed, snapped)
 
-    Each returned pose presses the tool's +Z against the local surface
-    normal at the regressed target.  Targets whose planar snap distance is
-    suspiciously large are flagged (and logged), not dropped.
+
+def _target_poses(keypoints: Keypoints3D, pose_kind: str, regressed,
+                  snapped) -> list[ScanTargetPose]:
+    """The poses of the `regressed` targets, each snapped to its
+    AdjustedTarget in `snapped`.
+
+    Each pose presses the tool's +Z against the local surface normal at the
+    regressed target.  Targets whose planar snap distance is suspiciously
+    large are flagged (and logged), not dropped.
     """
     start, end, _ = _segment(keypoints, pose_kind)
     roll_ref = end - start  # the body axis that pins the probe's free roll
-    regressed = regress_targets(keypoints, params, pose_kind)
-    snapped = adjust_target(cloud, [point for _, point in regressed])
     poses = []
-    for (target_id, _), adjusted in zip(regressed, snapped):
+    for (target_id, _), adjusted in zip(regressed, snapped, strict=True):
         if adjusted.far_from_surface:
             log.warning(
                 "target %d regressed %.1f mm away from the scanned surface",

@@ -2,14 +2,17 @@
 
 import argparse
 import copy
+import csv
 import filecmp
 import hashlib
 import io
 import json
 import logging
+import os
 import re
 import shutil
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from helpers import (
 )
 from scanloc import cli
 from scanloc.cli import build_parser, main
-from scanloc.cloud import FusedCloud, fuse, write_pfm
+from scanloc.cloud import FusedCloud, _snap, fuse, read_pfm, write_pfm
 from scanloc.errors import ConfigError, MalformedFileError
 from scanloc.geometry import PinholeCamera, RigidTransform, angle_axis_to_rotation
 from scanloc.handeye import (
@@ -784,6 +787,9 @@ class TestMalformedInput:
             (lambda d: without(d, "keypoint_pixels_true", 1, "right_hip"),
              "keypoint_pixels_true view1 is missing key 'right_hip'"),
             (lambda d: without(d, "observation", "view1"), "observation is missing key 'view1'"),
+            (lambda d: without(d, "cameras", 1, "pose"), "camera 1 is missing key 'pose'"),
+            (lambda d: without(d, "cameras", 1, "pose", "rotation"),
+             "camera 1 pose is missing key 'rotation'"),
             (lambda d: {**d, "faulted_joints": {"right_hip": None}},
              "faulted_joints right_hip must be 'dropped' or 'displaced', got None"),
             (lambda d: {**d, "faulted_joints": {"left_shoulder": "missed"}},
@@ -803,7 +809,8 @@ class TestMalformedInput:
              "ratios-name-target-3", "huge-torso-int", "huge-camera-int", "huge-rotation-int",
              "huge-ratio-int", "negative-noise-seed", "huge-scene-id", "pose-bool", "pose-string",
              "torso-no-thickness", "noise-no-seed", "keypoints-no-hip", "keypoint-pixels-no-hip",
-             "observation-no-view", "fault-kind-null", "fault-kind-unknown"],
+             "observation-no-view", "camera-no-pose", "camera-pose-no-rotation",
+             "fault-kind-null", "fault-kind-unknown"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):
@@ -1179,3 +1186,88 @@ class TestFitFaults:
         assert_refused(caplog, ["fit", "--dataset", str(cohort_dir), "--target", "4",
                                 "--out", str(params_file)], params_file,
                        "no ground truth for target 4")
+
+
+def refuse_fusion(*args, **kwargs):
+    raise AssertionError("a scene was fused")
+
+
+class TestEvaluateOnePass:
+    """`evaluate` reads every scene.json and PFM header first, then takes one
+    scene at a time: its depth maps are read, fused and snapped once, for its
+    fold and its back-projection together, and dropped before the next."""
+
+    def test_snaps_each_scene_once(self, side_cohort_dir, tmp_path, monkeypatch):
+        snaps = []
+
+        def counted_snap(cloud, *targets):
+            snaps.append(len(targets))
+            return _snap(cloud, *targets)
+
+        monkeypatch.setattr("scanloc.evaluation._snap", counted_snap)
+        assert main(["evaluate", "--scenes", str(side_cohort_dir), "--target", "4",
+                     "--voxel", "0.004", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "folds.csv", newline="") as fh:
+            faulty = [row["faulty"] == "1" for row in csv.DictReader(fh)]
+        # a valid fold's target joins its three back-projection estimates
+        assert snaps == [3 if fault else 4 for fault in faulty]
+        assert faulty == [False, True, False, False, True]
+
+    def test_holds_one_scenes_depth_maps_at_a_time(self, side_cohort_dir, tmp_path,
+                                                   monkeypatch):
+        read = []  # (scene directory, weak reference to the array read)
+
+        def watched_read_pfm(path):
+            scene = os.path.dirname(path)
+            alive = [earlier for earlier, ref in read if earlier != scene and ref() is not None]
+            assert not alive, f"{alive} still held while {path} is read"
+            values = read_pfm(path)
+            read.append((scene, weakref.ref(values)))
+            return values
+
+        monkeypatch.setattr("scanloc.synth.read_pfm", watched_read_pfm)
+        assert main(["evaluate", "--scenes", str(side_cohort_dir), "--target", "4",
+                     "--voxel", "0.004", "--out", str(tmp_path)]) == 0
+        assert len(read) == 10
+        assert all(ref() is None for _, ref in read)
+
+    @pytest.mark.parametrize("spoil, detail", [
+        (lambda pfm: pfm.write_bytes(pfm.read_bytes()[:-100]), "data bytes follow"),
+        (lambda pfm: write_pfm(pfm, np.zeros((4, 4), dtype=np.float32)),
+         "its camera 320x240"),
+    ], ids=["truncated", "wrong-size"])
+    def test_a_bad_last_pfm_is_refused_before_out_and_any_fusion(
+            self, cohort_dir, tmp_path, caplog, monkeypatch, spoil, detail):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(cohort_dir, scenes)
+        pfm = scenes / "scene_002" / "depth_1.pfm"
+        spoil(pfm)
+        monkeypatch.setattr("scanloc.cli.scene_cloud", refuse_fusion)
+        out = tmp_path / "reports"
+        assert_refused(caplog, ["evaluate", "--scenes", str(scenes), "--target", "1",
+                                "--out", str(out)], out, str(pfm), detail)
+
+    def test_an_error_in_a_scenes_pass_names_the_scene_and_view(
+            self, side_cohort_dir, tmp_path, caplog):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(side_cohort_dir, scenes)
+        scene = scenes / "scene_002"
+        click = json.loads((scene / "scene.json").read_text())["target_pixels_observed"][0]["4"]
+        u, v = (int(round(c)) for c in click)
+        depth = read_pfm(scene / "depth_0.pfm").copy()
+        depth[v - 3:v + 4, u - 3:u + 4] = 0.0  # a hole under the click
+        write_pfm(scene / "depth_0.pfm", depth)
+        with caplog.at_level(logging.ERROR, logger="scanloc"):
+            assert main(["evaluate", "--scenes", str(scenes), "--target", "4",
+                         "--voxel", "0.004", "--out", str(tmp_path / "reports")]) == 1
+        assert_one_line_error(caplog, f"{scene}: view 0: no valid depth within 2 px of")
+
+    def test_fit_opens_no_depth_map(self, cohort_dir, tmp_path):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(cohort_dir, scenes)
+        for pfm in scenes.glob("scene_*/depth_*.pfm"):
+            pfm.write_bytes(b"")
+        for dataset, out in ((cohort_dir, "intact.json"), (scenes, "no_depths.json")):
+            assert main(["fit", "--dataset", str(dataset), "--target", "1",
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "intact.json").read_bytes() == (tmp_path / "no_depths.json").read_bytes()

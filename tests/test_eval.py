@@ -48,7 +48,12 @@ from scanloc.targets import (
     pose_kind_for_target,
     poses_from_keypoints,
 )
-from scanloc.evaluation import _nearest_valid_depth, _scene_sample
+from scanloc.evaluation import (
+    _cohort,
+    _fold_and_backprojection,
+    _nearest_valid_depth,
+    _scene_sample,
+)
 
 
 def valid_fold(scene_id, error_mm, target_id=1, normal_deg=0.5):
@@ -427,6 +432,20 @@ class TestOneDesign:
         # repr spells every float exactly, so equal reprs are equal bits
         assert repr(folds) == repr(per_fold_loocv(scenes, target_id, clouds))
 
+    @pytest.mark.parametrize("target_id", [1, 4])
+    def test_one_snap_has_the_bits_of_loocv_and_backprojection(self, noisy_cohorts,
+                                                               target_id):
+        """A fold that snaps the back-projection's three estimates with its own
+        target, on rows built from depthless scenes, gives bitwise the results
+        of `loocv` and `backprojection_comparison`, faulty folds included."""
+        scenes, clouds = noisy_cohorts[target_id]
+        cohort = _cohort([replace(scene, depths=()) for scene in scenes], target_id)
+        together = [_fold_and_backprojection(cohort, i, scene, scene_cloud(scene, 0.005))
+                    for i, scene in enumerate(scenes)]
+        apart = zip(loocv(scenes, target_id, clouds=clouds),
+                    [backprojection_comparison(s, c, target_id) for s, c in zip(scenes, clouds)])
+        assert repr(together) == repr(list(apart))
+
     def test_one_valid_scene_has_no_training_scenes(self, side_with_faults):
         scenes, clouds = side_with_faults
         scenes, clouds = scenes[1:4], clouds[1:4]  # dropped, clean, displaced
@@ -466,7 +485,7 @@ class TestOneDesign:
             raise AssertionError("a fold ran before the cohort's rows were built")
 
         monkeypatch.setattr("scanloc.evaluation._fit_rows", no_fold)
-        monkeypatch.setattr("scanloc.evaluation.poses_from_keypoints", no_fold)
+        monkeypatch.setattr("scanloc.evaluation._target_poses", no_fold)
         with pytest.raises(ScanlocError, match="keypoint segment is vertical"):
             loocv(scenes, 4, clouds=clouds)
 
