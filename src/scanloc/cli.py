@@ -23,6 +23,7 @@ from .errors import ConfigError, MalformedFileError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
     DEFAULT_THRESHOLDS_MM,
+    _check_summarizable,
     _cohort,
     _fold_and_backprojection,
     cohort_samples,
@@ -41,9 +42,10 @@ from .jsonfile import _check_keys, _whole, read_json, write_json
 from .synth import (
     NoiseSpec,
     _cameras,
+    _scene_dir,
     _scene_names,
     _validate_ranges,
-    check_depth_files,
+    check_depth_maps,
     generate_cohort,
     load_depths,
     load_scene,
@@ -64,15 +66,6 @@ from .targets import (
 log = logging.getLogger("scanloc")
 
 _SYNTH_KEYS = {"n", "seed", "pose", "torso", "ratios", "noise", "cameras"}
-
-
-def _scene_dir(path) -> str:
-    """Accept either a scene directory or the scene.json inside it."""
-    if os.path.isdir(path):
-        return path
-    if os.path.basename(path) == "scene.json" and os.path.isfile(path):
-        return os.path.dirname(path) or "."
-    raise ConfigError(f"not a scene directory or scene.json: {path}")
 
 
 # subcommand handlers -----------------------------------------------------------
@@ -148,7 +141,7 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_fit(args) -> int:
     # the fit reads scene.json alone: no depth map is opened
-    scenes = [read_scene_json(directory)[0] for directory in scene_directories(args.dataset)]
+    scenes = [read_scene_json(directory) for directory in scene_directories(args.dataset)]
     samples, faults = cohort_samples(scenes, args.target)
     for scene, fault in zip(scenes, faults):
         if fault:
@@ -193,12 +186,12 @@ def _cmd_localize(args) -> int:
     return 0
 
 
-def _evaluate_scene(cohort, i: int, directory, scene, depth_files, voxel: float):
+def _evaluate_scene(cohort, i: int, directory, scene, voxel: float):
     """Scene `i`'s fold and back-projection: its depth maps are read and fused
     here, and dropped on return, so one scene's depth maps are held at a time.
     An error names the scene's directory."""
     try:
-        scene = load_depths(scene, depth_files)
+        scene = load_depths(scene, directory)
         return _fold_and_backprojection(cohort, i, scene, scene_cloud(scene, voxel))
     except ScanlocError as exc:
         raise type(exc)(f"{directory}: {exc}") from None
@@ -208,10 +201,11 @@ def _cmd_evaluate(args) -> int:
     _check_fusion_options(args.voxel)
     # pass 1: every scene.json and PFM header, and the cohort's fit rows; no depth is read
     directories = scene_directories(args.scenes)
-    captures = [read_scene_json(directory) for directory in directories]
-    for capture in captures:
-        check_depth_files(*capture)
-    cohort = _cohort([scene for scene, _ in captures], args.target)
+    scenes = [read_scene_json(directory) for directory in directories]
+    for scene, directory in zip(scenes, directories):
+        check_depth_maps(scene, directory)
+    cohort = _cohort(scenes, args.target)
+    _check_summarizable(cohort)
     # a bad --out fails here, before any depth map is read
     os.makedirs(args.out, exist_ok=True)
     # the run's settings, echoed into summary.json
@@ -219,8 +213,8 @@ def _cmd_evaluate(args) -> int:
               "normal_radius_m": NORMAL_RADIUS, "thresholds_mm": list(DEFAULT_THRESHOLDS_MM)}
     log.info("evaluate config: %s", json.dumps(config, sort_keys=True))
     # pass 2: one scene at a time
-    folds, results = zip(*(_evaluate_scene(cohort, i, directory, *capture, args.voxel)
-                           for i, (directory, capture) in enumerate(zip(directories, captures))))
+    folds, results = zip(*(_evaluate_scene(cohort, i, directory, scene, args.voxel)
+                           for i, (directory, scene) in enumerate(zip(directories, scenes))))
     summary = summarize(folds)
 
     write_folds_csv(folds, os.path.join(args.out, "folds.csv"))

@@ -46,6 +46,7 @@ log = logging.getLogger(__name__)
 DEFAULT_THRESHOLDS_MM = tuple(float(t) for t in range(5, 45, 5))
 DEFAULT_EVAL_VOXEL = 0.002
 NEAREST_PIXEL_RADIUS = 2
+_EVERY_FOLD_FAULTY = "every fold is faulty; nothing to summarize"
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,14 @@ def _cohort(scenes, target_id: int) -> _Cohort:
     return _Cohort(target_id, samples, faults, valid, rows)
 
 
+def _check_summarizable(cohort: _Cohort) -> None:
+    """Raise `summarize`'s refusal before any fold runs if every fold of
+    `cohort` will be faulty: exactly when fewer than two scenes are valid,
+    because a valid scene's fold trains on every other valid scene."""
+    if len(cohort.valid) < 2:
+        raise ScanlocError(_EVERY_FOLD_FAULTY)
+
+
 def _fold(cohort: _Cohort, i: int, scene: SyntheticScene, cloud: FusedCloud,
           extra=()) -> tuple[FoldResult, list]:
     """Fold `i` of `cohort`, which holds out `scene`, and the planar neighbors
@@ -235,7 +244,7 @@ def summarize(folds) -> dict:
     folds = list(folds)
     valid = [f for f in folds if not f.faulty]
     if not valid:
-        raise ScanlocError("every fold is faulty; nothing to summarize")
+        raise ScanlocError(_EVERY_FOLD_FAULTY)
     pos = np.array([f.position_error_mm for f in valid])
     ang = np.array([f.normal_error_deg for f in valid])
 

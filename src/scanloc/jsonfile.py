@@ -51,13 +51,11 @@ def _check_keys(data: dict, allowed: set, context: str, whole: bool = False) -> 
         raise ConfigError(f"{context} is missing key {missing[0]!r}")
 
 
-def _two(value, kind: type, name: str) -> list:
-    """`value` as a JSON list of exactly two `kind` values (objects or strings),
-    else ConfigError naming `name`."""
+def _two(value, name: str) -> list:
+    """`value` as a JSON list of exactly two JSON objects, else ConfigError naming `name`."""
     if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(item, kind) for item in value)):
-        what = "JSON objects" if kind is dict else "strings"
-        raise ConfigError(f"{name} must be a list of exactly two {what}")
+            and all(isinstance(item, dict) for item in value)):
+        raise ConfigError(f"{name} must be a list of exactly two JSON objects")
     return value
 
 

@@ -488,6 +488,16 @@ def _validate_ranges(ranges: dict) -> dict:
     return full
 
 
+def _check_ratios(ratios: TargetModelParams, pose_kind: str) -> None:
+    """ConfigError unless `ratios` place every target of the pose kind: a
+    front scene's targets 1 and 2, or a side scene's target 4."""
+    if pose_kind == "front" and not set(FRONT_TARGET_IDS) <= set(ratios.front):
+        raise ConfigError(
+            f"front scenes need ratios for targets 1 and 2, got {sorted(ratios.front)}")
+    if pose_kind == "side" and ratios.side is None:
+        raise ConfigError("side scenes need side ratios")
+
+
 def generate_cohort(n: int, ranges: dict | None = None,
                     ratios: TargetModelParams | None = None,
                     noise: NoiseSpec = NoiseSpec(), pose_kind: str = "front",
@@ -506,11 +516,7 @@ def generate_cohort(n: int, ranges: dict | None = None,
         raise ConfigError(f"seed must be >= 0, got {seed}")
     required_joints(pose_kind)  # a pose kind that is not one raises ConfigError
     ratios = ratios if ratios is not None else default_ratios()
-    if pose_kind == "front" and not set(FRONT_TARGET_IDS) <= set(ratios.front):
-        raise ConfigError(
-            f"front scenes need ratios for targets 1 and 2, got {sorted(ratios.front)}")
-    if pose_kind == "side" and ratios.side is None:
-        raise ConfigError("side scenes need side ratios")
+    _check_ratios(ratios, pose_kind)
     if noise.seed != 0:
         raise ConfigError(
             f"a cohort draws each scene's noise seed from its seed; got noise seed {noise.seed}")
@@ -547,21 +553,21 @@ def _cameras(value, key: str) -> tuple[PinholeCamera, PinholeCamera]:
     """The two cameras of the JSON list `value`, an error naming its camera
     by its index in the list."""
     return tuple(PinholeCamera.from_dict(camera, f"camera {i}")
-                 for i, camera in enumerate(_two(value, dict, key)))
+                 for i, camera in enumerate(_two(value, key)))
 
 
 def _pixels(keys, whole: bool = False):
     """The reader of a two-view pixel map over `keys`, each view holding
     every one of them if `whole`."""
-    return lambda v, k: pixel_views_from_json(_two(v, dict, k), keys, k, whole)
+    return lambda v, k: pixel_views_from_json(_two(v, k), keys, k, whole)
 
 
-# scene.json holds each SyntheticScene field but `depths` under the field's
-# name, as (writer of its JSON value, reader of (value, key)).  A reader names
-# the key in any error and refuses a record with a key left out, but for an
-# undetected joint (observation), an unfaulted joint (faulted_joints), a joint
-# of fault probability 0 (noise fault_prob) and what a params file may leave
-# out (ratios).
+# scene.json holds exactly these keys, one per SyntheticScene field but
+# `depths`, as (writer of the field's JSON value, reader of (value, key)).  A
+# reader names the key in any error and refuses a record with a key left out,
+# but for an undetected joint (observation), an unfaulted joint
+# (faulted_joints), a joint of fault probability 0 (noise fault_prob) and what
+# a params file may leave out (ratios) while it places the pose kind's targets.
 _SCENE_FIELDS = {
     "scene_id": (int, _whole),
     "pose_kind": (str, _pose_kind),
@@ -581,46 +587,56 @@ _SCENE_FIELDS = {
 }
 
 
+# a scene directory is scene.json beside one PFM depth map per view, at fixed names
+_SCENE_JSON = "scene.json"
+
+
+def _depth_paths(directory) -> list[str]:
+    """The paths of the depth maps in the scene directory `directory`, view 0's first."""
+    return [os.path.join(directory, f"depth_{vi}.pfm") for vi in (0, 1)]
+
+
+def _scene_dir(path) -> str:
+    """The scene directory `path` names: the directory itself or the scene.json in it."""
+    if os.path.isdir(path):
+        return path
+    if os.path.basename(path) == _SCENE_JSON and os.path.isfile(path):
+        return os.path.dirname(path) or "."
+    raise ConfigError(f"not a scene directory or scene.json: {path}")
+
+
 def save_scene(scene: SyntheticScene, directory) -> None:
-    """Write scene.json plus one PFM depth map per view into `directory`."""
+    """Write the scene directory `directory`: scene.json and one PFM depth map per view."""
     os.makedirs(directory, exist_ok=True)
-    depth_files = []
-    for vi, depth in enumerate(scene.depths):
-        name = f"depth_{vi}.pfm"
-        write_pfm(os.path.join(directory, name), depth.values)
-        depth_files.append(name)
-    data = {key: write(getattr(scene, key)) for key, (write, _) in _SCENE_FIELDS.items()}
-    write_json(os.path.join(directory, "scene.json"), {**data, "depth_files": depth_files})
+    for depth, path in zip(scene.depths, _depth_paths(directory)):
+        write_pfm(path, depth.values)
+    write_json(os.path.join(directory, _SCENE_JSON),
+               {key: write(getattr(scene, key)) for key, (write, _) in _SCENE_FIELDS.items()})
 
 
-def _scene_from_json(data: dict, directory) -> tuple[SyntheticScene, list]:
-    """scene.json's scene, without depth maps, and the paths of its depth files."""
-    _check_keys(data, {*_SCENE_FIELDS, "depth_files"}, "scene", whole=True)
-    names = _two(data["depth_files"], str, "depth_files")
-    for name in names:  # the two maps save_scene writes, never a path elsewhere
-        if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
-            raise MalformedFileError(
-                f"depth_files must name files in the scene directory, got {name!r}")
+def _scene_from_json(data: dict) -> SyntheticScene:
+    """scene.json's scene, without depth maps."""
+    _check_keys(data, set(_SCENE_FIELDS), "scene", whole=True)
     scene = SyntheticScene(depths=(), **{key: read(data[key], key)
                                          for key, (_, read) in _SCENE_FIELDS.items()})
+    _check_ratios(scene.ratios, scene.pose_kind)
     views = {f"{name} view{vi}": view for name in ("target_pixels_true", "target_pixels_observed")
              for vi, view in enumerate(getattr(scene, name))}
     for name, values in {"target_normals_true": scene.target_normals_true, **views}.items():
         odd = sorted(set(values) ^ set(scene.targets_true))
         if odd:
             raise MalformedFileError(f"{name} and targets_true disagree on target {odd[0]}")
-    return scene, [os.path.join(directory, name) for name in names]
+    return scene
 
 
-def read_scene_json(directory) -> tuple[SyntheticScene, list]:
-    """scene.json's scene in `directory`, and the paths of its depth maps,
-    which are not opened.  Until a capture type separates what the rig
-    observes from its ground truth, a scene whose depth maps are not read
-    yet is this convention: a SyntheticScene whose `depths` are (), which
-    `load_depths` fills and which nothing fuses.  Any bad value in scene.json
-    raises MalformedFileError naming the file."""
-    return read_json(os.path.join(directory, "scene.json"),
-                     lambda data: _scene_from_json(data, directory))
+def read_scene_json(directory) -> SyntheticScene:
+    """scene.json's scene in the scene directory `directory`; no depth map is
+    opened.  Until a capture type separates what the rig observes from its
+    ground truth, a scene whose depth maps are not read yet is this
+    convention: a SyntheticScene whose `depths` are (), which `load_depths`
+    fills and which nothing fuses.  Any bad value in scene.json raises
+    MalformedFileError naming the file."""
+    return read_json(os.path.join(directory, _SCENE_JSON), _scene_from_json)
 
 
 def _check_depth_shape(camera: PinholeCamera, path, shape: tuple[int, int]) -> None:
@@ -630,20 +646,20 @@ def _check_depth_shape(camera: PinholeCamera, path, shape: tuple[int, int]) -> N
             f"its camera {camera.width}x{camera.height}")
 
 
-def check_depth_files(scene: SyntheticScene, depth_files) -> None:
+def check_depth_maps(scene: SyntheticScene, directory) -> None:
     """Every check `load_depths` makes before it reads a payload: each depth
     map's PFM header and byte count (`pfm_shape`), and its size against its
     camera's.  A failed check raises MalformedFileError naming the map."""
-    for camera, path in zip(scene.cameras, depth_files):
+    for camera, path in zip(scene.cameras, _depth_paths(directory)):
         _check_depth_shape(camera, path, pfm_shape(path))
 
 
-def load_depths(scene: SyntheticScene, depth_files) -> SyntheticScene:
-    """`scene`, from `read_scene_json`, with its depth maps read from
-    `depth_files`; a map whose size is not its camera's raises
+def load_depths(scene: SyntheticScene, directory) -> SyntheticScene:
+    """`scene`, from `read_scene_json`, with its depth maps read from the
+    scene directory `directory`; a map whose size is not its camera's raises
     MalformedFileError naming the map."""
     depths = []
-    for camera, path in zip(scene.cameras, depth_files):
+    for camera, path in zip(scene.cameras, _depth_paths(directory)):
         values = read_pfm(path)
         _check_depth_shape(camera, path, values.shape)
         depths.append(DepthMap._owning(values))
@@ -654,7 +670,7 @@ def load_scene(directory) -> SyntheticScene:
     """Read a scene written by `save_scene`; any bad value in scene.json
     raises MalformedFileError naming the file, before a depth map is read, and
     so does a depth map whose size is not its camera's, naming the map."""
-    return load_depths(*read_scene_json(directory))
+    return load_depths(read_scene_json(directory), directory)
 
 
 def save_cohort(scenes, directory) -> None:
@@ -677,7 +693,3 @@ def scene_directories(directory) -> list[str]:
     if not names:
         raise ConfigError(f"no scene_* directories under {directory}")
     return [os.path.join(directory, name) for name in names]
-
-
-def load_cohort(directory) -> list[SyntheticScene]:
-    return [load_scene(path) for path in scene_directories(directory)]

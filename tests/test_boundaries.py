@@ -11,6 +11,7 @@ vocabulary, so a new error class is a deliberate edit.
 import ast
 import collections
 import pathlib
+import re
 from typing import Callable, NamedTuple
 
 import pytest
@@ -96,6 +97,21 @@ def finite_test(node):
             and any(alias.name == "isfinite" for alias in node.names):
         return "from math import isfinite"
     return None
+
+
+def scene_layout_name(node):
+    """A "scene.json" constant, or a constant or f-string whose text, with each
+    replacement field as {}, is a depth_<n>.pfm name."""
+    if isinstance(node, ast.Constant) and node.value == "scene.json":
+        return repr(node.value)
+    if isinstance(node, ast.JoinedStr):
+        text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in node.values)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        text = node.value
+    else:
+        return None
+    return ast.unparse(node) if re.fullmatch(r"depth_(\d+|\{\})\.pfm", text) else None
 
 
 # each error class of `scanloc.errors` and its bases: one class per way a caller reacts
@@ -192,6 +208,18 @@ RULES = [
           "line 3: front_reference()"],
          lambda found: {"'reference_axes'", "perpendicular_planar_direction()",
                         "front_reference()"} <= set(found)),
+    Rule("scene-layout", "synth.py",
+         "A scene directory is a fixed layout, scene.json beside depth_0.pfm and "
+         "depth_1.pfm, and `synth` names those files once: `save_scene` writes them, "
+         "`read_scene_json`, `check_depth_maps` and `load_depths` take the directory, "
+         "and `synth._scene_dir` finds it from a path.  A module that writes "
+         "\"scene.json\" or builds a depth_<n>.pfm name is laying out a scene again.",
+         scene_layout_name,
+         "p = os.path.join(d, 'scene.json')\nname = f'depth_{vi}.pfm'\n"
+         "h = 'scene directory or scene.json'\nc = 'scene_id'\nfirst = 'depth_0.pfm'\n"
+         "n = 'depth_files'\nq = f'{d}/depth.pfm'\nm = 'depth_0.pfm is missing'\n",
+         ["line 1: 'scene.json'", "line 2: f'depth_{vi}.pfm'", "line 5: 'depth_0.pfm'"],
+         lambda found: found == ["'scene.json'", "f'depth_{vi}.pfm'"]),
     Rule("exception", "errors.py",
          "A caller reacts to a failure in one of four ways, and `errors.py` holds one "
          "class for each; a failure is told apart from its kin by its message.  A "

@@ -616,8 +616,7 @@ class TestMalformedInput:
     def test_fuse_on_truncated_pfm_exits_1(self, cohort_dir, tmp_path, caplog):
         scene = tmp_path / "scene"
         shutil.copytree(cohort_dir / "scene_001", scene)
-        depth_file = json.loads((scene / "scene.json").read_text())["depth_files"][0]
-        pfm = scene / depth_file
+        pfm = scene / "depth_0.pfm"
         pfm.write_bytes(pfm.read_bytes()[:-100])
         out = tmp_path / "cloud.bin"
         assert_refused(caplog, ["fuse", "--scene", str(scene), "--out", str(out)], out,
@@ -667,20 +666,22 @@ class TestMalformedInput:
     @pytest.mark.parametrize("name", ["/etc/hostname", "../scene_000/depth_0.pfm", "",
                                       ".", "..", "sub/depth_1.pfm", "depth_0\0.pfm"])
     def test_fuse_on_depth_file_outside_the_scene_exits_1(self, cohort_dir, tmp_path, caplog,
-                                                          name):
-        """A depth file named with a directory part or a NUL byte, or as "",
-        "." or "..", is refused naming scene.json before any depth map is
-        read, even when the file it names exists (another scene's map)."""
+                                                          monkeypatch, name):
+        """scene.json names no depth file: the maps sit at fixed names in the
+        scene directory.  A scene.json that still holds a `depth_files` key,
+        whatever file it names (another scene's map included), is refused as
+        an unknown key naming scene.json, before any depth map is opened."""
         scenes = tmp_path / "scenes"
         shutil.copytree(cohort_dir, scenes)
         path = scenes / "scene_001" / "scene.json"
         data = json.loads(path.read_text())
-        data["depth_files"][0] = name
+        data["depth_files"] = [name, "depth_1.pfm"]
         path.write_text(json.dumps(data))
+        for opener in ("read_pfm", "pfm_shape"):
+            monkeypatch.setattr(f"scanloc.synth.{opener}", refuse_pfm)
         out = tmp_path / "cloud.bin"
         assert_refused(caplog, ["fuse", "--scene", str(scenes / "scene_001"), "--out", str(out)],
-                       out, str(path), f"depth_files must name files in the scene directory, "
-                                       f"got {name!r}")
+                       out, str(path), "unknown scene keys: ['depth_files']")
 
     @pytest.mark.parametrize(
         "corrupt, detail",
@@ -699,7 +700,7 @@ class TestMalformedInput:
             (lambda d: {**d, "cameras": d["cameras"][:1]},
              "cameras must be a list of exactly two JSON objects"),
             (lambda d: {**d, "cameras": 5}, "cameras must be a list of exactly two JSON objects"),
-            (lambda d: {**d, "depth_files": 7}, "depth_files must be a list of exactly two strings"),
+            (lambda d: {**d, "depth_files": 7}, "unknown scene keys: ['depth_files']"),
             (lambda d: {**d, "pose_kind": 3}, "pose_kind must be 'front' or 'side', got 3"),
             (lambda d: {**d, "target_pixels_observed": [{}, {}]},
              "target_pixels_observed view0 and targets_true disagree on target 1"),
@@ -794,6 +795,8 @@ class TestMalformedInput:
              "faulted_joints right_hip must be 'dropped' or 'displaced', got None"),
             (lambda d: {**d, "faulted_joints": {"left_shoulder": "missed"}},
              "faulted_joints left_shoulder must be 'dropped' or 'displaced', got 'missed'"),
+            (lambda d: {**d, "ratios": {**d["ratios"], "front": {}}},
+             "front scenes need ratios for targets 1 and 2, got []"),
         ],
         ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
              "one-pixel-view", "observation-view-not-object", "one-camera", "cameras-not-list",
@@ -810,7 +813,7 @@ class TestMalformedInput:
              "huge-ratio-int", "negative-noise-seed", "huge-scene-id", "pose-bool", "pose-string",
              "torso-no-thickness", "noise-no-seed", "keypoints-no-hip", "keypoint-pixels-no-hip",
              "observation-no-view", "camera-no-pose", "camera-pose-no-rotation",
-             "fault-kind-null", "fault-kind-unknown"],
+             "fault-kind-null", "fault-kind-unknown", "front-ratios-empty"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):
@@ -1192,6 +1195,10 @@ def refuse_fusion(*args, **kwargs):
     raise AssertionError("a scene was fused")
 
 
+def refuse_pfm(*args, **kwargs):
+    raise AssertionError("a depth map was opened")
+
+
 class TestEvaluateOnePass:
     """`evaluate` reads every scene.json and PFM header first, then takes one
     scene at a time: its depth maps are read, fused and snapped once, for its
@@ -1246,6 +1253,23 @@ class TestEvaluateOnePass:
         out = tmp_path / "reports"
         assert_refused(caplog, ["evaluate", "--scenes", str(scenes), "--target", "1",
                                 "--out", str(out)], out, str(pfm), detail)
+
+    @pytest.mark.parametrize("valid", [0, 1], ids=["no-valid-scene", "one-valid-scene"])
+    def test_an_all_faulty_cohort_is_refused_before_out_and_any_depth_map(
+            self, side_cohort_dir, tmp_path, caplog, monkeypatch, valid):
+        """With fewer than two valid scenes no fold can train, so every fold
+        is faulty: the first pass refuses the cohort before --out is made and
+        before any depth map is read or fused."""
+        scenes = tmp_path / "scenes"
+        shutil.copytree(side_cohort_dir, scenes)
+        for scene in sorted(scenes.glob("scene_*"))[valid:]:
+            edit_observation(scene, lambda view: view.pop("right_hip", None))
+        monkeypatch.setattr("scanloc.synth.read_pfm", refuse_pfm)
+        monkeypatch.setattr("scanloc.cli.scene_cloud", refuse_fusion)
+        out = tmp_path / "reports"
+        assert_refused(caplog, ["evaluate", "--scenes", str(scenes), "--target", "4",
+                                "--out", str(out)], out,
+                       "every fold is faulty; nothing to summarize")
 
     def test_an_error_in_a_scenes_pass_names_the_scene_and_view(
             self, side_cohort_dir, tmp_path, caplog):

@@ -62,7 +62,13 @@ from scanloc.cloud import (
 from scanloc.errors import ConfigError, MalformedFileError, ScanlocError
 from scanloc.evaluation import backprojection_comparison
 from scanloc.geometry import MIN_DEPTH, PinholeCamera, angle_between_degrees
-from scanloc.synth import NoiseSpec, generate_cohort, load_cohort, save_cohort
+from scanloc.synth import (
+    NoiseSpec,
+    generate_cohort,
+    load_scene,
+    save_cohort,
+    scene_directories,
+)
 from scanloc.targets import localize
 
 
@@ -207,7 +213,7 @@ class TestPayloadReader:
             pytest.skip("no /proc/self/fd to count open files")
         save_cohort(generate_cohort(4, seed=71, pose_kind="side"), tmp_path)
         before = len(os.listdir("/proc/self/fd"))
-        scenes = load_cohort(tmp_path)
+        scenes = [load_scene(d) for d in scene_directories(tmp_path)]
         assert len(os.listdir("/proc/self/fd")) == before
         assert len(scenes) == 4
 

@@ -27,11 +27,11 @@ from scanloc.synth import (
     default_ratios,
     generate_cohort,
     generate_scene,
-    load_cohort,
     load_scene,
     raycast_depth,
     save_cohort,
     save_scene,
+    scene_directories,
 )
 from scanloc.targets import (
     RIGHT_HIP,
@@ -741,7 +741,8 @@ class TestSceneIO:
 
     def test_optional_keys_may_be_left_out(self, tmp_path):
         """An undetected joint, an unfaulted joint, a joint of fault
-        probability 0 and the ratios' reference_axes may be left out."""
+        probability 0, the ratios' reference_axes and a front scene's side
+        ratios may be left out."""
         noise = NoiseSpec(fault_prob={"right_hip": 1.0}, seed=1)
         save_scene(generate_scene(TORSO, RATIOS, small_cameras(), noise, "front"), tmp_path)
         path = tmp_path / "scene.json"
@@ -749,12 +750,35 @@ class TestSceneIO:
         for record, key in ((data["observation"]["view1"], "left_shoulder"),
                             (data["faulted_joints"], "right_hip"),
                             (data["noise"]["fault_prob"], "right_hip"),
-                            (data["ratios"], "reference_axes")):
+                            (data["ratios"], "reference_axes"),
+                            (data["ratios"], "side")):
             del record[key]
         path.write_text(json.dumps(data))
         loaded = load_scene(tmp_path)
         assert loaded.faulted_joints == {} and loaded.noise.fault_prob == {}
         assert "left_shoulder" not in loaded.observation.views[1]
+        assert loaded.ratios.side is None
+
+    @pytest.mark.parametrize("kind, key_path, detail", [
+        ("front", ("front",), "front scenes need ratios for targets 1 and 2, got []"),
+        ("front", ("front", "2"), "front scenes need ratios for targets 1 and 2, got [1]"),
+        ("side", ("side",), "side scenes need side ratios"),
+    ], ids=["front-without-front", "front-without-target-2", "side-without-side"])
+    def test_ratios_missing_a_target_of_the_pose_kind_are_refused(self, tmp_path, kind,
+                                                                   key_path, detail):
+        """scene.json's ratios must place every target of its pose kind, as a
+        cohort's must: else the file is refused, naming it, before a depth
+        map is read."""
+        save_scene(generate_scene(TORSO, RATIOS, small_cameras(), NoiseSpec(), kind), tmp_path)
+        for depth_file in tmp_path.glob("*.pfm"):
+            depth_file.unlink()
+        path = tmp_path / "scene.json"
+        data = json.loads(path.read_text())
+        *parents, key = key_path
+        del get_path(data["ratios"], parents)[key]
+        path.write_text(json.dumps(data))
+        with pytest.raises(MalformedFileError, match=re.escape(f"{path}: {detail}")):
+            load_scene(tmp_path)
 
     @pytest.mark.parametrize("kind", ["front", "side"])
     def test_round_trip_keeps_every_field_bits(self, tmp_path, kind):
@@ -766,6 +790,7 @@ class TestSceneIO:
         scene = generate_scene(TORSO, RATIOS, small_cameras(), noise, kind, scene_id=17)
         assert sorted(scene.faulted_joints.values()) == ["displaced", "dropped"]
         save_scene(scene, tmp_path)
+        assert json.loads((tmp_path / "scene.json").read_text()).keys() == set(synth._SCENE_FIELDS)
         loaded = load_scene(tmp_path)
         for key in synth._SCENE_FIELDS:
             assert same_bits(getattr(loaded, key), getattr(scene, key)), key
@@ -847,8 +872,9 @@ class TestSceneIO:
                           fault_prob={"right_hip": 0.5})
         scenes = generate_cohort(4, noise=noise, pose_kind="side", seed=3)
         save_cohort(scenes, tmp_path)
+        loaded = [load_scene(d) for d in scene_directories(tmp_path)]
         folds = {}
-        for name, cohort in (("memory", scenes), ("files", load_cohort(tmp_path))):
+        for name, cohort in (("memory", scenes), ("files", loaded)):
             folds[name] = loocv(cohort, 4, clouds=[scene_cloud(s, 0.002) for s in cohort])
         assert any(f.faulty for f in folds["memory"]) and not all(f.faulty for f in folds["memory"])
         for memory, files in zip(folds["memory"], folds["files"], strict=True):
@@ -891,7 +917,7 @@ class TestSceneIO:
     def test_cohort_round_trip_preserves_order(self, tmp_path):
         scenes = generate_cohort(3, seed=8, pose_kind="front")
         save_cohort(scenes, tmp_path)
-        loaded = load_cohort(tmp_path)
+        loaded = [load_scene(d) for d in scene_directories(tmp_path)]
         assert [s.scene_id for s in loaded] == [0, 1, 2]
         assert loaded[2].torso == scenes[2].torso
 
