@@ -42,6 +42,7 @@ from .jsonfile import _check_keys, _whole, read_json, write_json
 from .synth import (
     NoiseSpec,
     _cameras,
+    _check_cohort,
     _scene_dir,
     _scene_names,
     _validate_ranges,
@@ -108,6 +109,7 @@ def _parse_synth_config(data):
     cameras = None
     if "cameras" in data:
         cameras = _cameras(data["cameras"], "cameras")
+    _check_cohort(n, seed, pose_kind, ratios, noise)  # before `_cmd_synth` logs the run
     return dict(n=n, seed=seed, pose_kind=pose_kind, ranges=ranges, ratios=ratios,
                 noise=noise, cameras=cameras)
 

@@ -11,9 +11,11 @@ the surface.
 
 Noise is applied last and is fully determined by the noise seed: Gaussian
 pixel noise on observed keypoints and target pixels, Gaussian depth noise
-on valid depth pixels (each depth map is then float32, the bits its PFM
-file holds), and per-joint faults that either drop a joint from
-both views or displace it by 50 px (a plausible wrong detection).
+on valid depth pixels, and per-joint faults that either drop a joint from
+both views or displace it by 50 px (a plausible wrong detection).  A view
+is cast in float64, one band of image rows at a time; each band gets its
+depth noise and is rounded once into the view's float32 depth map, the
+bits its PFM file holds.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .cloud import DepthMap, pfm_shape, read_pfm, write_pfm
+from .cloud import DepthMap, _valid_depths, pfm_shape, read_pfm, write_pfm
 from .errors import ConfigError, MalformedFileError, ScanlocError
 from .geometry import MIN_DEPTH, PinholeCamera, Pixel, RigidTransform
 from .jsonfile import (
@@ -214,8 +216,30 @@ def _look_at_camera(position, target) -> PinholeCamera:
     return PinholeCamera(RIG_FX, RIG_FX, width / 2, height / 2, width, height, pose)
 
 
-def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
-    """Analytic per-pixel depth of the torso dome; misses are 0.
+def raycast_depth(camera: PinholeCamera, torso: TorsoSpec, sigma: float, rng) -> DepthMap:
+    """The float32 depth map `camera` observes of the torso dome; misses are 0.
+
+    `_cast_bands` casts the view in float64, one band of image rows at a
+    time.  If `sigma` > 0, each band's valid depths (`DepthMap.valid_mask`)
+    get Gaussian noise of `sigma` m from `rng`, in float64, drawn band after
+    band, so in the image's row-major order.  Each band is then rounded once
+    into the float32 map, which starts at zero: these are the bits that
+    `save_scene` writes, and no image of 8 B per pixel is ever held.
+    """
+    depth = np.zeros((camera.height, camera.width), dtype=np.float32)
+    for rows, cols, band in _cast_bands(camera, torso):
+        if sigma > 0:
+            valid = _valid_depths(band)
+            band[valid] += sigma * rng.standard_normal(np.count_nonzero(valid))
+        depth[rows, cols] = band
+    return DepthMap._owning(depth)
+
+
+def _cast_bands(camera: PinholeCamera, torso: TorsoSpec):
+    """The analytic float64 depth of the torso dome per pixel of `camera`,
+    as (image rows, image columns, depths) for each band of its cast
+    rectangle, top to bottom; misses are 0, and so is every pixel outside
+    the rectangle.
 
     Intersects pixel rays with the elliptic cylinder
     (x/a)^2 + ((z-h)/c)^2 = 1 in closed form and keeps the nearest hit on
@@ -224,7 +248,7 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
     that provably miss are never cast (Kay & Kajiya, SIGGRAPH 1986): only
     pixels in the image rectangle around the projected bounding box (+1 px;
     every pixel if a box corner is behind the camera) get a ray.  The
-    rectangle is filled in bands of whole image rows of about `_TILE_RAYS`
+    rectangle is cut into bands of whole image rows of about `_TILE_RAYS`
     rays each, so a band's temporaries stay small.  Each band writes
     `_roots`' far root, then its near root, wherever
     y = origin_y + t * dy lies in [0, length].
@@ -268,7 +292,6 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
         _, top = camera.pixel_rays((us, np.full(cols, float(v0))))
         _, left = camera.pixel_rays((np.full(rows, float(u0)), vs))
         roots = _roots(origin, top[:, 0], top[:, 2], qc, torso)
-    depth = np.zeros((camera.height, camera.width))
     for b0, b1 in zip(edges[:-1], edges[1:]):
         if columns:
             dy = left[b0:b1, 1:2]
@@ -276,10 +299,11 @@ def raycast_depth(camera: PinholeCamera, torso: TorsoSpec) -> DepthMap:
             _, dirs = camera.pixel_rays((np.tile(us, b1 - b0), np.repeat(vs[b0:b1], cols)))
             dx, dy, dz = np.moveaxis(dirs.reshape(b1 - b0, cols, 3), -1, 0)
             roots = _roots(origin, dx, dz, qc, torso)
+        band = np.zeros((b1 - b0, cols))
         for t in roots:
             y = origin[1] + t * dy
-            np.copyto(depth[v0 + b0:v0 + b1, u0:u1], t, where=(y >= 0) & (y <= torso.length))
-    return DepthMap._owning(depth)
+            np.copyto(band, t, where=(y >= 0) & (y <= torso.length))
+        yield slice(v0 + b0, v0 + b1), slice(u0, u1), band
 
 
 def _roots(origin, dx, dz, qc, torso: TorsoSpec) -> list[np.ndarray]:
@@ -358,19 +382,6 @@ def _exact_pixels(cameras, named_points: dict, what: str) -> tuple[dict, dict]:
     return views
 
 
-def _observed_depth(depth: DepthMap, sigma: float, rng) -> DepthMap:
-    """The float32 depth map a camera reports for the cast `depth`: Gaussian
-    noise of `sigma` m added, in float64, to each valid pixel, then every
-    pixel rounded once to float32, the bits that `save_scene` writes."""
-    observed = depth.values.astype(np.float32)
-    if sigma > 0:
-        mask = depth.valid_mask
-        noisy = depth.values[mask]
-        noisy += sigma * rng.standard_normal(len(noisy))
-        observed[mask] = noisy
-    return DepthMap._owning(observed)
-
-
 def _jittered(views: tuple[dict, dict], sigma: float, rng) -> tuple[dict, dict]:
     """The two-view pixel map `views` with Gaussian noise of `sigma` px on each
     pixel, drawn name by name in the map's order, view 0 before view 1."""
@@ -425,8 +436,7 @@ def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
 
     target_observed = _jittered(target_pixels_true, noise.keypoint_sigma_px, target_rng)
 
-    # one view at a time, so one float64 image is alive at once
-    depths = tuple(_observed_depth(raycast_depth(camera, torso), noise.depth_sigma_m, rng)
+    depths = tuple(raycast_depth(camera, torso, noise.depth_sigma_m, rng)
                    for camera, rng in zip(cameras, depth_rngs))
 
     return SyntheticScene(
@@ -498,6 +508,23 @@ def _check_ratios(ratios: TargetModelParams, pose_kind: str) -> None:
         raise ConfigError("side scenes need side ratios")
 
 
+def _check_cohort(n: int, seed: int, pose_kind: str, ratios: TargetModelParams | None,
+                  noise: NoiseSpec) -> TargetModelParams:
+    """The ratios `generate_cohort` draws with (`default_ratios` if `ratios`
+    is None); ConfigError for any argument it refuses before it draws."""
+    if n < 1:
+        raise ConfigError(f"cohort size must be >= 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    required_joints(pose_kind)  # a pose kind that is not one raises ConfigError
+    ratios = ratios if ratios is not None else default_ratios()
+    _check_ratios(ratios, pose_kind)
+    if noise.seed != 0:
+        raise ConfigError(
+            f"a cohort draws each scene's noise seed from its seed; got noise seed {noise.seed}")
+    return ratios
+
+
 def generate_cohort(n: int, ranges: dict | None = None,
                     ratios: TargetModelParams | None = None,
                     noise: NoiseSpec = NoiseSpec(), pose_kind: str = "front",
@@ -510,16 +537,7 @@ def generate_cohort(n: int, ranges: dict | None = None,
     That stream also draws the scene's noise seed, so `noise` must leave its
     seed at 0.  The ratios must place every target of the pose kind.
     """
-    if n < 1:
-        raise ConfigError(f"cohort size must be >= 1, got {n}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    required_joints(pose_kind)  # a pose kind that is not one raises ConfigError
-    ratios = ratios if ratios is not None else default_ratios()
-    _check_ratios(ratios, pose_kind)
-    if noise.seed != 0:
-        raise ConfigError(
-            f"a cohort draws each scene's noise seed from its seed; got noise seed {noise.seed}")
+    ratios = _check_cohort(n, seed, pose_kind, ratios, noise)
     full_ranges = _validate_ranges(ranges or {})
     scenes = []
     for i in range(n):

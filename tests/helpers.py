@@ -1,11 +1,13 @@
 """Shared helpers for test scenes: cameras, rigs, transforms, hand-eye
-samples, analytic renders, the reference voxel centroids, and JSON files
-with one number made bad."""
+samples, analytic renders, the observed depth map's oracle, the reference
+voxel centroids, and JSON files with one number made bad."""
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from scanloc import synth
+from scanloc.cloud import DepthMap
 from scanloc.geometry import MIN_DEPTH, PinholeCamera, RigidTransform
 from scanloc.handeye import PosePairSample
 from scanloc.synth import TorsoSpec, default_cameras
@@ -175,6 +177,29 @@ def full_image_raycast(camera: PinholeCamera, torso) -> np.ndarray:
 
     depth = np.where(np.isfinite(t_best), t_best, 0.0)
     return depth.reshape(camera.height, camera.width)
+
+
+def banded_raycast(camera: PinholeCamera, torso) -> np.ndarray:
+    """The float64 cast `synth.raycast_depth` rounds into its float32 map:
+    each band of `synth._cast_bands` placed in an image of zeros."""
+    depth = np.zeros((camera.height, camera.width))
+    for rows, cols, band in synth._cast_bands(camera, torso):
+        depth[rows, cols] = band
+    return depth
+
+
+def observed_depth(depth: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """The float32 map a camera reports for the whole-image float64 cast
+    `depth`: if `sigma` > 0, Gaussian noise of `sigma` m from one
+    `standard_normal` draw over the image's valid mask is added, in float64,
+    to its valid pixels; then the image is rounded once to float32."""
+    observed = depth.astype(np.float32)
+    if sigma > 0:
+        mask = DepthMap(depth).valid_mask
+        noisy = depth[mask]
+        noisy += sigma * rng.standard_normal(len(noisy))
+        observed[mask] = noisy
+    return observed
 
 
 # Independent transcriptions of the target-regression construction.  The

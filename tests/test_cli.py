@@ -198,6 +198,22 @@ class TestSynth:
         assert_one_line_error(caplog, f"--out {out}")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("config, detail", [
+        ({"n": 0, "seed": 1}, "cohort size must be >= 1, got 0"),
+        ({"n": 2, "seed": 1, "pose": "diagonal"}, "'diagonal'"),
+    ], ids=["no-scenes", "unknown-pose"])
+    def test_a_refused_config_logs_only_its_error(self, tmp_path, caplog, config, detail):
+        """The run is logged once its config is accepted: a refused one logs
+        one ERROR line and nothing else."""
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "scenes"
+        with caplog.at_level(logging.DEBUG, logger="scanloc"):
+            assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
+        assert [r.levelno for r in caplog.records] == [logging.ERROR]
+        assert_one_line_error(caplog, str(path), detail)
+        assert not out.exists()
+
 
 def write_samples(path, samples) -> None:
     path.write_text(json.dumps([

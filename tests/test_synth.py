@@ -48,10 +48,12 @@ from scanloc.targets import (
 )
 
 from helpers import (
+    banded_raycast,
     full_image_raycast,
     full_image_roots,
     get_path,
     look_at_camera,
+    observed_depth,
     pixel_ray_grid,
     small_cameras,
     spoil_a_number,
@@ -135,11 +137,11 @@ class TestTorsoSpec:
 class TestRaycast:
     def test_matches_root_finding_oracle(self):
         cam = default_cameras(TORSO)[0]
-        depth = raycast_depth(cam, TORSO)
+        depth = banded_raycast(cam, TORSO)
         rng = np.random.default_rng(77)
         flat = rng.choice(cam.width * cam.height, size=400, replace=False)
         want = oracle_ray_depths(cam, TORSO, flat)
-        got = depth.values.ravel()[flat]
+        got = depth.ravel()[flat]
         assert np.allclose(got, want, atol=1e-9)
         assert (want > 0).sum() > 50  # the sample covers hits
         assert (want == 0).sum() > 50  # and misses
@@ -150,12 +152,12 @@ class TestRaycast:
         from scanloc.geometry import Pixel
 
         cam = default_cameras(TORSO)[1]
-        depth = raycast_depth(cam, TORSO)
-        vidx = np.flatnonzero(depth.values.ravel() > 0)
+        depth = banded_raycast(cam, TORSO)
+        vidx = np.flatnonzero(depth.ravel() > 0)
         rng = np.random.default_rng(78)
         for flat in rng.choice(vidx, size=300, replace=False):
             v, u = divmod(int(flat), cam.width)
-            point = cam.deproject(Pixel(float(u), float(v)), depth.values[v, u])
+            point = cam.deproject(Pixel(float(u), float(v)), depth[v, u])
             f = (point[0] / TORSO.half_width) ** 2 + (
                 (point[2] - TORSO.base_height) / TORSO.thickness
             ) ** 2
@@ -165,7 +167,7 @@ class TestRaycast:
 
     def test_misses_are_zero_outside_footprint(self):
         cam = default_cameras(TORSO)[0]
-        depth = raycast_depth(cam, TORSO)
+        depth = raycast_depth(cam, TORSO, 0.0, None)
         assert depth.values[0, 0] == 0.0  # image corner looks past the torso
         assert depth.valid_mask.sum() > 10000
 
@@ -178,7 +180,7 @@ def _box_corner_depths(camera, torso):
 
 
 def assert_same_bits(camera, torso):
-    got = raycast_depth(camera, torso).values
+    got = banded_raycast(camera, torso)
     want = full_image_raycast(camera, torso)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     return got
@@ -298,6 +300,10 @@ def draw_raycast_case(data, tilted):
 # a Y-aligned camera with a box corner behind it: its rectangle is the image
 WHOLE_IMAGE_COLUMN_CAMERA = look_at_camera([0.1, 0.3, 0.2], [-0.1, 0.3, 0.05])
 
+# a tilted rig: both views see the whole torso and take the band path
+TILTED_CAMERAS = (look_at_camera([-0.15, 0.2, 1.0], [0.0, 0.3, 0.1]),
+                  look_at_camera([0.15, 0.35, 1.0], [0.0, 0.25, 0.1]))
+
 # views whose images mix near-root and far-root hits; default rig views take
 # only the near root
 MIXED_ROOT_CAMERAS = [
@@ -333,7 +339,7 @@ class TestBandedRaycast:
             calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = raycast_depth(camera, torso).values
+                got = banded_raycast(camera, torso)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert_one_solve_per_band(camera, calls, tile)
         # the sweep bands both paths: the Y-aligned cameras and the tilted ones
@@ -375,44 +381,85 @@ class TestBandedRaycast:
 
             with monkeypatch.context() as patch:
                 patch.setattr(PinholeCamera, "pixel_rays", counting_rays)
-                got = raycast_depth(camera, TORSO).values
+                got = banded_raycast(camera, TORSO)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)) and got.any()
             assert min(sizes) >= min(2, width)
 
     @pytest.mark.parametrize("pose_kind", ["front", "side"])
     def test_peak_memory_is_about_two_images(self, pose_kind):
-        """One call holds at most its image, the image's copy in the
-        `DepthMap` and 1 MiB of band temporaries at once, on either path:
-        the cohort's views and a Y-aligned camera whose rectangle is the
-        whole image take the column path."""
+        """One call holds at most its float32 map and 1 MiB of band
+        temporaries at once, about two maps and less than one image of 8 B
+        per pixel, with depth noise or without, on either path: the cohort's
+        views and a Y-aligned camera whose rectangle is the whole image take
+        the column path, and a tilted camera the band path."""
         assert _box_corner_depths(WHOLE_IMAGE_COLUMN_CAMERA, TORSO).min() < 0
         views = [(camera, scene.torso)
                  for scene in generate_cohort(2, pose_kind=pose_kind, seed=5)
-                 for camera in scene.cameras] + [(WHOLE_IMAGE_COLUMN_CAMERA, TORSO)]
+                 for camera in scene.cameras]
+        views += [(WHOLE_IMAGE_COLUMN_CAMERA, TORSO), (TILTED_CAMERAS[0], TORSO)]
         for camera, torso in views:
-            image = 8 * camera.width * camera.height
-            tracemalloc.start()
-            try:
-                raycast_depth(camera, torso)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2 * image + 2**20, f"peak {peak / image:.2f}x the image"
-
-    def test_the_depth_map_takes_the_cast_image(self):
-        """The returned `DepthMap` holds the image the bands filled, not a
-        copy: a call peaks at one image and its band temporaries."""
-        for scene in generate_cohort(2, pose_kind="side", seed=5):
-            for camera in scene.cameras:
-                image = 8 * camera.width * camera.height
+            pixels = camera.width * camera.height
+            for sigma in (0.0, 0.005):
+                rng = np.random.default_rng(5)
                 tracemalloc.start()
                 try:
-                    depth = raycast_depth(camera, scene.torso)
+                    raycast_depth(camera, torso, sigma, rng)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert depth.values.dtype == np.float64 and not depth.values.flags.writeable
-                assert peak <= image + 1.5 * 2**20, f"peak {peak / image:.2f}x the image"
+                assert peak <= 4 * pixels + 2**20, f"peak {peak / pixels:.2f} B per pixel"
+                assert peak < 8 * pixels
+
+    def test_the_depth_map_takes_the_cast_image(self):
+        """The returned `DepthMap` holds the float32 map the bands were
+        rounded into, not a copy: a call peaks at the map and its band
+        temporaries, well under the map and a copy of it."""
+        for scene in generate_cohort(2, pose_kind="side", seed=5):
+            for camera in scene.cameras:
+                image = 4 * camera.width * camera.height
+                tracemalloc.start()
+                try:
+                    depth = raycast_depth(camera, scene.torso, 0.0, None)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert depth.values.dtype == np.float32 and not depth.values.flags.writeable
+                assert peak <= image + 2**19, f"peak {peak / image:.2f}x the map"
+
+
+class TestObservedDepth:
+    """A generated depth map has the bits of the whole-image oracle: the
+    one-ray-per-pixel cast rounded to float32, its noise drawn at once over
+    the image's valid pixels."""
+
+    @pytest.fixture(scope="class")
+    def casts(self):
+        """The whole-image float64 cast of each view of a one-scene cohort,
+        by pose kind and rig: the default rig, whose views take the column
+        path, and `TILTED_CAMERAS`, whose views take the band path."""
+        return {(pose_kind, rig): [full_image_raycast(camera, scene.torso)
+                                   for camera in scene.cameras]
+                for pose_kind in ("front", "side")
+                for rig, cameras in (("rig", None), ("tilted", TILTED_CAMERAS))
+                for scene in generate_cohort(1, pose_kind=pose_kind, seed=8, cameras=cameras)}
+
+    @pytest.mark.parametrize("tile", [1, 7, synth._TILE_RAYS])
+    def test_generated_depth_maps_match_the_oracle(self, tile, casts, monkeypatch):
+        """Each band draws its own share of the view's noise: with one or
+        seven rays a band, a view's draw is split across hundreds of bands."""
+        monkeypatch.setattr(synth, "_TILE_RAYS", tile)
+        for kp_sigma, depth_sigma in [(0.0, 0.0), (1.0, 0.002), (2.0, 0.005)]:
+            noise = NoiseSpec(keypoint_sigma_px=kp_sigma, depth_sigma_m=depth_sigma)
+            for (pose_kind, rig), views in casts.items():
+                (scene,) = generate_cohort(1, pose_kind=pose_kind, seed=8, noise=noise,
+                                           cameras=TILTED_CAMERAS if rig == "tilted" else None)
+                assert all(y_aligned(camera) == (rig == "rig") for camera in scene.cameras)
+                streams = np.random.SeedSequence(scene.noise.seed).spawn(5)[3:]
+                for cast, depth, stream in zip(views, scene.depths, streams):
+                    want = observed_depth(cast, depth_sigma, np.random.default_rng(stream))
+                    assert depth.values.dtype == np.float32
+                    assert np.array_equal(depth.values.view(np.uint32), want.view(np.uint32))
+                    assert depth.valid_mask.sum() > 10000
 
 
 class TestColumnRaycast:
