@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .cloud import DEFAULT_VOXEL, NORMAL_RADIUS, _check_fusion_options
+from .cloud import DEFAULT_VOXEL, NORMAL_RADIUS, PayloadMapping, _check_fusion_options
 from .errors import ConfigError, MalformedFileError, ScanlocError
 from .evaluation import (
     DEFAULT_EVAL_VOXEL,
@@ -188,12 +188,13 @@ def _cmd_localize(args) -> int:
     return 0
 
 
-def _evaluate_scene(cohort, i: int, directory, scene, voxel: float):
-    """Scene `i`'s fold and back-projection: its depth maps are read and fused
-    here, and dropped on return, so one scene's depth maps are held at a time.
+def _evaluate_scene(cohort, i: int, directory, scene, voxel: float, reuse):
+    """Scene `i`'s fold and back-projection: its depth maps are read into
+    `reuse`'s mappings and fused here, and dropped on return, so one scene's
+    depth maps are held at a time and the next scene's may overwrite them.
     An error names the scene's directory."""
     try:
-        scene = load_depths(scene, directory)
+        scene = load_depths(scene, directory, reuse)
         return _fold_and_backprojection(cohort, i, scene, scene_cloud(scene, voxel))
     except ScanlocError as exc:
         raise type(exc)(f"{directory}: {exc}") from None
@@ -214,8 +215,9 @@ def _cmd_evaluate(args) -> int:
     config = {"target_id": args.target, "voxel_m": args.voxel,
               "normal_radius_m": NORMAL_RADIUS, "thresholds_mm": list(DEFAULT_THRESHOLDS_MM)}
     log.info("evaluate config: %s", json.dumps(config, sort_keys=True))
-    # pass 2: one scene at a time
-    folds, results = zip(*(_evaluate_scene(cohort, i, directory, scene, args.voxel)
+    # pass 2: one scene at a time, every scene's depth maps read into one mapping per view
+    reuse = (PayloadMapping(), PayloadMapping())
+    folds, results = zip(*(_evaluate_scene(cohort, i, directory, scene, args.voxel, reuse)
                            for i, (directory, scene) in enumerate(zip(directories, scenes))))
     summary = summarize(folds)
 

@@ -112,12 +112,26 @@ def write_pfm(path, values) -> None:
         fh.write(np.flipud(v).tobytes())
 
 
-def read_pfm(path) -> np.ndarray:
+class PayloadMapping:
+    """A holder for the anonymous mapping of an earlier payload read, which a
+    later read of the same byte count fills again instead of mapping afresh;
+    empty until the first read.  The earlier read's array is then overwritten,
+    so a holder is shared only by reads whose arrays do not outlive the next."""
+
+    __slots__ = ("mapping",)
+
+    def __init__(self):
+        self.mapping = None
+
+
+def read_pfm(path, reuse: PayloadMapping | None = None) -> np.ndarray:
     """Read a grayscale PFM file into a (height, width) float32 array: a
-    read-only flipped view of `_read_payload`'s array."""
+    read-only flipped view of `_read_payload`'s array.  With `reuse`, the
+    payload goes into its mapping when the byte counts agree, overwriting the
+    array an earlier read returned from it."""
     with open(path, "rb") as fh:
         shape, dtype = _pfm_header(fh, path)
-        data = _read_payload(fh, path, shape, dtype)
+        data = _read_payload(fh, path, shape, dtype, reuse)
     return np.flipud(data)
 
 
@@ -162,17 +176,23 @@ def _payload_bytes(fh, path, shape: tuple[int, int]) -> int:
     return left
 
 
-def _read_payload(fh, path, shape: tuple[int, int], dtype: str) -> np.ndarray:
+def _read_payload(fh, path, shape: tuple[int, int], dtype: str,
+                  reuse: PayloadMapping | None = None) -> np.ndarray:
     """The rest of `fh`, `dtype` items, as a float32 array of `shape` in native
     byte order over a read-only buffer, which no caller can make writable;
     MalformedFileError unless `_payload_bytes` accepts it.  One `readinto`
-    fills a fresh anonymous mapping that one call faults in (MAP_POPULATE,
-    where the platform has it): the pages of a `fh.read()` fault in one at a
-    time, again on every read.  A file mapping would hold a descriptor per
-    array and turn a truncated file into SIGBUS."""
+    fills `reuse`'s mapping if it holds one of this payload's byte count, else
+    a fresh anonymous mapping that one call faults in (MAP_POPULATE, where the
+    platform has it) and that `reuse` then holds: the pages of a `fh.read()`
+    fault in one at a time, again on every read.  A file mapping would hold a
+    descriptor per array and turn a truncated file into SIGBUS."""
     left = _payload_bytes(fh, path, shape)
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    buffer = mmap.mmap(-1, left, flags=flags)
+    buffer = None if reuse is None else reuse.mapping
+    if buffer is None or len(buffer) != left:
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+        buffer = mmap.mmap(-1, left, flags=flags)
+        if reuse is not None:
+            reuse.mapping = buffer
     if fh.readinto(buffer) != left:
         raise MalformedFileError(f"{path}: cut short while its data was read")
     if not np.dtype(dtype).isnative:

@@ -381,16 +381,16 @@ class PinholeCamera:
 
     @classmethod
     def from_dict(cls, data: dict, name: str = "camera") -> "PinholeCamera":
-        """A camera as `to_dict` writes it; an error in its pose, or a pose
-        left out, names the camera as `name`."""
+        """A camera as `to_dict` writes it; an error in any of its keys, or a
+        key left out, names the camera as `name`."""
         _check_keys(
-            data, {"fx", "fy", "cx", "cy", "width", "height", "pose"}, "camera"
+            data, {"fx", "fy", "cx", "cy", "width", "height", "pose"}, name
         )
         if "pose" not in data:
             raise ConfigError(f"{name} is missing key 'pose'")
         return cls(
-            *(float(_finite(data.get(k), f"camera {k}")) for k in ("fx", "fy", "cx", "cy")),
-            *(_whole(data.get(k), f"camera {k}") for k in ("width", "height")),
+            *(float(_finite(data.get(k), f"{name} {k}")) for k in ("fx", "fy", "cx", "cy")),
+            *(_whole(data.get(k), f"{name} {k}") for k in ("width", "height")),
             pose=RigidTransform.from_dict(data["pose"], f"{name} pose"),
         )
 

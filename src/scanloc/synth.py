@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .cloud import DepthMap, _valid_depths, pfm_shape, read_pfm, write_pfm
+from .cloud import DepthMap, PayloadMapping, _valid_depths, pfm_shape, read_pfm, write_pfm
 from .errors import ConfigError, MalformedFileError, ScanlocError
 from .geometry import MIN_DEPTH, PinholeCamera, Pixel, RigidTransform
 from .jsonfile import (
@@ -672,13 +672,16 @@ def check_depth_maps(scene: SyntheticScene, directory) -> None:
         _check_depth_shape(camera, path, pfm_shape(path))
 
 
-def load_depths(scene: SyntheticScene, directory) -> SyntheticScene:
+def load_depths(scene: SyntheticScene, directory,
+                reuse: tuple[PayloadMapping | None, ...] = (None, None)) -> SyntheticScene:
     """`scene`, from `read_scene_json`, with its depth maps read from the
     scene directory `directory`; a map whose size is not its camera's raises
-    MalformedFileError naming the map."""
+    MalformedFileError naming the map.  `reuse` holds one `PayloadMapping`
+    per view for `read_pfm`: a view's map read into its holder's mapping
+    overwrites the map an earlier call read into it."""
     depths = []
-    for camera, path in zip(scene.cameras, _depth_paths(directory)):
-        values = read_pfm(path)
+    for camera, path, mapping in zip(scene.cameras, _depth_paths(directory), reuse):
+        values = read_pfm(path, mapping)
         _check_depth_shape(camera, path, values.shape)
         depths.append(DepthMap._owning(values))
     return replace(scene, depths=tuple(depths))

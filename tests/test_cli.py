@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import logging
+import mmap
 import os
 import re
 import shutil
@@ -38,7 +39,7 @@ from scanloc.handeye import (
     solve_park_martin,
 )
 from scanloc.jsonfile import _whole, read_json
-from scanloc.synth import NoiseSpec, default_ratios, generate_cohort
+from scanloc.synth import NoiseSpec, default_ratios, generate_cohort, load_scene, save_cohort
 from scanloc.targets import RatioPair, params_to_dict
 
 
@@ -737,16 +738,16 @@ class TestMalformedInput:
              "noise fault_prob right_hip must be a finite number, got 'abc'"),
             (lambda d: {**d, "cameras": [{**d["cameras"][0], "fx": float("nan")},
                                          d["cameras"][1]]},
-             "camera fx must be a finite number, got nan"),
+             "camera 0 fx must be a finite number, got nan"),
             (lambda d: {**d, "cameras": [d["cameras"][0],
                                          {**d["cameras"][1], "width": 320.5}]},
-             "camera width must be a whole number, got 320.5"),
+             "camera 1 width must be a whole number, got 320.5"),
             (lambda d: {**d, "cameras": [{**d["cameras"][0], "height": True},
                                          d["cameras"][1]]},
-             "camera height must be a whole number, got True"),
+             "camera 0 height must be a whole number, got True"),
             (lambda d: {**d, "cameras": [{**d["cameras"][0], "fx": True},
                                          d["cameras"][1]]},
-             "camera fx must be a finite number, got True"),
+             "camera 0 fx must be a finite number, got True"),
             (lambda d: {**d, "torso": {**d["torso"], "half_width": True}},
              "torso half_width must be a finite number, got True"),
             (lambda d: {**d, "noise": {**d["noise"], "keypoint_sigma_px": "abc"}},
@@ -780,7 +781,7 @@ class TestMalformedInput:
              "torso half_width must be a finite number, got 1000"),
             (lambda d: {**d, "cameras": [{**d["cameras"][0], "fx": 10**400},
                                          d["cameras"][1]]},
-             "camera fx must be a finite number, got 1000"),
+             "camera 0 fx must be a finite number, got 1000"),
             (lambda d: {**d, "cameras": [d["cameras"][0], {**d["cameras"][1], "pose": {
                 **d["cameras"][1]["pose"],
                 "rotation": [10**400, *d["cameras"][1]["pose"]["rotation"][1:]]}}]},
@@ -813,6 +814,8 @@ class TestMalformedInput:
              "faulted_joints left_shoulder must be 'dropped' or 'displaced', got 'missed'"),
             (lambda d: {**d, "ratios": {**d["ratios"], "front": {}}},
              "front scenes need ratios for targets 1 and 2, got []"),
+            (lambda d: {**d, "cameras": [d["cameras"][0], {**d["cameras"][1], "bogus": 1}]},
+             "unknown camera 1 keys: ['bogus']"),
         ],
         ids=["nan-keypoint", "missing-key", "non-numeric", "not-json", "pixel-view-not-object",
              "one-pixel-view", "observation-view-not-object", "one-camera", "cameras-not-list",
@@ -829,7 +832,8 @@ class TestMalformedInput:
              "huge-ratio-int", "negative-noise-seed", "huge-scene-id", "pose-bool", "pose-string",
              "torso-no-thickness", "noise-no-seed", "keypoints-no-hip", "keypoint-pixels-no-hip",
              "observation-no-view", "camera-no-pose", "camera-pose-no-rotation",
-             "fault-kind-null", "fault-kind-unknown", "front-ratios-empty"],
+             "fault-kind-null", "fault-kind-unknown", "front-ratios-empty",
+             "camera-unknown-key"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
                                             corrupt, detail):
@@ -930,8 +934,10 @@ class TestMalformedInput:
          "side scenes need side ratios"),
         ({"noise": {"fault_prob": {"right_hip": "abc"}}},
          "noise fault_prob right_hip must be a finite number, got 'abc'"),
-        ({"cameras": edited_cameras(fx=float("nan"))}, "camera fx must be a finite number, got nan"),
-        ({"cameras": edited_cameras(height=240.5)}, "camera height must be a whole number, got 240.5"),
+        ({"cameras": edited_cameras(fx=float("nan"))},
+         "camera 0 fx must be a finite number, got nan"),
+        ({"cameras": edited_cameras(height=240.5)},
+         "camera 0 height must be a whole number, got 240.5"),
         ({"cameras": 5}, "cameras must be a list of exactly two JSON objects"),
         ({"cameras": {"a": 1, "b": 2}}, "cameras must be a list of exactly two JSON objects"),
         ({"noise": {"seed": 7}},
@@ -1215,6 +1221,18 @@ def refuse_pfm(*args, **kwargs):
     raise AssertionError("a depth map was opened")
 
 
+def counted_mappings(monkeypatch) -> list[int]:
+    """The byte counts of the anonymous mappings made from now on, in order."""
+    made, make = [], mmap.mmap
+
+    def counted_mmap(fileno, length, *args, **kwargs):
+        made.append(length)
+        return make(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", counted_mmap)
+    return made
+
+
 class TestEvaluateOnePass:
     """`evaluate` reads every scene.json and PFM header first, then takes one
     scene at a time: its depth maps are read, fused and snapped once, for its
@@ -1238,13 +1256,16 @@ class TestEvaluateOnePass:
 
     def test_holds_one_scenes_depth_maps_at_a_time(self, side_cohort_dir, tmp_path,
                                                    monkeypatch):
+        """No earlier scene's depth map is alive when a PFM is read, so reading
+        it into the mapping the earlier scene's map lies in overwrites nothing
+        still in use."""
         read = []  # (scene directory, weak reference to the array read)
 
-        def watched_read_pfm(path):
+        def watched_read_pfm(path, reuse):
             scene = os.path.dirname(path)
             alive = [earlier for earlier, ref in read if earlier != scene and ref() is not None]
             assert not alive, f"{alive} still held while {path} is read"
-            values = read_pfm(path)
+            values = read_pfm(path, reuse)
             read.append((scene, weakref.ref(values)))
             return values
 
@@ -1253,6 +1274,41 @@ class TestEvaluateOnePass:
                      "--voxel", "0.004", "--out", str(tmp_path)]) == 0
         assert len(read) == 10
         assert all(ref() is None for _, ref in read)
+
+    def test_reads_every_scene_into_one_mapping_per_view(self, side_cohort_dir, tmp_path,
+                                                          monkeypatch):
+        mappings = counted_mappings(monkeypatch)
+        assert main(["evaluate", "--scenes", str(side_cohort_dir), "--target", "4",
+                     "--voxel", "0.004", "--out", str(tmp_path)]) == 0
+        assert mappings == [4 * 320 * 240] * 2
+
+    def test_a_cohort_of_two_image_sizes_reports_as_scenes_read_alone(self, tmp_path,
+                                                                      monkeypatch):
+        """Scenes 0, 1 and 4 are 320x240 and scenes 2 and 3 256x192: each
+        view's mapping is made again at every change of size, and the reports
+        are those of depth maps read by `load_scene`, scene by scene."""
+        scenes = tmp_path / "scenes"
+        noise = NoiseSpec(keypoint_sigma_px=0.5, depth_sigma_m=0.002)
+        small = small_cameras()
+        smaller = tuple(PinholeCamera(fx=240.0, fy=240.0, cx=127.5, cy=95.5, width=256,
+                                      height=192, pose=camera.pose) for camera in small)
+        for cameras, ids in ((small, (0, 1, 4)), (smaller, (2, 3))):
+            drawn = generate_cohort(5, noise=noise, pose_kind="side", seed=13, cameras=cameras)
+            save_cohort([drawn[i] for i in ids], scenes)
+        mappings = counted_mappings(monkeypatch)
+        argv = ["evaluate", "--scenes", str(scenes), "--target", "4", "--voxel", "0.004"]
+        assert main([*argv, "--out", str(tmp_path / "reused")]) == 0
+        assert mappings == [4 * 320 * 240] * 2 + [4 * 256 * 192] * 2 + [4 * 320 * 240] * 2
+
+        monkeypatch.setattr("scanloc.cli.load_depths",
+                            lambda scene, directory, *reuse: load_scene(directory))
+        assert main([*argv, "--out", str(tmp_path / "alone")]) == 0
+        assert len(mappings) == 6 + 10
+        names = sorted(os.listdir(tmp_path / "alone"))
+        assert names == sorted(os.listdir(tmp_path / "reused")) and len(names) == 4
+        for name in names:
+            assert (tmp_path / "reused" / name).read_bytes() == (
+                tmp_path / "alone" / name).read_bytes(), name
 
     @pytest.mark.parametrize("spoil, detail", [
         (lambda pfm: pfm.write_bytes(pfm.read_bytes()[:-100]), "data bytes follow"),

@@ -42,9 +42,11 @@ from scanloc.cloud import (
     NORMAL_RADIUS,
     DepthMap,
     FusedCloud,
+    PayloadMapping,
     _View,
     _key_bounds,
     _key_window,
+    _payload_bytes,
     _pca_normals,
     _prefilter_box,
     _scan_ball,
@@ -216,6 +218,62 @@ class TestPayloadReader:
         scenes = [load_scene(d) for d in scene_directories(tmp_path)]
         assert len(os.listdir("/proc/self/fd")) == before
         assert len(scenes) == 4
+
+    def test_a_reused_mapping_reads_a_big_endian_payload_bitwise(self, tmp_path):
+        """A read into a holder's mapping gives the bits of a fresh read, and
+        overwrites the array the earlier read returned from that mapping."""
+        rng = np.random.default_rng(73)
+        first, big = tmp_path / "first.pfm", tmp_path / "big.pfm"
+        write_pfm(first, rng.uniform(0.1, 3.0, size=(6, 5)).astype(np.float32))
+        bits = rng.integers(0, 2**32, size=(6, 5), dtype=np.uint32)
+        big.write_bytes(b"Pf\n5 6\n1.0\n" + bits.astype(">u4").tobytes())
+        reuse = PayloadMapping()
+        earlier = read_pfm(first, reuse)
+        mapping = reuse.mapping
+        back = read_pfm(big, reuse)
+        assert reuse.mapping is mapping and len(mapping) == 4 * 6 * 5
+        assert np.array_equal(back.view(np.uint32), read_pfm(big).view(np.uint32))
+        assert np.array_equal(back.view(np.uint32), np.flipud(bits))
+        assert np.array_equal(earlier.view(np.uint32), back.view(np.uint32))
+        assert back.dtype == np.float32 and not back.flags.writeable
+
+    def test_a_payload_of_another_size_gets_a_fresh_mapping(self, tmp_path):
+        rng = np.random.default_rng(74)
+        values = [rng.uniform(0.1, 3.0, size=shape).astype(np.float32)
+                  for shape in ((6, 5), (5, 6), (7, 5))]
+        paths = [tmp_path / f"depth_{i}.pfm" for i in range(3)]
+        for path, v in zip(paths, values):
+            write_pfm(path, v)
+        reuse = PayloadMapping()
+        read_pfm(paths[0], reuse)
+        mapping = reuse.mapping
+        same_count = read_pfm(paths[1], reuse)  # 5x6 has 6x5's byte count
+        assert reuse.mapping is mapping
+        assert np.array_equal(same_count, values[1])
+        larger = read_pfm(paths[2], reuse)
+        assert reuse.mapping is not mapping and len(reuse.mapping) == 4 * 7 * 5
+        assert np.array_equal(larger, values[2]) and not larger.flags.writeable
+
+    def test_a_file_cut_short_while_read_into_a_reused_mapping(self, tmp_path, monkeypatch):
+        # larger than the reader's buffer, so the cut falls in bytes still unread
+        values = np.random.default_rng(75).uniform(0.1, 3.0, size=(48, 64)).astype(np.float32)
+        first, cut = tmp_path / "first.pfm", tmp_path / "cut.pfm"
+        write_pfm(first, values)
+        write_pfm(cut, values[::-1])
+        reuse = PayloadMapping()
+        read_pfm(first, reuse)
+        mapping = reuse.mapping
+
+        def checked_then_cut(fh, path, shape):
+            left = _payload_bytes(fh, path, shape)
+            os.truncate(path, os.path.getsize(path) - 8)
+            return left
+
+        monkeypatch.setattr("scanloc.cloud._payload_bytes", checked_then_cut)
+        with pytest.raises(MalformedFileError) as info:
+            read_pfm(cut, reuse)
+        assert str(info.value) == f"{cut}: cut short while its data was read"
+        assert reuse.mapping is mapping
 
     def test_reads_the_same_bits_without_populate(self, tmp_path, monkeypatch):
         values = np.random.default_rng(72).uniform(0.1, 3.0, size=(48, 64)).astype(np.float32)
