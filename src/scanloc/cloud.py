@@ -147,19 +147,27 @@ def pfm_shape(path) -> tuple[int, int]:
 
 def _pfm_header(fh, path) -> tuple[tuple[int, int], str]:
     """The (height, width) and payload dtype a grayscale PFM header declares,
-    read from `fh` up to its payload; MalformedFileError if it is not one."""
+    read from `fh` up to its payload; MalformedFileError if it is not one.
+    The header is read within 256 bytes (`write_pfm` writes 16 at 640x480):
+    a longer one is refused before more of it is read."""
+    def byte():
+        if fh.tell() >= 256:
+            raise MalformedFileError(f"{path}: PFM header is longer than 256 bytes")
+        return fh.read(1)
+
     def token():
         chars = []
-        ch = fh.read(1)
+        ch = byte()
         while ch and ch.isspace():
-            ch = fh.read(1)
+            ch = byte()
         while ch and not ch.isspace():
             chars.append(ch)
-            ch = fh.read(1)
+            ch = byte()
         return b"".join(chars)
 
+    magic, width, height, scale = token(), token(), token(), token()
     try:
-        magic, width, height, scale = token(), int(token()), int(token()), float(token())
+        width, height, scale = int(width), int(height), float(scale)
     except ValueError:
         raise MalformedFileError(f"{path}: PFM header is cut short or not numeric") from None
     if magic != b"Pf" or not _finite_number(scale) or scale == 0:

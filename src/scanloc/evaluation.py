@@ -33,6 +33,7 @@ from .targets import (
     FitSample,
     RatioPair,
     _fit_rows,
+    _pixel_in_view,
     _sample_arrays,
     _target_poses,
     pose_keypoints,
@@ -94,7 +95,7 @@ def _scene_sample(scene: SyntheticScene, target_id: int) -> tuple[FitSample | No
             return None, f"{joint} {scene.faulted_joints[joint]}"
     for joint in needed:
         for vi, camera in enumerate(scene.cameras):
-            if scene.observation.joint_in_view(joint, vi, camera) is None:
+            if _pixel_in_view(scene.observation, joint, vi, camera) is None:
                 return None, f"{joint} not visible in view {vi}"
     try:
         kps, dropped = pose_keypoints(scene.cameras[0], scene.cameras[1], scene.observation,

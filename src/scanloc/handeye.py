@@ -34,12 +34,12 @@ class PosePairSample:
     tag_in_camera: RigidTransform
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PosePairSample":
-        _check_keys(data, {"gripper_in_base", "tag_in_camera"}, "calibration sample")
-        return cls(
-            gripper_in_base=RigidTransform.from_dict(data["gripper_in_base"]),
-            tag_in_camera=RigidTransform.from_dict(data["tag_in_camera"]),
-        )
+    def from_dict(cls, data: dict, name: str = "calibration sample") -> "PosePairSample":
+        """A sample with both poses; an error names the sample as `name` and
+        a pose as `name` and its key."""
+        keys = ("gripper_in_base", "tag_in_camera")
+        _check_keys(data, set(keys), name, whole=True)
+        return cls(**{key: RigidTransform.from_dict(data[key], f"{name} {key}") for key in keys})
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +53,8 @@ class MotionPair:
 def _samples_from_json(data) -> list[PosePairSample]:
     if not isinstance(data, list):
         raise ConfigError("calibration samples file must hold a JSON array")
-    return [PosePairSample.from_dict(item) for item in data]
+    return [PosePairSample.from_dict(item, f"calibration sample {i}")
+            for i, item in enumerate(data)]
 
 
 def load_samples(path) -> list[PosePairSample]:

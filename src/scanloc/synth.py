@@ -44,14 +44,11 @@ from .targets import (
     FRONT_TARGET_IDS,
     POSE_KINDS,
     TARGET_IDS,
-    KeypointObservation,
     Keypoints3D,
     RatioPair,
     TargetModelParams,
     params_from_dict,
     params_to_dict,
-    pixel_views_from_json,
-    pixel_views_to_json,
     regress_targets,
     required_joints,
 )
@@ -183,7 +180,7 @@ class SyntheticScene:
     ratios: TargetModelParams
     cameras: tuple[PinholeCamera, PinholeCamera]
     depths: tuple[DepthMap, DepthMap]
-    observation: KeypointObservation
+    observation: tuple[dict, dict]  # the detector's joint pixels; a joint it missed is absent
     keypoints_true: Keypoints3D
     keypoint_pixels_true: tuple[dict, dict]
     targets_true: dict[int, np.ndarray]
@@ -447,7 +444,7 @@ def generate_scene(torso: TorsoSpec, ratios: TargetModelParams,
         ratios=ratios,
         cameras=cameras,
         depths=depths,
-        observation=KeypointObservation(views=observed),
+        observation=observed,
         keypoints_true=kps,
         keypoint_pixels_true=kp_pixels_true,
         targets_true=targets,
@@ -575,9 +572,17 @@ def _cameras(value, key: str) -> tuple[PinholeCamera, PinholeCamera]:
 
 
 def _pixels(keys, whole: bool = False):
-    """The reader of a two-view pixel map over `keys`, each view holding
-    every one of them if `whole`."""
-    return lambda v, k: pixel_views_from_json(_two(v, k), keys, k, whole)
+    """The reader of a two-view pixel map over `keys`: a list of two JSON
+    objects of [u, v] lists, view 0 first, each view read by `_vectors` as
+    `key view<i>` and holding every one of `keys` if `whole`."""
+    return lambda v, k: tuple({key: Pixel(*uv.tolist()) for key, uv in
+                               _vectors(view, keys, f"{k} view{vi}", 2, whole).items()}
+                              for vi, view in enumerate(_two(v, k)))
+
+
+def _pixels_to_json(views: tuple[dict, dict]) -> list:
+    """`_pixels`' inverse: two views of named pixels as two JSON objects of [u, v] lists."""
+    return [_as_lists(view) for view in views]
 
 
 # scene.json holds exactly these keys, one per SyntheticScene field but
@@ -593,14 +598,14 @@ _SCENE_FIELDS = {
     "noise": (NoiseSpec.to_dict, lambda v, k: NoiseSpec.from_dict(v, whole=True)),
     "ratios": (params_to_dict, lambda v, k: params_from_dict(v)),
     "cameras": (lambda cameras: [camera.to_dict() for camera in cameras], _cameras),
-    "observation": (KeypointObservation.to_dict, lambda v, k: KeypointObservation.from_dict(v)),
+    "observation": (_pixels_to_json, _pixels(ALL_JOINTS)),
     "keypoints_true": (lambda kps: _as_lists({j: getattr(kps, j) for j in ALL_JOINTS}),
                        lambda v, k: Keypoints3D(**_vectors(v, ALL_JOINTS, k, whole=True))),
-    "keypoint_pixels_true": (pixel_views_to_json, _pixels(ALL_JOINTS, whole=True)),
+    "keypoint_pixels_true": (_pixels_to_json, _pixels(ALL_JOINTS, whole=True)),
     "targets_true": (_as_lists, lambda v, k: _vectors(v, TARGET_IDS, k)),
     "target_normals_true": (_as_lists, lambda v, k: _vectors(v, TARGET_IDS, k)),
-    "target_pixels_true": (pixel_views_to_json, _pixels(TARGET_IDS)),
-    "target_pixels_observed": (pixel_views_to_json, _pixels(TARGET_IDS)),
+    "target_pixels_true": (_pixels_to_json, _pixels(TARGET_IDS)),
+    "target_pixels_observed": (_pixels_to_json, _pixels(TARGET_IDS)),
     "faulted_joints": (dict, _faults),
 }
 

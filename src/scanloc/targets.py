@@ -400,55 +400,31 @@ class ScanTargetPose:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class KeypointObservation:
-    """Detected joint pixels per view; a joint missing from a dict was not seen."""
-
-    views: tuple[dict, dict]
-
-    def joint_in_view(self, joint: str, view_index: int, camera: PinholeCamera) -> Pixel | None:
-        pixel = self.views[view_index].get(joint)
-        if pixel is None:
-            return None
-        pixel = Pixel(float(pixel[0]), float(pixel[1]))
-        if not camera.contains(pixel):
-            return None
-        return pixel
-
-    def to_dict(self) -> dict:
-        return dict(zip(("view0", "view1"), pixel_views_to_json(self.views)))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KeypointObservation":
-        _check_keys(data, {"view0", "view1"}, "observation", whole=True)
-        views = (data["view0"], data["view1"])
-        return cls(views=pixel_views_from_json(views, ALL_JOINTS, "observation"))
-
-
-def pixel_views_to_json(views: tuple[dict, dict]) -> list:
-    """Two views of named pixels as two JSON objects of [u, v] lists."""
-    return [_as_lists(view) for view in views]
-
-
-def pixel_views_from_json(views, keys, name: str, whole: bool = False) -> tuple[dict, dict]:
-    """Two JSON objects of named pixels, each read by `_vectors` as
-    `name view{i}`, as Pixels."""
-    return tuple({key: Pixel(*uv.tolist()) for key, uv in
-                  _vectors(view, keys, f"{name} view{vi}", 2, whole).items()}
-                 for vi, view in enumerate(views))
+def _pixel_in_view(views: tuple[dict, dict], joint: str, view_index: int,
+                   camera: PinholeCamera) -> Pixel | None:
+    """`joint`'s pixel in view `view_index` of the two-view pixel map `views`
+    (a detector's observation: a joint missing from a view was not seen), or
+    None if it is missing or `camera` does not contain it."""
+    pixel = views[view_index].get(joint)
+    if pixel is None:
+        return None
+    pixel = Pixel(float(pixel[0]), float(pixel[1]))
+    if not camera.contains(pixel):
+        return None
+    return pixel
 
 
 def triangulate_joints(
     camera_a: PinholeCamera,
     camera_b: PinholeCamera,
-    observation: KeypointObservation,
+    observation: tuple[dict, dict],
 ) -> dict[str, np.ndarray]:
     """3D positions of every joint seen (in bounds) in both views, from one
     `triangulate` call on their pixel pairs in `ALL_JOINTS` order, so the
     first joint in that order that cannot be triangulated is the one reported."""
     seen = {}
     for joint in ALL_JOINTS:
-        pixels = [observation.joint_in_view(joint, vi, camera)
+        pixels = [_pixel_in_view(observation, joint, vi, camera)
                   for vi, camera in enumerate((camera_a, camera_b))]
         if None not in pixels:
             seen[joint] = pixels
@@ -461,7 +437,7 @@ def triangulate_joints(
 def pose_keypoints(
     camera_a: PinholeCamera,
     camera_b: PinholeCamera,
-    observation: KeypointObservation,
+    observation: tuple[dict, dict],
     pose_kind: str,
 ) -> tuple[Keypoints3D, dict[str, str]]:
     """The triangulated joints a pose kind can trust, and why each other
@@ -509,7 +485,7 @@ def regress_targets(
 def localize(
     camera_a: PinholeCamera,
     camera_b: PinholeCamera,
-    observation: KeypointObservation,
+    observation: tuple[dict, dict],
     cloud: FusedCloud,
     params: TargetModelParams,
     pose_kind: str,

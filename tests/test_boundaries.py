@@ -99,19 +99,32 @@ def finite_test(node):
     return None
 
 
-def scene_layout_name(node):
-    """A "scene.json" constant, or a constant or f-string whose text, with each
-    replacement field as {}, is a depth_<n>.pfm name."""
-    if isinstance(node, ast.Constant) and node.value == "scene.json":
-        return repr(node.value)
+def string_text(node) -> str | None:
+    """The text of a string constant, or of an f-string with each replacement
+    field as {}; None for any other node."""
     if isinstance(node, ast.JoinedStr):
-        text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
                        for part in node.values)
-    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-        text = node.value
-    else:
-        return None
-    return ast.unparse(node) if re.fullmatch(r"depth_(\d+|\{\})\.pfm", text) else None
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def scene_layout_name(node):
+    """A string or f-string whose text is "scene.json" or a depth_<n>.pfm name."""
+    text = string_text(node)
+    if text is not None and re.fullmatch(r"scene\.json|depth_(\d+|\{\})\.pfm", text):
+        return ast.unparse(node)
+    return None
+
+
+def view_name(node):
+    """A string or f-string whose text is a view<n> key or glues the word view
+    to a replacement field: view{}."""
+    text = string_text(node)
+    if text is not None and (re.fullmatch(r"view\d+", text) or re.search(r"\bview\{\}", text)):
+        return ast.unparse(node)
+    return None
 
 
 # each error class of `scanloc.errors` and its bases: one class per way a caller reacts
@@ -220,6 +233,19 @@ RULES = [
          "n = 'depth_files'\nq = f'{d}/depth.pfm'\nm = 'depth_0.pfm is missing'\n",
          ["line 1: 'scene.json'", "line 2: f'depth_{vi}.pfm'", "line 5: 'depth_0.pfm'"],
          lambda found: found == ["'scene.json'", "f'depth_{vi}.pfm'"]),
+    Rule("pixel-map", "synth.py",
+         "A two-view pixel map (a detector's observation, or a map of true or "
+         "observed pixels) is a list of two JSON objects, view 0 first, and `synth` "
+         "names a view once: `_pixels` reads each view as `key view<i>`, and "
+         "`_scene_from_json` names a view so when it checks the targets.  A module "
+         "that writes a view<n> key or glues `view` to a replacement "
+         "field is naming a view again.",
+         view_name,
+         "a = data['view0']\nb = f'{name} view{vi}'\nc = f'{joint} not visible in view {vi}'\n"
+         "d = f'view {k}: {exc}'\ne = ['scene_id', 'view', 'view1']\nf = f'preview{n}'\n"
+         "g = 'view 0'\n",
+         ["line 1: 'view0'", "line 2: f'{name} view{vi}'", "line 5: 'view1'"],
+         lambda found: found == ["f'{k} view{vi}'", "f'{name} view{vi}'"]),
     Rule("exception", "errors.py",
          "A caller reacts to a failure in one of four ways, and `errors.py` holds one "
          "class for each; a failure is told apart from its kin by its message.  A "

@@ -639,6 +639,15 @@ class TestMalformedInput:
         assert_refused(caplog, ["fuse", "--scene", str(scene), "--out", str(out)], out,
                        str(pfm))
 
+    def test_fuse_on_pfm_header_too_long_exits_1(self, cohort_dir, tmp_path, caplog):
+        scene = tmp_path / "scene"
+        shutil.copytree(cohort_dir / "scene_001", scene)
+        pfm = scene / "depth_0.pfm"
+        pfm.write_bytes(b"Pf\n" + b"9" * 2**20 + b" 240\n-1.0\n")
+        out = tmp_path / "cloud.bin"
+        assert_refused(caplog, ["fuse", "--scene", str(scene), "--out", str(out)], out,
+                       str(pfm), "PFM header is longer than 256 bytes")
+
     @pytest.mark.parametrize("shape", [(4, 4), (480, 640)], ids=["4x4", "twice-the-camera"])
     def test_fuse_on_depth_map_not_its_cameras_size_exits_1(self, cohort_dir, tmp_path, caplog,
                                                             shape):
@@ -657,6 +666,15 @@ class TestMalformedInput:
         out = tmp_path / "reports"
         assert_refused(caplog, ["evaluate", "--scenes", str(scenes), "--target", "1",
                                 "--out", str(out)], out / "folds.csv", "scene id 0 is shared")
+
+    @pytest.mark.parametrize("command, option, out", [("fit", "--dataset", "params.json"),
+                                                      ("evaluate", "--scenes", "reports")])
+    def test_a_dataset_without_scenes_exits_1(self, tmp_path, caplog, command, option, out):
+        dataset = tmp_path / "empty"
+        (dataset / "not_a_scene").mkdir(parents=True)
+        out = tmp_path / out
+        assert_refused(caplog, [command, option, str(dataset), "--target", "1", "--out", str(out)],
+                       out, f"no scene_* directories under {dataset}")
 
     def test_fit_on_shared_scene_id_exits_1(self, cohort_dir, tmp_path, caplog):
         scenes = tmp_path / "scenes"
@@ -712,8 +730,8 @@ class TestMalformedInput:
             (lambda d: {**d, "target_pixels_true": [1, 2]}, "two JSON objects"),
             (lambda d: {**d, "target_pixels_true": d["target_pixels_true"][:1]},
              "two JSON objects"),
-            (lambda d: {**d, "observation": {"view0": [], "view1": {}}},
-             "observation view0 must be a JSON object"),
+            (lambda d: {**d, "observation": [[], {}]},
+             "observation must be a list of exactly two JSON objects"),
             (lambda d: {**d, "cameras": d["cameras"][:1]},
              "cameras must be a list of exactly two JSON objects"),
             (lambda d: {**d, "cameras": 5}, "cameras must be a list of exactly two JSON objects"),
@@ -758,11 +776,11 @@ class TestMalformedInput:
              "noise seed must be a whole number, got 1.5"),
             (lambda d: {**d, "scene_id": "one"}, "scene_id must be a whole number, got 'one'"),
             (lambda d: {**d, "scene_id": True}, "scene_id must be a whole number, got True"),
-            (lambda d: {**d, "observation": {**d["observation"], "view0": {
-                **d["observation"]["view0"], "left_shoulder": ["abc", 5]}}},
+            (lambda d: {**d, "observation": [{**d["observation"][0], "left_shoulder": ["abc", 5]},
+                                             d["observation"][1]]},
              "observation view0 left_shoulder must be 2 finite numbers, got ['abc', 5]"),
-            (lambda d: {**d, "observation": {**d["observation"], "view1": {
-                **d["observation"]["view1"], "right_shoulder": [True, 5]}}},
+            (lambda d: {**d, "observation": [d["observation"][0],
+                                             {**d["observation"][1], "right_shoulder": [True, 5]}]},
              "observation view1 right_shoulder must be 2 finite numbers, got [True, 5]"),
             (lambda d: {**d, "keypoints_true": {**d["keypoints_true"],
                                                 "left_shoulder": [True, 0.1, 0.1]}},
@@ -804,7 +822,11 @@ class TestMalformedInput:
              "keypoints_true is missing key 'right_hip'"),
             (lambda d: without(d, "keypoint_pixels_true", 1, "right_hip"),
              "keypoint_pixels_true view1 is missing key 'right_hip'"),
-            (lambda d: without(d, "observation", "view1"), "observation is missing key 'view1'"),
+            (lambda d: without(d, "observation", 1),
+             "observation must be a list of exactly two JSON objects"),
+            (lambda d: {**d, "observation": {f"view{vi}": view
+                                             for vi, view in enumerate(d["observation"])}},
+             "observation must be a list of exactly two JSON objects"),
             (lambda d: without(d, "cameras", 1, "pose"), "camera 1 is missing key 'pose'"),
             (lambda d: without(d, "cameras", 1, "pose", "rotation"),
              "camera 1 pose is missing key 'rotation'"),
@@ -831,8 +853,8 @@ class TestMalformedInput:
              "ratios-name-target-3", "huge-torso-int", "huge-camera-int", "huge-rotation-int",
              "huge-ratio-int", "negative-noise-seed", "huge-scene-id", "pose-bool", "pose-string",
              "torso-no-thickness", "noise-no-seed", "keypoints-no-hip", "keypoint-pixels-no-hip",
-             "observation-no-view", "camera-no-pose", "camera-pose-no-rotation",
-             "fault-kind-null", "fault-kind-unknown", "front-ratios-empty",
+             "observation-no-view", "observation-keyed-by-view", "camera-no-pose",
+             "camera-pose-no-rotation", "fault-kind-null", "fault-kind-unknown", "front-ratios-empty",
              "camera-unknown-key"],
     )
     def test_fuse_on_bad_scene_json_exits_1(self, cohort_dir, tmp_path, caplog,
@@ -970,9 +992,19 @@ class TestMalformedInput:
         (lambda text: text.replace("[0.0, 0.0, 0.0]", "[NaN, 0, 0]", 1), "finite"),
         (lambda text: text.replace("1.0", "2.0", 1), "orthonormal"),
         (lambda text: text.replace("[0.0, 0.0, 0.0]", "[true, 0, 0]", 1), "got [True, 0, 0]"),
-        (lambda text: text.replace("1.0", '"1.0"', 1), "pose rotation must be 9 finite numbers"),
-        (lambda text: text.replace(", 1.0]", "]", 1), "pose rotation must be 9 finite numbers"),
-    ], ids=["truncated", "non-numeric", "nan", "not-orthonormal", "bool", "string", "eight-values"])
+        (lambda text: text.replace("1.0", '"1.0"', 1),
+         "calibration sample 0 gripper_in_base rotation must be 9 finite numbers, "
+         "got ['1.0', 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]"),
+        (lambda text: text.replace(", 1.0]", "]", 1),
+         "calibration sample 0 gripper_in_base rotation must be 9 finite numbers, "
+         "got [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]"),
+        (lambda text: json.dumps(without(json.loads(text), 2, "tag_in_camera")),
+         "calibration sample 2 is missing key 'tag_in_camera'"),
+        (lambda text: '["a", 0, 0]'.join(text.rsplit("[0.0, 0.0, 0.0]", 1)),
+         "calibration sample 2 tag_in_camera translation must be 3 finite numbers, "
+         "got ['a', 0, 0]"),
+    ], ids=["truncated", "non-numeric", "nan", "not-orthonormal", "bool", "string", "eight-values",
+            "missing-pose", "bad-pose-in-a-later-sample"])
     def test_calibrate_on_bad_samples_exits_1(self, tmp_path, caplog, corrupt, detail):
         identity = RigidTransform(np.eye(3), np.zeros(3)).to_dict()
         samples = tmp_path / "samples.json"
@@ -1063,7 +1095,7 @@ def edit_observation(scene_dir, edit):
     """Apply `edit` to each view's observed joint pixels in scene.json."""
     path = scene_dir / "scene.json"
     data = json.loads(path.read_text())
-    for view in data["observation"].values():
+    for view in data["observation"]:
         edit(view)
     path.write_text(json.dumps(data))
 

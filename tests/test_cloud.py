@@ -58,6 +58,7 @@ from scanloc.cloud import (
     _voxel_centroids,
     adjust_target,
     fuse,
+    pfm_shape,
     read_pfm,
     write_pfm,
 )
@@ -155,6 +156,18 @@ class TestPfm:
         bad = tmp_path / "bad.pfm"
         bad.write_bytes(corrupt(good.read_bytes()))
         assert_malformed(read_pfm, bad)
+
+    @pytest.mark.parametrize("read", [read_pfm, pfm_shape], ids=["read_pfm", "pfm_shape"])
+    def test_a_header_token_of_a_mebibyte_is_refused_within_a_small_budget(self, tmp_path,
+                                                                           read):
+        """A width of 1 MiB of digits is refused as a header too long, while
+        the reader holds under 64 KiB: the header is read within 256 bytes."""
+        path = tmp_path / "long.pfm"
+        path.write_bytes(b"Pf\n" + b"9" * 2**20 + b" 2\n-1.0\n" + b"\x00" * 8)
+        peak = traced_peak(lambda: assert_malformed(read, path))
+        assert peak < 64 * 1024
+        with pytest.raises(MalformedFileError, match="PFM header is longer than 256 bytes"):
+            read(path)
 
     def test_little_endian_payload_is_read_without_a_copy(self, tmp_path):
         values = np.random.default_rng(53).uniform(0.1, 3.0, size=(5, 4)).astype(np.float32)
@@ -1335,6 +1348,10 @@ class TestCloudErrors:
             with pytest.raises(ConfigError) as info:
                 call()
             assert isinstance(info.value, ValueError)
+
+    def test_a_cloud_of_no_points_is_refused(self):
+        with pytest.raises(ScanlocError, match="a fused cloud needs at least one point"):
+            FusedCloud(points=np.zeros((0, 3)), normals=np.zeros((0, 3)))
 
 
 @pytest.fixture(scope="module")

@@ -99,6 +99,16 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
+    def test_orthonormalized_turns_a_reflection_into_the_nearest_rotation(self):
+        """A noisy reflection projects to U diag(1, 1, det(U V^T)) V^T, det +1."""
+        noisy = np.diag([1.0, 1.0, -1.0]) + np.random.default_rng(12).normal(0, 0.05, (3, 3))
+        assert np.linalg.det(noisy) < 0
+        u, _, vt = np.linalg.svd(noisy)
+        nearest = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
+        t = RigidTransform.orthonormalized(noisy, [0.1, 0.2, 0.3])
+        assert abs(np.linalg.det(t.rotation) - 1) < 1e-12
+        assert np.allclose(t.rotation, nearest, atol=1e-12, rtol=0)
+
     def test_dict_round_trip(self):
         rng = np.random.default_rng(10)
         t = random_transform(rng, trans_scale=2)

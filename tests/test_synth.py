@@ -37,10 +37,10 @@ from scanloc.targets import (
     RIGHT_HIP,
     FitDataset,
     FitSample,
-    KeypointObservation,
     Keypoints3D,
     RatioPair,
     TargetModelParams,
+    _pixel_in_view,
     fit_front,
     fit_side,
     localize,
@@ -532,7 +532,7 @@ class TestGenerateScene:
     def test_noiseless_observation_equals_true_pixels(self):
         scene = generate_scene(TORSO, RATIOS, None, NoiseSpec(), "front")
         for vi in (0, 1):
-            for joint, px in scene.observation.views[vi].items():
+            for joint, px in scene.observation[vi].items():
                 true = scene.keypoint_pixels_true[vi][joint]
                 assert px == true
 
@@ -563,7 +563,7 @@ class TestGenerateScene:
         b = generate_scene(TORSO, RATIOS, None, noise, "front")
         for va, vb in zip(a.depths, b.depths):
             assert np.array_equal(va.values, vb.values)
-        assert a.observation.views == b.observation.views
+        assert a.observation == b.observation
         assert a.target_pixels_observed == b.target_pixels_observed
 
     def test_missing_generative_ratios_rejected(self):
@@ -580,7 +580,7 @@ class TestGenerateScene:
         view, _ = _exact_pixels((cam, cam), {RIGHT_HIP: np.array([-0.639, 0.0, 0.0])}, "keypoint")
         pixel = view[RIGHT_HIP]
         assert 639 < pixel.u < 640
-        assert KeypointObservation(views=(view, {})).joint_in_view(RIGHT_HIP, 0, cam) == pixel
+        assert _pixel_in_view((view, {}), RIGHT_HIP, 0, cam) == pixel
 
     def test_camera_missing_torso_rejected(self):
         cams = default_cameras(TORSO)
@@ -603,7 +603,7 @@ class TestNoise:
         scene = generate_scene(TORSO, RATIOS, None, noise, "front")
         deltas = []
         for vi in (0, 1):
-            for joint, px in scene.observation.views[vi].items():
+            for joint, px in scene.observation[vi].items():
                 true = scene.keypoint_pixels_true[vi][joint]
                 deltas.append(np.hypot(px.u - true.u, px.v - true.v))
         deltas = np.array(deltas)
@@ -629,8 +629,8 @@ class TestNoise:
         scene = generate_scene(TORSO, RATIOS, None, noise, "side")
         assert scene.faulted_joints == {"right_hip": "dropped"}
         for vi in (0, 1):
-            assert "right_hip" not in scene.observation.views[vi]
-            assert "right_shoulder" in scene.observation.views[vi]
+            assert "right_hip" not in scene.observation[vi]
+            assert "right_shoulder" in scene.observation[vi]
 
     def test_hip_fault_displaced_branch(self):
         # seed 1 drives the branch to "displaced": present in both views but
@@ -639,7 +639,7 @@ class TestNoise:
         scene = generate_scene(TORSO, RATIOS, None, noise, "side")
         assert scene.faulted_joints == {"right_hip": "displaced"}
         for vi in (0, 1):
-            px = scene.observation.views[vi]["right_hip"]
+            px = scene.observation[vi]["right_hip"]
             true = scene.keypoint_pixels_true[vi]["right_hip"]
             assert abs(np.hypot(px.u - true.u, px.v - true.v) - 50.0) < 1e-9
 
@@ -765,7 +765,7 @@ def same_bits(a, b) -> bool:
 # the keys of scene.json that may be left out, by the path of their record:
 # a joint not detected, a joint not faulted, a joint of fault probability 0,
 # and what a params file may leave out of the ratios
-OPTIONAL_SCENE_KEYS = {("observation", "view0"), ("observation", "view1"), ("faulted_joints",),
+OPTIONAL_SCENE_KEYS = {("observation", 0), ("observation", 1), ("faulted_joints",),
                        ("noise", "fault_prob"), ("ratios",), ("ratios", "front")}
 
 
@@ -794,7 +794,7 @@ class TestSceneIO:
         save_scene(generate_scene(TORSO, RATIOS, small_cameras(), noise, "front"), tmp_path)
         path = tmp_path / "scene.json"
         data = json.loads(path.read_text())
-        for record, key in ((data["observation"]["view1"], "left_shoulder"),
+        for record, key in ((data["observation"][1], "left_shoulder"),
                             (data["faulted_joints"], "right_hip"),
                             (data["noise"]["fault_prob"], "right_hip"),
                             (data["ratios"], "reference_axes"),
@@ -803,7 +803,7 @@ class TestSceneIO:
         path.write_text(json.dumps(data))
         loaded = load_scene(tmp_path)
         assert loaded.faulted_joints == {} and loaded.noise.fault_prob == {}
-        assert "left_shoulder" not in loaded.observation.views[1]
+        assert "left_shoulder" not in loaded.observation[1]
         assert loaded.ratios.side is None
 
     @pytest.mark.parametrize("kind, key_path, detail", [
@@ -888,7 +888,7 @@ class TestSceneIO:
         assert loaded.torso == scene.torso
         assert loaded.noise == scene.noise
         assert loaded.faulted_joints == scene.faulted_joints
-        assert loaded.observation.views == scene.observation.views
+        assert loaded.observation == scene.observation
         assert loaded.target_pixels_observed == scene.target_pixels_observed
         for vi in (0, 1):
             cam_a, cam_b = scene.cameras[vi], loaded.cameras[vi]

@@ -17,7 +17,6 @@ from scanloc.targets import (
     ALL_JOINTS,
     FitDataset,
     FitSample,
-    KeypointObservation,
     Keypoints3D,
     LATERAL,
     RatioPair,
@@ -531,7 +530,7 @@ def observe(cam_a, cam_b, points_by_joint):
     for joint, point in points_by_joint.items():
         views[0][joint] = cam_a.project(point)
         views[1][joint] = cam_b.project(point)
-    return KeypointObservation(views=views)
+    return views
 
 
 SLAB_KEYPOINTS = {
@@ -611,11 +610,10 @@ class TestLocalize:
         cam_a, cam_b = two_view_rig()
         cloud = slab_cloud()
         obs = observe(cam_a, cam_b, SLAB_KEYPOINTS)
-        views = (dict(obs.views[0]), dict(obs.views[1]))
+        views = (dict(obs[0]), dict(obs[1]))
         views[1]["right_hip"] = Pixel(-5.0, 10.0)
-        broken = KeypointObservation(views=views)
         with pytest.raises(ScanlocError, match="side targets need right_hip, not seen in both views"):
-            localize(cam_a, cam_b, broken, cloud, SLAB_PARAMS, "side")
+            localize(cam_a, cam_b, views, cloud, SLAB_PARAMS, "side")
 
     def test_far_from_surface_flagged_and_logged(self, caplog):
         cam_a, cam_b = two_view_rig()
@@ -758,12 +756,12 @@ class TestTriangulateJoints:
         assert calls == [len(ALL_JOINTS)]
         assert list(joints) == list(ALL_JOINTS)
         for joint, point in joints.items():
-            pixels = [scene.observation.views[vi][joint] for vi in (0, 1)]
+            pixels = [scene.observation[vi][joint] for vi in (0, 1)]
             assert point.tobytes() == triangulate(*scene.cameras, *pixels).tobytes()
 
     def test_no_joint_seen_makes_no_call(self, monkeypatch):
         monkeypatch.setattr("scanloc.targets.triangulate", None)
-        assert triangulate_joints(*two_view_rig(), KeypointObservation(views=({}, {}))) == {}
+        assert triangulate_joints(*two_view_rig(), ({}, {})) == {}
 
     def test_the_first_failing_joint_in_all_joints_order_is_reported(self):
         """Whatever order the views list them in: cameras 1000 km apart, where
@@ -777,7 +775,7 @@ class TestTriangulateJoints:
             views = tuple({"right_shoulder": right[vi], "left_shoulder": left[vi]}
                           for vi in (0, 1))
             with pytest.raises(ScanlocError, match=message):
-                triangulate_joints(*cameras, KeypointObservation(views=views))
+                triangulate_joints(*cameras, views)
 
 
 class TestRegressTargets:
